@@ -37,13 +37,22 @@ short fixed pure-Python BFS (the speed probe) on that CPU every
 PROBE_PERIOD_S, taking about 3% of it.  It reports each command's wall time
 multiplied by REF_PROBE_S / (mean probe time): the time the command would
 take at the speed where the probe takes REF_PROBE_S.  The unscaled times are
-printed and saved beside them.
+printed, and saved beside them with each command's wall time and factor.
+
+The probe shares its CPU with the child, so the factor could in principle
+follow what the child does (blocking I/O, cache pressure) rather than the
+machine.  As a control, IDLE_PROBES probes run just before and just after each
+command, with no child running; their factor is saved as `idle_speed`.  Scaling by
+the idle factor alone misses the swings inside a command and leaves spreads
+near the unscaled ones; the ratio of the two factors is what shows whether a
+workload biases the probe (bench/baseline/BENCH_0.json records it).
 
 The last line of stdout is one JSON object with `correct`, `attempted`,
 `failed` and `metrics`; the lines above it give the environment stamp and
 each metric with its sample count.  The exit code is 1 when any command
 failed its check, 2 when the program is missing or the arguments are bad.
-Work files go to `.bench_out/` in the checkout.
+Work files and a JSON file of each run's samples go to `.bench_out/` in the
+checkout.
 """
 
 from __future__ import annotations
@@ -68,7 +77,7 @@ SRC = ROOT / "src"
 WORK = ROOT / ".bench_out"
 TRACER = Path(__file__).resolve().parent / "tracer.py"
 
-SETUP_REPEATS = 5
+SETUP_REPEATS = 11
 DEADLINE_S = 170.0  # every run must end within 180 s
 COMMAND_TIMEOUT_S = 120.0
 SMALLEST = (2, 3, 5)
@@ -79,56 +88,12 @@ PROBE_N = 2048
 PROBE_STEPS = (1, 3, 7, 15, 31, 63, 127, 255)
 REF_PROBE_S = 0.0015
 PROBE_PERIOD_S = 0.05
+IDLE_PROBES = 3
 
-# name -> (unit, better); BENCHMARK.json lists the same metrics
-END_TO_END = {
-    "setup_s": ("s", "lower"),
-    "wall_s": ("s", "lower"),
-    "largest_s": ("s", "lower"),
-    "peak_rss_mb": ("MB", "lower"),
-    "ops_ok_ratio": ("ratio", "higher"),
-}
-PER_LAYER = {
-    "cli.main.self_s": ("s", "lower"),
-    "report.build_report.self_s": ("s", "lower"),
-    "report.run_verification.self_s": ("s", "lower"),
-    "graph.bfs.calls": ("count", "lower"),
-    "graph.bfs.source0_calls": ("count", "lower"),
-    "graph.bfs.total_s": ("s", "lower"),
-    "graph.bfs.us_per_vertex": ("us", "lower"),
-    "graph.is_connected.self_s": ("s", "lower"),
-    "graph.adjacent.calls": ("count", "lower"),
-    "graph.edges.count": ("count", "lower"),
-    "graph.export.self_s": ("s", "lower"),
-    "connectors.enumerate_connectors.total_s": ("s", "lower"),
-    "group.element_order.calls": ("count", "lower"),
-    "group.element_order.total_s": ("s", "lower"),
-    "parameters.verify_coloring.self_s": ("s", "lower"),
-    "parameters.coloring.edges_checked": ("count", "higher"),
-    "parameters.coloring.coverage": ("ratio", "higher"),
-    "parameters.independence_internal_edges.self_s": ("s", "lower"),
-    "parameters.independence.coverage": ("ratio", "higher"),
-    "parameters.diameter.self_s": ("s", "lower"),
-    "parameters.closed_form_distance_table.total_s": ("s", "lower"),
-    "parameters.verify_index_bounds.self_s": ("s", "lower"),
-    "structure.verify_fiber_structure.self_s": ("s", "lower"),
-    "structure.verify_block_adjacency.self_s": ("s", "lower"),
-    "structure.verify_block_partition.self_s": ("s", "lower"),
-    "structure.skipped": ("count", "lower"),
-    "hamiltonian.snake_walk.total_s": ("s", "lower"),
-    "hamiltonian.verify_walk.self_s": ("s", "lower"),
-    "hamiltonian.walk_lines.total_s": ("s", "lower"),
-    "oracles.distance_sweep.self_s": ("s", "lower"),
-    "oracles.sweep.sources": ("count", "higher"),
-    "oracles.sweep.coverage": ("ratio", "higher"),
-    "oracles.exact_max_clique.total_s": ("s", "lower"),
-    "oracles.exact_max_independent_set.self_s": ("s", "lower"),
-    "oracles.find_triangle.total_s": ("s", "lower"),
-    "verify.pass_checks": ("count", "higher"),
-    "verify.fail_checks": ("count", "lower"),
-    "verify.skip_checks": ("count", "lower"),
-    "trace.overhead_s": ("s", "lower"),
-}
+# metric name -> unit, as BENCHMARK.json defines them
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in SPEC["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in SPEC["per_layer"]}
 
 
 @dataclass(frozen=True)
@@ -273,8 +238,10 @@ class SpeedSampler(threading.Thread):
 
 @dataclass
 class Outcome:
+    primes: tuple[int, int, int]
     wall_s: float  # as measured
     speed: float  # REF_PROBE_S over the mean probe time during the command
+    idle_speed: float  # the same, from probes just before and after it (no child running)
     rss_mb: float
     trace: dict | None
 
@@ -285,11 +252,20 @@ class Outcome:
 
 @dataclass
 class PassResult:
-    wall_s: float = 0.0  # scaled
-    largest_s: float = 0.0  # scaled
-    raw_wall_s: float = 0.0
-    peak_rss_mb: float = 0.0
-    traces: list[dict] = field(default_factory=list)
+    largest: tuple[int, int, int]
+    outcomes: list[Outcome] = field(default_factory=list)
+
+    def time_s(self, largest_only: bool = False, scaled: bool = True) -> float:
+        return sum(o.scaled_s if scaled else o.wall_s for o in self.outcomes
+                   if not largest_only or o.primes == self.largest)
+
+    @property
+    def peak_rss_mb(self) -> float:
+        return max(o.rss_mb for o in self.outcomes)
+
+    @property
+    def traces(self) -> list[dict]:
+        return [o.trace for o in self.outcomes if o.trace is not None]
 
 
 class Runner:
@@ -320,6 +296,7 @@ class Runner:
         timeout = max(0.0, min(COMMAND_TIMEOUT_S, self.deadline - time.monotonic()))
         stdout_path, stderr_path = self.work / "stdout", self.work / "stderr"
         expired = threading.Event()
+        idle = [probe() for _ in range(IDLE_PROBES)]
         sampler = SpeedSampler()
         with open(stdout_path, "wb") as out, open(stderr_path, "wb") as err:
             start = time.perf_counter()
@@ -334,6 +311,7 @@ class Runner:
                 timer.join()
             wall = time.perf_counter() - start
         speed = sampler.speed()
+        idle += [probe() for _ in range(IDLE_PROBES)]
         proc.returncode = rc = os.waitstatus_to_exitcode(status)
         stdout = stdout_path.read_bytes()
         data = cmd.out.read_bytes() if cmd.out is not None and cmd.out.exists() else b""
@@ -349,7 +327,8 @@ class Runner:
         trace = json.loads(trace_path.read_text()) if traced and trace_path.exists() else None
         if trace_path.exists():
             trace_path.unlink()
-        return Outcome(wall, speed, usage.ru_maxrss / 1024.0, trace)
+        return Outcome(cmd.primes, wall, speed, REF_PROBE_S / statistics.harmonic_mean(idle),
+                       usage.ru_maxrss / 1024.0, trace)
 
     def _check(self, cmd: Command, rc: int, stdout: bytes, data: bytes) -> list[str]:
         digest = hashlib.sha256(b"%d\0%s\0%s" % (rc, stdout, data)).hexdigest()
@@ -365,17 +344,10 @@ class Runner:
                  modes: tuple[bool, ...] = (False,)) -> list[PassResult]:
         """One pass per mode (traced or not); each command runs in every mode
         back to back, so the modes see the same machine conditions."""
-        results = [PassResult() for _ in modes]
+        results = [PassResult(largest) for _ in modes]
         for cmd in cmds:
             for traced, result in zip(modes, results):
-                o = self.run(cmd, traced)
-                result.wall_s += o.scaled_s
-                result.raw_wall_s += o.wall_s
-                if cmd.primes == largest:
-                    result.largest_s += o.scaled_s
-                result.peak_rss_mb = max(result.peak_rss_mb, o.rss_mb)
-                if o.trace is not None:
-                    result.traces.append(o.trace)
+                result.outcomes.append(self.run(cmd, traced))
         return results
 
 
@@ -388,11 +360,14 @@ def warmup_commands(cmds: list[Command]) -> list[Command]:
     return list(seen.values())
 
 
-def layer_metrics(traces: list[dict], overhead_s: float) -> dict[str, float]:
+def span_times(traces: list[dict]) -> tuple[dict[str, float], dict[str, float], dict[str, int]]:
+    """Self time, total time and call count of each span name over the traces.
+
+    A span's self time is its duration minus the durations of its direct
+    children.  Its total time counts the time of recursive calls once."""
     self_s: dict[str, float] = {}
     total_s: dict[str, float] = {}
     calls: dict[str, int] = {}
-    counters: dict[str, float] = {}
     for tr in traces:
         spans = tr["spans"]
         child = [0.0] * len(spans)
@@ -405,8 +380,15 @@ def layer_metrics(traces: list[dict], overhead_s: float) -> dict[str, float]:
             outer = parent
             while outer is not None and spans[outer][0] != name:
                 outer = spans[outer][3]
-            if outer is None:  # count a recursive call's time once
+            if outer is None:
                 total_s[name] = total_s.get(name, 0.0) + (end - start)
+    return self_s, total_s, calls
+
+
+def layer_metrics(traces: list[dict], overhead_s: float) -> dict[str, float]:
+    self_s, total_s, calls = span_times(traces)
+    counters: dict[str, float] = {}
+    for tr in traces:
         for key, value in tr["counters"].items():
             counters[key] = counters.get(key, 0.0) + value
 
@@ -441,11 +423,6 @@ def layer_metrics(traces: list[dict], overhead_s: float) -> dict[str, float]:
         else:  # a counter kept by the tracer under the metric's own name
             m[name] = count(name)
     return {name: m[name] for name in PER_LAYER}
-
-
-def span_self_total(traces: list[dict]) -> float:
-    """Sum of every span's self time (equals the summed root span time)."""
-    return sum(end - start for tr in traces for _, start, end, parent in tr["spans"] if parent is None)
 
 
 def environment(seed: int) -> dict:
@@ -494,37 +471,43 @@ def main(argv: list[str] | None = None) -> int:
             runner.run(cmd)
 
         samples: dict[str, list[float]] = {}
+        unscaled: dict[str, list[float]] = {}
+        per_command: dict[str, list[float]] = {}
         if args.trace:
             plain, traced = runner.run_pass(cmds, largest, modes=(False, True))
-            metrics = layer_metrics(traced.traces, traced.wall_s - plain.wall_s)
+            metrics = layer_metrics(traced.traces, traced.time_s() - plain.time_s())
             units = PER_LAYER
-            extra = {"untraced_wall_s": plain.raw_wall_s, "traced_wall_s": traced.raw_wall_s,
-                     "span_self_sum_s": span_self_total(traced.traces)}
+            self_s, _, _ = span_times(traced.traces)
+            extra = {"untraced_wall_s": plain.time_s(scaled=False),
+                     "traced_wall_s": traced.time_s(scaled=False),
+                     "span_self_sum_s": sum(self_s.values()),
+                     "root_span_s": sum(end - start for tr in traced.traces
+                                        for _, start, end, parent in tr["spans"] if parent is None)}
         else:
             triples = sorted({c.primes for c in cmds}, key=expect.group_order)
-            setups = []
-            for _ in range(SETUP_REPEATS):
-                setups.append(sum(runner.run(Command(t, ("build", "--primes", _p(t)))).scaled_s
-                                  for t in triples))
+            setups = [PassResult(largest, [runner.run(Command(t, ("build", "--primes", _p(t))))
+                                           for t in triples])
+                      for _ in range(SETUP_REPEATS)]
             passes: list[PassResult] = []
             start = time.monotonic()
             while True:
                 passes += runner.run_pass(cmds, largest)
                 now = time.monotonic()
-                if now + passes[-1].raw_wall_s * 1.5 > runner.deadline:
+                if now + passes[-1].time_s(scaled=False) * 1.5 > runner.deadline:
                     break
                 if now - start >= args.seconds and len(passes) >= 2:
                     break
-            samples = {
-                "setup_s": setups,
-                "wall_s": [p.wall_s for p in passes],
-                "largest_s": [p.largest_s for p in passes],
-                "peak_rss_mb": [p.peak_rss_mb for p in passes],
-            }
+            for scaled, table in ((True, samples), (False, unscaled)):
+                table["setup_s"] = [p.time_s(scaled=scaled) for p in setups]
+                table["wall_s"] = [p.time_s(scaled=scaled) for p in passes]
+                table["largest_s"] = [p.time_s(largest_only=True, scaled=scaled) for p in passes]
+            samples["peak_rss_mb"] = [p.peak_rss_mb for p in passes]
             metrics = {k: statistics.median(v) for k, v in samples.items()}
             metrics["ops_ok_ratio"] = (runner.attempted - runner.failed) / runner.attempted
             units = END_TO_END
-            extra = {"unscaled_wall_s": statistics.median(p.raw_wall_s for p in passes)}
+            timed = [o for p in setups + passes for o in p.outcomes]
+            per_command = {k: [getattr(o, k) for o in timed] for k in ("wall_s", "speed", "idle_speed")}
+            extra = {f"unscaled_{k}": statistics.median(v) for k, v in unscaled.items()}
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
@@ -535,21 +518,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAILED {problem}")
     for name, value in metrics.items():
         n = f" (median of {len(samples[name])})" if name in samples else ""
-        print(f"  {name:48s} {value:14.6f} {units[name][0]}{n}")
+        print(f"  {name:48s} {value:14.6f} {units[name]}{n}")
     for name, value in extra.items():
         print(f"  {name:48s} {value:14.6f} s")
     result = {
         "correct": runner.failed == 0,
         "attempted": runner.attempted,
         "failed": runner.failed,
-        "metrics": {k: {"value": v, "unit": units[k][0]} for k, v in metrics.items()},
+        "metrics": {k: {"value": v, "unit": units[k]} for k, v in metrics.items()},
     }
     results = WORK / "results"
     results.mkdir(parents=True, exist_ok=True)
     name = f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     (results / name).write_text(json.dumps(
         {"workload": args.workload, "env": env, "elapsed_s": time.monotonic() - t0,
-         "samples": samples, "extra": extra,
+         "samples": samples, "unscaled": unscaled, "commands": per_command, "extra": extra,
          "problems": runner.problems, **result}, indent=2) + "\n")
     print(json.dumps(result))
     return 0 if runner.failed == 0 else 1
