@@ -32,8 +32,6 @@ _CONFIG_KEYS = {
     "bfs-sources",
     "max-exact-vertices",
     "max-index-vertices",
-    "sample-pairs",
-    "sample-edges",
     "materialize-cap",
 }
 
@@ -81,11 +79,9 @@ def _resolve_budget(args: argparse.Namespace) -> tuple[OracleBudget, int]:
         else config.get("bfs-sources")
     )
     budget = OracleBudget(
-        max_exact_vertices=config.get("max-exact-vertices", 400),
-        max_index_vertices=config.get("max-index-vertices", 300),
+        max_exact_vertices=config.get("max-exact-vertices", OracleBudget.max_exact_vertices),
+        max_index_vertices=config.get("max-index-vertices", OracleBudget.max_index_vertices),
         bfs_sources=sources,
-        sample_pairs=config.get("sample-pairs", 100_000),
-        sample_edges=config.get("sample-edges", 1_000_000),
         seed=seed,
     )
     cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)

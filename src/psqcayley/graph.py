@@ -3,24 +3,24 @@ vertices are adjacent exactly when the order of their difference is a squared
 prime.
 
 Adjacency is arithmetic, so the graph is never materialized except on demand
-(edge-list / DOT export, capped).  BFS uses a flat distance table with a
-ring-buffer frontier; sweeps from distinct sources share no mutable state and
-may run concurrently.
+(edge-list / DOT export, capped).  Vertex sets are n-bit ints (bit v set iff v
+is in the set).  In a circulant graph the neighbourhood of a set S is the OR
+of rot(S, c) over the connectors c, so BFS advances a whole frontier with |C|
+big-int rotations per level; sweeps from distinct sources share no mutable
+state and may run concurrently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .connectors import ConnectingSet, enumerate_connectors, is_connector
+from .connectors import ConnectingSet, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness, make_prime_triple
 
 DEFAULT_MATERIALIZE_CAP = 20_000
-
-# connector lookup tables above this vertex count would waste memory
-_FLAG_TABLE_CAP = 4_000_000
 
 
 class TooLargeError(ValueError):
@@ -59,26 +59,14 @@ class CayleyGraph:
         return self.cset.size
 
     @cached_property
-    def _connector_flags(self) -> bytearray | None:
-        # speed path for sweeps; adjacency stays defined by arithmetic
-        if self.triple.n > _FLAG_TABLE_CAP:
-            return None
-        flags = bytearray(self.triple.n)
-        for m in self.cset.members:
-            flags[m] = 1
-        return flags
+    def _connector_set(self) -> frozenset[int]:
+        return frozenset(self.cset.members)
 
     def adjacent(self, u: int, v: int) -> bool:
         """True iff u ≠ v and their difference lies in the connecting set."""
         _check_exponent(u, self.triple)
         _check_exponent(v, self.triple)
-        if u == v:
-            return False
-        d = (u - v) % self.triple.n
-        flags = self._connector_flags
-        if flags is not None:
-            return bool(flags[d])
-        return is_connector(d, self.triple)
+        return (u - v) % self.triple.n in self._connector_set
 
     def neighbors(self, u: int) -> list[int]:
         """The degree-many neighbors of u, sorted ascending."""
@@ -86,28 +74,62 @@ class CayleyGraph:
         n = self.triple.n
         return sorted((u + c) % n for c in self.cset.members)
 
+    # -- bitset kernel ------------------------------------------------------
+
+    def bitset(self, vertices: Iterable[int]) -> int:
+        """The vertex set as an n-bit int."""
+        buf = bytearray((self.triple.n + 7) // 8)
+        for v in vertices:
+            _check_exponent(v, self.triple)
+            buf[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(buf, "little")
+
+    def rotate(self, s: int, k: int) -> int:
+        """rot(S, k) = {(v + k) mod n : v in S}."""
+        n = self.triple.n
+        k %= n
+        return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
+
+    def neighborhood(self, s: int) -> int:
+        """Every vertex adjacent to some vertex of S."""
+        n = self.triple.n
+        doubled = s | (s << n)  # bits [n - c, 2n - c) of doubled hold rot(S, c)
+        acc = 0
+        for c in self.cset.members:
+            acc |= doubled >> (n - c)
+        return acc & ((1 << n) - 1)
+
+    def internal_edges(self, s: int) -> int:
+        """Edges with both endpoints in S, each counted once.
+
+        No connector equals n/2 (its order would be 2), so every edge {u, v}
+        has exactly one connector c < n/2 with v = u ± c.
+        """
+        n = self.triple.n
+        doubled = s | (s << n)
+        # (doubled >> (n - c)) & S == rot(S, c) & S
+        return sum(((doubled >> (n - c)) & s).bit_count() for c in self.cset.members if 2 * c < n)
+
+    def bfs_levels(self, source: int) -> list[int]:
+        """The BFS levels from source: levels[k] is the set at distance k."""
+        _check_exponent(source, self.triple)
+        frontier = seen = 1 << source
+        levels = []
+        while frontier:
+            levels.append(frontier)
+            frontier = self.neighborhood(frontier) & ~seen
+            seen |= frontier
+        return levels
+
     def bfs(self, source: int) -> list[int]:
         """Exact hop distances from source to every vertex (-1 = unreachable)."""
-        _check_exponent(source, self.triple)
-        n = self.triple.n
-        members = self.cset.members
-        dist = [-1] * n
-        dist[source] = 0
-        queue = [0] * n
-        queue[0] = source
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            d1 = dist[u] + 1
-            for c in members:
-                v = u + c
-                if v >= n:
-                    v -= n
-                if dist[v] < 0:
-                    dist[v] = d1
-                    queue[tail] = v
-                    tail += 1
+        dist = [-1] * self.triple.n
+        for k, level in enumerate(self.bfs_levels(source)):
+            bits = bin(level)[:1:-1]  # bits[v] == "1" iff v is in the level
+            v = bits.find("1")
+            while v >= 0:
+                dist[v] = k
+                v = bits.find("1", v + 1)
         return dist
 
     def is_connected(self) -> ConnectivityResult:
@@ -115,7 +137,7 @@ class CayleyGraph:
         t = self.triple
         u, v, w = bezout_witness(t)
         holds = u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
-        reached = sum(d >= 0 for d in self.bfs(0))
+        reached = sum(level.bit_count() for level in self.bfs_levels(0))
         return ConnectivityResult(holds and reached == t.n, (u, v, w), holds, reached)
 
     def is_eulerian(self) -> bool:
@@ -137,16 +159,8 @@ class CayleyGraph:
         n = self.triple.n
         members = self.cset.members
         for u in range(n):
-            row = []
-            for c in members:
-                v = u + c
-                if v >= n:
-                    v -= n
-                if v > u:
-                    row.append(v)
-            row.sort()
-            for v in row:
-                yield (u, v)
+            for c in members[: bisect_left(members, n - u)]:
+                yield (u, u + c)
 
     def edge_lines(self) -> Iterator[str]:
         for u, v in self.edges():

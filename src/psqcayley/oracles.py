@@ -13,7 +13,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .connectors import is_connector
 from .graph import CayleyGraph
 from .parameters import closed_form_distance_table
 from .structure import BlockId, IndexGraph
@@ -36,12 +35,10 @@ class OracleBudget:
     max_exact_vertices: int = 400
     max_index_vertices: int = 300
     bfs_sources: int | None = None
-    sample_pairs: int = 100_000
-    sample_edges: int = 1_000_000
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        for name in ("max_exact_vertices", "max_index_vertices", "sample_pairs", "sample_edges"):
+        for name in ("max_exact_vertices", "max_index_vertices"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.bfs_sources is not None and self.bfs_sources < 0:
@@ -135,7 +132,12 @@ class SweepReport:
 
 def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepReport:
     """BFS from vertex 0 plus budgeted extra sources; every computed distance
-    is compared against the closed form."""
+    is compared against the closed form.
+
+    From source s the closed form puts vertex v at level table[v − s], so
+    level k is expected to be rot(E_k, s) with E_k = {d : table[d] = k}.  A
+    vertex matches when it lies in its BFS level and its expected one, so the
+    mismatches are n minus the matches (unreached vertices never match)."""
     if budget is None:
         budget = OracleBudget()
     t = g.triple
@@ -146,17 +148,21 @@ def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepR
         rng = random.Random(budget.seed)
         extra = min(budget.bfs_sources, n - 1)
         sources = [0] + sorted(rng.sample(range(1, n), extra))
-    table = closed_form_distance_table(t)
+    by_distance: dict[int, list[int]] = {}
+    for d, k in enumerate(closed_form_distance_table(t)):
+        by_distance.setdefault(k, []).append(d)
+    expected = {k: g.bitset(ds) for k, ds in by_distance.items()}
     max_distance = 0
     mismatches = 0
     for s in sources:
-        dist = g.bfs(s)
-        top = max(dist)
-        if top > max_distance:
-            max_distance = top
-        expected = table[n - s :] + table[: n - s] if s else table
-        if dist != expected:
-            mismatches += sum(a != b for a, b in zip(dist, expected))
+        levels = g.bfs_levels(s)
+        max_distance = max(max_distance, len(levels) - 1)
+        matched = sum(
+            (level & g.rotate(expected[k], s)).bit_count()
+            for k, level in enumerate(levels)
+            if k in expected
+        )
+        mismatches += n - matched
     return SweepReport(len(sources), len(sources) * n, max_distance, mismatches)
 
 
@@ -164,12 +170,9 @@ def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:
     """Deterministic first triangle: connectors c1 < c2 whose difference is
     itself a connector give the triangle {0, c1, c2}."""
     members = g.cset.members
-    flags = g._connector_flags
-    n = g.triple.n
+    connectors = frozenset(members)
     for i, c1 in enumerate(members):
         for c2 in members[i + 1 :]:
-            d = c2 - c1
-            hit = bool(flags[d]) if flags is not None else is_connector(d, g.triple)
-            if hit:
+            if c2 - c1 in connectors:
                 return (0, c1, c2)
     return None

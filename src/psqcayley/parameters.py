@@ -8,11 +8,10 @@ arithmetic adjacency; brute-force counterparts live in `oracles`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import CayleyGraph, DEFAULT_MATERIALIZE_CAP
+from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
 from .structure import BlockId, IndexGraph, block_exponents, index_graph
 
@@ -95,7 +94,7 @@ def diameter(t: PrimeTriple, g: CayleyGraph | None = None) -> DiameterResult:
     if g is None:
         g = CayleyGraph.from_triple(t)
     witness = crt_combine((t.alpha, t.beta, t.gamma), t)
-    ecc = max(g.bfs(0))
+    ecc = len(g.bfs_levels(0)) - 1
     return DiameterResult(closed_form_distance(0, witness, t), (0, witness), ecc)
 
 
@@ -124,40 +123,16 @@ class ColoringResult:
     exhaustive: bool
 
 
-def verify_coloring(
-    t: PrimeTriple,
-    exhaustive_cap: int = DEFAULT_MATERIALIZE_CAP,
-    sample_edges: int = 1_000_000,
-    seed: int = 0,
-) -> ColoringResult:
-    """No edge may be monochromatic.  Exhaustive over all n·|C|/2 edges up to
-    the cap; above it, a seeded sample of edges is checked instead."""
+def verify_coloring(t: PrimeTriple) -> ColoringResult:
+    """No edge may be monochromatic: each colour class must span no edge.
+    Every edge lies inside a class or between two, so this covers all
+    n·|C|/2 edges."""
     g = CayleyGraph.from_triple(t)
-    n = t.n
-    members = g.cset.members
-    if n <= exhaustive_cap:
-        colors = [residue_sum_color(v, t) for v in range(n)]
-        checked = 0
-        proper = True
-        for u in range(n):
-            cu = colors[u]
-            for conn in members:
-                v = u + conn
-                if v >= n:
-                    v -= n
-                if v > u:
-                    checked += 1
-                    if colors[v] == cu:
-                        proper = False
-        return ColoringResult(proper, t.gamma, checked, True)
-    rng = random.Random(seed)
-    proper = True
-    for _ in range(sample_edges):
-        u = rng.randrange(n)
-        v = (u + members[rng.randrange(len(members))]) % n
-        if residue_sum_color(u, t) == residue_sum_color(v, t):
-            proper = False
-    return ColoringResult(proper, t.gamma, sample_edges, False)
+    classes: dict[int, list[int]] = {}
+    for v in range(t.n):
+        classes.setdefault(residue_sum_color(v, t), []).append(v)
+    proper = all(g.internal_edges(g.bitset(cls)) == 0 for cls in classes.values())
+    return ColoringResult(proper, t.gamma, t.n * g.degree // 2, True)
 
 
 # ---------------------------------------------------------------------------
@@ -203,42 +178,11 @@ class IndependenceScan:
     exhaustive: bool
 
 
-def independence_internal_edges(
-    cert: IndependenceCertificate,
-    g: CayleyGraph,
-    pair_cap: int = 5_000_000,
-    sample_pairs: int = 1_000_000,
-    seed: int = 0,
-) -> IndependenceScan:
-    """Count edges inside the certificate set (must be zero).  Falls back to a
-    seeded pair sample when the full scan would exceed pair_cap pairs."""
-    verts = cert.vertices
-    m = len(verts)
-    flags = g._connector_flags
-    n = g.triple.n
-    total_pairs = m * (m - 1) // 2
-    if total_pairs <= pair_cap:
-        internal = 0
-        if flags is not None:
-            for a_idx in range(m):
-                u = verts[a_idx]
-                for b_idx in range(a_idx + 1, m):
-                    internal += flags[(verts[b_idx] - u) % n]
-        else:
-            for a_idx in range(m):
-                u = verts[a_idx]
-                for b_idx in range(a_idx + 1, m):
-                    if g.adjacent(u, verts[b_idx]):
-                        internal += 1
-        return IndependenceScan(internal, total_pairs, True)
-    rng = random.Random(seed)
-    internal = 0
-    for _ in range(sample_pairs):
-        u = verts[rng.randrange(m)]
-        v = verts[rng.randrange(m)]
-        if u != v and g.adjacent(u, v):
-            internal += 1
-    return IndependenceScan(internal, sample_pairs, False)
+def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
+    """Count edges inside the certificate set (must be zero), over all
+    m(m−1)/2 vertex pairs."""
+    m = len(cert.vertices)
+    return IndependenceScan(g.internal_edges(g.bitset(cert.vertices)), m * (m - 1) // 2, True)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 from . import oracles, parameters, structure
@@ -33,10 +33,9 @@ def build_report(
 ) -> dict:
     """Assemble the full certificate report for one triple.
 
-    Exhaustive checks run when n fits under materialize_cap; beyond it the
-    coloring and independence scans fall back to seeded samples and the block
-    and fiber checks report null.  The index-graph search reports null when
-    the id count exceeds its budget cap.
+    The coloring and independence scans are always exhaustive; the block and
+    fiber checks report null when n exceeds materialize_cap.  The index-graph
+    search reports null when the id count exceeds its budget cap.
     """
     if budget is None:
         budget = OracleBudget()
@@ -55,19 +54,12 @@ def build_report(
     timings["connectivity"] = clock() - start
 
     start = clock()
-    coloring = parameters.verify_coloring(
-        t,
-        exhaustive_cap=materialize_cap,
-        sample_edges=budget.sample_edges,
-        seed=budget.seed,
-    )
+    coloring = parameters.verify_coloring(t)
     timings["coloring"] = clock() - start
 
     start = clock()
     independence = parameters.independence_certificate(t)
-    scan = parameters.independence_internal_edges(
-        independence, g, sample_pairs=budget.sample_pairs, seed=budget.seed
-    )
+    scan = parameters.independence_internal_edges(independence, g)
     timings["independence"] = clock() - start
 
     start = clock()
@@ -221,9 +213,7 @@ def run_verification(
             f"({len(hood)} vertices exceed cap {budget.max_exact_vertices})",
         )
 
-    coloring = parameters.verify_coloring(
-        t, exhaustive_cap=materialize_cap, sample_edges=budget.sample_edges, seed=budget.seed
-    )
+    coloring = parameters.verify_coloring(t)
     check(
         "chromatic",
         coloring.proper,
@@ -232,9 +222,7 @@ def run_verification(
     )
 
     cert = parameters.independence_certificate(t)
-    scan = parameters.independence_internal_edges(
-        cert, g, sample_pairs=budget.sample_pairs, seed=budget.seed
-    )
+    scan = parameters.independence_internal_edges(cert, g)
     indep_ok = scan.internal_edges == 0 and cert.size == t.m_alpha * t.m_beta * t.gamma
     if structure.index_graph(t).order <= budget.max_index_vertices:
         bounds = parameters.verify_index_bounds(t, budget)
@@ -294,14 +282,7 @@ def auto_budget(t: PrimeTriple, budget: OracleBudget | None = None) -> OracleBud
         return base
     if t.n <= 2000:
         return base
-    return OracleBudget(
-        max_exact_vertices=base.max_exact_vertices,
-        max_index_vertices=base.max_index_vertices,
-        bfs_sources=50,
-        sample_pairs=base.sample_pairs,
-        sample_edges=base.sample_edges,
-        seed=base.seed,
-    )
+    return replace(base, bfs_sources=50)
 
 
 __all__ = [

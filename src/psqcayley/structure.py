@@ -12,7 +12,7 @@ independently of the constructors that produced the objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .graph import CayleyGraph, DEFAULT_MATERIALIZE_CAP, TooLargeError
 from .group import PrimeTriple, crt_basis
@@ -114,12 +114,6 @@ def _require_within_cap(t: PrimeTriple, cap: int) -> None:
         raise TooLargeError(f"{t.n} vertices exceed cap {cap}")
 
 
-def _block_code(v: int, t: PrimeTriple) -> int:
-    # dense integer encoding of block_of(v), used by the sweeps below
-    a, b, c = t.primes
-    return (v % a) + a * ((v % b) + b * (v % c))
-
-
 def verify_block_partition(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
     """Blocks are pairwise disjoint, cover all n vertices, and the residue
     projection lands every vertex in the block that constructs it."""
@@ -142,35 +136,24 @@ def verify_block_partition(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -
 def verify_block_adjacency(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
     """Cross-block edges exist exactly between index-graph-adjacent ids.
 
-    Sweeps every edge of the graph once (n·|C|/2 of them), so both directions
-    of the iff are checked exhaustively without scanning block pairs.
+    Blocks are gathered by residue projection; for each block B_x the
+    neighbourhood N(B_x) must miss B_x itself and meet B_y exactly when x and
+    y are index-adjacent, which covers every edge of the graph.
     """
     _require_within_cap(t, cap)
     g = CayleyGraph.from_triple(t)
-    n = t.n
-    codes = [_block_code(v, t) for v in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u in range(n):
-        cu = codes[u]
-        for conn in g.cset.members:
-            v = u + conn
-            if v >= n:
-                v -= n
-            if v > u:
-                cv = codes[v]
-                seen.add((cu, cv) if cu <= cv else (cv, cu))
     ig = index_graph(t)
     ids = ig.ids()
-    a, b = t.alpha, t.beta
-    code_of = {bid: bid.i + a * (bid.j + b * bid.k) for bid in ids}
-    for x in range(len(ids)):
-        bx = ids[x]
-        if (code_of[bx], code_of[bx]) in seen:
+    members: dict[BlockId, list[int]] = {bid: [] for bid in ids}
+    for v in range(t.n):
+        members[block_of(v, t)].append(v)
+    blocks = [g.bitset(members[bid]) for bid in ids]
+    for x, bx in enumerate(ids):
+        reach = g.neighborhood(blocks[x])
+        if reach & blocks[x]:
             return False  # an edge inside a block
         for y in range(x + 1, len(ids)):
-            by = ids[y]
-            pair = tuple(sorted((code_of[bx], code_of[by])))
-            if (pair in seen) != ig.adjacent(bx, by):
+            if bool(reach & blocks[y]) != ig.adjacent(bx, ids[y]):
                 return False
     return True
 
@@ -225,21 +208,6 @@ def _is_cycle(seq: list[int], g: CayleyGraph) -> bool:
     )
 
 
-def _edge_endpoint_digits(g: CayleyGraph) -> Iterator[tuple[int, int]]:
-    # top mixed-radix digit of both endpoints, for every edge once
-    t = g.triple
-    n = t.n
-    m_ab = t.m_alpha * t.m_beta
-    for u in range(n):
-        du = u // m_ab
-        for conn in g.cset.members:
-            v = u + conn
-            if v >= n:
-                v -= n
-            if v > u:
-                yield du, v // m_ab
-
-
 def verify_fiber_structure(
     t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP
 ) -> FiberStructureChecklist:
@@ -251,8 +219,9 @@ def verify_fiber_structure(
     gamma = t.gamma
     n = t.n
 
-    # (i) no edge stays inside one gamma fiber
-    item_i = all(du != dv for du, dv in _edge_endpoint_digits(g))
+    # (i) no edge stays inside one gamma fiber, the interval [k·a²b², (k+1)·a²b²)
+    fiber = (1 << m_ab) - 1
+    item_i = all(g.internal_edges(fiber << (k * m_ab)) == 0 for k in range(m_c))
 
     # (ii) within a cell, adjacency <=> top digits differ modulo gamma
     item_ii = True

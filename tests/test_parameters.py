@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqcayley import (
+    DEFAULT_MATERIALIZE_CAP,
     BlockId,
     CayleyGraph,
     clique_certificate,
@@ -71,11 +72,14 @@ def test_color_classes_balanced():
     assert counts == {c: 180 for c in range(5)}
 
 
-def test_coloring_sampled_mode():
-    result = verify_coloring(T357, exhaustive_cap=1000, sample_edges=20_000, seed=7)
+def test_coloring_exhaustive_above_materialize_cap():
+    t = make_prime_triple(3, 5, 11)
+    assert t.n > DEFAULT_MATERIALIZE_CAP
+    result = verify_coloring(t)
     assert result.proper
-    assert not result.exhaustive
-    assert result.edges_checked == 20_000
+    assert result.exhaustive
+    assert result.edges_checked == t.n * 136 // 2
+    assert result.chromatic == 11
 
 
 def test_independence_index_set():

@@ -151,19 +151,22 @@ def test_cli_config_file(tmp_path, capsys):
 
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mystery = 1\n")
-    assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
+    for key in ("mystery", "sample-pairs", "sample-edges"):
+        cfg.write_text(f"{key} = 1\n")
+        assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
 
 
-def test_report_over_cap_uses_samples_and_nulls():
-    budget = OracleBudget(sample_pairs=2000, sample_edges=2000, seed=3)
-    rep = build_report(T235, budget, materialize_cap=100)
+def test_report_over_cap_stays_exhaustive_and_nulls_structure():
+    rep = build_report(T235, OracleBudget(seed=3), materialize_cap=100)
     assert rep["fiberStructure"] is None
     assert rep["blockPartition"] is None
     assert rep["blockAdjacencyConsistent"] is None
-    assert rep["chromatic"] == {"value": 5, "coloringProper": True, "edgesChecked": 2000}
+    assert rep["chromatic"] == {"value": 5, "coloringProper": True, "edgesChecked": 12600}
     assert rep["independence"]["internalEdges"] == 0
     assert rep["diameter"]["value"] == 6
+    lines = dict(line.split(": ", 1) for line in run_verification(T235, materialize_cap=100).lines)
+    assert lines["PASS chromatic"] == "proper=True over 12600 edges (exhaustive), value=5"
+    assert lines["PASS independence"].startswith("size=180, internal=0/16110 pairs")
 
 
 def test_cli_params_oracle_gate(capsys):

@@ -1,5 +1,6 @@
 import pytest
 
+from psqcayley import graph
 from psqcayley import (
     BlockId,
     CayleyGraph,
@@ -15,6 +16,7 @@ from psqcayley import (
     verify_block_partition,
     verify_fiber_structure,
 )
+from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.graph import TooLargeError
 
 T235 = make_prime_triple(2, 3, 5)
@@ -101,6 +103,20 @@ def test_index_graph_rule():
 
 def test_block_adjacency_consistency():
     assert verify_block_adjacency(T235)
+
+
+@pytest.mark.parametrize("extra", [30, 1])
+def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
+    # 30 = abc joins vertices of one block; 1 joins blocks that agree in no
+    # residue.  Either joins vertices of one gamma fiber (an interval of 36).
+    def with_extra(t):
+        cs = enumerate_connectors(t)
+        members = tuple(sorted(cs.members + (extra, t.n - extra)))
+        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+
+    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
+    assert not verify_block_adjacency(T235)
+    assert not verify_fiber_structure(T235).gamma_fibers_independent
 
 
 def test_cross_block_edge_witness():
