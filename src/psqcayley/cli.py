@@ -179,10 +179,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0 if outcome.ok else 1
 
         if args.command == "export":
-            g = CayleyGraph.from_triple(triple)
             if args.format in ("edges", "dot"):
-                payload = g.export(args.format, cap=cap)
-            elif args.format == "walk":
+                CayleyGraph.from_triple(triple).export(args.format, _out_path(args.out), cap=cap)
+                return 0
+            if args.format == "walk":
                 payload = ("\n".join(walk_lines(snake_walk(triple))) + "\n").encode("ascii")
             else:
                 cert = independence_certificate(triple)

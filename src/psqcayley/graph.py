@@ -2,12 +2,12 @@
 vertices are adjacent exactly when the order of their difference is a squared
 prime.
 
-Adjacency is arithmetic, so the graph is never materialized except on demand
-(edge-list / DOT export, capped).  Vertex sets are n-bit ints (bit v set iff v
-is in the set).  In a circulant graph the neighbourhood of a set S is the OR
-of rot(S, c) over the connectors c, so BFS advances a whole frontier with |C|
-big-int rotations per level; sweeps from distinct sources share no mutable
-state and may run concurrently.
+Adjacency is arithmetic, so the graph is never materialized: the edge-list
+and DOT exports (capped) stream it to a file one vertex row at a time.  Vertex
+sets are n-bit ints (bit v set iff v is in the set).  In a circulant graph the
+neighbourhood of a set S is the OR of rot(S, c) over the connectors c, so BFS
+advances a whole frontier with |C| big-int rotations per level; sweeps from
+distinct sources share no mutable state and may run concurrently.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from os import PathLike
 from typing import Iterable, Iterator
 
 from .connectors import ConnectingSet, enumerate_connectors
@@ -154,32 +155,41 @@ class CayleyGraph:
         m_ab = self.triple.m_alpha * self.triple.m_beta
         return tuple(k * m_ab for k in range(5))  # type: ignore[return-value]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Every undirected edge once as (u, v) with u < v, ascending by (u, v)."""
+    def _rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(u, the sorted connectors c < n − u) for each vertex u ascending:
+        u's edges are u + c, so every undirected edge appears once."""
         n = self.triple.n
         members = self.cset.members
         for u in range(n):
-            for c in members[: bisect_left(members, n - u)]:
+            yield u, members[: bisect_left(members, n - u)]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Every undirected edge once as (u, v) with u < v, ascending by (u, v)."""
+        for u, row in self._rows():
+            for c in row:
                 yield (u, u + c)
 
-    def edge_lines(self) -> Iterator[str]:
-        for u, v in self.edges():
-            yield f"{u} {v}"
+    def export(self, fmt: str, out: str | PathLike, cap: int = DEFAULT_MATERIALIZE_CAP) -> None:
+        """Write the graph to the file out as an 'edges' list ("u v" lines) or
+        a 'dot' document, one vertex row at a time.
 
-    def dot_lines(self, name: str = "cayley") -> Iterator[str]:
-        yield f"graph {name} {{"
-        for u, v in self.edges():
-            yield f"  {u} -- {v};"
-        yield "}"
-
-    def export(self, fmt: str, cap: int = DEFAULT_MATERIALIZE_CAP) -> bytes:
-        """Materialize the graph as an 'edges' list or 'dot' document."""
-        if self.triple.n > cap:
-            raise TooLargeError(f"{self.triple.n} vertices exceed cap {cap}")
+        Raises TooLargeError above cap and ValueError for an unknown format;
+        on either, out is never opened, so no file is created or truncated.
+        """
+        n = self.triple.n
+        if n > cap:
+            raise TooLargeError(f"{n} vertices exceed cap {cap}")
         if fmt == "edges":
-            lines = self.edge_lines()
+            header, pre, mid, end, footer = b"", b"", b" ", b"\n", b""
         elif fmt == "dot":
-            lines = self.dot_lines()
+            header, pre, mid, end, footer = b"graph cayley {\n", b"  ", b" -- ", b";\n", b"}\n"
         else:
             raise ValueError(f"unknown export format {fmt!r}")
-        return ("\n".join(lines) + "\n").encode("ascii")
+        names = [b"%d" % v for v in range(n)]
+        with open(out, "wb") as f:
+            f.write(header)
+            for u, row in self._rows():
+                if row:  # rows near n − 1 have no higher neighbour
+                    first = pre + names[u] + mid
+                    f.write(first + (end + first).join([names[u + c] for c in row]) + end)
+            f.write(footer)

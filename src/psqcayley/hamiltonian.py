@@ -16,6 +16,7 @@ certifies what was constructed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 from .graph import CayleyGraph
@@ -77,11 +78,13 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
         if not 0 <= v < n or seen[v]:
             return False
         seen[v] = 1
+    # every entry is now a vertex, so adjacency is membership of the difference
+    connectors = frozenset(g.cset.members)
     verts = w.vertices
-    for i in range(n - 1):
-        if not g.adjacent(verts[i], verts[i + 1]):
+    for u, v in zip(verts, islice(verts, 1, None)):
+        if (v - u) % n not in connectors:
             return False
-    if w.closed and not g.adjacent(verts[-1], verts[0]):
+    if w.closed and (verts[0] - verts[-1]) % n not in connectors:
         return False
     return True
 

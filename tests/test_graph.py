@@ -96,9 +96,10 @@ def test_nonplanarity_certificate():
         assert all(g.adjacent(u, v) for u, v in edges)
 
 
-def test_export_edges():
-    payload = G235.export("edges").decode()
-    lines = payload.strip().split("\n")
+def test_export_edges(tmp_path):
+    out = tmp_path / "edges.txt"
+    G235.export("edges", out)
+    lines = out.read_text().strip().split("\n")
     assert len(lines) == 900 * 28 // 2
     assert lines[0] == "0 36"
     pairs = [tuple(map(int, line.split())) for line in lines]
@@ -106,8 +107,10 @@ def test_export_edges():
     assert pairs == sorted(pairs)
 
 
-def test_export_dot_round_trip():
-    payload = G235.export("dot").decode()
+def test_export_dot_round_trip(tmp_path):
+    out = tmp_path / "graph.dot"
+    G235.export("dot", out)
+    payload = out.read_text()
     assert payload.startswith("graph")
     edges = re.findall(r"(\d+) -- (\d+);", payload)
     assert len(edges) == 12600
@@ -115,14 +118,48 @@ def test_export_dot_round_trip():
     assert nodes == set(range(900))
 
 
-def test_export_cap():
+def _reference_export(g: CayleyGraph, fmt: str) -> bytes:
+    """The export built from neighbors(), one f-string per edge."""
+    lines = [
+        f"{u} {v}" if fmt == "edges" else f"  {u} -- {v};"
+        for u in range(g.vertex_count)
+        for v in g.neighbors(u)
+        if v > u
+    ]
+    if fmt == "dot":
+        lines = ["graph cayley {", *lines, "}"]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_export_bytes_equal_reference(tmp_path, t, fmt):
+    g = CayleyGraph.from_triple(t)
+    out = tmp_path / f"{fmt}.txt"
+    g.export(fmt, out)
+    assert out.read_bytes() == _reference_export(g, fmt)
+
+
+def test_export_cap(tmp_path):
+    out = tmp_path / "edges.txt"
     with pytest.raises(TooLargeError):
-        G235.export("edges", cap=100)
+        G235.export("edges", out, cap=100)
+    assert not out.exists()
+    out.write_bytes(b"keep\n")
+    with pytest.raises(TooLargeError):
+        G235.export("edges", out, cap=100)
+    assert out.read_bytes() == b"keep\n"
 
 
-def test_export_unknown_format():
+def test_export_unknown_format(tmp_path):
+    out = tmp_path / "graph.gml"
     with pytest.raises(ValueError):
-        G235.export("gml")
+        G235.export("gml", out)
+    assert not out.exists()
+    out.write_bytes(b"keep\n")
+    with pytest.raises(ValueError):
+        G235.export("gml", out)
+    assert out.read_bytes() == b"keep\n"
 
 
 def test_handshake_identity():

@@ -51,6 +51,12 @@ def test_path_at_odd_instance():
     assert crt_components(last, T357) == (8, 24, 48)
 
 
+def test_path_relabelled_cycle_fails_closure():
+    walk = snake_walk(T357)
+    g = CayleyGraph.from_triple(T357)
+    assert not verify_walk(WalkCertificate(walk.vertices, "cycle"), g)
+
+
 def test_path_endpoints_not_adjacent():
     walk = snake_walk(T357)
     g = CayleyGraph.from_triple(T357)

@@ -212,6 +212,14 @@ def test_cli_export_dot(tmp_path):
     assert text.rstrip().endswith("}")
 
 
+def test_cli_export_over_cap_leaves_out_file_alone(tmp_path, capsys):
+    out = tmp_path / "edges.txt"
+    out.write_bytes(b"earlier export\n")
+    assert cli.main(["export", "--primes", "3,5,11", "--format", "edges", "--out", str(out)]) == 2
+    assert "exceed cap" in capsys.readouterr().err
+    assert out.read_bytes() == b"earlier export\n"
+
+
 def test_cli_export_walk(tmp_path):
     out = tmp_path / "walk.txt"
     assert cli.main(["export", "--primes", "2,3,5", "--format", "walk", "--out", str(out)]) == 0
