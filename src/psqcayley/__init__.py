@@ -47,6 +47,7 @@ from .parameters import (
     IndexBoundsReport,
     clique_certificate,
     closed_form_distance,
+    closed_form_distance_classes,
     closed_form_distance_table,
     diameter,
     distance_profile,

@@ -26,13 +26,6 @@ class ConnectingSet:
     def size(self) -> int:
         return len(self.members)
 
-    def by_order_class(self) -> dict[str, tuple[int, ...]]:
-        return {
-            "alphaSquared": self.class_alpha_sq,
-            "betaSquared": self.class_beta_sq,
-            "gammaSquared": self.class_gamma_sq,
-        }
-
 
 def enumerate_connectors(t: PrimeTriple) -> ConnectingSet:
     """All exponents of order a², b², or c², grouped by class and sorted."""

@@ -7,7 +7,15 @@ and DOT exports (capped) stream it to a file one vertex row at a time.  Vertex
 sets are n-bit ints (bit v set iff v is in the set).  In a circulant graph the
 neighbourhood of a set S is the OR of rot(S, c) over the connectors c, so BFS
 advances a whole frontier with |C| big-int rotations per level; sweeps from
-distinct sources share no mutable state and may run concurrently.
+distinct sources share no mutable state and may run concurrently.  The levels
+from vertex 0 are built once per graph and shared as a tuple.
+
+Sets defined by residues -- colour classes, closed-form distance classes,
+residue blocks -- are periodic: {v : v mod P in R} for a period P dividing n.
+`periodic` packs one period and doubles it out to n bits, so its cost does not
+grow with the size of the set.  `label_classes` tests on all n labels whether
+a per-vertex labelling repeats with period P and, when it does, builds every
+class from one period that way.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from os import PathLike
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness, make_prime_triple
@@ -60,14 +68,15 @@ class CayleyGraph:
         return self.cset.size
 
     @cached_property
-    def _connector_set(self) -> frozenset[int]:
+    def connector_set(self) -> frozenset[int]:
+        """The connectors as a set: u and v are adjacent iff (v − u) mod n is in it."""
         return frozenset(self.cset.members)
 
     def adjacent(self, u: int, v: int) -> bool:
         """True iff u ≠ v and their difference lies in the connecting set."""
         _check_exponent(u, self.triple)
         _check_exponent(v, self.triple)
-        return (u - v) % self.triple.n in self._connector_set
+        return (u - v) % self.triple.n in self.connector_set
 
     def neighbors(self, u: int) -> list[int]:
         """The degree-many neighbors of u, sorted ascending."""
@@ -79,11 +88,40 @@ class CayleyGraph:
 
     def bitset(self, vertices: Iterable[int]) -> int:
         """The vertex set as an n-bit int."""
-        buf = bytearray((self.triple.n + 7) // 8)
-        for v in vertices:
-            _check_exponent(v, self.triple)
-            buf[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(buf, "little")
+        return _pack(vertices, self.triple.n)
+
+    def periodic(self, period: int, residues: Iterable[int]) -> int:
+        """{v : v mod period ∈ residues} as an n-bit int.
+
+        The period must divide n and every residue lie in [0, period).  One
+        period is packed and then doubled by shifts up to n bits.
+        """
+        n = self.triple.n
+        if period <= 0 or n % period:
+            raise ValueError(f"period {period} does not divide {n}")
+        s = _pack(residues, period)
+        width = period
+        while width < n:
+            s |= s << width
+            width *= 2
+        return s & ((1 << n) - 1)
+
+    def label_classes(self, labels: Sequence[Hashable], period: int) -> dict[Hashable, int]:
+        """The vertices grouped by label (labels[v] for every vertex v), each
+        class as an n-bit int.
+
+        The classes are built from the first period when the labels repeat
+        with that period, which is tested on all n labels; otherwise from all n.
+        """
+        n = self.triple.n
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} vertices")
+        if labels[period:] != labels[:-period]:
+            period = n
+        members: dict[Hashable, list[int]] = {}
+        for v in range(period):
+            members.setdefault(labels[v], []).append(v)
+        return {label: self.periodic(period, rs) for label, rs in members.items()}
 
     def rotate(self, s: int, k: int) -> int:
         """rot(S, k) = {(v + k) mod n : v in S}."""
@@ -111,16 +149,26 @@ class CayleyGraph:
         # (doubled >> (n - c)) & S == rot(S, c) & S
         return sum(((doubled >> (n - c)) & s).bit_count() for c in self.cset.members if 2 * c < n)
 
-    def bfs_levels(self, source: int) -> list[int]:
-        """The BFS levels from source: levels[k] is the set at distance k."""
+    def bfs_levels(self, source: int) -> tuple[int, ...]:
+        """The BFS levels from source: levels[k] is the set at distance k.
+
+        The levels from vertex 0 are built once per graph and shared.
+        """
         _check_exponent(source, self.triple)
+        return self._levels_from_zero if source == 0 else self._levels(source)
+
+    @cached_property
+    def _levels_from_zero(self) -> tuple[int, ...]:
+        return self._levels(0)
+
+    def _levels(self, source: int) -> tuple[int, ...]:
         frontier = seen = 1 << source
         levels = []
         while frontier:
             levels.append(frontier)
             frontier = self.neighborhood(frontier) & ~seen
             seen |= frontier
-        return levels
+        return tuple(levels)
 
     def bfs(self, source: int) -> list[int]:
         """Exact hop distances from source to every vertex (-1 = unreachable)."""
@@ -193,3 +241,15 @@ class CayleyGraph:
                     first = pre + names[u] + mid
                     f.write(first + (end + first).join([names[u + c] for c in row]) + end)
             f.write(footer)
+
+
+def _pack(values: Iterable[int], size: int) -> int:
+    """The values, each in [0, size), as the bits of a size-bit int."""
+    values = list(values)  # a generator is read once, for both the check and the bits
+    if values and not (0 <= min(values) and max(values) < size):
+        bad = next(v for v in values if not 0 <= v < size)
+        raise ValueError(f"{bad} out of range [0, {size})")
+    buf = bytearray((size + 7) // 8)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")

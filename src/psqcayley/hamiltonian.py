@@ -79,7 +79,7 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
             return False
         seen[v] = 1
     # every entry is now a vertex, so adjacency is membership of the difference
-    connectors = frozenset(g.cset.members)
+    connectors = g.connector_set
     verts = w.vertices
     for u, v in zip(verts, islice(verts, 1, None)):
         if (v - u) % n not in connectors:

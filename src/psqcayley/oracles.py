@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graph import CayleyGraph
-from .parameters import closed_form_distance_table
+from .parameters import closed_form_distance_classes
 from .structure import BlockId, IndexGraph
 
 DEFAULT_SEED = 12345
@@ -134,10 +134,11 @@ def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepR
     """BFS from vertex 0 plus budgeted extra sources; every computed distance
     is compared against the closed form.
 
-    From source s the closed form puts vertex v at level table[v − s], so
-    level k is expected to be rot(E_k, s) with E_k = {d : table[d] = k}.  A
-    vertex matches when it lies in its BFS level and its expected one, so the
-    mismatches are n minus the matches (unreached vertices never match)."""
+    From source s the closed form puts vertex v at the distance of the
+    difference v − s, so level k is expected to be rot(E_k, s), where E_k
+    holds the differences at closed-form distance k.  A vertex matches when it
+    lies in its BFS level and its expected one, so the mismatches are n minus
+    the matches (unreached vertices never match)."""
     if budget is None:
         budget = OracleBudget()
     t = g.triple
@@ -148,10 +149,7 @@ def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepR
         rng = random.Random(budget.seed)
         extra = min(budget.bfs_sources, n - 1)
         sources = [0] + sorted(rng.sample(range(1, n), extra))
-    by_distance: dict[int, list[int]] = {}
-    for d, k in enumerate(closed_form_distance_table(t)):
-        by_distance.setdefault(k, []).append(d)
-    expected = {k: g.bitset(ds) for k, ds in by_distance.items()}
+    expected = closed_form_distance_classes(t, g)
     max_distance = 0
     mismatches = 0
     for s in sources:
@@ -170,7 +168,7 @@ def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:
     """Deterministic first triangle: connectors c1 < c2 whose difference is
     itself a connector give the triangle {0, c1, c2}."""
     members = g.cset.members
-    connectors = frozenset(members)
+    connectors = g.connector_set
     for i, c1 in enumerate(members):
         for c2 in members[i + 1 :]:
             if c2 - c1 in connectors:

@@ -70,6 +70,29 @@ def closed_form_distance_table(t: PrimeTriple) -> list[int]:
     return table
 
 
+def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
+    """E_k = {d : the closed-form distance of difference d is k}, as n-bit ints.
+
+    The cost of d in each component depends only on d modulo that prime
+    square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
+    is the periodic set of residues mod a² with cost x (B, C likewise).
+    """
+    per_component = []
+    for p, m in zip(t.primes, t.moduli):
+        by_cost: dict[int, list[int]] = {}
+        for r in range(m):
+            by_cost.setdefault(_component_cost(r, p), []).append(r)
+        per_component.append({x: g.periodic(m, rs) for x, rs in by_cost.items()})
+    alpha, beta, gamma = per_component
+    classes: dict[int, int] = {}
+    for x, a_x in alpha.items():
+        for y, b_y in beta.items():
+            ab = a_x & b_y
+            for z, c_z in gamma.items():
+                classes[x + y + z] = classes.get(x + y + z, 0) | (ab & c_z)
+    return classes
+
+
 def two_prime_distance(a: int, b: int, x: int, y: int, alpha: int, beta: int) -> int:
     """Distance within a slice holding the third component fixed: the same
     component-cost rule on the remaining two coordinates (values 0..4)."""
@@ -126,12 +149,12 @@ class ColoringResult:
 def verify_coloring(t: PrimeTriple) -> ColoringResult:
     """No edge may be monochromatic: each colour class must span no edge.
     Every edge lies inside a class or between two, so this covers all
-    n·|C|/2 edges."""
+    n·|C|/2 edges.  The colour is evaluated on every vertex; it repeats with
+    period a·b·c², which is tested, so the classes are built from one period."""
     g = CayleyGraph.from_triple(t)
-    classes: dict[int, list[int]] = {}
-    for v in range(t.n):
-        classes.setdefault(residue_sum_color(v, t), []).append(v)
-    proper = all(g.internal_edges(g.bitset(cls)) == 0 for cls in classes.values())
+    colours = [residue_sum_color(v, t) for v in range(t.n)]
+    classes = g.label_classes(colours, t.alpha * t.beta * t.m_gamma)
+    proper = all(g.internal_edges(cls) == 0 for cls in classes.values())
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2, True)
 
 

@@ -114,21 +114,28 @@ def _require_within_cap(t: PrimeTriple, cap: int) -> None:
         raise TooLargeError(f"{t.n} vertices exceed cap {cap}")
 
 
+def _projected_blocks(t: PrimeTriple, g: CayleyGraph) -> dict[BlockId, int]:
+    """Every vertex gathered into its block by the residue projection, each
+    block as an n-bit int (built from one period abc when block_of repeats
+    with it, which is tested on every vertex)."""
+    a, b, c = t.primes
+    return g.label_classes([block_of(v, t) for v in range(t.n)], a * b * c)
+
+
 def verify_block_partition(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
     """Blocks are pairwise disjoint, cover all n vertices, and the residue
     projection lands every vertex in the block that constructs it."""
     _require_within_cap(t, cap)
+    g = CayleyGraph.from_triple(t)
     a, b, c = t.primes
-    by_projection: dict[BlockId, set[int]] = {}
-    for v in range(t.n):
-        by_projection.setdefault(block_of(v, t), set()).add(v)
-    if len(by_projection) != a * b * c:
-        return False
     size = a * b * c
-    for bid, assigned in by_projection.items():
-        if len(assigned) != size:
+    blocks = _projected_blocks(t, g)
+    if len(blocks) != size:
+        return False
+    for bid, assigned in blocks.items():
+        if assigned.bit_count() != size:
             return False
-        if set(block_exponents(bid, t)) != assigned:
+        if g.bitset(block_exponents(bid, t)) != assigned:
             return False
     return True
 
@@ -144,10 +151,10 @@ def verify_block_adjacency(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -
     g = CayleyGraph.from_triple(t)
     ig = index_graph(t)
     ids = ig.ids()
-    members: dict[BlockId, list[int]] = {bid: [] for bid in ids}
-    for v in range(t.n):
-        members[block_of(v, t)].append(v)
-    blocks = [g.bitset(members[bid]) for bid in ids]
+    projected = _projected_blocks(t, g)
+    if projected.keys() != set(ids):
+        return False  # a vertex projected outside the index set
+    blocks = [projected[bid] for bid in ids]
     for x, bx in enumerate(ids):
         reach = g.neighborhood(blocks[x])
         if reach & blocks[x]:
@@ -201,11 +208,13 @@ class FiberStructureChecklist:
 
 
 def _is_cycle(seq: list[int], g: CayleyGraph) -> bool:
+    """seq holds distinct vertices, each adjacent to the next and the last to
+    the first (every entry is a vertex by construction)."""
     if len(seq) < 3 or len(set(seq)) != len(seq):
         return False
-    return all(g.adjacent(seq[i], seq[i + 1]) for i in range(len(seq) - 1)) and g.adjacent(
-        seq[-1], seq[0]
-    )
+    n = g.triple.n
+    connectors = g.connector_set
+    return all((y - x) % n in connectors for x, y in zip(seq, seq[1:] + seq[:1]))
 
 
 def verify_fiber_structure(
@@ -223,17 +232,17 @@ def verify_fiber_structure(
     fiber = (1 << m_ab) - 1
     item_i = all(g.internal_edges(fiber << (k * m_ab)) == 0 for k in range(m_c))
 
-    # (ii) within a cell, adjacency <=> top digits differ modulo gamma
+    # (ii) within a cell, adjacency <=> top digits differ modulo gamma, over
+    # every pair of every cell; the cell of r + s·a² (r < a², s < b²) is
+    # {base + k·a²b² : k < c²} with base = r + s·a² running over [0, a²b²)
+    connectors = g.connector_set
+    rule = [dk % gamma != 0 for dk in range(m_c)]  # rule[k2 − k1]
     item_ii = True
-    for r in range(m_a):
-        for s in range(m_b):
-            base = r + s * m_a
-            for k1 in range(m_c):
-                x = base + k1 * m_ab
-                for k2 in range(k1 + 1, m_c):
-                    y = base + k2 * m_ab
-                    if g.adjacent(x, y) != ((k1 - k2) % gamma != 0):
-                        item_ii = False
+    for base in range(m_ab):
+        cell = range(base, n, m_ab)
+        for k1, x in enumerate(cell):
+            if [(y - x) % n in connectors for y in cell[k1 + 1 :]] != rule[1 : m_c - k1]:
+                item_ii = False
     # (iii) explicit cell cycles, re-verified edge by edge
     item_iii = all(
         _is_cycle([r + s * m_a + k * m_ab for k in range(m_c)], g)

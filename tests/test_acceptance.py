@@ -5,11 +5,14 @@ Every check is exact (integer equality); each criterion also carries a
 wall-clock budget that is asserted.
 """
 
+import os
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
+import psqcayley
 from psqcayley import (
     CayleyGraph,
     OracleBudget,
@@ -40,6 +43,12 @@ T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
 T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
+# the CLI child imports the same package these tests import
+_SRC = str(Path(psqcayley.__file__).resolve().parents[1])
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def _report(num: int, ok: bool, budget_s: float, elapsed: float, detail: str) -> None:
@@ -210,6 +219,7 @@ def test_criterion_10_byte_identical_reports(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0, proc.stderr
     ok = paths[0].read_bytes() == paths[1].read_bytes() and len(paths[0].read_bytes()) > 0

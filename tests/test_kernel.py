@@ -7,10 +7,13 @@ import pytest
 from psqcayley import (
     CayleyGraph,
     OracleBudget,
+    build_report,
+    closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
     independence_certificate,
     make_prime_triple,
+    run_verification,
     verify_coloring,
 )
 from psqcayley import oracles, parameters
@@ -85,15 +88,73 @@ def test_bitset_rejects_out_of_range_vertices():
     for bad in (-1, 900):
         with pytest.raises(ValueError):
             g.bitset([0, bad])
+        with pytest.raises(ValueError):
+            g.bitset(v for v in (0, bad))
+    assert g.bitset(v for v in (3, 0, 3)) == 0b1001
+    assert g.bitset([]) == 0
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_periodic_matches_set_reference(t):
+    g = CayleyGraph.from_triple(t)
+    a, b, c = t.primes
+    rng = random.Random(t.n)
+    for period in (a * a, b * b, c * c, a * b * c, a * b * c * c, t.n):
+        for residues in ([], [0], [period - 1], rng.sample(range(period), period // 3), range(period)):
+            chosen = set(residues)
+            expected = g.bitset(v for v in range(t.n) if v % period in chosen)
+            assert g.periodic(period, residues) == expected
+            assert g.periodic(period, iter(residues)) == expected
+
+
+def test_periodic_rejects_bad_period_and_residue():
+    g = CayleyGraph.from_triple(TRIPLES[0])  # n = 900
+    for period in (7, 899, 1800, 0, -4):
+        with pytest.raises(ValueError):
+            g.periodic(period, [0])
+    for residue in (-1, 30):
+        with pytest.raises(ValueError):
+            g.periodic(30, [0, residue])
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_distance_classes_match_table(t):
+    g = CayleyGraph.from_triple(t)
+    table = closed_form_distance_table(t)
+    expected = {k: g.bitset(d for d in range(t.n) if table[d] == k) for k in set(table)}
+    assert closed_form_distance_classes(t, g) == expected
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_levels_from_vertex_zero_are_built_once(t, monkeypatch):
+    built = []
+    levels = CayleyGraph._levels
+    monkeypatch.setattr(CayleyGraph, "_levels", lambda g, s: built.append(s) or levels(g, s))
+    g = CayleyGraph.from_triple(t)
+    first = g.bfs_levels(0)
+    assert isinstance(first, tuple) and g.bfs_levels(0) is first
+    assert g.is_connected().connected and parameters.diameter(t, g).bfs_eccentricity == 6
+    oracles.distance_sweep(g, OracleBudget(bfs_sources=1, seed=3))
+    assert built.count(0) == 1
+    built.clear()
+    build_report(t)
+    assert built.count(0) == 1
+    built.clear()
+    run_verification(t, OracleBudget(bfs_sources=1, seed=3))
+    assert built.count(0) == 1
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 @pytest.mark.parametrize("shift", [1, 99])
 def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift, monkeypatch):
-    table = closed_form_distance_table(t)
-    table[t.n // 2 + 1] += shift
-    monkeypatch.setattr(oracles, "closed_form_distance_table", lambda _t: table)
-    report = distance_sweep(CayleyGraph.from_triple(t), OracleBudget(bfs_sources=4, seed=1))
+    g = CayleyGraph.from_triple(t)
+    classes = closed_form_distance_classes(t, g)
+    bit = 1 << (t.n // 2 + 1)
+    k = next(k for k, e in classes.items() if e & bit)
+    classes[k] ^= bit
+    classes[k + shift] = classes.get(k + shift, 0) | bit
+    monkeypatch.setattr(oracles, "closed_form_distance_classes", lambda _t, _g: classes)
+    report = distance_sweep(g, OracleBudget(bfs_sources=4, seed=1))
     assert report.sources == 5
     assert report.mismatches == 5
     assert report.max_distance == 6
@@ -125,3 +186,17 @@ def test_bad_coloring_is_improper(t, monkeypatch):
     result = verify_coloring(t)
     assert result.proper is False
     assert result.edges_checked == t.n * CayleyGraph.from_triple(t).degree // 2
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
+    # the colouring repeats with period a·b·c²; a clash planted at the last
+    # vertex is invisible to anything that reads the first period only
+    good = parameters.residue_sum_color
+    v = t.n - 1
+    w = v - CayleyGraph.from_triple(t).cset.members[0]  # adjacent to v
+    assert v >= t.n - t.alpha * t.beta * t.m_gamma and good(v, t) != good(w, t)
+    monkeypatch.setattr(
+        parameters, "residue_sum_color", lambda u, t: good(w, t) if u == v else good(u, t)
+    )
+    assert verify_coloring(t).proper is False

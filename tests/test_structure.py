@@ -1,6 +1,6 @@
 import pytest
 
-from psqcayley import graph
+from psqcayley import graph, structure
 from psqcayley import (
     BlockId,
     CayleyGraph,
@@ -117,6 +117,32 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
     assert not verify_block_adjacency(T235)
     assert not verify_fiber_structure(T235).gamma_fibers_independent
+
+
+def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
+    # block_of repeats with period abc; a fault at vertex n − 1 breaks that
+    good = structure.block_of
+    monkeypatch.setattr(
+        structure, "block_of", lambda v, t: good(0, t) if v == t.n - 1 else good(v, t)
+    )
+    for t in (T235, T357):
+        assert not verify_block_partition(t)
+        assert not verify_block_adjacency(t)
+
+
+def test_cell_rule_catches_a_planted_connector(monkeypatch):
+    # γ·a²b² joins cell pairs whose top digits agree modulo gamma
+    def with_extra(t):
+        cs = enumerate_connectors(t)
+        extra = t.gamma * t.m_alpha * t.m_beta
+        members = tuple(sorted(cs.members + (extra, t.n - extra)))
+        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+
+    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
+    for t in (T235, T357):
+        items = verify_fiber_structure(t).as_dict()
+        assert not items["ii"]
+        assert items["iii"] and items["vii"] and items["viii"]
 
 
 def test_cross_block_edge_witness():
