@@ -14,7 +14,6 @@ from .graph import (
     TooLargeError,
 )
 from .group import (
-    GroupElement,
     NonPrimeError,
     NotAscendingError,
     NotDistinctError,
@@ -24,7 +23,6 @@ from .group import (
     crt_combine,
     crt_components,
     element_order,
-    group_element,
     is_prime,
     make_prime_triple,
 )

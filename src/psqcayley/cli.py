@@ -7,7 +7,9 @@ Subcommands:
   export       write edge-list / dot / walk / independent-set files
   hamiltonian  construct (and optionally verify) the snake walk
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
+including a --config file that cannot be read or an --out file that cannot be
+written.
 Budgets and the seed may come from a `key = value` config file (--config);
 explicit flags win.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are
 placed inside it.
@@ -203,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         raise UsageError(f"unknown command {args.command!r}")
-    except (UsageError, TripleValidationError, OverflowError, TooLargeError, ValueError) as exc:
+    # OSError: a --config file that cannot be read or an --out file that cannot be written
+    except (UsageError, TripleValidationError, OverflowError, TooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

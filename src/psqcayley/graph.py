@@ -2,13 +2,19 @@
 vertices are adjacent exactly when the order of their difference is a squared
 prime.
 
-Adjacency is arithmetic, so the graph is never materialized: the edge-list
-and DOT exports (capped) stream it to a file one vertex row at a time.  Vertex
-sets are n-bit ints (bit v set iff v is in the set).  In a circulant graph the
-neighbourhood of a set S is the OR of rot(S, c) over the connectors c, so BFS
-advances a whole frontier with |C| big-int rotations per level; sweeps from
-distinct sources share no mutable state and may run concurrently.  The levels
-from vertex 0 are built once per graph and shared as a tuple.
+Adjacency is arithmetic, so the graph is never materialized.  Vertex u's
+upward edges go to u + c for the sorted connectors c < n − u, a row that
+changes only where u reaches n − c; so [0, n) splits into |C| + 1 bands with
+one row each, the last one empty.  `edges()` and the capped edge-list and DOT
+exports read the bands.  The exports write a band in chunks of rows: a
+chunk's neighbour names are |C| column slices of the vertex names, zipped into
+rows.
+
+Vertex sets are n-bit ints (bit v set iff v is in the set).  In a circulant
+graph the neighbourhood of a set S is the OR of rot(S, c) over the connectors
+c, so BFS advances a whole frontier with |C| big-int rotations per level;
+sweeps from distinct sources share no mutable state and may run concurrently.
+The levels from vertex 0 are built once per graph and shared as a tuple.
 
 Sets defined by residues -- colour classes, closed-form distance classes,
 residue blocks -- are periodic: {v : v mod P in R} for a period P dividing n.
@@ -20,7 +26,6 @@ class from one period that way.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from os import PathLike
@@ -30,6 +35,7 @@ from .connectors import ConnectingSet, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness, make_prime_triple
 
 DEFAULT_MATERIALIZE_CAP = 20_000
+EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
 
 
 class TooLargeError(ValueError):
@@ -189,10 +195,6 @@ class CayleyGraph:
         reached = sum(level.bit_count() for level in self.bfs_levels(0))
         return ConnectivityResult(holds and reached == t.n, (u, v, w), holds, reached)
 
-    def is_eulerian(self) -> bool:
-        """Connected with every degree even (degrees all equal |C|)."""
-        return self.degree % 2 == 0 and self.is_connected().connected
-
     def girth_certificate(self) -> tuple[int, int, int]:
         """A triangle witnessing girth 3: {0, a²b², 2a²b²}."""
         m_ab = self.triple.m_alpha * self.triple.m_beta
@@ -203,23 +205,38 @@ class CayleyGraph:
         m_ab = self.triple.m_alpha * self.triple.m_beta
         return tuple(k * m_ab for k in range(5))  # type: ignore[return-value]
 
-    def _rows(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(u, the sorted connectors c < n − u) for each vertex u ascending:
-        u's edges are u + c, so every undirected edge appears once."""
+    def _bands(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+        """(lo, hi, row) for ascending bands that tile [0, n): every vertex u
+        in [lo, hi) has its upward edges to u + c for the connectors c in row.
+
+        u's upward connectors are the sorted connectors c < n − u, so the row
+        shrinks by one connector where u reaches n − c; the last band, from
+        n − min(C) to n, has an empty row.  Every undirected edge appears once.
+        """
         n = self.triple.n
         members = self.cset.members
-        for u in range(n):
-            yield u, members[: bisect_left(members, n - u)]
+        lo = 0
+        for k in range(len(members), -1, -1):
+            hi = n - members[k - 1] if k else n
+            yield lo, hi, members[:k]
+            lo = hi
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Every undirected edge once as (u, v) with u < v, ascending by (u, v)."""
-        for u, row in self._rows():
-            for c in row:
-                yield (u, u + c)
+        for lo, hi, row in self._bands():
+            for u in range(lo, hi):
+                for c in row:
+                    yield (u, u + c)
 
     def export(self, fmt: str, out: str | PathLike, cap: int = DEFAULT_MATERIALIZE_CAP) -> None:
         """Write the graph to the file out as an 'edges' list ("u v" lines) or
-        a 'dot' document, one vertex row at a time.
+        a 'dot' document, band by band in chunks of at most EXPORT_CHUNK_ROWS
+        vertex rows.
+
+        In a chunk [a, b) of a band, the neighbours u + c of its vertices are
+        the column slices names[a + c : b + c], one per connector c of the
+        row; zipping the columns gives each vertex its neighbour names in
+        ascending order, and the chunk is written with one write.
 
         Raises TooLargeError above cap and ValueError for an unknown format;
         on either, out is never opened, so no file is created or truncated.
@@ -236,10 +253,17 @@ class CayleyGraph:
         names = [b"%d" % v for v in range(n)]
         with open(out, "wb") as f:
             f.write(header)
-            for u, row in self._rows():
-                if row:  # rows near n − 1 have no higher neighbour
-                    first = pre + names[u] + mid
-                    f.write(first + (end + first).join([names[u + c] for c in row]) + end)
+            for lo, hi, row in self._bands():
+                if not row:  # the last band has no higher neighbour
+                    continue
+                for a in range(lo, hi, EXPORT_CHUNK_ROWS):
+                    b = min(a + EXPORT_CHUNK_ROWS, hi)
+                    heads = [pre + name + mid for name in names[a:b]]
+                    columns = [names[a + c : b + c] for c in row]
+                    lines = [
+                        head + (end + head).join(nbrs) + end for head, nbrs in zip(heads, zip(*columns))
+                    ]
+                    f.write(b"".join(lines))
             f.write(footer)
 
 

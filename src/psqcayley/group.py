@@ -124,18 +124,6 @@ def crt_combine(comps: tuple[int, int, int], t: PrimeTriple) -> int:
     return (comps[0] * e_a + comps[1] * e_b + comps[2] * e_c) % t.n
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A vertex: exponent in [0, n) together with its residue components."""
-
-    exponent: int
-    components: tuple[int, int, int]
-
-
-def group_element(k: int, t: PrimeTriple) -> GroupElement:
-    return GroupElement(k, crt_components(k, t))
-
-
 def _abs_min_residue(x: int, m: int) -> int:
     # representative of x mod m with the smallest absolute value
     r = x % m

@@ -167,7 +167,8 @@ def run_verification(
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
     cset = g.cset
-    order_scan = {m for m in range(1, t.n) if element_order(m, t) in t.moduli}
+    squares = set(t.moduli)
+    order_scan = {m for m in range(1, t.n) if element_order(m, t) in squares}
     check(
         "connecting-set",
         set(cset.members) == order_scan and cset.size == connector_count_formula(t),

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, make_prime_triple
+from psqcayley import CayleyGraph, TooLargeError, graph, make_prime_triple
+from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.graph import EXPORT_CHUNK_ROWS
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -71,13 +73,6 @@ def test_connected_both_methods():
     assert CayleyGraph.from_triple(T357).is_connected().connected
 
 
-def test_eulerian():
-    assert G235.is_eulerian()
-    g7 = CayleyGraph.from_triple(T357)
-    assert g7.degree == 68
-    assert g7.is_eulerian()
-
-
 def test_girth_certificate():
     tri = G235.girth_certificate()
     assert tri == (0, 36, 72)
@@ -138,6 +133,50 @@ def test_export_bytes_equal_reference(tmp_path, t, fmt):
     out = tmp_path / f"{fmt}.txt"
     g.export(fmt, out)
     assert out.read_bytes() == _reference_export(g, fmt)
+
+
+@pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_bands_tile_vertices_with_connectors_below_n_minus_u(t):
+    g = CayleyGraph.from_triple(t)
+    n, members = t.n, g.cset.members
+    bands = list(g._bands())
+    assert bands[0][0] == 0 and bands[-1][1] == n and bands[-1][2] == ()
+    assert all(lo < hi for lo, hi, _ in bands)
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(bands, bands[1:]))
+    rows = [row for lo, hi, row in bands for _ in range(lo, hi)]
+    assert rows == [tuple(c for c in members if c < n - u) for u in range(n)]
+
+
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+def test_export_with_a_planted_connector_equals_reference(tmp_path, monkeypatch, fmt):
+    # 1 and n − 1 are no connectors: bands from the closed form would miss them
+    def with_extra(t):
+        cs = enumerate_connectors(t)
+        members = tuple(sorted(cs.members + (1, t.n - 1)))
+        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+
+    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
+    for t in (T235, T357):
+        g = CayleyGraph.from_triple(t)
+        assert {1, t.n - 1} <= g.connector_set
+        out = tmp_path / f"{fmt}.txt"
+        g.export(fmt, out)
+        assert out.read_bytes() == _reference_export(g, fmt)
+
+
+@pytest.mark.parametrize("chunk", [7, 100])
+def test_export_splits_long_bands_into_chunks(tmp_path, monkeypatch, chunk):
+    # no band at (3,5,7) reaches the default chunk (the longest has 414 rows),
+    # so shrink the chunk until bands split with a last partial chunk
+    g = CayleyGraph.from_triple(T357)
+    lengths = [hi - lo for lo, hi, row in g._bands() if row]
+    assert max(lengths) < EXPORT_CHUNK_ROWS
+    assert any(length > chunk and length % chunk for length in lengths)
+    monkeypatch.setattr(graph, "EXPORT_CHUNK_ROWS", chunk)
+    for fmt in ("edges", "dot"):
+        out = tmp_path / f"{fmt}.txt"
+        g.export(fmt, out)
+        assert out.read_bytes() == _reference_export(g, fmt)
 
 
 def test_export_cap(tmp_path):

@@ -10,7 +10,6 @@ from psqcayley import (
     crt_combine,
     crt_components,
     element_order,
-    group_element,
     make_prime_triple,
 )
 
@@ -106,12 +105,6 @@ def test_squared_order_component_characterization():
         assert (element_order(k, T235) == 4) == (ga % 2 != 0 and gb == 0 and gc == 0)
         assert (element_order(k, T235) == 9) == (gb % 3 != 0 and ga == 0 and gc == 0)
         assert (element_order(k, T235) == 25) == (gc % 5 != 0 and ga == 0 and gb == 0)
-
-
-def test_group_element_round_trip():
-    e = group_element(36, T235)
-    assert e.exponent == 36
-    assert e.components == (0, 0, 11)
 
 
 def test_bezout_identity_exact():

@@ -15,6 +15,7 @@ from psqcayley import cli
 from psqcayley import oracles as oracles_mod
 
 T235 = make_prime_triple(2, 3, 5)
+T357 = make_prime_triple(3, 5, 7)
 
 EXPECTED_KEYS = [
     "schemaVersion",
@@ -67,6 +68,12 @@ def test_report_values_small_instance():
     assert rep["timings"] is None
 
 
+def test_report_eulerian_with_even_degree():
+    rep = build_report(T357)
+    assert rep["degree"] == 68
+    assert rep["eulerian"] is True
+
+
 def test_report_round_trip_and_determinism(tmp_path):
     rep = build_report(T235, OracleBudget(seed=7))
     payload = report_bytes(rep)
@@ -111,6 +118,22 @@ def test_cli_usage_errors(capsys):
     assert cli.main(["build", "--primes", "2,3"]) == 2
     assert cli.main(["export", "--primes", "2,3,5", "--format", "gml", "--out", "x"]) == 2
     assert cli.main(["nonsense"]) == 2
+
+
+def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "absent.cfg"
+    assert cli.main(["verify", "--primes", "2,3,5", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
+def test_cli_out_in_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "absent" / "x"
+    assert cli.main(["export", "--primes", "2,3,5", "--format", "edges", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_params_stdout(capsys):
