@@ -53,28 +53,28 @@ from .parameters import (
     independence_index_set,
     independence_internal_edges,
     residue_sum_color,
-    two_prime_distance,
     verify_coloring,
     verify_index_bounds,
 )
 from .report import (
     SCHEMA_VERSION,
+    Certificates,
     VerificationOutcome,
     auto_budget,
     build_report,
+    certify,
     report_bytes,
     run_verification,
     write_report,
 )
 from .structure import (
     BlockId,
-    FiberId,
     FiberStructureChecklist,
     IndexGraph,
     block_exponents,
     block_members,
     block_of,
-    fiber_members,
+    block_projection,
     index_graph,
     verify_block_adjacency,
     verify_block_partition,

@@ -32,7 +32,7 @@ from os import PathLike
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
-from .group import PrimeTriple, _check_exponent, bezout_witness, make_prime_triple
+from .group import PrimeTriple, _check_exponent, bezout_witness
 
 DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
@@ -61,14 +61,6 @@ class CayleyGraph:
     def from_triple(cls, t: PrimeTriple) -> "CayleyGraph":
         return cls(t, enumerate_connectors(t))
 
-    @classmethod
-    def from_primes(cls, a: int, b: int, c: int) -> "CayleyGraph":
-        return cls.from_triple(make_prime_triple(a, b, c))
-
-    @property
-    def vertex_count(self) -> int:
-        return self.triple.n
-
     @property
     def degree(self) -> int:
         return self.cset.size
@@ -83,6 +75,10 @@ class CayleyGraph:
         _check_exponent(u, self.triple)
         _check_exponent(v, self.triple)
         return (u - v) % self.triple.n in self.connector_set
+
+    def is_clique(self, vertices: Sequence[int]) -> bool:
+        """True iff the vertices are pairwise adjacent."""
+        return all(self.adjacent(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
 
     def neighbors(self, u: int) -> list[int]:
         """The degree-many neighbors of u, sorted ascending."""

@@ -93,16 +93,6 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
     return classes
 
 
-def two_prime_distance(a: int, b: int, x: int, y: int, alpha: int, beta: int) -> int:
-    """Distance within a slice holding the third component fixed: the same
-    component-cost rule on the remaining two coordinates (values 0..4)."""
-    m_a, m_b = alpha * alpha, beta * beta
-    for comp, m in ((a, m_a), (x, m_a), (b, m_b), (y, m_b)):
-        if not 0 <= comp < m:
-            raise ValueError(f"component {comp} out of range [0, {m})")
-    return _component_cost((a - x) % m_a, alpha) + _component_cost((b - y) % m_b, beta)
-
-
 @dataclass(frozen=True)
 class DiameterResult:
     value: int
@@ -143,19 +133,18 @@ class ColoringResult:
     proper: bool
     chromatic: int
     edges_checked: int
-    exhaustive: bool
 
 
-def verify_coloring(t: PrimeTriple) -> ColoringResult:
-    """No edge may be monochromatic: each colour class must span no edge.
-    Every edge lies inside a class or between two, so this covers all
-    n·|C|/2 edges.  The colour is evaluated on every vertex; it repeats with
-    period a·b·c², which is tested, so the classes are built from one period."""
-    g = CayleyGraph.from_triple(t)
+def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
+    """No edge of g, the graph of t, may be monochromatic: each colour class
+    must span no edge.  Every edge lies inside a class or between two, so
+    this covers all n·|C|/2 edges.  The colour is evaluated on every vertex;
+    it repeats with period a·b·c², which is tested, so the classes are built
+    from one period."""
     colours = [residue_sum_color(v, t) for v in range(t.n)]
     classes = g.label_classes(colours, t.alpha * t.beta * t.m_gamma)
     proper = all(g.internal_edges(cls) == 0 for cls in classes.values())
-    return ColoringResult(proper, t.gamma, t.n * g.degree // 2, True)
+    return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +187,13 @@ def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
 class IndependenceScan:
     internal_edges: int
     pairs_checked: int
-    exhaustive: bool
 
 
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
     """Count edges inside the certificate set (must be zero), over all
     m(m−1)/2 vertex pairs."""
     m = len(cert.vertices)
-    return IndependenceScan(g.internal_edges(g.bitset(cert.vertices)), m * (m - 1) // 2, True)
+    return IndependenceScan(g.internal_edges(g.bitset(cert.vertices)), m * (m - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -213,18 +201,13 @@ class IndexBoundsReport:
     """Index-level evidence for the independence number:
 
     - the certificate's index set never agrees in exactly two coordinates,
-    - projecting it onto the first two coordinates is injective (so at most
-      a·b ids can ever be touched by an independent set),
     - an exact search confirms the index graph's maximum independent set is
-      exactly a·b,
-    - the certificate meets the resulting a²b²c vertex-count bound exactly.
+      exactly a·b.
     """
 
     index_set_two_agreement_free: bool
-    projection_injective: bool
     mis_size: int
     mis_matches_product: bool
-    size_bound_met: bool
 
 
 def verify_index_bounds(t: PrimeTriple, budget=None) -> IndexBoundsReport:
@@ -232,22 +215,11 @@ def verify_index_bounds(t: PrimeTriple, budget=None) -> IndexBoundsReport:
 
     if budget is None:
         budget = OracleBudget()
-    ig: IndexGraph = index_graph(t)
     ids = independence_index_set(t)
     two_free = all(
         IndexGraph.agreement(ids[x], ids[y]) != 2
         for x in range(len(ids))
         for y in range(x + 1, len(ids))
     )
-    projected = {(bid.i, bid.j) for bid in ids}
-    injective = len(projected) == len(ids)
-    mis = exact_max_independent_set(ig, budget)
-    cert = independence_certificate(t)
-    product = t.alpha * t.beta
-    return IndexBoundsReport(
-        two_free,
-        injective,
-        len(mis),
-        len(mis) == product,
-        cert.size == product * t.alpha * t.beta * t.gamma,
-    )
+    mis = exact_max_independent_set(index_graph(t), budget)
+    return IndexBoundsReport(two_free, len(mis), len(mis) == t.alpha * t.beta)

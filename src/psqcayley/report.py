@@ -1,28 +1,104 @@
-"""The machine-readable certificate report and the full verification run.
+"""The certificate pipeline, and its two renderings: the machine-readable
+report and the full verification run.
 
-The report ties every graph parameter to its explicit certificate and to the
-in-schema verdicts (BFS reach, proper-coloring sweep, internal-edge scan,
-index-graph search, walk replay, fiber and block checks).  Serialization is
-canonical: fixed key order, ASCII, two-space indent, trailing newline — byte
-identical across runs with equal primes and seed.  Wall-clock timings are
-non-reproducible, so they serialize as null unless explicitly requested.
+`certify` builds every in-schema certificate and verdict exactly once, on one
+graph: connectivity, the proper coloring, the independence certificate and
+its internal-edge scan, the index-graph search, the diameter, the walk and
+its replay, and -- when n is within the materialization cap, decided there
+alone -- the fiber and block checks on one shared block projection.
+`build_report` renders the result as the JSON report; `run_verification`
+renders it as one line per check and adds the oracle-only checks (the
+connecting-set order scan, the triangle scan, the exact clique search and the
+distance sweep).
+
+Serialization is canonical: fixed key order, ASCII, two-space indent,
+trailing newline -- byte identical across runs with equal primes and seed.
+Wall-clock timings are non-reproducible, so they serialize as null unless
+explicitly requested.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import BinaryIO
 
 from . import oracles, parameters, structure
-from .connectors import connector_count_formula, enumerate_connectors
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError
+from .connectors import connector_count_formula
+from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, ConnectivityResult
 from .group import PrimeTriple, element_order
-from .hamiltonian import snake_walk, verify_walk
+from .hamiltonian import WalkCertificate, snake_walk, verify_walk
 from .oracles import OracleBudget, SweepReport
 
 SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class Certificates:
+    """Every in-schema certificate and verdict for one triple, on one graph.
+
+    index_bounds is None when the index graph exceeds the search cap; fiber,
+    block_partition and block_adjacency are None when n exceeds the
+    materialization cap.  timings holds the seconds of each stage.
+    """
+
+    graph: CayleyGraph
+    connectivity: ConnectivityResult
+    coloring: parameters.ColoringResult
+    independence: parameters.IndependenceCertificate
+    independence_scan: parameters.IndependenceScan
+    index_bounds: parameters.IndexBoundsReport | None
+    diameter: parameters.DiameterResult
+    walk: WalkCertificate
+    walk_verified: bool
+    fiber: structure.FiberStructureChecklist | None
+    block_partition: bool | None
+    block_adjacency: bool | None
+    timings: dict[str, float]
+
+
+def certify(t: PrimeTriple, budget: OracleBudget, materialize_cap: int) -> Certificates:
+    """Build every certificate and verdict once, each stage timed."""
+    timings: dict[str, float] = {}
+
+    @contextmanager
+    def timed(stage: str):
+        start = time.perf_counter()
+        yield
+        timings[stage] = time.perf_counter() - start
+
+    with timed("build"):
+        g = CayleyGraph.from_triple(t)
+    with timed("connectivity"):
+        conn = g.is_connected()
+    with timed("coloring"):
+        coloring = parameters.verify_coloring(t, g)
+    with timed("independence"):
+        independence = parameters.independence_certificate(t)
+        scan = parameters.independence_internal_edges(independence, g)
+    with timed("indexSearch"):
+        index_bounds = None
+        if structure.index_graph(t).order <= budget.max_index_vertices:
+            index_bounds = parameters.verify_index_bounds(t, budget)
+    with timed("diameter"):
+        diam = parameters.diameter(t, g)
+    with timed("hamiltonian"):
+        walk = snake_walk(t)
+        walk_ok = verify_walk(walk, g)
+    with timed("structure"):
+        fiber = partition = block_adj = None
+        if t.n <= materialize_cap:
+            blocks = structure.block_projection(g)
+            fiber = structure.verify_fiber_structure(g)
+            partition = structure.verify_block_partition(g, blocks)
+            block_adj = structure.verify_block_adjacency(g, blocks)
+
+    return Certificates(
+        g, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
+        fiber, partition, block_adj, timings,
+    )
 
 
 def build_report(
@@ -31,7 +107,7 @@ def build_report(
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
     include_timings: bool = False,
 ) -> dict:
-    """Assemble the full certificate report for one triple.
+    """Render the certificates of one triple as the report.
 
     The coloring and independence scans are always exhaustive; the block and
     fiber checks report null when n exceeds materialize_cap.  The index-graph
@@ -39,99 +115,49 @@ def build_report(
     """
     if budget is None:
         budget = OracleBudget()
-    timings: dict[str, float] = {}
-    clock = time.perf_counter
-
-    start = clock()
-    g = CayleyGraph.from_triple(t)
-    cset = g.cset
-    exhaustive = t.n <= materialize_cap
-    timings["build"] = clock() - start
-
-    start = clock()
-    conn = g.is_connected()
-    eulerian = g.degree % 2 == 0 and conn.connected
-    timings["connectivity"] = clock() - start
-
-    start = clock()
-    coloring = parameters.verify_coloring(t)
-    timings["coloring"] = clock() - start
-
-    start = clock()
-    independence = parameters.independence_certificate(t)
-    scan = parameters.independence_internal_edges(independence, g)
-    timings["independence"] = clock() - start
-
-    start = clock()
-    ig = structure.index_graph(t)
-    if ig.order <= budget.max_index_vertices:
-        mis_size = len(oracles.exact_max_independent_set(ig, budget))
-    else:
-        mis_size = None
-    timings["indexSearch"] = clock() - start
-
-    start = clock()
-    diam = parameters.diameter(t, g)
-    timings["diameter"] = clock() - start
-
-    start = clock()
-    walk = snake_walk(t)
-    walk_ok = verify_walk(walk, g)
-    timings["hamiltonian"] = clock() - start
-
-    start = clock()
-    if exhaustive:
-        fiber = structure.verify_fiber_structure(t, materialize_cap).as_dict()
-        partition = structure.verify_block_partition(t, materialize_cap)
-        block_adj = structure.verify_block_adjacency(t, materialize_cap)
-    else:
-        fiber = None
-        partition = None
-        block_adj = None
-    timings["structure"] = clock() - start
-
-    report = {
+    c = certify(t, budget, materialize_cap)
+    g = c.graph
+    return {
         "schemaVersion": SCHEMA_VERSION,
         "primes": {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
         "n": t.n,
-        "cSize": cset.size,
+        "cSize": g.cset.size,
         "degree": g.degree,
         "connected": {
-            "bezout": list(conn.bezout),
-            "bfsReached": conn.bfs_reached,
+            "bezout": list(c.connectivity.bezout),
+            "bfsReached": c.connectivity.bfs_reached,
         },
-        "eulerian": eulerian,
+        "eulerian": g.degree % 2 == 0 and c.connectivity.connected,
         "girth": {"value": 3, "triangle": list(g.girth_certificate())},
         "nonplanar": {"k5": list(g.nonplanarity_certificate())},
         "clique": {"value": t.gamma, "certificate": list(parameters.clique_certificate(t))},
         "chromatic": {
-            "value": coloring.chromatic,
-            "coloringProper": coloring.proper,
-            "edgesChecked": coloring.edges_checked,
+            "value": c.coloring.chromatic,
+            "coloringProper": c.coloring.proper,
+            "edgesChecked": c.coloring.edges_checked,
         },
         "independence": {
-            "value": independence.size,
-            "indexSetSize": len(independence.index_set),
-            "internalEdges": scan.internal_edges,
+            "value": c.independence.size,
+            "indexSetSize": len(c.independence.index_set),
+            "internalEdges": c.independence_scan.internal_edges,
         },
-        "indexGraphMIS": mis_size,
+        "indexGraphMIS": None if c.index_bounds is None else c.index_bounds.mis_size,
         "diameter": {
-            "value": diam.value,
-            "witnessPair": list(diam.witness_pair),
-            "bfsEccentricity": diam.bfs_eccentricity,
+            "value": c.diameter.value,
+            "witnessPair": list(c.diameter.witness_pair),
+            "bfsEccentricity": c.diameter.bfs_eccentricity,
         },
         "hamiltonian": {
-            "kind": walk.kind,
-            "verified": walk_ok,
-            "endpoints": list(walk.endpoints),
+            "kind": c.walk.kind,
+            "verified": c.walk_verified,
+            "endpoints": list(c.walk.endpoints),
         },
-        "fiberStructure": fiber,
-        "blockPartition": partition,
-        "blockAdjacencyConsistent": block_adj,
+        "fiberStructure": None if c.fiber is None else c.fiber.as_dict(),
+        "blockPartition": c.block_partition,
+        "blockAdjacencyConsistent": c.block_adjacency,
         "oracleSeed": budget.seed,
-        "timings": {k: round(v, 6) for k, v in timings.items()} if include_timings else None,
+        "timings": {k: round(v, 6) for k, v in c.timings.items()} if include_timings else None,
     }
-    return report
 
 
 def report_bytes(report: dict) -> bytes:
@@ -154,10 +180,12 @@ def run_verification(
     budget: OracleBudget | None = None,
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
 ) -> VerificationOutcome:
-    """Run the oracle suite against every certificate; one line per check."""
+    """Render the certificates as one line per check, with the oracle suite
+    run against each."""
     if budget is None:
         budget = OracleBudget()
-    g = CayleyGraph.from_triple(t)
+    c = certify(t, budget, materialize_cap)
+    g = c.graph
     lines: list[str] = []
     ok = True
 
@@ -175,29 +203,31 @@ def run_verification(
         f"|C|={cset.size}, formula={connector_count_formula(t)}, order-scan={len(order_scan)}",
     )
 
-    degrees_ok = all(len(g.neighbors(u)) == cset.size for u in range(0, t.n, max(1, t.n // 97)))
-    conn = g.is_connected()
+    # every vertex u has exactly |C| distinct neighbours u + c, and adjacency
+    # is symmetric, iff C repeats no member, misses 0 and holds n − c for
+    # each c (with |C| even, n/2 is then no member, as internal_edges needs)
+    connectors = g.connector_set
+    regular = len(connectors) == cset.size and all(
+        0 < m < t.n and t.n - m in connectors for m in cset.members
+    )
+    conn = c.connectivity
     check(
         "regular-eulerian-connected",
-        degrees_ok and cset.size % 2 == 0 and conn.connected,
+        regular and cset.size % 2 == 0 and conn.connected,
         f"degree={cset.size}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
     )
 
     tri = g.girth_certificate()
     k5 = g.nonplanarity_certificate()
-    tri_ok = all(g.adjacent(tri[i], tri[j]) for i in range(3) for j in range(i + 1, 3))
-    k5_ok = all(g.adjacent(k5[i], k5[j]) for i in range(5) for j in range(i + 1, 5))
     found = oracles.find_triangle(g)
     check(
         "girth-nonplanarity",
-        tri_ok and k5_ok and found is not None,
+        g.is_clique(tri) and g.is_clique(k5) and found is not None,
         f"triangle={tri}, k5={k5}, scan={found}",
     )
 
     clique = parameters.clique_certificate(t)
-    clique_ok = all(
-        g.adjacent(clique[i], clique[j]) for i in range(len(clique)) for j in range(i + 1, len(clique))
-    )
+    clique_ok = g.is_clique(clique)
     hood = [0] + g.neighbors(0)
     if len(hood) <= budget.max_exact_vertices:
         exact = len(oracles.exact_max_clique(hood, g.adjacent, budget))
@@ -214,19 +244,17 @@ def run_verification(
             f"({len(hood)} vertices exceed cap {budget.max_exact_vertices})",
         )
 
-    coloring = parameters.verify_coloring(t)
+    coloring = c.coloring
     check(
         "chromatic",
         coloring.proper,
-        f"proper={coloring.proper} over {coloring.edges_checked} edges "
-        f"({'exhaustive' if coloring.exhaustive else 'sampled'}), value={coloring.chromatic}",
+        f"proper={coloring.proper} over {coloring.edges_checked} edges (exhaustive), "
+        f"value={coloring.chromatic}",
     )
 
-    cert = parameters.independence_certificate(t)
-    scan = parameters.independence_internal_edges(cert, g)
+    cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     indep_ok = scan.internal_edges == 0 and cert.size == t.m_alpha * t.m_beta * t.gamma
-    if structure.index_graph(t).order <= budget.max_index_vertices:
-        bounds = parameters.verify_index_bounds(t, budget)
+    if bounds is not None:
         check(
             "independence",
             indep_ok and bounds.mis_matches_product and bounds.index_set_two_agreement_free,
@@ -241,20 +269,18 @@ def run_verification(
             f"index search skipped (ids exceed cap {budget.max_index_vertices})",
         )
 
-    try:
-        fiber = structure.verify_fiber_structure(t, materialize_cap)
-        partition = structure.verify_block_partition(t, materialize_cap)
-        block_adj = structure.verify_block_adjacency(t, materialize_cap)
+    if c.fiber is None:
+        lines.append("SKIP structure: vertex count exceeds materialization cap")
+    else:
         check(
             "structure",
-            fiber.all_pass and partition and block_adj,
-            f"fiber={fiber.as_dict()}, partition={partition}, blockAdjacency={block_adj}",
+            c.fiber.all_pass and c.block_partition and c.block_adjacency,
+            f"fiber={c.fiber.as_dict()}, partition={c.block_partition}, "
+            f"blockAdjacency={c.block_adjacency}",
         )
-    except TooLargeError:
-        lines.append("SKIP structure: vertex count exceeds materialization cap")
 
     sweep = oracles.distance_sweep(g, budget)
-    diam = parameters.diameter(t, g)
+    diam = c.diameter
     check(
         "diameter",
         sweep.mismatches == 0
@@ -263,12 +289,11 @@ def run_verification(
         f"{sweep.pairs_checked} pairs from {sweep.sources} sources",
     )
 
-    walk = snake_walk(t)
-    walk_ok = verify_walk(walk, g)
+    walk = c.walk
     expected_kind = "cycle" if t.alpha == 2 else "path"
     check(
         "hamiltonian",
-        walk_ok and walk.kind == expected_kind,
+        c.walk_verified and walk.kind == expected_kind,
         f"kind={walk.kind}, length={len(walk.vertices)}, endpoints={walk.endpoints}",
     )
 
@@ -288,10 +313,12 @@ def auto_budget(t: PrimeTriple, budget: OracleBudget | None = None) -> OracleBud
 
 __all__ = [
     "SCHEMA_VERSION",
+    "Certificates",
     "SweepReport",
     "VerificationOutcome",
     "auto_budget",
     "build_report",
+    "certify",
     "report_bytes",
     "run_verification",
     "write_report",

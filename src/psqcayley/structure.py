@@ -14,39 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import CayleyGraph, DEFAULT_MATERIALIZE_CAP, TooLargeError
+from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
-
-
-class FiberId(NamedTuple):
-    axis: str  # "alpha" | "beta" | "gamma": which exponent digit is pinned
-    index: int
 
 
 class BlockId(NamedTuple):
     i: int
     j: int
     k: int
-
-
-def fiber_members(fid: FiberId, t: PrimeTriple) -> list[int]:
-    """All exponents whose pinned mixed-radix digit equals fid.index."""
-    m_a, m_b, m_c = t.moduli
-    m_ab = m_a * m_b
-    r = fid.index
-    if fid.axis == "alpha":
-        if not 0 <= r < m_a:
-            raise ValueError(f"alpha fiber index {r} out of range [0, {m_a})")
-        return [r + j * m_a + k * m_ab for j in range(m_b) for k in range(m_c)]
-    if fid.axis == "beta":
-        if not 0 <= r < m_b:
-            raise ValueError(f"beta fiber index {r} out of range [0, {m_b})")
-        return [i + r * m_a + k * m_ab for i in range(m_a) for k in range(m_c)]
-    if fid.axis == "gamma":
-        if not 0 <= r < m_c:
-            raise ValueError(f"gamma fiber index {r} out of range [0, {m_c})")
-        return [i + j * m_a + r * m_ab for i in range(m_a) for j in range(m_b)]
-    raise ValueError(f"unknown fiber axis {fid.axis!r}")
 
 
 def _check_block_id(b: BlockId, t: PrimeTriple) -> None:
@@ -109,27 +84,22 @@ def index_graph(t: PrimeTriple) -> IndexGraph:
     return IndexGraph(t)
 
 
-def _require_within_cap(t: PrimeTriple, cap: int) -> None:
-    if t.n > cap:
-        raise TooLargeError(f"{t.n} vertices exceed cap {cap}")
-
-
-def _projected_blocks(t: PrimeTriple, g: CayleyGraph) -> dict[BlockId, int]:
+def block_projection(g: CayleyGraph) -> dict[BlockId, int]:
     """Every vertex gathered into its block by the residue projection, each
     block as an n-bit int (built from one period abc when block_of repeats
-    with it, which is tested on every vertex)."""
+    with it, which is tested on every vertex).  Both block checks read it."""
+    t = g.triple
     a, b, c = t.primes
     return g.label_classes([block_of(v, t) for v in range(t.n)], a * b * c)
 
 
-def verify_block_partition(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
+def verify_block_partition(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
     """Blocks are pairwise disjoint, cover all n vertices, and the residue
-    projection lands every vertex in the block that constructs it."""
-    _require_within_cap(t, cap)
-    g = CayleyGraph.from_triple(t)
+    projection (blocks, from block_projection) lands every vertex in the
+    block that constructs it."""
+    t = g.triple
     a, b, c = t.primes
     size = a * b * c
-    blocks = _projected_blocks(t, g)
     if len(blocks) != size:
         return False
     for bid, assigned in blocks.items():
@@ -140,27 +110,24 @@ def verify_block_partition(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -
     return True
 
 
-def verify_block_adjacency(t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP) -> bool:
+def verify_block_adjacency(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
     """Cross-block edges exist exactly between index-graph-adjacent ids.
 
-    Blocks are gathered by residue projection; for each block B_x the
-    neighbourhood N(B_x) must miss B_x itself and meet B_y exactly when x and
-    y are index-adjacent, which covers every edge of the graph.
+    Blocks come from the residue projection (block_projection); for each
+    block B_x the neighbourhood N(B_x) must miss B_x itself and meet B_y
+    exactly when x and y are index-adjacent, which covers every edge of the
+    graph.
     """
-    _require_within_cap(t, cap)
-    g = CayleyGraph.from_triple(t)
-    ig = index_graph(t)
+    ig = index_graph(g.triple)
     ids = ig.ids()
-    projected = _projected_blocks(t, g)
-    if projected.keys() != set(ids):
+    if blocks.keys() != set(ids):
         return False  # a vertex projected outside the index set
-    blocks = [projected[bid] for bid in ids]
     for x, bx in enumerate(ids):
-        reach = g.neighborhood(blocks[x])
-        if reach & blocks[x]:
+        reach = g.neighborhood(blocks[bx])
+        if reach & blocks[bx]:
             return False  # an edge inside a block
-        for y in range(x + 1, len(ids)):
-            if bool(reach & blocks[y]) != ig.adjacent(bx, ids[y]):
+        for by in ids[x + 1 :]:
+            if bool(reach & blocks[by]) != ig.adjacent(bx, by):
                 return False
     return True
 
@@ -217,12 +184,9 @@ def _is_cycle(seq: list[int], g: CayleyGraph) -> bool:
     return all((y - x) % n in connectors for x, y in zip(seq, seq[1:] + seq[:1]))
 
 
-def verify_fiber_structure(
-    t: PrimeTriple, cap: int = DEFAULT_MATERIALIZE_CAP
-) -> FiberStructureChecklist:
+def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     """Check all eight fiber statements literally against arithmetic adjacency."""
-    _require_within_cap(t, cap)
-    g = CayleyGraph.from_triple(t)
+    t = g.triple
     m_a, m_b, m_c = t.moduli
     m_ab = m_a * m_b
     gamma = t.gamma
@@ -232,17 +196,13 @@ def verify_fiber_structure(
     fiber = (1 << m_ab) - 1
     item_i = all(g.internal_edges(fiber << (k * m_ab)) == 0 for k in range(m_c))
 
-    # (ii) within a cell, adjacency <=> top digits differ modulo gamma, over
-    # every pair of every cell; the cell of r + s·a² (r < a², s < b²) is
-    # {base + k·a²b² : k < c²} with base = r + s·a² running over [0, a²b²)
+    # (ii) within a cell, adjacency <=> top digits differ modulo gamma; the
+    # cell of r + s·a² (r < a², s < b²) is {base + k·a²b² : k < c²}, so every
+    # in-cell pair differs by dk·a²b² with 0 < dk < c², and adjacency depends
+    # only on that difference: c² − 1 tests decide all n(c² − 1)/2 pairs
     connectors = g.connector_set
-    rule = [dk % gamma != 0 for dk in range(m_c)]  # rule[k2 − k1]
-    item_ii = True
-    for base in range(m_ab):
-        cell = range(base, n, m_ab)
-        for k1, x in enumerate(cell):
-            if [(y - x) % n in connectors for y in cell[k1 + 1 :]] != rule[1 : m_c - k1]:
-                item_ii = False
+    item_ii = all((dk * m_ab in connectors) == (dk % gamma != 0) for dk in range(1, m_c))
+
     # (iii) explicit cell cycles, re-verified edge by edge
     item_iii = all(
         _is_cycle([r + s * m_a + k * m_ab for k in range(m_c)], g)

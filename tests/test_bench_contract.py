@@ -1,0 +1,40 @@
+"""The benchmark's tracer drives the CLI through wrappers bound to the
+package's function names and argument names.  A renamed function or argument
+would otherwise surface only in the benchmark's own self-test; here it fails
+the suite."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import psqcayley
+
+_SRC = Path(psqcayley.__file__).resolve().parents[1]
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH")))),
+}
+
+
+def _run(*argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=CHILD_ENV, timeout=120
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "params"])
+def test_tracer_runs_the_cli_unchanged(command, tmp_path):
+    args = [command, "--primes", "2,3,5", "--seed", "7"]
+    plain = _run("-m", "psqcayley", *args)
+    trace_path = tmp_path / "trace.json"
+    traced = _run(str(TRACER), str(trace_path), *args)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    counters = json.loads(trace_path.read_text())["counters"]
+    assert counters["structure.completed"] == 1
+    assert counters["parameters.coloring.edges_checked"] > 0

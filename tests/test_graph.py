@@ -117,7 +117,7 @@ def _reference_export(g: CayleyGraph, fmt: str) -> bytes:
     """The export built from neighbors(), one f-string per edge."""
     lines = [
         f"{u} {v}" if fmt == "edges" else f"  {u} -- {v};"
-        for u in range(g.vertex_count)
+        for u in range(g.triple.n)
         for v in g.neighbors(u)
         if v > u
     ]

@@ -183,7 +183,7 @@ def test_bad_coloring_is_improper(t, monkeypatch):
     monkeypatch.setattr(
         parameters, "residue_sum_color", lambda v, t: good(0, t) if v == clash else good(v, t)
     )
-    result = verify_coloring(t)
+    result = verify_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper is False
     assert result.edges_checked == t.n * CayleyGraph.from_triple(t).degree // 2
 
@@ -199,4 +199,4 @@ def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
     monkeypatch.setattr(
         parameters, "residue_sum_color", lambda u, t: good(w, t) if u == v else good(u, t)
     )
-    assert verify_coloring(t).proper is False
+    assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False

@@ -21,7 +21,6 @@ from psqcayley import (
     independence_internal_edges,
     make_prime_triple,
     residue_sum_color,
-    two_prime_distance,
     verify_coloring,
     verify_index_bounds,
 )
@@ -60,9 +59,8 @@ def test_adjacent_pair_gets_distinct_colors():
 
 
 def test_coloring_proper_exhaustive():
-    result = verify_coloring(T235)
+    result = verify_coloring(T235, G235)
     assert result.proper
-    assert result.exhaustive
     assert result.edges_checked == 12600
     assert result.chromatic == 5
 
@@ -75,9 +73,8 @@ def test_color_classes_balanced():
 def test_coloring_exhaustive_above_materialize_cap():
     t = make_prime_triple(3, 5, 11)
     assert t.n > DEFAULT_MATERIALIZE_CAP
-    result = verify_coloring(t)
+    result = verify_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper
-    assert result.exhaustive
     assert result.edges_checked == t.n * 136 // 2
     assert result.chromatic == 11
 
@@ -93,7 +90,6 @@ def test_independence_certificate_size_and_scan():
     cert = independence_certificate(T235)
     assert cert.size == 180
     scan = independence_internal_edges(cert, G235)
-    assert scan.exhaustive
     assert scan.pairs_checked == 16110
     assert scan.internal_edges == 0
 
@@ -103,17 +99,14 @@ def test_independence_certificate_next_instance():
     assert cert.size == 9 * 25 * 7
     g = CayleyGraph.from_triple(T357)
     scan = independence_internal_edges(cert, g)
-    assert scan.exhaustive
     assert scan.internal_edges == 0
 
 
 def test_index_bounds():
     rep = verify_index_bounds(T235)
     assert rep.index_set_two_agreement_free
-    assert rep.projection_injective
     assert rep.mis_size == 6
     assert rep.mis_matches_product
-    assert rep.size_bound_met
     rep7 = verify_index_bounds(T357)
     assert rep7.mis_size == 15
     assert rep7.mis_matches_product
@@ -163,20 +156,32 @@ def test_diameter_next_instance():
     assert res.bfs_eccentricity == 6
 
 
+def _component_cost(d: int, p: int) -> int:
+    # reference rule for a component difference d mod p²: 0 equal,
+    # 1 non-congruent mod p, 2 congruent mod p but unequal
+    return 0 if d == 0 else 1 if d % p else 2
+
+
 def test_two_prime_cases():
-    # the four case values for distinct vertices, in order
-    assert two_prime_distance(0, 1, 0, 0, 2, 3) == 1  # equal, non-congruent
-    assert two_prime_distance(1, 1, 0, 0, 2, 3) == 2  # non-congruent twice
-    assert two_prime_distance(2, 1, 0, 0, 2, 3) == 3  # congruent-unequal + non-congruent
-    assert two_prime_distance(2, 3, 0, 0, 2, 3) == 4  # congruent-unequal twice
-    assert two_prime_distance(0, 0, 0, 0, 2, 3) == 0
+    # pairs sharing the c²-component: the four case values for distinct
+    # vertices, in order, whatever the shared component
+    for top in (0, 7):
+        def dist(x: int, y: int) -> int:
+            u = crt_combine((x, y, top), T235)
+            return closed_form_distance(u, crt_combine((0, 0, top), T235), T235)
+
+        assert dist(0, 1) == 1  # equal, non-congruent
+        assert dist(1, 1) == 2  # non-congruent twice
+        assert dist(2, 1) == 3  # congruent-unequal + non-congruent
+        assert dist(2, 3) == 4  # congruent-unequal twice
+        assert dist(0, 0) == 0
 
 
 def test_two_prime_range_check():
     with pytest.raises(ValueError):
-        two_prime_distance(4, 0, 0, 0, 2, 3)
+        closed_form_distance(900, 0, T235)
     with pytest.raises(ValueError):
-        two_prime_distance(0, 9, 0, 0, 2, 3)
+        closed_form_distance(0, -1, T235)
 
 
 @settings(max_examples=300, deadline=None)
@@ -186,4 +191,5 @@ def test_two_prime_is_restriction_of_closed_form(u, v):
     ua, ub, uc = crt_components(u, T235)
     va, vb, _ = crt_components(v, T235)
     w = crt_combine((va, vb, uc), T235)  # v's lower components, u's top one
-    assert closed_form_distance(u, w, T235) == two_prime_distance(ua, ub, va, vb, 2, 3)
+    expected = _component_cost((ua - va) % 4, 2) + _component_cost((ub - vb) % 9, 3)
+    assert closed_form_distance(u, w, T235) == expected

@@ -1,18 +1,22 @@
+import hashlib
 import json
 
 import pytest
 
 from psqcayley import (
+    CayleyGraph,
     OracleBudget,
     SweepReport,
     build_report,
+    certify,
     make_prime_triple,
     report_bytes,
     run_verification,
     write_report,
 )
-from psqcayley import cli
+from psqcayley import cli, graph, structure
 from psqcayley import oracles as oracles_mod
+from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -97,6 +101,66 @@ def test_verification_passes_small_instance():
     assert outcome.ok
     assert all(line.startswith("PASS") for line in outcome.lines)
     assert len(outcome.lines) == 9
+
+
+@pytest.mark.parametrize("extra", [(1, 2), (36, 864)], ids=["one-way", "repeated"])
+def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeypatch):
+    # (1, 2) lack their negatives; (36, 864) repeat members, so |C| = 30
+    # counts 28 distinct neighbours.  |C| stays even and the graph connected.
+    def planted(t):
+        cs = enumerate_connectors(t)
+        members = tuple(sorted(cs.members + extra))
+        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+
+    monkeypatch.setattr(graph, "enumerate_connectors", planted)
+    lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
+    status = {line.split(":")[0]: line for line in lines}
+    assert "FAIL connecting-set" in status
+    assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
+
+
+def test_certify_builds_one_graph_and_projects_each_vertex_once(monkeypatch):
+    calls = {"from_triple": 0, "block_of": 0}
+    build, project = CayleyGraph.from_triple.__func__, structure.block_of
+
+    def counted_build(cls, t):
+        calls["from_triple"] += 1
+        return build(cls, t)
+
+    def counted_project(v, t):
+        calls["block_of"] += 1
+        return project(v, t)
+
+    monkeypatch.setattr(CayleyGraph, "from_triple", classmethod(counted_build))
+    monkeypatch.setattr(structure, "block_of", counted_project)
+    certify(T235, OracleBudget(), 900)
+    assert calls == {"from_triple": 1, "block_of": 900}
+
+
+VERIFY_235_SEED_7 = """\
+PASS connecting-set: |C|=28, formula=28, order-scan=28
+PASS regular-eulerian-connected: degree=28, bezout=(1, 1, -9), reached=900/900
+PASS girth-nonplanarity: triangle=(0, 36, 72), k5=(0, 36, 72, 108, 144), scan=(0, 36, 72)
+PASS clique: certificate=5, exact-neighborhood-max=5, gamma=5
+PASS chromatic: proper=True over 12600 edges (exhaustive), value=5
+PASS independence: size=180, internal=0/16110 pairs, index-MIS=6
+PASS structure: fiber={'i': True, 'ii': True, 'iii': True, 'iv': True, 'v': True, \
+'vi': True, 'vii': True, 'viii': True}, partition=True, blockAdjacency=True
+PASS diameter: max=6, mismatches=0 over 810000 pairs from 900 sources
+PASS hamiltonian: kind=cycle, length=900, endpoints=(0, 675)
+verification OK
+"""
+
+
+def test_cli_verify_stdout_is_pinned(capsys):
+    assert cli.main(["verify", "--primes", "2,3,5", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == VERIFY_235_SEED_7
+
+
+def test_cli_params_bytes_are_pinned(capsys):
+    assert cli.main(["params", "--primes", "2,3,5", "--seed", "7"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == "a3c71282795fba25571f2662a4aef1dbb25d0840f6ee205cd5ea6ad2bf831be5"
 
 
 def test_cli_build(capsys):

@@ -4,12 +4,13 @@ from psqcayley import graph, structure
 from psqcayley import (
     BlockId,
     CayleyGraph,
-    FiberId,
+    OracleBudget,
     block_exponents,
     block_members,
     block_of,
+    block_projection,
+    certify,
     crt_combine,
-    fiber_members,
     index_graph,
     make_prime_triple,
     verify_block_adjacency,
@@ -17,7 +18,6 @@ from psqcayley import (
     verify_fiber_structure,
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
-from psqcayley.graph import TooLargeError
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -25,37 +25,21 @@ T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 
 
-def test_fiber_sizes():
-    assert len(fiber_members(FiberId("alpha", 0), T235)) == 225
-    assert len(fiber_members(FiberId("beta", 0), T235)) == 100
-    assert len(fiber_members(FiberId("gamma", 0), T235)) == 36
+def _plant(monkeypatch, extra) -> None:
+    """Graphs built from now on also join the differences ±extra(t)."""
+
+    def with_extra(t):
+        cs = enumerate_connectors(t)
+        members = tuple(sorted(cs.members + (extra(t), t.n - extra(t))))
+        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+
+    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
 
 
-def test_gamma_fiber_zero_contents():
-    expected = sorted(i + 4 * j for i in range(4) for j in range(9))
-    assert sorted(fiber_members(FiberId("gamma", 0), T235)) == expected
-
-
-def test_zero_in_all_three_zero_fibers():
-    for axis in ("alpha", "beta", "gamma"):
-        assert 0 in fiber_members(FiberId(axis, 0), T235)
-
-
-def test_fiber_families_partition_vertices():
-    for axis, count in (("alpha", 4), ("beta", 9), ("gamma", 25)):
-        seen: set[int] = set()
-        for r in range(count):
-            members = fiber_members(FiberId(axis, r), T235)
-            assert not (seen & set(members))
-            seen.update(members)
-        assert seen == set(range(900))
-
-
-def test_fiber_index_range():
-    with pytest.raises(ValueError):
-        fiber_members(FiberId("alpha", 4), T235)
-    with pytest.raises(ValueError):
-        fiber_members(FiberId("delta", 0), T235)
+def _blocks_ok(t) -> tuple[bool, bool]:
+    g = CayleyGraph.from_triple(t)
+    blocks = block_projection(g)
+    return verify_block_partition(g, blocks), verify_block_adjacency(g, blocks)
 
 
 def test_block_members():
@@ -83,13 +67,16 @@ def test_block_of_is_residue_projection():
 
 
 def test_partition_verifies():
-    assert verify_block_partition(T235)
-    assert verify_block_partition(T357)
+    assert _blocks_ok(T235) == (True, True)
+    assert _blocks_ok(T357) == (True, True)
 
 
 def test_partition_cap():
-    with pytest.raises(TooLargeError):
-        verify_block_partition(T235, cap=100)
+    # the cap is decided once, in certify: above it no structure check runs
+    over = certify(T235, OracleBudget(), 899)
+    assert (over.fiber, over.block_partition, over.block_adjacency) == (None, None, None)
+    at = certify(T235, OracleBudget(), 900)
+    assert at.fiber.all_pass and at.block_partition and at.block_adjacency
 
 
 def test_index_graph_rule():
@@ -102,21 +89,17 @@ def test_index_graph_rule():
 
 
 def test_block_adjacency_consistency():
-    assert verify_block_adjacency(T235)
+    assert verify_block_adjacency(G235, block_projection(G235))
 
 
 @pytest.mark.parametrize("extra", [30, 1])
 def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     # 30 = abc joins vertices of one block; 1 joins blocks that agree in no
     # residue.  Either joins vertices of one gamma fiber (an interval of 36).
-    def with_extra(t):
-        cs = enumerate_connectors(t)
-        members = tuple(sorted(cs.members + (extra, t.n - extra)))
-        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
-
-    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
-    assert not verify_block_adjacency(T235)
-    assert not verify_fiber_structure(T235).gamma_fibers_independent
+    _plant(monkeypatch, lambda t: extra)
+    g = CayleyGraph.from_triple(T235)
+    assert not verify_block_adjacency(g, block_projection(g))
+    assert not verify_fiber_structure(g).gamma_fibers_independent
 
 
 def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
@@ -126,23 +109,37 @@ def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
         structure, "block_of", lambda v, t: good(0, t) if v == t.n - 1 else good(v, t)
     )
     for t in (T235, T357):
-        assert not verify_block_partition(t)
-        assert not verify_block_adjacency(t)
+        assert _blocks_ok(t) == (False, False)
+
+
+def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
+    """Fiber check (ii) over every pair of every cell: the reference for the
+    check by difference."""
+    t = g.triple
+    n, m_ab, m_c = t.n, t.m_alpha * t.m_beta, t.m_gamma
+    rule = [dk % t.gamma != 0 for dk in range(m_c)]  # rule[k2 − k1]
+    for base in range(m_ab):
+        cell = range(base, n, m_ab)
+        for k1, x in enumerate(cell):
+            if [(y - x) % n in g.connector_set for y in cell[k1 + 1 :]] != rule[1 : m_c - k1]:
+                return False
+    return True
 
 
 def test_cell_rule_catches_a_planted_connector(monkeypatch):
     # γ·a²b² joins cell pairs whose top digits agree modulo gamma
-    def with_extra(t):
-        cs = enumerate_connectors(t)
-        extra = t.gamma * t.m_alpha * t.m_beta
-        members = tuple(sorted(cs.members + (extra, t.n - extra)))
-        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
-
-    monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
+    _plant(monkeypatch, lambda t: t.gamma * t.m_alpha * t.m_beta)
     for t in (T235, T357):
-        items = verify_fiber_structure(t).as_dict()
-        assert not items["ii"]
+        g = CayleyGraph.from_triple(t)
+        items = verify_fiber_structure(g).as_dict()
+        assert not items["ii"] and not _cell_rule_by_pairs(g)
         assert items["iii"] and items["vii"] and items["viii"]
+
+
+@pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_cell_rule_by_difference_equals_the_pairwise_reference(t):
+    g = CayleyGraph.from_triple(t)
+    assert verify_fiber_structure(g).cell_adjacency_rule is _cell_rule_by_pairs(g) is True
 
 
 def test_cross_block_edge_witness():
@@ -161,14 +158,14 @@ def test_no_cross_edge_when_all_residues_differ():
 
 
 def test_fiber_structure_all_pass_at_small_instances():
-    assert verify_fiber_structure(T235).all_pass
-    assert verify_fiber_structure(T237).all_pass
+    assert verify_fiber_structure(G235).all_pass
+    assert verify_fiber_structure(CayleyGraph.from_triple(T237)).all_pass
 
 
 def test_fiber_structure_shifted_coset_check_is_residue_dependent():
     # the shifted-coset containment (item v) needs c² ≡ 1 (mod a²); it holds
     # for a = 2 but genuinely fails at (3, 5, 7), where 49 ≡ 4 (mod 9)
-    checklist = verify_fiber_structure(T357)
+    checklist = verify_fiber_structure(CayleyGraph.from_triple(T357))
     assert not checklist.shifted_cosets_within_alpha_fibers
     items = checklist.as_dict()
     assert not items["v"]
