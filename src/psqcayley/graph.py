@@ -11,10 +11,15 @@ chunk's neighbour names are |C| column slices of the vertex names, zipped into
 rows.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set).  In a circulant
-graph the neighbourhood of a set S is the OR of rot(S, c) over the connectors
-c, so BFS advances a whole frontier with |C| big-int rotations per level;
-sweeps from distinct sources share no mutable state and may run concurrently.
-The levels from vertex 0 are built once per graph and shared as a tuple.
+graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
+rot(S, c) over the connectors c.  The connectors are taken coset by coset
+(`coset_plan`, found from the member list and the divisors of n): S is
+closed under a subgroup of order o with about log₂ o doubling shifts and the
+closure rotated by each coset representative, so BFS advances a whole
+frontier with a few shifts per coset family rather than one rotation per
+connector.  Sweeps from distinct sources share no mutable state and may run
+concurrently.  The levels from vertex 0 are built once per graph and shared
+as a tuple.
 
 Sets defined by residues -- colour classes, closed-form distance classes,
 residue blocks -- are periodic: {v : v mod P in R} for a period P dividing n.
@@ -29,13 +34,33 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from os import PathLike
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
-from .group import PrimeTriple, _check_exponent, bezout_witness
+from .group import PrimeTriple, _check_exponent, bezout_witness, divisors
 
 DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
+# The fixed cost of closing a set under a subgroup (the fold, its doubled copy
+# and the loop around them), in big-int rotations
+FAMILY_OVERHEAD = 3
+
+
+class CosetFamily(NamedTuple):
+    """The cosets r + ⟨h⟩, for r in reps, of the subgroup of order `order`:
+    the multiples of h = n/order.  With order 1 (h = n) each coset is the
+    single connector r."""
+
+    h: int
+    order: int
+    reps: tuple[int, ...]
+
+
+def family_pays(order: int, reps: int) -> bool:
+    """Closing under the subgroup (⌈log₂ order⌉ doubling shifts, the fold)
+    and rotating by each representative costs fewer big-int rotations than
+    rotating by each of the order·reps members."""
+    return (order - 1).bit_length() + FAMILY_OVERHEAD + reps < order * reps
 
 
 class TooLargeError(ValueError):
@@ -132,13 +157,85 @@ class CayleyGraph:
         return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
 
     def neighborhood(self, s: int) -> int:
-        """Every vertex adjacent to some vertex of S."""
+        """Every vertex adjacent to some vertex of S: the OR of rot(S, c) over
+        the connectors c, taken coset family by coset family (`coset_plan`).
+
+        For a family (h, o, reps), U = ⋃_{j<o} S << j·h is built by about
+        log₂ o doubling shifts and folded once into T = S + ⟨h⟩; T is then
+        rotated by each representative.  The family of order 1 rotates S
+        itself by each of its connectors.
+        """
         n = self.triple.n
-        doubled = s | (s << n)  # bits [n - c, 2n - c) of doubled hold rot(S, c)
+        full = self._full
         acc = 0
-        for c in self.cset.members:
-            acc |= doubled >> (n - c)
-        return acc & ((1 << n) - 1)
+        for steps, shifts in self._family_shifts:
+            u = s
+            if steps:
+                for k in steps:
+                    u |= u << k
+                u = (u & full) | (u >> n)  # u stays below 2n bits, so one fold wraps it
+            doubled = u | (u << n)  # bits [n − r, 2n − r) hold rot(u, r)
+            for shift in shifts:
+                acc |= doubled >> shift
+        return acc & full
+
+    @cached_property
+    def _full(self) -> int:
+        return (1 << self.triple.n) - 1
+
+    @cached_property
+    def _family_shifts(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per coset family, the doubling shifts that build U (covering j·h for
+        j < 1, 2, 4, ... up to o) and the shifts n − r that rotate by each
+        representative r."""
+        n = self.triple.n
+        plan = []
+        for h, order, reps in self.coset_plan:
+            steps, cover = [], 1
+            while cover < order:
+                step = min(cover, order - cover)
+                steps.append(step * h)
+                cover += step
+            plan.append((tuple(steps), tuple(n - r for r in reps)))
+        return tuple(plan)
+
+    @cached_property
+    def coset_plan(self) -> tuple[CosetFamily, ...]:
+        """The connectors as coset families, built once per graph on first use.
+
+        Built from the member list and the divisors of n alone.  For each
+        divisor o > 1, largest first, with h = n/o, a member x becomes a
+        representative when every x + j·h (j < o) is a member not yet
+        covered; the check runs member by member and stops at the first miss.
+        A family is kept only when closing pays (`family_pays`); otherwise its
+        members, with those left over, form the family of order 1.  So the
+        families cover exactly the members, for any member list.
+        """
+        n = self.triple.n
+        pool = set(self.cset.members)
+        singles: list[int] = []
+        families = []
+        for o in reversed(divisors(n)[1:]):
+            if o > len(pool):
+                continue  # a coset of order o has o members
+            h = n // o
+            reps = []
+            # x + h first, for all members at once; x itself may have been
+            # covered by an earlier representative of the same coset
+            for x in [x for x in sorted(pool) if (x + h) % n in pool]:
+                if x in pool and all((x + j * h) % n in pool for j in range(2, o)):
+                    reps.append(x)
+                    pool.difference_update((x + j * h) % n for j in range(o))
+            if not reps:
+                continue
+            if family_pays(o, len(reps)):
+                families.append(CosetFamily(h, o, tuple(reps)))
+            else:
+                singles.extend((x + j * h) % n for x in reps for j in range(o))
+        singles.extend(pool)
+        if singles:
+            families.insert(0, CosetFamily(n, 1, tuple(sorted(singles))))
+        return tuple(families)
 
     def internal_edges(self, s: int) -> int:
         """Edges with both endpoints in S, each counted once.

@@ -88,6 +88,33 @@ def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
     return PrimeTriple(a, b, c, n, a * a, b * b, c * c)
 
 
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m > 0, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
+
+
+def divisors(m: int) -> tuple[int, ...]:
+    """Every positive divisor of m > 0, ascending."""
+    divs = [1]
+    for p in prime_factors(m):
+        power, more = p, []
+        while m % power == 0:
+            more.extend(d * power for d in divs)
+            power *= p
+        divs.extend(more)
+    return tuple(sorted(divs))
+
+
 def _check_exponent(k: int, t: PrimeTriple) -> None:
     if not 0 <= k < t.n:
         raise ValueError(f"exponent {k} out of range [0, {t.n})")

@@ -1,10 +1,11 @@
 """Independent brute-force ground truth.
 
-Exact maximum-clique search (bitset branch and bound with a greedy coloring
-bound), exact maximum independent set on the index graph (clique search on the
-complement), multi-source BFS distance sweeps checked against the closed-form
-distance, and a deterministic triangle scan.  Nothing here consults the
-closed-form constructors it is used to check.
+Element orders by subgroup bitsets, exact maximum-clique search (bitset
+branch and bound with a greedy coloring bound), exact maximum independent set
+on the index graph (clique search on the complement), multi-source BFS
+distance sweeps checked against the closed-form distance, and a deterministic
+triangle scan.  Nothing here consults the closed-form constructors it is used
+to check.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .graph import CayleyGraph
+from .group import divisors, prime_factors
 from .parameters import closed_form_distance_classes
 from .structure import BlockId, IndexGraph
 
@@ -43,6 +45,25 @@ class OracleBudget:
                 raise ValueError(f"{name} must be positive")
         if self.bfs_sources is not None and self.bfs_sources < 0:
             raise ValueError("bfs_sources must be nonnegative")
+
+
+def order_classes(g: CayleyGraph) -> dict[int, int]:
+    """For each divisor o of n, the elements of order exactly o, as n-bit ints.
+
+    An element's order divides o iff it is a multiple of n/o, so the
+    multiples of n/o are the elements of order dividing o; removing those of
+    order dividing o/p, for each prime p dividing o, leaves order exactly o.
+    """
+    n = g.triple.n
+    primes = prime_factors(n)
+    classes = {}
+    for o in divisors(n):
+        cls = g.periodic(n // o, [0])
+        for p in primes:
+            if o % p == 0:
+                cls &= ~g.periodic(n // (o // p), [0])
+        classes[o] = cls
+    return classes
 
 
 def exact_max_clique(

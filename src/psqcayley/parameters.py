@@ -137,13 +137,13 @@ class ColoringResult:
 
 def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     """No edge of g, the graph of t, may be monochromatic: each colour class
-    must span no edge.  Every edge lies inside a class or between two, so
-    this covers all n·|C|/2 edges.  The colour is evaluated on every vertex;
-    it repeats with period a·b·c², which is tested, so the classes are built
-    from one period."""
+    must span no edge, that is, miss its own neighbourhood.  Every edge lies
+    inside a class or between two, so this covers all n·|C|/2 edges.  The
+    colour is evaluated on every vertex; it repeats with period a·b·c², which
+    is tested, so the classes are built from one period."""
     colours = [residue_sum_color(v, t) for v in range(t.n)]
     classes = g.label_classes(colours, t.alpha * t.beta * t.m_gamma)
-    proper = all(g.internal_edges(cls) == 0 for cls in classes.values())
+    proper = not any(g.neighborhood(cls) & cls for cls in classes.values())
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
 

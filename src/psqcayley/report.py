@@ -8,8 +8,8 @@ its replay, and -- when n is within the materialization cap, decided there
 alone -- the fiber and block checks on one shared block projection.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
-connecting-set order scan, the triangle scan, the exact clique search and the
-distance sweep).
+connecting set against the order classes, the triangle scan, the exact clique
+search and the distance sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,
 trailing newline -- byte identical across runs with equal primes and seed.
@@ -19,7 +19,9 @@ explicitly requested.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -28,7 +30,7 @@ from typing import BinaryIO
 from . import oracles, parameters, structure
 from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, ConnectivityResult
-from .group import PrimeTriple, element_order
+from .group import PrimeTriple
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk
 from .oracles import OracleBudget, SweepReport
 
@@ -106,16 +108,19 @@ def build_report(
     budget: OracleBudget | None = None,
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
     include_timings: bool = False,
+    certificates: Certificates | None = None,
 ) -> dict:
     """Render the certificates of one triple as the report.
 
     The coloring and independence scans are always exhaustive; the block and
     fiber checks report null when n exceeds materialize_cap.  The index-graph
     search reports null when the id count exceeds its budget cap.
+    `certificates`, when given, is certify(t, budget, materialize_cap)
+    already built, which is then rendered instead of built again.
     """
     if budget is None:
         budget = OracleBudget()
-    c = certify(t, budget, materialize_cap)
+    c = certificates if certificates is not None else certify(t, budget, materialize_cap)
     g = c.graph
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -179,12 +184,14 @@ def run_verification(
     t: PrimeTriple,
     budget: OracleBudget | None = None,
     materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
+    certificates: Certificates | None = None,
 ) -> VerificationOutcome:
     """Render the certificates as one line per check, with the oracle suite
-    run against each."""
+    run against each.  `certificates` is as in `build_report`; certify reads
+    no budget field but max_index_vertices."""
     if budget is None:
         budget = OracleBudget()
-    c = certify(t, budget, materialize_cap)
+    c = certificates if certificates is not None else certify(t, budget, materialize_cap)
     g = c.graph
     lines: list[str] = []
     ok = True
@@ -194,13 +201,22 @@ def run_verification(
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
+    # the order classes must partition [0, n): popcounts summing to n and
+    # covering every vertex
     cset = g.cset
-    squares = set(t.moduli)
-    order_scan = {m for m in range(1, t.n) if element_order(m, t) in squares}
+    classes = oracles.order_classes(g)
+    partition = sum(cls.bit_count() for cls in classes.values()) == t.n and (
+        functools.reduce(operator.or_, classes.values()).bit_count() == t.n
+    )
+    order_scan = classes[t.m_alpha] | classes[t.m_beta] | classes[t.m_gamma]
+    in_range = all(0 <= m < t.n for m in cset.members)
     check(
         "connecting-set",
-        set(cset.members) == order_scan and cset.size == connector_count_formula(t),
-        f"|C|={cset.size}, formula={connector_count_formula(t)}, order-scan={len(order_scan)}",
+        partition
+        and in_range
+        and g.bitset(cset.members) == order_scan
+        and cset.size == connector_count_formula(t),
+        f"|C|={cset.size}, formula={connector_count_formula(t)}, order-scan={order_scan.bit_count()}",
     )
 
     # every vertex u has exactly |C| distinct neighbours u + c, and adjacency
@@ -230,7 +246,8 @@ def run_verification(
     clique_ok = g.is_clique(clique)
     hood = [0] + g.neighbors(0)
     if len(hood) <= budget.max_exact_vertices:
-        exact = len(oracles.exact_max_clique(hood, g.adjacent, budget))
+        # the hood's entries are vertices, so adjacency is membership of the difference
+        exact = len(oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors, budget))
         check(
             "clique",
             clique_ok and exact == t.gamma,

@@ -192,9 +192,11 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     gamma = t.gamma
     n = t.n
 
-    # (i) no edge stays inside one gamma fiber, the interval [k·a²b², (k+1)·a²b²)
+    # (i) no edge stays inside one gamma fiber, the interval [k·a²b², (k+1)·a²b²):
+    # each fiber misses its own neighbourhood
     fiber = (1 << m_ab) - 1
-    item_i = all(g.internal_edges(fiber << (k * m_ab)) == 0 for k in range(m_c))
+    fibers = (fiber << (k * m_ab) for k in range(m_c))
+    item_i = not any(g.neighborhood(f) & f for f in fibers)
 
     # (ii) within a cell, adjacency <=> top digits differ modulo gamma; the
     # cell of r + s·a² (r < a², s < b²) is {base + k·a²b² : k < c²}, so every

@@ -12,12 +12,14 @@ from psqcayley import (
     element_order,
     make_prime_triple,
 )
+from psqcayley.group import divisors, prime_factors
 
 from helpers import brute_order, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
 SMALL_TRIPLES = triples_with_group_order_at_most(50_000)
+LADDER = triples_with_group_order_at_most(1_100_000)
 
 
 def test_group_order_and_moduli():
@@ -90,8 +92,8 @@ def test_crt_component_range_check():
         crt_combine((0, -1, 0), T235)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(SMALL_TRIPLES), st.data())
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LADDER), st.data())
 def test_crt_round_trip_property(t, data):
     k = data.draw(st.integers(0, t.n - 1))
     assert crt_combine(crt_components(k, t), t) == k
@@ -119,6 +121,20 @@ def test_bezout_canonical_bounds():
         assert abs(u) < t.m_alpha
         assert abs(v) < t.m_beta
         assert abs(w) < t.m_gamma
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(LADDER))
+def test_bezout_identity_and_bounds_property(t):
+    u, v, w = bezout_witness(t)
+    assert u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
+    assert abs(u) < t.m_alpha and abs(v) < t.m_beta and abs(w) < t.m_gamma
+
+
+def test_divisors_and_prime_factors_match_trial_division():
+    for m in list(range(1, 400)) + [t.n for t in SMALL_TRIPLES[:5]]:
+        assert divisors(m) == tuple(d for d in range(1, m + 1) if m % d == 0)
+        assert prime_factors(m) == tuple(p for p in divisors(m) if len(divisors(p)) == 2)
 
 
 def test_bezout_canonical_value():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psqcayley import (
     CayleyGraph,
@@ -18,6 +20,9 @@ from psqcayley import (
 )
 from psqcayley import oracles, parameters
 from psqcayley.connectors import ConnectingSet
+from psqcayley.graph import family_pays
+
+from helpers import triples_with_group_order_at_most
 
 TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
@@ -58,6 +63,62 @@ def test_rotate_and_neighborhood_match_set_arithmetic():
         assert g.rotate(g.bitset(s), k) == g.bitset((v + k) % n for v in s)
         reach = {w for v in s for w in g.neighbors(v)}
         assert g.neighborhood(g.bitset(s)) == g.bitset(reach)
+
+
+def reference_neighborhood(n: int, members, vertices) -> set[int]:
+    """N(S) = ⋃_{c∈C} (S + c), one connector at a time."""
+    return {(v + c) % n for c in members for v in vertices}
+
+
+@st.composite
+def connector_lists(draw):
+    """The real connectors of a small triple, with random members dropped
+    (which leaves partial cosets and one-way connectors) and 1 or n − 1
+    planted."""
+    t = draw(st.sampled_from(TRIPLES))
+    members = set(CayleyGraph.from_triple(t).cset.members)
+    if draw(st.booleans()):
+        members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=12)))
+    members |= set(draw(st.lists(st.sampled_from([1, t.n - 1]), max_size=2)))
+    return t, tuple(sorted(members))
+
+
+@settings(max_examples=150, deadline=None)
+@given(connector_lists(), st.data())
+def test_neighborhood_equals_per_connector_reference(case, data):
+    t, members = case
+    g = CayleyGraph(t, ConnectingSet(members, (), (), ()))
+    vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
+    assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, members, vertices))
+
+
+LADDER = triples_with_group_order_at_most(1_100_000)
+
+
+def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
+    # the order-p² class is the p − 1 cosets r + ⟨n/p⟩ of the order-p
+    # subgroup, kept as one family where closing pays and as single
+    # connectors otherwise; the plan allocates no n-bit int
+    assert len(LADDER) == 146
+    for t in LADDER:
+        g = CayleyGraph.from_triple(t)
+        covered = []
+        families = {}
+        for h, order, reps in g.coset_plan:
+            assert h * order == t.n
+            covered.extend((r + j * h) % t.n for r in reps for j in range(order))
+            if order > 1:
+                families[order] = len(reps)
+        assert sorted(covered) == list(g.cset.members)
+        assert families == {p: p - 1 for p in t.primes if family_pays(p, p - 1)}
+        assert "_full" not in vars(g)
+
+
+def test_coset_plan_is_built_on_first_use_only():
+    g = CayleyGraph.from_triple(TRIPLES[2])
+    assert "coset_plan" not in vars(g)
+    g.neighborhood(1)
+    assert "coset_plan" in vars(g)
 
 
 def test_internal_edges_matches_pair_count():

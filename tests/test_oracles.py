@@ -9,17 +9,47 @@ from psqcayley import (
     OracleBudget,
     block_exponents,
     distance_sweep,
+    element_order,
     exact_max_clique,
     exact_max_independent_set,
     find_triangle,
     index_graph,
     make_prime_triple,
+    run_verification,
 )
+from psqcayley import graph
+from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 7), (3, 5, 7)])
+def test_order_classes_equal_per_element_orders(primes):
+    t = make_prime_triple(*primes)
+    g = CayleyGraph.from_triple(t)
+    orders = [element_order(k, t) for k in range(t.n)]
+    expected = {o: g.bitset(k for k in range(t.n) if orders[k] == o) for o in set(orders)}
+    assert order_classes(g) == expected  # every divisor is some element's order
+
+
+@pytest.mark.parametrize("swap", [(1, 899), (30, 870)], ids=["order-900", "order-30"])
+def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
+    # ±36 (order 25) swapped for ±1 or ±abc: C stays symmetric with the
+    # formula's size, so only the order classes tell the sets apart
+    def planted(t):
+        members = set(enumerate_connectors(t).members) - {36, 864} | set(swap)
+        return ConnectingSet(tuple(sorted(members)), (), (), ())
+
+    monkeypatch.setattr(graph, "enumerate_connectors", planted)
+    lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
+    status = {line.split(":")[0] for line in lines}
+    assert "FAIL connecting-set" in status
+    assert "|C|=28, formula=28, order-scan=28" in lines[0]
+    assert "PASS regular-eulerian-connected" in status
 
 
 def test_neighborhood_clique_is_gamma():

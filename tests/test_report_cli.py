@@ -7,6 +7,7 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     SweepReport,
+    TooLargeError,
     build_report,
     certify,
     make_prime_triple,
@@ -119,7 +120,8 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
 
 
-def test_certify_builds_one_graph_and_projects_each_vertex_once(monkeypatch):
+def _count_builds_and_projections(monkeypatch) -> dict[str, int]:
+    """Count the calls of CayleyGraph.from_triple and structure.block_of from now on."""
     calls = {"from_triple": 0, "block_of": 0}
     build, project = CayleyGraph.from_triple.__func__, structure.block_of
 
@@ -133,6 +135,11 @@ def test_certify_builds_one_graph_and_projects_each_vertex_once(monkeypatch):
 
     monkeypatch.setattr(CayleyGraph, "from_triple", classmethod(counted_build))
     monkeypatch.setattr(structure, "block_of", counted_project)
+    return calls
+
+
+def test_certify_builds_one_graph_and_projects_each_vertex_once(monkeypatch):
+    calls = _count_builds_and_projections(monkeypatch)
     certify(T235, OracleBudget(), 900)
     assert calls == {"from_triple": 1, "block_of": 900}
 
@@ -262,6 +269,54 @@ def test_cli_params_oracle_gate(capsys):
     assert code == 0
     assert json.loads(captured.out)["n"] == 900
     assert "PASS diameter" in captured.err
+
+
+def test_cli_params_oracle_certifies_once_and_renders_both_ways(capsys, monkeypatch):
+    calls = _count_builds_and_projections(monkeypatch)
+    assert cli.main(["params", "--primes", "2,3,5", "--seed", "7", "--oracle"]) == 0
+    assert calls == {"from_triple": 1, "block_of": 900}
+    captured = capsys.readouterr()
+    assert captured.out.encode("ascii") == report_bytes(build_report(T235, OracleBudget(seed=7)))
+    assert captured.err == VERIFY_235_SEED_7.replace("verification OK\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--oracle"],
+        ["verify"],
+        ["hamiltonian", "--check"],
+        ["export", "--format", "walk", "--out", "{out}"],
+        ["export", "--format", "independent-set", "--out", "{out}"],
+        ["export", "--format", "edges", "--out", "{out}"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv[:3] if not a.startswith("{")),
+)
+def test_cli_fails_fast_above_the_memory_limit(argv, tmp_path, capsys, monkeypatch):
+    # 900 vertices predicted one byte over the limit; nothing per-vertex is built
+    out = tmp_path / "out.txt"
+    argv = [a.format(out=out) for a in argv] + ["--primes", "2,3,5"]
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900 - 1)
+    monkeypatch.setattr(CayleyGraph, "from_triple", None)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: n = 900 needs about")
+    assert not out.exists()
+
+
+def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900)
+    assert cli.main(["hamiltonian", "--primes", "2,3,5"]) == 0
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", 0)
+    assert cli.main(["build", "--primes", "2,3,5"]) == 0
+
+
+def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
+    # arithmetic only: the prediction for n, never an allocation
+    cli._check_memory(make_prime_triple(11, 13, 17).n)
+    with pytest.raises(TooLargeError):
+        cli._check_memory(make_prime_triple(101, 103, 107).n)
 
 
 def test_cli_verify_passes(capsys):
