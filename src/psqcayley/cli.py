@@ -30,19 +30,13 @@ from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .oracles import DEFAULT_SEED, OracleBudget
 from .parameters import independence_certificate
 
-_CONFIG_KEYS = {
-    "seed",
-    "bfs-sources",
-    "max-exact-vertices",
-    "max-index-vertices",
-    "materialize-cap",
-}
+_CONFIG_KEYS = {"seed", "bfs-sources", "materialize-cap"}
 
 
 # Peak memory per vertex of the commands that hold per-vertex data, rounded
 # up from measurement at n = 1,002,001: 107 bytes for the walk export (the
-# walk, about 36 bytes per vertex, and its text), 52 for verify (the walk, the
-# colour list and n/8-byte bitsets)
+# walk, about 36 bytes per vertex, and its text), 52 for verify (the walk and
+# n/8-byte bitsets)
 BYTES_PER_VERTEX = 128
 MEMORY_LIMIT_BYTES = 2 << 30
 
@@ -100,12 +94,7 @@ def _resolve_budget(args: argparse.Namespace) -> tuple[OracleBudget, int]:
         if getattr(args, "budget_sources", None) is not None
         else config.get("bfs-sources")
     )
-    budget = OracleBudget(
-        max_exact_vertices=config.get("max-exact-vertices", OracleBudget.max_exact_vertices),
-        max_index_vertices=config.get("max-index-vertices", OracleBudget.max_index_vertices),
-        bfs_sources=sources,
-        seed=seed,
-    )
+    budget = OracleBudget(bfs_sources=sources, seed=seed)
     cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
     return budget, cap
 

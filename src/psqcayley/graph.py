@@ -24,9 +24,9 @@ as a tuple.
 Sets defined by residues -- colour classes, closed-form distance classes,
 residue blocks -- are periodic: {v : v mod P in R} for a period P dividing n.
 `periodic` packs one period and doubles it out to n bits, so its cost does not
-grow with the size of the set.  `label_classes` tests on all n labels whether
-a per-vertex labelling repeats with period P and, when it does, builds every
-class from one period that way.
+grow with the size of the set.  `residue_classes` builds a whole family of
+such sets, grouped by a label of the residues modulo a², b² and c², as
+products of per-prime periodic sets, without visiting a vertex.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from os import PathLike
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness, divisors
@@ -133,22 +133,40 @@ class CayleyGraph:
             width *= 2
         return s & ((1 << n) - 1)
 
-    def label_classes(self, labels: Sequence[Hashable], period: int) -> dict[Hashable, int]:
-        """The vertices grouped by label (labels[v] for every vertex v), each
-        class as an n-bit int.
+    def residue_classes(
+        self, key: Callable[[int, int], Hashable], label: Callable[..., Hashable]
+    ) -> dict[Hashable, int]:
+        """The vertices v grouped by label(x, y, z), where x = key(v mod a², a),
+        y = key(v mod b², b) and z = key(v mod c², c); each class an n-bit int.
 
-        The classes are built from the first period when the labels repeat
-        with that period, which is tested on all n labels; otherwise from all n.
+        For each prime square p², the residues r < p² are grouped by key(r, p)
+        into periodic sets (A_x, B_y, C_z); a class is the OR of A_x & B_y & C_z
+        over the key triples with its label.  No vertex is visited.
         """
-        n = self.triple.n
-        if len(labels) != n:
-            raise ValueError(f"{len(labels)} labels for {n} vertices")
-        if labels[period:] != labels[:-period]:
-            period = n
-        members: dict[Hashable, list[int]] = {}
-        for v in range(period):
-            members.setdefault(labels[v], []).append(v)
-        return {label: self.periodic(period, rs) for label, rs in members.items()}
+        per_prime = []
+        for p, m in zip(self.triple.primes, self.triple.moduli):
+            groups: dict[Hashable, list[int]] = {}
+            for r in range(m):
+                groups.setdefault(key(r, p), []).append(r)
+            per_prime.append([(x, self.periodic(m, rs)) for x, rs in groups.items()])
+        alpha, beta, gamma = per_prime
+        classes: dict[Hashable, int] = {}
+        for x, a_x in alpha:
+            for y, b_y in beta:
+                ab = a_x & b_y
+                for z, c_z in gamma:
+                    k = label(x, y, z)
+                    classes[k] = classes.get(k, 0) | (ab & c_z)
+        return classes
+
+    def is_partition(self, sets: Iterable[int]) -> bool:
+        """True iff the sets are pairwise disjoint and cover all n vertices:
+        their sizes sum to n and their union is [0, n)."""
+        union = size = 0
+        for s in sets:
+            union |= s
+            size += s.bit_count()
+        return size == self.triple.n and union == self._full
 
     def rotate(self, s: int, k: int) -> int:
         """rot(S, k) = {(v + k) mod n : v in S}."""

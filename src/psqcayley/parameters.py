@@ -8,6 +8,7 @@ arithmetic adjacency; brute-force counterparts live in `oracles`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -77,20 +78,7 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
     square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
     is the periodic set of residues mod a² with cost x (B, C likewise).
     """
-    per_component = []
-    for p, m in zip(t.primes, t.moduli):
-        by_cost: dict[int, list[int]] = {}
-        for r in range(m):
-            by_cost.setdefault(_component_cost(r, p), []).append(r)
-        per_component.append({x: g.periodic(m, rs) for x, rs in by_cost.items()})
-    alpha, beta, gamma = per_component
-    classes: dict[int, int] = {}
-    for x, a_x in alpha.items():
-        for y, b_y in beta.items():
-            ab = a_x & b_y
-            for z, c_z in gamma.items():
-                classes[x + y + z] = classes.get(x + y + z, 0) | (ab & c_z)
-    return classes
+    return g.residue_classes(_component_cost, lambda x, y, z: x + y + z)
 
 
 @dataclass(frozen=True)
@@ -136,14 +124,19 @@ class ColoringResult:
 
 
 def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
-    """No edge of g, the graph of t, may be monochromatic: each colour class
-    must span no edge, that is, miss its own neighbourhood.  Every edge lies
-    inside a class or between two, so this covers all n·|C|/2 edges.  The
-    colour is evaluated on every vertex; it repeats with period a·b·c², which
-    is tested, so the classes are built from one period."""
-    colours = [residue_sum_color(v, t) for v in range(t.n)]
-    classes = g.label_classes(colours, t.alpha * t.beta * t.m_gamma)
-    proper = not any(g.neighborhood(cls) & cls for cls in classes.values())
+    """The residue-sum colouring of g, the graph of t, is proper: its classes
+    partition the n vertices into at most gamma sets, and no class spans an
+    edge, that is, each misses its own neighbourhood.  Every edge lies inside
+    a class or between two, so this covers all n·|C|/2 edges.  The colour of
+    v depends only on v mod a, b and c (v mod c² ≡ v mod c), so the classes
+    are built from residues (`CayleyGraph.residue_classes`);
+    `residue_sum_color` is the per-vertex reference."""
+    classes = g.residue_classes(operator.mod, lambda x, y, z: (x + y + z) % t.gamma)
+    proper = (
+        len(classes) <= t.gamma
+        and g.is_partition(classes.values())
+        and not any(g.neighborhood(cls) & cls for cls in classes.values())
+    )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
 

@@ -11,6 +11,7 @@ independently of the constructors that produced the objects.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -86,11 +87,9 @@ def index_graph(t: PrimeTriple) -> IndexGraph:
 
 def block_projection(g: CayleyGraph) -> dict[BlockId, int]:
     """Every vertex gathered into its block by the residue projection, each
-    block as an n-bit int (built from one period abc when block_of repeats
-    with it, which is tested on every vertex).  Both block checks read it."""
-    t = g.triple
-    a, b, c = t.primes
-    return g.label_classes([block_of(v, t) for v in range(t.n)], a * b * c)
+    block as an n-bit int, built from residues (`CayleyGraph.residue_classes`);
+    `block_of` is the per-vertex reference.  Both block checks read it."""
+    return g.residue_classes(operator.mod, BlockId)
 
 
 def verify_block_partition(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
@@ -100,7 +99,7 @@ def verify_block_partition(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
     t = g.triple
     a, b, c = t.primes
     size = a * b * c
-    if len(blocks) != size:
+    if len(blocks) != size or not g.is_partition(blocks.values()):
         return False
     for bid, assigned in blocks.items():
         if assigned.bit_count() != size:

@@ -7,7 +7,7 @@ triple enumeration by direct search.
 
 from __future__ import annotations
 
-from psqcayley import PrimeTriple, is_prime, make_prime_triple
+from psqcayley import CayleyGraph, PrimeTriple, is_prime, make_prime_triple
 
 
 def brute_order(k: int, n: int) -> int:
@@ -48,3 +48,25 @@ def triples_with_group_order_at_most(limit: int) -> list[PrimeTriple]:
                     break
                 found.append(make_prime_triple(a, b, c))
     return sorted(found, key=lambda t: t.n)
+
+
+def edit_residue_classes(monkeypatch, edit) -> None:
+    """From now on CayleyGraph.residue_classes passes each result through
+    edit(classes), which may change the dict in place, before returning it."""
+    build = CayleyGraph.residue_classes
+
+    def edited(self, key, label):
+        classes = build(self, key, label)
+        edit(classes)
+        return classes
+
+    monkeypatch.setattr(CayleyGraph, "residue_classes", edited)
+
+
+def move_vertex(classes: dict, v: int, to) -> None:
+    """Take vertex v out of every class and, unless `to` is None, put it
+    into class `to`."""
+    for label in classes:
+        classes[label] &= ~(1 << v)
+    if to is not None:
+        classes[to] = classes.get(to, 0) | 1 << v

@@ -38,3 +38,24 @@ def test_tracer_runs_the_cli_unchanged(command, tmp_path):
     counters = json.loads(trace_path.read_text())["counters"]
     assert counters["structure.completed"] == 1
     assert counters["parameters.coloring.edges_checked"] > 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["export", "--format", "edges", "--out", "{out}"],
+        ["export", "--format", "walk", "--out", "{out}"],
+        ["hamiltonian", "--check"],
+    ],
+    ids=["export-edges", "export-walk", "hamiltonian-check"],
+)
+def test_tracer_writes_what_the_cli_writes(args, tmp_path):
+    runs = {}
+    prefixes = {"plain": ["-m", "psqcayley"], "traced": [str(TRACER), str(tmp_path / "trace.json")]}
+    for side, prefix in prefixes.items():
+        out = tmp_path / f"{side}.out"
+        proc = _run(*prefix, *(a.format(out=out) for a in args), "--primes", "2,3,5")
+        runs[side] = (proc.returncode, proc.stdout, out.read_bytes() if out.exists() else None)
+    assert runs["traced"] == runs["plain"]
+    assert runs["plain"][0] == 0
+    assert (runs["plain"][2] is None) == ("--out" not in args)

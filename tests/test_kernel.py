@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from psqcayley import (
     CayleyGraph,
     OracleBudget,
+    block_of,
+    block_projection,
     build_report,
     closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
     independence_certificate,
     make_prime_triple,
+    residue_sum_color,
     run_verification,
     verify_coloring,
 )
@@ -22,7 +25,7 @@ from psqcayley import oracles, parameters
 from psqcayley.connectors import ConnectingSet
 from psqcayley.graph import family_pays
 
-from helpers import triples_with_group_order_at_most
+from helpers import edit_residue_classes, move_vertex, triples_with_group_order_at_most
 
 TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
@@ -239,11 +242,8 @@ def test_sweep_counts_unreached_vertices():
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_bad_coloring_is_improper(t, monkeypatch):
-    good = parameters.residue_sum_color
-    clash = CayleyGraph.from_triple(t).cset.members[0]  # adjacent to vertex 0
-    monkeypatch.setattr(
-        parameters, "residue_sum_color", lambda v, t: good(0, t) if v == clash else good(v, t)
-    )
+    clash = CayleyGraph.from_triple(t).cset.members[0]  # adjacent to vertex 0, recoloured like it
+    edit_residue_classes(monkeypatch, lambda cls: move_vertex(cls, clash, residue_sum_color(0, t)))
     result = verify_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper is False
     assert result.edges_checked == t.n * CayleyGraph.from_triple(t).degree // 2
@@ -253,11 +253,48 @@ def test_bad_coloring_is_improper(t, monkeypatch):
 def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
     # the colouring repeats with period a·b·c²; a clash planted at the last
     # vertex is invisible to anything that reads the first period only
-    good = parameters.residue_sum_color
     v = t.n - 1
     w = v - CayleyGraph.from_triple(t).cset.members[0]  # adjacent to v
-    assert v >= t.n - t.alpha * t.beta * t.m_gamma and good(v, t) != good(w, t)
-    monkeypatch.setattr(
-        parameters, "residue_sum_color", lambda u, t: good(w, t) if u == v else good(u, t)
-    )
+    assert v >= t.n - t.alpha * t.beta * t.m_gamma and residue_sum_color(v, t) != residue_sum_color(w, t)
+    edit_residue_classes(monkeypatch, lambda classes: move_vertex(classes, v, residue_sum_color(w, t)))
     assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+@pytest.mark.parametrize("fault", ["no class", "two classes", "extra class"])
+def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, monkeypatch):
+    # v in no class and v alone in a (c+1)-th class leave every class free of
+    # edges, so only the partition and the class count catch them
+    v = t.n // 2
+    other = (residue_sum_color(v, t) + 1) % t.gamma
+    edits = {
+        "no class": lambda classes: move_vertex(classes, v, None),
+        "two classes": lambda classes: classes.update({other: classes[other] | 1 << v}),
+        "extra class": lambda classes: move_vertex(classes, v, t.gamma),
+    }
+    edit_residue_classes(monkeypatch, edits[fault])
+    assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_residue_classes_match_the_per_vertex_references(t, monkeypatch):
+    g = CayleyGraph.from_triple(t)
+    colours, blocks = {}, {}
+    for v in range(t.n):
+        colours.setdefault(residue_sum_color(v, t), []).append(v)
+        blocks.setdefault(block_of(v, t), []).append(v)
+    read = []
+    edit_residue_classes(monkeypatch, read.append)
+    assert verify_coloring(t, g).proper
+    assert read == [{colour: g.bitset(vs) for colour, vs in colours.items()}]
+    assert block_projection(g) == {bid: g.bitset(vs) for bid, vs in blocks.items()}
+
+
+def test_is_partition():
+    g = CayleyGraph.from_triple(TRIPLES[0])
+    full = (1 << 900) - 1
+    assert g.is_partition([full]) and g.is_partition([0b101, full ^ 0b101])
+    assert not g.is_partition([full ^ 1])  # vertex 0 in no set
+    assert not g.is_partition([full, 1])  # vertex 0 in two sets
+    assert not g.is_partition([full ^ 2, 1])  # sizes sum to n, yet 0 is in two sets and 1 in none
+    assert not g.is_partition([full | 1 << 900])  # a bit beyond the last vertex

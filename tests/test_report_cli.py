@@ -15,7 +15,7 @@ from psqcayley import (
     run_verification,
     write_report,
 )
-from psqcayley import cli, graph, structure
+from psqcayley import cli, graph, parameters, structure
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
@@ -121,27 +121,37 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
 
 
 def _count_builds_and_projections(monkeypatch) -> dict[str, int]:
-    """Count the calls of CayleyGraph.from_triple and structure.block_of from now on."""
-    calls = {"from_triple": 0, "block_of": 0}
-    build, project = CayleyGraph.from_triple.__func__, structure.block_of
+    """Count the calls of CayleyGraph.from_triple and of the per-vertex
+    references structure.block_of and parameters.residue_sum_color from now on."""
+    calls = {"from_triple": 0, "block_of": 0, "residue_sum_color": 0}
+    build = CayleyGraph.from_triple.__func__
 
     def counted_build(cls, t):
         calls["from_triple"] += 1
         return build(cls, t)
 
-    def counted_project(v, t):
-        calls["block_of"] += 1
-        return project(v, t)
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(v, t):
+            calls[name] += 1
+            return fn(v, t)
+
+        monkeypatch.setattr(module, name, wrapper)
 
     monkeypatch.setattr(CayleyGraph, "from_triple", classmethod(counted_build))
-    monkeypatch.setattr(structure, "block_of", counted_project)
+    counted(structure, "block_of")
+    counted(parameters, "residue_sum_color")
     return calls
 
 
-def test_certify_builds_one_graph_and_projects_each_vertex_once(monkeypatch):
-    calls = _count_builds_and_projections(monkeypatch)
-    certify(T235, OracleBudget(), 900)
-    assert calls == {"from_triple": 1, "block_of": 900}
+def test_certify_builds_one_graph_and_evaluates_no_vertex_label(monkeypatch):
+    # the structure checks run at both triples (n ≤ 20,000)
+    for t in (T235, T357):
+        with monkeypatch.context() as m:
+            calls = _count_builds_and_projections(m)
+            certify(t, OracleBudget(), 20_000)
+            assert calls == {"from_triple": 1, "block_of": 0, "residue_sum_color": 0}
 
 
 VERIFY_235_SEED_7 = """\
@@ -245,7 +255,7 @@ def test_cli_config_file(tmp_path, capsys):
 
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for key in ("mystery", "sample-pairs", "sample-edges"):
+    for key in ("mystery", "sample-pairs", "sample-edges", "max-exact-vertices", "max-index-vertices"):
         cfg.write_text(f"{key} = 1\n")
         assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
 
@@ -274,7 +284,7 @@ def test_cli_params_oracle_gate(capsys):
 def test_cli_params_oracle_certifies_once_and_renders_both_ways(capsys, monkeypatch):
     calls = _count_builds_and_projections(monkeypatch)
     assert cli.main(["params", "--primes", "2,3,5", "--seed", "7", "--oracle"]) == 0
-    assert calls == {"from_triple": 1, "block_of": 900}
+    assert calls == {"from_triple": 1, "block_of": 0, "residue_sum_color": 0}
     captured = capsys.readouterr()
     assert captured.out.encode("ascii") == report_bytes(build_report(T235, OracleBudget(seed=7)))
     assert captured.err == VERIFY_235_SEED_7.replace("verification OK\n", "")

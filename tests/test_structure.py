@@ -19,6 +19,8 @@ from psqcayley import (
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
+from helpers import edit_residue_classes, move_vertex
+
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
 T357 = make_prime_triple(3, 5, 7)
@@ -103,13 +105,32 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
 
 
 def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
-    # block_of repeats with period abc; a fault at vertex n − 1 breaks that
-    good = structure.block_of
-    monkeypatch.setattr(
-        structure, "block_of", lambda v, t: good(0, t) if v == t.n - 1 else good(v, t)
-    )
+    # the blocks repeat with period abc; a fault at vertex n − 1 breaks that
     for t in (T235, T357):
-        assert _blocks_ok(t) == (False, False)
+        with monkeypatch.context() as m:
+            edit_residue_classes(m, lambda blocks: move_vertex(blocks, t.n - 1, BlockId(0, 0, 0)))
+            assert _blocks_ok(t) == (False, False)
+
+
+def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none(monkeypatch):
+    # v joins block x and u leaves it, in the projection and in the
+    # constructor alike: every block keeps abc vertices and matches its
+    # construction, so only the cover-and-disjoint test sees the fault
+    x = BlockId(0, 0, 0)
+    u = block_exponents(x, T235)[0]
+    v = block_exponents(BlockId(1, 0, 0), T235)[0]
+    good = structure.block_exponents
+
+    def constructed(b, t):
+        return sorted({*good(b, t), v} - {u}) if b == x else good(b, t)
+
+    monkeypatch.setattr(structure, "block_exponents", constructed)
+
+    def plant(blocks):
+        blocks[x] = (blocks[x] & ~(1 << u)) | 1 << v
+
+    edit_residue_classes(monkeypatch, plant)
+    assert _blocks_ok(T235)[0] is False
 
 
 def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
