@@ -74,8 +74,8 @@ from .structure import (
     block_exponents,
     block_members,
     block_of,
-    block_projection,
     index_graph,
+    residue_families,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,

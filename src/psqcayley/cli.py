@@ -164,11 +164,10 @@ def main(argv: list[str] | None = None) -> int:
         _check_memory(triple.n)
 
         if args.command == "params":
-            # both renderings share one certify: auto_budget below changes only
-            # the sweep sources, which certify never reads
-            certs = report_mod.certify(triple, budget, cap) if args.oracle else None
+            # both renderings share one certify, which reads no budget
+            certs = report_mod.certify(triple) if args.oracle else None
             rep = report_mod.build_report(
-                triple, budget, materialize_cap=cap, include_timings=args.timings, certificates=certs
+                triple, budget, include_timings=args.timings, certificates=certs
             )
             payload = report_mod.report_bytes(rep)
             if args.out:
@@ -177,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stdout.write(payload.decode("ascii"))
             if args.oracle:
                 outcome = report_mod.run_verification(
-                    triple, report_mod.auto_budget(triple, budget), materialize_cap=cap, certificates=certs
+                    triple, report_mod.auto_budget(triple, budget), certificates=certs
                 )
                 for line in outcome.lines:
                     print(line, file=sys.stderr)
@@ -186,9 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            outcome = report_mod.run_verification(
-                triple, report_mod.auto_budget(triple, budget), materialize_cap=cap
-            )
+            outcome = report_mod.run_verification(triple, report_mod.auto_budget(triple, budget))
             for line in outcome.lines:
                 print(line)
             print("verification OK" if outcome.ok else "verification FAILED")

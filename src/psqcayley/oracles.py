@@ -20,6 +20,8 @@ from .parameters import closed_form_distance_classes
 from .structure import BlockId, IndexGraph
 
 DEFAULT_SEED = 12345
+MAX_EXACT_VERTICES = 400  # the clique search's cap on its vertex count
+MAX_INDEX_VERTICES = 300  # the index-graph search's cap on its id count
 
 
 class BudgetExceededError(RuntimeError):
@@ -28,21 +30,16 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Caps and reproducibility knobs for the brute-force oracles.
+    """The distance sweep's sources and the seed that samples them.
 
     bfs_sources counts extra BFS sources beyond vertex 0; None means sweep
     from every vertex.
     """
 
-    max_exact_vertices: int = 400
-    max_index_vertices: int = 300
     bfs_sources: int | None = None
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        for name in ("max_exact_vertices", "max_index_vertices"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
         if self.bfs_sources is not None and self.bfs_sources < 0:
             raise ValueError("bfs_sources must be nonnegative")
 
@@ -66,19 +63,16 @@ def order_classes(g: CayleyGraph) -> dict[int, int]:
     return classes
 
 
-def exact_max_clique(
-    vertices: Sequence, adjacent: Callable, budget: OracleBudget | None = None
-) -> list:
-    """A maximum clique of the induced subgraph, by branch and bound.
+def exact_max_clique(vertices: Sequence, adjacent: Callable, cap: int = MAX_EXACT_VERTICES) -> list:
+    """A maximum clique of the induced subgraph, by branch and bound, over at
+    most cap vertices.
 
     Candidates are ordered by a greedy coloring whose class count bounds the
     clique size, pruning the search.  Fully deterministic.
     """
-    if budget is None:
-        budget = OracleBudget()
     m = len(vertices)
-    if m > budget.max_exact_vertices:
-        raise BudgetExceededError(f"{m} vertices exceed exact-search cap {budget.max_exact_vertices}")
+    if m > cap:
+        raise BudgetExceededError(f"{m} vertices exceed exact-search cap {cap}")
     if m == 0:
         return []
     adj = [0] * m
@@ -128,19 +122,13 @@ def exact_max_clique(
     return [vertices[i] for i in sorted(best)]
 
 
-def exact_max_independent_set(ig: IndexGraph, budget: OracleBudget | None = None) -> list[BlockId]:
+def exact_max_independent_set(ig: IndexGraph) -> list[BlockId]:
     """Exact maximum independent set of the index graph, via a maximum clique
-    of its complement."""
-    if budget is None:
-        budget = OracleBudget()
+    of its complement, over at most MAX_INDEX_VERTICES ids."""
     ids = ig.ids()
-    if len(ids) > budget.max_index_vertices:
-        raise BudgetExceededError(f"{len(ids)} ids exceed index cap {budget.max_index_vertices}")
-    return exact_max_clique(
-        ids,
-        lambda x, y: not ig.adjacent(x, y),
-        OracleBudget(max_exact_vertices=budget.max_index_vertices, seed=budget.seed),
-    )
+    if len(ids) > MAX_INDEX_VERTICES:
+        raise BudgetExceededError(f"{len(ids)} ids exceed index cap {MAX_INDEX_VERTICES}")
+    return exact_max_clique(ids, lambda x, y: not ig.adjacent(x, y), MAX_INDEX_VERTICES)
 
 
 @dataclass(frozen=True)

@@ -203,16 +203,14 @@ class IndexBoundsReport:
     mis_matches_product: bool
 
 
-def verify_index_bounds(t: PrimeTriple, budget=None) -> IndexBoundsReport:
-    from .oracles import OracleBudget, exact_max_independent_set
+def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
+    from .oracles import exact_max_independent_set
 
-    if budget is None:
-        budget = OracleBudget()
     ids = independence_index_set(t)
     two_free = all(
         IndexGraph.agreement(ids[x], ids[y]) != 2
         for x in range(len(ids))
         for y in range(x + 1, len(ids))
     )
-    mis = exact_max_independent_set(index_graph(t), budget)
+    mis = exact_max_independent_set(index_graph(t))
     return IndexBoundsReport(two_free, len(mis), len(mis) == t.alpha * t.beta)

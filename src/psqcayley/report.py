@@ -4,8 +4,8 @@ report and the full verification run.
 `certify` builds every in-schema certificate and verdict exactly once, on one
 graph: connectivity, the proper coloring, the independence certificate and
 its internal-edge scan, the index-graph search, the diameter, the walk and
-its replay, and -- when n is within the materialization cap, decided there
-alone -- the fiber and block checks on one shared block projection.
+its replay, and the fiber and block checks, decided by translation on one
+representative, the block checks on one shared set of residue families.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order classes, the triangle scan, the exact clique
@@ -29,7 +29,7 @@ from typing import BinaryIO
 
 from . import oracles, parameters, structure
 from .connectors import connector_count_formula
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, ConnectivityResult
+from .graph import CayleyGraph, ConnectivityResult
 from .group import PrimeTriple
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk
 from .oracles import OracleBudget, SweepReport
@@ -41,9 +41,9 @@ SCHEMA_VERSION = 1
 class Certificates:
     """Every in-schema certificate and verdict for one triple, on one graph.
 
-    index_bounds is None when the index graph exceeds the search cap; fiber,
-    block_partition and block_adjacency are None when n exceeds the
-    materialization cap.  timings holds the seconds of each stage.
+    index_bounds is None when the index graph exceeds the search cap
+    (oracles.MAX_INDEX_VERTICES); every other field is always set.  timings
+    holds the seconds of each stage.
     """
 
     graph: CayleyGraph
@@ -55,13 +55,13 @@ class Certificates:
     diameter: parameters.DiameterResult
     walk: WalkCertificate
     walk_verified: bool
-    fiber: structure.FiberStructureChecklist | None
-    block_partition: bool | None
-    block_adjacency: bool | None
+    fiber: structure.FiberStructureChecklist
+    block_partition: bool
+    block_adjacency: bool
     timings: dict[str, float]
 
 
-def certify(t: PrimeTriple, budget: OracleBudget, materialize_cap: int) -> Certificates:
+def certify(t: PrimeTriple) -> Certificates:
     """Build every certificate and verdict once, each stage timed."""
     timings: dict[str, float] = {}
 
@@ -82,20 +82,18 @@ def certify(t: PrimeTriple, budget: OracleBudget, materialize_cap: int) -> Certi
         scan = parameters.independence_internal_edges(independence, g)
     with timed("indexSearch"):
         index_bounds = None
-        if structure.index_graph(t).order <= budget.max_index_vertices:
-            index_bounds = parameters.verify_index_bounds(t, budget)
+        if structure.index_graph(t).order <= oracles.MAX_INDEX_VERTICES:
+            index_bounds = parameters.verify_index_bounds(t)
     with timed("diameter"):
         diam = parameters.diameter(t, g)
     with timed("hamiltonian"):
         walk = snake_walk(t)
         walk_ok = verify_walk(walk, g)
     with timed("structure"):
-        fiber = partition = block_adj = None
-        if t.n <= materialize_cap:
-            blocks = structure.block_projection(g)
-            fiber = structure.verify_fiber_structure(g)
-            partition = structure.verify_block_partition(g, blocks)
-            block_adj = structure.verify_block_adjacency(g, blocks)
+        families = structure.residue_families(g)
+        fiber = structure.verify_fiber_structure(g)
+        partition = structure.verify_block_partition(g, families)
+        block_adj = structure.verify_block_adjacency(g, families)
 
     return Certificates(
         g, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
@@ -106,21 +104,20 @@ def certify(t: PrimeTriple, budget: OracleBudget, materialize_cap: int) -> Certi
 def build_report(
     t: PrimeTriple,
     budget: OracleBudget | None = None,
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
     include_timings: bool = False,
     certificates: Certificates | None = None,
 ) -> dict:
     """Render the certificates of one triple as the report.
 
-    The coloring and independence scans are always exhaustive; the block and
-    fiber checks report null when n exceeds materialize_cap.  The index-graph
-    search reports null when the id count exceeds its budget cap.
-    `certificates`, when given, is certify(t, budget, materialize_cap)
-    already built, which is then rendered instead of built again.
+    The coloring and independence scans and the block and fiber checks are
+    always exhaustive.  The index-graph search reports null when the id count
+    exceeds its cap.  The budget supplies only the reported seed.
+    `certificates`, when given, is certify(t) already built, which is then
+    rendered instead of built again.
     """
     if budget is None:
         budget = OracleBudget()
-    c = certificates if certificates is not None else certify(t, budget, materialize_cap)
+    c = certificates if certificates is not None else certify(t)
     g = c.graph
     return {
         "schemaVersion": SCHEMA_VERSION,
@@ -157,7 +154,7 @@ def build_report(
             "verified": c.walk_verified,
             "endpoints": list(c.walk.endpoints),
         },
-        "fiberStructure": None if c.fiber is None else c.fiber.as_dict(),
+        "fiberStructure": c.fiber.as_dict(),
         "blockPartition": c.block_partition,
         "blockAdjacencyConsistent": c.block_adjacency,
         "oracleSeed": budget.seed,
@@ -183,15 +180,14 @@ class VerificationOutcome:
 def run_verification(
     t: PrimeTriple,
     budget: OracleBudget | None = None,
-    materialize_cap: int = DEFAULT_MATERIALIZE_CAP,
     certificates: Certificates | None = None,
 ) -> VerificationOutcome:
     """Render the certificates as one line per check, with the oracle suite
-    run against each.  `certificates` is as in `build_report`; certify reads
-    no budget field but max_index_vertices."""
+    run against each.  `certificates` is as in `build_report`; the budget
+    bounds only the distance sweep."""
     if budget is None:
         budget = OracleBudget()
-    c = certificates if certificates is not None else certify(t, budget, materialize_cap)
+    c = certificates if certificates is not None else certify(t)
     g = c.graph
     lines: list[str] = []
     ok = True
@@ -245,9 +241,9 @@ def run_verification(
     clique = parameters.clique_certificate(t)
     clique_ok = g.is_clique(clique)
     hood = [0] + g.neighbors(0)
-    if len(hood) <= budget.max_exact_vertices:
+    if len(hood) <= oracles.MAX_EXACT_VERTICES:
         # the hood's entries are vertices, so adjacency is membership of the difference
-        exact = len(oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors, budget))
+        exact = len(oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors))
         check(
             "clique",
             clique_ok and exact == t.gamma,
@@ -258,7 +254,7 @@ def run_verification(
             "clique",
             clique_ok,
             f"certificate={len(clique)} verified; neighborhood search skipped "
-            f"({len(hood)} vertices exceed cap {budget.max_exact_vertices})",
+            f"({len(hood)} vertices exceed cap {oracles.MAX_EXACT_VERTICES})",
         )
 
     coloring = c.coloring
@@ -283,18 +279,15 @@ def run_verification(
             "independence",
             indep_ok,
             f"size={cert.size}, internal={scan.internal_edges}/{scan.pairs_checked} pairs; "
-            f"index search skipped (ids exceed cap {budget.max_index_vertices})",
+            f"index search skipped (ids exceed cap {oracles.MAX_INDEX_VERTICES})",
         )
 
-    if c.fiber is None:
-        lines.append("SKIP structure: vertex count exceeds materialization cap")
-    else:
-        check(
-            "structure",
-            c.fiber.all_pass and c.block_partition and c.block_adjacency,
-            f"fiber={c.fiber.as_dict()}, partition={c.block_partition}, "
-            f"blockAdjacency={c.block_adjacency}",
-        )
+    check(
+        "structure",
+        c.fiber.all_pass and c.block_partition and c.block_adjacency,
+        f"fiber={c.fiber.as_dict()}, partition={c.block_partition}, "
+        f"blockAdjacency={c.block_adjacency}",
+    )
 
     sweep = oracles.distance_sweep(g, budget)
     diam = c.diameter

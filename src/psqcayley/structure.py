@@ -7,11 +7,20 @@ Blocks collect the a·b·c vertices whose residue components agree modulo
 (a, b, c); they partition the vertex set and are always independent.
 All verifiers here check the literal claims against arithmetic adjacency,
 independently of the constructors that produced the objects.
+
+The block checks and fiber checks (i) and (iii) are claims about every set
+of a family of translates, and in a Cayley graph on Z_n every translation
+x ↦ x + s is an automorphism, so each is decided on one representative.  The
+blocks are the translates of B₀ = abc·Z_n: translating by a vertex with
+residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
+agreement depends only on the difference of two ids, so N(B₀) alone decides
+every block pair.  The gamma fibers are the translates of the interval
+[0, a²b²) and the (alpha, beta) cells those of cell 0, so one neighbourhood
+decides fiber check (i) and one cycle check (iii).
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,49 +94,54 @@ def index_graph(t: PrimeTriple) -> IndexGraph:
     return IndexGraph(t)
 
 
-def block_projection(g: CayleyGraph) -> dict[BlockId, int]:
-    """Every vertex gathered into its block by the residue projection, each
-    block as an n-bit int, built from residues (`CayleyGraph.residue_classes`);
-    `block_of` is the per-vertex reference.  Both block checks read it."""
-    return g.residue_classes(operator.mod, BlockId)
+def residue_families(g: CayleyGraph) -> tuple[tuple[int, ...], ...]:
+    """Per prime p of the triple, the p residue sets {v : v mod p = r} (r < p),
+    each an n-bit int.  Block (i, j, k) is A_i & B_j & C_k, so both block
+    checks read these a + b + c sets and never hold all abc blocks at once;
+    `block_of` is the per-vertex reference."""
+    return tuple(tuple(g.periodic(p, [r]) for r in range(p)) for p in g.triple.primes)
 
 
-def verify_block_partition(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
-    """Blocks are pairwise disjoint, cover all n vertices, and the residue
-    projection (blocks, from block_projection) lands every vertex in the
-    block that constructs it."""
+def verify_block_partition(g: CayleyGraph, families: tuple[tuple[int, ...], ...]) -> bool:
+    """The blocks A_i & B_j & C_k (families from residue_families) partition
+    the vertices, and each is the block that block_exponents constructs.
+
+    Per prime p the family must partition V into the rotations of its
+    residue-0 set by r < p.  Such rotations tile the cycle Z_n only when that
+    set is s + p·Z_n, and A_0 & B_0 & C_0 equal to the constructed block 0
+    pins each s to 0.  Block x is then block 0 translated by a vertex with
+    residues x, and so is its construction (block_members(x) is x plus the
+    members of block 0): one block_exponents call decides every block.
+    """
     t = g.triple
-    a, b, c = t.primes
-    size = a * b * c
-    if len(blocks) != size or not g.is_partition(blocks.values()):
-        return False
-    for bid, assigned in blocks.items():
-        if assigned.bit_count() != size:
+    for family in families:
+        if not g.is_partition(family):
             return False
-        if g.bitset(block_exponents(bid, t)) != assigned:
+        if any(s != g.rotate(family[0], r) for r, s in enumerate(family)):
             return False
-    return True
+    alpha, beta, gamma = families
+    return alpha[0] & beta[0] & gamma[0] == g.bitset(block_exponents(BlockId(0, 0, 0), t))
 
 
-def verify_block_adjacency(g: CayleyGraph, blocks: dict[BlockId, int]) -> bool:
-    """Cross-block edges exist exactly between index-graph-adjacent ids.
+def verify_block_adjacency(g: CayleyGraph, families: tuple[tuple[int, ...], ...]) -> bool:
+    """Cross-block edges exist exactly between index-adjacent ids.
 
-    Blocks come from the residue projection (block_projection); for each
-    block B_x the neighbourhood N(B_x) must miss B_x itself and meet B_y
-    exactly when x and y are index-adjacent, which covers every edge of the
-    graph.
+    Once verify_block_partition holds, the blocks A_i & B_j & C_k are the
+    translates of B₀ = A_0 & B_0 & C_0, so B_x and B_y are joined iff B_{y−x}
+    meets N(B₀) (module docstring): N(B₀) must meet block y exactly when y is
+    index-adjacent to (0, 0, 0), which excludes B₀ itself.
     """
     ig = index_graph(g.triple)
-    ids = ig.ids()
-    if blocks.keys() != set(ids):
-        return False  # a vertex projected outside the index set
-    for x, bx in enumerate(ids):
-        reach = g.neighborhood(blocks[bx])
-        if reach & blocks[bx]:
-            return False  # an edge inside a block
-        for by in ids[x + 1 :]:
-            if bool(reach & blocks[by]) != ig.adjacent(bx, by):
-                return False
+    alpha, beta, gamma = families
+    origin = BlockId(0, 0, 0)
+    reach = g.neighborhood(alpha[0] & beta[0] & gamma[0])
+    for i, a_i in enumerate(alpha):
+        reach_a = reach & a_i
+        for j, b_j in enumerate(beta):
+            reach_ab = reach_a & b_j
+            for k, c_k in enumerate(gamma):
+                if bool(reach_ab & c_k) != ig.adjacent(origin, BlockId(i, j, k)):
+                    return False
     return True
 
 
@@ -191,11 +205,10 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     gamma = t.gamma
     n = t.n
 
-    # (i) no edge stays inside one gamma fiber, the interval [k·a²b², (k+1)·a²b²):
-    # each fiber misses its own neighbourhood
+    # (i) no edge stays inside one gamma fiber, the interval [k·a²b², (k+1)·a²b²);
+    # the fibers are the translates of fiber 0, which decides all c²
     fiber = (1 << m_ab) - 1
-    fibers = (fiber << (k * m_ab) for k in range(m_c))
-    item_i = not any(g.neighborhood(f) & f for f in fibers)
+    item_i = not g.neighborhood(fiber) & fiber
 
     # (ii) within a cell, adjacency <=> top digits differ modulo gamma; the
     # cell of r + s·a² (r < a², s < b²) is {base + k·a²b² : k < c²}, so every
@@ -204,12 +217,9 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     connectors = g.connector_set
     item_ii = all((dk * m_ab in connectors) == (dk % gamma != 0) for dk in range(1, m_c))
 
-    # (iii) explicit cell cycles, re-verified edge by edge
-    item_iii = all(
-        _is_cycle([r + s * m_a + k * m_ab for k in range(m_c)], g)
-        for r in range(m_a)
-        for s in range(m_b)
-    )
+    # (iii) the cycle of cell r + s·a², base + k·a²b² (k < c²), is the
+    # translate of cell 0's, so cell 0's, re-verified edge by edge, decides all
+    item_iii = _is_cycle([k * m_ab for k in range(m_c)], g)
 
     # (iv) nonzero multiples of c² hit every cell except (0, 0) exactly once
     hits: dict[tuple[int, int], int] = {}
@@ -221,9 +231,10 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
         hits.get((r, s)) == 1 for r in range(m_a) for s in range(m_b) if (r, s) != (0, 0)
     )
 
-    # (v) shifted coset {k·a²c² + r·c²} stays inside the alpha fiber r
+    # (v) each shifted coset {k·a²c² + r·c² : k < b²} lies inside a single
+    # alpha fiber: its members share one residue modulo a²
     item_v = all(
-        (k * m_a * m_c + r * m_c) % m_a == r for r in range(m_a) for k in range(m_b)
+        len({(k * m_a * m_c + r * m_c) % m_a for k in range(m_b)}) == 1 for r in range(m_a)
     )
 
     # (vi) multiples of b²c² meet each alpha fiber exactly once

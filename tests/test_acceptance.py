@@ -17,7 +17,6 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     bezout_witness,
-    block_projection,
     clique_certificate,
     closed_form_distance_table,
     connector_count_formula,
@@ -31,6 +30,7 @@ from psqcayley import (
     independence_internal_edges,
     index_graph,
     make_prime_triple,
+    residue_families,
     residue_sum_color,
     snake_walk,
     verify_block_adjacency,
@@ -145,10 +145,10 @@ def test_criterion_06_independence():
 
 def test_criterion_07_structure_checks():
     start = time.perf_counter()
-    blocks = block_projection(G235)
+    families = residue_families(G235)
     checklist = verify_fiber_structure(G235)
-    partition = verify_block_partition(G235, blocks)
-    block_adj = verify_block_adjacency(G235, blocks)
+    partition = verify_block_partition(G235, families)
+    block_adj = verify_block_adjacency(G235, families)
     ok = checklist.all_pass and partition and block_adj
     elapsed = time.perf_counter() - start
     _report(7, ok, 10.0, elapsed, f"eight fiber checks {checklist.as_dict()}, partition, block adjacency at n=900")

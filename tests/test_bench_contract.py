@@ -40,6 +40,20 @@ def test_tracer_runs_the_cli_unchanged(command, tmp_path):
     assert counters["parameters.coloring.edges_checked"] > 0
 
 
+def test_tracer_runs_the_structure_checks_where_the_verdict_moved(tmp_path):
+    # (3,5,7) is the workload triple whose fiber check (v) now passes
+    args = ["verify", "--primes", "3,5,7", "--budget-sources", "0"]
+    plain = _run("-m", "psqcayley", *args)
+    trace_path = tmp_path / "trace.json"
+    traced = _run(str(TRACER), str(trace_path), *args)
+    assert traced.returncode == plain.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    assert "PASS structure: " in plain.stdout
+    counters = json.loads(trace_path.read_text())["counters"]
+    assert counters["structure.completed"] == 1
+    assert counters["structure.skipped"] == 0
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -10,13 +10,13 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     block_of,
-    block_projection,
     build_report,
     closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
     independence_certificate,
     make_prime_triple,
+    residue_families,
     residue_sum_color,
     run_verification,
     verify_coloring,
@@ -287,7 +287,10 @@ def test_residue_classes_match_the_per_vertex_references(t, monkeypatch):
     edit_residue_classes(monkeypatch, read.append)
     assert verify_coloring(t, g).proper
     assert read == [{colour: g.bitset(vs) for colour, vs in colours.items()}]
-    assert block_projection(g) == {bid: g.bitset(vs) for bid, vs in blocks.items()}
+    alpha, beta, gamma = residue_families(g)
+    assert {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in blocks} == {
+        bid: g.bitset(vs) for bid, vs in blocks.items()
+    }
 
 
 def test_is_partition():

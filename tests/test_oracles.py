@@ -19,7 +19,7 @@ from psqcayley import (
 )
 from psqcayley import graph
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
-from psqcayley.oracles import order_classes
+from psqcayley.oracles import MAX_EXACT_VERTICES, MAX_INDEX_VERTICES, order_classes
 from psqcayley.structure import BlockId
 
 T235 = make_prime_triple(2, 3, 5)
@@ -72,7 +72,9 @@ def test_clique_on_complete_certificate():
 
 def test_clique_budget_cap():
     with pytest.raises(BudgetExceededError):
-        exact_max_clique(list(range(30)), lambda u, v: True, OracleBudget(max_exact_vertices=10))
+        exact_max_clique(list(range(30)), lambda u, v: True, 10)
+    with pytest.raises(BudgetExceededError):
+        exact_max_clique(list(range(MAX_EXACT_VERTICES + 1)), lambda u, v: True)
 
 
 def test_clique_empty_input():
@@ -102,8 +104,10 @@ def test_index_mis_is_independent():
 
 
 def test_index_mis_budget_cap():
+    # 385 ids at (5,7,11) exceed the cap of 300; the 105 at (3,5,7) do not
+    assert index_graph(T357).order <= MAX_INDEX_VERTICES < index_graph(make_prime_triple(5, 7, 11)).order
     with pytest.raises(BudgetExceededError):
-        exact_max_independent_set(index_graph(T357), OracleBudget(max_index_vertices=50))
+        exact_max_independent_set(index_graph(make_prime_triple(5, 7, 11)))
 
 
 def test_index_mis_against_reference_library():
@@ -148,7 +152,6 @@ def test_find_triangle():
 
 
 def test_budget_validation():
-    with pytest.raises(ValueError):
-        OracleBudget(max_exact_vertices=0)
+    assert OracleBudget(bfs_sources=0).bfs_sources == 0
     with pytest.raises(ValueError):
         OracleBudget(bfs_sources=-1)

@@ -146,11 +146,10 @@ def _count_builds_and_projections(monkeypatch) -> dict[str, int]:
 
 
 def test_certify_builds_one_graph_and_evaluates_no_vertex_label(monkeypatch):
-    # the structure checks run at both triples (n ≤ 20,000)
     for t in (T235, T357):
         with monkeypatch.context() as m:
             calls = _count_builds_and_projections(m)
-            certify(t, OracleBudget(), 20_000)
+            certify(t)
             assert calls == {"from_triple": 1, "block_of": 0, "residue_sum_color": 0}
 
 
@@ -260,17 +259,16 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
         assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
 
 
-def test_report_over_cap_stays_exhaustive_and_nulls_structure():
-    rep = build_report(T235, OracleBudget(seed=3), materialize_cap=100)
-    assert rep["fiberStructure"] is None
-    assert rep["blockPartition"] is None
-    assert rep["blockAdjacencyConsistent"] is None
-    assert rep["chromatic"] == {"value": 5, "coloringProper": True, "edgesChecked": 12600}
+def test_report_above_the_export_cap_is_exhaustive():
+    # n = 27,225 exceeds the default materialization cap, which bounds only
+    # the export: every structure field is set and every scan exhaustive
+    rep = build_report(make_prime_triple(3, 5, 11))
+    assert rep["fiberStructure"] == {k: True for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")}
+    assert rep["blockPartition"] is True
+    assert rep["blockAdjacencyConsistent"] is True
+    assert rep["chromatic"] == {"value": 11, "coloringProper": True, "edgesChecked": 27225 * 136 // 2}
     assert rep["independence"]["internalEdges"] == 0
     assert rep["diameter"]["value"] == 6
-    lines = dict(line.split(": ", 1) for line in run_verification(T235, materialize_cap=100).lines)
-    assert lines["PASS chromatic"] == "proper=True over 12600 edges (exhaustive), value=5"
-    assert lines["PASS independence"].startswith("size=180, internal=0/16110 pairs")
 
 
 def test_cli_params_oracle_gate(capsys):
@@ -327,6 +325,16 @@ def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
     cli._check_memory(make_prime_triple(11, 13, 17).n)
     with pytest.raises(TooLargeError):
         cli._check_memory(make_prime_triple(101, 103, 107).n)
+
+
+@pytest.mark.parametrize("primes", ["3,5,7", "5,7,11"])
+def test_cli_verify_passes_structure_above_a_two(primes, capsys):
+    # check (v) as stated holds for every triple, and no vertex cap skips
+    # the structure checks
+    assert cli.main(["verify", "--primes", primes, "--budget-sources", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "\nPASS structure: " in out and "SKIP" not in out
+    assert out.endswith("verification OK\n")
 
 
 def test_cli_verify_passes(capsys):

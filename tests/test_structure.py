@@ -4,27 +4,27 @@ from psqcayley import graph, structure
 from psqcayley import (
     BlockId,
     CayleyGraph,
-    OracleBudget,
     block_exponents,
     block_members,
     block_of,
-    block_projection,
     certify,
     crt_combine,
     index_graph,
     make_prime_triple,
+    residue_families,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
-from helpers import edit_residue_classes, move_vertex
+from helpers import move_vertex, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
 T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
+SMALL = pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
 
 
 def _plant(monkeypatch, extra) -> None:
@@ -38,10 +38,67 @@ def _plant(monkeypatch, extra) -> None:
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
 
 
-def _blocks_ok(t) -> tuple[bool, bool]:
+def _families(g: CayleyGraph, edit=None) -> tuple[tuple[int, ...], ...]:
+    """The residue families of g, after edit(families) when given; edit gets
+    one {residue: set} dict per prime and changes them in place."""
+    families = [dict(enumerate(f)) for f in residue_families(g)]
+    if edit is not None:
+        edit(families)
+    return tuple(tuple(f.values()) for f in families)
+
+
+def _blocks_ok(t, edit=None) -> tuple[bool, bool]:
     g = CayleyGraph.from_triple(t)
-    blocks = block_projection(g)
-    return verify_block_partition(g, blocks), verify_block_adjacency(g, blocks)
+    families = _families(g, edit)
+    return verify_block_partition(g, families), verify_block_adjacency(g, families)
+
+
+def _blocks(g: CayleyGraph, families) -> dict[BlockId, int]:
+    alpha, beta, gamma = families
+    return {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in index_graph(g.triple).ids()}
+
+
+def _partition_by_construction(g: CayleyGraph, families) -> bool:
+    """Block partition with every block compared to its construction: the
+    reference for the check on block 0 and the rotations."""
+    blocks = _blocks(g, families)
+    size = g.triple.alpha * g.triple.beta * g.triple.gamma
+    return g.is_partition(blocks.values()) and all(
+        s.bit_count() == size and s == g.bitset(block_exponents(x, g.triple)) for x, s in blocks.items()
+    )
+
+
+def _adjacency_by_pairs(g: CayleyGraph, families) -> bool:
+    """Block adjacency over every block pair: the reference for the check on
+    N(B₀)."""
+    ig = index_graph(g.triple)
+    blocks = _blocks(g, families)
+    ids = ig.ids()
+    for x, bx in enumerate(ids):
+        reach = g.neighborhood(blocks[bx])
+        if reach & blocks[bx]:
+            return False
+        if any(bool(reach & blocks[by]) != ig.adjacent(bx, by) for by in ids[x + 1 :]):
+            return False
+    return True
+
+
+def _gamma_fibers_by_fiber(g: CayleyGraph) -> bool:
+    """Fiber check (i) with one neighbourhood per gamma fiber."""
+    m_ab, m_c = g.triple.m_alpha * g.triple.m_beta, g.triple.m_gamma
+    fibers = (((1 << m_ab) - 1) << (k * m_ab) for k in range(m_c))
+    return not any(g.neighborhood(f) & f for f in fibers)
+
+
+def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
+    """Fiber check (iii) with one cycle check per (alpha, beta) cell."""
+    t = g.triple
+    m_a, m_ab = t.m_alpha, t.m_alpha * t.m_beta
+    return all(
+        structure._is_cycle([r + s * m_a + k * m_ab for k in range(t.m_gamma)], g)
+        for r in range(m_a)
+        for s in range(t.m_beta)
+    )
 
 
 def test_block_members():
@@ -73,12 +130,64 @@ def test_partition_verifies():
     assert _blocks_ok(T357) == (True, True)
 
 
-def test_partition_cap():
-    # the cap is decided once, in certify: above it no structure check runs
-    over = certify(T235, OracleBudget(), 899)
-    assert (over.fiber, over.block_partition, over.block_adjacency) == (None, None, None)
-    at = certify(T235, OracleBudget(), 900)
-    assert at.fiber.all_pass and at.block_partition and at.block_adjacency
+@SMALL
+def test_block_checks_equal_their_per_block_references(t):
+    g = CayleyGraph.from_triple(t)
+    families = residue_families(g)
+    assert verify_block_partition(g, families) is _partition_by_construction(g, families) is True
+    assert verify_block_adjacency(g, families) is _adjacency_by_pairs(g, families) is True
+
+
+@SMALL
+def test_fiber_checks_equal_their_per_fiber_references(t):
+    g = CayleyGraph.from_triple(t)
+    checklist = verify_fiber_structure(g)
+    assert checklist.gamma_fibers_independent is _gamma_fibers_by_fiber(g) is True
+    assert checklist.cell_cycles is _cell_cycles_by_cell(g) is True
+
+
+def test_structure_checks_run_above_twenty_thousand_vertices():
+    # n = 27,225, above the export cap: the structure checks know no vertex cap
+    c = certify(make_prime_triple(3, 5, 11))
+    assert c.fiber.all_pass and c.block_partition is True and c.block_adjacency is True
+
+
+def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypatch):
+    # no per-block or per-fiber loop: one N(B₀), one N(fiber 0) and the
+    # construction of block 0, whatever the triple
+    calls = {"neighborhood": 0, "block_exponents": 0}
+    inside = [False]
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += inside[0]
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def stage(name):
+        fn = getattr(structure, name)
+
+        def wrapper(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(structure, name, wrapper)
+
+    counted(graph.CayleyGraph, "neighborhood")
+    counted(structure, "block_exponents")
+    for name in ("residue_families", "verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
+        stage(name)
+    for t in (T235, T357):
+        calls.update(neighborhood=0, block_exponents=0)
+        c = certify(t)
+        assert c.fiber.all_pass and c.block_partition and c.block_adjacency
+        assert calls == {"neighborhood": 2, "block_exponents": 1}
 
 
 def test_index_graph_rule():
@@ -91,7 +200,7 @@ def test_index_graph_rule():
 
 
 def test_block_adjacency_consistency():
-    assert verify_block_adjacency(G235, block_projection(G235))
+    assert verify_block_adjacency(G235, residue_families(G235))
 
 
 @pytest.mark.parametrize("extra", [30, 1])
@@ -100,37 +209,80 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     # residue.  Either joins vertices of one gamma fiber (an interval of 36).
     _plant(monkeypatch, lambda t: extra)
     g = CayleyGraph.from_triple(T235)
-    assert not verify_block_adjacency(g, block_projection(g))
-    assert not verify_fiber_structure(g).gamma_fibers_independent
+    families = residue_families(g)
+    assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)
+    assert not verify_fiber_structure(g).gamma_fibers_independent and not _gamma_fibers_by_fiber(g)
 
 
-def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
-    # the blocks repeat with period abc; a fault at vertex n − 1 breaks that
+def _without(t, drop) -> CayleyGraph:
+    """The graph of t with the connectors ±d, for d in drop, removed."""
+    cs = enumerate_connectors(t)
+    gone = {x % t.n for d in drop for x in (d, -d)}
+    members = tuple(m for m in cs.members if m not in gone)
+    return CayleyGraph(t, ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq))
+
+
+@SMALL
+def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
+    # without the a²- and b²-order connectors only blocks that differ in the
+    # c-residue alone are joined, so (1, 0, 0) is index-adjacent to (0, 0, 0)
+    # yet sees no edge from it
+    cs = enumerate_connectors(t)
+    g = _without(t, cs.class_alpha_sq + cs.class_beta_sq)
+    families = residue_families(g)
+    assert verify_block_partition(g, families)
+    assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)
+
+
+@SMALL
+def test_cell_cycles_catch_a_removed_connector(t):
+    # without ±a²b² no cell cycle closes a single step
+    g = _without(t, [t.m_alpha * t.m_beta])
+    assert not verify_fiber_structure(g).cell_cycles and not _cell_cycles_by_cell(g)
+
+
+def test_block_checks_catch_a_projection_fault_at_the_last_vertex():
+    # the residue sets repeat with period p; moving vertex n − 1 into every
+    # residue-0 set (so into block (0, 0, 0)) breaks that
+    def plant(families):
+        for family in families:
+            move_vertex(family, t.n - 1, 0)
+
     for t in (T235, T357):
-        with monkeypatch.context() as m:
-            edit_residue_classes(m, lambda blocks: move_vertex(blocks, t.n - 1, BlockId(0, 0, 0)))
-            assert _blocks_ok(t) == (False, False)
+        assert _blocks_ok(t, plant) == (False, False)
 
 
-def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none(monkeypatch):
-    # v joins block x and u leaves it, in the projection and in the
-    # constructor alike: every block keeps abc vertices and matches its
-    # construction, so only the cover-and-disjoint test sees the fault
-    x = BlockId(0, 0, 0)
-    u = block_exponents(x, T235)[0]
-    v = block_exponents(BlockId(1, 0, 0), T235)[0]
-    good = structure.block_exponents
+def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none():
+    # A_0 gains vertex 1 and loses vertex a, and every A_r is rebuilt as the
+    # r-rotation of A_0: each keeps n/a vertices, block 0 (no multiple of b
+    # moved) still matches its construction, yet vertex 1 lies in A_0 and A_1
+    # and vertex a + 1 in no A_r, so only the cover-and-disjoint test sees it
+    for t in (T235, T357):
+        g = CayleyGraph.from_triple(t)
 
-    def constructed(b, t):
-        return sorted({*good(b, t), v} - {u}) if b == x else good(b, t)
+        def plant(families):
+            alpha = families[0]
+            a0 = (alpha[0] | 1 << 1) & ~(1 << t.alpha)
+            alpha.update({r: g.rotate(a0, r) for r in alpha})
 
-    monkeypatch.setattr(structure, "block_exponents", constructed)
+        assert _blocks_ok(t, plant)[0] is False
 
-    def plant(blocks):
-        blocks[x] = (blocks[x] & ~(1 << u)) | 1 << v
 
-    edit_residue_classes(monkeypatch, plant)
-    assert _blocks_ok(T235)[0] is False
+def test_block_partition_catches_two_vertices_swapped_between_residue_sets():
+    # u (in A_0) and v (in A_1), neither in block 0 before or after, trade
+    # places: each family still partitions V and block 0 still matches its
+    # construction, so only the rotation test sees that A_1 ≠ rot(A_0, 1)
+    for t in (T235, T357):
+        g = CayleyGraph.from_triple(t)
+        u, v = t.alpha, 1
+
+        def swap(families):
+            alpha = families[0]
+            alpha[0] ^= 1 << u | 1 << v
+            alpha[1] ^= 1 << u | 1 << v
+
+        assert _blocks_ok(t, swap)[0] is False
+        assert not _partition_by_construction(g, _families(g, swap))
 
 
 def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
@@ -154,7 +306,7 @@ def test_cell_rule_catches_a_planted_connector(monkeypatch):
         g = CayleyGraph.from_triple(t)
         items = verify_fiber_structure(g).as_dict()
         assert not items["ii"] and not _cell_rule_by_pairs(g)
-        assert items["iii"] and items["vii"] and items["viii"]
+        assert items["iii"] and _cell_cycles_by_cell(g) and items["vii"] and items["viii"]
 
 
 @pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
@@ -183,14 +335,31 @@ def test_fiber_structure_all_pass_at_small_instances():
     assert verify_fiber_structure(CayleyGraph.from_triple(T237)).all_pass
 
 
-def test_fiber_structure_shifted_coset_check_is_residue_dependent():
-    # the shifted-coset containment (item v) needs c² ≡ 1 (mod a²); it holds
-    # for a = 2 but genuinely fails at (3, 5, 7), where 49 ≡ 4 (mod 9)
-    checklist = verify_fiber_structure(CayleyGraph.from_triple(T357))
-    assert not checklist.shifted_cosets_within_alpha_fibers
-    items = checklist.as_dict()
-    assert not items["v"]
-    assert all(ok for key, ok in items.items() if key != "v")
+LADDER = triples_with_group_order_at_most(1_100_000)
+
+
+def test_shifted_cosets_lie_in_single_alpha_fibers_at_every_ladder_triple():
+    # item v as stated: each coset {k·a²c² + r·c² : k < b²} lies inside one
+    # alpha fiber; it and the other seven items hold at all 146 triples
+    assert len(LADDER) == 146
+    for t in LADDER:
+        checklist = verify_fiber_structure(CayleyGraph.from_triple(t))
+        assert checklist.shifted_cosets_within_alpha_fibers and checklist.all_pass, t.primes
+
+
+def _cosets_within_fiber_r(t) -> bool:
+    """The stronger residue fact: the coset of r lies inside alpha fiber r."""
+    m_a, m_b, m_c = t.moduli
+    return all((k * m_a * m_c + r * m_c) % m_a == r for r in range(m_a) for k in range(m_b))
+
+
+def test_shifted_cosets_lie_in_fiber_r_exactly_when_c_squared_is_one_mod_a_squared():
+    # every member of the coset of r has residue r·c² mod a², which is r for
+    # all r iff c² ≡ 1 (mod a²): so the fiber-r form fails at (3, 5, 7), where
+    # 49 ≡ 4 (mod 9), and at 34 more of the 146 ladder triples
+    failing = [t.primes for t in LADDER if not _cosets_within_fiber_r(t)]
+    assert failing == [t.primes for t in LADDER if t.m_gamma % t.m_alpha != 1]
+    assert (3, 5, 7) in failing and len(failing) == 35
 
 
 def test_cell_adjacency_witness():
