@@ -5,12 +5,12 @@ Subcommands:
   params       emit the certificate report as canonical JSON
   verify       run the oracle suite; exit 1 on any mismatch
   export       write edge-list / dot / walk / independent-set files
-  hamiltonian  construct (and optionally verify) the snake walk
+  hamiltonian  construct (and optionally verify) the Hamiltonian cycle
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
 including a --config file that cannot be read, an --out file that cannot be
-written, and a group too large for the memory limit (every subcommand but
-`build` holds per-vertex data, so n is checked before anything is allocated).
+written, and a group too large for the memory limit (checked before anything
+is allocated: n for the subcommands that hold per-vertex data, |C| for `build`).
 Budgets and the seed may come from a `key = value` config file (--config);
 explicit flags win.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are
 placed inside it.
@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import report as report_mod
+from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
@@ -33,11 +34,14 @@ from .parameters import independence_certificate
 _CONFIG_KEYS = {"seed", "bfs-sources", "materialize-cap"}
 
 
-# Peak memory per vertex of the commands that hold per-vertex data, rounded
-# up from measurement at n = 1,002,001: 107 bytes for the walk export (the
-# walk, about 36 bytes per vertex, and its text), 52 for verify (the walk and
-# n/8-byte bitsets)
+# Peak memory per vertex of the commands that hold per-vertex data, above
+# the interpreter's own, rounded up from measurement at n = 1,002,001: 113
+# bytes for the walk export (the walk, about 49 bytes per vertex, and its
+# text), 55 for verify (the walk and n/8-byte bitsets)
 BYTES_PER_VERTEX = 128
+# Peak memory per connector of `build`, which holds only the connecting set,
+# rounded up from the 54 to 56 bytes measured at |C| = 10⁶ to 9·10⁶
+BYTES_PER_CONNECTOR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
@@ -45,13 +49,13 @@ class UsageError(Exception):
     pass
 
 
-def _check_memory(n: int) -> None:
-    """Fail fast, before any per-vertex allocation, when n vertices would
-    need more than MEMORY_LIMIT_BYTES."""
-    predicted = BYTES_PER_VERTEX * n
+def _check_memory(count: int, per_item: int = BYTES_PER_VERTEX, what: str = "n") -> None:
+    """Fail fast, before any allocation, when `count` items of `per_item`
+    bytes each would need more than MEMORY_LIMIT_BYTES."""
+    predicted = per_item * count
     if predicted > MEMORY_LIMIT_BYTES:
         raise TooLargeError(
-            f"n = {n} needs about {predicted >> 20} MiB, above the limit of "
+            f"{what} = {count} needs about {predicted >> 20} MiB, above the limit of "
             f"{MEMORY_LIMIT_BYTES >> 20} MiB"
         )
 
@@ -135,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", required=True, choices=["edges", "dot", "walk", "independent-set"])
     p.add_argument("--out", required=True, metavar="FILE")
 
-    p = sub.add_parser("hamiltonian", help="construct the snake walk")
+    p = sub.add_parser("hamiltonian", help="construct the Hamiltonian cycle")
     add_common(p)
     p.add_argument("--check", action="store_true", help="verify the walk after construction")
 
@@ -154,6 +158,7 @@ def main(argv: list[str] | None = None) -> int:
         budget, cap = _resolve_budget(args)
 
         if args.command == "build":
+            _check_memory(connector_count_formula(triple), BYTES_PER_CONNECTOR, "|C|")
             cset_size = CayleyGraph.from_triple(triple).degree
             print(f"primes: {triple.alpha},{triple.beta},{triple.gamma}")
             print(f"n: {triple.n}")
@@ -205,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.command == "hamiltonian":
             walk = snake_walk(triple)
-            print(f"kind: {walk.kind}")
+            print("kind: cycle")
             print(f"length: {len(walk.vertices)}")
             print(f"endpoints: {walk.endpoints[0]} {walk.endpoints[1]}")
             if args.check:

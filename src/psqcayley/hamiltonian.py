@@ -1,16 +1,16 @@
-"""Spanning snake walks in component space.
+"""A Hamiltonian cycle for every triple, built by the product lemma.
 
-Vertices are component triples (x, y, z) with x < a², y < b², z < c².  Within
-each layer of fixed x the b²×c² grid is traversed boustrophedon (rows = the
-b²-component, alternating direction), consecutive residues differing by 1 are
-never divisible by the governing prime, so every grid step is an edge.  Layers
-are chained at their terminal corner by stepping x, each layer reversing the
-previous traversal.  For a = 2 the a² = 4 layers close into a spanning cycle;
-for a > 2 the a² layers are odd in number and the walk is an open spanning
-path whose endpoints differ in all three components (hence are non-adjacent).
-
-Cycle existence for a > 2 is left undetermined here: the walk verifier only
-certifies what was constructed.
+By the CRT the graph is G_a □ G_b □ G_c with G_p = Cay(Z_{p²}, units): a
+vertex is a component triple (x, y, z), x < a², y < b², z < c², and two
+vertices are adjacent iff they differ in exactly one component, by a unit.
+The lemma (Chen & Quimpo, On strongly Hamiltonian abelian group graphs,
+LNM 884, 1981): if H has a Hamiltonian cycle h₀ … h_{N−1}, so does P_m □ H.
+Start at (0, h₀); snake rows 0 … m−1 over h₁ … h_{N−1}, alternating direction;
+step to (m−1, h₀), whose neighbours h₁ and h_{N−1} end every row; climb
+column h₀ back to row 1, which is adjacent to the start.  Every step changes
+one component by ±1, a unit of Z_{p²}, or moves along the cycle of H, so
+every step is an edge.  Applied from the one-vertex walk [0] along c, then b,
+then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
 """
 
 from __future__ import annotations
@@ -29,15 +29,10 @@ class LengthMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class WalkCertificate:
-    """A spanning walk: every vertex exactly once, consecutive vertices
-    adjacent, and for kind == "cycle" the last vertex adjacent to the first."""
+    """A spanning cycle: every vertex exactly once, consecutive vertices
+    adjacent, and the last vertex adjacent to the first."""
 
     vertices: tuple[int, ...]
-    kind: str  # "cycle" | "path"
-
-    @property
-    def closed(self) -> bool:
-        return self.kind == "cycle"
 
     @property
     def endpoints(self) -> tuple[int, int]:
@@ -45,31 +40,23 @@ class WalkCertificate:
 
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
-    """Construct the spanning snake; a cycle for a = 2, else an open path."""
-    m_a, m_b, m_c = t.moduli
-    e_a, e_b, e_c = crt_basis(t)
+    """Construct the spanning cycle by the product lemma, along c, b, then a."""
     n = t.n
-
-    # one layer, forward orientation: (0,0) .. (b²-1, c²-1) as exponent offsets
-    forward: list[int] = []
-    for row in range(m_b):
-        cols = range(m_c) if row % 2 == 0 else range(m_c - 1, -1, -1)
-        base = row * e_b % n
-        forward.extend((base + col * e_c) % n for col in cols)
-    backward = forward[::-1]
-
-    vertices: list[int] = []
-    for layer in range(m_a):
-        shift = layer * e_a % n
-        sweep = forward if layer % 2 == 0 else backward
-        vertices.extend((shift + off) % n for off in sweep)
-    kind = "cycle" if t.alpha == 2 else "path"
-    return WalkCertificate(tuple(vertices), kind)
+    cycle = [0]
+    for m, e in zip(reversed(t.moduli), reversed(crt_basis(t))):
+        head, tail = cycle[0], cycle[1:]
+        rows = (tail, tail[::-1])
+        cycle = [head]
+        for row in range(m):
+            shift = row * e
+            cycle.extend([(shift + h) % n for h in rows[row % 2]])
+        cycle.extend([(row * e + head) % n for row in range(m - 1, 0, -1)])
+    return WalkCertificate(tuple(cycle))
 
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     """Independent replay: permutation of [0, n), all consecutive pairs
-    adjacent by the arithmetic test, closure when the walk claims to close."""
+    adjacent by the arithmetic test, and the closing pair adjacent."""
     n = g.triple.n
     if len(w.vertices) != n:
         raise LengthMismatchError(f"walk has {len(w.vertices)} entries, expected {n}")
@@ -84,14 +71,12 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     for u, v in zip(verts, islice(verts, 1, None)):
         if (v - u) % n not in connectors:
             return False
-    if w.closed and (verts[0] - verts[-1]) % n not in connectors:
-        return False
-    return True
+    return (verts[0] - verts[-1]) % n in connectors
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:
-    """Export format: a 'cycle'/'path' header, then one exponent per line in
+    """Export format: a 'cycle' header, then one exponent per line in
     traversal order."""
-    yield w.kind
+    yield "cycle"
     for v in w.vertices:
         yield str(v)

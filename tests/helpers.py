@@ -10,22 +10,27 @@ from __future__ import annotations
 from psqcayley import CayleyGraph, PrimeTriple, is_prime, make_prime_triple
 
 
-def brute_order(k: int, n: int) -> int:
-    """Order of k in the additive group Z_n by repeated addition."""
+def brute_order(k: int, n: int, limit: int | None = None) -> int:
+    """Order of k in the additive group Z_n by repeated addition; with a
+    limit, stop after `limit` additions and return limit + 1 if the order
+    exceeds it."""
     if k == 0:
         return 1
     acc = k
     count = 1
     while acc != 0:
+        if count == limit:
+            return limit + 1
         acc = (acc + k) % n
         count += 1
     return count
 
 
 def order_scan_connectors(t: PrimeTriple) -> set[int]:
-    """All exponents whose brute-force order is a squared prime."""
+    """All exponents whose brute-force order is a squared prime.  No order
+    above the largest square matters, so each scan stops there."""
     squares = set(t.moduli)
-    return {m for m in range(1, t.n) if brute_order(m, t.n) in squares}
+    return {m for m in range(1, t.n) if brute_order(m, t.n, max(squares)) in squares}
 
 
 def primes_up_to(limit: int) -> list[int]:

