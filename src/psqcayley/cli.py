@@ -9,8 +9,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
 including a --config file that cannot be read, an --out file that cannot be
-written, and a group too large for the memory limit (checked before anything
-is allocated: n for the subcommands that hold per-vertex data, |C| for `build`).
+written, and a group too large for the memory limit (checked from n before
+anything is allocated, for every subcommand but `build`, which holds no
+per-vertex data: it prints |C| and the degree from the closed form).
 Budgets and the seed may come from a `key = value` config file (--config);
 explicit flags win.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are
 placed inside it.
@@ -39,9 +40,6 @@ _CONFIG_KEYS = {"seed", "bfs-sources", "materialize-cap"}
 # bytes for the walk export (the walk, about 49 bytes per vertex, and its
 # text), 55 for verify (the walk and n/8-byte bitsets)
 BYTES_PER_VERTEX = 128
-# Peak memory per connector of `build`, which holds only the connecting set,
-# rounded up from the 54 to 56 bytes measured at |C| = 10⁶ to 9·10⁶
-BYTES_PER_CONNECTOR = 64
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
@@ -49,13 +47,13 @@ class UsageError(Exception):
     pass
 
 
-def _check_memory(count: int, per_item: int = BYTES_PER_VERTEX, what: str = "n") -> None:
-    """Fail fast, before any allocation, when `count` items of `per_item`
+def _check_memory(n: int) -> None:
+    """Fail fast, before any allocation, when n vertices of BYTES_PER_VERTEX
     bytes each would need more than MEMORY_LIMIT_BYTES."""
-    predicted = per_item * count
+    predicted = BYTES_PER_VERTEX * n
     if predicted > MEMORY_LIMIT_BYTES:
         raise TooLargeError(
-            f"{what} = {count} needs about {predicted >> 20} MiB, above the limit of "
+            f"n = {n} needs about {predicted >> 20} MiB, above the limit of "
             f"{MEMORY_LIMIT_BYTES >> 20} MiB"
         )
 
@@ -158,8 +156,7 @@ def main(argv: list[str] | None = None) -> int:
         budget, cap = _resolve_budget(args)
 
         if args.command == "build":
-            _check_memory(connector_count_formula(triple), BYTES_PER_CONNECTOR, "|C|")
-            cset_size = CayleyGraph.from_triple(triple).degree
+            cset_size = connector_count_formula(triple)
             print(f"primes: {triple.alpha},{triple.beta},{triple.gamma}")
             print(f"n: {triple.n}")
             print(f"|C|: {cset_size}")

@@ -8,13 +8,12 @@ pure arithmetic with no table lookup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group import PrimeTriple, _check_exponent
 
 
-@dataclass(frozen=True)
-class ConnectingSet:
+class ConnectingSet(NamedTuple):
     """Sorted connector exponents, partitioned by order class."""
 
     members: tuple[int, ...]

@@ -31,7 +31,6 @@ products of per-prime periodic sets, without visiting a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from os import PathLike
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -67,8 +66,7 @@ class TooLargeError(ValueError):
     """The graph exceeds the materialization cap for an explicit operation."""
 
 
-@dataclass(frozen=True)
-class ConnectivityResult:
+class ConnectivityResult(NamedTuple):
     """Both connectivity verdicts: the generator witness and a full BFS."""
 
     connected: bool
@@ -77,10 +75,15 @@ class ConnectivityResult:
     bfs_reached: int
 
 
-@dataclass(frozen=True)
-class CayleyGraph:
+class _GraphFields(NamedTuple):
     triple: PrimeTriple
     cset: ConnectingSet
+
+
+class CayleyGraph(_GraphFields):
+    """The graph of a triple and its connecting set, both read-only fields.
+    The class declares no __slots__, so each graph has the __dict__ that its
+    cached kernels live in."""
 
     @classmethod
     def from_triple(cls, t: PrimeTriple) -> "CayleyGraph":

@@ -9,8 +9,8 @@ pure integer arithmetic; all functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 INT64_MAX = 2**63 - 1
 
@@ -45,8 +45,7 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeTriple:
+class PrimeTriple(NamedTuple):
     """Validated primes alpha < beta < gamma with derived moduli and group order.
 
     Build via :func:`make_prime_triple`; constructing directly skips validation.

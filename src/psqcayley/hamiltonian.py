@@ -15,9 +15,8 @@ then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
@@ -27,8 +26,7 @@ class LengthMismatchError(ValueError):
     """A walk certificate does not have exactly one entry per vertex."""
 
 
-@dataclass(frozen=True)
-class WalkCertificate:
+class WalkCertificate(NamedTuple):
     """A spanning cycle: every vertex exactly once, consecutive vertices
     adjacent, and the last vertex adjacent to the first."""
 

@@ -11,8 +11,7 @@ to check.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import divisors, prime_factors
@@ -28,20 +27,25 @@ class BudgetExceededError(RuntimeError):
     """An exact search was asked to exceed its configured size cap."""
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """The distance sweep's sources and the seed that samples them.
-
-    bfs_sources counts extra BFS sources beyond vertex 0; None means sweep
-    from every vertex.
-    """
-
+class _BudgetFields(NamedTuple):
     bfs_sources: int | None = None
     seed: int = DEFAULT_SEED
 
-    def __post_init__(self) -> None:
-        if self.bfs_sources is not None and self.bfs_sources < 0:
+
+class OracleBudget(_BudgetFields):
+    """The distance sweep's sources and the seed that samples them.
+
+    bfs_sources counts extra BFS sources beyond vertex 0; None means sweep
+    from every vertex.  `_replace` bypasses the check in __new__, so build a
+    changed budget with the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bfs_sources: int | None = None, seed: int = DEFAULT_SEED) -> OracleBudget:
+        if bfs_sources is not None and bfs_sources < 0:
             raise ValueError("bfs_sources must be nonnegative")
+        return super().__new__(cls, bfs_sources, seed)
 
 
 def order_classes(g: CayleyGraph) -> dict[int, int]:
@@ -131,8 +135,7 @@ def exact_max_independent_set(ig: IndexGraph) -> list[BlockId]:
     return exact_max_clique(ids, lambda x, y: not ig.adjacent(x, y), MAX_INDEX_VERTICES)
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     sources: int
     pairs_checked: int
     max_distance: int

@@ -9,7 +9,6 @@ arithmetic adjacency; brute-force counterparts live in `oracles`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import CayleyGraph
@@ -81,8 +80,7 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
     return g.residue_classes(_component_cost, lambda x, y, z: x + y + z)
 
 
-@dataclass(frozen=True)
-class DiameterResult:
+class DiameterResult(NamedTuple):
     value: int
     witness_pair: tuple[int, int]
     bfs_eccentricity: int
@@ -116,8 +114,7 @@ def residue_sum_color(v: int, t: PrimeTriple) -> int:
     return (v % t.alpha + v % t.beta + v % t.m_gamma) % t.gamma
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(NamedTuple):
     proper: bool
     chromatic: int
     edges_checked: int
@@ -152,8 +149,7 @@ def independence_index_set(t: PrimeTriple) -> tuple[BlockId, ...]:
     )
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(NamedTuple):
     """An independent set of a²b²c vertices: the union of the blocks indexed
     by `index_set`."""
 
@@ -176,8 +172,7 @@ def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class IndependenceScan:
+class IndependenceScan(NamedTuple):
     internal_edges: int
     pairs_checked: int
 
@@ -189,8 +184,7 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
     return IndependenceScan(g.internal_edges(g.bitset(cert.vertices)), m * (m - 1) // 2)
 
 
-@dataclass(frozen=True)
-class IndexBoundsReport:
+class IndexBoundsReport(NamedTuple):
     """Index-level evidence for the independence number:
 
     - the certificate's index set never agrees in exactly two coordinates,

@@ -24,8 +24,7 @@ import json
 import operator
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import BinaryIO
+from typing import BinaryIO, NamedTuple
 
 from . import oracles, parameters, structure
 from .connectors import connector_count_formula
@@ -37,8 +36,7 @@ from .oracles import OracleBudget, SweepReport
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class Certificates:
+class Certificates(NamedTuple):
     """Every in-schema certificate and verdict for one triple, on one graph.
 
     index_bounds is None when the index graph exceeds the search cap
@@ -171,8 +169,7 @@ def write_report(report: dict, sink: BinaryIO) -> None:
     sink.write(report_bytes(report))
 
 
-@dataclass(frozen=True)
-class VerificationOutcome:
+class VerificationOutcome(NamedTuple):
     ok: bool
     lines: tuple[str, ...]
 
@@ -317,7 +314,7 @@ def auto_budget(t: PrimeTriple, budget: OracleBudget | None = None) -> OracleBud
         return base
     if t.n <= 2000:
         return base
-    return replace(base, bfs_sources=50)
+    return OracleBudget(50, base.seed)
 
 
 __all__ = [

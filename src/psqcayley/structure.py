@@ -21,7 +21,6 @@ decides fiber check (i) and one cycle check (iii).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .graph import CayleyGraph
@@ -66,8 +65,7 @@ def block_of(v: int, t: PrimeTriple) -> BlockId:
     return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
 
 
-@dataclass(frozen=True)
-class IndexGraph:
+class IndexGraph(NamedTuple):
     """Graph on block ids; two ids are adjacent iff they agree in exactly two
     coordinates.  Adjacent ids are exactly the block pairs joined by an edge."""
 
@@ -145,8 +143,7 @@ def verify_block_adjacency(g: CayleyGraph, families: tuple[tuple[int, ...], ...]
     return True
 
 
-@dataclass(frozen=True)
-class FiberStructureChecklist:
+class FiberStructureChecklist(NamedTuple):
     """Eight literal checks on the fiber families (roman order i..viii):
 
     i     every gamma fiber is an independent set

@@ -1,0 +1,63 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from psqcayley import (
+    CayleyGraph,
+    OracleBudget,
+    certify,
+    enumerate_connectors,
+    make_prime_triple,
+    snake_walk,
+)
+from psqcayley.structure import verify_fiber_structure
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+T235 = make_prime_triple(2, 3, 5)
+
+
+def test_cli_import_loads_every_module_without_dataclasses_or_inspect():
+    # a fresh interpreter, as the console script starts it: what the CLI
+    # imports is paid by every command
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    code = "import json, sys; import psqcayley.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "dataclasses" not in loaded
+    assert "inspect" not in loaded
+    for name in ("connectors", "parameters", "structure", "hamiltonian", "oracles", "report"):
+        assert "psqcayley." + name in loaded
+
+
+# record -> (a builder, one of its fields)
+RECORDS = {
+    "PrimeTriple": (lambda: T235, "alpha"),
+    "ConnectingSet": (lambda: enumerate_connectors(T235), "members"),
+    "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
+    "CayleyGraph.cset": (lambda: CayleyGraph.from_triple(T235), "cset"),
+    "WalkCertificate": (lambda: snake_walk(T235), "vertices"),
+    "OracleBudget": (OracleBudget, "bfs_sources"),
+    "Certificates": (lambda: certify(T235), "walk_verified"),
+    "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_public_records_are_immutable(name):
+    build, field = RECORDS[name]
+    record = build()
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before
+
+
+def test_budget_check_holds_for_keyword_construction():
+    with pytest.raises(ValueError):
+        OracleBudget(bfs_sources=-1)
+    assert OracleBudget(seed=3) == (None, 3)

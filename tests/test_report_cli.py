@@ -8,6 +8,7 @@ from psqcayley import (
     OracleBudget,
     SweepReport,
     TooLargeError,
+    auto_budget,
     build_report,
     certify,
     make_prime_triple,
@@ -260,6 +261,39 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
         assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_rejects_a_negative_source_budget(source, tmp_path, capsys):
+    argv = ["verify", "--primes", "2,3,5"]
+    if source == "flag":
+        argv += ["--budget-sources", "-1"]
+    else:
+        cfg = tmp_path / "budgets.cfg"
+        cfg.write_text("bfs-sources = -1\n")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bfs_sources must be nonnegative\n"
+
+
+def test_auto_budget_builds_its_sample_through_the_check(monkeypatch):
+    # _replace would skip OracleBudget.__new__ and with it the check
+    built = []
+    checked_new = OracleBudget.__new__
+
+    def recording_new(cls, *args, **kwargs):
+        budget = checked_new(cls, *args, **kwargs)
+        built.append(budget)
+        return budget
+
+    monkeypatch.setattr(OracleBudget, "__new__", recording_new)
+    auto = auto_budget(T357, OracleBudget(seed=7))
+    assert type(auto) is OracleBudget and auto == OracleBudget(50, 7)
+    assert any(b is auto for b in built)
+    given = OracleBudget(3, 7)
+    assert auto_budget(T357, given) is given
+
+
 def test_report_above_the_export_cap_is_exhaustive():
     # n = 27,225 exceeds the default materialization cap, which bounds only
     # the export: every structure field is set and every scan exhaustive
@@ -317,23 +351,24 @@ def test_cli_fails_fast_above_the_memory_limit(argv, tmp_path, capsys, monkeypat
 def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900)
     assert cli.main(["hamiltonian", "--primes", "2,3,5"]) == 0
-    # build holds no per-vertex data: only its 28 connectors count
-    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_CONNECTOR * 28)
+    # build allocates nothing per vertex or per connector
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", 0)
     assert cli.main(["build", "--primes", "2,3,5"]) == 0
-    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_CONNECTOR * 28 - 1)
-    assert cli.main(["build", "--primes", "2,3,5"]) == 2
 
 
-def test_cli_build_fails_fast_before_enumerating_connectors(capsys, monkeypatch):
-    def refuse(t):
-        raise AssertionError("enumerate_connectors called")
+def test_cli_build_does_no_graph_work(capsys, monkeypatch):
+    # |C| and the degree come from the closed form, even where enumerating
+    # the 10⁸ connectors would take gigabytes
+    def refuse(*args):
+        raise AssertionError("graph work in build")
 
     monkeypatch.setattr(connectors_mod, "enumerate_connectors", refuse)
     monkeypatch.setattr(graph, "enumerate_connectors", refuse)
-    assert cli.main(["build", "--primes", "2,3,10007"]) == 2
+    monkeypatch.setattr(CayleyGraph, "from_triple", classmethod(refuse))
+    assert cli.main(["build", "--primes", "2,3,10007"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: |C| = 100130050 needs about")
+    assert captured.err == ""
+    assert captured.out == "primes: 2,3,10007\nn: 3605041764\n|C|: 100130050\ndegree: 100130050\n"
 
 
 def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
