@@ -6,7 +6,7 @@ connectivity, girth, clique, chromatic, independence, Hamiltonicity,
 diameter), and verifies each certificate against brute-force oracles.
 """
 
-from .connectors import ConnectingSet, connector_count_formula, enumerate_connectors, is_connector
+from .connectors import ConnectingSet, connector_count_formula, enumerate_connectors
 from .graph import (
     DEFAULT_MATERIALIZE_CAP,
     CayleyGraph,
@@ -21,7 +21,6 @@ from .group import (
     TripleValidationError,
     bezout_witness,
     crt_combine,
-    crt_components,
     element_order,
     is_prime,
     make_prime_triple,
@@ -40,7 +39,6 @@ from .oracles import (
 from .parameters import (
     ColoringResult,
     DiameterResult,
-    DistanceProfile,
     IndependenceCertificate,
     IndexBoundsReport,
     clique_certificate,
@@ -48,11 +46,9 @@ from .parameters import (
     closed_form_distance_classes,
     closed_form_distance_table,
     diameter,
-    distance_profile,
     independence_certificate,
     independence_index_set,
     independence_internal_edges,
-    residue_sum_color,
     verify_coloring,
     verify_index_bounds,
 )
@@ -65,7 +61,6 @@ from .report import (
     certify,
     report_bytes,
     run_verification,
-    write_report,
 )
 from .structure import (
     BlockId,
@@ -73,8 +68,6 @@ from .structure import (
     IndexGraph,
     block_exponents,
     block_members,
-    block_of,
-    index_graph,
     residue_families,
     verify_block_adjacency,
     verify_block_partition,

@@ -32,6 +32,7 @@ products of per-prime periodic sets, without visiting a vertex.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from os import PathLike
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -107,6 +108,24 @@ class CayleyGraph(_GraphFields):
     def is_clique(self, vertices: Sequence[int]) -> bool:
         """True iff the vertices are pairwise adjacent."""
         return all(self.adjacent(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+
+    def is_cycle(self, seq: Sequence[int]) -> bool:
+        """True iff seq lists at least 3 distinct vertices, each adjacent to
+        the next and the last adjacent to the first."""
+        n = self.triple.n
+        if len(seq) < 3:
+            return False
+        seen = bytearray(n)
+        for v in seq:
+            if not 0 <= v < n or seen[v]:
+                return False
+            seen[v] = 1
+        # every entry is now a vertex, so adjacency is membership of the difference
+        connectors = self.connector_set
+        for u, v in zip(seq, islice(seq, 1, None)):
+            if (v - u) % n not in connectors:
+                return False
+        return (seq[0] - seq[-1]) % n in connectors
 
     def neighbors(self, u: int) -> list[int]:
         """The degree-many neighbors of u, sorted ascending."""

@@ -72,8 +72,13 @@ def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
     """Validate (a, b, c) and derive the group order n = a²b²c².
 
     Raises NonPrimeError / NotDistinctError / NotAscendingError on bad input
-    and OverflowError when n would exceed a 64-bit signed integer.
+    and OverflowError when n would exceed a 64-bit signed integer.  The
+    overflow is checked first, so trial division never runs on a prime too
+    large for any valid triple.
     """
+    n = (a * b * c) ** 2
+    if n > INT64_MAX:
+        raise OverflowError(f"group order {n} exceeds 64-bit range")
     for p in (a, b, c):
         if not is_prime(p):
             raise NonPrimeError(f"{p} is not prime")
@@ -81,9 +86,6 @@ def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
         raise NotDistinctError(f"primes must be distinct, got ({a}, {b}, {c})")
     if not (a < b < c):
         raise NotAscendingError(f"primes must be ascending, got ({a}, {b}, {c})")
-    n = (a * b * c) ** 2
-    if n > INT64_MAX:
-        raise OverflowError(f"group order {n} exceeds 64-bit range")
     return PrimeTriple(a, b, c, n, a * a, b * b, c * c)
 
 
@@ -123,12 +125,6 @@ def element_order(k: int, t: PrimeTriple) -> int:
     """Order of the group element with exponent k; the identity has order 1."""
     _check_exponent(k, t)
     return t.n // math.gcd(t.n, k)
-
-
-def crt_components(k: int, t: PrimeTriple) -> tuple[int, int, int]:
-    """Reduce an exponent modulo (a², b², c²)."""
-    _check_exponent(k, t)
-    return (k % t.m_alpha, k % t.m_beta, k % t.m_gamma)
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,6 @@ then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
@@ -53,23 +52,12 @@ def snake_walk(t: PrimeTriple) -> WalkCertificate:
 
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
-    """Independent replay: permutation of [0, n), all consecutive pairs
-    adjacent by the arithmetic test, and the closing pair adjacent."""
+    """Independent replay: the walk has one entry per vertex and is a cycle
+    of g (`CayleyGraph.is_cycle`), so it visits every vertex once."""
     n = g.triple.n
     if len(w.vertices) != n:
         raise LengthMismatchError(f"walk has {len(w.vertices)} entries, expected {n}")
-    seen = bytearray(n)
-    for v in w.vertices:
-        if not 0 <= v < n or seen[v]:
-            return False
-        seen[v] = 1
-    # every entry is now a vertex, so adjacency is membership of the difference
-    connectors = g.connector_set
-    verts = w.vertices
-    for u, v in zip(verts, islice(verts, 1, None)):
-        if (v - u) % n not in connectors:
-            return False
-    return (verts[0] - verts[-1]) % n in connectors
+    return g.is_cycle(w.vertices)
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:

@@ -13,28 +13,16 @@ from typing import NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import BlockId, IndexGraph, block_exponents, index_graph
+from .structure import BlockId, IndexGraph, block_exponents
 
 
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
 
-class DistanceProfile(NamedTuple):
-    """Per-component hop cost: 0 equal, 1 non-congruent mod the prime,
-    2 congruent mod the prime but unequal."""
-
-    alpha_cost: int
-    beta_cost: int
-    gamma_cost: int
-
-    @property
-    def total(self) -> int:
-        return self.alpha_cost + self.beta_cost + self.gamma_cost
-
-
 def _component_cost(residue: int, p: int) -> int:
-    # residue is the component difference reduced modulo p²
+    # the hop cost of one component, from its difference reduced modulo p²:
+    # 0 equal, 1 not congruent modulo p, 2 congruent modulo p but unequal
     if residue == 0:
         return 0
     if residue % p:
@@ -42,32 +30,17 @@ def _component_cost(residue: int, p: int) -> int:
     return 2
 
 
-def distance_profile(u: int, v: int, t: PrimeTriple) -> DistanceProfile:
+def closed_form_distance(u: int, v: int, t: PrimeTriple) -> int:
+    """Graph distance as the sum of the three per-component costs."""
     _check_exponent(u, t)
     _check_exponent(v, t)
     d = (u - v) % t.n
-    return DistanceProfile(
-        _component_cost(d % t.m_alpha, t.alpha),
-        _component_cost(d % t.m_beta, t.beta),
-        _component_cost(d % t.m_gamma, t.gamma),
-    )
-
-
-def closed_form_distance(u: int, v: int, t: PrimeTriple) -> int:
-    """Graph distance as the sum of the three per-component costs."""
-    return distance_profile(u, v, t).total
+    return sum(_component_cost(d % m, p) for p, m in zip(t.primes, t.moduli))
 
 
 def closed_form_distance_table(t: PrimeTriple) -> list[int]:
     """table[d] = closed-form distance between any pair with difference d."""
-    table = [0] * t.n
-    for d in range(1, t.n):
-        table[d] = (
-            _component_cost(d % t.m_alpha, t.alpha)
-            + _component_cost(d % t.m_beta, t.beta)
-            + _component_cost(d % t.m_gamma, t.gamma)
-        )
-    return table
+    return [closed_form_distance(d, 0, t) for d in range(t.n)]
 
 
 def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
@@ -107,13 +80,6 @@ def clique_certificate(t: PrimeTriple) -> tuple[int, ...]:
     return tuple(k * m_ab % t.n for k in range(t.gamma))
 
 
-def residue_sum_color(v: int, t: PrimeTriple) -> int:
-    """Proper gamma-coloring: sum of the residues mod (a, b) — included into
-    Z_gamma by the identity — plus the full c²-component, all modulo gamma."""
-    _check_exponent(v, t)
-    return (v % t.alpha + v % t.beta + v % t.m_gamma) % t.gamma
-
-
 class ColoringResult(NamedTuple):
     proper: bool
     chromatic: int
@@ -121,13 +87,13 @@ class ColoringResult(NamedTuple):
 
 
 def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
-    """The residue-sum colouring of g, the graph of t, is proper: its classes
+    """The residue-sum colouring of g, the graph of t, which gives v the
+    colour (v mod a + v mod b + v mod c²) mod gamma, is proper: its classes
     partition the n vertices into at most gamma sets, and no class spans an
     edge, that is, each misses its own neighbourhood.  Every edge lies inside
     a class or between two, so this covers all n·|C|/2 edges.  The colour of
     v depends only on v mod a, b and c (v mod c² ≡ v mod c), so the classes
-    are built from residues (`CayleyGraph.residue_classes`);
-    `residue_sum_color` is the per-vertex reference."""
+    are built from residues (`CayleyGraph.residue_classes`)."""
     classes = g.residue_classes(operator.mod, lambda x, y, z: (x + y + z) % t.gamma)
     proper = (
         len(classes) <= t.gamma
@@ -206,5 +172,5 @@ def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
         for x in range(len(ids))
         for y in range(x + 1, len(ids))
     )
-    mis = exact_max_independent_set(index_graph(t))
+    mis = exact_max_independent_set(IndexGraph(t))
     return IndexBoundsReport(two_free, len(mis), len(mis) == t.alpha * t.beta)

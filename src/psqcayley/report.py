@@ -19,19 +19,17 @@ explicitly requested.
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 import time
 from contextlib import contextmanager
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 from . import oracles, parameters, structure
 from .connectors import connector_count_formula
 from .graph import CayleyGraph, ConnectivityResult
 from .group import PrimeTriple
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk
-from .oracles import OracleBudget, SweepReport
+from .oracles import OracleBudget
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +78,7 @@ def certify(t: PrimeTriple) -> Certificates:
         scan = parameters.independence_internal_edges(independence, g)
     with timed("indexSearch"):
         index_bounds = None
-        if structure.index_graph(t).order <= oracles.MAX_INDEX_VERTICES:
+        if structure.IndexGraph(t).order <= oracles.MAX_INDEX_VERTICES:
             index_bounds = parameters.verify_index_bounds(t)
     with timed("diameter"):
         diam = parameters.diameter(t, g)
@@ -164,11 +162,6 @@ def report_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2, ensure_ascii=True) + "\n").encode("ascii")
 
 
-def write_report(report: dict, sink: BinaryIO) -> None:
-    """Serialize canonically into a binary sink; I/O errors propagate."""
-    sink.write(report_bytes(report))
-
-
 class VerificationOutcome(NamedTuple):
     ok: bool
     lines: tuple[str, ...]
@@ -194,13 +187,10 @@ def run_verification(
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    # the order classes must partition [0, n): popcounts summing to n and
-    # covering every vertex
+    # the order classes must partition [0, n)
     cset = g.cset
     classes = oracles.order_classes(g)
-    partition = sum(cls.bit_count() for cls in classes.values()) == t.n and (
-        functools.reduce(operator.or_, classes.values()).bit_count() == t.n
-    )
+    partition = g.is_partition(classes.values())
     order_scan = classes[t.m_alpha] | classes[t.m_beta] | classes[t.m_gamma]
     in_range = all(0 <= m < t.n for m in cset.members)
     check(
@@ -316,16 +306,3 @@ def auto_budget(t: PrimeTriple, budget: OracleBudget | None = None) -> OracleBud
         return base
     return OracleBudget(50, base.seed)
 
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "Certificates",
-    "SweepReport",
-    "VerificationOutcome",
-    "auto_budget",
-    "build_report",
-    "certify",
-    "report_bytes",
-    "run_verification",
-    "write_report",
-]

@@ -6,7 +6,9 @@ j < b², k < c²), giving three fiber families (one per pinned digit).
 Blocks collect the a·b·c vertices whose residue components agree modulo
 (a, b, c); they partition the vertex set and are always independent.
 All verifiers here check the literal claims against arithmetic adjacency,
-independently of the constructors that produced the objects.
+independently of the constructors that produced the objects; the cycle
+claims (fiber checks iii, vii and viii) go through `CayleyGraph.is_cycle`,
+the check that also replays the Hamiltonian walk.
 
 The block checks and fiber checks (i) and (iii) are claims about every set
 of a family of translates, and in a Cayley graph on Z_n every translation
@@ -60,11 +62,6 @@ def block_exponents(b: BlockId, t: PrimeTriple) -> list[int]:
     )
 
 
-def block_of(v: int, t: PrimeTriple) -> BlockId:
-    """Residue projection assigning every vertex to its block."""
-    return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
-
-
 class IndexGraph(NamedTuple):
     """Graph on block ids; two ids are adjacent iff they agree in exactly two
     coordinates.  Adjacent ids are exactly the block pairs joined by an edge."""
@@ -88,15 +85,10 @@ class IndexGraph(NamedTuple):
         return self.agreement(x, y) == 2
 
 
-def index_graph(t: PrimeTriple) -> IndexGraph:
-    return IndexGraph(t)
-
-
 def residue_families(g: CayleyGraph) -> tuple[tuple[int, ...], ...]:
     """Per prime p of the triple, the p residue sets {v : v mod p = r} (r < p),
     each an n-bit int.  Block (i, j, k) is A_i & B_j & C_k, so both block
-    checks read these a + b + c sets and never hold all abc blocks at once;
-    `block_of` is the per-vertex reference."""
+    checks read these a + b + c sets and never hold all abc blocks at once."""
     return tuple(tuple(g.periodic(p, [r]) for r in range(p)) for p in g.triple.primes)
 
 
@@ -129,7 +121,7 @@ def verify_block_adjacency(g: CayleyGraph, families: tuple[tuple[int, ...], ...]
     meets N(B₀) (module docstring): N(B₀) must meet block y exactly when y is
     index-adjacent to (0, 0, 0), which excludes B₀ itself.
     """
-    ig = index_graph(g.triple)
+    ig = IndexGraph(g.triple)
     alpha, beta, gamma = families
     origin = BlockId(0, 0, 0)
     reach = g.neighborhood(alpha[0] & beta[0] & gamma[0])
@@ -184,16 +176,6 @@ class FiberStructureChecklist(NamedTuple):
         return all(self.as_dict().values())
 
 
-def _is_cycle(seq: list[int], g: CayleyGraph) -> bool:
-    """seq holds distinct vertices, each adjacent to the next and the last to
-    the first (every entry is a vertex by construction)."""
-    if len(seq) < 3 or len(set(seq)) != len(seq):
-        return False
-    n = g.triple.n
-    connectors = g.connector_set
-    return all((y - x) % n in connectors for x, y in zip(seq, seq[1:] + seq[:1]))
-
-
 def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     """Check all eight fiber statements literally against arithmetic adjacency."""
     t = g.triple
@@ -216,7 +198,7 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
 
     # (iii) the cycle of cell r + s·a², base + k·a²b² (k < c²), is the
     # translate of cell 0's, so cell 0's, re-verified edge by edge, decides all
-    item_iii = _is_cycle([k * m_ab for k in range(m_c)], g)
+    item_iii = g.is_cycle([k * m_ab for k in range(m_c)])
 
     # (iv) nonzero multiples of c² hit every cell except (0, 0) exactly once
     hits: dict[tuple[int, int], int] = {}
@@ -242,7 +224,7 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     item_vi = len(reps) == m_a and all(len(v) == 1 for v in reps.values())
 
     # (vii) the representatives, in exponent order, form a cycle
-    item_vii = _is_cycle(sorted(x for xs in reps.values() for x in xs), g)
+    item_vii = g.is_cycle(sorted(x for xs in reps.values() for x in xs))
 
     # (viii) per alpha fiber: stepping by a²c² from the representative builds a
     # cycle that crosses each beta fiber exactly once
@@ -255,7 +237,7 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
                 item_viii = False
                 break
             beta_digits = {(x % m_ab) // m_a for x in seq}
-            if beta_digits != set(range(m_b)) or not _is_cycle(seq, g):
+            if beta_digits != set(range(m_b)) or not g.is_cycle(seq):
                 item_viii = False
                 break
 

@@ -1,13 +1,43 @@
-"""Shared brute-force oracles and small utilities for the test suite.
+"""Shared brute-force oracles, per-vertex references and small utilities for
+the test suite.
 
 Everything here is deliberately independent of the library's closed-form
 constructors: orders by repeated addition, connector sets by order scan,
-triple enumeration by direct search.
+triple enumeration by direct search.  The per-vertex references
+(`crt_components`, `residue_sum_color`, `block_of`) state one vertex at a
+time what the library builds as whole vertex sets.
 """
 
 from __future__ import annotations
 
-from psqcayley import CayleyGraph, PrimeTriple, is_prime, make_prime_triple
+from psqcayley import BlockId, CayleyGraph, PrimeTriple, group, is_prime, make_prime_triple
+
+BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
+
+
+def record_primality_tests(monkeypatch) -> list[int]:
+    """From now on group.is_prime records its argument and answers True, so
+    no trial division runs; returns the recorded arguments."""
+    seen: list[int] = []
+    monkeypatch.setattr(group, "is_prime", lambda m: seen.append(m) or True)
+    return seen
+
+
+def crt_components(k: int, t: PrimeTriple) -> tuple[int, int, int]:
+    """Reduce an exponent modulo (a², b², c²)."""
+    return (k % t.m_alpha, k % t.m_beta, k % t.m_gamma)
+
+
+def residue_sum_color(v: int, t: PrimeTriple) -> int:
+    """The proper gamma-colouring that `verify_coloring` checks: the residues
+    mod a and b, included into Z_gamma by the identity, plus the full
+    c²-component, all modulo gamma."""
+    return (v % t.alpha + v % t.beta + v % t.m_gamma) % t.gamma
+
+
+def block_of(v: int, t: PrimeTriple) -> BlockId:
+    """Residue projection assigning every vertex to its block."""
+    return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
 
 
 def brute_order(k: int, n: int, limit: int | None = None) -> int:

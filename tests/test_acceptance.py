@@ -15,13 +15,13 @@ from pathlib import Path
 import psqcayley
 from psqcayley import (
     CayleyGraph,
+    IndexGraph,
     OracleBudget,
     bezout_witness,
     build_report,
     clique_certificate,
     closed_form_distance_table,
     connector_count_formula,
-    crt_components,
     distance_sweep,
     element_order,
     enumerate_connectors,
@@ -29,10 +29,8 @@ from psqcayley import (
     exact_max_independent_set,
     independence_certificate,
     independence_internal_edges,
-    index_graph,
     make_prime_triple,
     residue_families,
-    residue_sum_color,
     snake_walk,
     verify_block_adjacency,
     verify_block_partition,
@@ -40,6 +38,8 @@ from psqcayley import (
     verify_fiber_structure,
     verify_walk,
 )
+
+from helpers import crt_components, residue_sum_color
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -129,8 +129,8 @@ def test_criterion_06_independence():
     start = time.perf_counter()
     cert = independence_certificate(T235)
     scan = independence_internal_edges(cert, G235)
-    mis235 = exact_max_independent_set(index_graph(T235))
-    mis357 = exact_max_independent_set(index_graph(T357))
+    mis235 = exact_max_independent_set(IndexGraph(T235))
+    mis357 = exact_max_independent_set(IndexGraph(T357))
     ok = (
         cert.size == 180
         and scan.pairs_checked == 16110

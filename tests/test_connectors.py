@@ -1,10 +1,9 @@
-import pytest
+import math
 
 from psqcayley import (
     connector_count_formula,
     element_order,
     enumerate_connectors,
-    is_connector,
     make_prime_triple,
 )
 
@@ -24,26 +23,25 @@ def test_members_equal_order_scan():
     assert set(enumerate_connectors(T235).members) == order_scan_connectors(T235)
 
 
+def _by_order(t) -> dict[int, list[int]]:
+    classes: dict[int, list[int]] = {}
+    for m in enumerate_connectors(t).members:
+        classes.setdefault(element_order(m, t), []).append(m)
+    return classes
+
+
 def test_alpha_class():
-    cs = enumerate_connectors(T235)
-    assert cs.class_alpha_sq == (225, 675)
-    assert len(cs.class_beta_sq) == 9 - 3
-    assert len(cs.class_gamma_sq) == 25 - 5
+    classes = _by_order(T235)
+    assert classes[4] == [225, 675]
+    assert len(classes[9]) == 9 - 3
+    assert len(classes[25]) == 25 - 5
 
 
 def test_membership_examples():
     members = set(enumerate_connectors(T235).members)
     assert 36 in members
-    assert 180 not in members
-
-
-def test_is_connector_examples():
-    assert not is_connector(0, T235)
-    assert is_connector(36, T235)
-    assert not is_connector(450, T235)  # order 2
-    assert not is_connector(180, T235)  # order 5
-    with pytest.raises(ValueError):
-        is_connector(900, T235)
+    assert 180 not in members  # order 5
+    assert 450 not in members  # order 2
 
 
 def test_formula_at_next_instance():
@@ -65,7 +63,7 @@ def test_membership_equivalence_full_sweep():
     for t in triples_with_group_order_at_most(10_000):
         members = set(enumerate_connectors(t).members)
         for m in range(t.n):
-            assert is_connector(m, t) == (m in members)
+            assert (m != 0 and t.n // math.gcd(t.n, m) in t.moduli) == (m in members)
 
 
 def test_inverse_closure_and_zero_excluded():
@@ -78,16 +76,13 @@ def test_inverse_closure_and_zero_excluded():
 
 
 def test_order_classes_partition_members():
-    cs = enumerate_connectors(T235)
-    classes = [set(cs.class_alpha_sq), set(cs.class_beta_sq), set(cs.class_gamma_sq)]
-    assert classes[0] | classes[1] | classes[2] == set(cs.members)
-    assert not (classes[0] & classes[1] or classes[0] & classes[2] or classes[1] & classes[2])
-    for m in cs.class_alpha_sq:
-        assert element_order(m, T235) == T235.m_alpha
-    for m in cs.class_beta_sq:
-        assert element_order(m, T235) == T235.m_beta
-    for m in cs.class_gamma_sq:
-        assert element_order(m, T235) == T235.m_gamma
+    # grouping by order partitions the members; each squared-prime order p²
+    # holds its p² − p elements, and no other order occurs
+    for t in (T235, T357):
+        classes = _by_order(t)
+        assert set(classes) == set(t.moduli)
+        for p, m in zip(t.primes, t.moduli):
+            assert len(classes[m]) == m - p
 
 
 def test_members_sorted_ascending():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, graph, make_prime_triple
+from psqcayley import CayleyGraph, TooLargeError, graph, make_prime_triple, snake_walk
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 
@@ -41,6 +41,36 @@ def test_translation_invariance(u, v, w):
 
 def test_neighbors_of_zero_are_connectors():
     assert G235.neighbors(0) == list(G235.cset.members)
+
+
+def _cell_zero_cycle(t) -> list[int]:
+    # cell 0 of fiber check (iii): the multiples of a²b², stepping by a²b²
+    m_ab = t.m_alpha * t.m_beta
+    return [k * m_ab for k in range(t.m_gamma)]
+
+
+@pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_is_cycle_accepts_the_cell_cycle_and_the_snake_walk(t):
+    g = CayleyGraph.from_triple(t)
+    assert g.is_cycle(_cell_zero_cycle(t))
+    assert g.is_cycle(snake_walk(t).vertices)
+
+
+def test_is_cycle_rejects_each_fault():
+    cycle = _cell_zero_cycle(T235)  # 0, 36, ..., 864
+    n = T235.n
+    assert G235.is_cycle(cycle[:3])  # 0, 36, 72: a triangle
+    assert not G235.is_cycle(cycle[:2])  # fewer than 3 entries
+    assert not G235.is_cycle([])
+    assert not G235.is_cycle(cycle + [cycle[1]])  # a repeated vertex
+    for bad in (-1, n):  # an entry outside [0, n)
+        assert not G235.is_cycle(cycle[:-1] + [bad])
+    # a non-edge step: 0 → 180 has order 5
+    assert not G235.adjacent(0, 180)
+    assert not G235.is_cycle([36, 0, 180, 144, 72])
+    # every step an edge (36, 36, 225), but no closing edge: 297 has order 100
+    assert G235.adjacent(72, 297) and not G235.adjacent(297, 0)
+    assert not G235.is_cycle([0, 36, 72, 297])
 
 
 def test_degree_regular():
@@ -153,7 +183,7 @@ def test_export_with_a_planted_connector_equals_reference(tmp_path, monkeypatch,
     def with_extra(t):
         cs = enumerate_connectors(t)
         members = tuple(sorted(cs.members + (1, t.n - 1)))
-        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+        return ConnectingSet(members)
 
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
     for t in (T235, T357):

@@ -8,13 +8,18 @@ from psqcayley import (
     NotDistinctError,
     bezout_witness,
     crt_combine,
-    crt_components,
     element_order,
     make_prime_triple,
 )
 from psqcayley.group import divisors, prime_factors
 
-from helpers import brute_order, triples_with_group_order_at_most
+from helpers import (
+    BIG_PRIME,
+    brute_order,
+    crt_components,
+    record_primality_tests,
+    triples_with_group_order_at_most,
+)
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -38,6 +43,13 @@ def test_validation_errors():
         make_prime_triple(3, 2, 5)
     with pytest.raises(OverflowError):
         make_prime_triple(2, 3, 2147483647)  # (abc)² overflows 64 bits
+
+
+def test_oversized_prime_overflows_before_trial_division(monkeypatch):
+    seen = record_primality_tests(monkeypatch)
+    with pytest.raises(OverflowError):
+        make_prime_triple(2, 3, BIG_PRIME)
+    assert BIG_PRIME not in seen
 
 
 def test_element_order_examples():

@@ -6,7 +6,6 @@ from psqcayley import (
     CayleyGraph,
     LengthMismatchError,
     WalkCertificate,
-    crt_components,
     make_prime_triple,
     snake_walk,
     verify_walk,
@@ -15,7 +14,7 @@ from psqcayley import (
 
 from psqcayley.group import crt_basis
 
-from helpers import order_scan_connectors, triples_with_group_order_at_most
+from helpers import crt_components, order_scan_connectors, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)

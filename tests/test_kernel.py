@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from psqcayley import (
     CayleyGraph,
     OracleBudget,
-    block_of,
     build_report,
     closed_form_distance_classes,
     closed_form_distance_table,
@@ -17,7 +16,6 @@ from psqcayley import (
     independence_certificate,
     make_prime_triple,
     residue_families,
-    residue_sum_color,
     run_verification,
     verify_coloring,
 )
@@ -25,7 +23,13 @@ from psqcayley import oracles, parameters
 from psqcayley.connectors import ConnectingSet
 from psqcayley.graph import family_pays
 
-from helpers import edit_residue_classes, move_vertex, triples_with_group_order_at_most
+from helpers import (
+    block_of,
+    edit_residue_classes,
+    move_vertex,
+    residue_sum_color,
+    triples_with_group_order_at_most,
+)
 
 TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
@@ -90,7 +94,7 @@ def connector_lists(draw):
 @given(connector_lists(), st.data())
 def test_neighborhood_equals_per_connector_reference(case, data):
     t, members = case
-    g = CayleyGraph(t, ConnectingSet(members, (), (), ()))
+    g = CayleyGraph(t, ConnectingSet(members))
     vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
     assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, members, vertices))
 
@@ -227,8 +231,9 @@ def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift, monkeypat
 def test_sweep_counts_unreached_vertices():
     # only the c²-order connectors: the graph splits into a²b² components
     t = TRIPLES[0]
-    gamma_class = CayleyGraph.from_triple(t).cset.class_gamma_sq
-    g = CayleyGraph(t, ConnectingSet(gamma_class, (), (), gamma_class))
+    m_ab = t.m_alpha * t.m_beta
+    gamma_class = tuple(c for c in CayleyGraph.from_triple(t).cset.members if c % m_ab == 0)
+    g = CayleyGraph(t, ConnectingSet(gamma_class))
     table = closed_form_distance_table(t)
     budget = OracleBudget(bfs_sources=3, seed=2)
     report = distance_sweep(g, budget)

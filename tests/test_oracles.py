@@ -13,14 +13,13 @@ from psqcayley import (
     exact_max_clique,
     exact_max_independent_set,
     find_triangle,
-    index_graph,
     make_prime_triple,
     run_verification,
 )
 from psqcayley import graph
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.oracles import MAX_EXACT_VERTICES, MAX_INDEX_VERTICES, order_classes
-from psqcayley.structure import BlockId
+from psqcayley.structure import BlockId, IndexGraph
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -42,7 +41,7 @@ def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
     # formula's size, so only the order classes tell the sets apart
     def planted(t):
         members = set(enumerate_connectors(t).members) - {36, 864} | set(swap)
-        return ConnectingSet(tuple(sorted(members)), (), (), ())
+        return ConnectingSet(tuple(sorted(members)))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
     lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
@@ -93,25 +92,25 @@ def test_clique_against_reference_library():
 
 
 def test_index_mis_sizes():
-    assert len(exact_max_independent_set(index_graph(T235))) == 6
-    assert len(exact_max_independent_set(index_graph(T357))) == 15
+    assert len(exact_max_independent_set(IndexGraph(T235))) == 6
+    assert len(exact_max_independent_set(IndexGraph(T357))) == 15
 
 
 def test_index_mis_is_independent():
-    ig = index_graph(T235)
+    ig = IndexGraph(T235)
     mis = exact_max_independent_set(ig)
     assert not any(ig.adjacent(x, y) for i, x in enumerate(mis) for y in mis[i + 1 :])
 
 
 def test_index_mis_budget_cap():
     # 385 ids at (5,7,11) exceed the cap of 300; the 105 at (3,5,7) do not
-    assert index_graph(T357).order <= MAX_INDEX_VERTICES < index_graph(make_prime_triple(5, 7, 11)).order
+    assert IndexGraph(T357).order <= MAX_INDEX_VERTICES < IndexGraph(make_prime_triple(5, 7, 11)).order
     with pytest.raises(BudgetExceededError):
-        exact_max_independent_set(index_graph(make_prime_triple(5, 7, 11)))
+        exact_max_independent_set(IndexGraph(make_prime_triple(5, 7, 11)))
 
 
 def test_index_mis_against_reference_library():
-    ig = index_graph(T235)
+    ig = IndexGraph(T235)
     ids = ig.ids()
     g = nx.Graph()
     g.add_nodes_from(range(len(ids)))

@@ -12,18 +12,17 @@ from psqcayley import (
     closed_form_distance,
     closed_form_distance_table,
     crt_combine,
-    crt_components,
     diameter,
-    distance_profile,
     element_order,
     independence_certificate,
     independence_index_set,
     independence_internal_edges,
     make_prime_triple,
-    residue_sum_color,
     verify_coloring,
     verify_index_bounds,
 )
+
+from helpers import crt_components, residue_sum_color
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -119,9 +118,14 @@ def test_distance_examples():
 
 
 def test_distance_profile_components():
-    assert tuple(distance_profile(0, 450, T235)) == (2, 0, 0)
-    assert tuple(distance_profile(0, 30, T235)) == (2, 2, 2)
-    assert tuple(distance_profile(0, 36, T235)) == (0, 0, 1)
+    # a difference in one component costs 1 off the multiples of its prime
+    # and 2 on them: 450 = (2, 0, 0) and 36 = (0, 0, 11)
+    assert closed_form_distance(0, 450, T235) == 2
+    assert closed_form_distance(0, 36, T235) == 1
+    for i, (p, m) in enumerate(zip(T235.primes, T235.moduli)):
+        for r in range(1, m):
+            comps = tuple(r if j == i else 0 for j in range(3))
+            assert closed_form_distance(crt_combine(comps, T235), 0, T235) == (1 if r % p else 2)
 
 
 def test_distance_zero_only_on_equal_vertices():

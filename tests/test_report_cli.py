@@ -14,12 +14,13 @@ from psqcayley import (
     make_prime_triple,
     report_bytes,
     run_verification,
-    write_report,
 )
-from psqcayley import cli, graph, parameters, structure
+from psqcayley import cli, graph
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
+
+from helpers import BIG_PRIME, record_primality_tests
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -81,16 +82,12 @@ def test_report_eulerian_with_even_degree():
     assert rep["eulerian"] is True
 
 
-def test_report_round_trip_and_determinism(tmp_path):
+def test_report_round_trip_and_determinism():
     rep = build_report(T235, OracleBudget(seed=7))
     payload = report_bytes(rep)
     parsed = json.loads(payload)
     assert parsed == json.loads(report_bytes(build_report(T235, OracleBudget(seed=7))))
     assert payload == report_bytes(build_report(T235, OracleBudget(seed=7)))
-    out = tmp_path / "report.json"
-    with out.open("wb") as fh:
-        write_report(rep, fh)
-    assert out.read_bytes() == payload
 
 
 def test_report_timings_opt_in():
@@ -113,7 +110,7 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
     def planted(t):
         cs = enumerate_connectors(t)
         members = tuple(sorted(cs.members + extra))
-        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+        return ConnectingSet(members)
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
     lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
@@ -122,37 +119,27 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
 
 
-def _count_builds_and_projections(monkeypatch) -> dict[str, int]:
-    """Count the calls of CayleyGraph.from_triple and of the per-vertex
-    references structure.block_of and parameters.residue_sum_color from now on."""
-    calls = {"from_triple": 0, "block_of": 0, "residue_sum_color": 0}
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count the calls of CayleyGraph.from_triple from now on.  The per-vertex
+    labels (block_of, residue_sum_color) live only in tests/helpers.py, so the
+    package cannot evaluate them; building one graph is what is left to count."""
+    calls = {"from_triple": 0}
     build = CayleyGraph.from_triple.__func__
 
     def counted_build(cls, t):
         calls["from_triple"] += 1
         return build(cls, t)
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(v, t):
-            calls[name] += 1
-            return fn(v, t)
-
-        monkeypatch.setattr(module, name, wrapper)
-
     monkeypatch.setattr(CayleyGraph, "from_triple", classmethod(counted_build))
-    counted(structure, "block_of")
-    counted(parameters, "residue_sum_color")
     return calls
 
 
 def test_certify_builds_one_graph_and_evaluates_no_vertex_label(monkeypatch):
     for t in (T235, T357):
         with monkeypatch.context() as m:
-            calls = _count_builds_and_projections(m)
+            calls = _count_builds(m)
             certify(t)
-            assert calls == {"from_triple": 1, "block_of": 0, "residue_sum_color": 0}
+            assert calls == {"from_triple": 1}
 
 
 VERIFY_235_SEED_7 = """\
@@ -194,6 +181,15 @@ def test_cli_build_rejects_composite(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not prime" in err
+
+
+def test_cli_build_with_an_oversized_prime_exits_2_at_once(capsys, monkeypatch):
+    seen = record_primality_tests(monkeypatch)
+    code = cli.main(["build", "--primes", f"2,3,{BIG_PRIME}"])
+    captured = capsys.readouterr()
+    assert code == 2 and seen == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: group order ") and captured.err.count("\n") == 1
 
 
 def test_cli_usage_errors(capsys):
@@ -315,9 +311,9 @@ def test_cli_params_oracle_gate(capsys):
 
 
 def test_cli_params_oracle_certifies_once_and_renders_both_ways(capsys, monkeypatch):
-    calls = _count_builds_and_projections(monkeypatch)
+    calls = _count_builds(monkeypatch)
     assert cli.main(["params", "--primes", "2,3,5", "--seed", "7", "--oracle"]) == 0
-    assert calls == {"from_triple": 1, "block_of": 0, "residue_sum_color": 0}
+    assert calls == {"from_triple": 1}
     captured = capsys.readouterr()
     assert captured.out.encode("ascii") == report_bytes(build_report(T235, OracleBudget(seed=7)))
     assert captured.err == VERIFY_235_SEED_7.replace("verification OK\n", "")

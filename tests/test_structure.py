@@ -4,12 +4,11 @@ from psqcayley import graph, structure
 from psqcayley import (
     BlockId,
     CayleyGraph,
+    IndexGraph,
     block_exponents,
     block_members,
-    block_of,
     certify,
     crt_combine,
-    index_graph,
     make_prime_triple,
     residue_families,
     verify_block_adjacency,
@@ -18,7 +17,7 @@ from psqcayley import (
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
-from helpers import move_vertex, triples_with_group_order_at_most
+from helpers import block_of, move_vertex, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -33,7 +32,7 @@ def _plant(monkeypatch, extra) -> None:
     def with_extra(t):
         cs = enumerate_connectors(t)
         members = tuple(sorted(cs.members + (extra(t), t.n - extra(t))))
-        return ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq)
+        return ConnectingSet(members)
 
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
 
@@ -55,7 +54,7 @@ def _blocks_ok(t, edit=None) -> tuple[bool, bool]:
 
 def _blocks(g: CayleyGraph, families) -> dict[BlockId, int]:
     alpha, beta, gamma = families
-    return {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in index_graph(g.triple).ids()}
+    return {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in IndexGraph(g.triple).ids()}
 
 
 def _partition_by_construction(g: CayleyGraph, families) -> bool:
@@ -71,7 +70,7 @@ def _partition_by_construction(g: CayleyGraph, families) -> bool:
 def _adjacency_by_pairs(g: CayleyGraph, families) -> bool:
     """Block adjacency over every block pair: the reference for the check on
     N(B₀)."""
-    ig = index_graph(g.triple)
+    ig = IndexGraph(g.triple)
     blocks = _blocks(g, families)
     ids = ig.ids()
     for x, bx in enumerate(ids):
@@ -95,7 +94,7 @@ def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
     t = g.triple
     m_a, m_ab = t.m_alpha, t.m_alpha * t.m_beta
     return all(
-        structure._is_cycle([r + s * m_a + k * m_ab for k in range(t.m_gamma)], g)
+        g.is_cycle([r + s * m_a + k * m_ab for k in range(t.m_gamma)])
         for r in range(m_a)
         for s in range(t.m_beta)
     )
@@ -191,7 +190,7 @@ def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypat
 
 
 def test_index_graph_rule():
-    ig = index_graph(T235)
+    ig = IndexGraph(T235)
     assert len(ig.ids()) == 30
     assert ig.adjacent(BlockId(0, 0, 0), BlockId(1, 0, 0))
     assert not ig.adjacent(BlockId(0, 0, 0), BlockId(1, 1, 0))
@@ -219,7 +218,7 @@ def _without(t, drop) -> CayleyGraph:
     cs = enumerate_connectors(t)
     gone = {x % t.n for d in drop for x in (d, -d)}
     members = tuple(m for m in cs.members if m not in gone)
-    return CayleyGraph(t, ConnectingSet(members, cs.class_alpha_sq, cs.class_beta_sq, cs.class_gamma_sq))
+    return CayleyGraph(t, ConnectingSet(members))
 
 
 @SMALL
@@ -227,8 +226,8 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     # without the a²- and b²-order connectors only blocks that differ in the
     # c-residue alone are joined, so (1, 0, 0) is index-adjacent to (0, 0, 0)
     # yet sees no edge from it
-    cs = enumerate_connectors(t)
-    g = _without(t, cs.class_alpha_sq + cs.class_beta_sq)
+    m_ab = t.m_alpha * t.m_beta
+    g = _without(t, [c for c in enumerate_connectors(t).members if c % m_ab])
     families = residue_families(g)
     assert verify_block_partition(g, families)
     assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)

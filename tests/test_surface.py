@@ -1,0 +1,66 @@
+"""The package exports only what the package itself uses, and no module
+imports what it does not use.  Both checks read the sources with `ast`."""
+
+import ast
+from pathlib import Path
+
+import psqcayley
+
+PACKAGE = Path(psqcayley.__file__).resolve().parent
+# bound by bench/tracer.py; drop with ROADMAP item 1
+TRACER_ONLY = {"element_order", "closed_form_distance_table"}
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def _code_references(tree: ast.Module) -> set[str]:
+    """Every name read as code: a Name, or the attribute of an Attribute."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+    return refs
+
+
+def _exports() -> set[str]:
+    tree = _trees()["__init__.py"]
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _package_references() -> set[str]:
+    return set().union(*(_code_references(t) for name, t in _trees().items() if name != "__init__.py"))
+
+
+def test_every_export_has_a_caller_in_the_package():
+    unused = _exports() - _package_references() - TRACER_ONLY
+    assert not unused, f"exported but never referenced outside __init__: {sorted(unused)}"
+
+
+def test_the_tracer_allowlist_holds_only_exports_without_a_caller():
+    assert TRACER_ONLY <= _exports()
+    assert not TRACER_ONLY & _package_references()
+
+
+def test_no_module_has_an_unused_import():
+    problems = []
+    for name, tree in _trees().items():
+        if name == "__init__.py":
+            continue  # its imports are the exports
+        refs = _code_references(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in refs:
+                    problems.append(f"{name}: {bound}")
+    assert not problems, f"unused imports: {problems}"
