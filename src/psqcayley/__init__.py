@@ -28,7 +28,6 @@ from .group import (
 from .hamiltonian import LengthMismatchError, WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
     DEFAULT_SEED,
-    BudgetExceededError,
     OracleBudget,
     SweepReport,
     distance_sweep,
@@ -56,7 +55,6 @@ from .report import (
     SCHEMA_VERSION,
     Certificates,
     VerificationOutcome,
-    auto_budget,
     build_report,
     certify,
     report_bytes,

@@ -12,9 +12,10 @@ including a --config file that cannot be read, an --out file that cannot be
 written, and a group too large for the memory limit (checked from n before
 anything is allocated, for every subcommand but `build`, which holds no
 per-vertex data: it prints |C| and the degree from the closed form).
-Budgets and the seed may come from a `key = value` config file (--config);
-explicit flags win.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are
-placed inside it.
+Budgets and the seed may come from a `key = value` config file (--config,
+on params, verify and export); explicit flags win.  Each subcommand accepts
+only the options it reads.  When $PSQCAYLEY_OUT_DIR is set, relative --out
+paths are placed inside it.
 """
 
 from __future__ import annotations
@@ -90,7 +91,9 @@ def _load_config(path: str) -> dict[str, int]:
 
 def _resolve_budget(args: argparse.Namespace) -> tuple[OracleBudget, int]:
     config = _load_config(args.config) if getattr(args, "config", None) else {}
-    seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        seed = config.get("seed", DEFAULT_SEED)
     sources = (
         args.budget_sources
         if getattr(args, "budget_sources", None) is not None
@@ -115,14 +118,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--primes", required=True, metavar="A,B,C")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--config", default=None, metavar="FILE")
 
     p = sub.add_parser("build", help="validate the triple and print basic facts")
     add_common(p)
 
     p = sub.add_parser("params", help="emit the certificate report as JSON")
     add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None, metavar="FILE")
     p.add_argument("--oracle", action="store_true", help="also run the full oracle suite")
     p.add_argument("--budget-sources", type=int, default=None, metavar="N")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -130,10 +133,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suite; exit 1 on mismatch")
     add_common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--config", default=None, metavar="FILE")
     p.add_argument("--budget-sources", type=int, default=None, metavar="N")
 
     p = sub.add_parser("export", help="write a graph/walk/independent-set file")
     add_common(p)
+    p.add_argument("--config", default=None, metavar="FILE")
     p.add_argument("--format", required=True, choices=["edges", "dot", "walk", "independent-set"])
     p.add_argument("--out", required=True, metavar="FILE")
 
@@ -177,9 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 sys.stdout.write(payload.decode("ascii"))
             if args.oracle:
-                outcome = report_mod.run_verification(
-                    triple, report_mod.auto_budget(triple, budget), certificates=certs
-                )
+                outcome = report_mod.run_verification(triple, budget, certificates=certs)
                 for line in outcome.lines:
                     print(line, file=sys.stderr)
                 if not outcome.ok:
@@ -187,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            outcome = report_mod.run_verification(triple, report_mod.auto_budget(triple, budget))
+            outcome = report_mod.run_verification(triple, budget)
             for line in outcome.lines:
                 print(line)
             print("verification OK" if outcome.ok else "verification FAILED")

@@ -41,9 +41,6 @@ from .group import PrimeTriple, _check_exponent, bezout_witness, divisors
 
 DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
-# The fixed cost of closing a set under a subgroup (the fold, its doubled copy
-# and the loop around them), in big-int rotations
-FAMILY_OVERHEAD = 3
 
 
 class CosetFamily(NamedTuple):
@@ -54,13 +51,6 @@ class CosetFamily(NamedTuple):
     h: int
     order: int
     reps: tuple[int, ...]
-
-
-def family_pays(order: int, reps: int) -> bool:
-    """Closing under the subgroup (⌈log₂ order⌉ doubling shifts, the fold)
-    and rotating by each representative costs fewer big-int rotations than
-    rotating by each of the order·reps members."""
-    return (order - 1).bit_length() + FAMILY_OVERHEAD + reps < order * reps
 
 
 class TooLargeError(ValueError):
@@ -247,13 +237,11 @@ class CayleyGraph(_GraphFields):
         divisor o > 1, largest first, with h = n/o, a member x becomes a
         representative when every x + j·h (j < o) is a member not yet
         covered; the check runs member by member and stops at the first miss.
-        A family is kept only when closing pays (`family_pays`); otherwise its
-        members, with those left over, form the family of order 1.  So the
-        families cover exactly the members, for any member list.
+        The members left over form the family of order 1.  So the families
+        cover exactly the members, for any member list.
         """
         n = self.triple.n
         pool = set(self.cset.members)
-        singles: list[int] = []
         families = []
         for o in reversed(divisors(n)[1:]):
             if o > len(pool):
@@ -266,15 +254,10 @@ class CayleyGraph(_GraphFields):
                 if x in pool and all((x + j * h) % n in pool for j in range(2, o)):
                     reps.append(x)
                     pool.difference_update((x + j * h) % n for j in range(o))
-            if not reps:
-                continue
-            if family_pays(o, len(reps)):
+            if reps:
                 families.append(CosetFamily(h, o, tuple(reps)))
-            else:
-                singles.extend((x + j * h) % n for x in reps for j in range(o))
-        singles.extend(pool)
-        if singles:
-            families.insert(0, CosetFamily(n, 1, tuple(sorted(singles))))
+        if pool:
+            families.insert(0, CosetFamily(n, 1, tuple(sorted(pool))))
         return tuple(families)
 
     def internal_edges(self, s: int) -> int:

@@ -32,17 +32,8 @@ class NotAscendingError(TripleValidationError):
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic trial division; inputs stay desk-scale."""
-    if m < 2:
-        return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    for d in range(3, math.isqrt(m) + 1, 2):
-        if m % d == 0:
-            return False
-    return True
+    """Deterministic trial division (`prime_factors`); inputs stay desk-scale."""
+    return m >= 2 and prime_factors(m) == (m,)
 
 
 class PrimeTriple(NamedTuple):

@@ -23,10 +23,6 @@ MAX_EXACT_VERTICES = 400  # the clique search's cap on its vertex count
 MAX_INDEX_VERTICES = 300  # the index-graph search's cap on its id count
 
 
-class BudgetExceededError(RuntimeError):
-    """An exact search was asked to exceed its configured size cap."""
-
-
 class _BudgetFields(NamedTuple):
     bfs_sources: int | None = None
     seed: int = DEFAULT_SEED
@@ -35,9 +31,9 @@ class _BudgetFields(NamedTuple):
 class OracleBudget(_BudgetFields):
     """The distance sweep's sources and the seed that samples them.
 
-    bfs_sources counts extra BFS sources beyond vertex 0; None means sweep
-    from every vertex.  `_replace` bypasses the check in __new__, so build a
-    changed budget with the constructor.
+    bfs_sources counts extra BFS sources beyond vertex 0; None leaves the
+    count to `distance_sweep`.  `_replace` bypasses the check in __new__, so
+    build a changed budget with the constructor.
     """
 
     __slots__ = ()
@@ -67,16 +63,18 @@ def order_classes(g: CayleyGraph) -> dict[int, int]:
     return classes
 
 
-def exact_max_clique(vertices: Sequence, adjacent: Callable, cap: int = MAX_EXACT_VERTICES) -> list:
-    """A maximum clique of the induced subgraph, by branch and bound, over at
-    most cap vertices.
+def exact_max_clique(
+    vertices: Sequence, adjacent: Callable, cap: int = MAX_EXACT_VERTICES
+) -> list | None:
+    """A maximum clique of the induced subgraph, by branch and bound, or None
+    when there are more than cap vertices.
 
     Candidates are ordered by a greedy coloring whose class count bounds the
     clique size, pruning the search.  Fully deterministic.
     """
     m = len(vertices)
     if m > cap:
-        raise BudgetExceededError(f"{m} vertices exceed exact-search cap {cap}")
+        return None
     if m == 0:
         return []
     adj = [0] * m
@@ -126,13 +124,11 @@ def exact_max_clique(vertices: Sequence, adjacent: Callable, cap: int = MAX_EXAC
     return [vertices[i] for i in sorted(best)]
 
 
-def exact_max_independent_set(ig: IndexGraph) -> list[BlockId]:
+def exact_max_independent_set(ig: IndexGraph) -> list[BlockId] | None:
     """Exact maximum independent set of the index graph, via a maximum clique
-    of its complement, over at most MAX_INDEX_VERTICES ids."""
-    ids = ig.ids()
-    if len(ids) > MAX_INDEX_VERTICES:
-        raise BudgetExceededError(f"{len(ids)} ids exceed index cap {MAX_INDEX_VERTICES}")
-    return exact_max_clique(ids, lambda x, y: not ig.adjacent(x, y), MAX_INDEX_VERTICES)
+    of its complement, or None when there are more than MAX_INDEX_VERTICES
+    ids."""
+    return exact_max_clique(ig.ids(), lambda x, y: not ig.adjacent(x, y), MAX_INDEX_VERTICES)
 
 
 class SweepReport(NamedTuple):
@@ -143,8 +139,9 @@ class SweepReport(NamedTuple):
 
 
 def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepReport:
-    """BFS from vertex 0 plus budgeted extra sources; every computed distance
-    is compared against the closed form.
+    """BFS from vertex 0 plus budget.bfs_sources seeded extra sources; every
+    computed distance is compared against the closed form.  With bfs_sources
+    None the extras are every other vertex when n <= 2000 and 50 above.
 
     From source s the closed form puts vertex v at the distance of the
     difference v − s, so level k is expected to be rot(E_k, s), where E_k
@@ -155,12 +152,11 @@ def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepR
         budget = OracleBudget()
     t = g.triple
     n = t.n
-    if budget.bfs_sources is None:
-        sources: list[int] = list(range(n))
-    else:
-        rng = random.Random(budget.seed)
-        extra = min(budget.bfs_sources, n - 1)
-        sources = [0] + sorted(rng.sample(range(1, n), extra))
+    extra = budget.bfs_sources
+    if extra is None:
+        extra = n - 1 if n <= 2000 else 50
+    rng = random.Random(budget.seed)
+    sources = [0] + sorted(rng.sample(range(1, n), min(extra, n - 1)))
     expected = closed_form_distance_classes(t, g)
     max_distance = 0
     mismatches = 0

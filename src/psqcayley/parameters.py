@@ -163,14 +163,18 @@ class IndexBoundsReport(NamedTuple):
     mis_matches_product: bool
 
 
-def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
+def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport | None:
+    """The index-level evidence, or None when the index graph has more ids
+    than the exact search's cap (oracles.MAX_INDEX_VERTICES)."""
     from .oracles import exact_max_independent_set
 
+    mis = exact_max_independent_set(IndexGraph(t))
+    if mis is None:
+        return None
     ids = independence_index_set(t)
     two_free = all(
         IndexGraph.agreement(ids[x], ids[y]) != 2
         for x in range(len(ids))
         for y in range(x + 1, len(ids))
     )
-    mis = exact_max_independent_set(IndexGraph(t))
     return IndexBoundsReport(two_free, len(mis), len(mis) == t.alpha * t.beta)

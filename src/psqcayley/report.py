@@ -37,9 +37,9 @@ SCHEMA_VERSION = 1
 class Certificates(NamedTuple):
     """Every in-schema certificate and verdict for one triple, on one graph.
 
-    index_bounds is None when the index graph exceeds the search cap
-    (oracles.MAX_INDEX_VERTICES); every other field is always set.  timings
-    holds the seconds of each stage.
+    index_bounds is None when `verify_index_bounds` finds the index graph
+    over its search cap; every other field is always set.  timings holds the
+    seconds of each stage.
     """
 
     graph: CayleyGraph
@@ -77,9 +77,7 @@ def certify(t: PrimeTriple) -> Certificates:
         independence = parameters.independence_certificate(t)
         scan = parameters.independence_internal_edges(independence, g)
     with timed("indexSearch"):
-        index_bounds = None
-        if structure.IndexGraph(t).order <= oracles.MAX_INDEX_VERTICES:
-            index_bounds = parameters.verify_index_bounds(t)
+        index_bounds = parameters.verify_index_bounds(t)
     with timed("diameter"):
         diam = parameters.diameter(t, g)
     with timed("hamiltonian"):
@@ -228,13 +226,13 @@ def run_verification(
     clique = parameters.clique_certificate(t)
     clique_ok = g.is_clique(clique)
     hood = [0] + g.neighbors(0)
-    if len(hood) <= oracles.MAX_EXACT_VERTICES:
-        # the hood's entries are vertices, so adjacency is membership of the difference
-        exact = len(oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors))
+    # the hood's entries are vertices, so adjacency is membership of the difference
+    exact = oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors)
+    if exact is not None:
         check(
             "clique",
-            clique_ok and exact == t.gamma,
-            f"certificate={len(clique)}, exact-neighborhood-max={exact}, gamma={t.gamma}",
+            clique_ok and len(exact) == t.gamma,
+            f"certificate={len(clique)}, exact-neighborhood-max={len(exact)}, gamma={t.gamma}",
         )
     else:
         check(
@@ -294,15 +292,3 @@ def run_verification(
     )
 
     return VerificationOutcome(ok, tuple(lines))
-
-
-def auto_budget(t: PrimeTriple, budget: OracleBudget | None = None) -> OracleBudget:
-    """Fill in the sweep-source default: exhaustive below 2000 vertices, a
-    50-source sample above."""
-    base = budget if budget is not None else OracleBudget()
-    if base.bfs_sources is not None:
-        return base
-    if t.n <= 2000:
-        return base
-    return OracleBudget(50, base.seed)
-

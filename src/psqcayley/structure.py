@@ -8,7 +8,7 @@ Blocks collect the a·b·c vertices whose residue components agree modulo
 All verifiers here check the literal claims against arithmetic adjacency,
 independently of the constructors that produced the objects; the cycle
 claims (fiber checks iii, vii and viii) go through `CayleyGraph.is_cycle`,
-the check that also replays the Hamiltonian walk.
+the check that also replays the Hamiltonian walk, once each.
 
 The block checks and fiber checks (i) and (iii) are claims about every set
 of a family of translates, and in a Cayley graph on Z_n every translation
@@ -18,7 +18,9 @@ residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
 every block pair.  The gamma fibers are the translates of the interval
 [0, a²b²) and the (alpha, beta) cells those of cell 0, so one neighbourhood
-decides fiber check (i) and one cycle check (iii).
+decides fiber check (i) and one cycle check (iii).  Likewise the a²
+cross-section sequences of check (viii) are translates of fiber 0's, so one
+cycle check decides their cycle claim.
 """
 
 from __future__ import annotations
@@ -67,11 +69,6 @@ class IndexGraph(NamedTuple):
     coordinates.  Adjacent ids are exactly the block pairs joined by an edge."""
 
     triple: PrimeTriple
-
-    @property
-    def order(self) -> int:
-        a, b, c = self.triple.primes
-        return a * b * c
 
     def ids(self) -> list[BlockId]:
         a, b, c = self.triple.primes
@@ -227,19 +224,16 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     item_vii = g.is_cycle(sorted(x for xs in reps.values() for x in xs))
 
     # (viii) per alpha fiber: stepping by a²c² from the representative builds a
-    # cycle that crosses each beta fiber exactly once
+    # cycle that crosses each beta fiber exactly once; fiber r's sequence is
+    # fiber 0's translated by their representatives' difference, so fiber 0's
+    # cycle check decides all, and membership and crossings stay per fiber
     item_viii = item_vi
     if item_vi:
-        for r in range(m_a):
-            rep = reps[r][0]
-            seq = [(rep + l * m_a * m_c) % n for l in range(m_b)]
-            if any(x % m_a != r for x in seq):
-                item_viii = False
-                break
-            beta_digits = {(x % m_ab) // m_a for x in seq}
-            if beta_digits != set(range(m_b)) or not g.is_cycle(seq):
-                item_viii = False
-                break
+        seqs = [[(reps[r][0] + l * m_a * m_c) % n for l in range(m_b)] for r in range(m_a)]
+        item_viii = g.is_cycle(seqs[0]) and all(
+            all(x % m_a == r for x in seq) and {(x % m_ab) // m_a for x in seq} == set(range(m_b))
+            for r, seq in enumerate(seqs)
+        )
 
     return FiberStructureChecklist(
         item_i, item_ii, item_iii, item_iv, item_v, item_vi, item_vii, item_viii

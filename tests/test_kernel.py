@@ -21,7 +21,6 @@ from psqcayley import (
 )
 from psqcayley import oracles, parameters
 from psqcayley.connectors import ConnectingSet
-from psqcayley.graph import family_pays
 
 from helpers import (
     block_of,
@@ -104,8 +103,8 @@ LADDER = triples_with_group_order_at_most(1_100_000)
 
 def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
     # the order-p² class is the p − 1 cosets r + ⟨n/p⟩ of the order-p
-    # subgroup, kept as one family where closing pays and as single
-    # connectors otherwise; the plan allocates no n-bit int
+    # subgroup, one family per prime, 2 and 3 included, and no connector is
+    # left over for the family of order 1; the plan allocates no n-bit int
     assert len(LADDER) == 146
     for t in LADDER:
         g = CayleyGraph.from_triple(t)
@@ -117,7 +116,8 @@ def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
             if order > 1:
                 families[order] = len(reps)
         assert sorted(covered) == list(g.cset.members)
-        assert families == {p: p - 1 for p in t.primes if family_pays(p, p - 1)}
+        assert families == {p: p - 1 for p in t.primes}
+        assert all(order > 1 for _, order, _ in g.coset_plan)
         assert "_full" not in vars(g)
 
 

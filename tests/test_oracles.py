@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from psqcayley import (
-    BudgetExceededError,
+    DEFAULT_SEED,
     CayleyGraph,
     OracleBudget,
     block_exponents,
@@ -15,6 +15,7 @@ from psqcayley import (
     find_triangle,
     make_prime_triple,
     run_verification,
+    verify_index_bounds,
 )
 from psqcayley import graph
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
@@ -70,10 +71,13 @@ def test_clique_on_complete_certificate():
 
 
 def test_clique_budget_cap():
-    with pytest.raises(BudgetExceededError):
-        exact_max_clique(list(range(30)), lambda u, v: True, 10)
-    with pytest.raises(BudgetExceededError):
-        exact_max_clique(list(range(MAX_EXACT_VERTICES + 1)), lambda u, v: True)
+    # above the cap the search answers None without testing a single pair
+    def never(u, v):
+        raise AssertionError("adjacency tested above the cap")
+
+    assert exact_max_clique(list(range(30)), never, 10) is None
+    assert exact_max_clique(list(range(MAX_EXACT_VERTICES + 1)), never) is None
+    assert exact_max_clique(list(range(10)), lambda u, v: True, 10) == list(range(10))
 
 
 def test_clique_empty_input():
@@ -103,10 +107,13 @@ def test_index_mis_is_independent():
 
 
 def test_index_mis_budget_cap():
-    # 385 ids at (5,7,11) exceed the cap of 300; the 105 at (3,5,7) do not
-    assert IndexGraph(T357).order <= MAX_INDEX_VERTICES < IndexGraph(make_prime_triple(5, 7, 11)).order
-    with pytest.raises(BudgetExceededError):
-        exact_max_independent_set(IndexGraph(make_prime_triple(5, 7, 11)))
+    # 385 ids at (5,7,11) exceed the cap of 300; the 105 at (3,5,7) do not,
+    # and the None of the search is the None of the index bounds
+    t = make_prime_triple(5, 7, 11)
+    assert len(IndexGraph(T357).ids()) <= MAX_INDEX_VERTICES < len(IndexGraph(t).ids())
+    assert exact_max_independent_set(IndexGraph(t)) is None
+    assert verify_index_bounds(t) is None
+    assert verify_index_bounds(T357) is not None
 
 
 def test_index_mis_against_reference_library():
@@ -129,6 +136,48 @@ def test_distance_sweep_sampled_sources():
     assert report.pairs_checked == 11 * 11025
     assert report.max_distance == 6
     assert report.mismatches == 0
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The sources of every BFS level query from now on, in call order."""
+    sources = []
+    levels = CayleyGraph.bfs_levels
+    monkeypatch.setattr(CayleyGraph, "bfs_levels", lambda g, s: sources.append(s) or levels(g, s))
+    return sources
+
+
+def test_default_sweep_takes_every_vertex_up_to_2000_and_51_sources_above(swept):
+    report = distance_sweep(G235)
+    assert report.sources == 900 and swept == list(range(900))
+    assert report.mismatches == 0 and report.max_distance == 6
+    g = CayleyGraph.from_triple(T357)
+    for seed in (DEFAULT_SEED, 7):
+        swept.clear()
+        report = distance_sweep(g, None if seed == DEFAULT_SEED else OracleBudget(seed=seed))
+        default = swept.copy()
+        swept.clear()
+        distance_sweep(g, OracleBudget(50, seed))
+        assert report.sources == 51 and default == swept
+        assert default[0] == 0 and default == sorted(set(default))
+
+
+def test_run_verification_sweeps_the_default_51_sources(monkeypatch):
+    # every BFS run (the levels from 0 are built once and cached); a sweep
+    # from every vertex, 11,025 runs at (3,5,7), stops at the 53rd
+    runs = []
+    levels = CayleyGraph._levels
+
+    def counted(g, s):
+        runs.append(s)
+        if len(runs) > 52:
+            raise AssertionError("more than 52 BFS runs")
+        return levels(g, s)
+
+    monkeypatch.setattr(CayleyGraph, "_levels", counted)
+    outcome = run_verification(T357)
+    assert outcome.ok and len(runs) == 51
+    assert outcome.lines[7].endswith("over 562275 pairs from 51 sources")
 
 
 def test_distance_sweep_deterministic():

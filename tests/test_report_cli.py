@@ -8,9 +8,9 @@ from psqcayley import (
     OracleBudget,
     SweepReport,
     TooLargeError,
-    auto_budget,
     build_report,
     certify,
+    distance_sweep,
     make_prime_triple,
     report_bytes,
     run_verification,
@@ -272,8 +272,10 @@ def test_cli_rejects_a_negative_source_budget(source, tmp_path, capsys):
     assert captured.err == "error: bfs_sources must be nonnegative\n"
 
 
-def test_auto_budget_builds_its_sample_through_the_check(monkeypatch):
-    # _replace would skip OracleBudget.__new__ and with it the check
+def test_default_sweep_builds_its_budget_through_the_check(monkeypatch):
+    # _replace would skip OracleBudget.__new__ and with it the check: the
+    # sweep's own default is a checked budget, and a negative count that
+    # bypassed the check is refused by the sample, never swept
     built = []
     checked_new = OracleBudget.__new__
 
@@ -283,11 +285,51 @@ def test_auto_budget_builds_its_sample_through_the_check(monkeypatch):
         return budget
 
     monkeypatch.setattr(OracleBudget, "__new__", recording_new)
-    auto = auto_budget(T357, OracleBudget(seed=7))
-    assert type(auto) is OracleBudget and auto == OracleBudget(50, 7)
-    assert any(b is auto for b in built)
-    given = OracleBudget(3, 7)
-    assert auto_budget(T357, given) is given
+    g = CayleyGraph.from_triple(T357)
+    assert distance_sweep(g).sources == 51
+    assert built == [(None, oracles_mod.DEFAULT_SEED)]
+    bypassed = OracleBudget(seed=7)._replace(bfs_sources=-1)
+    with pytest.raises(ValueError):
+        distance_sweep(g, bypassed)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--seed", "7"],
+        ["build", "--config", "budgets.cfg"],
+        ["export", "--format", "walk", "--out", "walk.txt", "--seed", "7"],
+        ["hamiltonian", "--seed", "7"],
+        ["hamiltonian", "--check", "--config", "budgets.cfg"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
+    (tmp_path / "budgets.cfg").write_text("seed = 7\n")
+    assert cli.main([argv[0], "--primes", "2,3,5", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
+
+
+def test_a_search_over_its_cap_renders_as_skipped(monkeypatch):
+    # each exact search answers None over its cap; neither cap is reached at
+    # (2,3,5), so both Nones are forced here
+    monkeypatch.setattr(oracles_mod, "exact_max_clique", lambda vertices, adjacent: None)
+    monkeypatch.setattr(oracles_mod, "exact_max_independent_set", lambda ig: None)
+    c = certify(T235)
+    assert c.index_bounds is None and build_report(T235, certificates=c)["indexGraphMIS"] is None
+    outcome = run_verification(T235, OracleBudget(bfs_sources=0), certificates=c)
+    assert outcome.ok
+    assert outcome.lines[3] == (
+        "PASS clique: certificate=5 verified; neighborhood search skipped (29 vertices exceed cap 400)"
+    )
+    assert outcome.lines[5] == (
+        "PASS independence: size=180, internal=0/16110 pairs; index search skipped (ids exceed cap 300)"
+    )
 
 
 def test_report_above_the_export_cap_is_exhaustive():

@@ -100,6 +100,20 @@ def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
     )
 
 
+def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
+    """Fiber check (viii) with one cycle check per alpha fiber."""
+    t = g.triple
+    m_a, m_b = t.m_alpha, t.m_beta
+    reps = {x % m_a: x for x in (k * m_b * t.m_gamma % t.n for k in range(m_a))}
+    for r in range(m_a):
+        seq = [(reps[r] + l * m_a * t.m_gamma) % t.n for l in range(m_b)]
+        if not g.is_cycle(seq) or any(x % m_a != r for x in seq):
+            return False
+        if {(x % (m_a * m_b)) // m_a for x in seq} != set(range(m_b)):
+            return False
+    return True
+
+
 def test_block_members():
     members = block_members(BlockId(0, 0, 0), T235)
     assert len(members) == 30
@@ -143,6 +157,7 @@ def test_fiber_checks_equal_their_per_fiber_references(t):
     checklist = verify_fiber_structure(g)
     assert checklist.gamma_fibers_independent is _gamma_fibers_by_fiber(g) is True
     assert checklist.cell_cycles is _cell_cycles_by_cell(g) is True
+    assert checklist.cross_section_cycles is _cross_sections_by_fiber(g) is True
 
 
 def test_structure_checks_run_above_twenty_thousand_vertices():
@@ -152,9 +167,10 @@ def test_structure_checks_run_above_twenty_thousand_vertices():
 
 
 def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypatch):
-    # no per-block or per-fiber loop: one N(B₀), one N(fiber 0) and the
-    # construction of block 0, whatever the triple
-    calls = {"neighborhood": 0, "block_exponents": 0}
+    # no per-block or per-fiber loop: one N(B₀), one N(fiber 0), the
+    # construction of block 0 and one cycle check each for (iii), (vii) and
+    # (viii), whatever the triple
+    calls = {"neighborhood": 0, "block_exponents": 0, "is_cycle": 0}
     inside = [False]
 
     def counted(owner, name):
@@ -179,14 +195,15 @@ def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypat
         monkeypatch.setattr(structure, name, wrapper)
 
     counted(graph.CayleyGraph, "neighborhood")
+    counted(graph.CayleyGraph, "is_cycle")
     counted(structure, "block_exponents")
     for name in ("residue_families", "verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
         stage(name)
     for t in (T235, T357):
-        calls.update(neighborhood=0, block_exponents=0)
+        calls.update(neighborhood=0, block_exponents=0, is_cycle=0)
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 2, "block_exponents": 1}
+        assert calls == {"neighborhood": 2, "block_exponents": 1, "is_cycle": 3}
 
 
 def test_index_graph_rule():
@@ -231,6 +248,15 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     families = residue_families(g)
     assert verify_block_partition(g, families)
     assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)
+
+
+@SMALL
+def test_cross_section_cycles_catch_a_removed_connector(t):
+    # without ±a²c² no cross-section sequence closes a single step
+    g = _without(t, [t.m_alpha * t.m_gamma])
+    checklist = verify_fiber_structure(g)
+    assert checklist.alpha_fiber_representatives_unique
+    assert not checklist.cross_section_cycles and not _cross_sections_by_fiber(g)
 
 
 @SMALL

@@ -1,7 +1,9 @@
-"""The package exports only what the package itself uses, and no module
-imports what it does not use.  Both checks read the sources with `ast`."""
+"""The package exports only what the package itself uses, no module imports
+what it does not use, and every module-level constant is read.  The checks
+read the sources with `ast`."""
 
 import ast
+import re
 from pathlib import Path
 
 import psqcayley
@@ -64,3 +66,21 @@ def test_no_module_has_an_unused_import():
                 if bound not in refs:
                     problems.append(f"{name}: {bound}")
     assert not problems, f"unused imports: {problems}"
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a rule removed from the code cannot leave its constant behind
+    defined, read = set(), set()
+    for name, tree in _trees().items():
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id):
+                    defined.add(target.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert defined, "no module-level constant found"
+    assert not defined - read, f"defined but never read: {sorted(defined - read)}"
