@@ -12,10 +12,11 @@ including a --config file that cannot be read, an --out file that cannot be
 written, and a group too large for the memory limit (checked from n before
 anything is allocated, for every subcommand but `build`, which holds no
 per-vertex data: it prints |C| and the degree from the closed form).
-Budgets and the seed may come from a `key = value` config file (--config,
-on params, verify and export); explicit flags win.  Each subcommand accepts
-only the options it reads.  When $PSQCAYLEY_OUT_DIR is set, relative --out
-paths are placed inside it.
+Budgets and the seed may come from a `key = value` config file (--config):
+params and verify read `seed` and `bfs-sources`, export `materialize-cap`;
+explicit flags win.  Each subcommand accepts only the options and config keys
+it reads.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are placed
+inside it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .oracles import DEFAULT_SEED, OracleBudget
 from .parameters import independence_certificate
 
-_CONFIG_KEYS = {"seed", "bfs-sources", "materialize-cap"}
+_CONFIG_KEYS = {
+    "params": {"seed", "bfs-sources"},
+    "verify": {"seed", "bfs-sources"},
+    "export": {"materialize-cap"},
+}
 
 
 # Peak memory per vertex of the commands that hold per-vertex data, above
@@ -70,7 +75,9 @@ def _parse_primes(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _load_config(path: str) -> dict[str, int]:
+def _load_config(args: argparse.Namespace) -> dict[str, int]:
+    """The values in args.config, whose keys must be ones args.command reads."""
+    path, keys = args.config, _CONFIG_KEYS[args.command]
     values: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -80,7 +87,7 @@ def _load_config(path: str) -> dict[str, int]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             values[key] = int(value.strip())
@@ -90,7 +97,7 @@ def _load_config(path: str) -> dict[str, int]:
 
 
 def _resolve_budget(args: argparse.Namespace) -> tuple[OracleBudget, int]:
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
+    config = _load_config(args) if getattr(args, "config", None) else {}
     seed = getattr(args, "seed", None)
     if seed is None:
         seed = config.get("seed", DEFAULT_SEED)

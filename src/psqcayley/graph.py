@@ -117,12 +117,6 @@ class CayleyGraph(_GraphFields):
                 return False
         return (seq[0] - seq[-1]) % n in connectors
 
-    def neighbors(self, u: int) -> list[int]:
-        """The degree-many neighbors of u, sorted ascending."""
-        _check_exponent(u, self.triple)
-        n = self.triple.n
-        return sorted((u + c) % n for c in self.cset.members)
-
     # -- bitset kernel ------------------------------------------------------
 
     def bitset(self, vertices: Iterable[int]) -> int:
@@ -310,16 +304,6 @@ class CayleyGraph(_GraphFields):
         holds = u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
         reached = sum(level.bit_count() for level in self.bfs_levels(0))
         return ConnectivityResult(holds and reached == t.n, (u, v, w), holds, reached)
-
-    def girth_certificate(self) -> tuple[int, int, int]:
-        """A triangle witnessing girth 3: {0, a²b², 2a²b²}."""
-        m_ab = self.triple.m_alpha * self.triple.m_beta
-        return (0, m_ab, 2 * m_ab)
-
-    def nonplanarity_certificate(self) -> tuple[int, int, int, int, int]:
-        """Five pairwise-adjacent vertices (a K5, hence non-planar): k·a²b², k<5."""
-        m_ab = self.triple.m_alpha * self.triple.m_beta
-        return tuple(k * m_ab for k in range(5))  # type: ignore[return-value]
 
     def _bands(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """(lo, hi, row) for ascending bands that tile [0, n): every vertex u

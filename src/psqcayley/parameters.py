@@ -9,6 +9,7 @@ arithmetic adjacency; brute-force counterparts live in `oracles`.
 from __future__ import annotations
 
 import operator
+from itertools import combinations
 from typing import NamedTuple
 
 from .graph import CayleyGraph
@@ -151,30 +152,31 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
 
 
 class IndexBoundsReport(NamedTuple):
-    """Index-level evidence for the independence number:
+    """Index-level evidence that the index graph's maximum independent set
+    has exactly mis_size = a·b ids, one certificate per bound:
 
     - the certificate's index set never agrees in exactly two coordinates,
-    - an exact search confirms the index graph's maximum independent set is
-      exactly a·b.
+      so it is independent (MIS ≥ a·b);
+    - the lines {(i, j, k) : k < c}, as many as the index set has ids, are
+      index-graph cliques that partition the ids, and an independent set
+      meets each line at most once (MIS ≤ a·b).
     """
 
     index_set_two_agreement_free: bool
+    lines_cover_ids: bool
     mis_size: int
-    mis_matches_product: bool
 
 
-def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport | None:
-    """The index-level evidence, or None when the index graph has more ids
-    than the exact search's cap (oracles.MAX_INDEX_VERTICES)."""
-    from .oracles import exact_max_independent_set
-
-    mis = exact_max_independent_set(IndexGraph(t))
-    if mis is None:
-        return None
+def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
+    """Both index-level bounds, each checked over every pair it rests on, at
+    every triple."""
+    ig = IndexGraph(t)
     ids = independence_index_set(t)
-    two_free = all(
-        IndexGraph.agreement(ids[x], ids[y]) != 2
-        for x in range(len(ids))
-        for y in range(x + 1, len(ids))
+    lines = [[BlockId(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
+    cover = (
+        len(lines) == len(ids)
+        and sorted(bid for line in lines for bid in line) == ig.ids()
+        and all(ig.adjacent(x, y) for line in lines for x, y in combinations(line, 2))
     )
-    return IndexBoundsReport(two_free, len(mis), len(mis) == t.alpha * t.beta)
+    two_free = not any(ig.adjacent(x, y) for x, y in combinations(ids, 2))
+    return IndexBoundsReport(two_free, cover, len(ids))

@@ -3,13 +3,13 @@ report and the full verification run.
 
 `certify` builds every in-schema certificate and verdict exactly once, on one
 graph: connectivity, the proper coloring, the independence certificate and
-its internal-edge scan, the index-graph search, the diameter, the walk and
+its internal-edge scan, the index-graph bounds, the diameter, the walk and
 its replay, and the fiber and block checks, decided by translation on one
 representative, the block checks on one shared set of residue families.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
-connecting set against the order classes, the triangle scan, the exact clique
-search and the distance sweep).
+connecting set against the order classes, the triangle scan, the clique cover
+that bounds α as the coloring bounds ω, and the distance sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,
 trailing newline -- byte identical across runs with equal primes and seed.
@@ -37,9 +37,7 @@ SCHEMA_VERSION = 1
 class Certificates(NamedTuple):
     """Every in-schema certificate and verdict for one triple, on one graph.
 
-    index_bounds is None when `verify_index_bounds` finds the index graph
-    over its search cap; every other field is always set.  timings holds the
-    seconds of each stage.
+    Every field is always set; timings holds the seconds of each stage.
     """
 
     graph: CayleyGraph
@@ -47,7 +45,7 @@ class Certificates(NamedTuple):
     coloring: parameters.ColoringResult
     independence: parameters.IndependenceCertificate
     independence_scan: parameters.IndependenceScan
-    index_bounds: parameters.IndexBoundsReport | None
+    index_bounds: parameters.IndexBoundsReport
     diameter: parameters.DiameterResult
     walk: WalkCertificate
     walk_verified: bool
@@ -76,7 +74,7 @@ def certify(t: PrimeTriple) -> Certificates:
     with timed("independence"):
         independence = parameters.independence_certificate(t)
         scan = parameters.independence_internal_edges(independence, g)
-    with timed("indexSearch"):
+    with timed("indexBounds"):
         index_bounds = parameters.verify_index_bounds(t)
     with timed("diameter"):
         diam = parameters.diameter(t, g)
@@ -103,9 +101,9 @@ def build_report(
 ) -> dict:
     """Render the certificates of one triple as the report.
 
-    The coloring and independence scans and the block and fiber checks are
-    always exhaustive.  The index-graph search reports null when the id count
-    exceeds its cap.  The budget supplies only the reported seed.
+    The coloring and independence scans, the index-graph bounds and the
+    block and fiber checks are always exhaustive.  The budget supplies only
+    the reported seed.
     `certificates`, when given, is certify(t) already built, which is then
     rendered instead of built again.
     """
@@ -113,6 +111,7 @@ def build_report(
         budget = OracleBudget()
     c = certificates if certificates is not None else certify(t)
     g = c.graph
+    clique = parameters.clique_certificate(t)
     return {
         "schemaVersion": SCHEMA_VERSION,
         "primes": {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
@@ -124,9 +123,9 @@ def build_report(
             "bfsReached": c.connectivity.bfs_reached,
         },
         "eulerian": g.degree % 2 == 0 and c.connectivity.connected,
-        "girth": {"value": 3, "triangle": list(g.girth_certificate())},
-        "nonplanar": {"k5": list(g.nonplanarity_certificate())},
-        "clique": {"value": t.gamma, "certificate": list(parameters.clique_certificate(t))},
+        "girth": {"value": 3, "triangle": list(clique[:3])},
+        "nonplanar": {"k5": list(clique[:5])},
+        "clique": {"value": t.gamma, "certificate": list(clique)},
         "chromatic": {
             "value": c.coloring.chromatic,
             "coloringProper": c.coloring.proper,
@@ -137,7 +136,7 @@ def build_report(
             "indexSetSize": len(c.independence.index_set),
             "internalEdges": c.independence_scan.internal_edges,
         },
-        "indexGraphMIS": None if c.index_bounds is None else c.index_bounds.mis_size,
+        "indexGraphMIS": c.index_bounds.mis_size,
         "diameter": {
             "value": c.diameter.value,
             "witnessPair": list(c.diameter.witness_pair),
@@ -214,8 +213,8 @@ def run_verification(
         f"degree={cset.size}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
     )
 
-    tri = g.girth_certificate()
-    k5 = g.nonplanarity_certificate()
+    clique = parameters.clique_certificate(t)
+    tri, k5 = clique[:3], clique[:5]  # c ≥ 5 at every triple
     found = oracles.find_triangle(g)
     check(
         "girth-nonplanarity",
@@ -223,49 +222,38 @@ def run_verification(
         f"triangle={tri}, k5={k5}, scan={found}",
     )
 
-    clique = parameters.clique_certificate(t)
-    clique_ok = g.is_clique(clique)
-    hood = [0] + g.neighbors(0)
-    # the hood's entries are vertices, so adjacency is membership of the difference
-    exact = oracles.exact_max_clique(hood, lambda u, v: (u - v) % t.n in connectors)
-    if exact is not None:
-        check(
-            "clique",
-            clique_ok and len(exact) == t.gamma,
-            f"certificate={len(clique)}, exact-neighborhood-max={len(exact)}, gamma={t.gamma}",
-        )
-    else:
-        check(
-            "clique",
-            clique_ok,
-            f"certificate={len(clique)} verified; neighborhood search skipped "
-            f"({len(hood)} vertices exceed cap {oracles.MAX_EXACT_VERTICES})",
-        )
-
+    # the c-clique gives ω ≥ c, and the proper colouring into at most c
+    # classes ω ≤ χ ≤ c; the same two certificates decide χ = c
     coloring = c.coloring
+    clique_ok = len(clique) == t.gamma and g.is_clique(clique)
+    check(
+        "clique",
+        clique_ok and coloring.proper,
+        f"certificate={len(clique)} <= omega <= chi <= {coloring.chromatic} "
+        f"(coloring proper={coloring.proper}), gamma={t.gamma}",
+    )
     check(
         "chromatic",
-        coloring.proper,
+        clique_ok and coloring.proper,
         f"proper={coloring.proper} over {coloring.edges_checked} edges (exhaustive), "
         f"value={coloring.chromatic}",
     )
 
+    # α ≤ n/c: with S₀ = {v : v mod c·a²b² < a²b²}, the rotations S₀ + κ
+    # (κ in the clique K) partition V iff the translates x + K (x in S₀) do,
+    # and an independent set meets each translate at most once
+    m_ab = t.m_alpha * t.m_beta
+    s0 = g.periodic(t.gamma * m_ab, range(m_ab))
+    cover = g.is_partition(g.rotate(s0, k) for k in clique)
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
-    indep_ok = scan.internal_edges == 0 and cert.size == t.m_alpha * t.m_beta * t.gamma
-    if bounds is not None:
-        check(
-            "independence",
-            indep_ok and bounds.mis_matches_product and bounds.index_set_two_agreement_free,
-            f"size={cert.size}, internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
-            f"index-MIS={bounds.mis_size}",
-        )
-    else:
-        check(
-            "independence",
-            indep_ok,
-            f"size={cert.size}, internal={scan.internal_edges}/{scan.pairs_checked} pairs; "
-            f"index search skipped (ids exceed cap {oracles.MAX_INDEX_VERTICES})",
-        )
+    index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
+    check(
+        "independence",
+        clique_ok and cover and scan.internal_edges == 0 and cert.size == s0.bit_count() and index_ok,
+        f"size={cert.size} <= alpha <= {s0.bit_count()} (cover by translates of K: {cover}), "
+        f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
+        f"index-MIS={bounds.mis_size} (index bounds: {index_ok})",
+    )
 
     check(
         "structure",

@@ -74,12 +74,8 @@ class IndexGraph(NamedTuple):
         a, b, c = self.triple.primes
         return [BlockId(i, j, k) for i in range(a) for j in range(b) for k in range(c)]
 
-    @staticmethod
-    def agreement(x: BlockId, y: BlockId) -> int:
-        return (x.i == y.i) + (x.j == y.j) + (x.k == y.k)
-
     def adjacent(self, x: BlockId, y: BlockId) -> bool:
-        return self.agreement(x, y) == 2
+        return (x.i == y.i) + (x.j == y.j) + (x.k == y.k) == 2
 
 
 def residue_families(g: CayleyGraph) -> tuple[tuple[int, ...], ...]:

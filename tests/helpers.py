@@ -4,8 +4,8 @@ the test suite.
 Everything here is deliberately independent of the library's closed-form
 constructors: orders by repeated addition, connector sets by order scan,
 triple enumeration by direct search.  The per-vertex references
-(`crt_components`, `residue_sum_color`, `block_of`) state one vertex at a
-time what the library builds as whole vertex sets.
+(`crt_components`, `residue_sum_color`, `block_of`, `neighbors`) state one
+vertex at a time what the library builds as whole vertex sets.
 """
 
 from __future__ import annotations
@@ -38,6 +38,12 @@ def residue_sum_color(v: int, t: PrimeTriple) -> int:
 def block_of(v: int, t: PrimeTriple) -> BlockId:
     """Residue projection assigning every vertex to its block."""
     return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
+
+
+def neighbors(g: CayleyGraph, u: int) -> list[int]:
+    """The degree-many neighbours u + c (c in C) of vertex u, sorted ascending."""
+    n = g.triple.n
+    return sorted((u + c) % n for c in g.cset.members)
 
 
 def brute_order(k: int, n: int, limit: int | None = None) -> int:

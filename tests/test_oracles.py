@@ -8,6 +8,9 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     block_exponents,
+    build_report,
+    certify,
+    clique_certificate,
     distance_sweep,
     element_order,
     exact_max_clique,
@@ -15,12 +18,13 @@ from psqcayley import (
     find_triangle,
     make_prime_triple,
     run_verification,
-    verify_index_bounds,
 )
-from psqcayley import graph
+from psqcayley import graph, parameters
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
-from psqcayley.oracles import MAX_EXACT_VERTICES, MAX_INDEX_VERTICES, order_classes
+from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId, IndexGraph
+
+from helpers import neighbors
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -53,7 +57,7 @@ def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
 
 
 def test_neighborhood_clique_is_gamma():
-    hood = [0] + G235.neighbors(0)
+    hood = [0] + neighbors(G235, 0)
     assert len(hood) == 29
     clique = exact_max_clique(hood, G235.adjacent)
     assert len(clique) == 5
@@ -66,18 +70,8 @@ def test_clique_on_independent_block_is_one():
 
 
 def test_clique_on_complete_certificate():
-    k5 = G235.nonplanarity_certificate()
+    k5 = clique_certificate(T235)[:5]
     assert len(exact_max_clique(list(k5), G235.adjacent)) == 5
-
-
-def test_clique_budget_cap():
-    # above the cap the search answers None without testing a single pair
-    def never(u, v):
-        raise AssertionError("adjacency tested above the cap")
-
-    assert exact_max_clique(list(range(30)), never, 10) is None
-    assert exact_max_clique(list(range(MAX_EXACT_VERTICES + 1)), never) is None
-    assert exact_max_clique(list(range(10)), lambda u, v: True, 10) == list(range(10))
 
 
 def test_clique_empty_input():
@@ -106,14 +100,57 @@ def test_index_mis_is_independent():
     assert not any(ig.adjacent(x, y) for i, x in enumerate(mis) for y in mis[i + 1 :])
 
 
-def test_index_mis_budget_cap():
-    # 385 ids at (5,7,11) exceed the cap of 300; the 105 at (3,5,7) do not,
-    # and the None of the search is the None of the index bounds
-    t = make_prime_triple(5, 7, 11)
-    assert len(IndexGraph(T357).ids()) <= MAX_INDEX_VERTICES < len(IndexGraph(t).ids())
-    assert exact_max_independent_set(IndexGraph(t)) is None
-    assert verify_index_bounds(t) is None
-    assert verify_index_bounds(T357) is not None
+def _verdicts(lines) -> dict[str, str]:
+    """{check name: PASS or FAIL} from the lines of a verification run."""
+    return {line.split(":")[0].split(" ")[1]: line.split(" ")[0] for line in lines}
+
+
+@pytest.mark.parametrize(
+    "primes", [(2, 3, 5), (2, 3, 7), (3, 5, 7), (3, 5, 11), (5, 7, 11)], ids=lambda p: ",".join(map(str, p))
+)
+def test_exact_searches_agree_with_the_certified_bounds(primes):
+    # the uncapped searches reach every params-ladder triple: the closed
+    # neighbourhood of 0 holds no clique above c, the index graph no
+    # independent set above a·b, as the certificates behind verify say
+    t = make_prime_triple(*primes)
+    c = certify(t)
+    g = c.graph
+    hood = [0] + neighbors(g, 0)
+    clique = exact_max_clique(hood, g.adjacent)
+    mis = exact_max_independent_set(IndexGraph(t))
+    verdicts = _verdicts(run_verification(t, OracleBudget(bfs_sources=0), certificates=c).lines)
+    assert len(clique) == t.gamma
+    assert verdicts["clique"] == verdicts["chromatic"] == "PASS"
+    assert len(mis) == t.alpha * t.beta == build_report(t, certificates=c)["indexGraphMIS"]
+    assert verdicts["independence"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "edit, failing",
+    [
+        (lambda members: members - set(range(0, 900, 36)), {"clique", "chromatic", "independence"}),
+        (lambda members: members | {30, 870}, {"clique", "chromatic"}),
+    ],
+    ids=["without-multiples-of-a2b2", "with-abc"],
+)
+def test_a_planted_connecting_set_fails_the_certified_bounds(edit, failing, monkeypatch):
+    # without the multiples of a²b² = 36 the certificate K = {0, 36, ..., 144}
+    # is no clique, so neither ω ≥ c nor the cover by translates of K holds;
+    # ±abc = ±30 joins 0 and 30, which the colouring gives colour 0 both
+    def planted(t):
+        return ConnectingSet(tuple(sorted(edit(set(enumerate_connectors(t).members)))))
+
+    monkeypatch.setattr(graph, "enumerate_connectors", planted)
+    verdicts = _verdicts(run_verification(T235, OracleBudget(bfs_sources=0)).lines)
+    assert all(verdicts[name] == "FAIL" for name in failing)
+
+
+def test_a_clique_certificate_whose_translates_overlap_fails_the_cover(monkeypatch):
+    # the rotations of S₀ = {v : v mod 180 < 36} by K = {0, ..., 4} overlap,
+    # so they cover no vertex set exactly and α ≤ n/c is left unproved
+    monkeypatch.setattr(parameters, "clique_certificate", lambda t: (0, 1, 2, 3, 4))
+    line = run_verification(T235, OracleBudget(bfs_sources=0)).lines[5]
+    assert line.startswith("FAIL independence: size=180 <= alpha <= 180 (cover by translates of K: False)")
 
 
 def test_index_mis_against_reference_library():

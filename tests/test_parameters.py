@@ -8,6 +8,7 @@ from psqcayley import (
     DEFAULT_MATERIALIZE_CAP,
     BlockId,
     CayleyGraph,
+    IndexGraph,
     clique_certificate,
     closed_form_distance,
     closed_form_distance_table,
@@ -21,6 +22,7 @@ from psqcayley import (
     verify_coloring,
     verify_index_bounds,
 )
+from psqcayley import parameters
 
 from helpers import crt_components, residue_sum_color
 
@@ -104,11 +106,38 @@ def test_independence_certificate_next_instance():
 def test_index_bounds():
     rep = verify_index_bounds(T235)
     assert rep.index_set_two_agreement_free
+    assert rep.lines_cover_ids
     assert rep.mis_size == 6
-    assert rep.mis_matches_product
     rep7 = verify_index_bounds(T357)
     assert rep7.mis_size == 15
-    assert rep7.mis_matches_product
+    assert rep7.index_set_two_agreement_free and rep7.lines_cover_ids
+
+
+@pytest.mark.parametrize(
+    "plant, expected",
+    [
+        ("adjacent-index-ids", (False, True)),
+        ("id-outside-the-lines", (True, False)),
+        ("line-missing-an-edge", (True, False)),
+    ],
+)
+def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkeypatch):
+    # the index set bounds the MIS from below, the line cover from above; a
+    # fault in one leaves the other standing
+    origin, next_k = BlockId(0, 0, 0), BlockId(0, 0, 1)
+    if plant == "adjacent-index-ids":
+        index_set = parameters.independence_index_set
+        monkeypatch.setattr(parameters, "independence_index_set", lambda t: (origin, next_k) + index_set(t)[2:])
+    elif plant == "id-outside-the-lines":
+        ids = IndexGraph.ids
+        monkeypatch.setattr(IndexGraph, "ids", lambda ig: ids(ig) + [BlockId(ig.triple.alpha, 0, 0)])
+    else:
+        adjacent = IndexGraph.adjacent
+        monkeypatch.setattr(
+            IndexGraph, "adjacent", lambda ig, x, y: adjacent(ig, x, y) and {x, y} != {origin, next_k}
+        )
+    rep = verify_index_bounds(T235)
+    assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
 
 
 def test_distance_examples():

@@ -146,9 +146,10 @@ VERIFY_235_SEED_7 = """\
 PASS connecting-set: |C|=28, formula=28, order-scan=28
 PASS regular-eulerian-connected: degree=28, bezout=(1, 1, -9), reached=900/900
 PASS girth-nonplanarity: triangle=(0, 36, 72), k5=(0, 36, 72, 108, 144), scan=(0, 36, 72)
-PASS clique: certificate=5, exact-neighborhood-max=5, gamma=5
+PASS clique: certificate=5 <= omega <= chi <= 5 (coloring proper=True), gamma=5
 PASS chromatic: proper=True over 12600 edges (exhaustive), value=5
-PASS independence: size=180, internal=0/16110 pairs, index-MIS=6
+PASS independence: size=180 <= alpha <= 180 (cover by translates of K: True), \
+internal=0/16110 pairs, index-MIS=6 (index bounds: True)
 PASS structure: fiber={'i': True, 'ii': True, 'iii': True, 'iv': True, 'v': True, \
 'vi': True, 'vii': True, 'viii': True}, partition=True, blockAdjacency=True
 PASS diameter: max=6, mismatches=0 over 810000 pairs from 900 sources
@@ -257,6 +258,37 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
         assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["export", "--format", "walk", "--out", "walk.txt"], "seed"),
+        (["verify"], "materialize-cap"),
+        (["params", "--out", "report.json"], "materialize-cap"),
+    ],
+    ids=["export-seed", "verify-materialize-cap", "params-materialize-cap"],
+)
+def test_cli_config_rejects_a_key_its_subcommand_does_not_read(argv, key, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
+    (tmp_path / "budgets.cfg").write_text(f"{key} = 5\n")
+    assert cli.main([argv[0], "--primes", "2,3,5", *argv[1:], "--config", "budgets.cfg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: budgets.cfg:1: unknown key {key!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
+
+
+def test_cli_export_reads_its_cap_from_the_config(tmp_path, capsys):
+    cfg = tmp_path / "export.cfg"
+    cfg.write_text("materialize-cap = 899\n")
+    argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", str(tmp_path / "e.txt")]
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    assert "900 vertices exceed cap 899" in capsys.readouterr().err
+    cfg.write_text("materialize-cap = 900\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert (tmp_path / "e.txt").read_text().count("\n") == 12600
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_cli_rejects_a_negative_source_budget(source, tmp_path, capsys):
     argv = ["verify", "--primes", "2,3,5"]
@@ -315,21 +347,24 @@ def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, tmp_path, caps
     assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
 
 
-def test_a_search_over_its_cap_renders_as_skipped(monkeypatch):
-    # each exact search answers None over its cap; neither cap is reached at
-    # (2,3,5), so both Nones are forced here
-    monkeypatch.setattr(oracles_mod, "exact_max_clique", lambda vertices, adjacent: None)
-    monkeypatch.setattr(oracles_mod, "exact_max_independent_set", lambda ig: None)
+def test_certificates_bound_clique_and_independence_without_an_exact_search(monkeypatch):
+    # the coloring bounds ω and the clique cover α at every n, so neither
+    # exact search runs in the pipeline and no check is skipped
+    def refuse(*args):
+        raise AssertionError("exact search in the pipeline")
+
+    monkeypatch.setattr(oracles_mod, "exact_max_clique", refuse)
+    monkeypatch.setattr(oracles_mod, "exact_max_independent_set", refuse)
     c = certify(T235)
-    assert c.index_bounds is None and build_report(T235, certificates=c)["indexGraphMIS"] is None
+    assert build_report(T235, certificates=c)["indexGraphMIS"] == 6
     outcome = run_verification(T235, OracleBudget(bfs_sources=0), certificates=c)
-    assert outcome.ok
-    assert outcome.lines[3] == (
-        "PASS clique: certificate=5 verified; neighborhood search skipped (29 vertices exceed cap 400)"
-    )
-    assert outcome.lines[5] == (
-        "PASS independence: size=180, internal=0/16110 pairs; index search skipped (ids exceed cap 300)"
-    )
+    assert outcome.ok and not any("skip" in line.lower() for line in outcome.lines)
+    assert outcome.lines[3:6] == tuple(VERIFY_235_SEED_7.splitlines()[3:6])
+
+
+def test_cli_params_certifies_the_index_mis_above_every_former_cap(capsys):
+    assert cli.main(["params", "--primes", "5,7,11"]) == 0
+    assert json.loads(capsys.readouterr().out)["indexGraphMIS"] == 35
 
 
 def test_report_above_the_export_cap_is_exhaustive():
@@ -416,13 +451,14 @@ def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
         cli._check_memory(make_prime_triple(101, 103, 107).n)
 
 
-@pytest.mark.parametrize("primes", ["3,5,7", "5,7,11"])
+@pytest.mark.parametrize("primes", ["3,5,7", "5,7,11", "7,11,13"])
 def test_cli_verify_passes_structure_above_a_two(primes, capsys):
-    # check (v) as stated holds for every triple, and no vertex cap skips
-    # the structure checks
+    # check (v) as stated holds for every triple, no vertex cap skips the
+    # structure checks, and no search cap skips a bound
     assert cli.main(["verify", "--primes", primes, "--budget-sources", "0"]) == 0
     out = capsys.readouterr().out
-    assert "\nPASS structure: " in out and "SKIP" not in out
+    assert "\nPASS structure: " in out and "skip" not in out.lower()
+    assert all(line.startswith("PASS ") for line in out.splitlines()[:-1])
     assert out.endswith("verification OK\n")
 
 

@@ -1,6 +1,7 @@
-"""The package exports only what the package itself uses, no module imports
-what it does not use, and every module-level constant is read.  The checks
-read the sources with `ast`."""
+"""The package exports only what the package itself uses, every public
+function and method has a caller in the package, no module imports what it
+does not use, and every module-level constant is read.  The checks read the
+sources with `ast`."""
 
 import ast
 import re
@@ -9,8 +10,8 @@ from pathlib import Path
 import psqcayley
 
 PACKAGE = Path(psqcayley.__file__).resolve().parent
-# bound by bench/tracer.py; drop with ROADMAP item 1
-TRACER_ONLY = {"element_order", "closed_form_distance_table"}
+# bound by bench/tracer.py, with no caller in the package; drop with ROADMAP item 1
+TRACER_ONLY = {"element_order", "closed_form_distance_table", "bfs", "edges", "exact_max_independent_set"}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -47,8 +48,26 @@ def test_every_export_has_a_caller_in_the_package():
     assert not unused, f"exported but never referenced outside __init__: {sorted(unused)}"
 
 
-def test_the_tracer_allowlist_holds_only_exports_without_a_caller():
-    assert TRACER_ONLY <= _exports()
+def _public_functions() -> set[str]:
+    """The public module-level functions and the public methods of classes."""
+    names = set()
+    for name, tree in _trees().items():
+        for node in tree.body:
+            body = node.body if isinstance(node, ast.ClassDef) else [node]
+            names.update(
+                f.name for f in body if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+            )
+    return names
+
+
+def test_every_public_function_and_method_has_a_caller_in_the_package():
+    # a function whose last caller moved out cannot stay behind
+    unused = _public_functions() - _package_references() - TRACER_ONLY
+    assert not unused, f"defined but never called in the package: {sorted(unused)}"
+
+
+def test_the_tracer_allowlist_holds_only_names_without_a_caller():
+    assert TRACER_ONLY <= _exports() | _public_functions()
     assert not TRACER_ONLY & _package_references()
 
 
