@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .connectors import connector_count_formula
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError
+from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, set_bits
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .oracles import DEFAULT_SEED, OracleBudget
@@ -76,7 +76,8 @@ def _parse_primes(text: str) -> tuple[int, int, int]:
 
 
 def _load_config(args: argparse.Namespace) -> dict[str, int]:
-    """The values in args.config, whose keys must be ones args.command reads."""
+    """The values in args.config, whose keys must be ones args.command reads,
+    each given once."""
     path, keys = args.config, _CONFIG_KEYS[args.command]
     values: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -89,6 +90,8 @@ def _load_config(args: argparse.Namespace) -> dict[str, int]:
         key = key.strip()
         if key not in keys:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = int(value.strip())
         except ValueError:
@@ -211,8 +214,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.format == "walk":
                 payload = ("\n".join(walk_lines(snake_walk(triple))) + "\n").encode("ascii")
             else:
-                cert = independence_certificate(triple)
-                payload = ("\n".join(str(v) for v in cert.vertices) + "\n").encode("ascii")
+                cert = independence_certificate(triple, CayleyGraph.from_triple(triple))
+                payload = ("\n".join(map(str, set_bits(cert.members))) + "\n").encode("ascii")
             _out_path(args.out).write_bytes(payload)
             return 0
 

@@ -21,12 +21,12 @@ connector.  Sweeps from distinct sources share no mutable state and may run
 concurrently.  The levels from vertex 0 are built once per graph and shared
 as a tuple.
 
-Sets defined by residues -- colour classes, closed-form distance classes,
-residue blocks -- are periodic: {v : v mod P in R} for a period P dividing n.
-`periodic` packs one period and doubles it out to n bits, so its cost does not
-grow with the size of the set.  `residue_classes` builds a whole family of
-such sets, grouped by a label of the residues modulo a², b² and c², as
-products of per-prime periodic sets, without visiting a vertex.
+Sets defined by residues -- colour classes, the independence certificate,
+closed-form distance classes, residue blocks -- are periodic: {v : v mod P in
+R} for a period P dividing n.  The sets read through v mod a, v mod b and
+v mod c repeat with period abc.  `periodic` packs one period and doubles it
+out to n bits, so its cost does not grow with the size of the set, and
+`set_bits` lists the members of any set in ascending order.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import islice
 from os import PathLike
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness, divisors
@@ -138,32 +138,6 @@ class CayleyGraph(_GraphFields):
             s |= s << width
             width *= 2
         return s & ((1 << n) - 1)
-
-    def residue_classes(
-        self, key: Callable[[int, int], Hashable], label: Callable[..., Hashable]
-    ) -> dict[Hashable, int]:
-        """The vertices v grouped by label(x, y, z), where x = key(v mod a², a),
-        y = key(v mod b², b) and z = key(v mod c², c); each class an n-bit int.
-
-        For each prime square p², the residues r < p² are grouped by key(r, p)
-        into periodic sets (A_x, B_y, C_z); a class is the OR of A_x & B_y & C_z
-        over the key triples with its label.  No vertex is visited.
-        """
-        per_prime = []
-        for p, m in zip(self.triple.primes, self.triple.moduli):
-            groups: dict[Hashable, list[int]] = {}
-            for r in range(m):
-                groups.setdefault(key(r, p), []).append(r)
-            per_prime.append([(x, self.periodic(m, rs)) for x, rs in groups.items()])
-        alpha, beta, gamma = per_prime
-        classes: dict[Hashable, int] = {}
-        for x, a_x in alpha:
-            for y, b_y in beta:
-                ab = a_x & b_y
-                for z, c_z in gamma:
-                    k = label(x, y, z)
-                    classes[k] = classes.get(k, 0) | (ab & c_z)
-        return classes
 
     def is_partition(self, sets: Iterable[int]) -> bool:
         """True iff the sets are pairwise disjoint and cover all n vertices:
@@ -290,11 +264,8 @@ class CayleyGraph(_GraphFields):
         """Exact hop distances from source to every vertex (-1 = unreachable)."""
         dist = [-1] * self.triple.n
         for k, level in enumerate(self.bfs_levels(source)):
-            bits = bin(level)[:1:-1]  # bits[v] == "1" iff v is in the level
-            v = bits.find("1")
-            while v >= 0:
+            for v in set_bits(level):
                 dist[v] = k
-                v = bits.find("1", v + 1)
         return dist
 
     def is_connected(self) -> ConnectivityResult:
@@ -365,6 +336,15 @@ class CayleyGraph(_GraphFields):
                     ]
                     f.write(b"".join(lines))
             f.write(footer)
+
+
+def set_bits(s: int) -> Iterator[int]:
+    """The members of the set s (bit v set iff v is a member), ascending."""
+    bits = bin(s)[:1:-1]  # bits[v] == "1" iff v is in s
+    v = bits.find("1")
+    while v >= 0:
+        yield v
+        v = bits.find("1", v + 1)
 
 
 def _pack(values: Iterable[int], size: int) -> int:

@@ -4,17 +4,19 @@ the closed-form distance, and the diameter.
 Each parameter comes as an explicit certificate (a clique, a coloring, an
 independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
+
+The colour classes and the independence certificate read v only through
+v mod a, b and c, so each is one `CayleyGraph.periodic` set of period abc.
 """
 
 from __future__ import annotations
 
-import operator
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import BlockId, IndexGraph, block_exponents
+from .structure import BlockId, IndexGraph
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +51,18 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
 
     The cost of d in each component depends only on d modulo that prime
     square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
-    is the periodic set of residues mod a² with cost x (B, C likewise).
+    is the set of d with cost x modulo a² (B, C likewise).  Per prime p, cost
+    0 is d ≡ 0 mod p², cost 1 is d ≢ 0 mod p, and cost 2 is the rest of
+    d ≡ 0 mod p.
     """
-    return g.residue_classes(_component_cost, lambda x, y, z: x + y + z)
+    per_prime = []
+    for p, m in zip(t.primes, t.moduli):
+        zero = g.periodic(m, [0])
+        per_prime.append(enumerate((zero, g.periodic(p, range(1, p)), g.periodic(p, [0]) & ~zero)))
+    classes: dict[int, int] = {}
+    for (x, a_x), (y, b_y), (z, c_z) in product(*per_prime):
+        classes[x + y + z] = classes.get(x + y + z, 0) | (a_x & b_y & c_z)
+    return classes
 
 
 class DiameterResult(NamedTuple):
@@ -89,17 +100,24 @@ class ColoringResult(NamedTuple):
 
 def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     """The residue-sum colouring of g, the graph of t, which gives v the
-    colour (v mod a + v mod b + v mod c²) mod gamma, is proper: its classes
-    partition the n vertices into at most gamma sets, and no class spans an
-    edge, that is, each misses its own neighbourhood.  Every edge lies inside
-    a class or between two, so this covers all n·|C|/2 edges.  The colour of
-    v depends only on v mod a, b and c (v mod c² ≡ v mod c), so the classes
-    are built from residues (`CayleyGraph.residue_classes`)."""
-    classes = g.residue_classes(operator.mod, lambda x, y, z: (x + y + z) % t.gamma)
+    colour (v mod a + v mod b + v mod c) mod gamma, is proper with at most
+    gamma classes.
+
+    Class 0 is one period of abc residues.  The classes are its rotations by
+    the clique certificate K: the translation by k·a²b² fixes v mod a and
+    v mod b and adds k·a²b² to the colour, and a²b² is a unit mod gamma.
+    Translations are automorphisms, so the colouring is proper iff class 0
+    misses its own neighbourhood and its |K| ≤ gamma rotations partition the
+    n vertices.  Every edge lies inside a class or between two, so this
+    covers all n·|C|/2 edges.
+    """
+    a, b, c = t.primes
+    zero = g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a + r % b + r % c) % c == 0])
+    clique = clique_certificate(t)
     proper = (
-        len(classes) <= t.gamma
-        and g.is_partition(classes.values())
-        and not any(g.neighborhood(cls) & cls for cls in classes.values())
+        len(clique) <= t.gamma
+        and not g.neighborhood(zero) & zero
+        and g.is_partition(g.rotate(zero, k) for k in clique)
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
@@ -118,23 +136,24 @@ def independence_index_set(t: PrimeTriple) -> tuple[BlockId, ...]:
 
 class IndependenceCertificate(NamedTuple):
     """An independent set of a²b²c vertices: the union of the blocks indexed
-    by `index_set`."""
+    by `index_set`, as one n-bit int."""
 
     index_set: tuple[BlockId, ...]
-    vertices: tuple[int, ...]
+    members: int
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return self.members.bit_count()
 
 
-def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
+def independence_certificate(t: PrimeTriple, g: CayleyGraph) -> IndependenceCertificate:
+    """The blocks of the index set, {v : (v mod a, v mod b, v mod c) in it},
+    built from one period of abc residues."""
+    a, b, c = t.primes
     ids = independence_index_set(t)
-    vertices: list[int] = []
-    for bid in ids:
-        vertices.extend(block_exponents(bid, t))
-    vertices.sort()
-    cert = IndependenceCertificate(ids, tuple(vertices))
+    chosen = set(ids)
+    members = g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen])
+    cert = IndependenceCertificate(ids, members)
     assert cert.size == t.m_alpha * t.m_beta * t.gamma
     return cert
 
@@ -147,8 +166,8 @@ class IndependenceScan(NamedTuple):
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
     """Count edges inside the certificate set (must be zero), over all
     m(m−1)/2 vertex pairs."""
-    m = len(cert.vertices)
-    return IndependenceScan(g.internal_edges(g.bitset(cert.vertices)), m * (m - 1) // 2)
+    m = cert.size
+    return IndependenceScan(g.internal_edges(cert.members), m * (m - 1) // 2)
 
 
 class IndexBoundsReport(NamedTuple):

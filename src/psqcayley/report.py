@@ -5,7 +5,7 @@ report and the full verification run.
 graph: connectivity, the proper coloring, the independence certificate and
 its internal-edge scan, the index-graph bounds, the diameter, the walk and
 its replay, and the fiber and block checks, decided by translation on one
-representative, the block checks on one shared set of residue families.
+representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order classes, the triangle scan, the clique cover
@@ -72,7 +72,7 @@ def certify(t: PrimeTriple) -> Certificates:
     with timed("coloring"):
         coloring = parameters.verify_coloring(t, g)
     with timed("independence"):
-        independence = parameters.independence_certificate(t)
+        independence = parameters.independence_certificate(t, g)
         scan = parameters.independence_internal_edges(independence, g)
     with timed("indexBounds"):
         index_bounds = parameters.verify_index_bounds(t)
@@ -82,10 +82,9 @@ def certify(t: PrimeTriple) -> Certificates:
         walk = snake_walk(t)
         walk_ok = verify_walk(walk, g)
     with timed("structure"):
-        families = structure.residue_families(g)
         fiber = structure.verify_fiber_structure(g)
-        partition = structure.verify_block_partition(g, families)
-        block_adj = structure.verify_block_adjacency(g, families)
+        partition = structure.verify_block_partition(g, structure.residue_families(g))
+        block_adj = structure.verify_block_adjacency(g)
 
     return Certificates(
         g, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,

@@ -16,11 +16,12 @@ x ↦ x + s is an automorphism, so each is decided on one representative.  The
 blocks are the translates of B₀ = abc·Z_n: translating by a vertex with
 residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
-every block pair.  The gamma fibers are the translates of the interval
-[0, a²b²) and the (alpha, beta) cells those of cell 0, so one neighbourhood
-decides fiber check (i) and one cycle check (iii).  Likewise the a²
-cross-section sequences of check (viii) are translates of fiber 0's, so one
-cycle check decides their cycle claim.
+every block pair.  Block (r mod a, r mod b, r mod c) is {v : v mod abc = r},
+so the blocks and N(B₀) are sets of period abc.  The gamma fibers are the
+translates of the interval [0, a²b²) and the (alpha, beta) cells those of
+cell 0, so one neighbourhood decides fiber check (i) and one cycle check
+(iii).  Likewise the a² cross-section sequences of check (viii) are
+translates of fiber 0's, so one cycle check decides their cycle claim.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ class IndexGraph(NamedTuple):
 
 def residue_families(g: CayleyGraph) -> tuple[tuple[int, ...], ...]:
     """Per prime p of the triple, the p residue sets {v : v mod p = r} (r < p),
-    each an n-bit int.  Block (i, j, k) is A_i & B_j & C_k, so both block
-    checks read these a + b + c sets and never hold all abc blocks at once."""
+    each an n-bit int.  Block (i, j, k) is A_i & B_j & C_k, so the partition
+    check reads these a + b + c sets and never holds all abc blocks at once."""
     return tuple(tuple(g.periodic(p, [r]) for r in range(p)) for p in g.triple.primes)
 
 
@@ -106,26 +107,22 @@ def verify_block_partition(g: CayleyGraph, families: tuple[tuple[int, ...], ...]
     return alpha[0] & beta[0] & gamma[0] == g.bitset(block_exponents(BlockId(0, 0, 0), t))
 
 
-def verify_block_adjacency(g: CayleyGraph, families: tuple[tuple[int, ...], ...]) -> bool:
+def verify_block_adjacency(g: CayleyGraph) -> bool:
     """Cross-block edges exist exactly between index-adjacent ids.
 
-    Once verify_block_partition holds, the blocks A_i & B_j & C_k are the
-    translates of B₀ = A_0 & B_0 & C_0, so B_x and B_y are joined iff B_{y−x}
-    meets N(B₀) (module docstring): N(B₀) must meet block y exactly when y is
-    index-adjacent to (0, 0, 0), which excludes B₀ itself.
+    The blocks are the translates of B₀ = abc·Z_n, so B_x and B_y are joined
+    iff B_{y−x} meets N(B₀) (module docstring): N(B₀) must meet block y
+    exactly when y is index-adjacent to (0, 0, 0), which excludes B₀ itself.
+    N(B₀) has period abc, as B₀ has, so it meets block y iff it contains it,
+    and the claim is that N(B₀) is the union of the index-adjacent blocks:
+    one comparison of n bits.
     """
-    ig = IndexGraph(g.triple)
-    alpha, beta, gamma = families
+    t = g.triple
+    a, b, c = t.primes
+    ig = IndexGraph(t)
     origin = BlockId(0, 0, 0)
-    reach = g.neighborhood(alpha[0] & beta[0] & gamma[0])
-    for i, a_i in enumerate(alpha):
-        reach_a = reach & a_i
-        for j, b_j in enumerate(beta):
-            reach_ab = reach_a & b_j
-            for k, c_k in enumerate(gamma):
-                if bool(reach_ab & c_k) != ig.adjacent(origin, BlockId(i, j, k)):
-                    return False
-    return True
+    adjacent = [r for r in range(a * b * c) if ig.adjacent(origin, BlockId(r % a, r % b, r % c))]
+    return g.neighborhood(g.periodic(a * b * c, [0])) == g.periodic(a * b * c, adjacent)
 
 
 class FiberStructureChecklist(NamedTuple):

@@ -30,9 +30,9 @@ def crt_components(k: int, t: PrimeTriple) -> tuple[int, int, int]:
 
 def residue_sum_color(v: int, t: PrimeTriple) -> int:
     """The proper gamma-colouring that `verify_coloring` checks: the residues
-    mod a and b, included into Z_gamma by the identity, plus the full
-    c²-component, all modulo gamma."""
-    return (v % t.alpha + v % t.beta + v % t.m_gamma) % t.gamma
+    mod a, b and c, included into Z_gamma by the identity, summed modulo
+    gamma.  It reads v only modulo abc."""
+    return (v % t.alpha + v % t.beta + v % t.gamma) % t.gamma
 
 
 def block_of(v: int, t: PrimeTriple) -> BlockId:
@@ -91,23 +91,8 @@ def triples_with_group_order_at_most(limit: int) -> list[PrimeTriple]:
     return sorted(found, key=lambda t: t.n)
 
 
-def edit_residue_classes(monkeypatch, edit) -> None:
-    """From now on CayleyGraph.residue_classes passes each result through
-    edit(classes), which may change the dict in place, before returning it."""
-    build = CayleyGraph.residue_classes
-
-    def edited(self, key, label):
-        classes = build(self, key, label)
-        edit(classes)
-        return classes
-
-    monkeypatch.setattr(CayleyGraph, "residue_classes", edited)
-
-
-def move_vertex(classes: dict, v: int, to) -> None:
-    """Take vertex v out of every class and, unless `to` is None, put it
-    into class `to`."""
-    for label in classes:
-        classes[label] &= ~(1 << v)
-    if to is not None:
-        classes[to] = classes.get(to, 0) | 1 << v
+def move_vertex(sets: dict, v: int, to) -> None:
+    """Take vertex v out of every set of the dict and put it into set `to`."""
+    for label in sets:
+        sets[label] &= ~(1 << v)
+    sets[to] = sets.get(to, 0) | 1 << v

@@ -126,7 +126,7 @@ def test_criterion_05_chromatic():
 
 def test_criterion_06_independence():
     start = time.perf_counter()
-    cert = independence_certificate(T235)
+    cert = independence_certificate(T235, G235)
     scan = independence_internal_edges(cert, G235)
     mis235 = exact_max_independent_set(IndexGraph(T235))
     mis357 = exact_max_independent_set(IndexGraph(T357))
@@ -148,7 +148,7 @@ def test_criterion_07_structure_checks():
     families = residue_families(G235)
     checklist = verify_fiber_structure(G235)
     partition = verify_block_partition(G235, families)
-    block_adj = verify_block_adjacency(G235, families)
+    block_adj = verify_block_adjacency(G235)
     ok = checklist.all_pass and partition and block_adj
     elapsed = time.perf_counter() - start
     _report(7, ok, 10.0, elapsed, f"eight fiber checks {checklist.as_dict()}, partition, block adjacency at n=900")

@@ -59,9 +59,10 @@ def test_tracer_runs_the_structure_checks_where_the_verdict_moved(tmp_path):
     [
         ["export", "--format", "edges", "--out", "{out}"],
         ["export", "--format", "walk", "--out", "{out}"],
+        ["export", "--format", "independent-set", "--out", "{out}"],
         ["hamiltonian", "--check"],
     ],
-    ids=["export-edges", "export-walk", "hamiltonian-check"],
+    ids=["export-edges", "export-walk", "export-independent-set", "hamiltonian-check"],
 )
 def test_tracer_writes_what_the_cli_writes(args, tmp_path):
     runs = {}

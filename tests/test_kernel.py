@@ -10,6 +10,7 @@ from psqcayley import (
     CayleyGraph,
     OracleBudget,
     build_report,
+    clique_certificate,
     closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
@@ -19,17 +20,11 @@ from psqcayley import (
     run_verification,
     verify_coloring,
 )
-from psqcayley import oracles, parameters
+from psqcayley import oracles, parameters, structure
 from psqcayley.connectors import ConnectingSet
+from psqcayley.graph import set_bits
 
-from helpers import (
-    block_of,
-    edit_residue_classes,
-    move_vertex,
-    neighbors,
-    residue_sum_color,
-    triples_with_group_order_at_most,
-)
+from helpers import block_of, neighbors, residue_sum_color, triples_with_group_order_at_most
 
 TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
@@ -142,7 +137,7 @@ def test_internal_edges_matches_pair_count():
 def test_planted_edge_counts_once(t):
     g = CayleyGraph.from_triple(t)
     members = g.cset.members
-    cert = independence_certificate(t).vertices
+    cert = list(set_bits(independence_certificate(t, g).members))
     assert g.internal_edges(g.bitset(cert)) == 0
     u = cert[len(cert) // 2]
     for c in (members[0], members[-1]):  # one connector below n/2, one above
@@ -246,10 +241,18 @@ def test_sweep_counts_unreached_vertices():
     assert report.max_distance == 2
 
 
+def _edit_periodic_sets(monkeypatch, edit) -> None:
+    """From now on CayleyGraph.periodic passes each set it builds through
+    edit(s); in verify_coloring that set is colour class 0."""
+    periodic = CayleyGraph.periodic
+    monkeypatch.setattr(CayleyGraph, "periodic", lambda g, period, residues: edit(periodic(g, period, residues)))
+
+
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_bad_coloring_is_improper(t, monkeypatch):
     clash = CayleyGraph.from_triple(t).cset.members[0]  # adjacent to vertex 0, recoloured like it
-    edit_residue_classes(monkeypatch, lambda cls: move_vertex(cls, clash, residue_sum_color(0, t)))
+    assert residue_sum_color(0, t) == 0
+    _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << clash)
     result = verify_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper is False
     assert result.edges_checked == t.n * CayleyGraph.from_triple(t).degree // 2
@@ -257,46 +260,81 @@ def test_bad_coloring_is_improper(t, monkeypatch):
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
-    # the colouring repeats with period a·b·c²; a clash planted at the last
+    # the colouring repeats with period abc; a clash planted at the last
     # vertex is invisible to anything that reads the first period only
     v = t.n - 1
-    w = v - CayleyGraph.from_triple(t).cset.members[0]  # adjacent to v
-    assert v >= t.n - t.alpha * t.beta * t.m_gamma and residue_sum_color(v, t) != residue_sum_color(w, t)
-    edit_residue_classes(monkeypatch, lambda classes: move_vertex(classes, v, residue_sum_color(w, t)))
-    assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
+    g = CayleyGraph.from_triple(t)
+    assert v >= t.n - t.alpha * t.beta * t.gamma and residue_sum_color(v, t) != 0
+    assert any(residue_sum_color(w, t) == 0 for w in neighbors(g, v))
+    _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << v)
+    assert verify_coloring(t, g).proper is False
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 @pytest.mark.parametrize("fault", ["no class", "two classes", "extra class"])
 def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, monkeypatch):
-    # v in no class and v alone in a (c+1)-th class leave every class free of
-    # edges, so only the partition and the class count catch them
-    v = t.n // 2
-    other = (residue_sum_color(v, t) + 1) % t.gamma
-    edits = {
-        "no class": lambda classes: move_vertex(classes, v, None),
-        "two classes": lambda classes: classes.update({other: classes[other] | 1 << v}),
-        "extra class": lambda classes: move_vertex(classes, v, t.gamma),
-    }
-    edit_residue_classes(monkeypatch, edits[fault])
+    # v in no class leaves class 0 free of edges, so only the partition test
+    # catches it; v in class 0 and its own, or one rotation of class 0 more
+    # than the c of the clique certificate, break the partition as well
+    in_zero = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) == 0)
+    outside = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) != 0)
+    m_ab = t.m_alpha * t.m_beta
+    if fault == "no class":
+        _edit_periodic_sets(monkeypatch, lambda zero: zero & ~(1 << in_zero))
+    elif fault == "two classes":
+        _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << outside)
+    else:
+        monkeypatch.setattr(parameters, "clique_certificate", lambda t: clique_certificate(t) + (t.gamma * m_ab,))
     assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
-def test_residue_classes_match_the_per_vertex_references(t, monkeypatch):
+def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
     g = CayleyGraph.from_triple(t)
-    colours, blocks = {}, {}
+    colours = {}
     for v in range(t.n):
         colours.setdefault(residue_sum_color(v, t), []).append(v)
-        blocks.setdefault(block_of(v, t), []).append(v)
-    read = []
-    edit_residue_classes(monkeypatch, read.append)
+    built = []
+    _edit_periodic_sets(monkeypatch, lambda s: built.append(s) or s)
     assert verify_coloring(t, g).proper
-    assert read == [{colour: g.bitset(vs) for colour, vs in colours.items()}]
+    [zero] = built
+    rotations = {residue_sum_color(k, t): g.rotate(zero, k) for k in clique_certificate(t)}
+    assert rotations == {colour: g.bitset(vs) for colour, vs in colours.items()}
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_residue_blocks_and_independence_members_match_block_of(t):
+    g = CayleyGraph.from_triple(t)
+    blocks = {}
+    for v in range(t.n):
+        blocks.setdefault(block_of(v, t), []).append(v)
     alpha, beta, gamma = residue_families(g)
     assert {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in blocks} == {
         bid: g.bitset(vs) for bid, vs in blocks.items()
     }
+    cert = independence_certificate(t, g)
+    assert cert.members == g.bitset(v for bid in cert.index_set for v in blocks[bid])
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypatch):
+    # class 0 stands for every class, and the certificate is one period of
+    # residues: no per-class neighbourhood and no per-block construction
+    # (block_exponents builds a block through block_members)
+    calls = {"neighborhood": 0, "block_members": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update({name: calls[name] + 1}) or fn(*args))
+
+    counted(CayleyGraph, "neighborhood")
+    counted(structure, "block_members")
+    g = CayleyGraph.from_triple(t)
+    assert verify_coloring(t, g).proper
+    assert calls == {"neighborhood": 1, "block_members": 0}
+    cert = independence_certificate(t, g)
+    assert parameters.independence_internal_edges(cert, g).internal_edges == 0
+    assert calls == {"neighborhood": 1, "block_members": 0}
 
 
 def test_is_partition():

@@ -164,9 +164,14 @@ def test_cli_verify_stdout_is_pinned(capsys):
 
 
 def test_cli_params_bytes_are_pinned(capsys):
-    assert cli.main(["params", "--primes", "2,3,5", "--seed", "7"]) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
-    assert digest == "4ffb2bc5fed5044cb0097f4411807b9184da147b7a636863451814ded58ee590"
+    # (3,5,11) lies above the export cap
+    pinned = {
+        "2,3,5": "4ffb2bc5fed5044cb0097f4411807b9184da147b7a636863451814ded58ee590",
+        "3,5,11": "b36d89375d61366cda8d8c4ffb3e1962596c1350fb2cb289c36aaa5b90b5583f",
+    }
+    for primes, expected in pinned.items():
+        assert cli.main(["params", "--primes", primes, "--seed", "7"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == expected
 
 
 def test_cli_build(capsys):
@@ -256,6 +261,18 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     for key in ("mystery", "sample-pairs", "sample-edges", "max-exact-vertices", "max-index-vertices"):
         cfg.write_text(f"{key} = 1\n")
         assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
+
+
+def test_cli_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
+    (tmp_path / "budgets.cfg").write_text("seed = 1\n# again\nseed = 2\n")
+    argv = ["params", "--primes", "2,3,5", "--out", "report.json", "--config", "budgets.cfg"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: budgets.cfg:3: duplicate key 'seed'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -515,13 +532,16 @@ def test_cli_export_walk(tmp_path):
 
 def test_cli_export_independent_set(tmp_path):
     out = tmp_path / "indep.txt"
-    assert (
-        cli.main(["export", "--primes", "2,3,5", "--format", "independent-set", "--out", str(out)])
-        == 0
-    )
+    pinned = {
+        "2,3,5": "8be3fbbcff28460a5d49e865c6997f63cc5e8a690bc0449a1761ef16abe6af27",
+        "3,5,7": "0e11fd3218842bd43935dab29d1bcf195361540b808af13f6a606ba2f56f9239",
+    }
+    for primes, expected in pinned.items():
+        argv = ["export", "--primes", primes, "--format", "independent-set", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
     values = [int(x) for x in out.read_text().split()]
-    assert len(values) == 180
-    assert values == sorted(values)
+    assert len(values) == 9 * 25 * 7 and values == sorted(values)
 
 
 def test_cli_hamiltonian_check(capsys):

@@ -49,7 +49,7 @@ def _families(g: CayleyGraph, edit=None) -> tuple[tuple[int, ...], ...]:
 def _blocks_ok(t, edit=None) -> tuple[bool, bool]:
     g = CayleyGraph.from_triple(t)
     families = _families(g, edit)
-    return verify_block_partition(g, families), verify_block_adjacency(g, families)
+    return verify_block_partition(g, families), verify_block_adjacency(g)
 
 
 def _blocks(g: CayleyGraph, families) -> dict[BlockId, int]:
@@ -148,7 +148,7 @@ def test_block_checks_equal_their_per_block_references(t):
     g = CayleyGraph.from_triple(t)
     families = residue_families(g)
     assert verify_block_partition(g, families) is _partition_by_construction(g, families) is True
-    assert verify_block_adjacency(g, families) is _adjacency_by_pairs(g, families) is True
+    assert verify_block_adjacency(g) is _adjacency_by_pairs(g, families) is True
 
 
 @SMALL
@@ -216,7 +216,7 @@ def test_index_graph_rule():
 
 
 def test_block_adjacency_consistency():
-    assert verify_block_adjacency(G235, residue_families(G235))
+    assert verify_block_adjacency(G235)
 
 
 @pytest.mark.parametrize("extra", [30, 1])
@@ -225,8 +225,7 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     # residue.  Either joins vertices of one gamma fiber (an interval of 36).
     _plant(monkeypatch, lambda t: extra)
     g = CayleyGraph.from_triple(T235)
-    families = residue_families(g)
-    assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)
+    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g, residue_families(g))
     assert not verify_fiber_structure(g).gamma_fibers_independent and not _gamma_fibers_by_fiber(g)
 
 
@@ -247,7 +246,7 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     g = _without(t, [c for c in enumerate_connectors(t).members if c % m_ab])
     families = residue_families(g)
     assert verify_block_partition(g, families)
-    assert not verify_block_adjacency(g, families) and not _adjacency_by_pairs(g, families)
+    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g, families)
 
 
 @SMALL
@@ -268,13 +267,14 @@ def test_cell_cycles_catch_a_removed_connector(t):
 
 def test_block_checks_catch_a_projection_fault_at_the_last_vertex():
     # the residue sets repeat with period p; moving vertex n − 1 into every
-    # residue-0 set (so into block (0, 0, 0)) breaks that
+    # residue-0 set (so into block (0, 0, 0)) breaks that.  Block adjacency
+    # reads no family, so the partition check alone must see it
     def plant(families):
         for family in families:
             move_vertex(family, t.n - 1, 0)
 
     for t in (T235, T357):
-        assert _blocks_ok(t, plant) == (False, False)
+        assert _blocks_ok(t, plant) == (False, True)
 
 
 def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none():
