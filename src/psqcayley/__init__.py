@@ -25,7 +25,7 @@ from .group import (
     is_prime,
     make_prime_triple,
 )
-from .hamiltonian import LengthMismatchError, WalkCertificate, snake_walk, verify_walk, walk_lines
+from .hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
     DEFAULT_SEED,
     OracleBudget,
@@ -64,9 +64,7 @@ from .structure import (
     BlockId,
     FiberStructureChecklist,
     IndexGraph,
-    block_exponents,
-    block_members,
-    residue_families,
+    blocks,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,

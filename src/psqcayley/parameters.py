@@ -5,8 +5,9 @@ Each parameter comes as an explicit certificate (a clique, a coloring, an
 independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
 
-The colour classes and the independence certificate read v only through
-v mod a, b and c, so each is one `CayleyGraph.periodic` set of period abc.
+Colour class 0 and the independence certificate read v only through
+v mod a, b and c, so each is a union of residue blocks, one
+`structure.blocks` set of period abc.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import BlockId, IndexGraph
+from .structure import BlockId, IndexGraph, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +72,10 @@ class DiameterResult(NamedTuple):
     bfs_eccentricity: int
 
 
-def diameter(t: PrimeTriple, g: CayleyGraph | None = None) -> DiameterResult:
+def diameter(t: PrimeTriple, g: CayleyGraph) -> DiameterResult:
     """Diameter 6, witnessed by a pair whose components are all congruent but
-    unequal, and cross-checked by BFS eccentricity from vertex 0 (which equals
-    the diameter by vertex transitivity)."""
-    if g is None:
-        g = CayleyGraph.from_triple(t)
+    unequal, and cross-checked by BFS eccentricity from vertex 0 of g, the
+    graph of t (which equals the diameter by vertex transitivity)."""
     witness = crt_combine((t.alpha, t.beta, t.gamma), t)
     ecc = len(g.bfs_levels(0)) - 1
     return DiameterResult(closed_form_distance(0, witness, t), (0, witness), ecc)
@@ -103,16 +102,16 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     colour (v mod a + v mod b + v mod c) mod gamma, is proper with at most
     gamma classes.
 
-    Class 0 is one period of abc residues.  The classes are its rotations by
-    the clique certificate K: the translation by k·a²b² fixes v mod a and
-    v mod b and adds k·a²b² to the colour, and a²b² is a unit mod gamma.
+    Class 0 is the union of the blocks (i, j, k) with i + j + k ≡ 0 mod
+    gamma.  The classes are its rotations by the clique certificate K: the
+    translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to the
+    colour, and a²b² is a unit mod gamma.
     Translations are automorphisms, so the colouring is proper iff class 0
     misses its own neighbourhood and its |K| ≤ gamma rotations partition the
     n vertices.  Every edge lies inside a class or between two, so this
     covers all n·|C|/2 edges.
     """
-    a, b, c = t.primes
-    zero = g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a + r % b + r % c) % c == 0])
+    zero = blocks(g, [x for x in IndexGraph(t).ids() if sum(x) % t.gamma == 0])
     clique = clique_certificate(t)
     proper = (
         len(clique) <= t.gamma
@@ -147,13 +146,10 @@ class IndependenceCertificate(NamedTuple):
 
 
 def independence_certificate(t: PrimeTriple, g: CayleyGraph) -> IndependenceCertificate:
-    """The blocks of the index set, {v : (v mod a, v mod b, v mod c) in it},
-    built from one period of abc residues."""
-    a, b, c = t.primes
+    """The union of the blocks of the index set, {v : (v mod a, v mod b,
+    v mod c) in it}."""
     ids = independence_index_set(t)
-    chosen = set(ids)
-    members = g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen])
-    cert = IndependenceCertificate(ids, members)
+    cert = IndependenceCertificate(ids, blocks(g, ids))
     assert cert.size == t.m_alpha * t.m_beta * t.gamma
     return cert
 

@@ -83,7 +83,7 @@ def certify(t: PrimeTriple) -> Certificates:
         walk_ok = verify_walk(walk, g)
     with timed("structure"):
         fiber = structure.verify_fiber_structure(g)
-        partition = structure.verify_block_partition(g, structure.residue_families(g))
+        partition = structure.verify_block_partition(g)
         block_adj = structure.verify_block_adjacency(g)
 
     return Certificates(

@@ -3,11 +3,12 @@ the index graph that governs which blocks see edges between them.
 
 Exponents are written in the mixed radix x = i + j·a² + k·a²b² (digits i < a²,
 j < b², k < c²), giving three fiber families (one per pinned digit).
-Blocks collect the a·b·c vertices whose residue components agree modulo
-(a, b, c); they partition the vertex set and are always independent.
-All verifiers here check the literal claims against arithmetic adjacency,
-independently of the constructors that produced the objects; the cycle
-claims (fiber checks iii, vii and viii) go through `CayleyGraph.is_cycle`,
+Block (i, j, k) is {v : (v mod a, v mod b, v mod c) = (i, j, k)}, one residue
+class modulo abc of a·b·c vertices, so every union of blocks is one set of
+period abc (`blocks`).  The blocks partition the vertex set and are always
+independent.  All verifiers here check the literal claims against arithmetic
+adjacency, independently of the constructors that produced the objects; the
+cycle claims (fiber checks iii, vii and viii) go through `CayleyGraph.is_cycle`,
 the check that also replays the Hamiltonian walk, once each.
 
 The block checks and fiber checks (i) and (iii) are claims about every set
@@ -16,53 +17,26 @@ x ↦ x + s is an automorphism, so each is decided on one representative.  The
 blocks are the translates of B₀ = abc·Z_n: translating by a vertex with
 residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
-every block pair.  Block (r mod a, r mod b, r mod c) is {v : v mod abc = r},
-so the blocks and N(B₀) are sets of period abc.  The gamma fibers are the
-translates of the interval [0, a²b²) and the (alpha, beta) cells those of
-cell 0, so one neighbourhood decides fiber check (i) and one cycle check
-(iii).  Likewise the a² cross-section sequences of check (viii) are
-translates of fiber 0's, so one cycle check decides their cycle claim.
+every block pair, and block 0's construction decides the partition.  The
+gamma fibers are the translates of the interval [0, a²b²) and the
+(alpha, beta) cells those of cell 0, so one neighbourhood decides fiber
+check (i) and one cycle check (iii).  Likewise the a² cross-section sequences
+of check (viii) are translates of fiber 0's, so one cycle check decides their
+cycle claim.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graph import CayleyGraph
-from .group import PrimeTriple, crt_basis
+from .group import PrimeTriple, crt_combine
 
 
 class BlockId(NamedTuple):
     i: int
     j: int
     k: int
-
-
-def _check_block_id(b: BlockId, t: PrimeTriple) -> None:
-    for r, p in zip(b, t.primes):
-        if not 0 <= r < p:
-            raise ValueError(f"block index {tuple(b)} out of range for primes {t.primes}")
-
-
-def block_members(b: BlockId, t: PrimeTriple) -> list[tuple[int, int, int]]:
-    """The a·b·c component triples (i+ax, j+by, k+cz); always an independent set."""
-    _check_block_id(b, t)
-    a, bb, c = t.primes
-    return [
-        (b.i + a * x, b.j + bb * y, b.k + c * z)
-        for x in range(a)
-        for y in range(bb)
-        for z in range(c)
-    ]
-
-
-def block_exponents(b: BlockId, t: PrimeTriple) -> list[int]:
-    """Block members converted to exponents, sorted ascending."""
-    e_a, e_b, e_c = crt_basis(t)
-    n = t.n
-    return sorted(
-        (ga * e_a + gb * e_b + gc * e_c) % n for ga, gb, gc in block_members(b, t)
-    )
 
 
 class IndexGraph(NamedTuple):
@@ -79,32 +53,32 @@ class IndexGraph(NamedTuple):
         return (x.i == y.i) + (x.j == y.j) + (x.k == y.k) == 2
 
 
-def residue_families(g: CayleyGraph) -> tuple[tuple[int, ...], ...]:
-    """Per prime p of the triple, the p residue sets {v : v mod p = r} (r < p),
-    each an n-bit int.  Block (i, j, k) is A_i & B_j & C_k, so the partition
-    check reads these a + b + c sets and never holds all abc blocks at once."""
-    return tuple(tuple(g.periodic(p, [r]) for r in range(p)) for p in g.triple.primes)
+def blocks(g: CayleyGraph, ids: Iterable[BlockId]) -> int:
+    """The union of the blocks with these ids, {v : (v mod a, v mod b, v mod c)
+    in ids}, as one n-bit int of period abc."""
+    a, b, c = g.triple.primes
+    chosen = set(ids)
+    return g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen])
 
 
-def verify_block_partition(g: CayleyGraph, families: tuple[tuple[int, ...], ...]) -> bool:
-    """The blocks A_i & B_j & C_k (families from residue_families) partition
-    the vertices, and each is the block that block_exponents constructs.
+def verify_block_partition(g: CayleyGraph) -> bool:
+    """The blocks partition the vertices, and each is the block that its
+    component triples construct.
 
-    Per prime p the family must partition V into the rotations of its
-    residue-0 set by r < p.  Such rotations tile the cycle Z_n only when that
-    set is s + p·Z_n, and A_0 & B_0 & C_0 equal to the constructed block 0
-    pins each s to 0.  Block x is then block 0 translated by a vertex with
-    residues x, and so is its construction (block_members(x) is x plus the
-    members of block 0): one block_exponents call decides every block.
+    Block (i, j, k) is constructed from the a·b·c component triples
+    (i + a·x, j + b·y, k + c·z), x < a, y < b, z < c, combined by the CRT.
+    That is block 0's construction, from (a·x, b·y, c·z), translated by
+    crt(i, j, k).  So the check passes iff block 0's construction equals the
+    residue block {v : v ≡ 0 mod a, b and c} = abc·Z_n: the blocks are then
+    the abc cosets of the subgroup abc·Z_n, which partition V, and each
+    construction is its residue block translated by the same vertex.
     """
     t = g.triple
-    for family in families:
-        if not g.is_partition(family):
-            return False
-        if any(s != g.rotate(family[0], r) for r, s in enumerate(family)):
-            return False
-    alpha, beta, gamma = families
-    return alpha[0] & beta[0] & gamma[0] == g.bitset(block_exponents(BlockId(0, 0, 0), t))
+    a, b, c = t.primes
+    construction = g.bitset(
+        crt_combine((a * x, b * y, c * z), t) for x in range(a) for y in range(b) for z in range(c)
+    )
+    return construction == blocks(g, [BlockId(0, 0, 0)])
 
 
 def verify_block_adjacency(g: CayleyGraph) -> bool:
@@ -117,12 +91,10 @@ def verify_block_adjacency(g: CayleyGraph) -> bool:
     and the claim is that N(B₀) is the union of the index-adjacent blocks:
     one comparison of n bits.
     """
-    t = g.triple
-    a, b, c = t.primes
-    ig = IndexGraph(t)
+    ig = IndexGraph(g.triple)
     origin = BlockId(0, 0, 0)
-    adjacent = [r for r in range(a * b * c) if ig.adjacent(origin, BlockId(r % a, r % b, r % c))]
-    return g.neighborhood(g.periodic(a * b * c, [0])) == g.periodic(a * b * c, adjacent)
+    adjacent = [x for x in ig.ids() if ig.adjacent(origin, x)]
+    return g.neighborhood(blocks(g, [origin])) == blocks(g, adjacent)
 
 
 class FiberStructureChecklist(NamedTuple):

@@ -89,10 +89,3 @@ def triples_with_group_order_at_most(limit: int) -> list[PrimeTriple]:
                     break
                 found.append(make_prime_triple(a, b, c))
     return sorted(found, key=lambda t: t.n)
-
-
-def move_vertex(sets: dict, v: int, to) -> None:
-    """Take vertex v out of every set of the dict and put it into set `to`."""
-    for label in sets:
-        sets[label] &= ~(1 << v)
-    sets[to] = sets.get(to, 0) | 1 << v

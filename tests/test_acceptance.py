@@ -30,7 +30,6 @@ from psqcayley import (
     independence_certificate,
     independence_internal_edges,
     make_prime_triple,
-    residue_families,
     snake_walk,
     verify_block_adjacency,
     verify_block_partition,
@@ -145,9 +144,8 @@ def test_criterion_06_independence():
 
 def test_criterion_07_structure_checks():
     start = time.perf_counter()
-    families = residue_families(G235)
     checklist = verify_fiber_structure(G235)
-    partition = verify_block_partition(G235, families)
+    partition = verify_block_partition(G235)
     block_adj = verify_block_adjacency(G235)
     ok = checklist.all_pass and partition and block_adj
     elapsed = time.perf_counter() - start

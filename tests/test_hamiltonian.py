@@ -4,7 +4,6 @@ import pytest
 
 from psqcayley import (
     CayleyGraph,
-    LengthMismatchError,
     WalkCertificate,
     make_prime_triple,
     snake_walk,
@@ -92,10 +91,12 @@ def test_duplicate_vertex_fails():
     assert not verify_walk(WalkCertificate(tuple(verts)), G235)
 
 
-def test_truncated_walk_raises():
+def test_walk_of_wrong_length_fails():
+    # one entry short, or one entry more (the first vertex again, which
+    # closes the cycle through an existing edge): neither is a spanning cycle
     walk = snake_walk(T235)
-    with pytest.raises(LengthMismatchError):
-        verify_walk(WalkCertificate(walk.vertices[:-1]), G235)
+    assert not verify_walk(WalkCertificate(walk.vertices[:-1]), G235)
+    assert not verify_walk(WalkCertificate(walk.vertices + walk.vertices[:1]), G235)
 
 
 def test_every_desk_scale_triple_verifies():

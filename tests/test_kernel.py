@@ -16,7 +16,6 @@ from psqcayley import (
     distance_sweep,
     independence_certificate,
     make_prime_triple,
-    residue_families,
     run_verification,
     verify_coloring,
 )
@@ -304,37 +303,44 @@ def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_residue_blocks_and_independence_members_match_block_of(t):
+    # every single block, the independence index set and colour class 0,
+    # each against the union of its blocks by the per-vertex projection
     g = CayleyGraph.from_triple(t)
-    blocks = {}
+    members = {}
     for v in range(t.n):
-        blocks.setdefault(block_of(v, t), []).append(v)
-    alpha, beta, gamma = residue_families(g)
-    assert {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in blocks} == {
-        bid: g.bitset(vs) for bid, vs in blocks.items()
-    }
+        members.setdefault(block_of(v, t), []).append(v)
+
+    def union(ids):
+        return g.bitset(v for x in ids for v in members[x])
+
+    assert len(members) == t.alpha * t.beta * t.gamma
+    assert all(structure.blocks(g, [x]) == union([x]) for x in members)
     cert = independence_certificate(t, g)
-    assert cert.members == g.bitset(v for bid in cert.index_set for v in blocks[bid])
+    assert cert.members == structure.blocks(g, cert.index_set) == union(cert.index_set)
+    zero = [x for x in members if sum(x) % t.gamma == 0]
+    colour_zero = g.bitset(v for v in range(t.n) if residue_sum_color(v, t) == 0)
+    assert structure.blocks(g, zero) == union(zero) == colour_zero
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypatch):
     # class 0 stands for every class, and the certificate is one period of
     # residues: no per-class neighbourhood and no per-block construction
-    # (block_exponents builds a block through block_members)
-    calls = {"neighborhood": 0, "block_members": 0}
+    # (a block is constructed from its component triples by crt_combine)
+    calls = {"neighborhood": 0, "crt_combine": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.update({name: calls[name] + 1}) or fn(*args))
 
     counted(CayleyGraph, "neighborhood")
-    counted(structure, "block_members")
+    counted(structure, "crt_combine")
     g = CayleyGraph.from_triple(t)
     assert verify_coloring(t, g).proper
-    assert calls == {"neighborhood": 1, "block_members": 0}
+    assert calls == {"neighborhood": 1, "crt_combine": 0}
     cert = independence_certificate(t, g)
     assert parameters.independence_internal_edges(cert, g).internal_edges == 0
-    assert calls == {"neighborhood": 1, "block_members": 0}
+    assert calls == {"neighborhood": 1, "crt_combine": 0}
 
 
 def test_is_partition():

@@ -7,7 +7,6 @@ from psqcayley import (
     DEFAULT_SEED,
     CayleyGraph,
     OracleBudget,
-    block_exponents,
     build_report,
     certify,
     clique_certificate,
@@ -24,7 +23,7 @@ from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId, IndexGraph
 
-from helpers import neighbors
+from helpers import block_of, neighbors
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -65,7 +64,7 @@ def test_neighborhood_clique_is_gamma():
 
 
 def test_clique_on_independent_block_is_one():
-    verts = block_exponents(BlockId(0, 0, 0), T235)
+    verts = [v for v in range(T235.n) if block_of(v, T235) == BlockId(0, 0, 0)]
     assert len(exact_max_clique(verts, G235.adjacent)) == 1
 
 

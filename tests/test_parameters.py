@@ -184,7 +184,7 @@ def test_diameter_small():
 
 
 def test_diameter_next_instance():
-    res = diameter(T357)
+    res = diameter(T357, CayleyGraph.from_triple(T357))
     assert res.value == 6
     assert res.bfs_eccentricity == 6
 

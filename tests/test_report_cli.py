@@ -168,6 +168,7 @@ def test_cli_params_bytes_are_pinned(capsys):
     pinned = {
         "2,3,5": "4ffb2bc5fed5044cb0097f4411807b9184da147b7a636863451814ded58ee590",
         "3,5,11": "b36d89375d61366cda8d8c4ffb3e1962596c1350fb2cb289c36aaa5b90b5583f",
+        "5,7,11": "5de9bb38d806ec0650a46cbdc11ad9192bf7e775cb53a96d8ed14e51ea5cdb85",
     }
     for primes, expected in pinned.items():
         assert cli.main(["params", "--primes", primes, "--seed", "7"]) == 0
@@ -531,16 +532,17 @@ def test_cli_export_walk(tmp_path):
 
 
 def test_cli_export_independent_set(tmp_path):
-    out = tmp_path / "indep.txt"
     pinned = {
         "2,3,5": "8be3fbbcff28460a5d49e865c6997f63cc5e8a690bc0449a1761ef16abe6af27",
         "3,5,7": "0e11fd3218842bd43935dab29d1bcf195361540b808af13f6a606ba2f56f9239",
+        "5,7,11": "d2b7c3ef2c6a557a55066b9f0cab1416241fb074bdd71bb76f7d8ebecba36166",
     }
     for primes, expected in pinned.items():
+        out = tmp_path / f"indep-{primes}.txt"
         argv = ["export", "--primes", primes, "--format", "independent-set", "--out", str(out)]
         assert cli.main(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
-    values = [int(x) for x in out.read_text().split()]
+    values = [int(x) for x in (tmp_path / "indep-3,5,7.txt").read_text().split()]
     assert len(values) == 9 * 25 * 7 and values == sorted(values)
 
 

@@ -5,19 +5,20 @@ from psqcayley import (
     BlockId,
     CayleyGraph,
     IndexGraph,
-    block_exponents,
-    block_members,
+    OracleBudget,
+    blocks,
     certify,
     crt_combine,
     make_prime_triple,
-    residue_families,
+    run_verification,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.graph import set_bits
 
-from helpers import block_of, move_vertex, triples_with_group_order_at_most
+from helpers import block_of, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -37,47 +38,53 @@ def _plant(monkeypatch, extra) -> None:
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
 
 
-def _families(g: CayleyGraph, edit=None) -> tuple[tuple[int, ...], ...]:
-    """The residue families of g, after edit(families) when given; edit gets
-    one {residue: set} dict per prime and changes them in place."""
-    families = [dict(enumerate(f)) for f in residue_families(g)]
-    if edit is not None:
-        edit(families)
-    return tuple(tuple(f.values()) for f in families)
-
-
-def _blocks_ok(t, edit=None) -> tuple[bool, bool]:
+def _blocks_ok(t) -> tuple[bool, bool]:
     g = CayleyGraph.from_triple(t)
-    families = _families(g, edit)
-    return verify_block_partition(g, families), verify_block_adjacency(g)
+    return verify_block_partition(g), verify_block_adjacency(g)
 
 
-def _blocks(g: CayleyGraph, families) -> dict[BlockId, int]:
-    alpha, beta, gamma = families
-    return {x: alpha[x.i] & beta[x.j] & gamma[x.k] for x in IndexGraph(g.triple).ids()}
+def _residue_blocks(g: CayleyGraph) -> dict[BlockId, int]:
+    """Every block by the per-vertex residue projection."""
+    members: dict[BlockId, list[int]] = {}
+    for v in range(g.triple.n):
+        members.setdefault(block_of(v, g.triple), []).append(v)
+    return {x: g.bitset(vs) for x, vs in members.items()}
 
 
-def _partition_by_construction(g: CayleyGraph, families) -> bool:
+def _constructed_blocks(g: CayleyGraph) -> dict[BlockId, int]:
+    """Every block from its component triples (i + a·x, j + b·y, k + c·z),
+    combined by structure.crt_combine (so a fault planted there shows)."""
+    t = g.triple
+    a, b, c = t.primes
+    return {
+        bid: g.bitset(
+            structure.crt_combine((bid.i + a * x, bid.j + b * y, bid.k + c * z), t)
+            for x in range(a)
+            for y in range(b)
+            for z in range(c)
+        )
+        for bid in IndexGraph(t).ids()
+    }
+
+
+def _partition_by_construction(g: CayleyGraph) -> bool:
     """Block partition with every block compared to its construction: the
-    reference for the check on block 0 and the rotations."""
-    blocks = _blocks(g, families)
-    size = g.triple.alpha * g.triple.beta * g.triple.gamma
-    return g.is_partition(blocks.values()) and all(
-        s.bit_count() == size and s == g.bitset(block_exponents(x, g.triple)) for x, s in blocks.items()
-    )
+    reference for the check on block 0."""
+    constructed = _constructed_blocks(g)
+    return g.is_partition(constructed.values()) and constructed == _residue_blocks(g)
 
 
-def _adjacency_by_pairs(g: CayleyGraph, families) -> bool:
+def _adjacency_by_pairs(g: CayleyGraph) -> bool:
     """Block adjacency over every block pair: the reference for the check on
     N(B₀)."""
     ig = IndexGraph(g.triple)
-    blocks = _blocks(g, families)
+    residue_blocks = _residue_blocks(g)
     ids = ig.ids()
     for x, bx in enumerate(ids):
-        reach = g.neighborhood(blocks[bx])
-        if reach & blocks[bx]:
+        reach = g.neighborhood(residue_blocks[bx])
+        if reach & residue_blocks[bx]:
             return False
-        if any(bool(reach & blocks[by]) != ig.adjacent(bx, by) for by in ids[x + 1 :]):
+        if any(bool(reach & residue_blocks[by]) != ig.adjacent(bx, by) for by in ids[x + 1 :]):
             return False
     return True
 
@@ -115,22 +122,23 @@ def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
 
 
 def test_block_members():
-    members = block_members(BlockId(0, 0, 0), T235)
+    members = list(set_bits(blocks(G235, [BlockId(0, 0, 0)])))
     assert len(members) == 30
-    assert (0, 0, 0) in members
-    assert (2, 3, 5) in members
+    assert 0 in members
+    assert crt_combine((2, 3, 5), T235) in members
 
 
 def test_block_internally_independent():
-    verts = block_exponents(BlockId(1, 2, 4), T235)
+    verts = list(set_bits(blocks(G235, [BlockId(1, 2, 4)])))
     pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
     assert len(pairs) == 435
     assert not any(G235.adjacent(u, v) for u, v in pairs)
 
 
-def test_block_id_range():
-    with pytest.raises(ValueError):
-        block_members(BlockId(2, 0, 0), T235)
+def test_an_out_of_range_id_names_no_block():
+    # no vertex has residue 2 modulo a = 2
+    assert blocks(G235, [BlockId(2, 0, 0)]) == 0
+    assert blocks(G235, [BlockId(2, 0, 0), BlockId(0, 0, 0)]) == blocks(G235, [BlockId(0, 0, 0)])
 
 
 def test_block_of_is_residue_projection():
@@ -146,9 +154,8 @@ def test_partition_verifies():
 @SMALL
 def test_block_checks_equal_their_per_block_references(t):
     g = CayleyGraph.from_triple(t)
-    families = residue_families(g)
-    assert verify_block_partition(g, families) is _partition_by_construction(g, families) is True
-    assert verify_block_adjacency(g) is _adjacency_by_pairs(g, families) is True
+    assert verify_block_partition(g) is _partition_by_construction(g) is True
+    assert verify_block_adjacency(g) is _adjacency_by_pairs(g) is True
 
 
 @SMALL
@@ -168,9 +175,11 @@ def test_structure_checks_run_above_twenty_thousand_vertices():
 
 def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypatch):
     # no per-block or per-fiber loop: one N(B₀), one N(fiber 0), the
-    # construction of block 0 and one cycle check each for (iii), (vii) and
-    # (viii), whatever the triple
-    calls = {"neighborhood": 0, "block_exponents": 0, "is_cycle": 0}
+    # construction of block 0 (its one bitset) and one cycle check each for
+    # (iii), (vii) and (viii), whatever the triple; and no per-prime set:
+    # block 0 twice and the index-adjacent union, each of period abc
+    calls = {"neighborhood": 0, "bitset": 0, "is_cycle": 0}
+    periods = []
     inside = [False]
 
     def counted(owner, name):
@@ -194,16 +203,26 @@ def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypat
 
         monkeypatch.setattr(structure, name, wrapper)
 
+    periodic = graph.CayleyGraph.periodic
+
+    def recorded(g, period, residues):
+        if inside[0]:
+            periods.append(period)
+        return periodic(g, period, residues)
+
     counted(graph.CayleyGraph, "neighborhood")
     counted(graph.CayleyGraph, "is_cycle")
-    counted(structure, "block_exponents")
-    for name in ("residue_families", "verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
+    counted(graph.CayleyGraph, "bitset")
+    monkeypatch.setattr(graph.CayleyGraph, "periodic", recorded)
+    for name in ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
         stage(name)
     for t in (T235, T357):
-        calls.update(neighborhood=0, block_exponents=0, is_cycle=0)
+        calls.update(neighborhood=0, bitset=0, is_cycle=0)
+        periods.clear()
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 2, "block_exponents": 1, "is_cycle": 3}
+        assert calls == {"neighborhood": 2, "bitset": 1, "is_cycle": 3}
+        assert periods == [t.alpha * t.beta * t.gamma] * 3
 
 
 def test_index_graph_rule():
@@ -225,7 +244,7 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     # residue.  Either joins vertices of one gamma fiber (an interval of 36).
     _plant(monkeypatch, lambda t: extra)
     g = CayleyGraph.from_triple(T235)
-    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g, residue_families(g))
+    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g)
     assert not verify_fiber_structure(g).gamma_fibers_independent and not _gamma_fibers_by_fiber(g)
 
 
@@ -244,9 +263,8 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     # yet sees no edge from it
     m_ab = t.m_alpha * t.m_beta
     g = _without(t, [c for c in enumerate_connectors(t).members if c % m_ab])
-    families = residue_families(g)
-    assert verify_block_partition(g, families)
-    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g, families)
+    assert verify_block_partition(g)
+    assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g)
 
 
 @SMALL
@@ -265,49 +283,65 @@ def test_cell_cycles_catch_a_removed_connector(t):
     assert not verify_fiber_structure(g).cell_cycles and not _cell_cycles_by_cell(g)
 
 
-def test_block_checks_catch_a_projection_fault_at_the_last_vertex():
-    # the residue sets repeat with period p; moving vertex n − 1 into every
-    # residue-0 set (so into block (0, 0, 0)) breaks that.  Block adjacency
-    # reads no family, so the partition check alone must see it
-    def plant(families):
-        for family in families:
-            move_vertex(family, t.n - 1, 0)
+def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
+    # the blocks repeat with period abc; a projection that also puts vertex
+    # n − 1, of block (a − 1, b − 1, c − 1), into every set holding block 0
+    # breaks that in the last period only.  Block 0 then differs from its
+    # construction, and N(B₀) reaches blocks that agree with (0, 0, 0) in at
+    # most one residue, so both checks must see it
+    periodic = CayleyGraph.periodic
 
+    def plant(g, period, residues):
+        s = periodic(g, period, residues)
+        return s | 1 << g.triple.n - 1 if s & 1 else s
+
+    monkeypatch.setattr(CayleyGraph, "periodic", plant)
     for t in (T235, T357):
-        assert _blocks_ok(t, plant) == (False, True)
+        assert _blocks_ok(t) == (False, False)
 
 
-def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none():
-    # A_0 gains vertex 1 and loses vertex a, and every A_r is rebuilt as the
-    # r-rotation of A_0: each keeps n/a vertices, block 0 (no multiple of b
-    # moved) still matches its construction, yet vertex 1 lies in A_0 and A_1
-    # and vertex a + 1 in no A_r, so only the cover-and-disjoint test sees it
+def _move_in_construction(monkeypatch, moved: dict[int, int]) -> None:
+    """From now on structure.crt_combine returns moved[v] in place of each
+    vertex v that the mapping names."""
+
+    def faulty(comps, t):
+        v = crt_combine(comps, t)
+        return moved.get(v, v)
+
+    monkeypatch.setattr(structure, "crt_combine", faulty)
+
+
+def _structure_line(t) -> str:
+    [line] = [x for x in run_verification(t, OracleBudget(bfs_sources=0)).lines if " structure: " in x]
+    return line
+
+
+def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none(monkeypatch):
+    # block 0's construction lists u = crt(a, 0, 0) as u + 1, a vertex of
+    # block (1, 1, 1) (crt(1, 1, 1) = 1): u + 1 then lies in the constructed
+    # blocks 0 and (1, 1, 1), and u in none
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
-
-        def plant(families):
-            alpha = families[0]
-            a0 = (alpha[0] | 1 << 1) & ~(1 << t.alpha)
-            alpha.update({r: g.rotate(a0, r) for r in alpha})
-
-        assert _blocks_ok(t, plant)[0] is False
+        u = crt_combine((t.alpha, 0, 0), t)
+        _move_in_construction(monkeypatch, {u: u + 1})
+        assert not g.is_partition(_constructed_blocks(g).values())
+        assert verify_block_partition(g) is False
+        assert _structure_line(t).startswith("FAIL structure: ")
 
 
-def test_block_partition_catches_two_vertices_swapped_between_residue_sets():
-    # u (in A_0) and v (in A_1), neither in block 0 before or after, trade
-    # places: each family still partitions V and block 0 still matches its
-    # construction, so only the rotation test sees that A_1 ≠ rot(A_0, 1)
+def test_block_partition_catches_two_vertices_swapped_between_residue_sets(monkeypatch):
+    # u = crt(a, 0, 0) of block 0 and v = crt(a + 1, 0, 0) of block (1, 0, 0)
+    # trade places in the constructions: every block still has abc members
+    # and the constructed blocks still partition V, so only the comparison
+    # with the residue projection sees that block 0 is not abc·Z_n
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
-        u, v = t.alpha, 1
-
-        def swap(families):
-            alpha = families[0]
-            alpha[0] ^= 1 << u | 1 << v
-            alpha[1] ^= 1 << u | 1 << v
-
-        assert _blocks_ok(t, swap)[0] is False
-        assert not _partition_by_construction(g, _families(g, swap))
+        u, v = crt_combine((t.alpha, 0, 0), t), crt_combine((t.alpha + 1, 0, 0), t)
+        _move_in_construction(monkeypatch, {u: v, v: u})
+        assert g.is_partition(_constructed_blocks(g).values())
+        assert not _partition_by_construction(g)
+        assert verify_block_partition(g) is False
+        assert _structure_line(t).startswith("FAIL structure: ")
 
 
 def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
@@ -350,8 +384,8 @@ def test_cross_block_edge_witness():
 
 
 def test_no_cross_edge_when_all_residues_differ():
-    a_block = block_exponents(BlockId(0, 0, 0), T235)
-    b_block = block_exponents(BlockId(1, 1, 1), T235)
+    a_block = list(set_bits(blocks(G235, [BlockId(0, 0, 0)])))
+    b_block = list(set_bits(blocks(G235, [BlockId(1, 1, 1)])))
     assert not any(G235.adjacent(u, v) for u in a_block for v in b_block)
 
 
