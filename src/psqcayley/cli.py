@@ -41,10 +41,14 @@ _CONFIG_KEYS = {
 }
 
 
-# Peak memory per vertex of the commands that hold per-vertex data, above
-# the interpreter's own, rounded up from measurement at n = 1,002,001: 113
-# bytes for the walk export (the walk, about 49 bytes per vertex, and its
-# text), 55 for verify (the walk and n/8-byte bitsets)
+# Peak memory per vertex of the commands that hold per-vertex data.  Peaks
+# measured as the child's ru_maxrss from a small posix_spawn launcher, above
+# the 14.6 MiB of `import psqcayley.cli` (CPython 3.11, x86-64 Linux), at
+# n = 1,002,001 and n = 5,909,761: verify 9.7 and 8.8 bytes (n/8-byte
+# bitsets; the walk is checked as its b²c²-vertex certificate), the walk
+# export 3.2 and 1.5 (one row of text at a time).  The value also fixes which
+# triples exit 2, so it stays at 128 until it is re-derived from peaks at
+# larger n.
 BYTES_PER_VERTEX = 128
 MEMORY_LIMIT_BYTES = 2 << 30
 
@@ -212,17 +216,20 @@ def main(argv: list[str] | None = None) -> int:
                 CayleyGraph.from_triple(triple).export(args.format, _out_path(args.out), cap=cap)
                 return 0
             if args.format == "walk":
-                payload = ("\n".join(walk_lines(snake_walk(triple))) + "\n").encode("ascii")
-            else:
-                cert = independence_certificate(triple, CayleyGraph.from_triple(triple))
-                payload = ("\n".join(map(str, set_bits(cert.members))) + "\n").encode("ascii")
+                # one chunk per row of the walk, written as it is formatted
+                with open(_out_path(args.out), "w", encoding="ascii", newline="\n") as f:
+                    for chunk in walk_lines(snake_walk(triple)):
+                        f.write(chunk + "\n")
+                return 0
+            cert = independence_certificate(triple, CayleyGraph.from_triple(triple))
+            payload = ("\n".join(map(str, set_bits(cert.members))) + "\n").encode("ascii")
             _out_path(args.out).write_bytes(payload)
             return 0
 
         if args.command == "hamiltonian":
             walk = snake_walk(triple)
             print("kind: cycle")
-            print(f"length: {len(walk.vertices)}")
+            print(f"length: {walk.length}")
             print(f"endpoints: {walk.endpoints[0]} {walk.endpoints[1]}")
             if args.check:
                 g = CayleyGraph.from_triple(triple)

@@ -1,4 +1,5 @@
-"""A Hamiltonian cycle for every triple, built by the product lemma.
+"""A Hamiltonian cycle for every triple, built by the product lemma and
+checked as a lifted certificate.
 
 By the CRT the graph is G_a □ G_b □ G_c with G_p = Cay(Z_{p²}, units): a
 vertex is a component triple (x, y, z), x < a², y < b², z < c², and two
@@ -11,10 +12,29 @@ column h₀ back to row 1, which is adjacent to the start.  Every step changes
 one component by ±1, a unit of Z_{p²}, or moves along the cycle of H, so
 every step is an edge.  Applied from the one-vertex walk [0] along c, then b,
 then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
+
+The last application is kept unexpanded: the certificate is the inner cycle
+H on the b²c² vertices with a-component 0, the step e_a, the a² rows and n.
+`verify_walk` decides the n-vertex walk from it without building the walk:
+
+- H is a cycle of g, replayed forwards and reversed, because odd rows run
+  H's tail backwards.  A row's steps are translates of these, and every
+  translation is an automorphism (Godsil & Royle, GTM 207, §3.1), so every
+  step inside a row is an edge;
+- every other step -- from the head into row 0, from each row's end to the
+  next row's start, into and along the climb column and back to the head --
+  is a connector.  There are O(a²) of them, read from the row ends;
+- the translates H + r·e_a, r < a², partition the vertices.  As a multiset
+  they are exactly the walk's entries (the head and the climb column are
+  the translates of h₀), so the walk visits every vertex once.
+
+Together these make the walk a Hamiltonian cycle, and no check reads
+`snake_walk`.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
@@ -22,40 +42,79 @@ from .group import PrimeTriple, crt_basis
 
 
 class WalkCertificate(NamedTuple):
-    """A spanning cycle: every vertex exactly once, consecutive vertices
-    adjacent, and the last vertex adjacent to the first."""
+    """The spanning cycle of the product lemma: the head inner[0], then rows
+    r·step + tail(inner) for r < rows, even rows forwards and odd rows
+    backwards, then the climb column r·step + inner[0] for r = rows−1 … 1,
+    all modulo n."""
 
-    vertices: tuple[int, ...]
+    inner: tuple[int, ...]
+    step: int
+    rows: int
+    n: int
+
+    @property
+    def length(self) -> int:
+        return self.rows * len(self.inner)
 
     @property
     def endpoints(self) -> tuple[int, int]:
-        return (self.vertices[0], self.vertices[-1])
+        """The head, and the top of the climb column one step above it."""
+        head = self.inner[0]
+        return (head, (head + self.step) % self.n)
+
+    def pieces(self) -> Iterator[list[int]]:
+        """The walk in order, piece by piece: the head, each row, the climb."""
+        n, step, head, tail = self.n, self.step, self.inner[0], self.inner[1:]
+        yield [head]
+        runs = (tail, tail[::-1])
+        for r in range(self.rows):
+            shift = r * step
+            yield [(shift + h) % n for h in runs[r % 2]]
+        yield [(r * step + head) % n for r in range(self.rows - 1, 0, -1)]
 
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
-    """Construct the spanning cycle by the product lemma, along c, b, then a."""
-    n = t.n
-    cycle = [0]
-    for m, e in zip(reversed(t.moduli), reversed(crt_basis(t))):
-        head, tail = cycle[0], cycle[1:]
-        rows = (tail, tail[::-1])
-        cycle = [head]
-        for row in range(m):
-            shift = row * e
-            cycle.extend([(shift + h) % n for h in rows[row % 2]])
-        cycle.extend([(row * e + head) % n for row in range(m - 1, 0, -1)])
-    return WalkCertificate(tuple(cycle))
+    """Construct the spanning cycle by the product lemma, along c and b in
+    full, and lift the result along a as a certificate."""
+    e_a, e_b, e_c = crt_basis(t)
+    inner: tuple[int, ...] = (0,)
+    for m, e in ((t.m_gamma, e_c), (t.m_beta, e_b)):
+        inner = tuple(chain.from_iterable(WalkCertificate(inner, e, m, t.n).pieces()))
+    return WalkCertificate(inner, e_a, t.m_alpha, t.n)
+
+
+def _joints(w: WalkCertificate) -> Iterator[tuple[int, int]]:
+    """Every step of the walk that is not inside a row, as (from, to)."""
+    n, step, head, tail = w.n, w.step, w.inner[0], w.inner[1:]
+    prev = head
+    for r in range(w.rows):
+        first, last = (tail[0], tail[-1]) if r % 2 == 0 else (tail[-1], tail[0])
+        yield prev, (r * step + first) % n
+        prev = (r * step + last) % n
+    for r in range(w.rows - 1, 0, -1):
+        climb = (r * step + head) % n
+        yield prev, climb
+        prev = climb
+    yield prev, head
 
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
-    """Independent replay: the walk has one entry per vertex and is a cycle
-    of g (`CayleyGraph.is_cycle`), so it visits every vertex once."""
-    return len(w.vertices) == g.triple.n and g.is_cycle(w.vertices)
+    """Check the lifted certificate against g: H is a cycle both ways, every
+    joint is a connector, and the translates of H by the rows partition V."""
+    n = g.triple.n
+    if w.n != n or not (g.is_cycle(w.inner) and g.is_cycle(w.inner[::-1])):
+        return False
+    connectors = g.connector_set
+    if any((v - u) % n not in connectors for u, v in _joints(w)):
+        return False
+    inner = g.bitset(w.inner)
+    return g.is_partition(g.rotate(inner, r * w.step) for r in range(w.rows))
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:
-    """Export format: a 'cycle' header, then one exponent per line in
-    traversal order."""
+    """Export format: a 'cycle' header, then one chunk per piece of the walk
+    with one exponent per line, in traversal order."""
     yield "cycle"
-    for v in w.vertices:
-        yield str(v)
+    for piece in w.pieces():
+        # one %-format per piece runs faster than a str() per vertex
+        yield "\n".join(["%d"] * len(piece)) % tuple(piece)

@@ -3,9 +3,9 @@ report and the full verification run.
 
 `certify` builds every in-schema certificate and verdict exactly once, on one
 graph: connectivity, the proper coloring, the independence certificate and
-its internal-edge scan, the index-graph bounds, the diameter, the walk and
-its replay, and the fiber and block checks, decided by translation on one
-representative.
+its internal-edge scan, the index-graph bounds, the diameter, the walk
+certificate and its check, and the fiber and block checks, decided by
+translation on one representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order classes, the triangle scan, the clique cover
@@ -275,7 +275,7 @@ def run_verification(
     check(
         "hamiltonian",
         c.walk_verified,
-        f"kind=cycle, length={len(walk.vertices)}, endpoints={walk.endpoints}",
+        f"kind=cycle, length={walk.length}, endpoints={walk.endpoints}",
     )
 
     return VerificationOutcome(ok, tuple(lines))

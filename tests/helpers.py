@@ -5,12 +5,17 @@ Everything here is deliberately independent of the library's closed-form
 constructors: orders by repeated addition, connector sets by order scan,
 triple enumeration by direct search.  The per-vertex references
 (`crt_components`, `residue_sum_color`, `block_of`, `neighbors`) state one
-vertex at a time what the library builds as whole vertex sets.
+vertex at a time what the library builds as whole vertex sets, and
+`snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
+a lifted certificate.
 """
 
 from __future__ import annotations
 
-from psqcayley import BlockId, CayleyGraph, PrimeTriple, group, is_prime, make_prime_triple
+from itertools import chain
+
+from psqcayley import BlockId, CayleyGraph, PrimeTriple, WalkCertificate, group, is_prime, make_prime_triple
+from psqcayley.group import crt_basis
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
 
@@ -44,6 +49,28 @@ def neighbors(g: CayleyGraph, u: int) -> list[int]:
     """The degree-many neighbours u + c (c in C) of vertex u, sorted ascending."""
     n = g.triple.n
     return sorted((u + c) % n for c in g.cset.members)
+
+
+def snake_sequence(t: PrimeTriple) -> tuple[int, ...]:
+    """The product-lemma walk in full, one entry per vertex: from [0], along
+    c, then b, then a, snake rows over the tail alternating direction, then
+    climb the head's column back to row 1."""
+    n = t.n
+    cycle = [0]
+    for m, e in zip(reversed(t.moduli), reversed(crt_basis(t))):
+        head, tail = cycle[0], cycle[1:]
+        rows = (tail, tail[::-1])
+        cycle = [head]
+        for row in range(m):
+            shift = row * e
+            cycle.extend([(shift + h) % n for h in rows[row % 2]])
+        cycle.extend([(row * e + head) % n for row in range(m - 1, 0, -1)])
+    return tuple(cycle)
+
+
+def walk_sequence(w: WalkCertificate) -> tuple[int, ...]:
+    """The certificate's walk in full: its pieces concatenated."""
+    return tuple(chain.from_iterable(w.pieces()))
 
 
 def brute_order(k: int, n: int, limit: int | None = None) -> int:

@@ -65,12 +65,14 @@ def test_tracer_runs_the_structure_checks_where_the_verdict_moved(tmp_path):
     ids=["export-edges", "export-walk", "export-independent-set", "hamiltonian-check"],
 )
 def test_tracer_writes_what_the_cli_writes(args, tmp_path):
-    runs = {}
-    prefixes = {"plain": ["-m", "psqcayley"], "traced": [str(TRACER), str(tmp_path / "trace.json")]}
-    for side, prefix in prefixes.items():
-        out = tmp_path / f"{side}.out"
-        proc = _run(*prefix, *(a.format(out=out) for a in args), "--primes", "2,3,5")
-        runs[side] = (proc.returncode, proc.stdout, out.read_bytes() if out.exists() else None)
-    assert runs["traced"] == runs["plain"]
-    assert runs["plain"][0] == 0
-    assert (runs["plain"][2] is None) == ("--out" not in args)
+    # at (3,5,7) a² is odd, so the walk's last row runs forwards
+    for primes in ("2,3,5", "3,5,7"):
+        runs = {}
+        prefixes = {"plain": ["-m", "psqcayley"], "traced": [str(TRACER), str(tmp_path / "trace.json")]}
+        for side, prefix in prefixes.items():
+            out = tmp_path / f"{side}-{primes}.out"
+            proc = _run(*prefix, *(a.format(out=out) for a in args), "--primes", primes)
+            runs[side] = (proc.returncode, proc.stdout, out.read_bytes() if out.exists() else None)
+        assert runs["traced"] == runs["plain"], primes
+        assert runs["plain"][0] == 0, primes
+        assert (runs["plain"][2] is None) == ("--out" not in args)

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, clique_certificate, graph, make_prime_triple, snake_walk
+from psqcayley import CayleyGraph, TooLargeError, clique_certificate, graph, make_prime_triple
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 
-from helpers import neighbors
+from helpers import neighbors, snake_sequence
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -55,7 +55,7 @@ def _cell_zero_cycle(t) -> list[int]:
 def test_is_cycle_accepts_the_cell_cycle_and_the_snake_walk(t):
     g = CayleyGraph.from_triple(t)
     assert g.is_cycle(_cell_zero_cycle(t))
-    assert g.is_cycle(snake_walk(t).vertices)
+    assert g.is_cycle(snake_sequence(t))
 
 
 def test_is_cycle_rejects_each_fault():

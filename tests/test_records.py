@@ -40,7 +40,7 @@ RECORDS = {
     "ConnectingSet": (lambda: enumerate_connectors(T235), "members"),
     "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
     "CayleyGraph.cset": (lambda: CayleyGraph.from_triple(T235), "cset"),
-    "WalkCertificate": (lambda: snake_walk(T235), "vertices"),
+    "WalkCertificate": (lambda: snake_walk(T235), "inner"),
     "OracleBudget": (OracleBudget, "bfs_sources"),
     "Certificates": (lambda: certify(T235), "walk_verified"),
     "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),

@@ -8,6 +8,7 @@ from psqcayley import (
     OracleBudget,
     SweepReport,
     TooLargeError,
+    WalkCertificate,
     build_report,
     certify,
     distance_sweep,
@@ -529,6 +530,40 @@ def test_cli_export_walk(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "cycle"
     assert len(lines) == 901
+    # the bytes of the n-entry export, written row by row from the certificate
+    pinned = {
+        "2,3,5": "e49ffc1f4b53264cfdaf83858fb42e01c7f7cf5efc458a9bb89339d0ade85fb4",
+        "3,5,7": "358958da9707ea2b9e4a781e11930daee7ef0430ebb34666e351e0b38cee05a5",
+        "5,7,11": "9c70cb1f0573262f86df53fa5c956523b313430b337513aa0ccc2906e5bff95c",
+    }
+    for primes, expected in pinned.items():
+        out = tmp_path / f"walk-{primes}.txt"
+        assert cli.main(["export", "--primes", primes, "--format", "walk", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("argv", [["verify", "--budget-sources", "0"], ["hamiltonian", "--check"]])
+def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
+    # the walk check replays H (b²c² = 1225 entries at (3,5,7)) forwards and
+    # backwards; no n-entry sequence reaches is_cycle, and only the inner
+    # walks along c and b are ever expanded into pieces
+    lengths = []
+    is_cycle, pieces = CayleyGraph.is_cycle, WalkCertificate.pieces
+
+    def recorded(g, seq):
+        lengths.append(len(seq))
+        return is_cycle(g, seq)
+
+    def inner_only(w):
+        assert w.length <= 25 * 49, "the n-entry walk was built"
+        return pieces(w)
+
+    monkeypatch.setattr(CayleyGraph, "is_cycle", recorded)
+    monkeypatch.setattr(WalkCertificate, "pieces", inner_only)
+    assert cli.main(argv + ["--primes", "3,5,7"]) == 0
+    out = capsys.readouterr().out
+    assert "length: 11025\n" in out or "length=11025," in out
+    assert max(lengths) == 25 * 49 and lengths.count(25 * 49) == 2
 
 
 def test_cli_export_independent_set(tmp_path):
