@@ -28,7 +28,6 @@ from .group import (
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
     DEFAULT_SEED,
-    OracleBudget,
     SweepReport,
     distance_sweep,
     exact_max_clique,

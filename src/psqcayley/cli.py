@@ -8,15 +8,15 @@ Subcommands:
   hamiltonian  construct (and optionally verify) the Hamiltonian cycle
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
-including a --config file that cannot be read, an --out file that cannot be
-written, and a group too large for the memory limit (checked from n before
-anything is allocated, for every subcommand but `build`, which holds no
-per-vertex data: it prints |C| and the degree from the closed form).
-Budgets and the seed may come from a `key = value` config file (--config):
-params and verify read `seed` and `bfs-sources`, export `materialize-cap`;
-explicit flags win.  Each subcommand accepts only the options and config keys
-it reads.  When $PSQCAYLEY_OUT_DIR is set, relative --out paths are placed
-inside it.
+including a negative --budget-sources, a --config file that cannot be read,
+an --out file that cannot be written, and a group too large for the memory
+limit (checked from n before anything is allocated, for every subcommand but
+`build`, which holds no per-vertex data: it prints |C| and the degree from
+the closed form).  `verify` and `params --oracle` sweep distances from
+vertex 0 plus --budget-sources extras sampled with --seed, which `params`
+echoes.  `export` reads `materialize-cap` from a `key = value` config file
+(--config).  Each subcommand accepts only the options it reads.  When
+$PSQCAYLEY_OUT_DIR is set, relative --out paths are placed inside it.
 """
 
 from __future__ import annotations
@@ -31,25 +31,21 @@ from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, set_bits
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
-from .oracles import DEFAULT_SEED, OracleBudget
+from .oracles import DEFAULT_SEED
 from .parameters import independence_certificate
 
-_CONFIG_KEYS = {
-    "params": {"seed", "bfs-sources"},
-    "verify": {"seed", "bfs-sources"},
-    "export": {"materialize-cap"},
-}
+_CONFIG_KEYS = {"materialize-cap"}
 
 
-# Peak memory per vertex of the commands that hold per-vertex data.  Peaks
-# measured as the child's ru_maxrss from a small posix_spawn launcher, above
-# the 14.6 MiB of `import psqcayley.cli` (CPython 3.11, x86-64 Linux), at
-# n = 1,002,001 and n = 5,909,761: verify 9.7 and 8.8 bytes (n/8-byte
-# bitsets; the walk is checked as its b²c²-vertex certificate), the walk
-# export 3.2 and 1.5 (one row of text at a time).  The value also fixes which
-# triples exit 2, so it stays at 128 until it is re-derived from peaks at
-# larger n.
-BYTES_PER_VERTEX = 128
+# Peak memory per vertex of the commands that hold per-vertex data: the
+# child's ru_maxrss from a small posix_spawn launcher, above the 14.6 MiB of
+# `import psqcayley.cli` (CPython 3.11, x86-64 Linux).  `verify
+# --budget-sources 0` peaks at 8.9 bytes at (11,13,17) and 9.0 at (13,17,19),
+# n = 17,631,601, but at 22.5 at (2,3,167); the walk export at 1.4 at
+# (11,13,17) but 40.0 at (2,3,401) and (2,5,199): with a = 2 the inner cycle
+# and each row of the walk hold n/4 vertices.  64 bytes leaves 1.6 times
+# headroom over the largest peak.
+BYTES_PER_VERTEX = 64
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
@@ -79,10 +75,9 @@ def _parse_primes(text: str) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _load_config(args: argparse.Namespace) -> dict[str, int]:
-    """The values in args.config, whose keys must be ones args.command reads,
-    each given once."""
-    path, keys = args.config, _CONFIG_KEYS[args.command]
+def _load_config(path: str) -> dict[str, int]:
+    """The values in the config file at path, each key one that `export`
+    reads, given once."""
     values: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -92,7 +87,7 @@ def _load_config(args: argparse.Namespace) -> dict[str, int]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in keys:
+        if key not in _CONFIG_KEYS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
@@ -101,21 +96,6 @@ def _load_config(args: argparse.Namespace) -> dict[str, int]:
         except ValueError:
             raise UsageError(f"{path}:{lineno}: value for {key!r} must be an integer") from None
     return values
-
-
-def _resolve_budget(args: argparse.Namespace) -> tuple[OracleBudget, int]:
-    config = _load_config(args) if getattr(args, "config", None) else {}
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = config.get("seed", DEFAULT_SEED)
-    sources = (
-        args.budget_sources
-        if getattr(args, "budget_sources", None) is not None
-        else config.get("bfs-sources")
-    )
-    budget = OracleBudget(bfs_sources=sources, seed=seed)
-    cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
-    return budget, cap
 
 
 def _out_path(name: str) -> Path:
@@ -138,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="emit the certificate report as JSON")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, metavar="FILE")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--oracle", action="store_true", help="also run the full oracle suite")
     p.add_argument("--budget-sources", type=int, default=None, metavar="N")
     p.add_argument("--out", default=None, metavar="FILE")
@@ -147,8 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suite; exit 1 on mismatch")
     add_common(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", default=None, metavar="FILE")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--budget-sources", type=int, default=None, metavar="N")
 
     p = sub.add_parser("export", help="write a graph/walk/independent-set file")
@@ -173,7 +151,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         triple = make_prime_triple(*_parse_primes(args.primes))
-        budget, cap = _resolve_budget(args)
+        sources = getattr(args, "budget_sources", None)
+        if sources is not None:
+            if args.command == "params" and not args.oracle:
+                raise UsageError("unrecognized arguments: --budget-sources (read only with --oracle)")
+            if sources < 0:
+                raise UsageError("bfs_sources must be nonnegative")
+        config = _load_config(args.config) if getattr(args, "config", None) else {}
+        cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
 
         if args.command == "build":
             cset_size = connector_count_formula(triple)
@@ -186,26 +171,22 @@ def main(argv: list[str] | None = None) -> int:
         _check_memory(triple.n)
 
         if args.command == "params":
-            # both renderings share one certify, which reads no budget
+            # both renderings share one certify, which reads neither sources nor seed
             certs = report_mod.certify(triple) if args.oracle else None
-            rep = report_mod.build_report(
-                triple, budget, include_timings=args.timings, certificates=certs
-            )
-            payload = report_mod.report_bytes(rep)
+            payload = report_mod.report_bytes(report_mod.build_report(triple, args.seed, args.timings, certs))
             if args.out:
                 _out_path(args.out).write_bytes(payload)
             else:
                 sys.stdout.write(payload.decode("ascii"))
             if args.oracle:
-                outcome = report_mod.run_verification(triple, budget, certificates=certs)
+                outcome = report_mod.run_verification(triple, sources, args.seed, certificates=certs)
                 for line in outcome.lines:
                     print(line, file=sys.stderr)
-                if not outcome.ok:
-                    return 1
+                return 0 if outcome.ok else 1
             return 0
 
         if args.command == "verify":
-            outcome = report_mod.run_verification(triple, budget)
+            outcome = report_mod.run_verification(triple, sources, args.seed)
             for line in outcome.lines:
                 print(line)
             print("verification OK" if outcome.ok else "verification FAILED")
@@ -226,19 +207,16 @@ def main(argv: list[str] | None = None) -> int:
             _out_path(args.out).write_bytes(payload)
             return 0
 
-        if args.command == "hamiltonian":
-            walk = snake_walk(triple)
-            print("kind: cycle")
-            print(f"length: {walk.length}")
-            print(f"endpoints: {walk.endpoints[0]} {walk.endpoints[1]}")
-            if args.check:
-                g = CayleyGraph.from_triple(triple)
-                ok = verify_walk(walk, g)
-                print(f"verified: {ok}")
-                return 0 if ok else 1
-            return 0
-
-        raise UsageError(f"unknown command {args.command!r}")
+        # hamiltonian, the last of the subcommands argparse admits
+        walk = snake_walk(triple)
+        print("kind: cycle")
+        print(f"length: {walk.length}")
+        print(f"endpoints: {walk.endpoints[0]} {walk.endpoints[1]}")
+        if args.check:
+            ok = verify_walk(walk, CayleyGraph.from_triple(triple))
+            print(f"verified: {ok}")
+            return 0 if ok else 1
+        return 0
     # OSError: a --config file that cannot be read or an --out file that cannot be written
     except (UsageError, TripleValidationError, OverflowError, TooLargeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

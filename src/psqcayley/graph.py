@@ -148,6 +148,19 @@ class CayleyGraph(_GraphFields):
             size += s.bit_count()
         return size == self.triple.n and union == self._full
 
+    def tiles(self, s: int, step: int, count: int) -> bool:
+        """True iff the translates s + r·step (r < count) partition V: their
+        sizes sum to n and their union, doubled up by about log₂ count
+        rotations as `_family_shifts` builds a coset closure, is [0, n)."""
+        if s.bit_count() * count != self.triple.n:
+            return False
+        union, cover = s, 1
+        while cover < count:
+            k = min(cover, count - cover)
+            union |= self.rotate(union, k * step)
+            cover += k
+        return union == self._full
+
     def rotate(self, s: int, k: int) -> int:
         """rot(S, k) = {(v + k) mod n : v in S}."""
         n = self.triple.n

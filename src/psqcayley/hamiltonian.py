@@ -107,8 +107,7 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     connectors = g.connector_set
     if any((v - u) % n not in connectors for u, v in _joints(w)):
         return False
-    inner = g.bitset(w.inner)
-    return g.is_partition(g.rotate(inner, r * w.step) for r in range(w.rows))
+    return g.tiles(g.bitset(w.inner), w.step, w.rows)
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:

@@ -22,27 +22,6 @@ from .structure import BlockId, IndexGraph
 DEFAULT_SEED = 12345
 
 
-class _BudgetFields(NamedTuple):
-    bfs_sources: int | None = None
-    seed: int = DEFAULT_SEED
-
-
-class OracleBudget(_BudgetFields):
-    """The distance sweep's sources and the seed that samples them.
-
-    bfs_sources counts extra BFS sources beyond vertex 0; None leaves the
-    count to `distance_sweep`.  `_replace` bypasses the check in __new__, so
-    build a changed budget with the constructor.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, bfs_sources: int | None = None, seed: int = DEFAULT_SEED) -> OracleBudget:
-        if bfs_sources is not None and bfs_sources < 0:
-            raise ValueError("bfs_sources must be nonnegative")
-        return super().__new__(cls, bfs_sources, seed)
-
-
 def order_classes(g: CayleyGraph) -> dict[int, int]:
     """For each divisor o of n, the elements of order exactly o, as n-bit ints.
 
@@ -131,29 +110,26 @@ class SweepReport(NamedTuple):
     mismatches: int
 
 
-def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepReport:
-    """BFS from vertex 0 plus budget.bfs_sources seeded extra sources; every
-    computed distance is compared against the closed form.  With bfs_sources
-    None the extras are every other vertex when n <= 2000 and 50 above.
+def distance_sweep(g: CayleyGraph, sources: int | None = None, seed: int = DEFAULT_SEED) -> SweepReport:
+    """BFS from vertex 0 plus `sources` extra sources sampled with `seed`;
+    every computed distance is compared against the closed form.  With
+    sources None the extras are every other vertex when n <= 2000 and 50
+    above; a negative count is refused by the sample, before any BFS.
 
     From source s the closed form puts vertex v at the distance of the
     difference v − s, so level k is expected to be rot(E_k, s), where E_k
     holds the differences at closed-form distance k.  A vertex matches when it
     lies in its BFS level and its expected one, so the mismatches are n minus
     the matches (unreached vertices never match)."""
-    if budget is None:
-        budget = OracleBudget()
     t = g.triple
     n = t.n
-    extra = budget.bfs_sources
-    if extra is None:
-        extra = n - 1 if n <= 2000 else 50
-    rng = random.Random(budget.seed)
-    sources = [0] + sorted(rng.sample(range(1, n), min(extra, n - 1)))
+    if sources is None:
+        sources = n - 1 if n <= 2000 else 50
+    starts = [0] + sorted(random.Random(seed).sample(range(1, n), min(sources, n - 1)))
     expected = closed_form_distance_classes(t, g)
     max_distance = 0
     mismatches = 0
-    for s in sources:
+    for s in starts:
         levels = g.bfs_levels(s)
         max_distance = max(max_distance, len(levels) - 1)
         matched = sum(
@@ -162,7 +138,7 @@ def distance_sweep(g: CayleyGraph, budget: OracleBudget | None = None) -> SweepR
             if k in expected
         )
         mismatches += n - matched
-    return SweepReport(len(sources), len(sources) * n, max_distance, mismatches)
+    return SweepReport(len(starts), len(starts) * n, max_distance, mismatches)
 
 
 def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:

@@ -91,6 +91,13 @@ def clique_certificate(t: PrimeTriple) -> tuple[int, ...]:
     return tuple(k * m_ab % t.n for k in range(t.gamma))
 
 
+def clique_translates_tile(t: PrimeTriple, g: CayleyGraph, s: int) -> bool:
+    """The rotations of s by the clique certificate K partition V.  K must be
+    the progression k·a²b² (k < |K|); its rotations are then `g.tiles`."""
+    clique, m_ab = clique_certificate(t), t.m_alpha * t.m_beta
+    return clique == tuple(k * m_ab % t.n for k in range(len(clique))) and g.tiles(s, m_ab, len(clique))
+
+
 class ColoringResult(NamedTuple):
     proper: bool
     chromatic: int
@@ -112,11 +119,10 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     covers all n·|C|/2 edges.
     """
     zero = blocks(g, [x for x in IndexGraph(t).ids() if sum(x) % t.gamma == 0])
-    clique = clique_certificate(t)
     proper = (
-        len(clique) <= t.gamma
+        len(clique_certificate(t)) <= t.gamma
         and not g.neighborhood(zero) & zero
-        and g.is_partition(g.rotate(zero, k) for k in clique)
+        and clique_translates_tile(t, g, zero)
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 

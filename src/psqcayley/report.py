@@ -29,7 +29,7 @@ from .connectors import connector_count_formula
 from .graph import CayleyGraph, ConnectivityResult
 from .group import PrimeTriple
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk
-from .oracles import OracleBudget
+from .oracles import DEFAULT_SEED
 
 SCHEMA_VERSION = 1
 
@@ -94,20 +94,18 @@ def certify(t: PrimeTriple) -> Certificates:
 
 def build_report(
     t: PrimeTriple,
-    budget: OracleBudget | None = None,
+    seed: int = DEFAULT_SEED,
     include_timings: bool = False,
     certificates: Certificates | None = None,
 ) -> dict:
     """Render the certificates of one triple as the report.
 
     The coloring and independence scans, the index-graph bounds and the
-    block and fiber checks are always exhaustive.  The budget supplies only
-    the reported seed.
+    block and fiber checks are always exhaustive.  `seed` is only echoed as
+    `oracleSeed`: it samples the distance sweep of `run_verification`.
     `certificates`, when given, is certify(t) already built, which is then
     rendered instead of built again.
     """
-    if budget is None:
-        budget = OracleBudget()
     c = certificates if certificates is not None else certify(t)
     g = c.graph
     clique = parameters.clique_certificate(t)
@@ -149,7 +147,7 @@ def build_report(
         "fiberStructure": c.fiber.as_dict(),
         "blockPartition": c.block_partition,
         "blockAdjacencyConsistent": c.block_adjacency,
-        "oracleSeed": budget.seed,
+        "oracleSeed": seed,
         "timings": {k: round(v, 6) for k, v in c.timings.items()} if include_timings else None,
     }
 
@@ -165,14 +163,14 @@ class VerificationOutcome(NamedTuple):
 
 def run_verification(
     t: PrimeTriple,
-    budget: OracleBudget | None = None,
+    sources: int | None = None,
+    seed: int = DEFAULT_SEED,
     certificates: Certificates | None = None,
 ) -> VerificationOutcome:
     """Render the certificates as one line per check, with the oracle suite
-    run against each.  `certificates` is as in `build_report`; the budget
-    bounds only the distance sweep."""
-    if budget is None:
-        budget = OracleBudget()
+    run against each.  `certificates` is as in `build_report`; `sources` and
+    `seed` are the distance sweep's extra sources and the seed that samples
+    them (`oracles.distance_sweep`)."""
     c = certificates if certificates is not None else certify(t)
     g = c.graph
     lines: list[str] = []
@@ -243,7 +241,7 @@ def run_verification(
     # and an independent set meets each translate at most once
     m_ab = t.m_alpha * t.m_beta
     s0 = g.periodic(t.gamma * m_ab, range(m_ab))
-    cover = g.is_partition(g.rotate(s0, k) for k in clique)
+    cover = parameters.clique_translates_tile(t, g, s0)
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(
@@ -261,7 +259,7 @@ def run_verification(
         f"blockAdjacency={c.block_adjacency}",
     )
 
-    sweep = oracles.distance_sweep(g, budget)
+    sweep = oracles.distance_sweep(g, sources, seed)
     diam = c.diameter
     check(
         "diameter",

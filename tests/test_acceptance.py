@@ -16,7 +16,6 @@ import psqcayley
 from psqcayley import (
     CayleyGraph,
     IndexGraph,
-    OracleBudget,
     bezout_witness,
     build_report,
     clique_certificate,
@@ -156,11 +155,11 @@ def test_criterion_07_structure_checks():
 
 def test_criterion_08_distances_and_diameter():
     start = time.perf_counter()
-    full = distance_sweep(G235, OracleBudget(bfs_sources=None))
+    full = distance_sweep(G235, sources=None)
     sweep_ok = full.sources == 900 and full.pairs_checked == 810000 and full.mismatches == 0 and full.max_distance == 6
     g7 = CayleyGraph.from_triple(T357)
     ecc7 = max(g7.bfs(0))
-    sampled = distance_sweep(g7, OracleBudget(bfs_sources=10, seed=1))
+    sampled = distance_sweep(g7, 10, seed=1)
     sampled_ok = ecc7 == 6 and sampled.pairs_checked >= 100_000 and sampled.mismatches == 0
     ok = sweep_ok and sampled_ok
     elapsed = time.perf_counter() - start

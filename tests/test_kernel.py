@@ -1,6 +1,7 @@
 """Exactness of the bitset kernel against plain list and set references."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from psqcayley import (
     CayleyGraph,
-    OracleBudget,
     build_report,
     clique_certificate,
     closed_form_distance_classes,
@@ -22,6 +22,7 @@ from psqcayley import (
 from psqcayley import oracles, parameters, structure
 from psqcayley.connectors import ConnectingSet
 from psqcayley.graph import set_bits
+from psqcayley.group import divisors
 
 from helpers import block_of, neighbors, residue_sum_color, triples_with_group_order_at_most
 
@@ -197,13 +198,13 @@ def test_levels_from_vertex_zero_are_built_once(t, monkeypatch):
     first = g.bfs_levels(0)
     assert isinstance(first, tuple) and g.bfs_levels(0) is first
     assert g.is_connected().connected and parameters.diameter(t, g).bfs_eccentricity == 6
-    oracles.distance_sweep(g, OracleBudget(bfs_sources=1, seed=3))
+    oracles.distance_sweep(g, 1, seed=3)
     assert built.count(0) == 1
     built.clear()
     build_report(t)
     assert built.count(0) == 1
     built.clear()
-    run_verification(t, OracleBudget(bfs_sources=1, seed=3))
+    run_verification(t, 1, seed=3)
     assert built.count(0) == 1
 
 
@@ -217,7 +218,7 @@ def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift, monkeypat
     classes[k] ^= bit
     classes[k + shift] = classes.get(k + shift, 0) | bit
     monkeypatch.setattr(oracles, "closed_form_distance_classes", lambda _t, _g: classes)
-    report = distance_sweep(g, OracleBudget(bfs_sources=4, seed=1))
+    report = distance_sweep(g, 4, seed=1)
     assert report.sources == 5
     assert report.mismatches == 5
     assert report.max_distance == 6
@@ -230,8 +231,7 @@ def test_sweep_counts_unreached_vertices():
     gamma_class = tuple(c for c in CayleyGraph.from_triple(t).cset.members if c % m_ab == 0)
     g = CayleyGraph(t, ConnectingSet(gamma_class))
     table = closed_form_distance_table(t)
-    budget = OracleBudget(bfs_sources=3, seed=2)
-    report = distance_sweep(g, budget)
+    report = distance_sweep(g, 3, seed=2)
     expected = 0
     for s in [0] + sorted(random.Random(2).sample(range(1, t.n), 3)):
         dist = reference_bfs(t.n, gamma_class, s)
@@ -351,3 +351,39 @@ def test_is_partition():
     assert not g.is_partition([full, 1])  # vertex 0 in two sets
     assert not g.is_partition([full ^ 2, 1])  # sizes sum to n, yet 0 is in two sets and 1 in none
     assert not g.is_partition([full | 1 << 900])  # a bit beyond the last vertex
+
+
+@pytest.mark.parametrize("t", [TRIPLES[0], TRIPLES[2]], ids=[IDS[0], IDS[2]])
+def test_tiles_is_the_partition_of_the_rotations(t):
+    g = CayleyGraph.from_triple(t)
+    n = t.n
+
+    def reference(s, step, count):
+        return g.is_partition(g.rotate(s, r * step) for r in range(count))
+
+    cases = []
+    for d in divisors(n):
+        count = n // d  # 3, 5, 15, 45, ... are no powers of two
+        interval = g.bitset(range(d))
+        unit = next(u for u in range(2, n) if gcd(u, count) == 1)
+        cases += [
+            (interval, d, count, True),
+            (interval, d * unit, count, True),  # count·step exceeds n and wraps
+            (interval, d + n, count, True),
+            (interval, d, count - 1, False),  # a gap
+            (interval, d, count + 1, False),  # an overlap
+            (interval, d + 1, count, None),
+        ]
+        if 1 < d < n:
+            # one vertex moved one step on: the sizes still sum to n, but the
+            # translates overlap at d and leave d - 1 uncovered
+            cases.append((interval & ~(1 << (d - 1)) | 1 << d, d, count, False))
+    rng = random.Random(3)
+    for _ in range(200):
+        count = rng.choice(divisors(n))
+        s = g.bitset(rng.sample(range(n), n // count))
+        cases.append((s, rng.randrange(n), count, None))
+    for s, step, count, expected in cases:
+        assert g.tiles(s, step, count) == reference(s, step, count), (s.bit_count(), step, count)
+        assert expected is None or g.tiles(s, step, count) == expected, (s.bit_count(), step, count)
+    assert any(g.tiles(s, step, count) for s, step, count, expected in cases if expected is None)

@@ -6,7 +6,6 @@ import pytest
 from psqcayley import (
     DEFAULT_SEED,
     CayleyGraph,
-    OracleBudget,
     build_report,
     certify,
     clique_certificate,
@@ -48,7 +47,7 @@ def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
         return ConnectingSet(tuple(sorted(members)))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
-    lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
+    lines = run_verification(T235, 0).lines
     status = {line.split(":")[0] for line in lines}
     assert "FAIL connecting-set" in status
     assert "|C|=28, formula=28, order-scan=28" in lines[0]
@@ -117,7 +116,7 @@ def test_exact_searches_agree_with_the_certified_bounds(primes):
     hood = [0] + neighbors(g, 0)
     clique = exact_max_clique(hood, g.adjacent)
     mis = exact_max_independent_set(IndexGraph(t))
-    verdicts = _verdicts(run_verification(t, OracleBudget(bfs_sources=0), certificates=c).lines)
+    verdicts = _verdicts(run_verification(t, 0, certificates=c).lines)
     assert len(clique) == t.gamma
     assert verdicts["clique"] == verdicts["chromatic"] == "PASS"
     assert len(mis) == t.alpha * t.beta == build_report(t, certificates=c)["indexGraphMIS"]
@@ -140,7 +139,7 @@ def test_a_planted_connecting_set_fails_the_certified_bounds(edit, failing, monk
         return ConnectingSet(tuple(sorted(edit(set(enumerate_connectors(t).members)))))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
-    verdicts = _verdicts(run_verification(T235, OracleBudget(bfs_sources=0)).lines)
+    verdicts = _verdicts(run_verification(T235, 0).lines)
     assert all(verdicts[name] == "FAIL" for name in failing)
 
 
@@ -148,7 +147,7 @@ def test_a_clique_certificate_whose_translates_overlap_fails_the_cover(monkeypat
     # the rotations of S₀ = {v : v mod 180 < 36} by K = {0, ..., 4} overlap,
     # so they cover no vertex set exactly and α ≤ n/c is left unproved
     monkeypatch.setattr(parameters, "clique_certificate", lambda t: (0, 1, 2, 3, 4))
-    line = run_verification(T235, OracleBudget(bfs_sources=0)).lines[5]
+    line = run_verification(T235, 0).lines[5]
     assert line.startswith("FAIL independence: size=180 <= alpha <= 180 (cover by translates of K: False)")
 
 
@@ -166,8 +165,7 @@ def test_index_mis_against_reference_library():
 
 
 def test_distance_sweep_sampled_sources():
-    budget = OracleBudget(bfs_sources=10, seed=5)
-    report = distance_sweep(CayleyGraph.from_triple(T357), budget)
+    report = distance_sweep(CayleyGraph.from_triple(T357), 10, seed=5)
     assert report.sources == 11
     assert report.pairs_checked == 11 * 11025
     assert report.max_distance == 6
@@ -190,10 +188,10 @@ def test_default_sweep_takes_every_vertex_up_to_2000_and_51_sources_above(swept)
     g = CayleyGraph.from_triple(T357)
     for seed in (DEFAULT_SEED, 7):
         swept.clear()
-        report = distance_sweep(g, None if seed == DEFAULT_SEED else OracleBudget(seed=seed))
+        report = distance_sweep(g) if seed == DEFAULT_SEED else distance_sweep(g, seed=seed)
         default = swept.copy()
         swept.clear()
-        distance_sweep(g, OracleBudget(50, seed))
+        distance_sweep(g, 50, seed)
         assert report.sources == 51 and default == swept
         assert default[0] == 0 and default == sorted(set(default))
 
@@ -217,9 +215,8 @@ def test_run_verification_sweeps_the_default_51_sources(monkeypatch):
 
 
 def test_distance_sweep_deterministic():
-    budget = OracleBudget(bfs_sources=8, seed=42)
     g = CayleyGraph.from_triple(T235)
-    assert distance_sweep(g, budget) == distance_sweep(g, budget)
+    assert distance_sweep(g, 8, 42) == distance_sweep(g, 8, 42)
 
 
 def test_distance_histogram_covers_graph():
@@ -235,7 +232,10 @@ def test_find_triangle():
     assert all(G235.adjacent(u, v) for i, u in enumerate(tri) for v in tri[i + 1 :])
 
 
-def test_budget_validation():
-    assert OracleBudget(bfs_sources=0).bfs_sources == 0
+def test_budget_validation(swept):
+    # a negative count is refused by the sample, before any BFS runs
+    assert distance_sweep(G235, sources=0).sources == 1 and swept == [0]
+    swept.clear()
     with pytest.raises(ValueError):
-        OracleBudget(bfs_sources=-1)
+        distance_sweep(G235, sources=-1)
+    assert swept == []

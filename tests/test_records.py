@@ -8,7 +8,6 @@ import pytest
 
 from psqcayley import (
     CayleyGraph,
-    OracleBudget,
     certify,
     enumerate_connectors,
     make_prime_triple,
@@ -41,7 +40,6 @@ RECORDS = {
     "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
     "CayleyGraph.cset": (lambda: CayleyGraph.from_triple(T235), "cset"),
     "WalkCertificate": (lambda: snake_walk(T235), "inner"),
-    "OracleBudget": (OracleBudget, "bfs_sources"),
     "Certificates": (lambda: certify(T235), "walk_verified"),
     "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),
 }
@@ -55,9 +53,3 @@ def test_public_records_are_immutable(name):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
-
-
-def test_budget_check_holds_for_keyword_construction():
-    with pytest.raises(ValueError):
-        OracleBudget(bfs_sources=-1)
-    assert OracleBudget(seed=3) == (None, 3)

@@ -1,11 +1,11 @@
 import hashlib
 import json
+import math
 
 import pytest
 
 from psqcayley import (
     CayleyGraph,
-    OracleBudget,
     SweepReport,
     TooLargeError,
     WalkCertificate,
@@ -20,6 +20,7 @@ from psqcayley import cli, graph
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.group import prime_factors
 
 from helpers import BIG_PRIME, record_primality_tests
 
@@ -84,11 +85,11 @@ def test_report_eulerian_with_even_degree():
 
 
 def test_report_round_trip_and_determinism():
-    rep = build_report(T235, OracleBudget(seed=7))
+    rep = build_report(T235, seed=7)
     payload = report_bytes(rep)
     parsed = json.loads(payload)
-    assert parsed == json.loads(report_bytes(build_report(T235, OracleBudget(seed=7))))
-    assert payload == report_bytes(build_report(T235, OracleBudget(seed=7)))
+    assert parsed == json.loads(report_bytes(build_report(T235, seed=7)))
+    assert payload == report_bytes(build_report(T235, seed=7))
 
 
 def test_report_timings_opt_in():
@@ -98,7 +99,7 @@ def test_report_timings_opt_in():
 
 
 def test_verification_passes_small_instance():
-    outcome = run_verification(T235, OracleBudget(bfs_sources=20))
+    outcome = run_verification(T235, 20)
     assert outcome.ok
     assert all(line.startswith("PASS") for line in outcome.lines)
     assert len(outcome.lines) == 9
@@ -114,7 +115,7 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
         return ConnectingSet(members)
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
-    lines = run_verification(T235, OracleBudget(bfs_sources=0)).lines
+    lines = run_verification(T235, 0).lines
     status = {line.split(":")[0]: line for line in lines}
     assert "FAIL connecting-set" in status
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
@@ -208,7 +209,8 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
     missing = tmp_path / "absent.cfg"
-    assert cli.main(["verify", "--primes", "2,3,5", "--config", str(missing)]) == 2
+    argv = ["export", "--primes", "2,3,5", "--format", "walk", "--out", str(tmp_path / "walk.txt")]
+    assert cli.main(argv + ["--config", str(missing)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(missing) in err
@@ -249,42 +251,59 @@ def test_cli_out_dir_env(tmp_path, monkeypatch):
     assert (tmp_path / "nested.json").exists()
 
 
-def test_cli_config_file(tmp_path, capsys):
-    cfg = tmp_path / "budgets.cfg"
-    cfg.write_text("# budgets\nseed = 99\nbfs-sources = 5\n")
-    code = cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert json.loads(out)["oracleSeed"] == 99
-
-
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    for key in ("mystery", "sample-pairs", "sample-edges", "max-exact-vertices", "max-index-vertices"):
+    out = tmp_path / "edges.txt"
+    keys = ("mystery", "seed", "bfs-sources", "sample-pairs", "sample-edges", "max-exact-vertices", "max-index-vertices")
+    for key in keys:
         cfg.write_text(f"{key} = 1\n")
-        assert cli.main(["params", "--primes", "2,3,5", "--config", str(cfg)]) == 2
+        argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", str(out), "--config", str(cfg)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {cfg}:1: unknown key {key!r}\n"
+    assert not out.exists()
 
 
 def test_cli_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
-    (tmp_path / "budgets.cfg").write_text("seed = 1\n# again\nseed = 2\n")
-    argv = ["params", "--primes", "2,3,5", "--out", "report.json", "--config", "budgets.cfg"]
+    (tmp_path / "export.cfg").write_text("materialize-cap = 1000\n# again\nmaterialize-cap = 2000\n")
+    argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config", "export.cfg"]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: budgets.cfg:3: duplicate key 'seed'\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
+    assert captured.err == "error: export.cfg:3: duplicate key 'materialize-cap'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["export.cfg"]
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("materialize-cap = many", "value for 'materialize-cap' must be an integer"),
+        ("materialize-cap = 1e4", "value for 'materialize-cap' must be an integer"),
+        ("materialize-cap =", "value for 'materialize-cap' must be an integer"),
+        ("materialize-cap 30000", "expected 'key = value'"),
+    ],
+    ids=["word", "float", "empty", "no-equals"],
+)
+def test_cli_config_rejects_a_malformed_line(line, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
+    (tmp_path / "export.cfg").write_text(f"# cap\n{line}\n")
+    argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config", "export.cfg"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: export.cfg:2: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["export.cfg"]
 
 
 @pytest.mark.parametrize(
     "argv, key",
     [
         (["export", "--format", "walk", "--out", "walk.txt"], "seed"),
-        (["verify"], "materialize-cap"),
-        (["params", "--out", "report.json"], "materialize-cap"),
+        (["export", "--format", "independent-set", "--out", "set.txt"], "bfs-sources"),
     ],
-    ids=["export-seed", "verify-materialize-cap", "params-materialize-cap"],
+    ids=["export-seed", "export-bfs-sources"],
 )
 def test_cli_config_rejects_a_key_its_subcommand_does_not_read(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -308,40 +327,33 @@ def test_cli_export_reads_its_cap_from_the_config(tmp_path, capsys):
     assert (tmp_path / "e.txt").read_text().count("\n") == 12600
 
 
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_cli_rejects_a_negative_source_budget(source, tmp_path, capsys):
-    argv = ["verify", "--primes", "2,3,5"]
-    if source == "flag":
-        argv += ["--budget-sources", "-1"]
-    else:
-        cfg = tmp_path / "budgets.cfg"
-        cfg.write_text("bfs-sources = -1\n")
-        argv += ["--config", str(cfg)]
-    assert cli.main(argv) == 2
+def test_default_sweep_builds_its_budget_through_the_check(monkeypatch):
+    # the sweep's own default count goes through the same seeded sample as
+    # an explicit one, and a negative count is refused by that sample,
+    # before any BFS runs
+    swept = []
+    levels = CayleyGraph.bfs_levels
+    monkeypatch.setattr(CayleyGraph, "bfs_levels", lambda g, s: swept.append(s) or levels(g, s))
+    g = CayleyGraph.from_triple(T357)
+    assert distance_sweep(g).sources == 51
+    default = list(swept)
+    swept.clear()
+    assert distance_sweep(g, 50, oracles_mod.DEFAULT_SEED).sources == 51
+    assert swept == default and default[0] == 0 and len(set(default)) == 51
+    swept.clear()
+    with pytest.raises(ValueError):
+        distance_sweep(g, -1)
+    assert swept == []
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["params", "--oracle"]], ids=["flag", "params-oracle"])
+def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
+    # refused from the flag alone, before any graph is built
+    monkeypatch.setattr(CayleyGraph, "from_triple", None)
+    assert cli.main(argv + ["--primes", "2,3,5", "--budget-sources", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: bfs_sources must be nonnegative\n"
-
-
-def test_default_sweep_builds_its_budget_through_the_check(monkeypatch):
-    # _replace would skip OracleBudget.__new__ and with it the check: the
-    # sweep's own default is a checked budget, and a negative count that
-    # bypassed the check is refused by the sample, never swept
-    built = []
-    checked_new = OracleBudget.__new__
-
-    def recording_new(cls, *args, **kwargs):
-        budget = checked_new(cls, *args, **kwargs)
-        built.append(budget)
-        return budget
-
-    monkeypatch.setattr(OracleBudget, "__new__", recording_new)
-    g = CayleyGraph.from_triple(T357)
-    assert distance_sweep(g).sources == 51
-    assert built == [(None, oracles_mod.DEFAULT_SEED)]
-    bypassed = OracleBudget(seed=7)._replace(bfs_sources=-1)
-    with pytest.raises(ValueError):
-        distance_sweep(g, bypassed)
 
 
 @pytest.mark.parametrize(
@@ -349,6 +361,9 @@ def test_default_sweep_builds_its_budget_through_the_check(monkeypatch):
     [
         ["build", "--seed", "7"],
         ["build", "--config", "budgets.cfg"],
+        ["params", "--config", "budgets.cfg"],
+        ["params", "--budget-sources", "5"],
+        ["verify", "--config", "budgets.cfg"],
         ["export", "--format", "walk", "--out", "walk.txt", "--seed", "7"],
         ["hamiltonian", "--seed", "7"],
         ["hamiltonian", "--check", "--config", "budgets.cfg"],
@@ -376,7 +391,7 @@ def test_certificates_bound_clique_and_independence_without_an_exact_search(monk
     monkeypatch.setattr(oracles_mod, "exact_max_independent_set", refuse)
     c = certify(T235)
     assert build_report(T235, certificates=c)["indexGraphMIS"] == 6
-    outcome = run_verification(T235, OracleBudget(bfs_sources=0), certificates=c)
+    outcome = run_verification(T235, 0, certificates=c)
     assert outcome.ok and not any("skip" in line.lower() for line in outcome.lines)
     assert outcome.lines[3:6] == tuple(VERIFY_235_SEED_7.splitlines()[3:6])
 
@@ -411,7 +426,7 @@ def test_cli_params_oracle_certifies_once_and_renders_both_ways(capsys, monkeypa
     assert cli.main(["params", "--primes", "2,3,5", "--seed", "7", "--oracle"]) == 0
     assert calls == {"from_triple": 1}
     captured = capsys.readouterr()
-    assert captured.out.encode("ascii") == report_bytes(build_report(T235, OracleBudget(seed=7)))
+    assert captured.out.encode("ascii") == report_bytes(build_report(T235, seed=7))
     assert captured.err == VERIFY_235_SEED_7.replace("verification OK\n", "")
 
 
@@ -466,8 +481,37 @@ def test_cli_build_does_no_graph_work(capsys, monkeypatch):
 def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
     # arithmetic only: the prediction for n, never an allocation
     cli._check_memory(make_prime_triple(11, 13, 17).n)
+    cli._check_memory(make_prime_triple(13, 17, 19).n)
     with pytest.raises(TooLargeError):
         cli._check_memory(make_prime_triple(101, 103, 107).n)
+
+
+def _three_distinct_primes(abc: int) -> bool:
+    primes = prime_factors(abc)
+    return len(primes) == 3 and math.prod(primes) == abc
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify"], ["params", "--oracle"], ["hamiltonian", "--check"], ["export", "--format", "walk", "--out", "{out}"]],
+    ids=lambda argv: argv[0],
+)
+def test_cli_the_smallest_triple_over_the_memory_limit_exits_2_at_once(argv, tmp_path, capsys, monkeypatch):
+    # n = (abc)², so the smallest n predicted over the limit comes from the
+    # first product abc of three distinct primes above √(limit / bytes)
+    abc = math.isqrt(cli.MEMORY_LIMIT_BYTES // cli.BYTES_PER_VERTEX)
+    while not (_three_distinct_primes(abc) and cli.BYTES_PER_VERTEX * abc**2 > cli.MEMORY_LIMIT_BYTES):
+        abc += 1
+    cli._check_memory(max(p for p in range(abc) if _three_distinct_primes(p)) ** 2)
+    triple, n = prime_factors(abc), abc**2
+    out = tmp_path / "out.txt"
+    monkeypatch.setattr(CayleyGraph, "from_triple", None)
+    argv = [a.format(out=out) for a in argv] + ["--primes", ",".join(map(str, triple))]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n = {n} needs about {cli.BYTES_PER_VERTEX * n >> 20} MiB, above the limit of 2048 MiB\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("primes", ["3,5,7", "5,7,11", "7,11,13"])
@@ -489,7 +533,7 @@ def test_cli_verify_passes(capsys):
 
 
 def test_cli_verify_fails_on_mismatch(capsys, monkeypatch):
-    def fake_sweep(g, budget=None):
+    def fake_sweep(g, sources=None, seed=None):
         return SweepReport(sources=1, pairs_checked=900, max_distance=6, mismatches=3)
 
     monkeypatch.setattr(oracles_mod, "distance_sweep", fake_sweep)
