@@ -1,27 +1,28 @@
-"""Command-line front end.
+"""Command-line front end: psqcayley SUBCOMMAND --primes A,B,C [OPTION ...]
 
-Subcommands:
   build        validate a triple and print n, |C|, degree
   params       emit the certificate report as canonical JSON
-  verify       run the oracle suite; exit 1 on any mismatch
-  export       write edge-list / dot / walk / independent-set files
-  hamiltonian  construct (and optionally verify) the Hamiltonian cycle
+               [--seed N] [--oracle [--budget-sources N]] [--out FILE] [--timings]
+  verify       run the oracle suite; exit 1 on any mismatch [--seed N] [--budget-sources N]
+  export       write a --format edges|dot|walk|independent-set file --out FILE [--config FILE]
+  hamiltonian  construct the Hamiltonian cycle, and with [--check] verify it
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error,
-including a negative --budget-sources, a --config file that cannot be read,
-an --out file that cannot be written, and a group too large for the memory
-limit (checked from n before anything is allocated, for every subcommand but
-`build`, which holds no per-vertex data: it prints |C| and the degree from
-the closed form).  `verify` and `params --oracle` sweep distances from
-vertex 0 plus --budget-sources extras sampled with --seed, which `params`
-echoes.  `export` reads `materialize-cap` from a `key = value` config file
+An option is given as `--opt value` or `--opt=value`, and the last of a
+repeated one wins; -h or --help prints this text.  Exit codes: 0 success, 1
+verification mismatch, 2 usage or validation error, including a negative
+--budget-sources, a --config file that cannot be read, an --out file that
+cannot be written, and a group too large for the memory limit (checked from
+n before anything is allocated, for every subcommand but `build`, which
+holds no per-vertex data: it prints |C| and the degree from the closed
+form).  `verify` and `params --oracle` sweep distances from vertex 0 plus
+--budget-sources extras sampled with --seed, which `params` echoes.
+`export` reads `materialize-cap` from a `key = value` config file
 (--config).  Each subcommand accepts only the options it reads.  When
 $PSQCAYLEY_OUT_DIR is set, relative --out paths are placed inside it.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from pathlib import Path
@@ -35,16 +36,25 @@ from .oracles import DEFAULT_SEED
 from .parameters import independence_certificate
 
 _CONFIG_KEYS = {"materialize-cap"}
+# each subcommand's options: an int or str option takes a value, a bool one is a flag
+OPTIONS = {
+    "build": {"--primes": str},
+    "params": {"--primes": str, "--seed": int, "--oracle": bool, "--budget-sources": int,
+               "--out": str, "--timings": bool},
+    "verify": {"--primes": str, "--seed": int, "--budget-sources": int},
+    "export": {"--primes": str, "--config": str, "--format": str, "--out": str},
+    "hamiltonian": {"--primes": str, "--check": bool},
+}
 
 
 # Peak memory per vertex of the commands that hold per-vertex data: the
-# child's ru_maxrss from a small posix_spawn launcher, above the 14.6 MiB of
+# child's ru_maxrss from a small posix_spawn launcher, above the 13.5 MiB of
 # `import psqcayley.cli` (CPython 3.11, x86-64 Linux).  `verify
 # --budget-sources 0` peaks at 8.9 bytes at (11,13,17) and 9.0 at (13,17,19),
-# n = 17,631,601, but at 22.5 at (2,3,167); the walk export at 1.4 at
-# (11,13,17) but 40.0 at (2,3,401) and (2,5,199): with a = 2 the inner cycle
-# and each row of the walk hold n/4 vertices.  64 bytes leaves 1.6 times
-# headroom over the largest peak.
+# n = 17,631,601, but at 22.9 at (2,3,167), where the inner cycle holds n/4
+# vertices; the walk export, which formats rows in pieces, at 1.3 at
+# (11,13,17), 16.7 at (2,3,167) and 11.8 at (2,3,401).  64 bytes leaves 2.8
+# times headroom over the largest peak.
 BYTES_PER_VERTEX = 64
 MEMORY_LIMIT_BYTES = 2 << 30
 
@@ -106,61 +116,56 @@ def _out_path(name: str) -> Path:
     return path
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="psqcayley", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--primes", required=True, metavar="A,B,C")
-
-    p = sub.add_parser("build", help="validate the triple and print basic facts")
-    add_common(p)
-
-    p = sub.add_parser("params", help="emit the certificate report as JSON")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--oracle", action="store_true", help="also run the full oracle suite")
-    p.add_argument("--budget-sources", type=int, default=None, metavar="N")
-    p.add_argument("--out", default=None, metavar="FILE")
-    p.add_argument("--timings", action="store_true", help="include wall-clock timings (non-reproducible)")
-
-    p = sub.add_parser("verify", help="run the oracle suite; exit 1 on mismatch")
-    add_common(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--budget-sources", type=int, default=None, metavar="N")
-
-    p = sub.add_parser("export", help="write a graph/walk/independent-set file")
-    add_common(p)
-    p.add_argument("--config", default=None, metavar="FILE")
-    p.add_argument("--format", required=True, choices=["edges", "dot", "walk", "independent-set"])
-    p.add_argument("--out", required=True, metavar="FILE")
-
-    p = sub.add_parser("hamiltonian", help="construct the Hamiltonian cycle")
-    add_common(p)
-    p.add_argument("--check", action="store_true", help="verify the walk after construction")
-
-    return parser
+def _parse_args(argv: list[str]) -> tuple[str, dict[str, object]]:
+    """The subcommand and its options by OPTIONS; a repeated option keeps its last value."""
+    if not argv or argv[0] not in OPTIONS:
+        raise UsageError(f"expected a subcommand, one of {', '.join(OPTIONS)}")
+    command, kinds, args = argv[0], OPTIONS[argv[0]], {}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        kind = kinds.get(name)
+        if kind is None:
+            raise UsageError(f"unrecognized arguments: {word}")
+        if kind is bool:
+            if eq:
+                raise UsageError(f"{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(words, "--")
+            if value.startswith("--"):
+                raise UsageError(f"{name} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise UsageError(f"{name} expects an integer, got {value!r}") from None
+        args[name] = value
+    for name in ("--primes", "--format", "--out") if command == "export" else ("--primes",):
+        if name not in args:
+            raise UsageError(f"{command} requires {name}")
+    if args.get("--format", "edges") not in ("edges", "dot", "walk", "independent-set"):
+        raise UsageError(f"--format must be edges, dot, walk or independent-set, got {args['--format']!r}")
+    return command, args
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+def main(argv: list[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code or 0)
-
-    try:
-        triple = make_prime_triple(*_parse_primes(args.primes))
-        sources = getattr(args, "budget_sources", None)
+        command, args = _parse_args(argv)
+        triple = make_prime_triple(*_parse_primes(args["--primes"]))
+        sources, seed, out = args.get("--budget-sources"), args.get("--seed", DEFAULT_SEED), args.get("--out")
         if sources is not None:
-            if args.command == "params" and not args.oracle:
+            if command == "params" and "--oracle" not in args:
                 raise UsageError("unrecognized arguments: --budget-sources (read only with --oracle)")
             if sources < 0:
-                raise UsageError("bfs_sources must be nonnegative")
-        config = _load_config(args.config) if getattr(args, "config", None) else {}
+                raise UsageError("--budget-sources must be nonnegative")
+        config = _load_config(args["--config"]) if args.get("--config") else {}
         cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
 
-        if args.command == "build":
+        if command == "build":
             cset_size = connector_count_formula(triple)
             print(f"primes: {triple.alpha},{triple.beta},{triple.gamma}")
             print(f"n: {triple.n}")
@@ -170,49 +175,49 @@ def main(argv: list[str] | None = None) -> int:
 
         _check_memory(triple.n)
 
-        if args.command == "params":
+        if command == "params":
             # both renderings share one certify, which reads neither sources nor seed
-            certs = report_mod.certify(triple) if args.oracle else None
-            payload = report_mod.report_bytes(report_mod.build_report(triple, args.seed, args.timings, certs))
-            if args.out:
-                _out_path(args.out).write_bytes(payload)
+            certs = report_mod.certify(triple) if "--oracle" in args else None
+            payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args, certs))
+            if out:
+                _out_path(out).write_bytes(payload)
             else:
                 sys.stdout.write(payload.decode("ascii"))
-            if args.oracle:
-                outcome = report_mod.run_verification(triple, sources, args.seed, certificates=certs)
+            if "--oracle" in args:
+                outcome = report_mod.run_verification(triple, sources, seed, certificates=certs)
                 for line in outcome.lines:
                     print(line, file=sys.stderr)
                 return 0 if outcome.ok else 1
             return 0
 
-        if args.command == "verify":
-            outcome = report_mod.run_verification(triple, sources, args.seed)
+        if command == "verify":
+            outcome = report_mod.run_verification(triple, sources, seed)
             for line in outcome.lines:
                 print(line)
             print("verification OK" if outcome.ok else "verification FAILED")
             return 0 if outcome.ok else 1
 
-        if args.command == "export":
-            if args.format in ("edges", "dot"):
-                CayleyGraph.from_triple(triple).export(args.format, _out_path(args.out), cap=cap)
+        if command == "export":
+            if args["--format"] in ("edges", "dot"):
+                CayleyGraph.from_triple(triple).export(args["--format"], _out_path(out), cap=cap)
                 return 0
-            if args.format == "walk":
-                # one chunk per row of the walk, written as it is formatted
-                with open(_out_path(args.out), "w", encoding="ascii", newline="\n") as f:
+            if args["--format"] == "walk":
+                # one chunk per piece of the walk, written as it is formatted
+                with open(_out_path(out), "w", encoding="ascii", newline="\n") as f:
                     for chunk in walk_lines(snake_walk(triple)):
                         f.write(chunk + "\n")
                 return 0
             cert = independence_certificate(triple, CayleyGraph.from_triple(triple))
             payload = ("\n".join(map(str, set_bits(cert.members))) + "\n").encode("ascii")
-            _out_path(args.out).write_bytes(payload)
+            _out_path(out).write_bytes(payload)
             return 0
 
-        # hamiltonian, the last of the subcommands argparse admits
+        # hamiltonian, the last subcommand in OPTIONS
         walk = snake_walk(triple)
         print("kind: cycle")
         print(f"length: {walk.length}")
         print(f"endpoints: {walk.endpoints[0]} {walk.endpoints[1]}")
-        if args.check:
+        if "--check" in args:
             ok = verify_walk(walk, CayleyGraph.from_triple(triple))
             print(f"verified: {ok}")
             return 0 if ok else 1
@@ -224,4 +229,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

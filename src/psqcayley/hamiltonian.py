@@ -34,11 +34,14 @@ Together these make the walk a Hamiltonian cycle, and no check reads
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
+
+# the most entries one piece of a walk holds: a row of n/4 at a = 2 is split
+PIECE_SIZE = 1 << 16
 
 
 class WalkCertificate(NamedTuple):
@@ -63,14 +66,16 @@ class WalkCertificate(NamedTuple):
         return (head, (head + self.step) % self.n)
 
     def pieces(self) -> Iterator[list[int]]:
-        """The walk in order, piece by piece: the head, each row, the climb."""
-        n, step, head, tail = self.n, self.step, self.inner[0], self.inner[1:]
-        yield [head]
-        runs = (tail, tail[::-1])
+        """The walk in order, piece by piece: the head, each row in slices of
+        at most PIECE_SIZE entries read from H in place, the climb."""
+        n, step, inner = self.n, self.step, self.inner
+        yield [inner[0]]
         for r in range(self.rows):
             shift = r * step
-            yield [(shift + h) % n for h in runs[r % 2]]
-        yield [(r * step + head) % n for r in range(self.rows - 1, 0, -1)]
+            run = islice(inner, 1, None) if r % 2 == 0 else islice(reversed(inner), len(inner) - 1)
+            for _ in range(1, len(inner), PIECE_SIZE):
+                yield [(shift + h) % n for h in islice(run, PIECE_SIZE)]
+        yield [(r * step + inner[0]) % n for r in range(self.rows - 1, 0, -1)]
 
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
@@ -85,10 +90,10 @@ def snake_walk(t: PrimeTriple) -> WalkCertificate:
 
 def _joints(w: WalkCertificate) -> Iterator[tuple[int, int]]:
     """Every step of the walk that is not inside a row, as (from, to)."""
-    n, step, head, tail = w.n, w.step, w.inner[0], w.inner[1:]
+    n, step, head = w.n, w.step, w.inner[0]
     prev = head
     for r in range(w.rows):
-        first, last = (tail[0], tail[-1]) if r % 2 == 0 else (tail[-1], tail[0])
+        first, last = (w.inner[1], w.inner[-1]) if r % 2 == 0 else (w.inner[-1], w.inner[1])
         yield prev, (r * step + first) % n
         prev = (r * step + last) % n
     for r in range(w.rows - 1, 0, -1):

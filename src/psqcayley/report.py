@@ -19,7 +19,6 @@ explicitly requested.
 
 from __future__ import annotations
 
-import json
 import time
 from contextlib import contextmanager
 from typing import NamedTuple
@@ -153,6 +152,7 @@ def build_report(
 
 
 def report_bytes(report: dict) -> bytes:
+    import json  # here, not at module level: only `params` renders JSON
     return (json.dumps(report, indent=2, ensure_ascii=True) + "\n").encode("ascii")
 
 

@@ -12,6 +12,7 @@ from psqcayley import (
     walk_lines,
 )
 
+from psqcayley import hamiltonian
 from psqcayley.group import crt_basis
 
 from helpers import (
@@ -233,3 +234,15 @@ def test_walk_export_lines():
         assert lines[0] == "cycle"
         assert len(lines) == 1 + 1 + walk.rows + 1
         assert "\n".join(lines[1:]).split("\n") == [str(v) for v in snake_sequence(t)]
+
+
+@pytest.mark.parametrize("size", [1, 7, 35])
+def test_walk_export_splits_each_row_into_pieces_of_at_most_piece_size(size, monkeypatch):
+    # rows of 35 entries at (2,3,5): split evenly, unevenly, or kept whole
+    monkeypatch.setattr(hamiltonian, "PIECE_SIZE", size)
+    walk = snake_walk(T235)
+    lines = list(walk_lines(walk))
+    pieces = lines[2:-1]
+    assert len(pieces) == walk.rows * -(-(len(walk.inner) - 1) // size)
+    assert max(piece.count("\n") + 1 for piece in pieces) == size
+    assert "\n".join(lines[1:]).split("\n") == [str(v) for v in snake_sequence(T235)]

@@ -33,6 +33,37 @@ def test_cli_import_loads_every_module_without_dataclasses_or_inspect():
         assert "psqcayley." + name in loaded
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--primes", "2,3,5"],
+        ["verify", "--primes", "2,3,5"],
+        ["export", "--primes", "2,3,5", "--format", "walk", "--out", "walk.txt"],
+        ["hamiltonian", "--primes", "2,3,5"],
+        ["params", "--primes", "2,3,5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
+    # the modules are listed before the child's own `import json`; only
+    # `params`, which renders JSON, may load it
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    code = (
+        "import sys\nfrom psqcayley import cli\ncode = cli.main(sys.argv[1:])\nloaded = sorted(sys.modules)\n"
+        "import json\nsys.stderr.write(json.dumps([code, loaded]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    code, loaded = json.loads(proc.stderr)
+    assert code == 0
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
+    assert ("json" in loaded) == (argv[0] == "params")
+    for name in ("connectors", "parameters", "structure", "hamiltonian", "oracles", "report"):
+        assert "psqcayley." + name in loaded
+
+
 # record -> (a builder, one of its fields)
 RECORDS = {
     "PrimeTriple": (lambda: T235, "alpha"),

@@ -201,10 +201,46 @@ def test_cli_build_with_an_oversized_prime_exits_2_at_once(capsys, monkeypatch):
     assert captured.err.startswith("error: group order ") and captured.err.count("\n") == 1
 
 
-def test_cli_usage_errors(capsys):
-    assert cli.main(["build", "--primes", "2,3"]) == 2
-    assert cli.main(["export", "--primes", "2,3,5", "--format", "gml", "--out", "x"]) == 2
-    assert cli.main(["nonsense"]) == 2
+def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
+    # each usage error is one `error:` line on stderr, exit 2, and no output
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
+    for argv, message in [
+        ([], "expected a subcommand, one of build, params, verify, export, hamiltonian"),
+        (["nonsense", "--primes", "2,3,5"], "expected a subcommand, one of"),
+        (["build", "--primes", "2,3"], "--primes expects three comma-separated integers"),
+        (["verify", "--seed", "7"], "verify requires --primes"),
+        (["export", "--primes", "2,3,5", "--format", "gml", "--out", "x"], "--format must be edges, dot, walk or independent-set, got 'gml'"),
+        (["export", "--primes", "2,3,5", "--format", "walk"], "export requires --out"),
+        (["export", "--primes", "2,3,5", "--out", "x"], "export requires --format"),
+        (["verify", "--primes", "2,3,5", "--seed", "x"], "--seed expects an integer, got 'x'"),
+        (["params", "--primes", "2,3,5", "--out"], "--out expects a value"),
+        (["params", "--primes", "2,3,5", "--out", "--timings"], "--out expects a value"),
+        (["params", "--primes", "2,3,5", "--oracle=1"], "--oracle takes no value"),
+    ]:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1, argv
+    assert list(tmp_path.iterdir()) == []
+
+    def run(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return code, captured.out
+
+    # `--opt=value` is accepted, and a repeated option keeps its last value
+    build = run(["build", "--primes", "2,3,5"])
+    assert run(["build", "--primes=2,3,5"]) == build
+    assert run(["build", "--primes", "2,3,7", "--primes=2,3,5"]) == build
+    assert run(["params", "--primes", "2,3,5", "--seed", "1", "--seed=7"]) == run(["params", "--primes", "2,3,5", "--seed", "7"])
+    # help lists every subcommand and each of its options
+    for argv in (["-h"], ["--help"], ["verify", "--help"]):
+        code, out = run(argv)
+        assert code == 0
+        for command, options in cli.OPTIONS.items():
+            assert command in out and all(option in out for option in options)
 
 
 def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
@@ -353,7 +389,7 @@ def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
     assert cli.main(argv + ["--primes", "2,3,5", "--budget-sources", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: bfs_sources must be nonnegative\n"
+    assert captured.err == "error: --budget-sources must be nonnegative\n"
 
 
 @pytest.mark.parametrize(
@@ -367,6 +403,8 @@ def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
         ["export", "--format", "walk", "--out", "walk.txt", "--seed", "7"],
         ["hamiltonian", "--seed", "7"],
         ["hamiltonian", "--check", "--config", "budgets.cfg"],
+        ["hamiltonian", "stray", "--check"],
+        ["verify", "--prim", "2,3,5"],
     ],
     ids=lambda argv: f"{argv[0]}{argv[-2]}",
 )
@@ -377,7 +415,7 @@ def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, tmp_path, caps
     assert cli.main([argv[0], "--primes", "2,3,5", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"unrecognized arguments: {argv[-2]}" in captured.err
+    assert captured.err.startswith(f"error: unrecognized arguments: {argv[-2]}") and captured.err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["budgets.cfg"]
 
 
