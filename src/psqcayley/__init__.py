@@ -63,7 +63,7 @@ from .structure import (
     BlockId,
     FiberStructureChecklist,
     IndexGraph,
-    blocks,
+    block_residues,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,

@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .connectors import connector_count_formula
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, set_bits
+from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .oracles import DEFAULT_SEED
@@ -207,8 +207,9 @@ def main(argv: list[str]) -> int:
                     for chunk in walk_lines(snake_walk(triple)):
                         f.write(chunk + "\n")
                 return 0
-            cert = independence_certificate(triple, CayleyGraph.from_triple(triple))
-            payload = ("\n".join(map(str, set_bits(cert.members))) + "\n").encode("ascii")
+            cert = independence_certificate(triple)
+            members = (base + r for base in range(0, triple.n, cert.period) for r in cert.residues)
+            payload = ("\n".join(map(str, members)) + "\n").encode("ascii")
             _out_path(out).write_bytes(payload)
             return 0
 

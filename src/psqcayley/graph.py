@@ -21,12 +21,10 @@ connector.  Sweeps from distinct sources share no mutable state and may run
 concurrently.  The levels from vertex 0 are built once per graph and shared
 as a tuple.
 
-Sets defined by residues -- colour classes, the independence certificate,
-closed-form distance classes, residue blocks -- are periodic: {v : v mod P in
-R} for a period P dividing n.  The sets read through v mod a, v mod b and
-v mod c repeat with period abc.  `periodic` packs one period and doubles it
-out to n bits, so its cost does not grow with the size of the set, and
-`set_bits` lists the members of any set in ascending order.
+Sets defined by residues, such as the closed-form distance and order
+classes, are periodic: {v : v mod P in R} for a period P dividing n.
+`periodic` packs one period and doubles it out to n bits, and `set_bits`
+lists the members of any set in ascending order.
 """
 
 from __future__ import annotations
@@ -240,17 +238,6 @@ class CayleyGraph(_GraphFields):
         if pool:
             families.insert(0, CosetFamily(n, 1, tuple(sorted(pool))))
         return tuple(families)
-
-    def internal_edges(self, s: int) -> int:
-        """Edges with both endpoints in S, each counted once.
-
-        No connector equals n/2 (its order would be 2), so every edge {u, v}
-        has exactly one connector c < n/2 with v = u ± c.
-        """
-        n = self.triple.n
-        doubled = s | (s << n)
-        # (doubled >> (n - c)) & S == rot(S, c) & S
-        return sum(((doubled >> (n - c)) & s).bit_count() for c in self.cset.members if 2 * c < n)
 
     def bfs_levels(self, source: int) -> tuple[int, ...]:
         """The BFS levels from source: levels[k] is the set at distance k.

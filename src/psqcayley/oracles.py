@@ -28,15 +28,16 @@ def order_classes(g: CayleyGraph) -> dict[int, int]:
     An element's order divides o iff it is a multiple of n/o, so the
     multiples of n/o are the elements of order dividing o; removing those of
     order dividing o/p, for each prime p dividing o, leaves order exactly o.
+    Each set of multiples is built once, for its divisor.
     """
     n = g.triple.n
     primes = prime_factors(n)
+    multiples = {o: g.periodic(n // o, [0]) for o in divisors(n)}  # order dividing o
     classes = {}
-    for o in divisors(n):
-        cls = g.periodic(n // o, [0])
+    for o, cls in multiples.items():
         for p in primes:
             if o % p == 0:
-                cls &= ~g.periodic(n // (o // p), [0])
+                cls &= ~multiples[o // p]
         classes[o] = cls
     return classes
 

@@ -5,19 +5,19 @@ Each parameter comes as an explicit certificate (a clique, a coloring, an
 independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
 
-Colour class 0 and the independence certificate read v only through
-v mod a, b and c, so each is a union of residue blocks, one
-`structure.blocks` set of period abc.
+Colour class 0 and the independence certificate are unions of residue
+blocks, held and checked as their residues mod abc (`structure`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import BlockId, IndexGraph, blocks
+from .structure import BlockId, IndexGraph, block_residues
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,13 @@ def clique_certificate(t: PrimeTriple) -> tuple[int, ...]:
     return tuple(k * m_ab % t.n for k in range(t.gamma))
 
 
-def clique_translates_tile(t: PrimeTriple, g: CayleyGraph, s: int) -> bool:
-    """The rotations of s by the clique certificate K partition V.  K must be
-    the progression k·a²b² (k < |K|); its rotations are then `g.tiles`."""
-    clique, m_ab = clique_certificate(t), t.m_alpha * t.m_beta
-    return clique == tuple(k * m_ab % t.n for k in range(len(clique))) and g.tiles(s, m_ab, len(clique))
+def _residue_edges(residues: Sequence[int], connectors: Iterable[int], period: int) -> int:
+    """The pairs (v, v + c), c over the connectors with repeats, inside
+    {v : v mod period in R} per period: Σ_c |{r in R : (r + c) mod period in
+    R}|, with the connectors grouped by residue first."""
+    inside = set(residues)
+    steps = Counter(c % period for c in connectors)
+    return sum(k * sum((r + d) % period in inside for r in residues) for d, k in steps.items())
 
 
 class ColoringResult(NamedTuple):
@@ -114,15 +116,17 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to the
     colour, and a²b² is a unit mod gamma.
     Translations are automorphisms, so the colouring is proper iff class 0
-    misses its own neighbourhood and its |K| ≤ gamma rotations partition the
-    n vertices.  Every edge lies inside a class or between two, so this
-    covers all n·|C|/2 edges.
+    has no edge inside and its |K| ≤ gamma rotations partition the n
+    vertices: on its residues mod P = abc, no r has (r + c) mod P in class 0
+    and the r + κ mod P (κ in K) list Z_P once.  Every edge lies inside a
+    class or between two, so this covers all n·|C|/2 edges.
     """
-    zero = blocks(g, [x for x in IndexGraph(t).ids() if sum(x) % t.gamma == 0])
+    period, clique = t.alpha * t.beta * t.gamma, clique_certificate(t)
+    zero = block_residues(t, [x for x in IndexGraph(t).ids() if sum(x) % t.gamma == 0])
     proper = (
-        len(clique_certificate(t)) <= t.gamma
-        and not g.neighborhood(zero) & zero
-        and clique_translates_tile(t, g, zero)
+        len(clique) <= t.gamma
+        and _residue_edges(zero, g.cset.members, period) == 0
+        and sorted((r + k) % period for k in clique for r in zero) == list(range(period))
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
@@ -141,21 +145,22 @@ def independence_index_set(t: PrimeTriple) -> tuple[BlockId, ...]:
 
 class IndependenceCertificate(NamedTuple):
     """An independent set of a²b²c vertices: the union of the blocks indexed
-    by `index_set`, as one n-bit int."""
+    by `index_set`, {v : v mod period in residues}, with period = abc = n/abc."""
 
     index_set: tuple[BlockId, ...]
-    members: int
+    residues: tuple[int, ...]
+    period: int
 
     @property
     def size(self) -> int:
-        return self.members.bit_count()
+        return len(self.residues) * self.period
 
 
-def independence_certificate(t: PrimeTriple, g: CayleyGraph) -> IndependenceCertificate:
+def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
     """The union of the blocks of the index set, {v : (v mod a, v mod b,
-    v mod c) in it}."""
+    v mod c) in it}, as its residues mod abc."""
     ids = independence_index_set(t)
-    cert = IndependenceCertificate(ids, blocks(g, ids))
+    cert = IndependenceCertificate(ids, tuple(block_residues(t, ids)), t.alpha * t.beta * t.gamma)
     assert cert.size == t.m_alpha * t.m_beta * t.gamma
     return cert
 
@@ -167,9 +172,11 @@ class IndependenceScan(NamedTuple):
 
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
     """Count edges inside the certificate set (must be zero), over all
-    m(m−1)/2 vertex pairs."""
-    m = cert.size
-    return IndependenceScan(g.internal_edges(cert.members), m * (m - 1) // 2)
+    m(m−1)/2 vertex pairs: no connector equals n/2 (its order would be 2), so
+    every edge is one pair (v, v + c) with c < n/2, counted per period."""
+    n, m = g.triple.n, cert.size
+    per_period = _residue_edges(cert.residues, (c for c in g.cset.members if 2 * c < n), cert.period)
+    return IndependenceScan(n // cert.period * per_period, m * (m - 1) // 2)
 
 
 class IndexBoundsReport(NamedTuple):

@@ -71,7 +71,7 @@ def certify(t: PrimeTriple) -> Certificates:
     with timed("coloring"):
         coloring = parameters.verify_coloring(t, g)
     with timed("independence"):
-        independence = parameters.independence_certificate(t, g)
+        independence = parameters.independence_certificate(t)
         scan = parameters.independence_internal_edges(independence, g)
     with timed("indexBounds"):
         index_bounds = parameters.verify_index_bounds(t)
@@ -198,7 +198,7 @@ def run_verification(
 
     # every vertex u has exactly |C| distinct neighbours u + c, and adjacency
     # is symmetric, iff C repeats no member, misses 0 and holds n − c for
-    # each c (with |C| even, n/2 is then no member, as internal_edges needs)
+    # each c (with |C| even, n/2 is then no member, as the independence scan needs)
     connectors = g.connector_set
     regular = len(connectors) == cset.size and all(
         0 < m < t.n and t.n - m in connectors for m in cset.members
@@ -238,10 +238,11 @@ def run_verification(
 
     # α ≤ n/c: with S₀ = {v : v mod c·a²b² < a²b²}, the rotations S₀ + κ
     # (κ in the clique K) partition V iff the translates x + K (x in S₀) do,
-    # and an independent set meets each translate at most once
+    # and an independent set meets each translate at most once; K must be
+    # the progression k·a²b² (k < |K|), whose rotations are `g.tiles`
     m_ab = t.m_alpha * t.m_beta
     s0 = g.periodic(t.gamma * m_ab, range(m_ab))
-    cover = parameters.clique_translates_tile(t, g, s0)
+    cover = clique == tuple(k * m_ab % t.n for k in range(len(clique))) and g.tiles(s0, m_ab, len(clique))
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(

@@ -4,17 +4,20 @@ the index graph that governs which blocks see edges between them.
 Exponents are written in the mixed radix x = i + j·a² + k·a²b² (digits i < a²,
 j < b², k < c²), giving three fiber families (one per pinned digit).
 Block (i, j, k) is {v : (v mod a, v mod b, v mod c) = (i, j, k)}, one residue
-class modulo abc of a·b·c vertices, so every union of blocks is one set of
-period abc (`blocks`).  The blocks partition the vertex set and are always
-independent.  All verifiers here check the literal claims against arithmetic
-adjacency, independently of the constructors that produced the objects; the
-cycle claims (fiber checks iii, vii and viii) go through `CayleyGraph.is_cycle`,
-the check that also replays the Hamiltonian walk, once each.
+class modulo P = abc, so a union of blocks is held as its residues mod P
+(`block_residues`).  P divides n, so block_of(v + c) = block_of(v) +
+block_of(c) (the residue lemma): the translate of the union R by c is
+R + (c mod P), and every block check is decided on residues mod P.  The
+blocks partition the vertex set and are always independent.  All verifiers
+here check the literal claims against arithmetic adjacency, independently of
+the constructors that produced the objects; the cycle claims (fiber checks
+iii, vii and viii) go through `CayleyGraph.is_cycle`, the check that also
+replays the Hamiltonian walk, once each.
 
 The block checks and fiber checks (i) and (iii) are claims about every set
 of a family of translates, and in a Cayley graph on Z_n every translation
 x ↦ x + s is an automorphism, so each is decided on one representative.  The
-blocks are the translates of B₀ = abc·Z_n: translating by a vertex with
+blocks are the translates of B₀ = P·Z_n: translating by a vertex with
 residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
 every block pair, and block 0's construction decides the partition.  The
@@ -53,48 +56,42 @@ class IndexGraph(NamedTuple):
         return (x.i == y.i) + (x.j == y.j) + (x.k == y.k) == 2
 
 
-def blocks(g: CayleyGraph, ids: Iterable[BlockId]) -> int:
-    """The union of the blocks with these ids, {v : (v mod a, v mod b, v mod c)
-    in ids}, as one n-bit int of period abc."""
-    a, b, c = g.triple.primes
+def block_residues(t: PrimeTriple, ids: Iterable[BlockId]) -> list[int]:
+    """The union of the blocks with these ids as its residues, ascending: the
+    r < abc with (r mod a, r mod b, r mod c) in ids."""
+    a, b, c = t.primes
     chosen = set(ids)
-    return g.periodic(a * b * c, [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen])
+    return [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen]
 
 
 def verify_block_partition(g: CayleyGraph) -> bool:
     """The blocks partition the vertices, and each is the block that its
     component triples construct.
 
-    Block (i, j, k) is constructed from the a·b·c component triples
-    (i + a·x, j + b·y, k + c·z), x < a, y < b, z < c, combined by the CRT.
-    That is block 0's construction, from (a·x, b·y, c·z), translated by
-    crt(i, j, k).  So the check passes iff block 0's construction equals the
-    residue block {v : v ≡ 0 mod a, b and c} = abc·Z_n: the blocks are then
-    the abc cosets of the subgroup abc·Z_n, which partition V, and each
-    construction is its residue block translated by the same vertex.
+    Block (i, j, k) is constructed from the component triples (i + a·x,
+    j + b·y, k + c·z), x < a, y < b, z < c, by the CRT: block 0's
+    construction translated by crt(i, j, k).  So the check passes iff block
+    0's construction, sorted, is range(0, n, abc) = abc·Z_n, whose abc
+    cosets partition V, each its residue block.
     """
     t = g.triple
     a, b, c = t.primes
-    construction = g.bitset(
-        crt_combine((a * x, b * y, c * z), t) for x in range(a) for y in range(b) for z in range(c)
-    )
-    return construction == blocks(g, [BlockId(0, 0, 0)])
+    block0 = (crt_combine((a * x, b * y, c * z), t) for x in range(a) for y in range(b) for z in range(c))
+    return sorted(block0) == list(range(0, t.n, a * b * c))
 
 
 def verify_block_adjacency(g: CayleyGraph) -> bool:
     """Cross-block edges exist exactly between index-adjacent ids.
 
-    The blocks are the translates of B₀ = abc·Z_n, so B_x and B_y are joined
-    iff B_{y−x} meets N(B₀) (module docstring): N(B₀) must meet block y
-    exactly when y is index-adjacent to (0, 0, 0), which excludes B₀ itself.
-    N(B₀) has period abc, as B₀ has, so it meets block y iff it contains it,
-    and the claim is that N(B₀) is the union of the index-adjacent blocks:
-    one comparison of n bits.
+    B_x and B_y are joined iff B_{y−x} meets N(B₀) (module docstring), so
+    N(B₀) must meet block y exactly when y is index-adjacent to (0, 0, 0).
+    By the residue lemma N(B₀) has the residues (r + c) mod abc, r in B₀ and
+    c in C: they must be those of the index-adjacent blocks.
     """
-    ig = IndexGraph(g.triple)
-    origin = BlockId(0, 0, 0)
-    adjacent = [x for x in ig.ids() if ig.adjacent(origin, x)]
-    return g.neighborhood(blocks(g, [origin])) == blocks(g, adjacent)
+    t, origin = g.triple, BlockId(0, 0, 0)
+    period, ig = t.alpha * t.beta * t.gamma, IndexGraph(t)
+    reach = {(r + x) % period for r in block_residues(t, [origin]) for x in g.cset.members}
+    return reach == set(block_residues(t, [x for x in ig.ids() if ig.adjacent(origin, x)]))
 
 
 class FiberStructureChecklist(NamedTuple):
@@ -162,15 +159,9 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     # translate of cell 0's, so cell 0's, re-verified edge by edge, decides all
     item_iii = g.is_cycle([k * m_ab for k in range(m_c)])
 
-    # (iv) nonzero multiples of c² hit every cell except (0, 0) exactly once
-    hits: dict[tuple[int, int], int] = {}
-    for k in range(1, m_ab):
-        x = k * m_c
-        cell = (x % m_a, (x % m_ab) // m_a)
-        hits[cell] = hits.get(cell, 0) + 1
-    item_iv = (0, 0) not in hits and all(
-        hits.get((r, s)) == 1 for r in range(m_a) for s in range(m_b) if (r, s) != (0, 0)
-    )
+    # (iv) nonzero multiples of c² hit every cell except (0, 0) exactly once;
+    # cell (x mod a², (x mod a²b²) // a²) is numbered by x mod a²b²
+    item_iv = sorted(k * m_c % m_ab for k in range(1, m_ab)) == list(range(1, m_ab))
 
     # (v) each shifted coset {k·a²c² + r·c² : k < b²} lies inside a single
     # alpha fiber: its members share one residue modulo a²

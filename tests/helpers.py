@@ -8,13 +8,28 @@ triple enumeration by direct search.  The per-vertex references
 vertex at a time what the library builds as whole vertex sets, and
 `snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
 a lifted certificate.
+
+The n-bit references (`block_set`, `internal_edges`,
+`coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
+n bits, with one rotation per connector or one neighbourhood, what the
+library decides on residues mod abc.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from psqcayley import BlockId, CayleyGraph, PrimeTriple, WalkCertificate, group, is_prime, make_prime_triple
+from psqcayley import (
+    BlockId,
+    CayleyGraph,
+    IndexGraph,
+    PrimeTriple,
+    WalkCertificate,
+    clique_certificate,
+    group,
+    is_prime,
+    make_prime_triple,
+)
 from psqcayley.group import crt_basis
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
@@ -43,6 +58,46 @@ def residue_sum_color(v: int, t: PrimeTriple) -> int:
 def block_of(v: int, t: PrimeTriple) -> BlockId:
     """Residue projection assigning every vertex to its block."""
     return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
+
+
+def block_set(g: CayleyGraph, residues) -> int:
+    """{v : v mod abc in residues} as an n-bit int."""
+    return g.periodic(g.triple.alpha * g.triple.beta * g.triple.gamma, residues)
+
+
+def residues_of(t: PrimeTriple, ids) -> list[int]:
+    """The residues r < abc whose block, by the per-vertex projection, is one of ids."""
+    chosen = set(ids)
+    return [r for r in range(t.alpha * t.beta * t.gamma) if block_of(r, t) in chosen]
+
+
+def internal_edges(g: CayleyGraph, s: int) -> int:
+    """Edges with both endpoints in the n-bit set s, each counted once: one
+    n-bit AND per connector c < n/2, each edge {u, u + c} counted at u."""
+    n = g.triple.n
+    doubled = s | (s << n)
+    # (doubled >> (n - c)) & S == rot(S, c) & S
+    return sum(((doubled >> (n - c)) & s).bit_count() for c in g.cset.members if 2 * c < n)
+
+
+def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool:
+    """The colouring verdict on the n-bit colour class 0: it misses its own
+    neighbourhood and its rotations by the clique certificate partition V."""
+    clique = clique_certificate(t)
+    return (
+        len(clique) <= t.gamma
+        and not g.neighborhood(zero) & zero
+        and g.is_partition(g.rotate(zero, k) for k in clique)
+    )
+
+
+def adjacency_by_neighbourhood(g: CayleyGraph, b0: int) -> bool:
+    """The block-adjacency verdict on the n-bit block 0: N(B₀) is the union
+    of the blocks index-adjacent to (0, 0, 0)."""
+    ig = IndexGraph(g.triple)
+    origin = BlockId(0, 0, 0)
+    adjacent = residues_of(g.triple, [x for x in ig.ids() if ig.adjacent(origin, x)])
+    return g.neighborhood(b0) == block_set(g, adjacent)
 
 
 def neighbors(g: CayleyGraph, u: int) -> list[int]:

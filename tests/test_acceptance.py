@@ -124,7 +124,7 @@ def test_criterion_05_chromatic():
 
 def test_criterion_06_independence():
     start = time.perf_counter()
-    cert = independence_certificate(T235, G235)
+    cert = independence_certificate(T235)
     scan = independence_internal_edges(cert, G235)
     mis235 = exact_max_independent_set(IndexGraph(T235))
     mis357 = exact_max_independent_set(IndexGraph(T357))

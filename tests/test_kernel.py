@@ -1,6 +1,8 @@
-"""Exactness of the bitset kernel against plain list and set references."""
+"""Exactness of the bitset kernel against plain list and set references, and of
+the residue-block checks against their n-bit references."""
 
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -8,15 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqcayley import (
+    BlockId,
     CayleyGraph,
+    IndependenceCertificate,
     build_report,
     clique_certificate,
     closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
     independence_certificate,
+    independence_internal_edges,
     make_prime_triple,
     run_verification,
+    verify_block_adjacency,
+    verify_block_partition,
     verify_coloring,
 )
 from psqcayley import oracles, parameters, structure
@@ -24,7 +31,17 @@ from psqcayley.connectors import ConnectingSet
 from psqcayley.graph import set_bits
 from psqcayley.group import divisors
 
-from helpers import block_of, neighbors, residue_sum_color, triples_with_group_order_at_most
+from helpers import (
+    adjacency_by_neighbourhood,
+    block_of,
+    block_set,
+    coloring_by_neighbourhood,
+    internal_edges,
+    neighbors,
+    residue_sum_color,
+    residues_of,
+    triples_with_group_order_at_most,
+)
 
 TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
@@ -130,21 +147,21 @@ def test_internal_edges_matches_pair_count():
     for _ in range(20):
         s = sorted(rng.sample(range(g.triple.n), rng.randrange(2, 80)))
         pairs = sum(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
-        assert g.internal_edges(g.bitset(s)) == pairs
+        assert internal_edges(g, g.bitset(s)) == pairs
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_planted_edge_counts_once(t):
     g = CayleyGraph.from_triple(t)
     members = g.cset.members
-    cert = list(set_bits(independence_certificate(t, g).members))
-    assert g.internal_edges(g.bitset(cert)) == 0
+    cert = list(set_bits(block_set(g, independence_certificate(t).residues)))
+    assert internal_edges(g, g.bitset(cert)) == 0
     u = cert[len(cert) // 2]
     for c in (members[0], members[-1]):  # one connector below n/2, one above
         v = (u + c) % t.n
         blocked = set(neighbors(g, v))
         planted = [w for w in cert if w not in blocked] + [u, v]
-        assert g.internal_edges(g.bitset(planted)) == 1
+        assert internal_edges(g, g.bitset(planted)) == 1
 
 
 def test_bitset_rejects_out_of_range_vertices():
@@ -240,48 +257,56 @@ def test_sweep_counts_unreached_vertices():
     assert report.max_distance == 2
 
 
-def _edit_periodic_sets(monkeypatch, edit) -> None:
-    """From now on CayleyGraph.periodic passes each set it builds through
-    edit(s); in verify_coloring that set is colour class 0."""
-    periodic = CayleyGraph.periodic
-    monkeypatch.setattr(CayleyGraph, "periodic", lambda g, period, residues: edit(periodic(g, period, residues)))
+def _edit_class_zero(monkeypatch, edit) -> None:
+    """From now on the residue sets that `parameters` builds pass through
+    edit(residues); in verify_coloring that set is colour class 0."""
+    residues = parameters.block_residues
+    monkeypatch.setattr(parameters, "block_residues", lambda t, ids: edit(residues(t, ids)))
+
+
+def _period(t) -> int:
+    return t.alpha * t.beta * t.gamma
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_bad_coloring_is_improper(t, monkeypatch):
-    clash = CayleyGraph.from_triple(t).cset.members[0]  # adjacent to vertex 0, recoloured like it
-    assert residue_sum_color(0, t) == 0
-    _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << clash)
-    result = verify_coloring(t, CayleyGraph.from_triple(t))
+    # the residue of a connector, adjacent to vertex 0, recoloured like it
+    g = CayleyGraph.from_triple(t)
+    clash = g.cset.members[0] % _period(t)
+    assert residue_sum_color(0, t) == 0 != residue_sum_color(clash, t)
+    _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, clash}))
+    result = verify_coloring(t, g)
     assert result.proper is False
-    assert result.edges_checked == t.n * CayleyGraph.from_triple(t).degree // 2
+    assert result.edges_checked == t.n * g.degree // 2
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
-    # the colouring repeats with period abc; a clash planted at the last
-    # vertex is invisible to anything that reads the first period only
+    # the colouring repeats with period abc, and the check reads one period
+    # of residues, in which the last vertex n − 1 is the last residue abc − 1;
+    # it has a neighbour in class 0, so recolouring it like class 0 clashes
     v = t.n - 1
     g = CayleyGraph.from_triple(t)
-    assert v >= t.n - t.alpha * t.beta * t.gamma and residue_sum_color(v, t) != 0
+    assert v % _period(t) == _period(t) - 1 and residue_sum_color(v, t) != 0
     assert any(residue_sum_color(w, t) == 0 for w in neighbors(g, v))
-    _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << v)
+    _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, v % _period(t)}))
     assert verify_coloring(t, g).proper is False
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 @pytest.mark.parametrize("fault", ["no class", "two classes", "extra class"])
 def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, monkeypatch):
-    # v in no class leaves class 0 free of edges, so only the partition test
-    # catches it; v in class 0 and its own, or one rotation of class 0 more
-    # than the c of the clique certificate, break the partition as well
-    in_zero = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) == 0)
-    outside = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) != 0)
+    # a residue in no class leaves class 0 free of edges, so only the
+    # partition test catches it; a residue in class 0 and its own, or one
+    # rotation of class 0 more than the c of the clique certificate, break
+    # the partition as well
+    in_zero = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) == 0) % _period(t)
+    outside = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) != 0) % _period(t)
     m_ab = t.m_alpha * t.m_beta
     if fault == "no class":
-        _edit_periodic_sets(monkeypatch, lambda zero: zero & ~(1 << in_zero))
+        _edit_class_zero(monkeypatch, lambda zero: [r for r in zero if r != in_zero])
     elif fault == "two classes":
-        _edit_periodic_sets(monkeypatch, lambda zero: zero | 1 << outside)
+        _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, outside}))
     else:
         monkeypatch.setattr(parameters, "clique_certificate", lambda t: clique_certificate(t) + (t.gamma * m_ab,))
     assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
@@ -294,17 +319,18 @@ def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
     for v in range(t.n):
         colours.setdefault(residue_sum_color(v, t), []).append(v)
     built = []
-    _edit_periodic_sets(monkeypatch, lambda s: built.append(s) or s)
+    _edit_class_zero(monkeypatch, lambda zero: built.append(zero) or zero)
     assert verify_coloring(t, g).proper
     [zero] = built
-    rotations = {residue_sum_color(k, t): g.rotate(zero, k) for k in clique_certificate(t)}
+    rotations = {residue_sum_color(k, t): g.rotate(block_set(g, zero), k) for k in clique_certificate(t)}
     assert rotations == {colour: g.bitset(vs) for colour, vs in colours.items()}
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_residue_blocks_and_independence_members_match_block_of(t):
     # every single block, the independence index set and colour class 0,
-    # each against the union of its blocks by the per-vertex projection
+    # each against the union of its blocks by the per-vertex projection; the
+    # certificate's members are listed as the independent-set export lists them
     g = CayleyGraph.from_triple(t)
     members = {}
     for v in range(t.n):
@@ -313,20 +339,23 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
     def union(ids):
         return g.bitset(v for x in ids for v in members[x])
 
-    assert len(members) == t.alpha * t.beta * t.gamma
-    assert all(structure.blocks(g, [x]) == union([x]) for x in members)
-    cert = independence_certificate(t, g)
-    assert cert.members == structure.blocks(g, cert.index_set) == union(cert.index_set)
+    assert len(members) == _period(t)
+    assert all(block_set(g, structure.block_residues(t, [x])) == union([x]) for x in members)
+    cert = independence_certificate(t)
+    listed = [base + r for base in range(0, t.n, cert.period) for r in cert.residues]
+    assert listed == list(set_bits(union(cert.index_set)))
+    assert cert.size == len(listed) and cert.period == _period(t)
     zero = [x for x in members if sum(x) % t.gamma == 0]
     colour_zero = g.bitset(v for v in range(t.n) if residue_sum_color(v, t) == 0)
-    assert structure.blocks(g, zero) == union(zero) == colour_zero
+    assert block_set(g, structure.block_residues(t, zero)) == union(zero) == colour_zero
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypatch):
-    # class 0 stands for every class, and the certificate is one period of
-    # residues: no per-class neighbourhood and no per-block construction
-    # (a block is constructed from its component triples by crt_combine)
+    # class 0 stands for every class and is decided on its residues, and the
+    # certificate is one period of residues: no neighbourhood at all and no
+    # per-block construction (a block is constructed from its component
+    # triples by crt_combine)
     calls = {"neighborhood": 0, "crt_combine": 0}
 
     def counted(owner, name):
@@ -337,10 +366,110 @@ def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypat
     counted(structure, "crt_combine")
     g = CayleyGraph.from_triple(t)
     assert verify_coloring(t, g).proper
-    assert calls == {"neighborhood": 1, "crt_combine": 0}
-    cert = independence_certificate(t, g)
+    assert calls == {"neighborhood": 0, "crt_combine": 0}
+    cert = independence_certificate(t)
     assert parameters.independence_internal_edges(cert, g).internal_edges == 0
-    assert calls == {"neighborhood": 1, "crt_combine": 0}
+    assert calls == {"neighborhood": 0, "crt_combine": 0}
+
+
+@pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
+def test_block_of_a_translate_is_the_sum_of_the_blocks(t):
+    # the residue lemma: abc divides n, so block_of((v + c) mod n) =
+    # block_of(v) + block_of(c), coordinate by coordinate, for every v and c
+    g = CayleyGraph.from_triple(t)
+    blocks = [block_of(v, t) for v in range(t.n)]
+    for c in g.cset.members:
+        shifted = [tuple((x + y) % p for x, y, p in zip(bv, blocks[c], t.primes)) for bv in blocks]
+        assert [blocks[(v + c) % t.n] for v in range(t.n)] == shifted
+
+
+def _symmetric_edits(t) -> list[tuple[int, ...]]:
+    """The connectors of t, then with a symmetric pair ±d added (each d a
+    non-member) or removed, and with every pair outside the c²-order class
+    removed."""
+    members = CayleyGraph.from_triple(t).cset.members
+    m_ab = t.m_alpha * t.m_beta
+
+    def edit(add=(), drop=()):
+        extra = {x % t.n for d in add for x in (d, -d)}
+        gone = {x % t.n for d in drop for x in (d, -d)}
+        return tuple(sorted(set(members) - gone | extra))
+
+    cases = [members]
+    cases += [edit(add=[d]) for d in (1, t.alpha, _period(t), t.m_alpha, t.gamma * m_ab)]
+    cases += [edit(drop=[d]) for d in (members[0], m_ab, t.m_alpha * t.m_gamma)]
+    cases.append(edit(drop=[c for c in members if c % m_ab]))
+    return cases
+
+
+def _class_zero(t) -> list[int]:
+    return residues_of(t, [x for x in structure.IndexGraph(t).ids() if sum(x) % t.gamma == 0])
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
+    # the colouring on N(class 0), the internal edges by one n-bit AND per
+    # connector and block adjacency on N(B₀), at the real connectors and
+    # with symmetric pairs planted or removed
+    zero = _class_zero(t)
+    cert = independence_certificate(t)
+    seen = set()
+    for members in _symmetric_edits(t):
+        g = CayleyGraph(t, ConnectingSet(members))
+        proper = verify_coloring(t, g).proper
+        assert proper == coloring_by_neighbourhood(t, g, block_set(g, zero))
+        count = independence_internal_edges(cert, g).internal_edges
+        assert count == internal_edges(g, block_set(g, residues_of(t, cert.index_set)))
+        adjacency = verify_block_adjacency(g)
+        assert adjacency == adjacency_by_neighbourhood(g, block_set(g, [0]))
+        seen.update([("proper", proper), ("independent", count == 0), ("adjacency", adjacency)])
+    # the faults turn every verdict at least once
+    assert seen == {(k, v) for k in ("proper", "independent", "adjacency") for v in (True, False)}
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_coloring_equals_its_n_bit_reference_with_a_residue_moved_into_class_zero(t, monkeypatch):
+    g = CayleyGraph.from_triple(t)
+    zero = _class_zero(t)
+    outside = [r for r in (1, _period(t) - 1, g.cset.members[0] % _period(t)) if r not in zero]
+    assert len(outside) == 3
+    for r in outside:
+        moved = sorted({*zero, r})
+        monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids: moved)
+        assert verify_coloring(t, g).proper is False
+        assert coloring_by_neighbourhood(t, g, block_set(g, moved)) is False
+
+
+@pytest.mark.parametrize(
+    "primes, count",
+    [((2, 3, 5), None), ((2, 3, 7), None), ((3, 5, 7), None), ((5, 7, 11), 8_855), ((7, 11, 13), 31_031)],
+    ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x),
+)
+def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes, count):
+    # block (0, 0, 1) agrees with the certificate's (0, 0, 0) in two residues
+    t = make_prime_triple(*primes)
+    g = CayleyGraph.from_triple(t)
+    ids = independence_certificate(t).index_set + (BlockId(0, 0, 1),)
+    cert = IndependenceCertificate(ids, tuple(structure.block_residues(t, ids)), _period(t))
+    got = independence_internal_edges(cert, g).internal_edges
+    assert got == internal_edges(g, block_set(g, residues_of(t, ids))) > 0
+    assert count is None or got == count
+
+
+def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypatch):
+    # at (2,3,167) one n-bit AND per connector is 27,730 operations on ints of
+    # a million bits; the four checks must pass without building any n-bit set
+    t = make_prime_triple(2, 3, 167)
+    g = CayleyGraph.from_triple(t)
+    assert t.n == 1_004_004 and g.degree == 27_730
+    calls = Counter()
+    for name in ("neighborhood", "periodic", "bitset", "rotate", "tiles"):
+        fn = getattr(CayleyGraph, name)
+        monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
+    assert verify_coloring(t, g).proper
+    assert independence_internal_edges(independence_certificate(t), g).internal_edges == 0
+    assert verify_block_partition(g) and verify_block_adjacency(g)
+    assert not calls
 
 
 def test_is_partition():

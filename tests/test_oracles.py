@@ -19,6 +19,7 @@ from psqcayley import (
 )
 from psqcayley import graph, parameters
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId, IndexGraph
 
@@ -36,6 +37,19 @@ def test_order_classes_equal_per_element_orders(primes):
     orders = [element_order(k, t) for k in range(t.n)]
     expected = {o: g.bitset(k for k in range(t.n) if orders[k] == o) for o in set(orders)}
     assert order_classes(g) == expected  # every divisor is some element's order
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
+def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
+    # one periodic set of the multiples of n/o per divisor o: 27 for the 27
+    # divisors of n, not one more per prime dividing o
+    t = make_prime_triple(*primes)
+    g = CayleyGraph.from_triple(t)
+    built = []
+    periodic = CayleyGraph.periodic
+    monkeypatch.setattr(CayleyGraph, "periodic", lambda g, period, residues: built.append(period) or periodic(g, period, residues))
+    order_classes(g)
+    assert sorted(built) == list(divisors(t.n)) and len(built) == 27
 
 
 @pytest.mark.parametrize("swap", [(1, 899), (30, 870)], ids=["order-900", "order-30"])

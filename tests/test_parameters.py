@@ -88,7 +88,7 @@ def test_independence_index_set():
 
 
 def test_independence_certificate_size_and_scan():
-    cert = independence_certificate(T235, G235)
+    cert = independence_certificate(T235)
     assert cert.size == 180
     scan = independence_internal_edges(cert, G235)
     assert scan.pairs_checked == 16110
@@ -97,7 +97,7 @@ def test_independence_certificate_size_and_scan():
 
 def test_independence_certificate_next_instance():
     g = CayleyGraph.from_triple(T357)
-    cert = independence_certificate(T357, g)
+    cert = independence_certificate(T357)
     assert cert.size == 9 * 25 * 7
     scan = independence_internal_edges(cert, g)
     assert scan.internal_edges == 0

@@ -5,7 +5,7 @@ from psqcayley import (
     BlockId,
     CayleyGraph,
     IndexGraph,
-    blocks,
+    block_residues,
     certify,
     crt_combine,
     make_prime_triple,
@@ -15,9 +15,8 @@ from psqcayley import (
     verify_fiber_structure,
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
-from psqcayley.graph import set_bits
 
-from helpers import block_of, triples_with_group_order_at_most
+from helpers import adjacency_by_neighbourhood, block_of, block_set, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -120,15 +119,22 @@ def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
     return True
 
 
+def _members(t, ids) -> list[int]:
+    """The vertices of the union of the blocks with these ids, ascending."""
+    period = t.alpha * t.beta * t.gamma
+    return [base + r for base in range(0, t.n, period) for r in block_residues(t, ids)]
+
+
 def test_block_members():
-    members = list(set_bits(blocks(G235, [BlockId(0, 0, 0)])))
+    assert block_residues(T235, [BlockId(0, 0, 0)]) == [0]
+    members = _members(T235, [BlockId(0, 0, 0)])
     assert len(members) == 30
     assert 0 in members
     assert crt_combine((2, 3, 5), T235) in members
 
 
 def test_block_internally_independent():
-    verts = list(set_bits(blocks(G235, [BlockId(1, 2, 4)])))
+    verts = _members(T235, [BlockId(1, 2, 4)])
     pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
     assert len(pairs) == 435
     assert not any(G235.adjacent(u, v) for u, v in pairs)
@@ -136,8 +142,8 @@ def test_block_internally_independent():
 
 def test_an_out_of_range_id_names_no_block():
     # no vertex has residue 2 modulo a = 2
-    assert blocks(G235, [BlockId(2, 0, 0)]) == 0
-    assert blocks(G235, [BlockId(2, 0, 0), BlockId(0, 0, 0)]) == blocks(G235, [BlockId(0, 0, 0)])
+    assert block_residues(T235, [BlockId(2, 0, 0)]) == []
+    assert block_residues(T235, [BlockId(2, 0, 0), BlockId(0, 0, 0)]) == block_residues(T235, [BlockId(0, 0, 0)])
 
 
 def test_block_of_is_residue_projection():
@@ -173,10 +179,10 @@ def test_structure_checks_run_above_twenty_thousand_vertices():
 
 
 def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypatch):
-    # no per-block or per-fiber loop: one N(B₀), one N(fiber 0), the
-    # construction of block 0 (its one bitset) and one cycle check each for
-    # (iii), (vii) and (viii), whatever the triple; and no per-prime set:
-    # block 0 twice and the index-adjacent union, each of period abc
+    # no per-block or per-fiber loop and no n-bit block set: one N(fiber 0),
+    # the construction of block 0 (sorted, never a bitset) and one cycle
+    # check each for (iii), (vii) and (viii), whatever the triple; block
+    # adjacency reads the connectors' residues mod abc, with no neighbourhood
     calls = {"neighborhood": 0, "bitset": 0, "is_cycle": 0}
     periods = []
     inside = [False]
@@ -220,8 +226,8 @@ def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypat
         periods.clear()
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 2, "bitset": 1, "is_cycle": 3}
-        assert periods == [t.alpha * t.beta * t.gamma] * 3
+        assert calls == {"neighborhood": 1, "bitset": 0, "is_cycle": 3}
+        assert periods == []
 
 
 def test_index_graph_rule():
@@ -282,21 +288,27 @@ def test_cell_cycles_catch_a_removed_connector(t):
     assert not verify_fiber_structure(g).cell_cycles and not _cell_cycles_by_cell(g)
 
 
-def test_block_checks_catch_a_projection_fault_at_the_last_vertex(monkeypatch):
-    # the blocks repeat with period abc; a projection that also puts vertex
-    # n − 1, of block (a − 1, b − 1, c − 1), into every set holding block 0
-    # breaks that in the last period only.  Block 0 then differs from its
-    # construction, and N(B₀) reaches blocks that agree with (0, 0, 0) in at
-    # most one residue, so both checks must see it
-    periodic = CayleyGraph.periodic
+def test_block_adjacency_catches_a_projection_fault_at_the_last_residue(monkeypatch):
+    # a projection that also puts residue abc − 1, of block (a − 1, b − 1,
+    # c − 1), into every residue set holding residue 0: the index-adjacent
+    # union then gains a block that agrees with (0, 0, 0) in no residue, so
+    # N(B₀) differs from it, by residues and by n bits alike.  The partition
+    # check compares block 0's construction with range(0, n, abc) and reads
+    # no projection
+    projection = structure.block_residues
 
-    def plant(g, period, residues):
-        s = periodic(g, period, residues)
-        return s | 1 << g.triple.n - 1 if s & 1 else s
+    def plant(t, ids):
+        residues = projection(t, ids)
+        last = t.alpha * t.beta * t.gamma - 1
+        return sorted({*residues, last}) if 0 in residues else residues
 
-    monkeypatch.setattr(CayleyGraph, "periodic", plant)
+    monkeypatch.setattr(structure, "block_residues", plant)
     for t in (T235, T357):
-        assert _blocks_ok(t) == (False, False)
+        b0 = plant(t, [BlockId(0, 0, 0)])
+        assert b0 == [0, t.alpha * t.beta * t.gamma - 1]
+        assert _blocks_ok(t) == (True, False)
+        g = CayleyGraph.from_triple(t)
+        assert adjacency_by_neighbourhood(g, block_set(g, b0)) is False
 
 
 def _move_in_construction(monkeypatch, moved: dict[int, int]) -> None:
@@ -383,8 +395,8 @@ def test_cross_block_edge_witness():
 
 
 def test_no_cross_edge_when_all_residues_differ():
-    a_block = list(set_bits(blocks(G235, [BlockId(0, 0, 0)])))
-    b_block = list(set_bits(blocks(G235, [BlockId(1, 1, 1)])))
+    a_block = _members(T235, [BlockId(0, 0, 0)])
+    b_block = _members(T235, [BlockId(1, 1, 1)])
     assert not any(G235.adjacent(u, v) for u in a_block for v in b_block)
 
 
