@@ -47,15 +47,17 @@ OPTIONS = {
 }
 
 
-# Peak memory per vertex of the commands that hold per-vertex data: the
-# child's ru_maxrss from a small posix_spawn launcher, above the 13.5 MiB of
-# `import psqcayley.cli` (CPython 3.11, x86-64 Linux).  `verify
-# --budget-sources 0` peaks at 8.9 bytes at (11,13,17) and 9.0 at (13,17,19),
-# n = 17,631,601, but at 22.9 at (2,3,167), where the inner cycle holds n/4
-# vertices; the walk export, which formats rows in pieces, at 1.3 at
-# (11,13,17), 16.7 at (2,3,167) and 11.8 at (2,3,401).  64 bytes leaves 2.8
-# times headroom over the largest peak.
+# Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
+# launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
+# Linux).  `verify --budget-sources 0` peaks at 4.4 bytes at (11,13,17) and 4.2
+# at (13,17,19), but at 18.3 at (2,3,167) and 17.3 at (2,3,401), where the
+# inner cycle holds n/4 vertices; the walk export at 16.8 at (2,3,167).  The
+# edges and dot exports hold every vertex's name and a chunk of rows |C| wide:
+# with materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.9 at (5,7,11)
+# and 185.1 at (2,3,47), where |C|/n is near its largest, 1/36.  Each constant
+# leaves at least 2.7 times headroom over its largest peak.
 BYTES_PER_VERTEX = 64
+EXPORT_BYTES_PER_VERTEX = 512  # the edges and dot exports
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
@@ -63,10 +65,10 @@ class UsageError(Exception):
     pass
 
 
-def _check_memory(n: int) -> None:
-    """Fail fast, before any allocation, when n vertices of BYTES_PER_VERTEX
+def _check_memory(n: int, bytes_per_vertex: int = BYTES_PER_VERTEX) -> None:
+    """Fail fast, before any allocation, when n vertices of bytes_per_vertex
     bytes each would need more than MEMORY_LIMIT_BYTES."""
-    predicted = BYTES_PER_VERTEX * n
+    predicted = bytes_per_vertex * n
     if predicted > MEMORY_LIMIT_BYTES:
         raise TooLargeError(
             f"n = {n} needs about {predicted >> 20} MiB, above the limit of "
@@ -173,7 +175,8 @@ def main(argv: list[str]) -> int:
             print(f"degree: {cset_size}")
             return 0
 
-        _check_memory(triple.n)
+        edges_or_dot = args.get("--format") in ("edges", "dot")
+        _check_memory(triple.n, EXPORT_BYTES_PER_VERTEX if edges_or_dot else BYTES_PER_VERTEX)
 
         if command == "params":
             # both renderings share one certify, which reads neither sources nor seed
@@ -198,7 +201,7 @@ def main(argv: list[str]) -> int:
             return 0 if outcome.ok else 1
 
         if command == "export":
-            if args["--format"] in ("edges", "dot"):
+            if edges_or_dot:
                 CayleyGraph.from_triple(triple).export(args["--format"], _out_path(out), cap=cap)
                 return 0
             if args["--format"] == "walk":

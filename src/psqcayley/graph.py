@@ -10,7 +10,9 @@ exports read the bands.  The exports write a band in chunks of rows: a
 chunk's neighbour names are |C| column slices of the vertex names, zipped into
 rows.
 
-Vertex sets are n-bit ints (bit v set iff v is in the set).  In a circulant
+Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
+oracle layer: the levels, the distance and order classes and the connecting
+set's order scan.  Certificate claims are decided on quotients.  In a circulant
 graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
 rot(S, c) over the connectors c.  The connectors are taken coset by coset
 (`coset_plan`, found from the member list and the divisors of n): S is
@@ -30,7 +32,7 @@ lists the members of any set in ascending order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from os import PathLike
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -99,7 +101,8 @@ class CayleyGraph(_GraphFields):
 
     def is_cycle(self, seq: Sequence[int]) -> bool:
         """True iff seq lists at least 3 distinct vertices, each adjacent to
-        the next and the last adjacent to the first."""
+        the next and the last to the first both ways: a step by d needs d and
+        n − d in C, so seq reversed passes too."""
         n = self.triple.n
         if len(seq) < 3:
             return False
@@ -110,10 +113,11 @@ class CayleyGraph(_GraphFields):
             seen[v] = 1
         # every entry is now a vertex, so adjacency is membership of the difference
         connectors = self.connector_set
-        for u, v in zip(seq, islice(seq, 1, None)):
-            if (v - u) % n not in connectors:
+        for u, v in chain(zip(seq, islice(seq, 1, None)), [(seq[-1], seq[0])]):
+            d = (v - u) % n
+            if d not in connectors or n - d not in connectors:
                 return False
-        return (seq[0] - seq[-1]) % n in connectors
+        return True
 
     # -- bitset kernel ------------------------------------------------------
 
@@ -137,28 +141,6 @@ class CayleyGraph(_GraphFields):
             width *= 2
         return s & ((1 << n) - 1)
 
-    def is_partition(self, sets: Iterable[int]) -> bool:
-        """True iff the sets are pairwise disjoint and cover all n vertices:
-        their sizes sum to n and their union is [0, n)."""
-        union = size = 0
-        for s in sets:
-            union |= s
-            size += s.bit_count()
-        return size == self.triple.n and union == self._full
-
-    def tiles(self, s: int, step: int, count: int) -> bool:
-        """True iff the translates s + r·step (r < count) partition V: their
-        sizes sum to n and their union, doubled up by about log₂ count
-        rotations as `_family_shifts` builds a coset closure, is [0, n)."""
-        if s.bit_count() * count != self.triple.n:
-            return False
-        union, cover = s, 1
-        while cover < count:
-            k = min(cover, count - cover)
-            union |= self.rotate(union, k * step)
-            cover += k
-        return union == self._full
-
     def rotate(self, s: int, k: int) -> int:
         """rot(S, k) = {(v + k) mod n : v in S}."""
         n = self.triple.n
@@ -175,7 +157,7 @@ class CayleyGraph(_GraphFields):
         itself by each of its connectors.
         """
         n = self.triple.n
-        full = self._full
+        full = (1 << n) - 1
         acc = 0
         for steps, shifts in self._family_shifts:
             u = s
@@ -187,10 +169,6 @@ class CayleyGraph(_GraphFields):
             for shift in shifts:
                 acc |= doubled >> shift
         return acc & full
-
-    @cached_property
-    def _full(self) -> int:
-        return (1 << self.triple.n) - 1
 
     @cached_property
     def _family_shifts(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:

@@ -17,16 +17,18 @@ The last application is kept unexpanded: the certificate is the inner cycle
 H on the b²c² vertices with a-component 0, the step e_a, the a² rows and n.
 `verify_walk` decides the n-vertex walk from it without building the walk:
 
-- H is a cycle of g, replayed forwards and reversed, because odd rows run
-  H's tail backwards.  A row's steps are translates of these, and every
-  translation is an automorphism (Godsil & Royle, GTM 207, §3.1), so every
-  step inside a row is an edge;
+- H is a cycle of g both ways (`is_cycle` needs s and n − s in C for a
+  step by s), because odd rows run H's tail backwards.  A row's steps are
+  translates of these, and every translation is an automorphism (Godsil &
+  Royle, GTM 207, §3.1), so every step inside a row is an edge;
 - every other step -- from the head into row 0, from each row's end to the
   next row's start, into and along the climb column and back to the head --
   is a connector.  There are O(a²) of them, read from the row ends;
 - the translates H + r·e_a, r < a², partition the vertices.  As a multiset
   they are exactly the walk's entries (the head and the climb column are
-  the translates of h₀), so the walk visits every vertex once.
+  the translates of h₀), so the walk visits every vertex once.  When the
+  step has order a², the r·step are the subgroup d·Z_n, d = n/a², so they
+  do iff |H| = d and the h mod d list Z_d once.
 
 Together these make the walk a Hamiltonian cycle, and no check reads
 `snake_walk`.
@@ -35,6 +37,7 @@ Together these make the walk a Hamiltonian cycle, and no check reads
 from __future__ import annotations
 
 from itertools import chain, islice
+from math import gcd
 from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
@@ -105,14 +108,18 @@ def _joints(w: WalkCertificate) -> Iterator[tuple[int, int]]:
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     """Check the lifted certificate against g: H is a cycle both ways, every
-    joint is a connector, and the translates of H by the rows partition V."""
-    n = g.triple.n
-    if w.n != n or not (g.is_cycle(w.inner) and g.is_cycle(w.inner[::-1])):
+    joint is a connector, and the translates of H by the rows partition V:
+    the step has order rows, and H lists each residue mod d = n/rows once."""
+    n, d = g.triple.n, len(w.inner)
+    if w.n != n or d * w.rows != n or n // gcd(w.step, n) != w.rows or not g.is_cycle(w.inner):
         return False
     connectors = g.connector_set
     if any((v - u) % n not in connectors for u, v in _joints(w)):
         return False
-    return g.tiles(g.bitset(w.inner), w.step, w.rows)
+    marks = bytearray(d)
+    for h in w.inner:
+        marks[h % d] = 1
+    return 0 not in marks
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:

@@ -12,7 +12,7 @@ constructors it is used to check.
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import divisors, prime_factors
@@ -22,24 +22,27 @@ from .structure import BlockId, IndexGraph
 DEFAULT_SEED = 12345
 
 
-def order_classes(g: CayleyGraph) -> dict[int, int]:
-    """For each divisor o of n, the elements of order exactly o, as n-bit ints.
+def order_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
+    """(o, the elements of order exactly o as an n-bit int) for each divisor
+    o of n, largest first.
 
     An element's order divides o iff it is a multiple of n/o, so the
     multiples of n/o are the elements of order dividing o; removing those of
     order dividing o/p, for each prime p dividing o, leaves order exactly o.
-    Each set of multiples is built once, for its divisor.
+    Each set of multiples is built once, on first use, and dropped with its
+    own class: only larger divisors need it.
     """
     n = g.triple.n
     primes = prime_factors(n)
-    multiples = {o: g.periodic(n // o, [0]) for o in divisors(n)}  # order dividing o
-    classes = {}
-    for o, cls in multiples.items():
+    multiples: dict[int, int] = {}  # order dividing o
+    for o in reversed(divisors(n)):
+        cls = multiples.pop(o) if o in multiples else g.periodic(n // o, [0])
         for p in primes:
             if o % p == 0:
+                if o // p not in multiples:
+                    multiples[o // p] = g.periodic(n * p // o, [0])
                 cls &= ~multiples[o // p]
-        classes[o] = cls
-    return classes
+        yield o, cls
 
 
 def exact_max_clique(vertices: Sequence, adjacent: Callable) -> list:

@@ -181,11 +181,16 @@ def run_verification(
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    # the order classes must partition [0, n)
+    # the order classes must partition [0, n); of the classes only the
+    # squared-prime ones' union is kept, the order scan
     cset = g.cset
-    classes = oracles.order_classes(g)
-    partition = g.is_partition(classes.values())
-    order_scan = classes[t.m_alpha] | classes[t.m_beta] | classes[t.m_gamma]
+    union = size = order_scan = 0
+    for o, cls in oracles.order_classes(g):
+        union |= cls
+        size += cls.bit_count()
+        if o in t.moduli:
+            order_scan |= cls
+    partition = size == t.n and union == (1 << t.n) - 1
     in_range = all(0 <= m < t.n for m in cset.members)
     check(
         "connecting-set",
@@ -236,19 +241,19 @@ def run_verification(
         f"value={coloring.chromatic}",
     )
 
-    # α ≤ n/c: with S₀ = {v : v mod c·a²b² < a²b²}, the rotations S₀ + κ
-    # (κ in the clique K) partition V iff the translates x + K (x in S₀) do,
-    # and an independent set meets each translate at most once; K must be
-    # the progression k·a²b² (k < |K|), whose rotations are `g.tiles`
-    m_ab = t.m_alpha * t.m_beta
-    s0 = g.periodic(t.gamma * m_ab, range(m_ab))
-    cover = clique == tuple(k * m_ab % t.n for k in range(len(clique))) and g.tiles(s0, m_ab, len(clique))
+    # α ≤ n/c: the rotations S₀ + κ of S₀ = {v : v mod c·a²b² < a²b²}, n/c
+    # vertices, by the clique K partition V iff the translates x + K (x in S₀)
+    # do, and an independent set meets each at most once.  Mod c·a²b², S₀ is
+    # an interval of a²b², so they do if |K| = c and the κ are multiples of
+    # a²b² distinct mod c·a²b²
+    m_ab, upper = t.m_alpha * t.m_beta, t.n // t.gamma
+    cover = len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(
         "independence",
-        clique_ok and cover and scan.internal_edges == 0 and cert.size == s0.bit_count() and index_ok,
-        f"size={cert.size} <= alpha <= {s0.bit_count()} (cover by translates of K: {cover}), "
+        clique_ok and cover and scan.internal_edges == 0 and cert.size == upper and index_ok,
+        f"size={cert.size} <= alpha <= {upper} (cover by translates of K: {cover}), "
         f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
         f"index-MIS={bounds.mis_size} (index bounds: {index_ok})",
     )

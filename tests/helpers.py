@@ -12,7 +12,9 @@ a lifted certificate.
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
 n bits, with one rotation per connector or one neighbourhood, what the
-library decides on residues mod abc.
+library decides on residues mod abc; `is_partition` and `tiles` decide on
+n bits the partitions by translates (the walk's rows, the clique cover
+behind α ≤ n/c) that the library decides on quotients.
 """
 
 from __future__ import annotations
@@ -71,6 +73,30 @@ def residues_of(t: PrimeTriple, ids) -> list[int]:
     return [r for r in range(t.alpha * t.beta * t.gamma) if block_of(r, t) in chosen]
 
 
+def is_partition(g: CayleyGraph, sets) -> bool:
+    """True iff the n-bit sets are pairwise disjoint and cover all n
+    vertices: their sizes sum to n and their union is [0, n)."""
+    union = size = 0
+    for s in sets:
+        union |= s
+        size += s.bit_count()
+    return size == g.triple.n and union == (1 << g.triple.n) - 1
+
+
+def tiles(g: CayleyGraph, s: int, step: int, count: int) -> bool:
+    """True iff the translates s + r·step (r < count) of the n-bit set s
+    partition V: their sizes sum to n and their union, doubled up by about
+    log₂ count rotations, is [0, n)."""
+    if s.bit_count() * count != g.triple.n:
+        return False
+    union, cover = s, 1
+    while cover < count:
+        k = min(cover, count - cover)
+        union |= g.rotate(union, k * step)
+        cover += k
+    return union == (1 << g.triple.n) - 1
+
+
 def internal_edges(g: CayleyGraph, s: int) -> int:
     """Edges with both endpoints in the n-bit set s, each counted once: one
     n-bit AND per connector c < n/2, each edge {u, u + c} counted at u."""
@@ -87,7 +113,7 @@ def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool
     return (
         len(clique) <= t.gamma
         and not g.neighborhood(zero) & zero
-        and g.is_partition(g.rotate(zero, k) for k in clique)
+        and is_partition(g, (g.rotate(zero, k) for k in clique))
     )
 
 

@@ -17,8 +17,10 @@ from psqcayley.group import crt_basis
 
 from helpers import (
     crt_components,
+    is_partition,
     order_scan_connectors,
     snake_sequence,
+    tiles,
     triples_with_group_order_at_most,
     walk_sequence,
 )
@@ -137,18 +139,64 @@ def test_walk_of_wrong_length_fails():
         assert all(G235.adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
 
 
+def _detour_inner_cycle(walk: WalkCertificate, g: CayleyGraph) -> list[int]:
+    """H with a detour through h₅₀ + e_a and h₅₁ + e_a and two later vertices
+    skipped: still a cycle of g with H's first, second and last entries, so
+    every joint holds, but two residues mod b²c² repeat and two are missing."""
+    h, e_a = list(walk.inner), walk.step
+    i = 50
+    detour = h[: i + 1] + [(h[i] + e_a) % walk.n, (h[i + 1] + e_a) % walk.n] + h[i + 1 :]
+    j = next(j for j in range(100, len(detour) - 3) if g.adjacent(detour[j - 1], detour[j + 2]))
+    return detour[:j] + detour[j + 2 :]
+
+
 def test_inner_cycle_leaving_the_subgroup_fails():
     # H detours through two vertices of a-component 1 and skips two of its
     # own: still a cycle of g of length b²c², but its translates overlap
     walk = snake_walk(T235)
-    h, e_a = list(walk.inner), walk.step
-    i = 50
-    detour = h[: i + 1] + [(h[i] + e_a) % T235.n, (h[i + 1] + e_a) % T235.n] + h[i + 1 :]
-    j = next(j for j in range(100, len(detour) - 3) if G235.adjacent(detour[j - 1], detour[j + 2]))
-    inner = detour[:j] + detour[j + 2 :]
-    assert len(inner) == len(h) and G235.is_cycle(inner)
+    inner = _detour_inner_cycle(walk, G235)
+    assert len(inner) == len(walk.inner) and G235.is_cycle(inner)
     assert any(v % T235.m_alpha for v in inner)
     assert not verify_walk(_with_inner(walk, inner), G235)
+
+
+def _verify_walk_on_n_bits(w: WalkCertificate, g: CayleyGraph) -> bool:
+    """The walk verdict with the partition decided on n bits: H a cycle of g,
+    every joint a connector, and the rotations of bitset(H) tile V."""
+    n = g.triple.n
+    return (
+        w.n == n
+        and g.is_cycle(w.inner)
+        and all((v - u) % n in g.connector_set for u, v in hamiltonian._joints(w))
+        and tiles(g, g.bitset(w.inner), w.step, w.rows)
+    )
+
+
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_walk_partition_by_residues_equals_its_n_bit_reference(t):
+    # the quotient rule (the step has order rows, H lists Z_d once for
+    # d = n/rows) against tiles on bitset(H), on the certificate and under
+    # planted faults; a step of another order is rejected by the rule even
+    # where the rotations tile, and there the joints fail as well
+    g = CayleyGraph.from_triple(t)
+    walk = snake_walk(t)
+    e_a, e_b, _ = crt_basis(t)
+    repeated = _with_inner(walk, _detour_inner_cycle(walk, g))
+    assert g.is_cycle(repeated.inner) and len({h % (t.n // walk.rows) for h in repeated.inner}) < len(walk.inner)
+    skewed = walk._replace(step=(e_a + e_b) % t.n)
+    cases = {
+        "certificate": (walk, True),
+        "repeated-residue": (repeated, False),
+        "skewed-step": (skewed, False),
+        "step-of-order-a": (walk._replace(step=t.alpha * e_a % t.n), False),
+        "negated-step": (walk._replace(step=-e_a % t.n), True),  # the rows climb the other way
+        "step-plus-n": (walk._replace(step=e_a + t.n), True),
+        "one-row-short": (walk._replace(rows=walk.rows - 1), False),
+    }
+    for name, (w, expected) in cases.items():
+        got = verify_walk(w, g)
+        assert got is _verify_walk_on_n_bits(w, g) is expected, name
+    assert tiles(g, g.bitset(skewed.inner), skewed.step, skewed.rows)
 
 
 def test_step_off_the_a_axis_fails_at_the_joints():
@@ -158,7 +206,7 @@ def test_step_off_the_a_axis_fails_at_the_joints():
     e_a, e_b, _ = crt_basis(T235)
     skewed = walk._replace(step=(e_a + e_b) % T235.n)
     inner = G235.bitset(walk.inner)
-    assert G235.is_partition(G235.rotate(inner, r * skewed.step) for r in range(skewed.rows))
+    assert is_partition(G235, (G235.rotate(inner, r * skewed.step) for r in range(skewed.rows)))
     assert not verify_walk(skewed, G235)
     assert _oracle_problems(walk_sequence(skewed), T235) == [
         "a step is no edge",
@@ -193,15 +241,18 @@ def _one_way_inner_cycle(t) -> list[int]:
 
 def test_reversed_rows_are_replayed_as_walked():
     # H's steps are e_c, 2e_c and e_b; in a connecting set without their
-    # negatives H is a cycle forwards but not backwards, every joint is a
-    # connector and the rows partition V, so only the reversed replay sees
-    # that the odd rows walk non-edges
+    # negatives every joint is a connector and the rows partition V, but the
+    # odd rows walk non-edges.  is_cycle takes a step as an edge only both
+    # ways, so it rejects H in either direction, and the one replay of H
+    # sees the odd rows' fault
     walk = _with_inner(snake_walk(T357), _one_way_inner_cycle(T357))
     assert verify_walk(walk, G357)
     _, e_b, e_c = crt_basis(T357)
     missing = {(-e_c) % T357.n, (-2 * e_c) % T357.n, (-e_b) % T357.n}
     one_way = CayleyGraph(T357, ConnectingSet(tuple(c for c in G357.cset.members if c not in missing)))
-    assert one_way.is_cycle(walk.inner) and not one_way.is_cycle(walk.inner[::-1])
+    n, h = T357.n, walk.inner
+    assert all((v - u) % n in one_way.connector_set for u, v in zip(h, h[1:] + h[:1]))
+    assert not one_way.is_cycle(walk.inner) and not one_way.is_cycle(walk.inner[::-1])
     assert not one_way.is_cycle(walk_sequence(walk))
     assert not verify_walk(walk, one_way)
 

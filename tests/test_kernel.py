@@ -2,6 +2,7 @@
 the residue-block checks against their n-bit references."""
 
 import random
+import sys
 from collections import Counter
 from math import gcd
 
@@ -14,6 +15,7 @@ from psqcayley import (
     CayleyGraph,
     IndependenceCertificate,
     build_report,
+    certify,
     clique_certificate,
     closed_form_distance_classes,
     closed_form_distance_table,
@@ -37,9 +39,11 @@ from helpers import (
     block_set,
     coloring_by_neighbourhood,
     internal_edges,
+    is_partition,
     neighbors,
     residue_sum_color,
     residues_of,
+    tiles,
     triples_with_group_order_at_most,
 )
 
@@ -463,7 +467,7 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     g = CayleyGraph.from_triple(t)
     assert t.n == 1_004_004 and g.degree == 27_730
     calls = Counter()
-    for name in ("neighborhood", "periodic", "bitset", "rotate", "tiles"):
+    for name in ("neighborhood", "periodic", "bitset", "rotate"):
         fn = getattr(CayleyGraph, name)
         monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
     assert verify_coloring(t, g).proper
@@ -472,14 +476,31 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     assert not calls
 
 
+def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
+    # at (2,3,167), n = 1,004,004: every neighbourhood certify takes is a BFS
+    # level's, and no certificate check builds or rotates an n-bit set
+    callers = Counter()
+    for name in ("neighborhood", "periodic", "bitset", "rotate"):
+        fn = getattr(CayleyGraph, name)
+
+        def recorded(*args, _fn=fn, _name=name):
+            callers.update([f"{_name} from {sys._getframe(1).f_code.co_name}"])
+            return _fn(*args)
+
+        monkeypatch.setattr(CayleyGraph, name, recorded)
+    c = certify(make_prime_triple(2, 3, 167))
+    assert c.walk_verified and c.fiber.all_pass and c.connectivity.connected
+    assert callers == {"neighborhood from _levels": c.diameter.bfs_eccentricity + 1}
+
+
 def test_is_partition():
     g = CayleyGraph.from_triple(TRIPLES[0])
     full = (1 << 900) - 1
-    assert g.is_partition([full]) and g.is_partition([0b101, full ^ 0b101])
-    assert not g.is_partition([full ^ 1])  # vertex 0 in no set
-    assert not g.is_partition([full, 1])  # vertex 0 in two sets
-    assert not g.is_partition([full ^ 2, 1])  # sizes sum to n, yet 0 is in two sets and 1 in none
-    assert not g.is_partition([full | 1 << 900])  # a bit beyond the last vertex
+    assert is_partition(g, [full]) and is_partition(g, [0b101, full ^ 0b101])
+    assert not is_partition(g, [full ^ 1])  # vertex 0 in no set
+    assert not is_partition(g, [full, 1])  # vertex 0 in two sets
+    assert not is_partition(g, [full ^ 2, 1])  # sizes sum to n, yet 0 is in two sets and 1 in none
+    assert not is_partition(g, [full | 1 << 900])  # a bit beyond the last vertex
 
 
 @pytest.mark.parametrize("t", [TRIPLES[0], TRIPLES[2]], ids=[IDS[0], IDS[2]])
@@ -488,7 +509,7 @@ def test_tiles_is_the_partition_of_the_rotations(t):
     n = t.n
 
     def reference(s, step, count):
-        return g.is_partition(g.rotate(s, r * step) for r in range(count))
+        return is_partition(g, (g.rotate(s, r * step) for r in range(count)))
 
     cases = []
     for d in divisors(n):
@@ -513,6 +534,6 @@ def test_tiles_is_the_partition_of_the_rotations(t):
         s = g.bitset(rng.sample(range(n), n // count))
         cases.append((s, rng.randrange(n), count, None))
     for s, step, count, expected in cases:
-        assert g.tiles(s, step, count) == reference(s, step, count), (s.bit_count(), step, count)
-        assert expected is None or g.tiles(s, step, count) == expected, (s.bit_count(), step, count)
-    assert any(g.tiles(s, step, count) for s, step, count, expected in cases if expected is None)
+        assert tiles(g, s, step, count) == reference(s, step, count), (s.bit_count(), step, count)
+        assert expected is None or tiles(g, s, step, count) == expected, (s.bit_count(), step, count)
+    assert any(tiles(g, s, step, count) for s, step, count, expected in cases if expected is None)

@@ -17,13 +17,13 @@ from psqcayley import (
     make_prime_triple,
     run_verification,
 )
-from psqcayley import graph, parameters
+from psqcayley import graph, oracles, parameters
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId, IndexGraph
 
-from helpers import block_of, neighbors
+from helpers import block_of, is_partition, neighbors
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -36,7 +36,7 @@ def test_order_classes_equal_per_element_orders(primes):
     g = CayleyGraph.from_triple(t)
     orders = [element_order(k, t) for k in range(t.n)]
     expected = {o: g.bitset(k for k in range(t.n) if orders[k] == o) for o in set(orders)}
-    assert order_classes(g) == expected  # every divisor is some element's order
+    assert dict(order_classes(g)) == expected  # every divisor is some element's order
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
@@ -48,8 +48,24 @@ def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
     built = []
     periodic = CayleyGraph.periodic
     monkeypatch.setattr(CayleyGraph, "periodic", lambda g, period, residues: built.append(period) or periodic(g, period, residues))
-    order_classes(g)
+    dict(order_classes(g))
     assert sorted(built) == list(divisors(t.n)) and len(built) == 27
+
+
+@pytest.mark.parametrize("fault", [None, "vertex-in-two-classes", "vertex-in-no-class", "moved-vertex"])
+def test_order_class_partition_by_union_and_size_equals_is_partition(fault, monkeypatch):
+    # verify sums the class sizes and ORs the classes as they come; planted
+    # classes whose union or sizes are off fail the connecting-set line
+    # exactly where the n-bit is_partition does.  Vertices 1 and 7 have
+    # order 900, outside the order scan
+    classes = dict(order_classes(G235))
+    if fault in ("vertex-in-two-classes", "moved-vertex"):
+        classes[1] |= 1 << 1
+    if fault in ("vertex-in-no-class", "moved-vertex"):
+        classes[900] &= ~(1 << 7)
+    monkeypatch.setattr(oracles, "order_classes", lambda g: iter(classes.items()))
+    line = run_verification(T235, 0).lines[0]
+    assert line.startswith("PASS") is is_partition(G235, classes.values()) is (fault is None)
 
 
 @pytest.mark.parametrize("swap", [(1, 899), (30, 870)], ids=["order-900", "order-30"])
@@ -163,6 +179,34 @@ def test_a_clique_certificate_whose_translates_overlap_fails_the_cover(monkeypat
     monkeypatch.setattr(parameters, "clique_certificate", lambda t: (0, 1, 2, 3, 4))
     line = run_verification(T235, 0).lines[5]
     assert line.startswith("FAIL independence: size=180 <= alpha <= 180 (cover by translates of K: False)")
+
+
+@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 7), (3, 5, 7)], ids=["2,3,5", "2,3,7", "3,5,7"])
+def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch):
+    # the rule (|K| = c, every κ a multiple of a²b², the κ/a²b² distinct mod
+    # c) against the rotations of the n-bit S₀ by K, on the certificate and
+    # under planted K; the rule is complete for K on the multiples of a²b²,
+    # and rejects K + 1, whose rotations tile too
+    t = make_prime_triple(*primes)
+    g = CayleyGraph.from_triple(t)
+    certs = certify(t)
+    m_ab, c = t.m_alpha * t.m_beta, t.gamma
+    k = clique_certificate(t)
+    s0 = g.periodic(c * m_ab, range(m_ab))
+    cases = {  # name: (K, (the rule's verdict, the reference's))
+        "certificate": (k, (True, True)),
+        "by-a-unit": (tuple(2 * x % t.n for x in k), (True, True)),
+        "off-the-multiples": (k[:-1] + (k[-1] + 1,), (False, False)),
+        "equal-mod-c": (k[:-1] + (c * m_ab,), (False, False)),
+        "one-short": (k[:-1], (False, False)),
+        "one-extra": (k + (c * m_ab,), (False, False)),
+        "shifted": (tuple(x + 1 for x in k), (False, True)),
+    }
+    for name, (planted, expected) in cases.items():
+        monkeypatch.setattr(parameters, "clique_certificate", lambda t, _k=planted: _k)
+        line = run_verification(t, 0, certificates=certs).lines[5]
+        cover = line.split("(cover by translates of K: ")[1].startswith("True")
+        assert (cover, is_partition(g, (g.rotate(s0, x) for x in planted))) == expected, name
 
 
 def test_index_mis_against_reference_library():

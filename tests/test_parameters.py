@@ -1,4 +1,6 @@
 from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from helpers import crt_components, residue_sum_color
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
+LADDER = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11), (7, 11, 13))]
 G235 = CayleyGraph.from_triple(T235)
 
 
@@ -111,6 +114,34 @@ def test_index_bounds():
     rep7 = verify_index_bounds(T357)
     assert rep7.mis_size == 15
     assert rep7.index_set_two_agreement_free and rep7.lines_cover_ids
+
+
+def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
+    """Both index bounds with every pair of every line checked."""
+    ig = IndexGraph(t)
+    ids = independence_index_set(t)
+    lines = [[BlockId(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
+    cover = (
+        len(lines) == len(ids)
+        and sorted(bid for line in lines for bid in line) == ig.ids()
+        and all(ig.adjacent(x, y) for line in lines for x, y in combinations(line, 2))
+    )
+    return not any(ig.adjacent(x, y) for x, y in combinations(ids, 2)), cover
+
+
+def test_index_bounds_check_one_line_of_pairs(monkeypatch):
+    # the lines are translates of line (0, 0), so its C(c, 2) pairs and the
+    # index set's C(ab, 2) decide both bounds: 13,876 calls at (2,3,167),
+    # where every line's pairs would be 83,166
+    for t in LADDER:
+        rep = verify_index_bounds(t)
+        assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
+    t = make_prime_triple(2, 3, 167)
+    calls = Counter()
+    adjacent = IndexGraph.adjacent
+    monkeypatch.setattr(IndexGraph, "adjacent", lambda ig, x, y: calls.update([1]) or adjacent(ig, x, y))
+    assert verify_index_bounds(t) == (True, True, 6)
+    assert 0 < calls[1] <= comb(167, 2) + comb(6, 2)
 
 
 @pytest.mark.parametrize(

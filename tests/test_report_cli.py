@@ -501,6 +501,26 @@ def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     assert cli.main(["build", "--primes", "2,3,5"]) == 0
 
 
+def test_cli_edges_and_dot_exports_predict_their_own_memory(tmp_path, capsys, monkeypatch):
+    # the exports hold every vertex's name and a chunk of rows |C| wide; with
+    # the cap raised, a limit between the two predictions stops them alone
+    assert cli.EXPORT_BYTES_PER_VERTEX > cli.BYTES_PER_VERTEX
+    config = tmp_path / "cap.conf"
+    config.write_text("materialize-cap = 2000000\n")
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.EXPORT_BYTES_PER_VERTEX * 900 - 1)
+    for fmt in ("dot", "edges"):
+        out = tmp_path / f"graph.{fmt}"
+        argv = ["export", "--primes", "2,3,5", "--format", fmt, "--out", str(out), "--config", str(config)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        n_mib = cli.EXPORT_BYTES_PER_VERTEX * 900 >> 20
+        assert captured.out == "" and captured.err == f"error: n = 900 needs about {n_mib} MiB, above the limit of 0 MiB\n"
+        assert not out.exists()
+    assert cli.main(["verify", "--primes", "2,3,5", "--budget-sources", "0"]) == 0
+    walk = tmp_path / "walk.txt"
+    assert cli.main(["export", "--primes", "2,3,5", "--format", "walk", "--out", str(walk)]) == 0 and walk.exists()
+
+
 def test_cli_build_does_no_graph_work(capsys, monkeypatch):
     # |C| and the degree come from the closed form, even where enumerating
     # the 10⁸ connectors would take gigabytes
@@ -626,9 +646,9 @@ def test_cli_export_walk(tmp_path):
 
 @pytest.mark.parametrize("argv", [["verify", "--budget-sources", "0"], ["hamiltonian", "--check"]])
 def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
-    # the walk check replays H (b²c² = 1225 entries at (3,5,7)) forwards and
-    # backwards; no n-entry sequence reaches is_cycle, and only the inner
-    # walks along c and b are ever expanded into pieces
+    # the walk check replays H (b²c² = 1225 entries at (3,5,7)) once, each
+    # step both ways; no n-entry sequence reaches is_cycle, and only the
+    # inner walks along c and b are ever expanded into pieces
     lengths = []
     is_cycle, pieces = CayleyGraph.is_cycle, WalkCertificate.pieces
 
@@ -645,7 +665,7 @@ def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
     assert cli.main(argv + ["--primes", "3,5,7"]) == 0
     out = capsys.readouterr().out
     assert "length: 11025\n" in out or "length=11025," in out
-    assert max(lengths) == 25 * 49 and lengths.count(25 * 49) == 2
+    assert max(lengths) == 25 * 49 and lengths.count(25 * 49) == 1
 
 
 def test_cli_export_independent_set(tmp_path):

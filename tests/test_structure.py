@@ -16,7 +16,7 @@ from psqcayley import (
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
-from helpers import adjacency_by_neighbourhood, block_of, block_set, triples_with_group_order_at_most
+from helpers import adjacency_by_neighbourhood, block_of, block_set, is_partition, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -69,7 +69,7 @@ def _partition_by_construction(g: CayleyGraph) -> bool:
     """Block partition with every block compared to its construction: the
     reference for the check on block 0."""
     constructed = _constructed_blocks(g)
-    return g.is_partition(constructed.values()) and constructed == _residue_blocks(g)
+    return is_partition(g, constructed.values()) and constructed == _residue_blocks(g)
 
 
 def _adjacency_by_pairs(g: CayleyGraph) -> bool:
@@ -117,6 +117,21 @@ def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
         if {(x % (m_a * m_b)) // m_a for x in seq} != set(range(m_b)):
             return False
     return True
+
+
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_fiber_i_by_connectors_equals_the_neighbourhood_reference(t):
+    # fiber 0 = [0, a²b²) holds an edge iff a connector lies in (0, a²b²) or
+    # (n − a²b², n); each planted one-way connector is checked against the
+    # n-bit neighbourhood of every gamma fiber.  a²b² and n − a²b² are
+    # connectors already, the bounds of the rule
+    n, m_ab = t.n, t.m_alpha * t.m_beta
+    members = enumerate_connectors(t).members
+    planted = {None: True, 1: False, m_ab - 1: False, n - m_ab + 1: False, n - 1: False, m_ab: True, n - m_ab: True}
+    for extra, expected in planted.items():
+        cs = members if extra is None else tuple(sorted(set(members) | {extra}))
+        g = CayleyGraph(t, ConnectingSet(cs))
+        assert verify_fiber_structure(g).gamma_fibers_independent is _gamma_fibers_by_fiber(g) is expected, extra
 
 
 def _members(t, ids) -> list[int]:
@@ -178,11 +193,11 @@ def test_structure_checks_run_above_twenty_thousand_vertices():
     assert c.fiber.all_pass and c.block_partition is True and c.block_adjacency is True
 
 
-def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypatch):
-    # no per-block or per-fiber loop and no n-bit block set: one N(fiber 0),
-    # the construction of block 0 (sorted, never a bitset) and one cycle
-    # check each for (iii), (vii) and (viii), whatever the triple; block
-    # adjacency reads the connectors' residues mod abc, with no neighbourhood
+def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch):
+    # no per-block or per-fiber loop and no n-bit set: the construction of
+    # block 0 (sorted, never a bitset) and one cycle check each for (iii),
+    # (vii) and (viii), whatever the triple; fiber (i) reads the connectors
+    # and block adjacency their residues mod abc, with no neighbourhood
     calls = {"neighborhood": 0, "bitset": 0, "is_cycle": 0}
     periods = []
     inside = [False]
@@ -226,7 +241,7 @@ def test_structure_stage_takes_two_neighbourhoods_and_one_construction(monkeypat
         periods.clear()
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 1, "bitset": 0, "is_cycle": 3}
+        assert calls == {"neighborhood": 0, "bitset": 0, "is_cycle": 3}
         assert periods == []
 
 
@@ -335,7 +350,7 @@ def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none(monkeypa
         g = CayleyGraph.from_triple(t)
         u = crt_combine((t.alpha, 0, 0), t)
         _move_in_construction(monkeypatch, {u: u + 1})
-        assert not g.is_partition(_constructed_blocks(g).values())
+        assert not is_partition(g, _constructed_blocks(g).values())
         assert verify_block_partition(g) is False
         assert _structure_line(t).startswith("FAIL structure: ")
 
@@ -349,7 +364,7 @@ def test_block_partition_catches_two_vertices_swapped_between_residue_sets(monke
         g = CayleyGraph.from_triple(t)
         u, v = crt_combine((t.alpha, 0, 0), t), crt_combine((t.alpha + 1, 0, 0), t)
         _move_in_construction(monkeypatch, {u: v, v: u})
-        assert g.is_partition(_constructed_blocks(g).values())
+        assert is_partition(g, _constructed_blocks(g).values())
         assert not _partition_by_construction(g)
         assert verify_block_partition(g) is False
         assert _structure_line(t).startswith("FAIL structure: ")

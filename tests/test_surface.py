@@ -116,3 +116,12 @@ def test_every_cli_option_is_read():
     assert {"--primes", "--seed", "--budget-sources", "--config"} <= options
     unread = options - named
     assert not unread, f"options that cli.main never reads: {sorted(unread)}"
+
+
+def test_certificate_modules_build_no_n_bit_set():
+    # n-bit sets belong to the BFS oracle layer; the fiber, block and walk
+    # claims are decided on quotients and connector differences
+    kernel = {"neighborhood", "rotate", "periodic", "bitset"}
+    for name in ("structure.py", "hamiltonian.py"):
+        used = kernel & _code_references(_trees()[name])
+        assert not used, f"{name} references {sorted(used)}"
