@@ -49,14 +49,15 @@ OPTIONS = {
 
 # Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux).  `verify --budget-sources 0` peaks at 4.4 bytes at (11,13,17) and 4.2
-# at (13,17,19), but at 18.3 at (2,3,167) and 17.3 at (2,3,401), where the
-# inner cycle holds n/4 vertices; the walk export at 16.8 at (2,3,167).  The
-# edges and dot exports hold every vertex's name and a chunk of rows |C| wide:
-# with materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.9 at (5,7,11)
-# and 185.1 at (2,3,47), where |C|/n is near its largest, 1/36.  Each constant
-# leaves at least 2.7 times headroom over its largest peak.
-BYTES_PER_VERTEX = 64
+# Linux).  `verify --budget-sources 0` peaks at 8.3 bytes at (2,3,167), 7.8 at
+# (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 8.2 at
+# (2,3,167); the walk export at 3.4 at (2,3,167) and the independent-set export
+# at 4.8 at (11,13,17).  The edges and dot exports hold every vertex's name and
+# a chunk of rows |C| wide: with materialize-cap raised, dot peaks at 69.1 at
+# (7,11,13), 97.9 at (5,7,11) and 185.1 at (2,3,47), where |C|/n is near its
+# largest, 1/36.  Each constant leaves at least 2.7 times headroom over its
+# largest peak.
+BYTES_PER_VERTEX = 24
 EXPORT_BYTES_PER_VERTEX = 512  # the edges and dot exports
 MEMORY_LIMIT_BYTES = 2 << 30
 

@@ -15,7 +15,7 @@ oracle layer: the levels, the distance and order classes and the connecting
 set's order scan.  Certificate claims are decided on quotients.  In a circulant
 graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
 rot(S, c) over the connectors c.  The connectors are taken coset by coset
-(`coset_plan`, found from the member list and the divisors of n): S is
+(`coset_plan`, found from the member list and the primes dividing n): S is
 closed under a subgroup of order o with about log₂ o doubling shifts and the
 closure rotated by each coset representative, so BFS advances a whole
 frontier with a few shifts per coset family rather than one rotation per
@@ -37,7 +37,7 @@ from os import PathLike
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .connectors import ConnectingSet, enumerate_connectors
-from .group import PrimeTriple, _check_exponent, bezout_witness, divisors
+from .group import PrimeTriple, _check_exponent, bezout_witness
 
 DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
@@ -104,14 +104,9 @@ class CayleyGraph(_GraphFields):
         the next and the last to the first both ways: a step by d needs d and
         n − d in C, so seq reversed passes too."""
         n = self.triple.n
-        if len(seq) < 3:
+        if len(seq) < 3 or not all(0 <= v < n for v in seq) or len(set(seq)) < len(seq):
             return False
-        seen = bytearray(n)
-        for v in seq:
-            if not 0 <= v < n or seen[v]:
-                return False
-            seen[v] = 1
-        # every entry is now a vertex, so adjacency is membership of the difference
+        # every entry is now a distinct vertex, so adjacency is membership of the difference
         connectors = self.connector_set
         for u, v in chain(zip(seq, islice(seq, 1, None)), [(seq[-1], seq[0])]):
             d = (v - u) % n
@@ -190,17 +185,18 @@ class CayleyGraph(_GraphFields):
     def coset_plan(self) -> tuple[CosetFamily, ...]:
         """The connectors as coset families, built once per graph on first use.
 
-        Built from the member list and the divisors of n alone.  For each
-        divisor o > 1, largest first, with h = n/o, a member x becomes a
+        Built from the member list and the primes dividing n alone.  For each
+        prime o | n, largest first, with h = n/o, a member x becomes a
         representative when every x + j·h (j < o) is a member not yet
         covered; the check runs member by member and stops at the first miss.
         The members left over form the family of order 1.  So the families
-        cover exactly the members, for any member list.
+        cover exactly the members, for any member list; a coset of composite
+        order is a union of cosets of prime order, so no other order is tried.
         """
         n = self.triple.n
         pool = set(self.cset.members)
         families = []
-        for o in reversed(divisors(n)[1:]):
+        for o in reversed(self.triple.primes):
             if o > len(pool):
                 continue  # a coset of order o has o members
             h = n // o

@@ -1,5 +1,5 @@
 """A Hamiltonian cycle for every triple, built by the product lemma and
-checked as a lifted certificate.
+checked level by level.
 
 By the CRT the graph is G_a □ G_b □ G_c with G_p = Cay(Z_{p²}, units): a
 vertex is a component triple (x, y, z), x < a², y < b², z < c², and two
@@ -13,113 +13,115 @@ one component by ±1, a unit of Z_{p²}, or moves along the cycle of H, so
 every step is an edge.  Applied from the one-vertex walk [0] along c, then b,
 then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
 
-The last application is kept unexpanded: the certificate is the inner cycle
-H on the b²c² vertices with a-component 0, the step e_a, the a² rows and n.
-`verify_walk` decides the n-vertex walk from it without building the walk:
+The certificate is the lemma's own data: one level (step, rows) per
+application, ((e_c, c²), (e_b, b²), (e_a, a²)), and n.  No vertex sequence
+is stored.  `verify_walk` decides the n-vertex walk from the levels alone:
 
-- H is a cycle of g both ways (`is_cycle` needs s and n − s in C for a
-  step by s), because odd rows run H's tail backwards.  A row's steps are
-  translates of these, and every translation is an automorphism (Godsil &
-  Royle, GTM 207, §3.1), so every step inside a row is an edge;
-- every other step -- from the head into row 0, from each row's end to the
-  next row's start, into and along the climb column and back to the head --
-  is a connector.  There are O(a²) of them, read from the row ends;
-- the translates H + r·e_a, r < a², partition the vertices.  As a multiset
-  they are exactly the walk's entries (the head and the climb column are
-  the translates of h₀), so the walk visits every vertex once.  When the
-  step has order a², the r·step are the subgroup d·Z_n, d = n/a², so they
-  do iff |H| = d and the h mod d list Z_d once.
+- each step has order exactly its rows, and each level's rows are coprime to
+  the product of the rows below it, which is n at the top.  The walk below
+  level k covers the subgroup ⊕_{j<k}⟨s_j⟩ once, and that subgroup meets
+  each coset of ⟨s_k⟩ once iff the orders are coprime, so the rows of every
+  level are disjoint translates and the walk visits every vertex once;
+- every joint of every level -- from the head into row 0, from each row's
+  end to the next row's start, into and along the climb column and back to
+  the head -- is an edge both ways.  Every other step lies inside a row, a
+  translate of a lower level's step walked forwards or, in odd rows,
+  backwards, and every translation is an automorphism (Godsil & Royle,
+  GTM 207, §3.1).
 
-Together these make the walk a Hamiltonian cycle, and no check reads
-`snake_walk`.
+That is O(a² + b² + c²) work, and nothing n-sized is built.  `pieces`
+streams the walk for the export: the head, then translates of the innermost
+level's tail between the outer levels' climbs, none of c² or more entries.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from math import gcd
+from math import gcd, prod
 from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
 
-# the most entries one piece of a walk holds: a row of n/4 at a = 2 is split
-PIECE_SIZE = 1 << 16
-
 
 class WalkCertificate(NamedTuple):
-    """The spanning cycle of the product lemma: the head inner[0], then rows
-    r·step + tail(inner) for r < rows, even rows forwards and odd rows
-    backwards, then the climb column r·step + inner[0] for r = rows−1 … 1,
-    all modulo n."""
+    """The spanning cycle of the product lemma lifted from the walk [0]
+    through each level (step, rows) in turn: the head 0, then rows
+    r·step + tail(W) for r < rows, even rows forwards and odd rows
+    backwards, then the climb column r·step for r = rows−1 … 1, all
+    modulo n, where W is the walk lifted through the levels below."""
 
-    inner: tuple[int, ...]
-    step: int
-    rows: int
+    levels: tuple[tuple[int, int], ...]
     n: int
 
     @property
     def length(self) -> int:
-        return self.rows * len(self.inner)
+        return prod(rows for _, rows in self.levels)
 
     @property
     def endpoints(self) -> tuple[int, int]:
-        """The head, and the top of the climb column one step above it."""
-        head = self.inner[0]
-        return (head, (head + self.step) % self.n)
+        """The head, and the top of the outer climb column one step above it."""
+        return (0, self.levels[-1][0] % self.n)
 
     def pieces(self) -> Iterator[list[int]]:
-        """The walk in order, piece by piece: the head, each row in slices of
-        at most PIECE_SIZE entries read from H in place, the climb."""
-        n, step, inner = self.n, self.step, self.inner
-        yield [inner[0]]
-        for r in range(self.rows):
-            shift = r * step
-            run = islice(inner, 1, None) if r % 2 == 0 else islice(reversed(inner), len(inner) - 1)
-            for _ in range(1, len(inner), PIECE_SIZE):
-                yield [(shift + h) % n for h in islice(run, PIECE_SIZE)]
-        yield [(r * step + inner[0]) % n for r in range(self.rows - 1, 0, -1)]
+        """The walk in order, piece by piece: the head, then each climb
+        column of each level's tail, translated into place."""
+        n = self.n
+        yield [0]
+        yield from _tail([(step, rows, [r * step % n for r in range(rows - 1, 0, -1)])
+                          for step, rows in self.levels], 0, False, n)
+
+
+def _tail(lifts: list[tuple[int, int, list[int]]], shift: int, backwards: bool, n: int) -> Iterator[list[int]]:
+    """shift + the tail of the walk lifted through lifts (the walk without
+    its head 0), reversed when backwards, one climb column per piece; each
+    lift is a level (step, rows) and its climb column r·step, r = rows−1 … 1."""
+    *inner, (step, rows, climb) = lifts
+    if backwards:
+        yield [(shift + x) % n for x in reversed(climb)]
+    if inner:
+        for r in reversed(range(rows)) if backwards else range(rows):
+            yield from _tail(inner, shift + r * step, backwards != (r % 2 == 1), n)
+    if not backwards:
+        yield [(shift + x) % n for x in climb]
 
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
-    """Construct the spanning cycle by the product lemma, along c and b in
-    full, and lift the result along a as a certificate."""
-    e_a, e_b, e_c = crt_basis(t)
-    inner: tuple[int, ...] = (0,)
-    for m, e in ((t.m_gamma, e_c), (t.m_beta, e_b)):
-        inner = tuple(chain.from_iterable(WalkCertificate(inner, e, m, t.n).pieces()))
-    return WalkCertificate(inner, e_a, t.m_alpha, t.n)
+    """The product lemma's levels along c, then b, then a."""
+    return WalkCertificate(tuple(zip(reversed(crt_basis(t)), reversed(t.moduli))), t.n)
 
 
-def _joints(w: WalkCertificate) -> Iterator[tuple[int, int]]:
-    """Every step of the walk that is not inside a row, as (from, to)."""
-    n, step, head = w.n, w.step, w.inner[0]
-    prev = head
-    for r in range(w.rows):
-        first, last = (w.inner[1], w.inner[-1]) if r % 2 == 0 else (w.inner[-1], w.inner[1])
-        yield prev, (r * step + first) % n
-        prev = (r * step + last) % n
-    for r in range(w.rows - 1, 0, -1):
-        climb = (r * step + head) % n
-        yield prev, climb
-        prev = climb
-    yield prev, head
+def _joints(step: int, rows: int, ends: tuple[int, ...]) -> Iterator[tuple[int, int]]:
+    """Every step of one lift that is not inside a row, as (from, to): the
+    lifted walk has head 0 and the second and last entries ends, or none
+    when it is [0]."""
+    prev = 0
+    for r in range(rows) if ends else ():
+        first, last = ends if r % 2 == 0 else ends[::-1]
+        yield prev, r * step + first
+        prev = r * step + last
+    for r in range(rows - 1, 0, -1):
+        yield prev, r * step
+        prev = r * step
+    yield prev, 0
 
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
-    """Check the lifted certificate against g: H is a cycle both ways, every
-    joint is a connector, and the translates of H by the rows partition V:
-    the step has order rows, and H lists each residue mod d = n/rows once."""
-    n, d = g.triple.n, len(w.inner)
-    if w.n != n or d * w.rows != n or n // gcd(w.step, n) != w.rows or not g.is_cycle(w.inner):
+    """Check the certificate against g level by level: each step has order
+    its rows, the rows are pairwise coprime with product n, and every joint
+    of every level is an edge both ways."""
+    n, connectors = g.triple.n, g.connector_set
+    if w.n != n:
         return False
-    connectors = g.connector_set
-    if any((v - u) % n not in connectors for u, v in _joints(w)):
-        return False
-    marks = bytearray(d)
-    for h in w.inner:
-        marks[h % d] = 1
-    return 0 not in marks
+    size, ends = 1, ()
+    for step, rows in w.levels:
+        if n // gcd(step, n) != rows or gcd(rows, size) != 1:
+            return False
+        if any((v - u) % n not in connectors or (u - v) % n not in connectors
+               for u, v in _joints(step, rows, ends)):
+            return False
+        # the lifted walk keeps its second entry, or climbs to it from [0], and ends one step above 0
+        size, ends = size * rows, (ends[0] if ends else (rows - 1) * step, step)
+    return size == n
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:

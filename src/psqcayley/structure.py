@@ -11,8 +11,7 @@ R + (c mod P), and every block check is decided on residues mod P.  The
 blocks partition the vertex set and are always independent.  All verifiers
 here check the literal claims against arithmetic adjacency, independently of
 the constructors that produced the objects; the cycle claims (fiber checks
-iii, vii and viii) go through `CayleyGraph.is_cycle`, the check that also
-replays the Hamiltonian walk, once each.
+iii, vii and viii) go through `CayleyGraph.is_cycle`, once each.
 
 The block checks and fiber checks (i) and (iii) are claims about every set
 of a family of translates, and in a Cayley graph on Z_n every translation

@@ -7,7 +7,7 @@ triple enumeration by direct search.  The per-vertex references
 (`crt_components`, `residue_sum_color`, `block_of`, `neighbors`) state one
 vertex at a time what the library builds as whole vertex sets, and
 `snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
-a lifted certificate.
+the product lemma's levels.
 
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of

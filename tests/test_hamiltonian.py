@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 
 import pytest
@@ -12,12 +13,10 @@ from psqcayley import (
     walk_lines,
 )
 
-from psqcayley import hamiltonian
 from psqcayley.group import crt_basis
 
 from helpers import (
     crt_components,
-    is_partition,
     order_scan_connectors,
     snake_sequence,
     tiles,
@@ -33,6 +32,10 @@ G357 = CayleyGraph.from_triple(T357)
 LADDER = [T235, T237, T357, make_prime_triple(3, 5, 11), make_prime_triple(5, 7, 11)]
 
 
+def _ids(t) -> str:
+    return ",".join(map(str, t.primes))
+
+
 def _oracle_problems(verts, t) -> list[str]:
     # adjacency from the brute-force orders, never from the closed form
     n, connectors = t.n, order_scan_connectors(t)
@@ -46,8 +49,17 @@ def _oracle_problems(verts, t) -> list[str]:
     return problems
 
 
-def _with_inner(walk: WalkCertificate, inner) -> WalkCertificate:
-    return walk._replace(inner=tuple(inner))
+def _with_level(walk: WalkCertificate, k: int, step: int, rows: int) -> WalkCertificate:
+    levels = list(walk.levels)
+    levels[k] = (step, rows)
+    return walk._replace(levels=tuple(levels))
+
+
+def _n_entry_replay(w: WalkCertificate, g: CayleyGraph) -> bool:
+    """The walk verdict on every vertex: the pieces, concatenated, are a
+    permutation of [0, n) and a cycle of g both ways."""
+    seq = walk_sequence(w)
+    return sorted(seq) == list(range(g.triple.n)) and g.is_cycle(seq)
 
 
 def _open_path(cycle, g):
@@ -63,7 +75,8 @@ def _open_path(cycle, g):
 
 def test_cycle_at_smallest_even_instance():
     walk = snake_walk(T235)
-    assert (len(walk.inner), walk.step, walk.rows, walk.n) == (225, crt_basis(T235)[0], 4, 900)
+    e_a, e_b, e_c = crt_basis(T235)
+    assert walk == (((e_c, 25), (e_b, 9), (e_a, 4)), 900)
     assert walk.length == 900
     assert verify_walk(walk, G235)
 
@@ -73,7 +86,7 @@ def test_cycle_against_brute_force_orders(t):
     assert _oracle_problems(walk_sequence(snake_walk(t)), t) == []
 
 
-@pytest.mark.parametrize("t", LADDER, ids=lambda t: ",".join(map(str, t.primes)))
+@pytest.mark.parametrize("t", LADDER, ids=_ids)
 def test_full_sequence_replays_at_the_ladder(t):
     # the n-entry replay through the connector set, which verify_walk avoids
     seq = walk_sequence(snake_walk(t))
@@ -102,111 +115,121 @@ def test_open_spanning_path_fails_closure():
     assert sorted(path) == list(range(T357.n))
     assert not G357.adjacent(path[0], path[-1])
     assert _oracle_problems(path, T357) == ["the last vertex is not adjacent to the first"]
-    # H, opened the same way: still a spanning path of the inner vertices,
-    # but no cycle, and the lifted walk has a non-edge where the last row
-    # joins the climb column
-    walk = snake_walk(T357)
-    opened = _with_inner(walk, _open_path(walk.inner, G357))
-    assert sorted(opened.inner) == sorted(walk.inner)
-    assert not G357.adjacent(opened.inner[0], opened.inner[-1])
-    assert not verify_walk(opened, G357)
-    assert _oracle_problems(walk_sequence(opened), T357) == ["a step is no edge"]
+    # the levels have no open form: every level's walk closes from the top of
+    # its climb column, one step above the head, by the climb's own step
+    for k in range(3):
+        walk = WalkCertificate(snake_walk(T357).levels[: k + 1], T357.n)
+        seq = walk_sequence(walk)
+        assert (seq[-1] - seq[0]) % T357.n == (seq[-2] - seq[-1]) % T357.n == walk.levels[-1][0]
 
 
 def test_tampered_walk_fails():
+    # the steps of two levels swapped, each level keeping its rows: the rows
+    # of the inner levels overlap.  Swapping whole levels is still a cycle.
     walk = snake_walk(T235)
-    inner = list(walk.inner)
-    inner[10], inner[100] = inner[100], inner[10]
-    assert not verify_walk(_with_inner(walk, inner), G235)
+    (e_c, m_c), (e_b, m_b), top = walk.levels
+    swapped_steps = walk._replace(levels=((e_b, m_c), (e_c, m_b), top))
+    assert not verify_walk(swapped_steps, G235)
+    assert "not a permutation of [0, n)" in _oracle_problems(walk_sequence(swapped_steps), T235)
+    swapped = walk._replace(levels=((e_b, m_b), (e_c, m_c), top))
+    assert verify_walk(swapped, G235) and _oracle_problems(walk_sequence(swapped), T235) == []
 
 
 def test_duplicate_vertex_fails():
+    # a step times its level's prime has order p, not p², so each row of
+    # that level lands on a row below it
     walk = snake_walk(T235)
-    inner = list(walk.inner)
-    inner[10] = inner[11]
-    assert not verify_walk(_with_inner(walk, inner), G235)
+    for k, p in enumerate(reversed(T235.primes)):
+        step, rows = walk.levels[k]
+        repeated = _with_level(walk, k, step * p % T235.n, rows)
+        assert not verify_walk(repeated, G235), k
+        seq = walk_sequence(repeated)
+        assert len(seq) == T235.n and len(set(seq)) < T235.n, k
 
 
 def test_walk_of_wrong_length_fails():
-    # one row short, or one row more (row a² lands on row 0): every step is
-    # still an edge, but the rows no longer partition the vertices
+    # one level's rows one short or one more: the product of the rows is not
+    # n.  At the top level every step is still an edge (row a² lands on row 0)
     walk = snake_walk(T235)
-    for rows in (walk.rows - 1, walk.rows + 1):
-        short_or_long = walk._replace(rows=rows)
-        assert not verify_walk(short_or_long, G235)
-        seq = walk_sequence(short_or_long)
-        assert len(seq) != T235.n
+    for k in range(3):
+        step, rows = walk.levels[k]
+        for wrong in (rows - 1, rows + 1):
+            short_or_long = _with_level(walk, k, step, wrong)
+            assert not verify_walk(short_or_long, G235), (k, wrong)
+            assert len(walk_sequence(short_or_long)) != T235.n, (k, wrong)
+    step, rows = walk.levels[-1]
+    for wrong in (rows - 1, rows + 1):
+        seq = walk_sequence(_with_level(walk, 2, step, wrong))
         assert all(G235.adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
 
 
-def _detour_inner_cycle(walk: WalkCertificate, g: CayleyGraph) -> list[int]:
-    """H with a detour through h₅₀ + e_a and h₅₁ + e_a and two later vertices
-    skipped: still a cycle of g with H's first, second and last entries, so
-    every joint holds, but two residues mod b²c² repeat and two are missing."""
-    h, e_a = list(walk.inner), walk.step
-    i = 50
-    detour = h[: i + 1] + [(h[i] + e_a) % walk.n, (h[i + 1] + e_a) % walk.n] + h[i + 1 :]
-    j = next(j for j in range(100, len(detour) - 3) if g.adjacent(detour[j - 1], detour[j + 2]))
-    return detour[:j] + detour[j + 2 :]
-
-
 def test_inner_cycle_leaving_the_subgroup_fails():
-    # H detours through two vertices of a-component 1 and skips two of its
-    # own: still a cycle of g of length b²c², but its translates overlap
+    # the c level stepping by e_c + e_b: its walk leaves ⟨e_c⟩, and although
+    # the b level's rows still cover the b²c² vertices with a-component 0
+    # once, the c level's own steps change two components
     walk = snake_walk(T235)
-    inner = _detour_inner_cycle(walk, G235)
-    assert len(inner) == len(walk.inner) and G235.is_cycle(inner)
-    assert any(v % T235.m_alpha for v in inner)
-    assert not verify_walk(_with_inner(walk, inner), G235)
+    (e_c, m_c), (e_b, _), _ = walk.levels
+    leaving = _with_level(walk, 0, e_c + e_b, m_c)
+    assert not verify_walk(leaving, G235)
+    inner = walk_sequence(WalkCertificate(leaving.levels[:2], T235.n))
+    assert sorted(inner) == sorted(walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
+    assert not G235.is_cycle(inner)
+    assert _oracle_problems(walk_sequence(leaving), T235) == ["a step is no edge"]
 
 
-def _verify_walk_on_n_bits(w: WalkCertificate, g: CayleyGraph) -> bool:
-    """The walk verdict with the partition decided on n bits: H a cycle of g,
-    every joint a connector, and the rotations of bitset(H) tile V."""
-    n = g.triple.n
-    return (
-        w.n == n
-        and g.is_cycle(w.inner)
-        and all((v - u) % n in g.connector_set for u, v in hamiltonian._joints(w))
-        and tiles(g, g.bitset(w.inner), w.step, w.rows)
-    )
+def _level_faults(walk: WalkCertificate, t) -> dict[str, WalkCertificate]:
+    """The certificate with one level fault planted, at each level in turn."""
+    n, levels = t.n, walk.levels
+    faults = {"certificate": walk, "single-level": WalkCertificate(((1, n),), n), "n-doubled": walk._replace(n=2 * n)}
+    for k, p in enumerate(reversed(t.primes)):
+        step, rows = levels[k]
+        planted = {
+            "rows-1": (step, rows - 1),
+            "rows+1": (step, rows + 1),
+            "negated-step": (-step % n, rows),
+            "step-plus-n": (step + n, rows),
+            "step-plus-next": ((step + levels[(k + 1) % 3][0]) % n, rows),
+            **{f"step-times-{f}": (step * f % n, rows) for f in (2, 3, 5, 7)},
+            "step-times-p": (step * p % n, rows),
+        }
+        faults.update({f"{name}@{k}": _with_level(walk, k, *level) for name, level in planted.items()})
+        faults[f"two-levels-without-{k}"] = walk._replace(levels=levels[:k] + levels[k + 1 :])
+        j = (k + 1) % 3
+        swapped = list(levels)
+        swapped[k], swapped[j] = levels[j], levels[k]
+        faults[f"levels-swapped-{k}-{j}"] = walk._replace(levels=tuple(swapped))
+        swapped[k], swapped[j] = (levels[j][0], levels[k][1]), (levels[k][0], levels[j][1])
+        faults[f"steps-swapped-{k}-{j}"] = walk._replace(levels=tuple(swapped))
+    return faults
 
 
-@pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=_ids)
 def test_walk_partition_by_residues_equals_its_n_bit_reference(t):
-    # the quotient rule (the step has order rows, H lists Z_d once for
-    # d = n/rows) against tiles on bitset(H), on the certificate and under
-    # planted faults; a step of another order is rejected by the rule even
-    # where the rotations tile, and there the joints fail as well
+    # the level rule (orders coprime, product n, joints edges both ways)
+    # against the n-entry replay, on the certificate and under every planted
+    # level fault, and in connecting sets missing −e_c, −e_b or −e_a
     g = CayleyGraph.from_triple(t)
     walk = snake_walk(t)
-    e_a, e_b, _ = crt_basis(t)
-    repeated = _with_inner(walk, _detour_inner_cycle(walk, g))
-    assert g.is_cycle(repeated.inner) and len({h % (t.n // walk.rows) for h in repeated.inner}) < len(walk.inner)
-    skewed = walk._replace(step=(e_a + e_b) % t.n)
-    cases = {
-        "certificate": (walk, True),
-        "repeated-residue": (repeated, False),
-        "skewed-step": (skewed, False),
-        "step-of-order-a": (walk._replace(step=t.alpha * e_a % t.n), False),
-        "negated-step": (walk._replace(step=-e_a % t.n), True),  # the rows climb the other way
-        "step-plus-n": (walk._replace(step=e_a + t.n), True),
-        "one-row-short": (walk._replace(rows=walk.rows - 1), False),
-    }
-    for name, (w, expected) in cases.items():
-        got = verify_walk(w, g)
-        assert got is _verify_walk_on_n_bits(w, g) is expected, name
-    assert tiles(g, g.bitset(skewed.inner), skewed.step, skewed.rows)
+    verdicts = {}
+    for name, w in _level_faults(walk, t).items():
+        verdicts[name] = verify_walk(w, g)
+        assert verdicts[name] is _n_entry_replay(w, g), name
+    assert verdicts["certificate"] and not verdicts["rows-1@0"] and verdicts["negated-step@2"]
+    assert sum(verdicts.values()) < len(verdicts) - 10
+    for e in crt_basis(t):
+        one_way = CayleyGraph(t, ConnectingSet(tuple(c for c in g.cset.members if c != -e % t.n)))
+        assert not verify_walk(walk, one_way) and not _n_entry_replay(walk, one_way), e
 
 
 def test_step_off_the_a_axis_fails_at_the_joints():
-    # step e_a + e_b: the translates of H still partition V, but a row's end
-    # and the next row's start, and the climb's steps, differ in two components
+    # step e_a + e_b: the translates of the walk below the top level still
+    # partition V, but a row's end and the next row's start, and the climb's
+    # steps, differ in two components
     walk = snake_walk(T235)
     e_a, e_b, _ = crt_basis(T235)
-    skewed = walk._replace(step=(e_a + e_b) % T235.n)
-    inner = G235.bitset(walk.inner)
-    assert is_partition(G235, (G235.rotate(inner, r * skewed.step) for r in range(skewed.rows)))
+    skewed = _with_level(walk, 2, (e_a + e_b) % T235.n, 4)
+    inner = G235.bitset(walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
+    assert tiles(G235, inner, (e_a + e_b) % T235.n, 4)
     assert not verify_walk(skewed, G235)
     assert _oracle_problems(walk_sequence(skewed), T235) == [
         "a step is no edge",
@@ -215,45 +238,26 @@ def test_step_off_the_a_axis_fails_at_the_joints():
 
 
 def test_certificate_for_another_n_fails():
-    # the same H, step and rows taken modulo 2n: every check that reads g
-    # reduces modulo g's n, but the walk's entries are not g's vertices
+    # the same levels taken modulo 2n: every check that reads g reduces
+    # modulo g's n, but the walk's entries are not g's vertices
     walk = snake_walk(T235)
     assert not verify_walk(walk._replace(n=2 * T235.n), G235)
     assert not verify_walk(snake_walk(T357), G235)
 
 
-def _one_way_inner_cycle(t) -> list[int]:
-    """A cycle of the b²c² vertices with a-component 0 that steps only by
-    e_c or 2e_c inside row y < b² and by e_b between rows: row y visits
-    z₀ + k·s (k < c²) and ends at z₀ − s, so the rows stepping by 2 number
-    c² − b², and the last row's e_b step returns to 0."""
-    _, e_b, e_c = crt_basis(t)
-    m_b, m_c = t.m_beta, t.m_gamma
-    twos = m_c - m_b
-    assert 0 <= twos <= m_b
-    cycle, z0 = [], 0
-    for y in range(m_b):
-        s = 2 if y < twos else 1
-        cycle += [(y * e_b + (z0 + k * s) * e_c) % t.n for k in range(m_c)]
-        z0 -= s
-    return cycle
-
-
 def test_reversed_rows_are_replayed_as_walked():
-    # H's steps are e_c, 2e_c and e_b; in a connecting set without their
-    # negatives every joint is a connector and the rows partition V, but the
-    # odd rows walk non-edges.  is_cycle takes a step as an edge only both
-    # ways, so it rejects H in either direction, and the one replay of H
-    # sees the odd rows' fault
-    walk = _with_inner(snake_walk(T357), _one_way_inner_cycle(T357))
-    assert verify_walk(walk, G357)
-    _, e_b, e_c = crt_basis(T357)
-    missing = {(-e_c) % T357.n, (-2 * e_c) % T357.n, (-e_b) % T357.n}
-    one_way = CayleyGraph(T357, ConnectingSet(tuple(c for c in G357.cset.members if c not in missing)))
-    n, h = T357.n, walk.inner
-    assert all((v - u) % n in one_way.connector_set for u, v in zip(h, h[1:] + h[:1]))
-    assert not one_way.is_cycle(walk.inner) and not one_way.is_cycle(walk.inner[::-1])
-    assert not one_way.is_cycle(walk_sequence(walk))
+    # the c level's walk steps by −e_c only, so in a connecting set without
+    # +e_c every one of its joints is a connector one way; but the b level's
+    # odd rows walk it backwards, by +e_c.  The joints are checked both ways,
+    # so verify_walk sees the odd rows' fault without walking them
+    _, _, e_c = crt_basis(T357)
+    n = T357.n
+    one_way = CayleyGraph(T357, ConnectingSet(tuple(c for c in G357.cset.members if c != e_c)))
+    walk = snake_walk(T357)
+    c_walk = walk_sequence(WalkCertificate(walk.levels[:1], n))
+    assert all((v - u) % n in one_way.connector_set for u, v in zip(c_walk, c_walk[1:] + c_walk[:1]))
+    seq = walk_sequence(walk)
+    assert any((v - u) % n not in one_way.connector_set for u, v in zip(seq, seq[1:]))
     assert not verify_walk(walk, one_way)
 
 
@@ -270,6 +274,19 @@ def test_every_desk_scale_triple_verifies():
         assert walk_sequence(walk) == snake_sequence(t), t.primes
 
 
+def test_walk_verifies_far_beyond_the_memory_limit():
+    # n ≈ 1.24·10¹²: the check reads a² + b² + c² joints, never n entries
+    t = make_prime_triple(101, 103, 107)
+    g = CayleyGraph.from_triple(t)
+    walk = snake_walk(t)
+    for k in range(3):
+        step, rows = walk.levels[k]
+        for w, expected in ((walk, True), (_with_level(walk, k, step, rows + 1), False)):
+            start = time.perf_counter()
+            assert verify_walk(w, g) is expected, k
+            assert time.perf_counter() - start < 1.0
+
+
 def test_top_fiber_coverage():
     # each top-digit fiber holds a²b² vertices, so any spanning walk meets it
     # exactly that often
@@ -278,22 +295,19 @@ def test_top_fiber_coverage():
 
 
 def test_walk_export_lines():
-    # a header, then one chunk for the head, one per row and one for the climb
+    # a header, the head, then per row of the a level one piece per row of the
+    # b level and its climb, and the a level's climb
     for t in (T235, T357):
         walk = snake_walk(t)
         lines = list(walk_lines(walk))
         assert lines[0] == "cycle"
-        assert len(lines) == 1 + 1 + walk.rows + 1
+        assert len(lines) == 1 + 1 + t.m_alpha * (t.m_beta + 1) + 1
         assert "\n".join(lines[1:]).split("\n") == [str(v) for v in snake_sequence(t)]
 
 
-@pytest.mark.parametrize("size", [1, 7, 35])
-def test_walk_export_splits_each_row_into_pieces_of_at_most_piece_size(size, monkeypatch):
-    # rows of 35 entries at (2,3,5): split evenly, unevenly, or kept whole
-    monkeypatch.setattr(hamiltonian, "PIECE_SIZE", size)
-    walk = snake_walk(T235)
-    lines = list(walk_lines(walk))
-    pieces = lines[2:-1]
-    assert len(pieces) == walk.rows * -(-(len(walk.inner) - 1) // size)
-    assert max(piece.count("\n") + 1 for piece in pieces) == size
-    assert "\n".join(lines[1:]).split("\n") == [str(v) for v in snake_sequence(T235)]
+@pytest.mark.parametrize("t", LADDER, ids=_ids)
+def test_walk_pieces_hold_fewer_than_c_squared_entries(t):
+    # the innermost level's tail, c² − 1 entries, is the largest piece
+    pieces = list(snake_walk(t).pieces())
+    assert max(map(len, pieces)) == t.m_gamma - 1
+    assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)

@@ -70,7 +70,7 @@ RECORDS = {
     "ConnectingSet": (lambda: enumerate_connectors(T235), "members"),
     "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
     "CayleyGraph.cset": (lambda: CayleyGraph.from_triple(T235), "cset"),
-    "WalkCertificate": (lambda: snake_walk(T235), "inner"),
+    "WalkCertificate": (lambda: snake_walk(T235), "levels"),
     "Certificates": (lambda: certify(T235), "walk_verified"),
     "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),
 }

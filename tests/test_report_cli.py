@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import traceback
 
 import pytest
 
@@ -540,8 +541,10 @@ def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
     # arithmetic only: the prediction for n, never an allocation
     cli._check_memory(make_prime_triple(11, 13, 17).n)
     cli._check_memory(make_prime_triple(13, 17, 19).n)
-    with pytest.raises(TooLargeError):
-        cli._check_memory(make_prime_triple(101, 103, 107).n)
+    cli._check_memory(make_prime_triple(17, 19, 23).n)
+    for primes in ((19, 23, 29), (101, 103, 107)):
+        with pytest.raises(TooLargeError):
+            cli._check_memory(make_prime_triple(*primes).n)
 
 
 def _three_distinct_primes(abc: int) -> bool:
@@ -644,28 +647,32 @@ def test_cli_export_walk(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
 
 
-@pytest.mark.parametrize("argv", [["verify", "--budget-sources", "0"], ["hamiltonian", "--check"]])
+@pytest.mark.parametrize("argv", [["verify", "--budget-sources", "0"], ["hamiltonian", "--check"], ["params"]])
 def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
-    # the walk check replays H (b²c² = 1225 entries at (3,5,7)) once, each
-    # step both ways; no n-entry sequence reaches is_cycle, and only the
-    # inner walks along c and b are ever expanded into pieces
-    lengths = []
-    is_cycle, pieces = CayleyGraph.is_cycle, WalkCertificate.pieces
+    # the walk is checked level by level: no piece of it is ever built, and
+    # is_cycle (the fiber checks' replay) is never reached from verify_walk
+    is_cycle = CayleyGraph.is_cycle
+    callers = []
 
     def recorded(g, seq):
-        lengths.append(len(seq))
+        callers.append({frame.name for frame in traceback.extract_stack()})
         return is_cycle(g, seq)
 
-    def inner_only(w):
-        assert w.length <= 25 * 49, "the n-entry walk was built"
-        return pieces(w)
+    def refuse(w):
+        raise AssertionError("the walk was built")
 
     monkeypatch.setattr(CayleyGraph, "is_cycle", recorded)
-    monkeypatch.setattr(WalkCertificate, "pieces", inner_only)
+    monkeypatch.setattr(WalkCertificate, "pieces", refuse)
     assert cli.main(argv + ["--primes", "3,5,7"]) == 0
-    out = capsys.readouterr().out
-    assert "length: 11025\n" in out or "length=11025," in out
-    assert max(lengths) == 25 * 49 and lengths.count(25 * 49) == 1
+    verified = {
+        "verify": "PASS hamiltonian: kind=cycle, length=11025, endpoints=(0, 1225)\n",
+        "hamiltonian": "length: 11025\nendpoints: 0 1225\nverified: True\n",
+        "params": '"kind": "cycle",\n    "verified": true,',
+    }
+    assert verified[argv[0]] in capsys.readouterr().out
+    # fiber checks (iii), (vii) and (viii) are is_cycle's only callers
+    assert len(callers) == (0 if argv[0] == "hamiltonian" else 3)
+    assert not any("verify_walk" in names for names in callers)
 
 
 def test_cli_export_independent_set(tmp_path):

@@ -125,3 +125,6 @@ def test_certificate_modules_build_no_n_bit_set():
     for name in ("structure.py", "hamiltonian.py"):
         used = kernel & _code_references(_trees()[name])
         assert not used, f"{name} references {sorted(used)}"
+    # the walk is checked level by level: no vertex replay, no mark per vertex
+    used = {"is_cycle", "bytearray"} & _code_references(_trees()["hamiltonian.py"])
+    assert not used, f"hamiltonian.py references {sorted(used)}"
