@@ -1,8 +1,7 @@
 """Command-line front end: psqcayley SUBCOMMAND --primes A,B,C [OPTION ...]
 
   build        validate a triple and print n, |C|, degree
-  params       emit the certificate report as canonical JSON
-               [--seed N] [--oracle [--budget-sources N]] [--out FILE] [--timings]
+  params       emit the certificate report as canonical JSON [--seed N] [--out FILE] [--timings]
   verify       run the oracle suite; exit 1 on any mismatch [--seed N] [--budget-sources N]
   export       write a --format edges|dot|walk|independent-set file --out FILE [--config FILE]
   hamiltonian  construct the Hamiltonian cycle, and with [--check] verify it
@@ -14,16 +13,14 @@ verification mismatch, 2 usage or validation error, including a negative
 cannot be written, and a group too large for the memory limit (checked from
 n before anything is allocated, for every subcommand but `build`, which
 holds no per-vertex data: it prints |C| and the degree from the closed
-form).  `verify` and `params --oracle` sweep distances from vertex 0 plus
---budget-sources extras sampled with --seed, which `params` echoes.
-`export` reads `materialize-cap` from a `key = value` config file
-(--config).  Each subcommand accepts only the options it reads.  When
-$PSQCAYLEY_OUT_DIR is set, relative --out paths are placed inside it.
+form).  `verify` sweeps distances from vertex 0 plus --budget-sources
+extras sampled with --seed, which `params` echoes.  `export` reads
+`materialize-cap` from a `key = value` config file (--config).  Each
+subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -39,8 +36,7 @@ _CONFIG_KEYS = {"materialize-cap"}
 # each subcommand's options: an int or str option takes a value, a bool one is a flag
 OPTIONS = {
     "build": {"--primes": str},
-    "params": {"--primes": str, "--seed": int, "--oracle": bool, "--budget-sources": int,
-               "--out": str, "--timings": bool},
+    "params": {"--primes": str, "--seed": int, "--out": str, "--timings": bool},
     "verify": {"--primes": str, "--seed": int, "--budget-sources": int},
     "export": {"--primes": str, "--config": str, "--format": str, "--out": str},
     "hamiltonian": {"--primes": str, "--check": bool},
@@ -111,14 +107,6 @@ def _load_config(path: str) -> dict[str, int]:
     return values
 
 
-def _out_path(name: str) -> Path:
-    path = Path(name)
-    base = os.environ.get("PSQCAYLEY_OUT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
-
-
 def _parse_args(argv: list[str]) -> tuple[str, dict[str, object]]:
     """The subcommand and its options by OPTIONS; a repeated option keeps its last value."""
     if not argv or argv[0] not in OPTIONS:
@@ -160,11 +148,8 @@ def main(argv: list[str]) -> int:
         command, args = _parse_args(argv)
         triple = make_prime_triple(*_parse_primes(args["--primes"]))
         sources, seed, out = args.get("--budget-sources"), args.get("--seed", DEFAULT_SEED), args.get("--out")
-        if sources is not None:
-            if command == "params" and "--oracle" not in args:
-                raise UsageError("unrecognized arguments: --budget-sources (read only with --oracle)")
-            if sources < 0:
-                raise UsageError("--budget-sources must be nonnegative")
+        if sources is not None and sources < 0:
+            raise UsageError("--budget-sources must be nonnegative")
         config = _load_config(args["--config"]) if args.get("--config") else {}
         cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
 
@@ -180,18 +165,11 @@ def main(argv: list[str]) -> int:
         _check_memory(triple.n, EXPORT_BYTES_PER_VERTEX if edges_or_dot else BYTES_PER_VERTEX)
 
         if command == "params":
-            # both renderings share one certify, which reads neither sources nor seed
-            certs = report_mod.certify(triple) if "--oracle" in args else None
-            payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args, certs))
+            payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))
             if out:
-                _out_path(out).write_bytes(payload)
+                Path(out).write_bytes(payload)
             else:
                 sys.stdout.write(payload.decode("ascii"))
-            if "--oracle" in args:
-                outcome = report_mod.run_verification(triple, sources, seed, certificates=certs)
-                for line in outcome.lines:
-                    print(line, file=sys.stderr)
-                return 0 if outcome.ok else 1
             return 0
 
         if command == "verify":
@@ -203,18 +181,18 @@ def main(argv: list[str]) -> int:
 
         if command == "export":
             if edges_or_dot:
-                CayleyGraph.from_triple(triple).export(args["--format"], _out_path(out), cap=cap)
+                CayleyGraph.from_triple(triple).export(args["--format"], out, cap=cap)
                 return 0
             if args["--format"] == "walk":
                 # one chunk per piece of the walk, written as it is formatted
-                with open(_out_path(out), "w", encoding="ascii", newline="\n") as f:
+                with open(out, "w", encoding="ascii", newline="\n") as f:
                     for chunk in walk_lines(snake_walk(triple)):
                         f.write(chunk + "\n")
                 return 0
             cert = independence_certificate(triple)
             members = (base + r for base in range(0, triple.n, cert.period) for r in cert.residues)
             payload = ("\n".join(map(str, members)) + "\n").encode("ascii")
-            _out_path(out).write_bytes(payload)
+            Path(out).write_bytes(payload)
             return 0
 
         # hamiltonian, the last subcommand in OPTIONS

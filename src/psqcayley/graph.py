@@ -62,7 +62,6 @@ class ConnectivityResult(NamedTuple):
 
     connected: bool
     bezout: tuple[int, int, int]
-    bezout_holds: bool
     bfs_reached: int
 
 
@@ -248,7 +247,7 @@ class CayleyGraph(_GraphFields):
         u, v, w = bezout_witness(t)
         holds = u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
         reached = sum(level.bit_count() for level in self.bfs_levels(0))
-        return ConnectivityResult(holds and reached == t.n, (u, v, w), holds, reached)
+        return ConnectivityResult(holds and reached == t.n, (u, v, w), reached)
 
     def _bands(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:
         """(lo, hi, row) for ascending bands that tile [0, n): every vertex u

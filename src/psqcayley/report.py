@@ -91,21 +91,14 @@ def certify(t: PrimeTriple) -> Certificates:
     )
 
 
-def build_report(
-    t: PrimeTriple,
-    seed: int = DEFAULT_SEED,
-    include_timings: bool = False,
-    certificates: Certificates | None = None,
-) -> dict:
+def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool = False) -> dict:
     """Render the certificates of one triple as the report.
 
     The coloring and independence scans, the index-graph bounds and the
     block and fiber checks are always exhaustive.  `seed` is only echoed as
     `oracleSeed`: it samples the distance sweep of `run_verification`.
-    `certificates`, when given, is certify(t) already built, which is then
-    rendered instead of built again.
     """
-    c = certificates if certificates is not None else certify(t)
+    c = certify(t)
     g = c.graph
     clique = parameters.clique_certificate(t)
     return {
@@ -162,16 +155,12 @@ class VerificationOutcome(NamedTuple):
 
 
 def run_verification(
-    t: PrimeTriple,
-    sources: int | None = None,
-    seed: int = DEFAULT_SEED,
-    certificates: Certificates | None = None,
+    t: PrimeTriple, sources: int | None = None, seed: int = DEFAULT_SEED
 ) -> VerificationOutcome:
     """Render the certificates as one line per check, with the oracle suite
-    run against each.  `certificates` is as in `build_report`; `sources` and
-    `seed` are the distance sweep's extra sources and the seed that samples
-    them (`oracles.distance_sweep`)."""
-    c = certificates if certificates is not None else certify(t)
+    run against each.  `sources` and `seed` are the distance sweep's extra
+    sources and the seed that samples them (`oracles.distance_sweep`)."""
+    c = certify(t)
     g = c.graph
     lines: list[str] = []
     ok = True

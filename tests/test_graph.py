@@ -100,7 +100,8 @@ def test_bfs_distances():
 def test_connected_both_methods():
     res = G235.is_connected()
     assert res.connected
-    assert res.bezout_holds
+    u, v, w = res.bezout
+    assert u * T235.m_beta * T235.m_gamma + v * T235.m_alpha * T235.m_gamma + w * T235.m_alpha * T235.m_beta == 1
     assert res.bfs_reached == 900
     assert CayleyGraph.from_triple(T357).is_connected().connected
 

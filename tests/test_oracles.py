@@ -7,7 +7,6 @@ from psqcayley import (
     DEFAULT_SEED,
     CayleyGraph,
     build_report,
-    certify,
     clique_certificate,
     distance_sweep,
     element_order,
@@ -141,15 +140,14 @@ def test_exact_searches_agree_with_the_certified_bounds(primes):
     # neighbourhood of 0 holds no clique above c, the index graph no
     # independent set above a·b, as the certificates behind verify say
     t = make_prime_triple(*primes)
-    c = certify(t)
-    g = c.graph
+    g = CayleyGraph.from_triple(t)
     hood = [0] + neighbors(g, 0)
     clique = exact_max_clique(hood, g.adjacent)
     mis = exact_max_independent_set(IndexGraph(t))
-    verdicts = _verdicts(run_verification(t, 0, certificates=c).lines)
+    verdicts = _verdicts(run_verification(t, 0).lines)
     assert len(clique) == t.gamma
     assert verdicts["clique"] == verdicts["chromatic"] == "PASS"
-    assert len(mis) == t.alpha * t.beta == build_report(t, certificates=c)["indexGraphMIS"]
+    assert len(mis) == t.alpha * t.beta == build_report(t)["indexGraphMIS"]
     assert verdicts["independence"] == "PASS"
 
 
@@ -189,7 +187,6 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
     # and rejects K + 1, whose rotations tile too
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
-    certs = certify(t)
     m_ab, c = t.m_alpha * t.m_beta, t.gamma
     k = clique_certificate(t)
     s0 = g.periodic(c * m_ab, range(m_ab))
@@ -204,7 +201,7 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
     }
     for name, (planted, expected) in cases.items():
         monkeypatch.setattr(parameters, "clique_certificate", lambda t, _k=planted: _k)
-        line = run_verification(t, 0, certificates=certs).lines[5]
+        line = run_verification(t, 0).lines[5]
         cover = line.split("(cover by translates of K: ")[1].startswith("True")
         assert (cover, is_partition(g, (g.rotate(s0, x) for x in planted))) == expected, name
 

@@ -205,7 +205,6 @@ def test_cli_build_with_an_oversized_prime_exits_2_at_once(capsys, monkeypatch):
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
     # each usage error is one `error:` line on stderr, exit 2, and no output
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
     for argv, message in [
         ([], "expected a subcommand, one of build, params, verify, export, hamiltonian"),
         (["nonsense", "--primes", "2,3,5"], "expected a subcommand, one of"),
@@ -217,7 +216,7 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
         (["verify", "--primes", "2,3,5", "--seed", "x"], "--seed expects an integer, got 'x'"),
         (["params", "--primes", "2,3,5", "--out"], "--out expects a value"),
         (["params", "--primes", "2,3,5", "--out", "--timings"], "--out expects a value"),
-        (["params", "--primes", "2,3,5", "--oracle=1"], "--oracle takes no value"),
+        (["params", "--primes", "2,3,5", "--timings=1"], "--timings takes no value"),
     ]:
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
@@ -282,10 +281,15 @@ def test_cli_params_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_out_dir_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("PSQCAYLEY_OUT_DIR", str(tmp_path))
+def test_cli_relative_out_lands_in_the_working_directory(tmp_path, monkeypatch):
+    # --out is opened as given: no environment variable relocates it
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("PSQCAYLEY_OUT_DIR", str(elsewhere))
     assert cli.main(["params", "--primes", "2,3,5", "--out", "nested.json"]) == 0
-    assert (tmp_path / "nested.json").exists()
+    assert (tmp_path / "nested.json").read_bytes() == report_bytes(build_report(T235))
+    assert list(elsewhere.iterdir()) == []
 
 
 def test_cli_config_rejects_unknown_key(tmp_path, capsys):
@@ -302,7 +306,6 @@ def test_cli_config_rejects_unknown_key(tmp_path, capsys):
 
 def test_cli_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
     (tmp_path / "export.cfg").write_text("materialize-cap = 1000\n# again\nmaterialize-cap = 2000\n")
     argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config", "export.cfg"]
     assert cli.main(argv) == 2
@@ -324,7 +327,6 @@ def test_cli_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch):
 )
 def test_cli_config_rejects_a_malformed_line(line, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
     (tmp_path / "export.cfg").write_text(f"# cap\n{line}\n")
     argv = ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config", "export.cfg"]
     assert cli.main(argv) == 2
@@ -344,7 +346,6 @@ def test_cli_config_rejects_a_malformed_line(line, message, tmp_path, capsys, mo
 )
 def test_cli_config_rejects_a_key_its_subcommand_does_not_read(argv, key, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
     (tmp_path / "budgets.cfg").write_text(f"{key} = 5\n")
     assert cli.main([argv[0], "--primes", "2,3,5", *argv[1:], "--config", "budgets.cfg"]) == 2
     captured = capsys.readouterr()
@@ -383,7 +384,7 @@ def test_default_sweep_builds_its_budget_through_the_check(monkeypatch):
     assert swept == []
 
 
-@pytest.mark.parametrize("argv", [["verify"], ["params", "--oracle"]], ids=["flag", "params-oracle"])
+@pytest.mark.parametrize("argv", [["verify"]], ids=["flag"])
 def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
     # refused from the flag alone, before any graph is built
     monkeypatch.setattr(CayleyGraph, "from_triple", None)
@@ -400,6 +401,7 @@ def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
         ["build", "--config", "budgets.cfg"],
         ["params", "--config", "budgets.cfg"],
         ["params", "--budget-sources", "5"],
+        ["params", "--oracle", "--timings"],
         ["verify", "--config", "budgets.cfg"],
         ["export", "--format", "walk", "--out", "walk.txt", "--seed", "7"],
         ["hamiltonian", "--seed", "7"],
@@ -411,7 +413,6 @@ def test_cli_rejects_a_negative_source_budget(argv, capsys, monkeypatch):
 )
 def test_cli_rejects_an_option_its_subcommand_does_not_read(argv, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PSQCAYLEY_OUT_DIR", raising=False)
     (tmp_path / "budgets.cfg").write_text("seed = 7\n")
     assert cli.main([argv[0], "--primes", "2,3,5", *argv[1:]]) == 2
     captured = capsys.readouterr()
@@ -428,9 +429,8 @@ def test_certificates_bound_clique_and_independence_without_an_exact_search(monk
 
     monkeypatch.setattr(oracles_mod, "exact_max_clique", refuse)
     monkeypatch.setattr(oracles_mod, "exact_max_independent_set", refuse)
-    c = certify(T235)
-    assert build_report(T235, certificates=c)["indexGraphMIS"] == 6
-    outcome = run_verification(T235, 0, certificates=c)
+    assert build_report(T235)["indexGraphMIS"] == 6
+    outcome = run_verification(T235, 0)
     assert outcome.ok and not any("skip" in line.lower() for line in outcome.lines)
     assert outcome.lines[3:6] == tuple(VERIFY_235_SEED_7.splitlines()[3:6])
 
@@ -452,27 +452,22 @@ def test_report_above_the_export_cap_is_exhaustive():
     assert rep["diameter"]["value"] == 6
 
 
-def test_cli_params_oracle_gate(capsys):
-    code = cli.main(["params", "--primes", "2,3,5", "--oracle", "--budget-sources", "5"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert json.loads(captured.out)["n"] == 900
-    assert "PASS diameter" in captured.err
-
-
-def test_cli_params_oracle_certifies_once_and_renders_both_ways(capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["params", "verify"])
+def test_cli_params_and_verify_each_certify_once(command, capsys, monkeypatch):
+    # params renders the report and verify the checked lines, each from one graph
+    expected = report_bytes(build_report(T235, seed=7)).decode("ascii") if command == "params" else VERIFY_235_SEED_7
     calls = _count_builds(monkeypatch)
-    assert cli.main(["params", "--primes", "2,3,5", "--seed", "7", "--oracle"]) == 0
+    assert cli.main([command, "--primes", "2,3,5", "--seed", "7"]) == 0
     assert calls == {"from_triple": 1}
     captured = capsys.readouterr()
-    assert captured.out.encode("ascii") == report_bytes(build_report(T235, seed=7))
-    assert captured.err == VERIFY_235_SEED_7.replace("verification OK\n", "")
+    assert captured.out == expected
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["params", "--oracle"],
+        ["params"],
         ["verify"],
         ["hamiltonian", "--check"],
         ["export", "--format", "walk", "--out", "{out}"],
@@ -554,7 +549,7 @@ def _three_distinct_primes(abc: int) -> bool:
 
 @pytest.mark.parametrize(
     "argv",
-    [["verify"], ["params", "--oracle"], ["hamiltonian", "--check"], ["export", "--format", "walk", "--out", "{out}"]],
+    [["verify"], ["params"], ["hamiltonian", "--check"], ["export", "--format", "walk", "--out", "{out}"]],
     ids=lambda argv: argv[0],
 )
 def test_cli_the_smallest_triple_over_the_memory_limit_exits_2_at_once(argv, tmp_path, capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """The package exports only what the package itself uses, every public
 function and method has a caller in the package, no module imports what it
-does not use, every module-level constant is read, and every CLI option is
-read by `cli.main`.  The checks read the sources with `ast`."""
+does not use, every module-level constant and record field is read, every CLI
+option is read by `cli.main`, and no module reads the environment.  The checks
+read the sources with `ast`."""
 
 import ast
 import re
@@ -105,6 +106,36 @@ def test_every_module_constant_is_read_in_the_package():
     assert not defined - read, f"defined but never read: {sorted(defined - read)}"
 
 
+def test_every_record_field_is_read_in_the_package():
+    # a field is read as an attribute, or the record is unpacked whole into
+    # names that spell its fields, as `for h, order, reps in coset_plan`
+    fields, read, unpacked = {}, set(), set()
+    for tree in _trees().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
+                fields[node.name] = tuple(f.target.id for f in node.body if isinstance(f, ast.AnnAssign))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
+                unpacked.add(tuple(getattr(e, "id", None) for e in node.elts))
+    assert fields, "no NamedTuple found"
+    unread = [
+        f"{record}.{field}"
+        for record, names in fields.items()
+        if names not in unpacked
+        for field in names
+        if field not in read
+    ]
+    assert not unread, f"record fields never read: {unread}"
+
+
+def test_no_module_reads_the_environment():
+    # each value has one way in, the command line; no variable overrides it
+    for name, tree in _trees().items():
+        used = {"environ", "getenv"} & _code_references(tree)
+        assert not used, f"{name} references {sorted(used)}"
+
+
 def test_every_cli_option_is_read():
     # an option that main never reads would be a knob that does nothing; main
     # reads each one by its name, as args["--x"], args.get("--x") or "--x" in args
@@ -114,6 +145,7 @@ def test_every_cli_option_is_read():
     named = {node.value for node in ast.walk(main) if isinstance(node, ast.Constant)}
     options = set().union(*cli.OPTIONS.values())
     assert {"--primes", "--seed", "--budget-sources", "--config"} <= options
+    assert set(cli.OPTIONS["params"]) == {"--primes", "--seed", "--out", "--timings"}
     unread = options - named
     assert not unread, f"options that cli.main never reads: {sorted(unread)}"
 
