@@ -45,8 +45,8 @@ OPTIONS = {
 
 # Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux).  `verify --budget-sources 0` peaks at 8.3 bytes at (2,3,167), 7.8 at
-# (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 8.2 at
+# Linux).  `verify --budget-sources 0` peaks at 7.0 bytes at (2,3,167), 6.8 at
+# (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 5.3 at
 # (2,3,167); the walk export at 3.4 at (2,3,167) and the independent-set export
 # at 4.8 at (11,13,17).  The edges and dot exports hold every vertex's name and
 # a chunk of rows |C| wide: with materialize-cap raised, dot peaks at 69.1 at

@@ -32,7 +32,7 @@ lists the members of any set in ascending order.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, islice
+from math import gcd
 from os import PathLike
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -98,20 +98,13 @@ class CayleyGraph(_GraphFields):
         """True iff the vertices are pairwise adjacent."""
         return all(self.adjacent(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
 
-    def is_cycle(self, seq: Sequence[int]) -> bool:
-        """True iff seq lists at least 3 distinct vertices, each adjacent to
-        the next and the last to the first both ways: a step by d needs d and
-        n − d in C, so seq reversed passes too."""
-        n = self.triple.n
-        if len(seq) < 3 or not all(0 <= v < n for v in seq) or len(set(seq)) < len(seq):
-            return False
-        # every entry is now a distinct vertex, so adjacency is membership of the difference
-        connectors = self.connector_set
-        for u, v in chain(zip(seq, islice(seq, 1, None)), [(seq[-1], seq[0])]):
-            d = (v - u) % n
-            if d not in connectors or n - d not in connectors:
-                return False
-        return True
+    def is_step_cycle(self, step: int, length: int) -> bool:
+        """True iff x, x + step, …, x + (length − 1)·step, closed by step back
+        to x, is a cycle for every x: length ≥ 3, step has order exactly
+        length, and step and −step are both connectors, so the cycle is
+        walked either way."""
+        n, connectors = self.triple.n, self.connector_set
+        return length >= 3 and n // gcd(step, n) == length and {step % n, -step % n} <= connectors
 
     # -- bitset kernel ------------------------------------------------------
 

@@ -17,19 +17,27 @@ The certificate is the lemma's own data: one level (step, rows) per
 application, ((e_c, c²), (e_b, b²), (e_a, a²)), and n.  No vertex sequence
 is stored.  `verify_walk` decides the n-vertex walk from the levels alone:
 
-- each step has order exactly its rows, and each level's rows are coprime to
-  the product of the rows below it, which is n at the top.  The walk below
-  level k covers the subgroup ⊕_{j<k}⟨s_j⟩ once, and that subgroup meets
-  each coset of ⟨s_k⟩ once iff the orders are coprime, so the rows of every
-  level are disjoint translates and the walk visits every vertex once;
-- every joint of every level -- from the head into row 0, from each row's
-  end to the next row's start, into and along the climb column and back to
-  the head -- is an edge both ways.  Every other step lies inside a row, a
-  translate of a lower level's step walked forwards or, in odd rows,
-  backwards, and every translation is an automorphism (Godsil & Royle,
-  GTM 207, §3.1).
+- each level's step s has order exactly its rows, at least 3, and s and −s
+  are both connectors (`CayleyGraph.is_step_cycle`); fewer than 3 rows
+  would let the identity level (0, 1) lift a walk to itself;
+- each level's rows are coprime to the product of the rows below it, which
+  is n at the top.  The walk below level k covers the subgroup ⊕_{j<k}⟨s_j⟩
+  once, and that subgroup meets each coset of ⟨s_k⟩ once iff the orders are
+  coprime, so the rows of every level are disjoint translates and the walk
+  visits every vertex once.
 
-That is O(a² + b² + c²) work, and nothing n-sized is built.  `pieces`
+Level k lifts a walk W with head 0, second entry w₁ and last entry w_last,
+and each of its steps is one of four kinds: +s, from a row's end to the next
+row's start; −s, along the climb column and back to the head; a step of W
+itself, from the head into row 0 by w₁ and onto the climb by −w₁ or −w_last
+(the last row ends at (rows − 1)·s + w₁ or + w_last); and, inside a row, a
+translate of a step of W, walked forwards or, in odd rows, backwards.  Every
+translation is an automorphism (Godsil & Royle, GTM 207, §3.1), so with the
+level below already checked both ways, level k is a cycle iff ±s ∈ C.  From
+the one-vertex walk [0] every step is −s, so the first level is the cycle of
+its step alone.
+
+That is O(1) work per level, and nothing n-sized is built.  `pieces`
 streams the walk for the export: the head, then translates of the innermost
 level's tail between the outer levels' climbs, none of c² or more entries.
 """
@@ -90,38 +98,18 @@ def snake_walk(t: PrimeTriple) -> WalkCertificate:
     return WalkCertificate(tuple(zip(reversed(crt_basis(t)), reversed(t.moduli))), t.n)
 
 
-def _joints(step: int, rows: int, ends: tuple[int, ...]) -> Iterator[tuple[int, int]]:
-    """Every step of one lift that is not inside a row, as (from, to): the
-    lifted walk has head 0 and the second and last entries ends, or none
-    when it is [0]."""
-    prev = 0
-    for r in range(rows) if ends else ():
-        first, last = ends if r % 2 == 0 else ends[::-1]
-        yield prev, r * step + first
-        prev = r * step + last
-    for r in range(rows - 1, 0, -1):
-        yield prev, r * step
-        prev = r * step
-    yield prev, 0
-
-
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
-    """Check the certificate against g level by level: each step has order
-    its rows, the rows are pairwise coprime with product n, and every joint
-    of every level is an edge both ways."""
-    n, connectors = g.triple.n, g.connector_set
-    if w.n != n:
+    """Check the certificate against g level by level: the rows are pairwise
+    coprime with product n, and each level's step is the step of a cycle of
+    its rows in g, which decides every joint (module docstring)."""
+    if w.n != g.triple.n:
         return False
-    size, ends = 1, ()
+    size = 1
     for step, rows in w.levels:
-        if n // gcd(step, n) != rows or gcd(rows, size) != 1:
+        if gcd(rows, size) != 1 or not g.is_step_cycle(step, rows):
             return False
-        if any((v - u) % n not in connectors or (u - v) % n not in connectors
-               for u, v in _joints(step, rows, ends)):
-            return False
-        # the lifted walk keeps its second entry, or climbs to it from [0], and ends one step above 0
-        size, ends = size * rows, (ends[0] if ends else (rows - 1) * step, step)
-    return size == n
+        size *= rows
+    return size == w.n
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[str]:

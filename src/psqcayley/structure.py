@@ -11,20 +11,27 @@ R + (c mod P), and every block check is decided on residues mod P.  The
 blocks partition the vertex set and are always independent.  All verifiers
 here check the literal claims against arithmetic adjacency, independently of
 the constructors that produced the objects; the cycle claims (fiber checks
-iii, vii and viii) go through `CayleyGraph.is_cycle`, once each.
+iii, vii and viii) go through `CayleyGraph.is_step_cycle`, once each.
 
-The block checks and fiber checks (i) and (iii) are claims about every set
-of a family of translates, and in a Cayley graph on Z_n every translation
+The block checks and fiber check (i) are claims about every set of a
+family of translates, and in a Cayley graph on Z_n every translation
 x ↦ x + s is an automorphism, so each is decided on one representative.  The
 blocks are the translates of B₀ = P·Z_n: translating by a vertex with
 residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
 every block pair, and block 0's construction decides the partition.  The
-gamma fibers are the translates of the interval [0, a²b²) and the
-(alpha, beta) cells those of cell 0, so the connectors decide fiber check
-(i) and one cycle check (iii).  Likewise the a² cross-section sequences of
-check (viii) are translates of fiber 0's, so one cycle check decides their
-cycle claim.  No check here builds an n-bit set.
+gamma fibers are the translates of the interval [0, a²b²), so the
+connectors decide fiber check (i).
+
+Each cycle claim steps by one element s: x, x + s, …, x + (L − 1)·s, closed
+by s back to x.  Its entries are distinct iff s has order at least L, the
+closing step is s iff L·s ≡ 0, and every step, either way, is an edge iff s
+and −s are connectors; so the sequence is a cycle for every x iff L ≥ 3, s
+has order exactly L and ±s ∈ C.  The (alpha, beta) cells of check (iii)
+step by a²b² with L = c², the representatives of check (vii) by b²c² with
+L = a², and the a² cross-section sequences of check (viii) by a²c² with
+L = b², so one step rule decides each claim for every cell or fiber at
+once.  No check here builds an n-bit set.
 """
 
 from __future__ import annotations
@@ -156,8 +163,8 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     item_ii = all((dk * m_ab in connectors) == (dk % gamma != 0) for dk in range(1, m_c))
 
     # (iii) the cycle of cell r + s·a², base + k·a²b² (k < c²), is the
-    # translate of cell 0's, so cell 0's, re-verified edge by edge, decides all
-    item_iii = g.is_cycle([k * m_ab for k in range(m_c)])
+    # translate of cell 0's, which steps by a²b², so one step rule decides all
+    item_iii = g.is_step_cycle(m_ab, m_c)
 
     # (iv) nonzero multiples of c² hit every cell except (0, 0) exactly once;
     # cell (x mod a², (x mod a²b²) // a²) is numbered by x mod a²b²
@@ -176,17 +183,19 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
         reps.setdefault(x % m_a, []).append(x)
     item_vi = len(reps) == m_a and all(len(v) == 1 for v in reps.values())
 
-    # (vii) the representatives, in exponent order, form a cycle
-    item_vii = g.is_cycle(sorted(x for xs in reps.values() for x in xs))
+    # (vii) the representatives, in exponent order, are the multiples
+    # k·b²c² (k < a²), a cycle stepping by b²c²
+    in_order = sorted(x for xs in reps.values() for x in xs)
+    item_vii = in_order == [k * m_b * m_c for k in range(m_a)] and g.is_step_cycle(m_b * m_c, m_a)
 
     # (viii) per alpha fiber: stepping by a²c² from the representative builds a
-    # cycle that crosses each beta fiber exactly once; fiber r's sequence is
-    # fiber 0's translated by their representatives' difference, so fiber 0's
-    # cycle check decides all, and membership and crossings stay per fiber
+    # cycle that crosses each beta fiber exactly once; every fiber's sequence
+    # steps by a²c², so one step rule decides the cycles, and membership and
+    # crossings stay per fiber
     item_viii = item_vi
     if item_vi:
         seqs = [[(reps[r][0] + l * m_a * m_c) % n for l in range(m_b)] for r in range(m_a)]
-        item_viii = g.is_cycle(seqs[0]) and all(
+        item_viii = g.is_step_cycle(m_a * m_c, m_b) and all(
             all(x % m_a == r for x in seq) and {(x % m_ab) // m_a for x in seq} == set(range(m_b))
             for r, seq in enumerate(seqs)
         )

@@ -7,7 +7,8 @@ triple enumeration by direct search.  The per-vertex references
 (`crt_components`, `residue_sum_color`, `block_of`, `neighbors`) state one
 vertex at a time what the library builds as whole vertex sets, and
 `snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
-the product lemma's levels.
+the product lemma's levels, and `is_cycle` replays a vertex sequence edge by
+edge where the library decides a cycle by its step.
 
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
@@ -19,7 +20,7 @@ behind α ≤ n/c) that the library decides on quotients.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 
 from psqcayley import (
     BlockId,
@@ -130,6 +131,23 @@ def neighbors(g: CayleyGraph, u: int) -> list[int]:
     """The degree-many neighbours u + c (c in C) of vertex u, sorted ascending."""
     n = g.triple.n
     return sorted((u + c) % n for c in g.cset.members)
+
+
+def is_cycle(g: CayleyGraph, seq) -> bool:
+    """True iff seq lists at least 3 distinct vertices, each adjacent to
+    the next and the last to the first both ways: a step by d needs d and
+    n − d in C, so seq reversed passes too.  The n-entry reference for
+    `CayleyGraph.is_step_cycle`, which decides a cycle by its step."""
+    n = g.triple.n
+    if len(seq) < 3 or not all(0 <= v < n for v in seq) or len(set(seq)) < len(seq):
+        return False
+    # every entry is now a distinct vertex, so adjacency is membership of the difference
+    connectors = g.connector_set
+    for u, v in chain(zip(seq, islice(seq, 1, None)), [(seq[-1], seq[0])]):
+        d = (v - u) % n
+        if d not in connectors or n - d not in connectors:
+            return False
+    return True
 
 
 def snake_sequence(t: PrimeTriple) -> tuple[int, ...]:

@@ -1,4 +1,6 @@
 import re
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 from psqcayley import CayleyGraph, TooLargeError, clique_certificate, graph, make_prime_triple
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
+from psqcayley.group import crt_basis
 
-from helpers import neighbors, snake_sequence
+from helpers import is_cycle, neighbors, snake_sequence
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -54,25 +57,56 @@ def _cell_zero_cycle(t) -> list[int]:
 @pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
 def test_is_cycle_accepts_the_cell_cycle_and_the_snake_walk(t):
     g = CayleyGraph.from_triple(t)
-    assert g.is_cycle(_cell_zero_cycle(t))
-    assert g.is_cycle(snake_sequence(t))
+    assert is_cycle(g, _cell_zero_cycle(t))
+    assert is_cycle(g, snake_sequence(t))
 
 
 def test_is_cycle_rejects_each_fault():
     cycle = _cell_zero_cycle(T235)  # 0, 36, ..., 864
     n = T235.n
-    assert G235.is_cycle(cycle[:3])  # 0, 36, 72: a triangle
-    assert not G235.is_cycle(cycle[:2])  # fewer than 3 entries
-    assert not G235.is_cycle([])
-    assert not G235.is_cycle(cycle + [cycle[1]])  # a repeated vertex
+    assert is_cycle(G235, cycle[:3])  # 0, 36, 72: a triangle
+    assert not is_cycle(G235, cycle[:2])  # fewer than 3 entries
+    assert not is_cycle(G235, [])
+    assert not is_cycle(G235, cycle + [cycle[1]])  # a repeated vertex
     for bad in (-1, n):  # an entry outside [0, n)
-        assert not G235.is_cycle(cycle[:-1] + [bad])
+        assert not is_cycle(G235, cycle[:-1] + [bad])
     # a non-edge step: 0 → 180 has order 5
     assert not G235.adjacent(0, 180)
-    assert not G235.is_cycle([36, 0, 180, 144, 72])
+    assert not is_cycle(G235, [36, 0, 180, 144, 72])
     # every step an edge (36, 36, 225), but no closing edge: 297 has order 100
     assert G235.adjacent(72, 297) and not G235.adjacent(297, 0)
-    assert not G235.is_cycle([0, 36, 72, 297])
+    assert not is_cycle(G235, [0, 36, 72, 297])
+
+
+def _step_rule_graphs(t):
+    """The true graph of t, the graph without each +e for e in crt_basis(t)
+    (−e stays, a one-way connector), and at even n the graph with n/2 added,
+    an element of order 2."""
+    g = CayleyGraph.from_triple(t)
+    members = g.cset.members
+    yield g
+    for e in crt_basis(t):
+        yield CayleyGraph(t, ConnectingSet(tuple(c for c in members if c != e)))
+    if t.n % 2 == 0:
+        yield CayleyGraph(t, ConnectingSet(tuple(sorted(members + (t.n // 2,)))))
+
+
+def test_step_rule_equals_the_sequence_replay():
+    # is_step_cycle(s, L) against the replay of 0, s, …, (L − 1)·s closed by
+    # s: every s at (2,3,5), every 7th at (3,5,7), each L near 3 and near
+    # the order of s, in the true, one-way and order-2-planted sets
+    verdicts = Counter()
+    for t, stride in ((T235, 1), (T357, 7)):
+        n, graphs = t.n, list(_step_rule_graphs(t))
+        for s in range(0, n, stride):
+            order = n // gcd(s, n)
+            for length in {1, 2, 3, 4, order - 1, order, order + 1}:
+                seq = [k * s % n for k in range(length)]
+                for g in graphs:
+                    rule = g.is_step_cycle(s, length)
+                    verdicts[rule, is_cycle(g, seq) and length * s % n == 0] += 1
+    assert verdicts[True, False] == verdicts[False, True] == 0
+    assert sum(verdicts.values()) == 75_457 and verdicts[True, True] > 0
 
 
 def test_degree_regular():

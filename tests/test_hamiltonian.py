@@ -17,6 +17,7 @@ from psqcayley.group import crt_basis
 
 from helpers import (
     crt_components,
+    is_cycle,
     order_scan_connectors,
     snake_sequence,
     tiles,
@@ -59,7 +60,7 @@ def _n_entry_replay(w: WalkCertificate, g: CayleyGraph) -> bool:
     """The walk verdict on every vertex: the pieces, concatenated, are a
     permutation of [0, n) and a cycle of g both ways."""
     seq = walk_sequence(w)
-    return sorted(seq) == list(range(g.triple.n)) and g.is_cycle(seq)
+    return sorted(seq) == list(range(g.triple.n)) and is_cycle(g, seq)
 
 
 def _open_path(cycle, g):
@@ -91,7 +92,7 @@ def test_full_sequence_replays_at_the_ladder(t):
     # the n-entry replay through the connector set, which verify_walk avoids
     seq = walk_sequence(snake_walk(t))
     assert len(seq) == t.n
-    assert CayleyGraph.from_triple(t).is_cycle(seq)
+    assert is_cycle(CayleyGraph.from_triple(t), seq)
 
 
 def test_first_three_vertices_run_along_top_axis():
@@ -173,7 +174,7 @@ def test_inner_cycle_leaving_the_subgroup_fails():
     assert not verify_walk(leaving, G235)
     inner = walk_sequence(WalkCertificate(leaving.levels[:2], T235.n))
     assert sorted(inner) == sorted(walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
-    assert not G235.is_cycle(inner)
+    assert not is_cycle(G235, inner)
     assert _oracle_problems(walk_sequence(leaving), T235) == ["a step is no edge"]
 
 
@@ -205,7 +206,7 @@ def _level_faults(walk: WalkCertificate, t) -> dict[str, WalkCertificate]:
 
 @pytest.mark.parametrize("t", [T235, T237, T357], ids=_ids)
 def test_walk_partition_by_residues_equals_its_n_bit_reference(t):
-    # the level rule (orders coprime, product n, joints edges both ways)
+    # the level rule (orders coprime, product n, each step ±s ∈ C)
     # against the n-entry replay, on the certificate and under every planted
     # level fault, and in connecting sets missing −e_c, −e_b or −e_a
     g = CayleyGraph.from_triple(t)
@@ -219,6 +220,48 @@ def test_walk_partition_by_residues_equals_its_n_bit_reference(t):
     for e in crt_basis(t):
         one_way = CayleyGraph(t, ConnectingSet(tuple(c for c in g.cset.members if c != -e % t.n)))
         assert not verify_walk(walk, one_way) and not _n_entry_replay(walk, one_way), e
+
+
+def _with_identity(walk: WalkCertificate, k: int, step: int) -> WalkCertificate:
+    """The certificate with the level (step, 1) inserted at position k."""
+    levels = list(walk.levels)
+    levels.insert(k, (step, 1))
+    return walk._replace(levels=tuple(levels))
+
+
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=_ids)
+def test_identity_level_is_rejected_at_every_position(t):
+    # one row of step 0 or n lifts a walk to itself, so the replay accepts
+    # the walk with it inserted anywhere; a level needs at least 3 rows
+    g = CayleyGraph.from_triple(t)
+    walk = snake_walk(t)
+    for k in range(len(walk.levels) + 1):
+        for step in (0, t.n):
+            w = _with_identity(walk, k, step)
+            assert walk_sequence(w) == walk_sequence(walk), (k, step)
+            assert _n_entry_replay(w, g) and not verify_walk(w, g), (k, step)
+
+
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=_ids)
+def test_walk_check_is_sound_under_every_planted_fault(t):
+    # every certificate that verify_walk accepts replays as a Hamiltonian
+    # cycle: each level fault and identity level, in the true graph and in
+    # the connecting sets without +e or −e for each e in crt_basis(t)
+    g, n, walk = CayleyGraph.from_triple(t), t.n, snake_walk(t)
+    graphs = [g] + [
+        CayleyGraph(t, ConnectingSet(tuple(c for c in g.cset.members if c != d)))
+        for e in crt_basis(t)
+        for d in (e, -e % n)
+    ]
+    faults = [*_level_faults(walk, t).values()]
+    faults += [_with_identity(walk, k, step) for k in range(4) for step in (0, n)]
+    accepted = 0
+    for h in graphs:
+        for w in faults:
+            if verify_walk(w, h):
+                accepted += 1
+                assert _n_entry_replay(w, h), w
+    assert accepted > 1
 
 
 def test_step_off_the_a_axis_fails_at_the_joints():
@@ -247,8 +290,8 @@ def test_certificate_for_another_n_fails():
 
 def test_reversed_rows_are_replayed_as_walked():
     # the c level's walk steps by −e_c only, so in a connecting set without
-    # +e_c every one of its joints is a connector one way; but the b level's
-    # odd rows walk it backwards, by +e_c.  The joints are checked both ways,
+    # +e_c every one of its steps is a connector one way; but the b level's
+    # odd rows walk it backwards, by +e_c.  Each step is checked both ways,
     # so verify_walk sees the odd rows' fault without walking them
     _, _, e_c = crt_basis(T357)
     n = T357.n
@@ -274,17 +317,31 @@ def test_every_desk_scale_triple_verifies():
         assert walk_sequence(walk) == snake_sequence(t), t.primes
 
 
-def test_walk_verifies_far_beyond_the_memory_limit():
-    # n ≈ 1.24·10¹²: the check reads a² + b² + c² joints, never n entries
+def test_walk_verifies_far_beyond_the_memory_limit(monkeypatch):
+    # n ≈ 1.24·10¹²: the check decides each level by its step, one
+    # is_step_cycle call per level it reaches, and never builds the walk
     t = make_prime_triple(101, 103, 107)
     g = CayleyGraph.from_triple(t)
     walk = snake_walk(t)
+    is_step_cycle, calls = CayleyGraph.is_step_cycle, []
+
+    def counted(graph, step, length):
+        calls.append((step, length))
+        return is_step_cycle(graph, step, length)
+
+    def refuse(w):
+        raise AssertionError("the walk was built")
+
+    monkeypatch.setattr(CayleyGraph, "is_step_cycle", counted)
+    monkeypatch.setattr(WalkCertificate, "pieces", refuse)
     for k in range(3):
         step, rows = walk.levels[k]
         for w, expected in ((walk, True), (_with_level(walk, k, step, rows + 1), False)):
+            calls.clear()
             start = time.perf_counter()
             assert verify_walk(w, g) is expected, k
             assert time.perf_counter() - start < 1.0
+            assert calls == list(w.levels[: 3 if expected else k + 1]), k
 
 
 def test_top_fiber_coverage():

@@ -645,18 +645,19 @@ def test_cli_export_walk(tmp_path):
 @pytest.mark.parametrize("argv", [["verify", "--budget-sources", "0"], ["hamiltonian", "--check"], ["params"]])
 def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
     # the walk is checked level by level: no piece of it is ever built, and
-    # is_cycle (the fiber checks' replay) is never reached from verify_walk
-    is_cycle = CayleyGraph.is_cycle
+    # each level, like each of fiber checks (iii), (vii) and (viii), is one
+    # is_step_cycle call
+    is_step_cycle = CayleyGraph.is_step_cycle
     callers = []
 
-    def recorded(g, seq):
+    def recorded(g, step, length):
         callers.append({frame.name for frame in traceback.extract_stack()})
-        return is_cycle(g, seq)
+        return is_step_cycle(g, step, length)
 
     def refuse(w):
         raise AssertionError("the walk was built")
 
-    monkeypatch.setattr(CayleyGraph, "is_cycle", recorded)
+    monkeypatch.setattr(CayleyGraph, "is_step_cycle", recorded)
     monkeypatch.setattr(WalkCertificate, "pieces", refuse)
     assert cli.main(argv + ["--primes", "3,5,7"]) == 0
     verified = {
@@ -665,9 +666,11 @@ def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
         "params": '"kind": "cycle",\n    "verified": true,',
     }
     assert verified[argv[0]] in capsys.readouterr().out
-    # fiber checks (iii), (vii) and (viii) are is_cycle's only callers
-    assert len(callers) == (0 if argv[0] == "hamiltonian" else 3)
-    assert not any("verify_walk" in names for names in callers)
+    # three levels, and three fiber checks wherever the structure stage runs
+    walk = sum("verify_walk" in names for names in callers)
+    fiber = sum("verify_fiber_structure" in names for names in callers)
+    assert (walk, fiber) == (3, 0 if argv[0] == "hamiltonian" else 3)
+    assert len(callers) == walk + fiber
 
 
 def test_cli_export_independent_set(tmp_path):

@@ -16,7 +16,14 @@ from psqcayley import (
 )
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
-from helpers import adjacency_by_neighbourhood, block_of, block_set, is_partition, triples_with_group_order_at_most
+from helpers import (
+    adjacency_by_neighbourhood,
+    block_of,
+    block_set,
+    is_cycle,
+    is_partition,
+    triples_with_group_order_at_most,
+)
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -99,7 +106,7 @@ def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
     t = g.triple
     m_a, m_ab = t.m_alpha, t.m_alpha * t.m_beta
     return all(
-        g.is_cycle([r + s * m_a + k * m_ab for k in range(t.m_gamma)])
+        is_cycle(g, [r + s * m_a + k * m_ab for k in range(t.m_gamma)])
         for r in range(m_a)
         for s in range(t.m_beta)
     )
@@ -112,7 +119,7 @@ def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
     reps = {x % m_a: x for x in (k * m_b * t.m_gamma % t.n for k in range(m_a))}
     for r in range(m_a):
         seq = [(reps[r] + l * m_a * t.m_gamma) % t.n for l in range(m_b)]
-        if not g.is_cycle(seq) or any(x % m_a != r for x in seq):
+        if not is_cycle(g, seq) or any(x % m_a != r for x in seq):
             return False
         if {(x % (m_a * m_b)) // m_a for x in seq} != set(range(m_b)):
             return False
@@ -195,10 +202,10 @@ def test_structure_checks_run_above_twenty_thousand_vertices():
 
 def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch):
     # no per-block or per-fiber loop and no n-bit set: the construction of
-    # block 0 (sorted, never a bitset) and one cycle check each for (iii),
+    # block 0 (sorted, never a bitset) and one step rule each for (iii),
     # (vii) and (viii), whatever the triple; fiber (i) reads the connectors
     # and block adjacency their residues mod abc, with no neighbourhood
-    calls = {"neighborhood": 0, "bitset": 0, "is_cycle": 0}
+    calls = {"neighborhood": 0, "bitset": 0, "is_step_cycle": 0}
     periods = []
     inside = [False]
 
@@ -231,17 +238,17 @@ def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch
         return periodic(g, period, residues)
 
     counted(graph.CayleyGraph, "neighborhood")
-    counted(graph.CayleyGraph, "is_cycle")
+    counted(graph.CayleyGraph, "is_step_cycle")
     counted(graph.CayleyGraph, "bitset")
     monkeypatch.setattr(graph.CayleyGraph, "periodic", recorded)
     for name in ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
         stage(name)
     for t in (T235, T357):
-        calls.update(neighborhood=0, bitset=0, is_cycle=0)
+        calls.update(neighborhood=0, bitset=0, is_step_cycle=0)
         periods.clear()
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 0, "bitset": 0, "is_cycle": 3}
+        assert calls == {"neighborhood": 0, "bitset": 0, "is_step_cycle": 3}
         assert periods == []
 
 

@@ -160,3 +160,11 @@ def test_certificate_modules_build_no_n_bit_set():
     # the walk is checked level by level: no vertex replay, no mark per vertex
     used = {"is_cycle", "bytearray"} & _code_references(_trees()["hamiltonian.py"])
     assert not used, f"hamiltonian.py references {sorted(used)}"
+
+
+def test_no_module_replays_a_cycle_sequence():
+    # a cycle is decided by its step (CayleyGraph.is_step_cycle); the
+    # sequence replay is the tests' reference, and no level's joints are listed
+    for path in sorted(PACKAGE.glob("*.py")):
+        found = set(re.findall(r"\b(?:is_cycle|_joints)\b", path.read_text()))
+        assert not found, f"{path.name} references {sorted(found)}"
