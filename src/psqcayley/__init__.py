@@ -29,6 +29,7 @@ from .hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
     DEFAULT_SEED,
     SweepReport,
+    closed_form_distance_classes,
     distance_sweep,
     exact_max_clique,
     exact_max_independent_set,
@@ -41,7 +42,6 @@ from .parameters import (
     IndexBoundsReport,
     clique_certificate,
     closed_form_distance,
-    closed_form_distance_classes,
     closed_form_distance_table,
     diameter,
     independence_certificate,

@@ -11,12 +11,13 @@ repeated one wins; -h or --help prints this text.  Exit codes: 0 success, 1
 verification mismatch, 2 usage or validation error, including a negative
 --budget-sources, a --config file that cannot be read, an --out file that
 cannot be written, and a group too large for the memory limit (checked from
-n before anything is allocated, for every subcommand but `build`, which
-holds no per-vertex data: it prints |C| and the degree from the closed
-form).  `verify` sweeps distances from vertex 0 plus --budget-sources
-extras sampled with --seed, which `params` echoes.  `export` reads
-`materialize-cap` from a `key = value` config file (--config).  Each
-subcommand accepts only the options it reads.
+n before anything is allocated, for every subcommand but `build` and plain
+`hamiltonian`, which hold no per-vertex data: they print |C| and the degree
+from the closed form, or the walk from the moduli).  `verify` sweeps
+distances from vertex 0 plus --budget-sources extras sampled with --seed,
+which `params` echoes.  `export` reads `materialize-cap` from a
+`key = value` config file (--config).  Each subcommand accepts only the
+options it reads.
 """
 
 from __future__ import annotations
@@ -162,7 +163,8 @@ def main(argv: list[str]) -> int:
             return 0
 
         edges_or_dot = args.get("--format") in ("edges", "dot")
-        _check_memory(triple.n, EXPORT_BYTES_PER_VERTEX if edges_or_dot else BYTES_PER_VERTEX)
+        if command != "hamiltonian" or "--check" in args:
+            _check_memory(triple.n, EXPORT_BYTES_PER_VERTEX if edges_or_dot else BYTES_PER_VERTEX)
 
         if command == "params":
             payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))

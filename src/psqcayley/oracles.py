@@ -5,18 +5,18 @@ against the closed-form distance and a deterministic triangle scan, which
 `verify` runs; and, as test references for the bounds `verify` decides by
 certificate, exact maximum-clique search (bitset branch and bound with a
 greedy coloring bound) and exact maximum independent set on the index graph
-(clique search on the complement).  Nothing here consults the closed-form
-constructors it is used to check.
+(clique search on the complement).  The one closed form here is what the
+sweep checks against, `closed_form_distance_classes`, by the per-prime cost.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import CayleyGraph
-from .group import divisors, prime_factors
-from .parameters import closed_form_distance_classes
+from .group import PrimeTriple, divisors, prime_factors
 from .structure import BlockId, IndexGraph
 
 DEFAULT_SEED = 12345
@@ -105,6 +105,25 @@ def exact_max_independent_set(ig: IndexGraph) -> list[BlockId]:
     """Exact maximum independent set of the index graph, via a maximum clique
     of its complement."""
     return exact_max_clique(ig.ids(), lambda x, y: not ig.adjacent(x, y))
+
+
+def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
+    """E_k = {d : the closed-form distance of difference d is k}, as n-bit ints.
+
+    The cost of d in each component depends only on d modulo that prime
+    square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
+    is the set of d with cost x modulo a² (B, C likewise).  Per prime p, cost
+    0 is d ≡ 0 mod p², cost 1 is d ≢ 0 mod p, and cost 2 is the rest of
+    d ≡ 0 mod p.
+    """
+    per_prime = []
+    for p, m in zip(t.primes, t.moduli):
+        zero = g.periodic(m, [0])
+        per_prime.append(enumerate((zero, g.periodic(p, range(1, p)), g.periodic(p, [0]) & ~zero)))
+    classes: dict[int, int] = {}
+    for (x, a_x), (y, b_y), (z, c_z) in product(*per_prime):
+        classes[x + y + z] = classes.get(x + y + z, 0) | (a_x & b_y & c_z)
+    return classes
 
 
 class SweepReport(NamedTuple):

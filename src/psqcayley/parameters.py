@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations, product
+from operator import eq
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
@@ -45,25 +46,6 @@ def closed_form_distance(u: int, v: int, t: PrimeTriple) -> int:
 def closed_form_distance_table(t: PrimeTriple) -> list[int]:
     """table[d] = closed-form distance between any pair with difference d."""
     return [closed_form_distance(d, 0, t) for d in range(t.n)]
-
-
-def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
-    """E_k = {d : the closed-form distance of difference d is k}, as n-bit ints.
-
-    The cost of d in each component depends only on d modulo that prime
-    square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
-    is the set of d with cost x modulo a² (B, C likewise).  Per prime p, cost
-    0 is d ≡ 0 mod p², cost 1 is d ≢ 0 mod p, and cost 2 is the rest of
-    d ≡ 0 mod p.
-    """
-    per_prime = []
-    for p, m in zip(t.primes, t.moduli):
-        zero = g.periodic(m, [0])
-        per_prime.append(enumerate((zero, g.periodic(p, range(1, p)), g.periodic(p, [0]) & ~zero)))
-    classes: dict[int, int] = {}
-    for (x, a_x), (y, b_y), (z, c_z) in product(*per_prime):
-        classes[x + y + z] = classes.get(x + y + z, 0) | (a_x & b_y & c_z)
-    return classes
 
 
 class DiameterResult(NamedTuple):
@@ -184,10 +166,12 @@ class IndexBoundsReport(NamedTuple):
     has exactly mis_size = a·b ids, one certificate per bound:
 
     - the certificate's index set never agrees in exactly two coordinates,
-      so it is independent (MIS ≥ a·b);
+      so it is independent (MIS ≥ a·b): its three two-coordinate
+      projections are injective, so any two ids agree in one at most;
     - the lines {(i, j, k) : k < c}, as many as the index set has ids, are
       index-graph cliques that partition the ids, and an independent set
-      meets each line at most once (MIS ≤ a·b).
+      meets each line at most once (MIS ≤ a·b).  One after another, the
+      lines list the box a × b × c in order, which the ids must match.
     """
 
     index_set_two_agreement_free: bool
@@ -196,16 +180,19 @@ class IndexBoundsReport(NamedTuple):
 
 
 def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
-    """Both index-level bounds, at every triple.  Line (i, j) is line (0, 0)
-    translated by (i, j, 0), and translations preserve agreeing in exactly
-    two coordinates, so line (0, 0)'s pairs decide that every line is a clique."""
+    """Both index-level bounds, at every triple, in O(abc) steps.  Line
+    (i, j) is line (0, 0) translated by (i, j, 0), and translations preserve
+    agreeing in exactly two coordinates, so line (0, 0)'s pairs decide that
+    every line is a clique."""
+    a, b, c = t.primes
     ig = IndexGraph(t)
     ids = independence_index_set(t)
-    lines = [[BlockId(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
+    two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
+    box = ig.ids()
     cover = (
-        len(lines) == len(ids)
-        and sorted(bid for line in lines for bid in line) == ig.ids()
-        and all(ig.adjacent(x, y) for x, y in combinations(lines[0], 2))
+        a * b == len(ids)
+        and len(box) == a * b * c
+        and all(map(eq, box, product(range(a), range(b), range(c))))
+        and all(ig.adjacent(x, y) for x, y in combinations([BlockId(0, 0, k) for k in range(c)], 2))
     )
-    two_free = not any(ig.adjacent(x, y) for x, y in combinations(ids, 2))
     return IndexBoundsReport(two_free, cover, len(ids))

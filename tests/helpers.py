@@ -195,6 +195,15 @@ def order_scan_connectors(t: PrimeTriple) -> set[int]:
     return {m for m in range(1, t.n) if brute_order(m, t.n, max(squares)) in squares}
 
 
+# triples built directly, past `make_prime_triple`'s checks, with non-prime,
+# repeated or unordered entries: the fiber and index lemmas must fail exactly
+# where their literal loops do
+UNVALIDATED = [
+    PrimeTriple(a, b, c, (a * b * c) ** 2, a * a, b * b, c * c)
+    for a, b, c in ((2, 3, 4), (2, 4, 5), (2, 5, 5), (2, 3, 9), (3, 3, 5), (2, 3, 6), (3, 5, 9), (2, 5, 3), (5, 2, 3))
+]
+
+
 def primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
 

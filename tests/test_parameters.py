@@ -26,7 +26,7 @@ from psqcayley import (
 )
 from psqcayley import parameters
 
-from helpers import crt_components, residue_sum_color
+from helpers import UNVALIDATED, crt_components, residue_sum_color, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -130,9 +130,9 @@ def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
 
 
 def test_index_bounds_check_one_line_of_pairs(monkeypatch):
-    # the lines are translates of line (0, 0), so its C(c, 2) pairs and the
-    # index set's C(ab, 2) decide both bounds: 13,876 calls at (2,3,167),
-    # where every line's pairs would be 83,166
+    # the lines are translates of line (0, 0), so its C(c, 2) pairs decide
+    # the clique bound, and the index set's projections take no adjacency
+    # call: 13,861 calls at (2,3,167), where every line's pairs would be 83,166
     for t in LADDER:
         rep = verify_index_bounds(t)
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
@@ -141,7 +141,20 @@ def test_index_bounds_check_one_line_of_pairs(monkeypatch):
     adjacent = IndexGraph.adjacent
     monkeypatch.setattr(IndexGraph, "adjacent", lambda ig, x, y: calls.update([1]) or adjacent(ig, x, y))
     assert verify_index_bounds(t) == (True, True, 6)
-    assert 0 < calls[1] <= comb(167, 2) + comb(6, 2)
+    assert calls[1] == comb(167, 2)
+
+
+def test_index_bounds_by_projection_equal_every_line_of_pairs():
+    # part 1 is three injective projections of the a·b ids, O(ab), and part 2
+    # walks the ids beside the box a × b × c: no C(ab, 2) pair loop and no
+    # sort, equal to the pair loops at every ladder triple and on unvalidated
+    # triples, where the index set (i, j, i + j mod 3) is not free: at
+    # (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
+    for t in triples_with_group_order_at_most(1_100_000) + UNVALIDATED:
+        rep = verify_index_bounds(t)
+        expected = (t.primes not in ((2, 5, 3), (5, 2, 3)), True)
+        assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == expected
+    assert verify_index_bounds(make_prime_triple(101, 103, 107)) == (True, True, 101 * 103)
 
 
 @pytest.mark.parametrize(
@@ -169,6 +182,32 @@ def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkey
         )
     rep = verify_index_bounds(T235)
     assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
+
+
+@pytest.mark.parametrize("other", [BlockId(0, 0, 1), BlockId(0, 1, 0), BlockId(1, 0, 0)])
+def test_index_set_freedom_reads_each_projection(other, monkeypatch):
+    # (0, 0, 0) and other agree in exactly two coordinates, so exactly one
+    # two-coordinate projection maps them to one pair
+    pair = (BlockId(0, 0, 0), other)
+    monkeypatch.setattr(parameters, "independence_index_set", lambda t: pair)
+    ig = IndexGraph(T235)
+    assert ig.adjacent(*pair)
+    assert verify_index_bounds(T235).index_set_two_agreement_free is False
+
+
+@pytest.mark.parametrize("position", [0, 17, -1])
+def test_line_cover_reads_every_id(position, monkeypatch):
+    # one id moved out of the box a × b × c, the count of ids unchanged
+    ids = IndexGraph.ids
+
+    def moved(ig):
+        box = ids(ig)
+        box[position] = BlockId(ig.triple.alpha, 0, 0)
+        return box
+
+    monkeypatch.setattr(IndexGraph, "ids", moved)
+    rep = verify_index_bounds(T235)
+    assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(T235) == (True, False)
 
 
 def test_distance_examples():

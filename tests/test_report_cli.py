@@ -491,10 +491,27 @@ def test_cli_fails_fast_above_the_memory_limit(argv, tmp_path, capsys, monkeypat
 
 def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900)
-    assert cli.main(["hamiltonian", "--primes", "2,3,5"]) == 0
-    # build allocates nothing per vertex or per connector
+    assert cli.main(["hamiltonian", "--primes", "2,3,5", "--check"]) == 0
+    # build allocates nothing per vertex or per connector, and plain
+    # hamiltonian reads only the moduli; --check enumerates C, so it is gated
     monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", 0)
+    monkeypatch.setattr(CayleyGraph, "from_triple", None)
     assert cli.main(["build", "--primes", "2,3,5"]) == 0
+    assert cli.main(["hamiltonian", "--primes", "2,3,5"]) == 0
+    capsys.readouterr()
+    assert cli.main(["hamiltonian", "--primes", "2,3,5", "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: n = 900 needs about")
+
+
+def test_cli_hamiltonian_runs_beyond_the_memory_limit(capsys):
+    # n = 1,239,038,360,641 is far above the limit, and the walk's three
+    # levels are all that the command builds; the walk ends at e_a, the
+    # multiple of b²c² that is 1 mod a²
+    assert 668164887941 % (103 * 107) ** 2 == 0 and 668164887941 % 101**2 == 1
+    assert cli.main(["hamiltonian", "--primes", "101,103,107"]) == 0
+    assert capsys.readouterr().out == "kind: cycle\nlength: 1239038360641\nendpoints: 0 668164887941\n"
+    assert cli.main(["hamiltonian", "--primes", "101,103,107", "--check"]) == 2
 
 
 def test_cli_edges_and_dot_exports_predict_their_own_memory(tmp_path, capsys, monkeypatch):

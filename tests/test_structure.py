@@ -5,6 +5,7 @@ from psqcayley import (
     BlockId,
     CayleyGraph,
     IndexGraph,
+    PrimeTriple,
     block_residues,
     certify,
     crt_combine,
@@ -17,6 +18,7 @@ from psqcayley import (
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 
 from helpers import (
+    UNVALIDATED,
     adjacency_by_neighbourhood,
     block_of,
     block_set,
@@ -112,18 +114,28 @@ def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
     )
 
 
-def _cross_sections_by_fiber(g: CayleyGraph) -> bool:
-    """Fiber check (viii) with one cycle check per alpha fiber."""
+def _fiber_items_by_loops(g: CayleyGraph) -> dict[str, bool]:
+    """Fiber checks (iv) to (viii) by their literal loops, over the a²b²
+    multiples of c², the a² multiples of b²c² and one b²-entry sequence per
+    alpha fiber, cycles replayed entry by entry: the references for the gcd
+    lemmas and the step rule."""
     t = g.triple
-    m_a, m_b = t.m_alpha, t.m_beta
-    reps = {x % m_a: x for x in (k * m_b * t.m_gamma % t.n for k in range(m_a))}
-    for r in range(m_a):
-        seq = [(reps[r] + l * m_a * t.m_gamma) % t.n for l in range(m_b)]
-        if not is_cycle(g, seq) or any(x % m_a != r for x in seq):
-            return False
-        if {(x % (m_a * m_b)) // m_a for x in seq} != set(range(m_b)):
-            return False
-    return True
+    n, (m_a, m_b, m_c) = t.n, t.moduli
+    m_ab = m_a * m_b
+    iv = sorted(k * m_c % m_ab for k in range(1, m_ab)) == list(range(1, m_ab))
+    v = all(len({(k * m_a * m_c + r * m_c) % m_a for k in range(m_b)}) == 1 for r in range(m_a))
+    reps: dict[int, list[int]] = {}
+    for k in range(m_a):
+        x = k * m_b * m_c % n
+        reps.setdefault(x % m_a, []).append(x)
+    vi = len(reps) == m_a and all(len(xs) == 1 for xs in reps.values())
+    vii = is_cycle(g, sorted(x for xs in reps.values() for x in xs))
+    seqs = [[(reps[r][0] + l * m_a * m_c) % n for l in range(m_b)] for r in range(m_a)] if vi else []
+    viii = vi and all(
+        is_cycle(g, seq) and all(x % m_a == r for x in seq) and {(x % m_ab) // m_a for x in seq} == set(range(m_b))
+        for r, seq in enumerate(seqs)
+    )
+    return {"iv": iv, "v": v, "vi": vi, "vii": vii, "viii": viii}
 
 
 @pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
@@ -191,7 +203,7 @@ def test_fiber_checks_equal_their_per_fiber_references(t):
     checklist = verify_fiber_structure(g)
     assert checklist.gamma_fibers_independent is _gamma_fibers_by_fiber(g) is True
     assert checklist.cell_cycles is _cell_cycles_by_cell(g) is True
-    assert checklist.cross_section_cycles is _cross_sections_by_fiber(g) is True
+    assert checklist.cross_section_cycles is _fiber_items_by_loops(g)["viii"] is True
 
 
 def test_structure_checks_run_above_twenty_thousand_vertices():
@@ -300,7 +312,7 @@ def test_cross_section_cycles_catch_a_removed_connector(t):
     g = _without(t, [t.m_alpha * t.m_gamma])
     checklist = verify_fiber_structure(g)
     assert checklist.alpha_fiber_representatives_unique
-    assert not checklist.cross_section_cycles and not _cross_sections_by_fiber(g)
+    assert not checklist.cross_section_cycles and not _fiber_items_by_loops(g)["viii"]
 
 
 @SMALL
@@ -437,6 +449,32 @@ def test_shifted_cosets_lie_in_single_alpha_fibers_at_every_ladder_triple():
     for t in LADDER:
         checklist = verify_fiber_structure(CayleyGraph.from_triple(t))
         assert checklist.shifted_cosets_within_alpha_fibers and checklist.all_pass, t.primes
+
+
+def _fiber_lemmas_and_loops(t: PrimeTriple) -> tuple[dict[str, bool], dict[str, bool]]:
+    g = CayleyGraph.from_triple(t)
+    lemmas = verify_fiber_structure(g).as_dict()
+    loops = _fiber_items_by_loops(g)
+    return {k: lemmas[k] for k in loops}, loops
+
+
+def test_fiber_lemmas_equal_their_literal_loops():
+    # (iv) iff gcd(c², a²b²) = 1, (v) as a² | a²c², (vi) iff gcd(b²c², a²) = 1,
+    # (vii) the step rule, (viii) (vi) with gcd(c², b²) = 1 and the step rule
+    for t in LADDER:
+        lemmas, loops = _fiber_lemmas_and_loops(t)
+        assert lemmas == loops and all(loops.values()), t.primes
+    # on unvalidated triples both forms fail the same items, so the lemmas
+    # are not vacuous: (iv), (vi) and (viii)'s crossings each fail somewhere
+    failing = {}
+    for t in UNVALIDATED:
+        lemmas, loops = _fiber_lemmas_and_loops(t)
+        assert lemmas == loops, t.primes
+        failing[t.primes] = [k for k, ok in loops.items() if not ok]
+    assert set().union(*failing.values()) == {"iv", "vi", "viii"}
+    assert failing[(2, 5, 5)] == ["iv", "viii"]  # (vi) holds, the crossings fail
+    # a²b² = 110,355,001 at (101, 103, 107): no loop runs over it
+    assert verify_fiber_structure(CayleyGraph.from_triple(make_prime_triple(101, 103, 107))).all_pass
 
 
 def _cosets_within_fiber_r(t) -> bool:

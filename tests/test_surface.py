@@ -151,11 +151,14 @@ def test_every_cli_option_is_read():
 
 
 def test_certificate_modules_build_no_n_bit_set():
-    # n-bit sets belong to the BFS oracle layer; the fiber, block and walk
-    # claims are decided on quotients and connector differences
+    # n-bit sets belong to the BFS oracle layer; the fiber, block, walk,
+    # colouring, independence and index claims are decided on quotients and
+    # connector differences, and `certify` builds none between its stages
     kernel = {"neighborhood", "rotate", "periodic", "bitset"}
-    for name in ("structure.py", "hamiltonian.py"):
-        used = kernel & _code_references(_trees()[name])
+    [certify] = [f for f in _trees()["report.py"].body if getattr(f, "name", None) == "certify"]
+    bodies = {name: _trees()[name] for name in ("structure.py", "hamiltonian.py", "parameters.py")}
+    for name, tree in {**bodies, "report.certify": certify}.items():
+        used = kernel & _code_references(tree)
         assert not used, f"{name} references {sorted(used)}"
     # the walk is checked level by level: no vertex replay, no mark per vertex
     used = {"is_cycle", "bytearray"} & _code_references(_trees()["hamiltonian.py"])
