@@ -48,8 +48,10 @@ OPTIONS = {
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
 # Linux).  `verify --budget-sources 0` peaks at 7.0 bytes at (2,3,167), 6.8 at
 # (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 5.3 at
-# (2,3,167); the walk export at 3.4 at (2,3,167) and the independent-set export
-# at 4.8 at (11,13,17).  The edges and dot exports hold every vertex's name and
+# (2,3,167).  The walk and independent-set exports hold nothing n-sized, so the
+# gate bounds only their output: the walk's pieces of under c² entries peak at
+# 4.0 at (2,3,167) and 4.1 at (2,3,401), where c² = n/36, and one abc period of
+# the set at 0.02 at (11,13,17).  The edges and dot exports hold every vertex's name and
 # a chunk of rows |C| wide: with materialize-cap raised, dot peaks at 69.1 at
 # (7,11,13), 97.9 at (5,7,11) and 185.1 at (2,3,47), where |C|/n is near its
 # largest, 1/36.  Each constant leaves at least 2.7 times headroom over its
@@ -186,15 +188,13 @@ def main(argv: list[str]) -> int:
                 CayleyGraph.from_triple(triple).export(args["--format"], out, cap=cap)
                 return 0
             if args["--format"] == "walk":
-                # one chunk per piece of the walk, written as it is formatted
-                with open(out, "w", encoding="ascii", newline="\n") as f:
-                    for chunk in walk_lines(snake_walk(triple)):
-                        f.write(chunk + "\n")
-                return 0
-            cert = independence_certificate(triple)
-            members = (base + r for base in range(0, triple.n, cert.period) for r in cert.residues)
-            payload = ("\n".join(map(str, members)) + "\n").encode("ascii")
-            Path(out).write_bytes(payload)
+                chunks = walk_lines(snake_walk(triple))
+            else:  # one chunk per period: its abc members, one per line
+                cert = independence_certificate(triple)
+                line = b"%d\n" * len(cert.residues)
+                chunks = (line % tuple(v + r for r in cert.residues) for v in range(0, triple.n, cert.period))
+            with open(out, "wb") as f:
+                f.writelines(chunks)
             return 0
 
         # hamiltonian, the last subcommand in OPTIONS

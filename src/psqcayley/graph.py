@@ -273,7 +273,8 @@ class CayleyGraph(_GraphFields):
         In a chunk [a, b) of a band, the neighbours u + c of its vertices are
         the column slices names[a + c : b + c], one per connector c of the
         row; zipping the columns gives each vertex its neighbour names in
-        ascending order, and the chunk is written with one write.
+        ascending order, and the chunk is written with one write; the last
+        band's empty row zips to no lines.
 
         Raises TooLargeError above cap and ValueError for an unknown format;
         on either, out is never opened, so no file is created or truncated.
@@ -291,8 +292,6 @@ class CayleyGraph(_GraphFields):
         with open(out, "wb") as f:
             f.write(header)
             for lo, hi, row in self._bands():
-                if not row:  # the last band has no higher neighbour
-                    continue
                 for a in range(lo, hi, EXPORT_CHUNK_ROWS):
                     b = min(a + EXPORT_CHUNK_ROWS, hi)
                     heads = [pre + name + mid for name in names[a:b]]

@@ -112,10 +112,10 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     return size == w.n
 
 
-def walk_lines(w: WalkCertificate) -> Iterator[str]:
-    """Export format: a 'cycle' header, then one chunk per piece of the walk
-    with one exponent per line, in traversal order."""
-    yield "cycle"
+def walk_lines(w: WalkCertificate) -> Iterator[bytes]:
+    """Export format as bytes: b"cycle\n", then one chunk per piece of the
+    walk with one newline-ended exponent per line, in traversal order, so
+    no chunk holds c² or more lines."""
+    yield b"cycle\n"
     for piece in w.pieces():
-        # one %-format per piece runs faster than a str() per vertex
-        yield "\n".join(["%d"] * len(piece)) % tuple(piece)
+        yield b"%d\n" * len(piece) % tuple(piece)

@@ -357,9 +357,9 @@ def test_walk_export_lines():
     for t in (T235, T357):
         walk = snake_walk(t)
         lines = list(walk_lines(walk))
-        assert lines[0] == "cycle"
+        assert lines[0] == b"cycle\n"
         assert len(lines) == 1 + 1 + t.m_alpha * (t.m_beta + 1) + 1
-        assert "\n".join(lines[1:]).split("\n") == [str(v) for v in snake_sequence(t)]
+        assert b"".join(lines[1:]) == b"".join(b"%d\n" % v for v in snake_sequence(t))
 
 
 @pytest.mark.parametrize("t", LADDER, ids=_ids)

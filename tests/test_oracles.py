@@ -22,7 +22,7 @@ from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import BlockId, IndexGraph
 
-from helpers import block_of, is_partition, neighbors
+from helpers import block_of, is_partition, neighbors, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -149,6 +149,17 @@ def test_exact_searches_agree_with_the_certified_bounds(primes):
     assert verdicts["clique"] == verdicts["chromatic"] == "PASS"
     assert len(mis) == t.alpha * t.beta == build_report(t)["indexGraphMIS"]
     assert verdicts["independence"] == "PASS"
+
+
+@pytest.mark.parametrize(
+    "t", triples_with_group_order_at_most(1_100_000), ids=lambda t: ",".join(map(str, t.primes))
+)
+def test_census_every_check_passes_on_the_ladder(t):
+    # all 146 triples with n <= 1,100,000, from vertex 0 alone: every line
+    # of the verification passes
+    outcome = run_verification(t, 0)
+    failed = [line for line in outcome.lines if not line.startswith("PASS ")]
+    assert outcome.ok and not failed, failed
 
 
 @pytest.mark.parametrize(

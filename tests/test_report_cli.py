@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import traceback
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from psqcayley import (
     build_report,
     certify,
     distance_sweep,
+    independence_certificate,
     make_prime_triple,
     report_bytes,
     run_verification,
@@ -703,6 +705,36 @@ def test_cli_export_independent_set(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
     values = [int(x) for x in (tmp_path / "indep-3,5,7.txt").read_text().split()]
     assert len(values) == 9 * 25 * 7 and values == sorted(values)
+
+
+@pytest.mark.parametrize(
+    "primes", [(2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11), (7, 11, 13)], ids=lambda p: ",".join(map(str, p))
+)
+def test_cli_export_independent_set_lists_the_certificate_members(primes, tmp_path):
+    # the certificate's set {v : v mod period in residues}, ascending, one
+    # line each, written chunk by chunk
+    t = make_prime_triple(*primes)
+    cert = independence_certificate(t)
+    residues = set(cert.residues)
+    members = [v for v in range(t.n) if v % cert.period in residues]
+    out = tmp_path / "indep.txt"
+    argv = ["export", "--primes", ",".join(map(str, primes)), "--format", "independent-set", "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == ("\n".join(map(str, members)) + "\n").encode("ascii")
+
+
+def test_cli_export_independent_set_streams(tmp_path):
+    # one chunk per abc period: at (11,13,17) the a²b²c = 347,633 members
+    # take 25 MB joined as one string, one period's chunk a few KB
+    out = tmp_path / "indep.txt"
+    tracemalloc.start()
+    try:
+        assert cli.main(["export", "--primes", "11,13,17", "--format", "independent-set", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    assert out.read_bytes().count(b"\n") == 11 * 11 * 13 * 13 * 17
 
 
 def test_cli_hamiltonian_check(capsys):

@@ -1,8 +1,8 @@
 """The package exports only what the package itself uses, every public
 function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every CLI
-option is read by `cli.main`, and no module reads the environment.  The checks
-read the sources with `ast`."""
+option is read by `cli.main`, no module reads the environment, and every file
+is written as bytes.  The checks read the sources with `ast`."""
 
 import ast
 import re
@@ -134,6 +134,31 @@ def test_no_module_reads_the_environment():
     for name, tree in _trees().items():
         used = {"environ", "getenv"} & _code_references(tree)
         assert not used, f"{name} references {sorted(used)}"
+
+
+def _open_mode(call: ast.Call) -> ast.expr | None:
+    """The mode of open(file, mode) or path.open(mode), or None when absent."""
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
+    return modes[0] if modes else None
+
+
+def test_no_module_writes_a_file_in_text_mode():
+    # one write path: every output is written as bytes, from chunks formatted
+    # as bytes, with no text-mode encoder copying each chunk again
+    problems = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called == "write_text":
+                problems.append(f"{name}:{node.lineno}: write_text")
+            elif called == "open" and (mode := _open_mode(node)) is not None:
+                text = mode.value if isinstance(mode, ast.Constant) else None
+                if not isinstance(text, str) or ("b" not in text and set(text) & set("wax+")):
+                    problems.append(f"{name}:{node.lineno}: open mode {ast.unparse(mode)}")
+    assert not problems, f"text-mode writes: {problems}"
 
 
 def test_every_cli_option_is_read():
