@@ -60,10 +60,10 @@ from .report import (
     run_verification,
 )
 from .structure import (
-    BlockId,
     FiberStructureChecklist,
-    IndexGraph,
     block_residues,
+    index_adjacent,
+    index_ids,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,

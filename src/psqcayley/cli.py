@@ -189,7 +189,7 @@ def main(argv: list[str]) -> int:
                 return 0
             if args["--format"] == "walk":
                 chunks = walk_lines(snake_walk(triple))
-            else:  # one chunk per period: its abc members, one per line
+            else:  # one chunk per abc period: its a·b members, one per line
                 cert = independence_certificate(triple)
                 line = b"%d\n" * len(cert.residues)
                 chunks = (line % tuple(v + r for r in cert.residues) for v in range(0, triple.n, cert.period))

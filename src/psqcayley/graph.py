@@ -43,16 +43,6 @@ DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
 
 
-class CosetFamily(NamedTuple):
-    """The cosets r + ⟨h⟩, for r in reps, of the subgroup of order `order`:
-    the multiples of h = n/order.  With order 1 (h = n) each coset is the
-    single connector r."""
-
-    h: int
-    order: int
-    reps: tuple[int, ...]
-
-
 class TooLargeError(ValueError):
     """The graph exceeds the materialization cap for an explicit operation."""
 
@@ -174,8 +164,11 @@ class CayleyGraph(_GraphFields):
         return tuple(plan)
 
     @cached_property
-    def coset_plan(self) -> tuple[CosetFamily, ...]:
-        """The connectors as coset families, built once per graph on first use.
+    def coset_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """The connectors as coset families (h, order, reps), built once per
+        graph on first use.  A family is the cosets r + ⟨h⟩, r in reps, of
+        the subgroup of order `order`: the multiples of h = n/order.  With
+        order 1 (h = n) each coset is the single connector r.
 
         Built from the member list and the primes dividing n alone.  For each
         prime o | n, largest first, with h = n/o, a member x becomes a
@@ -200,9 +193,9 @@ class CayleyGraph(_GraphFields):
                     reps.append(x)
                     pool.difference_update((x + j * h) % n for j in range(o))
             if reps:
-                families.append(CosetFamily(h, o, tuple(reps)))
+                families.append((h, o, tuple(reps)))
         if pool:
-            families.insert(0, CosetFamily(n, 1, tuple(sorted(pool))))
+            families.insert(0, (n, 1, tuple(sorted(pool))))
         return tuple(families)
 
     def bfs_levels(self, source: int) -> tuple[int, ...]:

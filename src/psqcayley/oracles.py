@@ -17,7 +17,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, divisors, prime_factors
-from .structure import BlockId, IndexGraph
+from .structure import index_adjacent, index_ids
 
 DEFAULT_SEED = 12345
 
@@ -101,10 +101,10 @@ def exact_max_clique(vertices: Sequence, adjacent: Callable) -> list:
     return [vertices[i] for i in sorted(best)]
 
 
-def exact_max_independent_set(ig: IndexGraph) -> list[BlockId]:
-    """Exact maximum independent set of the index graph, via a maximum clique
-    of its complement."""
-    return exact_max_clique(ig.ids(), lambda x, y: not ig.adjacent(x, y))
+def exact_max_independent_set(t: PrimeTriple) -> list[tuple[int, int, int]]:
+    """Exact maximum independent set of the index graph of t, via a maximum
+    clique of its complement."""
+    return exact_max_clique(index_ids(t), lambda x, y: not index_adjacent(x, y))
 
 
 def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:

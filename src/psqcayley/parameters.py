@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import BlockId, IndexGraph, block_residues
+from .structure import block_residues, index_adjacent, index_ids
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     class or between two, so this covers all n·|C|/2 edges.
     """
     period, clique = t.alpha * t.beta * t.gamma, clique_certificate(t)
-    zero = block_residues(t, [x for x in IndexGraph(t).ids() if sum(x) % t.gamma == 0])
+    zero = block_residues(t, [x for x in index_ids(t) if sum(x) % t.gamma == 0])
     proper = (
         len(clique) <= t.gamma
         and _residue_edges(zero, g.cset.members, period) == 0
@@ -117,19 +117,17 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
 # independence
 # ---------------------------------------------------------------------------
 
-def independence_index_set(t: PrimeTriple) -> tuple[BlockId, ...]:
+def independence_index_set(t: PrimeTriple) -> tuple[tuple[int, int, int], ...]:
     """The a·b block ids (i, j, i+j mod c): no two agree in exactly two
     coordinates, so their blocks are mutually independent."""
-    return tuple(
-        BlockId(i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)
-    )
+    return tuple((i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta))
 
 
 class IndependenceCertificate(NamedTuple):
     """An independent set of a²b²c vertices: the union of the blocks indexed
     by `index_set`, {v : v mod period in residues}, with period = abc = n/abc."""
 
-    index_set: tuple[BlockId, ...]
+    index_set: tuple[tuple[int, int, int], ...]
     residues: tuple[int, ...]
     period: int
 
@@ -185,14 +183,13 @@ def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
     agreeing in exactly two coordinates, so line (0, 0)'s pairs decide that
     every line is a clique."""
     a, b, c = t.primes
-    ig = IndexGraph(t)
     ids = independence_index_set(t)
     two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
-    box = ig.ids()
+    box = index_ids(t)
     cover = (
         a * b == len(ids)
         and len(box) == a * b * c
         and all(map(eq, box, product(range(a), range(b), range(c))))
-        and all(ig.adjacent(x, y) for x, y in combinations([BlockId(0, 0, k) for k in range(c)], 2))
+        and all(index_adjacent(x, y) for x, y in combinations([(0, 0, k) for k in range(c)], 2))
     )
     return IndexBoundsReport(two_free, cover, len(ids))

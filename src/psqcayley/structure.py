@@ -1,5 +1,7 @@
 """Layer machinery of the graph: exponent-digit fibers, residue blocks, and
-the index graph that governs which blocks see edges between them.
+the index graph that governs which blocks see edges between them: its
+vertices are the block ids (i, j, k) (`index_ids`), two of them adjacent
+when they agree in exactly two coordinates (`index_adjacent`).
 
 Exponents are written in the mixed radix x = i + j·a² + k·a²b² (digits i < a²,
 j < b², k < c²), giving three fiber families (one per pinned digit).
@@ -38,34 +40,28 @@ literal loops as the tests' references.  No check here builds an n-bit set.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
+from operator import eq
 from typing import Iterable, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_combine
 
 
-class BlockId(NamedTuple):
-    i: int
-    j: int
-    k: int
+def index_ids(t: PrimeTriple) -> list[tuple[int, int, int]]:
+    """The block ids (i, j, k), i < a, j < b, k < c, in lexicographic order:
+    the vertices of the index graph."""
+    return list(product(*map(range, t.primes)))
 
 
-class IndexGraph(NamedTuple):
-    """Graph on block ids; two ids are adjacent iff they agree in exactly two
+def index_adjacent(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
+    """Two block ids are index-adjacent iff they agree in exactly two
     coordinates.  Adjacent ids are exactly the block pairs joined by an edge."""
-
-    triple: PrimeTriple
-
-    def ids(self) -> list[BlockId]:
-        a, b, c = self.triple.primes
-        return [BlockId(i, j, k) for i in range(a) for j in range(b) for k in range(c)]
-
-    def adjacent(self, x: BlockId, y: BlockId) -> bool:
-        return (x.i == y.i) + (x.j == y.j) + (x.k == y.k) == 2
+    return sum(map(eq, x, y)) == 2
 
 
-def block_residues(t: PrimeTriple, ids: Iterable[BlockId]) -> list[int]:
+def block_residues(t: PrimeTriple, ids: Iterable[tuple[int, int, int]]) -> list[int]:
     """The union of the blocks with these ids as its residues, ascending: the
     r < abc with (r mod a, r mod b, r mod c) in ids."""
     a, b, c = t.primes
@@ -97,10 +93,10 @@ def verify_block_adjacency(g: CayleyGraph) -> bool:
     By the residue lemma N(B₀) has the residues (r + c) mod abc, r in B₀ and
     c in C: they must be those of the index-adjacent blocks.
     """
-    t, origin = g.triple, BlockId(0, 0, 0)
-    period, ig = t.alpha * t.beta * t.gamma, IndexGraph(t)
+    t, origin = g.triple, (0, 0, 0)
+    period = t.alpha * t.beta * t.gamma
     reach = {(r + x) % period for r in block_residues(t, [origin]) for x in g.cset.members}
-    return reach == set(block_residues(t, [x for x in ig.ids() if ig.adjacent(origin, x)]))
+    return reach == set(block_residues(t, [x for x in index_ids(t) if index_adjacent(origin, x)]))
 
 
 class FiberStructureChecklist(NamedTuple):

@@ -23,13 +23,13 @@ from __future__ import annotations
 from itertools import chain, islice
 
 from psqcayley import (
-    BlockId,
     CayleyGraph,
-    IndexGraph,
     PrimeTriple,
     WalkCertificate,
     clique_certificate,
     group,
+    index_adjacent,
+    index_ids,
     is_prime,
     make_prime_triple,
 )
@@ -58,9 +58,9 @@ def residue_sum_color(v: int, t: PrimeTriple) -> int:
     return (v % t.alpha + v % t.beta + v % t.gamma) % t.gamma
 
 
-def block_of(v: int, t: PrimeTriple) -> BlockId:
-    """Residue projection assigning every vertex to its block."""
-    return BlockId(v % t.alpha, v % t.beta, v % t.gamma)
+def block_of(v: int, t: PrimeTriple) -> tuple[int, int, int]:
+    """Residue projection assigning every vertex to its block id (i, j, k)."""
+    return (v % t.alpha, v % t.beta, v % t.gamma)
 
 
 def block_set(g: CayleyGraph, residues) -> int:
@@ -121,9 +121,7 @@ def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool
 def adjacency_by_neighbourhood(g: CayleyGraph, b0: int) -> bool:
     """The block-adjacency verdict on the n-bit block 0: N(B₀) is the union
     of the blocks index-adjacent to (0, 0, 0)."""
-    ig = IndexGraph(g.triple)
-    origin = BlockId(0, 0, 0)
-    adjacent = residues_of(g.triple, [x for x in ig.ids() if ig.adjacent(origin, x)])
+    adjacent = residues_of(g.triple, [x for x in index_ids(g.triple) if index_adjacent((0, 0, 0), x)])
     return g.neighborhood(b0) == block_set(g, adjacent)
 
 

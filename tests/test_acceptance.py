@@ -15,7 +15,6 @@ from pathlib import Path
 import psqcayley
 from psqcayley import (
     CayleyGraph,
-    IndexGraph,
     bezout_witness,
     build_report,
     clique_certificate,
@@ -126,8 +125,8 @@ def test_criterion_06_independence():
     start = time.perf_counter()
     cert = independence_certificate(T235)
     scan = independence_internal_edges(cert, G235)
-    mis235 = exact_max_independent_set(IndexGraph(T235))
-    mis357 = exact_max_independent_set(IndexGraph(T357))
+    mis235 = exact_max_independent_set(T235)
+    mis357 = exact_max_independent_set(T357)
     ok = (
         cert.size == 180
         and scan.pairs_checked == 16110

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqcayley import (
-    BlockId,
     CayleyGraph,
     IndependenceCertificate,
     build_report,
@@ -407,7 +406,7 @@ def _symmetric_edits(t) -> list[tuple[int, ...]]:
 
 
 def _class_zero(t) -> list[int]:
-    return residues_of(t, [x for x in structure.IndexGraph(t).ids() if sum(x) % t.gamma == 0])
+    return residues_of(t, [x for x in structure.index_ids(t) if sum(x) % t.gamma == 0])
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -453,7 +452,7 @@ def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes,
     # block (0, 0, 1) agrees with the certificate's (0, 0, 0) in two residues
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
-    ids = independence_certificate(t).index_set + (BlockId(0, 0, 1),)
+    ids = independence_certificate(t).index_set + ((0, 0, 1),)
     cert = IndependenceCertificate(ids, tuple(structure.block_residues(t, ids)), _period(t))
     got = independence_internal_edges(cert, g).internal_edges
     assert got == internal_edges(g, block_set(g, residues_of(t, ids))) > 0

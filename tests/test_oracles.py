@@ -20,7 +20,7 @@ from psqcayley import graph, oracles, parameters
 from psqcayley.connectors import ConnectingSet, enumerate_connectors
 from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
-from psqcayley.structure import BlockId, IndexGraph
+from psqcayley.structure import index_adjacent, index_ids
 
 from helpers import block_of, is_partition, neighbors, triples_with_group_order_at_most
 
@@ -92,7 +92,7 @@ def test_neighborhood_clique_is_gamma():
 
 
 def test_clique_on_independent_block_is_one():
-    verts = [v for v in range(T235.n) if block_of(v, T235) == BlockId(0, 0, 0)]
+    verts = [v for v in range(T235.n) if block_of(v, T235) == (0, 0, 0)]
     assert len(exact_max_clique(verts, G235.adjacent)) == 1
 
 
@@ -117,14 +117,13 @@ def test_clique_against_reference_library():
 
 
 def test_index_mis_sizes():
-    assert len(exact_max_independent_set(IndexGraph(T235))) == 6
-    assert len(exact_max_independent_set(IndexGraph(T357))) == 15
+    assert len(exact_max_independent_set(T235)) == 6
+    assert len(exact_max_independent_set(T357)) == 15
 
 
 def test_index_mis_is_independent():
-    ig = IndexGraph(T235)
-    mis = exact_max_independent_set(ig)
-    assert not any(ig.adjacent(x, y) for i, x in enumerate(mis) for y in mis[i + 1 :])
+    mis = exact_max_independent_set(T235)
+    assert not any(index_adjacent(x, y) for i, x in enumerate(mis) for y in mis[i + 1 :])
 
 
 def _verdicts(lines) -> dict[str, str]:
@@ -143,7 +142,7 @@ def test_exact_searches_agree_with_the_certified_bounds(primes):
     g = CayleyGraph.from_triple(t)
     hood = [0] + neighbors(g, 0)
     clique = exact_max_clique(hood, g.adjacent)
-    mis = exact_max_independent_set(IndexGraph(t))
+    mis = exact_max_independent_set(t)
     verdicts = _verdicts(run_verification(t, 0).lines)
     assert len(clique) == t.gamma
     assert verdicts["clique"] == verdicts["chromatic"] == "PASS"
@@ -218,16 +217,15 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
 
 
 def test_index_mis_against_reference_library():
-    ig = IndexGraph(T235)
-    ids = ig.ids()
+    ids = index_ids(T235)
     g = nx.Graph()
     g.add_nodes_from(range(len(ids)))
     for i in range(len(ids)):
         for j in range(i + 1, len(ids)):
-            if ig.adjacent(ids[i], ids[j]):
+            if index_adjacent(ids[i], ids[j]):
                 g.add_edge(i, j)
     reference = max(len(c) for c in nx.find_cliques(nx.complement(g)))
-    assert len(exact_max_independent_set(ig)) == reference == 6
+    assert len(exact_max_independent_set(T235)) == reference == 6
 
 
 def test_distance_sweep_sampled_sources():

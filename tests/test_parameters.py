@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from psqcayley import (
     DEFAULT_MATERIALIZE_CAP,
-    BlockId,
     CayleyGraph,
-    IndexGraph,
     clique_certificate,
     closed_form_distance,
     closed_form_distance_table,
@@ -86,7 +84,7 @@ def test_coloring_exhaustive_above_materialize_cap():
 def test_independence_index_set():
     ids = independence_index_set(T235)
     assert len(ids) == 6
-    assert BlockId(1, 2, 3) in ids
+    assert (1, 2, 3) in ids
     assert all((i + j) % 5 == k for i, j, k in ids)
 
 
@@ -117,16 +115,18 @@ def test_index_bounds():
 
 
 def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
-    """Both index bounds with every pair of every line checked."""
-    ig = IndexGraph(t)
+    """Both index bounds with every pair of every line checked, through the
+    index-graph bindings that `verify_index_bounds` reads, so a fault planted
+    in one shows in both."""
     ids = independence_index_set(t)
-    lines = [[BlockId(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
+    lines = [[(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
+    adjacent = parameters.index_adjacent
     cover = (
         len(lines) == len(ids)
-        and sorted(bid for line in lines for bid in line) == ig.ids()
-        and all(ig.adjacent(x, y) for line in lines for x, y in combinations(line, 2))
+        and sorted(bid for line in lines for bid in line) == parameters.index_ids(t)
+        and all(adjacent(x, y) for line in lines for x, y in combinations(line, 2))
     )
-    return not any(ig.adjacent(x, y) for x, y in combinations(ids, 2)), cover
+    return not any(adjacent(x, y) for x, y in combinations(ids, 2)), cover
 
 
 def test_index_bounds_check_one_line_of_pairs(monkeypatch):
@@ -138,8 +138,8 @@ def test_index_bounds_check_one_line_of_pairs(monkeypatch):
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
     t = make_prime_triple(2, 3, 167)
     calls = Counter()
-    adjacent = IndexGraph.adjacent
-    monkeypatch.setattr(IndexGraph, "adjacent", lambda ig, x, y: calls.update([1]) or adjacent(ig, x, y))
+    adjacent = parameters.index_adjacent
+    monkeypatch.setattr(parameters, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
     assert verify_index_bounds(t) == (True, True, 6)
     assert calls[1] == comb(167, 2)
 
@@ -168,46 +168,53 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
 def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkeypatch):
     # the index set bounds the MIS from below, the line cover from above; a
     # fault in one leaves the other standing
-    origin, next_k = BlockId(0, 0, 0), BlockId(0, 0, 1)
+    origin, next_k = (0, 0, 0), (0, 0, 1)
+    calls = Counter()
     if plant == "adjacent-index-ids":
         index_set = parameters.independence_index_set
-        monkeypatch.setattr(parameters, "independence_index_set", lambda t: (origin, next_k) + index_set(t)[2:])
-    elif plant == "id-outside-the-lines":
-        ids = IndexGraph.ids
-        monkeypatch.setattr(IndexGraph, "ids", lambda ig: ids(ig) + [BlockId(ig.triple.alpha, 0, 0)])
-    else:
-        adjacent = IndexGraph.adjacent
         monkeypatch.setattr(
-            IndexGraph, "adjacent", lambda ig, x, y: adjacent(ig, x, y) and {x, y} != {origin, next_k}
+            parameters, "independence_index_set", lambda t: calls.update([1]) or (origin, next_k) + index_set(t)[2:]
+        )
+    elif plant == "id-outside-the-lines":
+        ids = parameters.index_ids
+        monkeypatch.setattr(parameters, "index_ids", lambda t: calls.update([1]) or ids(t) + [(t.alpha, 0, 0)])
+    else:
+        adjacent = parameters.index_adjacent
+        monkeypatch.setattr(
+            parameters,
+            "index_adjacent",
+            lambda x, y: calls.update([1]) or (adjacent(x, y) and {x, y} != {origin, next_k}),
         )
     rep = verify_index_bounds(T235)
     assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
+    assert calls[1] > 0
 
 
-@pytest.mark.parametrize("other", [BlockId(0, 0, 1), BlockId(0, 1, 0), BlockId(1, 0, 0)])
+@pytest.mark.parametrize("other", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
 def test_index_set_freedom_reads_each_projection(other, monkeypatch):
     # (0, 0, 0) and other agree in exactly two coordinates, so exactly one
     # two-coordinate projection maps them to one pair
-    pair = (BlockId(0, 0, 0), other)
+    pair = ((0, 0, 0), other)
     monkeypatch.setattr(parameters, "independence_index_set", lambda t: pair)
-    ig = IndexGraph(T235)
-    assert ig.adjacent(*pair)
+    assert parameters.index_adjacent(*pair)
     assert verify_index_bounds(T235).index_set_two_agreement_free is False
 
 
 @pytest.mark.parametrize("position", [0, 17, -1])
 def test_line_cover_reads_every_id(position, monkeypatch):
     # one id moved out of the box a × b × c, the count of ids unchanged
-    ids = IndexGraph.ids
+    ids, calls = parameters.index_ids, Counter()
 
-    def moved(ig):
-        box = ids(ig)
-        box[position] = BlockId(ig.triple.alpha, 0, 0)
+    def moved(t):
+        calls.update([1])
+        box = ids(t)
+        box[position] = (t.alpha, 0, 0)
         return box
 
-    monkeypatch.setattr(IndexGraph, "ids", moved)
+    monkeypatch.setattr(parameters, "index_ids", moved)
     rep = verify_index_bounds(T235)
     assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(T235) == (True, False)
+    assert calls[1] == 2  # the check and its reference each read the box once
 
 
 def test_distance_examples():

@@ -2,13 +2,13 @@ import pytest
 
 from psqcayley import graph, structure
 from psqcayley import (
-    BlockId,
     CayleyGraph,
-    IndexGraph,
     PrimeTriple,
     block_residues,
     certify,
     crt_combine,
+    index_adjacent,
+    index_ids,
     make_prime_triple,
     run_verification,
     verify_block_adjacency,
@@ -50,27 +50,27 @@ def _blocks_ok(t) -> tuple[bool, bool]:
     return verify_block_partition(g), verify_block_adjacency(g)
 
 
-def _residue_blocks(g: CayleyGraph) -> dict[BlockId, int]:
+def _residue_blocks(g: CayleyGraph) -> dict[tuple[int, int, int], int]:
     """Every block by the per-vertex residue projection."""
-    members: dict[BlockId, list[int]] = {}
+    members: dict[tuple[int, int, int], list[int]] = {}
     for v in range(g.triple.n):
         members.setdefault(block_of(v, g.triple), []).append(v)
     return {x: g.bitset(vs) for x, vs in members.items()}
 
 
-def _constructed_blocks(g: CayleyGraph) -> dict[BlockId, int]:
+def _constructed_blocks(g: CayleyGraph) -> dict[tuple[int, int, int], int]:
     """Every block from its component triples (i + a·x, j + b·y, k + c·z),
     combined by structure.crt_combine (so a fault planted there shows)."""
     t = g.triple
     a, b, c = t.primes
     return {
-        bid: g.bitset(
-            structure.crt_combine((bid.i + a * x, bid.j + b * y, bid.k + c * z), t)
+        (i, j, k): g.bitset(
+            structure.crt_combine((i + a * x, j + b * y, k + c * z), t)
             for x in range(a)
             for y in range(b)
             for z in range(c)
         )
-        for bid in IndexGraph(t).ids()
+        for i, j, k in index_ids(t)
     }
 
 
@@ -84,14 +84,13 @@ def _partition_by_construction(g: CayleyGraph) -> bool:
 def _adjacency_by_pairs(g: CayleyGraph) -> bool:
     """Block adjacency over every block pair: the reference for the check on
     N(B₀)."""
-    ig = IndexGraph(g.triple)
     residue_blocks = _residue_blocks(g)
-    ids = ig.ids()
+    ids = index_ids(g.triple)
     for x, bx in enumerate(ids):
         reach = g.neighborhood(residue_blocks[bx])
         if reach & residue_blocks[bx]:
             return False
-        if any(bool(reach & residue_blocks[by]) != ig.adjacent(bx, by) for by in ids[x + 1 :]):
+        if any(bool(reach & residue_blocks[by]) != index_adjacent(bx, by) for by in ids[x + 1 :]):
             return False
     return True
 
@@ -160,15 +159,15 @@ def _members(t, ids) -> list[int]:
 
 
 def test_block_members():
-    assert block_residues(T235, [BlockId(0, 0, 0)]) == [0]
-    members = _members(T235, [BlockId(0, 0, 0)])
+    assert block_residues(T235, [(0, 0, 0)]) == [0]
+    members = _members(T235, [(0, 0, 0)])
     assert len(members) == 30
     assert 0 in members
     assert crt_combine((2, 3, 5), T235) in members
 
 
 def test_block_internally_independent():
-    verts = _members(T235, [BlockId(1, 2, 4)])
+    verts = _members(T235, [(1, 2, 4)])
     pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1 :]]
     assert len(pairs) == 435
     assert not any(G235.adjacent(u, v) for u, v in pairs)
@@ -176,13 +175,13 @@ def test_block_internally_independent():
 
 def test_an_out_of_range_id_names_no_block():
     # no vertex has residue 2 modulo a = 2
-    assert block_residues(T235, [BlockId(2, 0, 0)]) == []
-    assert block_residues(T235, [BlockId(2, 0, 0), BlockId(0, 0, 0)]) == block_residues(T235, [BlockId(0, 0, 0)])
+    assert block_residues(T235, [(2, 0, 0)]) == []
+    assert block_residues(T235, [(2, 0, 0), (0, 0, 0)]) == block_residues(T235, [(0, 0, 0)])
 
 
 def test_block_of_is_residue_projection():
     for v in range(0, 900, 11):
-        assert block_of(v, T235) == BlockId(v % 2, v % 3, v % 5)
+        assert block_of(v, T235) == (v % 2, v % 3, v % 5)
 
 
 def test_partition_verifies():
@@ -265,12 +264,11 @@ def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch
 
 
 def test_index_graph_rule():
-    ig = IndexGraph(T235)
-    assert len(ig.ids()) == 30
-    assert ig.adjacent(BlockId(0, 0, 0), BlockId(1, 0, 0))
-    assert not ig.adjacent(BlockId(0, 0, 0), BlockId(1, 1, 0))
-    assert not ig.adjacent(BlockId(0, 0, 0), BlockId(0, 0, 0))
-    assert not ig.adjacent(BlockId(0, 0, 0), BlockId(1, 1, 1))
+    assert index_ids(T235) == [(i, j, k) for i in range(2) for j in range(3) for k in range(5)]
+    assert index_adjacent((0, 0, 0), (1, 0, 0))
+    assert not index_adjacent((0, 0, 0), (1, 1, 0))
+    assert not index_adjacent((0, 0, 0), (0, 0, 0))
+    assert not index_adjacent((0, 0, 0), (1, 1, 1))
 
 
 def test_block_adjacency_consistency():
@@ -338,7 +336,7 @@ def test_block_adjacency_catches_a_projection_fault_at_the_last_residue(monkeypa
 
     monkeypatch.setattr(structure, "block_residues", plant)
     for t in (T235, T357):
-        b0 = plant(t, [BlockId(0, 0, 0)])
+        b0 = plant(t, [(0, 0, 0)])
         assert b0 == [0, t.alpha * t.beta * t.gamma - 1]
         assert _blocks_ok(t) == (True, False)
         g = CayleyGraph.from_triple(t)
@@ -423,14 +421,14 @@ def test_cross_block_edge_witness():
     # blocks differing only in the first residue do see an edge
     u = crt_combine((0, 0, 0), T235)
     v = crt_combine((1, 0, 0), T235)
-    assert block_of(u, T235) == BlockId(0, 0, 0)
-    assert block_of(v, T235) == BlockId(1, 0, 0)
+    assert block_of(u, T235) == (0, 0, 0)
+    assert block_of(v, T235) == (1, 0, 0)
     assert G235.adjacent(u, v)
 
 
 def test_no_cross_edge_when_all_residues_differ():
-    a_block = _members(T235, [BlockId(0, 0, 0)])
-    b_block = _members(T235, [BlockId(1, 1, 1)])
+    a_block = _members(T235, [(0, 0, 0)])
+    b_block = _members(T235, [(1, 1, 1)])
     assert not any(G235.adjacent(u, v) for u in a_block for v in b_block)
 
 

@@ -1,8 +1,9 @@
 """The package exports only what the package itself uses, every public
 function and method has a caller in the package, no module imports what it
-does not use, every module-level constant and record field is read, every CLI
-option is read by `cli.main`, no module reads the environment, and every file
-is written as bytes.  The checks read the sources with `ast`."""
+does not use, every module-level constant and record field is read, every
+record has a field read by name, every CLI option is read by `cli.main`, no
+module reads the environment, and every file is written as bytes.  The
+checks read the sources with `ast`."""
 
 import ast
 import re
@@ -106,9 +107,9 @@ def test_every_module_constant_is_read_in_the_package():
     assert not defined - read, f"defined but never read: {sorted(defined - read)}"
 
 
-def test_every_record_field_is_read_in_the_package():
-    # a field is read as an attribute, or the record is unpacked whole into
-    # names that spell its fields, as `for h, order, reps in coset_plan`
+def _records_and_reads() -> tuple[dict[str, tuple[str, ...]], set[str], set[tuple]]:
+    """Each NamedTuple's fields, the attribute names read, and the name
+    tuples that some assignment or loop unpacks into."""
     fields, read, unpacked = {}, set(), set()
     for tree in _trees().values():
         for node in ast.walk(tree):
@@ -119,6 +120,13 @@ def test_every_record_field_is_read_in_the_package():
             elif isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
                 unpacked.add(tuple(getattr(e, "id", None) for e in node.elts))
     assert fields, "no NamedTuple found"
+    return fields, read, unpacked
+
+
+def test_every_record_field_is_read_in_the_package():
+    # a field is read as an attribute, or the record is unpacked whole into
+    # names that spell its fields
+    fields, read, unpacked = _records_and_reads()
     unread = [
         f"{record}.{field}"
         for record, names in fields.items()
@@ -127,6 +135,13 @@ def test_every_record_field_is_read_in_the_package():
         if field not in read
     ]
     assert not unread, f"record fields never read: {unread}"
+
+
+def test_every_record_has_a_field_read_as_an_attribute():
+    # a record that is only ever unpacked is a tuple with a name
+    fields, read, _ = _records_and_reads()
+    nameless = [record for record, names in fields.items() if not read & set(names)]
+    assert not nameless, f"records whose fields are never read by name: {nameless}"
 
 
 def test_no_module_reads_the_environment():
