@@ -6,7 +6,7 @@ connectivity, girth, clique, chromatic, independence, Hamiltonicity,
 diameter), and verifies each certificate against brute-force oracles.
 """
 
-from .connectors import ConnectingSet, connector_count_formula, enumerate_connectors
+from .connectors import connector_count_formula, enumerate_connectors
 from .graph import (
     DEFAULT_MATERIALIZE_CAP,
     CayleyGraph,

@@ -46,7 +46,7 @@ OPTIONS = {
 
 # Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux).  `verify --budget-sources 0` peaks at 7.0 bytes at (2,3,167), 6.8 at
+# Linux).  `verify --budget-sources 0` peaks at 6.0 bytes at (2,3,167), 5.6 at
 # (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 5.3 at
 # (2,3,167).  The walk and independent-set exports hold nothing n-sized, so the
 # gate bounds only their output: the walk's pieces of under c² entries peak at

@@ -2,13 +2,15 @@
 vertices are adjacent exactly when the order of their difference is a squared
 prime.
 
-Adjacency is arithmetic, so the graph is never materialized.  Vertex u's
-upward edges go to u + c for the sorted connectors c < n − u, a row that
-changes only where u reaches n − c; so [0, n) splits into |C| + 1 bands with
-one row each, the last one empty.  `edges()` and the capped edge-list and DOT
-exports read the bands.  The exports write a band in chunks of rows: a
-chunk's neighbour names are |C| column slices of the vertex names, zipped into
-rows.
+Adjacency is arithmetic, so the graph is never materialized.  The connecting
+set is held once, as the ascending tuple `members`; membership is one
+bisection in it (`is_connector`), and nothing outside this module decides it
+another way.  Vertex u's upward edges go to u + c for the connectors
+c < n − u, a row that changes only where u reaches n − c; so [0, n) splits
+into |C| + 1 bands with one row each, the last one empty.  `edges()` and the
+capped edge-list and DOT exports read the bands.  The exports write a band in
+chunks of rows: a chunk's neighbour names are |C| column slices of the vertex
+names, zipped into rows.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
 oracle layer: the levels, the distance and order classes and the connecting
@@ -31,12 +33,13 @@ lists the members of any set in ascending order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from math import gcd
 from os import PathLike
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .connectors import ConnectingSet, enumerate_connectors
+from .connectors import enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness
 
 DEFAULT_MATERIALIZE_CAP = 20_000
@@ -57,13 +60,17 @@ class ConnectivityResult(NamedTuple):
 
 class _GraphFields(NamedTuple):
     triple: PrimeTriple
-    cset: ConnectingSet
+    members: tuple[int, ...]
 
 
 class CayleyGraph(_GraphFields):
     """The graph of a triple and its connecting set, both read-only fields.
-    The class declares no __slots__, so each graph has the __dict__ that its
-    cached kernels live in."""
+
+    `members` must be ascending: membership bisects it, and the bands, the
+    exports and `oracles.find_triangle` read it in order.  The
+    regular-eulerian-connected check of `verify` fails a tuple that is not
+    strictly ascending.  The class declares no __slots__, so each graph has
+    the __dict__ that its cached kernels live in."""
 
     @classmethod
     def from_triple(cls, t: PrimeTriple) -> "CayleyGraph":
@@ -71,18 +78,19 @@ class CayleyGraph(_GraphFields):
 
     @property
     def degree(self) -> int:
-        return self.cset.size
+        return len(self.members)
 
-    @cached_property
-    def connector_set(self) -> frozenset[int]:
-        """The connectors as a set: u and v are adjacent iff (v − u) mod n is in it."""
-        return frozenset(self.cset.members)
+    def is_connector(self, x: int) -> bool:
+        """True iff x is a member: one bisection in the ascending members.
+        u and v are adjacent iff (v − u) mod n is a connector."""
+        i = bisect_left(self.members, x)
+        return i < len(self.members) and self.members[i] == x
 
     def adjacent(self, u: int, v: int) -> bool:
         """True iff u ≠ v and their difference lies in the connecting set."""
         _check_exponent(u, self.triple)
         _check_exponent(v, self.triple)
-        return (u - v) % self.triple.n in self.connector_set
+        return self.is_connector((u - v) % self.triple.n)
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
         """True iff the vertices are pairwise adjacent."""
@@ -93,8 +101,9 @@ class CayleyGraph(_GraphFields):
         to x, is a cycle for every x: length ≥ 3, step has order exactly
         length, and step and −step are both connectors, so the cycle is
         walked either way."""
-        n, connectors = self.triple.n, self.connector_set
-        return length >= 3 and n // gcd(step, n) == length and {step % n, -step % n} <= connectors
+        n = self.triple.n
+        ends = (step % n, -step % n)
+        return length >= 3 and n // gcd(step, n) == length and all(map(self.is_connector, ends))
 
     # -- bitset kernel ------------------------------------------------------
 
@@ -179,7 +188,7 @@ class CayleyGraph(_GraphFields):
         order is a union of cosets of prime order, so no other order is tried.
         """
         n = self.triple.n
-        pool = set(self.cset.members)
+        pool = set(self.members)
         families = []
         for o in reversed(self.triple.primes):
             if o > len(pool):
@@ -244,7 +253,7 @@ class CayleyGraph(_GraphFields):
         n − min(C) to n, has an empty row.  Every undirected edge appears once.
         """
         n = self.triple.n
-        members = self.cset.members
+        members = self.members
         lo = 0
         for k in range(len(members), -1, -1):
             hi = n - members[k - 1] if k else n

@@ -167,10 +167,9 @@ def distance_sweep(g: CayleyGraph, sources: int | None = None, seed: int = DEFAU
 def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:
     """Deterministic first triangle: connectors c1 < c2 whose difference is
     itself a connector give the triangle {0, c1, c2}."""
-    members = g.cset.members
-    connectors = g.connector_set
+    members = g.members
     for i, c1 in enumerate(members):
         for c2 in members[i + 1 :]:
-            if c2 - c1 in connectors:
+            if g.is_connector(c2 - c1):
                 return (0, c1, c2)
     return None

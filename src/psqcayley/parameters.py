@@ -12,8 +12,7 @@ blocks, held and checked as their residues mod abc (`structure`).
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations, product
-from operator import eq
+from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
@@ -107,7 +106,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     zero = block_residues(t, [x for x in index_ids(t) if sum(x) % t.gamma == 0])
     proper = (
         len(clique) <= t.gamma
-        and _residue_edges(zero, g.cset.members, period) == 0
+        and _residue_edges(zero, g.members, period) == 0
         and sorted((r + k) % period for k in clique for r in zero) == list(range(period))
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
@@ -155,7 +154,7 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
     m(m−1)/2 vertex pairs: no connector equals n/2 (its order would be 2), so
     every edge is one pair (v, v + c) with c < n/2, counted per period."""
     n, m = g.triple.n, cert.size
-    per_period = _residue_edges(cert.residues, (c for c in g.cset.members if 2 * c < n), cert.period)
+    per_period = _residue_edges(cert.residues, (c for c in g.members if 2 * c < n), cert.period)
     return IndependenceScan(n // cert.period * per_period, m * (m - 1) // 2)
 
 
@@ -166,10 +165,10 @@ class IndexBoundsReport(NamedTuple):
     - the certificate's index set never agrees in exactly two coordinates,
       so it is independent (MIS ≥ a·b): its three two-coordinate
       projections are injective, so any two ids agree in one at most;
-    - the lines {(i, j, k) : k < c}, as many as the index set has ids, are
-      index-graph cliques that partition the ids, and an independent set
-      meets each line at most once (MIS ≤ a·b).  One after another, the
-      lines list the box a × b × c in order, which the ids must match.
+    - the a·b lines {(i, j, k) : k < c}, i < a and j < b, which list the
+      box a × b × c of ids one after another, are index-graph cliques, and
+      an independent set meets each line at most once (MIS ≤ a·b); the
+      bound meets the index set when it has as many ids as there are lines.
     """
 
     index_set_two_agreement_free: bool
@@ -178,18 +177,14 @@ class IndexBoundsReport(NamedTuple):
 
 
 def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
-    """Both index-level bounds, at every triple, in O(abc) steps.  Line
+    """Both index-level bounds, at every triple, in O(ab + c²) steps.  The
+    lines list the box by construction, so the cover reads no id.  Line
     (i, j) is line (0, 0) translated by (i, j, 0), and translations preserve
     agreeing in exactly two coordinates, so line (0, 0)'s pairs decide that
     every line is a clique."""
     a, b, c = t.primes
     ids = independence_index_set(t)
     two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
-    box = index_ids(t)
-    cover = (
-        a * b == len(ids)
-        and len(box) == a * b * c
-        and all(map(eq, box, product(range(a), range(b), range(c))))
-        and all(index_adjacent(x, y) for x, y in combinations([(0, 0, k) for k in range(c)], 2))
-    )
+    line = [(0, 0, k) for k in range(c)]
+    cover = a * b == len(ids) and all(index_adjacent(x, y) for x, y in combinations(line, 2))
     return IndexBoundsReport(two_free, cover, len(ids))

@@ -105,7 +105,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
         "schemaVersion": SCHEMA_VERSION,
         "primes": {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
         "n": t.n,
-        "cSize": g.cset.size,
+        "cSize": g.degree,
         "degree": g.degree,
         "connected": {
             "bezout": list(c.connectivity.bezout),
@@ -172,36 +172,37 @@ def run_verification(
 
     # the order classes must partition [0, n); of the classes only the
     # squared-prime ones' union is kept, the order scan
-    cset = g.cset
+    n, members = t.n, g.members
     union = size = order_scan = 0
     for o, cls in oracles.order_classes(g):
         union |= cls
         size += cls.bit_count()
         if o in t.moduli:
             order_scan |= cls
-    partition = size == t.n and union == (1 << t.n) - 1
-    in_range = all(0 <= m < t.n for m in cset.members)
+    partition = size == n and union == (1 << n) - 1
+    in_range = all(0 <= m < n for m in members)
     check(
         "connecting-set",
         partition
         and in_range
-        and g.bitset(cset.members) == order_scan
-        and cset.size == connector_count_formula(t),
-        f"|C|={cset.size}, formula={connector_count_formula(t)}, order-scan={order_scan.bit_count()}",
+        and g.bitset(members) == order_scan
+        and g.degree == connector_count_formula(t),
+        f"|C|={g.degree}, formula={connector_count_formula(t)}, order-scan={order_scan.bit_count()}",
     )
 
     # every vertex u has exactly |C| distinct neighbours u + c, and adjacency
     # is symmetric, iff C repeats no member, misses 0 and holds n − c for
-    # each c (with |C| even, n/2 is then no member, as the independence scan needs)
-    connectors = g.connector_set
-    regular = len(connectors) == cset.size and all(
-        0 < m < t.n and t.n - m in connectors for m in cset.members
-    )
+    # each c (with |C| even, n/2 is then no member, as the independence scan
+    # needs).  One pass decides it with no lookup: the members ascend
+    # strictly inside (0, n), as membership by bisection needs too, and
+    # c ↦ n − c reverses them
+    ascending = all(x < y for x, y in zip((0, *members), (*members, n)))
+    regular = ascending and members == tuple(n - m for m in reversed(members))
     conn = c.connectivity
     check(
         "regular-eulerian-connected",
-        regular and cset.size % 2 == 0 and conn.connected,
-        f"degree={cset.size}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
+        regular and g.degree % 2 == 0 and conn.connected,
+        f"degree={g.degree}, bezout={conn.bezout}, reached={conn.bfs_reached}/{n}",
     )
 
     clique = parameters.clique_certificate(t)

@@ -95,7 +95,7 @@ def verify_block_adjacency(g: CayleyGraph) -> bool:
     """
     t, origin = g.triple, (0, 0, 0)
     period = t.alpha * t.beta * t.gamma
-    reach = {(r + x) % period for r in block_residues(t, [origin]) for x in g.cset.members}
+    reach = {(r + x) % period for r in block_residues(t, [origin]) for x in g.members}
     return reach == set(block_residues(t, [x for x in index_ids(t) if index_adjacent(origin, x)]))
 
 
@@ -152,14 +152,15 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     # the fibers are the translates of fiber 0, whose vertices differ by less
     # than a²b² either way: it holds an edge iff a connector lies in (0, a²b²)
     # or (n − a²b², n)
-    item_i = all(m_ab <= x <= n - m_ab for x in g.cset.members)
+    item_i = all(m_ab <= x <= n - m_ab for x in g.members)
 
     # (ii) within a cell, adjacency <=> top digits differ modulo gamma; the
     # cell of r + s·a² (r < a², s < b²) is {base + k·a²b² : k < c²}, so every
     # in-cell pair differs by dk·a²b² with 0 < dk < c², and adjacency depends
-    # only on that difference: c² − 1 tests decide all n(c² − 1)/2 pairs
-    connectors = g.connector_set
-    item_ii = all((dk * m_ab in connectors) == (dk % t.gamma != 0) for dk in range(1, m_c))
+    # only on that difference: it holds iff the tops dk of the members dk·a²b²
+    # in (0, n) are the c² − c values in (0, c²) that gamma does not divide
+    tops = {x // m_ab for x in g.members if 0 < x < n and x % m_ab == 0}
+    item_ii = len(tops) == m_c - t.gamma and all(k % t.gamma for k in tops)
 
     # (iii) the cycle of cell r + s·a², base + k·a²b² (k < c²), is the
     # translate of cell 0's, which steps by a²b², so one step rule decides all

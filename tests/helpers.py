@@ -104,7 +104,7 @@ def internal_edges(g: CayleyGraph, s: int) -> int:
     n = g.triple.n
     doubled = s | (s << n)
     # (doubled >> (n - c)) & S == rot(S, c) & S
-    return sum(((doubled >> (n - c)) & s).bit_count() for c in g.cset.members if 2 * c < n)
+    return sum(((doubled >> (n - c)) & s).bit_count() for c in g.members if 2 * c < n)
 
 
 def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool:
@@ -128,7 +128,7 @@ def adjacency_by_neighbourhood(g: CayleyGraph, b0: int) -> bool:
 def neighbors(g: CayleyGraph, u: int) -> list[int]:
     """The degree-many neighbours u + c (c in C) of vertex u, sorted ascending."""
     n = g.triple.n
-    return sorted((u + c) % n for c in g.cset.members)
+    return sorted((u + c) % n for c in g.members)
 
 
 def is_cycle(g: CayleyGraph, seq) -> bool:
@@ -140,12 +140,20 @@ def is_cycle(g: CayleyGraph, seq) -> bool:
     if len(seq) < 3 or not all(0 <= v < n for v in seq) or len(set(seq)) < len(seq):
         return False
     # every entry is now a distinct vertex, so adjacency is membership of the difference
-    connectors = g.connector_set
     for u, v in chain(zip(seq, islice(seq, 1, None)), [(seq[-1], seq[0])]):
         d = (v - u) % n
-        if d not in connectors or n - d not in connectors:
+        if not (g.is_connector(d) and g.is_connector(n - d)):
             return False
     return True
+
+
+def cell_rule_by_difference(g: CayleyGraph) -> bool:
+    """Fiber check (ii) by one membership test per in-cell difference
+    dk·a²b², 0 < dk < c²: a connector iff gamma does not divide dk.  The
+    reference for the check's one pass over the members."""
+    t = g.triple
+    m_ab, connectors = t.m_alpha * t.m_beta, set(g.members)
+    return all((dk * m_ab in connectors) == (dk % t.gamma != 0) for dk in range(1, t.m_gamma))
 
 
 def snake_sequence(t: PrimeTriple) -> tuple[int, ...]:

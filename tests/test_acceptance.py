@@ -60,10 +60,10 @@ def test_criterion_01_connecting_set_count():
     cs = enumerate_connectors(T235)
     scan = {m for m in range(1, 900) if element_order(m, T235) in T235.moduli}
     ok = (
-        cs.size == 28
-        and set(cs.members) == scan
+        len(cs) == 28
+        and set(cs) == scan
         and connector_count_formula(T235) == 28
-        and enumerate_connectors(T357).size == 68
+        and len(enumerate_connectors(T357)) == 68
     )
     elapsed = time.perf_counter() - start
     _report(1, ok, 1.0, elapsed, f"|C|=28 at (2,3,5) matches 900-exponent scan; 68 at (3,5,7)")

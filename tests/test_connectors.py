@@ -15,17 +15,17 @@ T357 = make_prime_triple(3, 5, 7)
 
 def test_count_at_small_instance():
     cs = enumerate_connectors(T235)
-    assert cs.size == 28
+    assert len(cs) == 28
     assert connector_count_formula(T235) == 28
 
 
 def test_members_equal_order_scan():
-    assert set(enumerate_connectors(T235).members) == order_scan_connectors(T235)
+    assert set(enumerate_connectors(T235)) == order_scan_connectors(T235)
 
 
 def _by_order(t) -> dict[int, list[int]]:
     classes: dict[int, list[int]] = {}
-    for m in enumerate_connectors(t).members:
+    for m in enumerate_connectors(t):
         classes.setdefault(element_order(m, t), []).append(m)
     return classes
 
@@ -38,7 +38,7 @@ def test_alpha_class():
 
 
 def test_membership_examples():
-    members = set(enumerate_connectors(T235).members)
+    members = set(enumerate_connectors(T235))
     assert 36 in members
     assert 180 not in members  # order 5
     assert 450 not in members  # order 2
@@ -46,7 +46,7 @@ def test_membership_examples():
 
 def test_formula_at_next_instance():
     assert connector_count_formula(T357) == 68
-    assert enumerate_connectors(T357).size == 68
+    assert len(enumerate_connectors(T357)) == 68
 
 
 def test_formula_always_even():
@@ -56,12 +56,12 @@ def test_formula_always_even():
 
 def test_size_matches_formula_up_to_million():
     for t in triples_with_group_order_at_most(1_000_000):
-        assert enumerate_connectors(t).size == connector_count_formula(t)
+        assert len(enumerate_connectors(t)) == connector_count_formula(t)
 
 
 def test_membership_equivalence_full_sweep():
     for t in triples_with_group_order_at_most(10_000):
-        members = set(enumerate_connectors(t).members)
+        members = set(enumerate_connectors(t))
         for m in range(t.n):
             assert (m != 0 and t.n // math.gcd(t.n, m) in t.moduli) == (m in members)
 
@@ -69,7 +69,7 @@ def test_membership_equivalence_full_sweep():
 def test_inverse_closure_and_zero_excluded():
     for t in (T235, T357):
         cs = enumerate_connectors(t)
-        members = set(cs.members)
+        members = set(cs)
         assert 0 not in members
         for m in members:
             assert (t.n - m) in members
@@ -87,5 +87,5 @@ def test_order_classes_partition_members():
 
 def test_members_sorted_ascending():
     for t in (T235, T357):
-        members = enumerate_connectors(t).members
+        members = enumerate_connectors(t)
         assert list(members) == sorted(members)

@@ -15,7 +15,6 @@ from math import gcd
 import pytest
 
 from psqcayley import graph, make_prime_triple, report, run_verification
-from psqcayley.connectors import ConnectingSet
 from psqcayley.group import divisors
 
 LINES = {
@@ -98,7 +97,7 @@ FAULT_MATRIX = {
 def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
     t = make_prime_triple(*primes)
     n = t.n
-    connectors = set(graph.enumerate_connectors(t).members)
+    connectors = set(graph.enumerate_connectors(t))
     certified = []
     certify = report.certify
     monkeypatch.setattr(report, "certify", lambda t: certified.append(certify(t)) or certified[-1])
@@ -107,7 +106,7 @@ def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
         cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
         inside = cls <= connectors
         members = tuple(sorted(connectors - cls if inside else connectors | cls))
-        monkeypatch.setattr(graph, "enumerate_connectors", lambda t: ConnectingSet(members))
+        monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
         failed = {line.split(":")[0][5:] for line in run_verification(t, 0).lines if line.startswith("FAIL")}
         c = certified[-1]
         fiber = c.fiber.as_dict()

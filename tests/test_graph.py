@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, clique_certificate, graph, make_prime_triple
-from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley import CayleyGraph, TooLargeError, certify, clique_certificate, graph, make_prime_triple
+from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 from psqcayley.group import crt_basis
 
@@ -45,7 +45,13 @@ def test_translation_invariance(u, v, w):
 
 
 def test_neighbors_of_zero_are_connectors():
-    assert neighbors(G235, 0) == list(G235.cset.members)
+    assert neighbors(G235, 0) == list(G235.members)
+
+
+def test_certified_graph_holds_no_set():
+    # C is held once, as the members tuple: no cached kernel is a set
+    g = certify(T235).graph
+    assert not [k for k, v in vars(g).items() if isinstance(v, (set, frozenset))]
 
 
 def _cell_zero_cycle(t) -> list[int]:
@@ -83,12 +89,12 @@ def _step_rule_graphs(t):
     (−e stays, a one-way connector), and at even n the graph with n/2 added,
     an element of order 2."""
     g = CayleyGraph.from_triple(t)
-    members = g.cset.members
+    members = g.members
     yield g
     for e in crt_basis(t):
-        yield CayleyGraph(t, ConnectingSet(tuple(c for c in members if c != e)))
+        yield CayleyGraph(t, tuple(c for c in members if c != e))
     if t.n % 2 == 0:
-        yield CayleyGraph(t, ConnectingSet(tuple(sorted(members + (t.n // 2,)))))
+        yield CayleyGraph(t, tuple(sorted(members + (t.n // 2,))))
 
 
 def test_step_rule_equals_the_sequence_replay():
@@ -205,7 +211,7 @@ def test_export_bytes_equal_reference(tmp_path, t, fmt):
 @pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
 def test_bands_tile_vertices_with_connectors_below_n_minus_u(t):
     g = CayleyGraph.from_triple(t)
-    n, members = t.n, g.cset.members
+    n, members = t.n, g.members
     bands = list(g._bands())
     assert bands[0][0] == 0 and bands[-1][1] == n and bands[-1][2] == ()
     assert all(lo < hi for lo, hi, _ in bands)
@@ -218,14 +224,12 @@ def test_bands_tile_vertices_with_connectors_below_n_minus_u(t):
 def test_export_with_a_planted_connector_equals_reference(tmp_path, monkeypatch, fmt):
     # 1 and n − 1 are no connectors: bands from the closed form would miss them
     def with_extra(t):
-        cs = enumerate_connectors(t)
-        members = tuple(sorted(cs.members + (1, t.n - 1)))
-        return ConnectingSet(members)
+        return tuple(sorted(enumerate_connectors(t) + (1, t.n - 1)))
 
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
-        assert {1, t.n - 1} <= g.connector_set
+        assert g.is_connector(1) and g.is_connector(t.n - 1)
         out = tmp_path / f"{fmt}.txt"
         g.export(fmt, out)
         assert out.read_bytes() == _reference_export(g, fmt)

@@ -5,7 +5,6 @@ import pytest
 
 from psqcayley import (
     CayleyGraph,
-    ConnectingSet,
     WalkCertificate,
     make_prime_triple,
     snake_walk,
@@ -218,7 +217,7 @@ def test_walk_partition_by_residues_equals_its_n_bit_reference(t):
     assert verdicts["certificate"] and not verdicts["rows-1@0"] and verdicts["negated-step@2"]
     assert sum(verdicts.values()) < len(verdicts) - 10
     for e in crt_basis(t):
-        one_way = CayleyGraph(t, ConnectingSet(tuple(c for c in g.cset.members if c != -e % t.n)))
+        one_way = CayleyGraph(t, tuple(c for c in g.members if c != -e % t.n))
         assert not verify_walk(walk, one_way) and not _n_entry_replay(walk, one_way), e
 
 
@@ -249,7 +248,7 @@ def test_walk_check_is_sound_under_every_planted_fault(t):
     # the connecting sets without +e or −e for each e in crt_basis(t)
     g, n, walk = CayleyGraph.from_triple(t), t.n, snake_walk(t)
     graphs = [g] + [
-        CayleyGraph(t, ConnectingSet(tuple(c for c in g.cset.members if c != d)))
+        CayleyGraph(t, tuple(c for c in g.members if c != d))
         for e in crt_basis(t)
         for d in (e, -e % n)
     ]
@@ -295,12 +294,12 @@ def test_reversed_rows_are_replayed_as_walked():
     # so verify_walk sees the odd rows' fault without walking them
     _, _, e_c = crt_basis(T357)
     n = T357.n
-    one_way = CayleyGraph(T357, ConnectingSet(tuple(c for c in G357.cset.members if c != e_c)))
+    one_way = CayleyGraph(T357, tuple(c for c in G357.members if c != e_c))
     walk = snake_walk(T357)
     c_walk = walk_sequence(WalkCertificate(walk.levels[:1], n))
-    assert all((v - u) % n in one_way.connector_set for u, v in zip(c_walk, c_walk[1:] + c_walk[:1]))
+    assert all(one_way.is_connector((v - u) % n) for u, v in zip(c_walk, c_walk[1:] + c_walk[:1]))
     seq = walk_sequence(walk)
-    assert any((v - u) % n not in one_way.connector_set for u, v in zip(seq, seq[1:]))
+    assert any(not one_way.is_connector((v - u) % n) for u, v in zip(seq, seq[1:]))
     assert not verify_walk(walk, one_way)
 
 

@@ -28,7 +28,6 @@ from psqcayley import (
     verify_coloring,
 )
 from psqcayley import oracles, parameters, structure
-from psqcayley.connectors import ConnectingSet
 from psqcayley.graph import set_bits
 from psqcayley.group import divisors
 
@@ -67,7 +66,7 @@ def reference_bfs(n: int, members, source: int) -> list[int]:
 def test_bfs_levels_match_reference_bfs(t):
     g = CayleyGraph.from_triple(t)
     for source in (0, 1, t.n // 3, t.n - 1):
-        dist = reference_bfs(t.n, g.cset.members, source)
+        dist = reference_bfs(t.n, g.members, source)
         levels = g.bfs_levels(source)
         assert len(levels) == max(dist) + 1
         for k, level in enumerate(levels):
@@ -95,23 +94,26 @@ def reference_neighborhood(n: int, members, vertices) -> set[int]:
 @st.composite
 def connector_lists(draw):
     """The real connectors of a small triple, with random members dropped
-    (which leaves partial cosets and one-way connectors) and 1 or n − 1
-    planted."""
+    (which leaves partial cosets and one-way connectors), 1 or n − 1
+    planted and some members repeated, ascending."""
     t = draw(st.sampled_from(TRIPLES))
-    members = set(CayleyGraph.from_triple(t).cset.members)
+    members = set(CayleyGraph.from_triple(t).members)
     if draw(st.booleans()):
         members -= set(draw(st.lists(st.sampled_from(sorted(members)), max_size=12)))
     members |= set(draw(st.lists(st.sampled_from([1, t.n - 1]), max_size=2)))
-    return t, tuple(sorted(members))
+    repeats = draw(st.lists(st.sampled_from(sorted(members)), max_size=3))
+    return t, tuple(sorted([*members, *repeats]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(connector_lists(), st.data())
 def test_neighborhood_equals_per_connector_reference(case, data):
     t, members = case
-    g = CayleyGraph(t, ConnectingSet(members))
+    g = CayleyGraph(t, members)
     vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
     assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, members, vertices))
+    inside = set(members)
+    assert [g.is_connector(x) for x in range(t.n)] == [x in inside for x in range(t.n)]
 
 
 LADDER = triples_with_group_order_at_most(1_100_000)
@@ -131,7 +133,7 @@ def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
             covered.extend((r + j * h) % t.n for r in reps for j in range(order))
             if order > 1:
                 families[order] = len(reps)
-        assert sorted(covered) == list(g.cset.members)
+        assert sorted(covered) == list(g.members)
         assert families == {p: p - 1 for p in t.primes}
         assert all(order > 1 for _, order, _ in g.coset_plan)
         assert "_full" not in vars(g)
@@ -156,7 +158,7 @@ def test_internal_edges_matches_pair_count():
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_planted_edge_counts_once(t):
     g = CayleyGraph.from_triple(t)
-    members = g.cset.members
+    members = g.members
     cert = list(set_bits(block_set(g, independence_certificate(t).residues)))
     assert internal_edges(g, g.bitset(cert)) == 0
     u = cert[len(cert) // 2]
@@ -248,8 +250,8 @@ def test_sweep_counts_unreached_vertices():
     # only the c²-order connectors: the graph splits into a²b² components
     t = TRIPLES[0]
     m_ab = t.m_alpha * t.m_beta
-    gamma_class = tuple(c for c in CayleyGraph.from_triple(t).cset.members if c % m_ab == 0)
-    g = CayleyGraph(t, ConnectingSet(gamma_class))
+    gamma_class = tuple(c for c in CayleyGraph.from_triple(t).members if c % m_ab == 0)
+    g = CayleyGraph(t, gamma_class)
     table = closed_form_distance_table(t)
     report = distance_sweep(g, 3, seed=2)
     expected = 0
@@ -275,7 +277,7 @@ def _period(t) -> int:
 def test_bad_coloring_is_improper(t, monkeypatch):
     # the residue of a connector, adjacent to vertex 0, recoloured like it
     g = CayleyGraph.from_triple(t)
-    clash = g.cset.members[0] % _period(t)
+    clash = g.members[0] % _period(t)
     assert residue_sum_color(0, t) == 0 != residue_sum_color(clash, t)
     _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, clash}))
     result = verify_coloring(t, g)
@@ -381,7 +383,7 @@ def test_block_of_a_translate_is_the_sum_of_the_blocks(t):
     # block_of(v) + block_of(c), coordinate by coordinate, for every v and c
     g = CayleyGraph.from_triple(t)
     blocks = [block_of(v, t) for v in range(t.n)]
-    for c in g.cset.members:
+    for c in g.members:
         shifted = [tuple((x + y) % p for x, y, p in zip(bv, blocks[c], t.primes)) for bv in blocks]
         assert [blocks[(v + c) % t.n] for v in range(t.n)] == shifted
 
@@ -390,7 +392,7 @@ def _symmetric_edits(t) -> list[tuple[int, ...]]:
     """The connectors of t, then with a symmetric pair ±d added (each d a
     non-member) or removed, and with every pair outside the c²-order class
     removed."""
-    members = CayleyGraph.from_triple(t).cset.members
+    members = CayleyGraph.from_triple(t).members
     m_ab = t.m_alpha * t.m_beta
 
     def edit(add=(), drop=()):
@@ -418,7 +420,7 @@ def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
     cert = independence_certificate(t)
     seen = set()
     for members in _symmetric_edits(t):
-        g = CayleyGraph(t, ConnectingSet(members))
+        g = CayleyGraph(t, members)
         proper = verify_coloring(t, g).proper
         assert proper == coloring_by_neighbourhood(t, g, block_set(g, zero))
         count = independence_internal_edges(cert, g).internal_edges
@@ -434,7 +436,7 @@ def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
 def test_coloring_equals_its_n_bit_reference_with_a_residue_moved_into_class_zero(t, monkeypatch):
     g = CayleyGraph.from_triple(t)
     zero = _class_zero(t)
-    outside = [r for r in (1, _period(t) - 1, g.cset.members[0] % _period(t)) if r not in zero]
+    outside = [r for r in (1, _period(t) - 1, g.members[0] % _period(t)) if r not in zero]
     assert len(outside) == 3
     for r in outside:
         moved = sorted({*zero, r})

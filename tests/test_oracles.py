@@ -17,7 +17,7 @@ from psqcayley import (
     run_verification,
 )
 from psqcayley import graph, oracles, parameters
-from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.connectors import enumerate_connectors
 from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import index_adjacent, index_ids
@@ -72,8 +72,8 @@ def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
     # ±36 (order 25) swapped for ±1 or ±abc: C stays symmetric with the
     # formula's size, so only the order classes tell the sets apart
     def planted(t):
-        members = set(enumerate_connectors(t).members) - {36, 864} | set(swap)
-        return ConnectingSet(tuple(sorted(members)))
+        members = set(enumerate_connectors(t)) - {36, 864} | set(swap)
+        return tuple(sorted(members))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
     lines = run_verification(T235, 0).lines
@@ -174,7 +174,7 @@ def test_a_planted_connecting_set_fails_the_certified_bounds(edit, failing, monk
     # is no clique, so neither ω ≥ c nor the cover by translates of K holds;
     # ±abc = ±30 joins 0 and 30, which the colouring gives colour 0 both
     def planted(t):
-        return ConnectingSet(tuple(sorted(edit(set(enumerate_connectors(t).members)))))
+        return tuple(sorted(edit(set(enumerate_connectors(t)))))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
     verdicts = _verdicts(run_verification(T235, 0).lines)

@@ -146,8 +146,8 @@ def test_index_bounds_check_one_line_of_pairs(monkeypatch):
 
 def test_index_bounds_by_projection_equal_every_line_of_pairs():
     # part 1 is three injective projections of the a·b ids, O(ab), and part 2
-    # walks the ids beside the box a × b × c: no C(ab, 2) pair loop and no
-    # sort, equal to the pair loops at every ladder triple and on unvalidated
+    # the line count and line (0, 0)'s pairs: no C(ab, 2) pair loop and no
+    # box walk, equal to the pair loops at every ladder triple and on unvalidated
     # triples, where the index set (i, j, i + j mod 3) is not free: at
     # (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
     for t in triples_with_group_order_at_most(1_100_000) + UNVALIDATED:
@@ -176,8 +176,12 @@ def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkey
             parameters, "independence_index_set", lambda t: calls.update([1]) or (origin, next_k) + index_set(t)[2:]
         )
     elif plant == "id-outside-the-lines":
-        ids = parameters.index_ids
-        monkeypatch.setattr(parameters, "index_ids", lambda t: calls.update([1]) or ids(t) + [(t.alpha, 0, 0)])
+        # (a, b, c) lies on no line and shares no projection with another id,
+        # so the set stays free but outnumbers the a·b lines
+        index_set = parameters.independence_index_set
+        monkeypatch.setattr(
+            parameters, "independence_index_set", lambda t: calls.update([1]) or index_set(t) + (t.primes,)
+        )
     else:
         adjacent = parameters.index_adjacent
         monkeypatch.setattr(
@@ -202,7 +206,9 @@ def test_index_set_freedom_reads_each_projection(other, monkeypatch):
 
 @pytest.mark.parametrize("position", [0, 17, -1])
 def test_line_cover_reads_every_id(position, monkeypatch):
-    # one id moved out of the box a × b × c, the count of ids unchanged
+    # one id moved out of the box a × b × c, the count of ids unchanged: the
+    # lines list the box by construction, so the check reads no id and keeps
+    # its verdict, while the box walk, kept as the reference, reads every id
     ids, calls = parameters.index_ids, Counter()
 
     def moved(t):
@@ -212,9 +218,10 @@ def test_line_cover_reads_every_id(position, monkeypatch):
         return box
 
     monkeypatch.setattr(parameters, "index_ids", moved)
-    rep = verify_index_bounds(T235)
-    assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(T235) == (True, False)
-    assert calls[1] == 2  # the check and its reference each read the box once
+    assert verify_index_bounds(T235) == (True, True, 6)
+    assert calls[1] == 0
+    assert _index_bounds_by_every_line(T235) == (True, False)
+    assert calls[1] == 1
 
 
 def test_distance_examples():

@@ -9,7 +9,6 @@ import pytest
 from psqcayley import (
     CayleyGraph,
     certify,
-    enumerate_connectors,
     make_prime_triple,
     snake_walk,
 )
@@ -67,9 +66,8 @@ def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
 # record -> (a builder, one of its fields)
 RECORDS = {
     "PrimeTriple": (lambda: T235, "alpha"),
-    "ConnectingSet": (lambda: enumerate_connectors(T235), "members"),
     "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
-    "CayleyGraph.cset": (lambda: CayleyGraph.from_triple(T235), "cset"),
+    "CayleyGraph.members": (lambda: CayleyGraph.from_triple(T235), "members"),
     "WalkCertificate": (lambda: snake_walk(T235), "levels"),
     "Certificates": (lambda: certify(T235), "walk_verified"),
     "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),

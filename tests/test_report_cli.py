@@ -22,7 +22,7 @@ from psqcayley import (
 from psqcayley import cli, graph
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
-from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.connectors import enumerate_connectors
 from psqcayley.group import prime_factors
 
 from helpers import BIG_PRIME, record_primality_tests
@@ -113,14 +113,26 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
     # (1, 2) lack their negatives; (36, 864) repeat members, so |C| = 30
     # counts 28 distinct neighbours.  |C| stays even and the graph connected.
     def planted(t):
-        cs = enumerate_connectors(t)
-        members = tuple(sorted(cs.members + extra))
-        return ConnectingSet(members)
+        return tuple(sorted(enumerate_connectors(t) + extra))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
     lines = run_verification(T235, 0).lines
     status = {line.split(":")[0]: line for line in lines}
     assert "FAIL connecting-set" in status
+    assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
+
+
+def test_regularity_fails_distinct_members_out_of_order(monkeypatch):
+    # the first two members swapped: the set is still C, so the
+    # connecting-set line passes, but membership bisects the members and the
+    # bands read them in order, so the regularity line requires them ascending
+    def swapped(t):
+        members = enumerate_connectors(t)
+        return (members[1], members[0]) + members[2:]
+
+    monkeypatch.setattr(graph, "enumerate_connectors", swapped)
+    status = {line.split(":")[0]: line for line in run_verification(T235, 0).lines}
+    assert "PASS connecting-set" in status
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
 
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from psqcayley import graph, structure
@@ -15,13 +17,15 @@ from psqcayley import (
     verify_block_partition,
     verify_fiber_structure,
 )
-from psqcayley.connectors import ConnectingSet, enumerate_connectors
+from psqcayley.connectors import enumerate_connectors
+from psqcayley.group import divisors
 
 from helpers import (
     UNVALIDATED,
     adjacency_by_neighbourhood,
     block_of,
     block_set,
+    cell_rule_by_difference,
     is_cycle,
     is_partition,
     triples_with_group_order_at_most,
@@ -38,9 +42,7 @@ def _plant(monkeypatch, extra) -> None:
     """Graphs built from now on also join the differences ±extra(t)."""
 
     def with_extra(t):
-        cs = enumerate_connectors(t)
-        members = tuple(sorted(cs.members + (extra(t), t.n - extra(t))))
-        return ConnectingSet(members)
+        return tuple(sorted(enumerate_connectors(t) + (extra(t), t.n - extra(t))))
 
     monkeypatch.setattr(graph, "enumerate_connectors", with_extra)
 
@@ -144,11 +146,11 @@ def test_fiber_i_by_connectors_equals_the_neighbourhood_reference(t):
     # n-bit neighbourhood of every gamma fiber.  a²b² and n − a²b² are
     # connectors already, the bounds of the rule
     n, m_ab = t.n, t.m_alpha * t.m_beta
-    members = enumerate_connectors(t).members
+    members = enumerate_connectors(t)
     planted = {None: True, 1: False, m_ab - 1: False, n - m_ab + 1: False, n - 1: False, m_ab: True, n - m_ab: True}
     for extra, expected in planted.items():
         cs = members if extra is None else tuple(sorted(set(members) | {extra}))
-        g = CayleyGraph(t, ConnectingSet(cs))
+        g = CayleyGraph(t, cs)
         assert verify_fiber_structure(g).gamma_fibers_independent is _gamma_fibers_by_fiber(g) is expected, extra
 
 
@@ -287,10 +289,8 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
 
 def _without(t, drop) -> CayleyGraph:
     """The graph of t with the connectors ±d, for d in drop, removed."""
-    cs = enumerate_connectors(t)
     gone = {x % t.n for d in drop for x in (d, -d)}
-    members = tuple(m for m in cs.members if m not in gone)
-    return CayleyGraph(t, ConnectingSet(members))
+    return CayleyGraph(t, tuple(m for m in enumerate_connectors(t) if m not in gone))
 
 
 @SMALL
@@ -299,7 +299,7 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     # c-residue alone are joined, so (1, 0, 0) is index-adjacent to (0, 0, 0)
     # yet sees no edge from it
     m_ab = t.m_alpha * t.m_beta
-    g = _without(t, [c for c in enumerate_connectors(t).members if c % m_ab])
+    g = _without(t, [c for c in enumerate_connectors(t) if c % m_ab])
     assert verify_block_partition(g)
     assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g)
 
@@ -396,7 +396,7 @@ def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
     for base in range(m_ab):
         cell = range(base, n, m_ab)
         for k1, x in enumerate(cell):
-            if [(y - x) % n in g.connector_set for y in cell[k1 + 1 :]] != rule[1 : m_c - k1]:
+            if [g.is_connector((y - x) % n) for y in cell[k1 + 1 :]] != rule[1 : m_c - k1]:
                 return False
     return True
 
@@ -415,6 +415,28 @@ def test_cell_rule_catches_a_planted_connector(monkeypatch):
 def test_cell_rule_by_difference_equals_the_pairwise_reference(t):
     g = CayleyGraph.from_triple(t)
     assert verify_fiber_structure(g).cell_adjacency_rule is _cell_rule_by_pairs(g) is True
+
+
+@pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_cell_rule_in_one_pass_equals_one_test_per_difference_under_faults(t):
+    # the check reads the tops of the members that a²b² divides, the
+    # reference tests each difference dk·a²b² for membership; the faults
+    # toggle every gcd class in or out of C and plant single members: 0,
+    # n/2, n, n + a²b², a repeated a²b² and γ·a²b²
+    n, m_ab = t.n, t.m_alpha * t.m_beta
+    members = enumerate_connectors(t)
+    cases = [members]
+    for d in divisors(n)[:-1]:
+        toggled = set(members) ^ {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+        cases.append(tuple(sorted(toggled)))
+    cases += [tuple(sorted(members + (x,))) for x in (0, n // 2, n, n + m_ab, m_ab, t.gamma * m_ab)]
+    verdicts = set()
+    for cs in cases:
+        g = CayleyGraph(t, cs)
+        verdict = verify_fiber_structure(g).cell_adjacency_rule
+        assert verdict == cell_rule_by_difference(g), cs
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_cross_block_edge_witness():
