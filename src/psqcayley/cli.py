@@ -46,16 +46,17 @@ OPTIONS = {
 
 # Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux).  `verify --budget-sources 0` peaks at 6.0 bytes at (2,3,167), 5.6 at
-# (2,3,401), 4.0 at (11,13,17) and 3.7 at (13,17,19); `params` at 5.3 at
-# (2,3,167).  The walk and independent-set exports hold nothing n-sized, so the
-# gate bounds only their output: the walk's pieces of under c² entries peak at
-# 4.0 at (2,3,167) and 4.1 at (2,3,401), where c² = n/36, and one abc period of
-# the set at 0.02 at (11,13,17).  The edges and dot exports hold every vertex's name and
-# a chunk of rows |C| wide: with materialize-cap raised, dot peaks at 69.1 at
-# (7,11,13), 97.9 at (5,7,11) and 185.1 at (2,3,47), where |C|/n is near its
-# largest, 1/36.  Each constant leaves at least 2.7 times headroom over its
-# largest peak.
+# Linux, bytecode precompiled).  `verify --budget-sources 0` peaks at 6.1
+# bytes at (2,3,167), 5.6 at (2,3,401), 3.4 at (11,13,17) and 3.4 at
+# (13,17,19); `params` at 6.0 at (2,3,167), 5.6 at (2,3,401) and 2.9 at
+# (13,17,19).  The walk and independent-set exports hold nothing n-sized, so
+# the gate bounds only their output: the walk's pieces of under c² entries
+# peak at 4.2 at (2,3,167) and 4.0 at (2,3,401), where c² = n/36, and one abc
+# period of the set at nothing measurable at (11,13,17).  The edges and dot
+# exports hold every vertex's name and a chunk of rows |C| wide: with
+# materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.6 at (5,7,11)
+# and 177.5 at (2,3,47), where |C|/n is near its largest, 1/36.  Each
+# constant leaves at least 2.8 times headroom over its largest peak.
 BYTES_PER_VERTEX = 24
 EXPORT_BYTES_PER_VERTEX = 512  # the edges and dot exports
 MEMORY_LIMIT_BYTES = 2 << 30

@@ -13,8 +13,9 @@ chunks of rows: a chunk's neighbour names are |C| column slices of the vertex
 names, zipped into rows.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
-oracle layer: the levels, the distance and order classes and the connecting
-set's order scan.  Certificate claims are decided on quotients.  In a circulant
+oracle layer: the levels, the gcd classes that the distance and order classes
+are folded from, and the connecting set's order scan.  Certificate claims are
+decided on quotients.  In a circulant
 graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
 rot(S, c) over the connectors c.  The connectors are taken coset by coset
 (`coset_plan`, found from the member list and the primes dividing n): S is
@@ -25,10 +26,9 @@ connector.  Sweeps from distinct sources share no mutable state and may run
 concurrently.  The levels from vertex 0 are built once per graph and shared
 as a tuple.
 
-Sets defined by residues, such as the closed-form distance and order
-classes, are periodic: {v : v mod P in R} for a period P dividing n.
-`periodic` packs one period and doubles it out to n bits, and `set_bits`
-lists the members of any set in ascending order.
+`multiples(d)` builds the multiples of d, the one kind of periodic set the
+oracles build, by doubling one bit out to n bits, and `set_bits` lists the
+members of any set in ascending order.
 """
 
 from __future__ import annotations
@@ -108,20 +108,25 @@ class CayleyGraph(_GraphFields):
     # -- bitset kernel ------------------------------------------------------
 
     def bitset(self, vertices: Iterable[int]) -> int:
-        """The vertex set as an n-bit int."""
-        return _pack(vertices, self.triple.n)
-
-    def periodic(self, period: int, residues: Iterable[int]) -> int:
-        """{v : v mod period ∈ residues} as an n-bit int.
-
-        The period must divide n and every residue lie in [0, period).  One
-        period is packed and then doubled by shifts up to n bits.
-        """
+        """The vertex set as an n-bit int; a vertex outside [0, n) raises
+        ValueError."""
         n = self.triple.n
-        if period <= 0 or n % period:
-            raise ValueError(f"period {period} does not divide {n}")
-        s = _pack(residues, period)
-        width = period
+        vertices = list(vertices)  # a generator is read once, for both the check and the bits
+        if vertices and not (0 <= min(vertices) and max(vertices) < n):
+            bad = next(v for v in vertices if not 0 <= v < n)
+            raise ValueError(f"{bad} out of range [0, {n})")
+        buf = bytearray((n + 7) // 8)
+        for v in vertices:
+            buf[v >> 3] |= 1 << (v & 7)
+        return int.from_bytes(buf, "little")
+
+    def multiples(self, d: int) -> int:
+        """The multiples of d > 0 in [0, n) as an n-bit int: bit 0 doubled
+        by shifts of d, 2d, 4d, ... up to n bits."""
+        n = self.triple.n
+        if d <= 0:
+            raise ValueError(f"multiples of {d}")
+        s, width = 1, d
         while width < n:
             s |= s << width
             width *= 2
@@ -313,14 +318,3 @@ def set_bits(s: int) -> Iterator[int]:
         yield v
         v = bits.find("1", v + 1)
 
-
-def _pack(values: Iterable[int], size: int) -> int:
-    """The values, each in [0, size), as the bits of a size-bit int."""
-    values = list(values)  # a generator is read once, for both the check and the bits
-    if values and not (0 <= min(values) and max(values) < size):
-        bad = next(v for v in values if not 0 <= v < size)
-        raise ValueError(f"{bad} out of range [0, {size})")
-    buf = bytearray((size + 7) // 8)
-    for v in values:
-        buf[v >> 3] |= 1 << (v & 7)
-    return int.from_bytes(buf, "little")

@@ -95,18 +95,6 @@ def prime_factors(m: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-def divisors(m: int) -> tuple[int, ...]:
-    """Every positive divisor of m > 0, ascending."""
-    divs = [1]
-    for p in prime_factors(m):
-        power, more = p, []
-        while m % power == 0:
-            more.extend(d * power for d in divs)
-            power *= p
-        divs.extend(more)
-    return tuple(sorted(divs))
-
-
 def _check_exponent(k: int, t: PrimeTriple) -> None:
     if not 0 <= k < t.n:
         raise ValueError(f"exponent {k} out of range [0, {t.n})")

@@ -1,48 +1,73 @@
 """Independent brute-force ground truth.
 
-Element orders by subgroup bitsets, multi-source BFS distance sweeps checked
-against the closed-form distance and a deterministic triangle scan, which
-`verify` runs; and, as test references for the bounds `verify` decides by
-certificate, exact maximum-clique search (bitset branch and bound with a
-greedy coloring bound) and exact maximum independent set on the index graph
-(clique search on the complement).  The one closed form here is what the
-sweep checks against, `closed_form_distance_classes`, by the per-prime cost.
+The 27 gcd classes {x : gcd(x, n) = d} of Z_n as n-bit sets, which `verify`
+reads two ways: keyed by order n/d, for the connecting set's order scan, and
+keyed by the closed-form distance of d (`parameters.closed_form_distance`),
+for the multi-source BFS distance sweep; a deterministic triangle scan; and,
+as test references for the bounds `verify` decides by certificate, exact
+maximum-clique search (bitset branch and bound with a greedy coloring bound)
+and exact maximum independent set on the index graph (clique search on the
+complement).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import CayleyGraph
-from .group import PrimeTriple, divisors, prime_factors
+from .group import PrimeTriple
+from .parameters import closed_form_distance
 from .structure import index_adjacent, index_ids
 
 DEFAULT_SEED = 12345
 
 
+def gcd_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
+    """(d, {x : gcd(x, n) = d} as an n-bit int) for the 27 divisors d of n.
+
+    Per prime p, [0, n) splits by min(v_p(x), 2) into the multiples of p
+    but not of p², the non-multiples of p and the multiples of p²: six sets
+    of multiples in all.  Each class is one product of the three splits.
+    The splits of a are dropped one by one as their nine classes are
+    yielded, p² first and p last: the order that gave
+    `closed_form_distance_classes` its lowest tracemalloc peak.
+    """
+    full = (1 << g.triple.n) - 1
+
+    def split(p: int) -> list[tuple[int, int]]:
+        of_p, of_square = g.multiples(p), g.multiples(p * p)
+        return [(p, of_p ^ of_square), (1, of_p ^ full), (p * p, of_square)]
+
+    by_a, by_b, by_c = map(split, g.triple.primes)
+    while by_a:
+        da, sa = by_a.pop()
+        for db, sb in by_b:
+            for dc, sc in by_c:
+                yield da * db * dc, sa & sb & sc
+
+
 def order_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
     """(o, the elements of order exactly o as an n-bit int) for each divisor
-    o of n, largest first.
+    o of n: the order of x is n/gcd(x, n)."""
+    return ((g.triple.n // d, cls) for d, cls in gcd_classes(g))
 
-    An element's order divides o iff it is a multiple of n/o, so the
-    multiples of n/o are the elements of order dividing o; removing those of
-    order dividing o/p, for each prime p dividing o, leaves order exactly o.
-    Each set of multiples is built once, on first use, and dropped with its
-    own class: only larger divisors need it.
-    """
-    n = g.triple.n
-    primes = prime_factors(n)
-    multiples: dict[int, int] = {}  # order dividing o
-    for o in reversed(divisors(n)):
-        cls = multiples.pop(o) if o in multiples else g.periodic(n // o, [0])
-        for p in primes:
-            if o % p == 0:
-                if o // p not in multiples:
-                    multiples[o // p] = g.periodic(n * p // o, [0])
-                cls &= ~multiples[o // p]
-        yield o, cls
+
+def order_scan(g: CayleyGraph) -> tuple[bool, int]:
+    """(verdict, size) of the order scan: the elements of order a², b² or
+    c².  The verdict holds iff the order classes partition [0, n) (their
+    sizes sum to n and their union is [0, n)) and the members, all in
+    [0, n), are exactly the order scan."""
+    t = g.triple
+    union = size = scan = 0
+    for o, cls in order_classes(g):
+        union |= cls
+        size += cls.bit_count()
+        if o in t.moduli:
+            scan |= cls
+    partition = size == t.n and union == (1 << t.n) - 1
+    in_range = all(0 <= m < t.n for m in g.members)
+    return partition and in_range and g.bitset(g.members) == scan, scan.bit_count()
 
 
 def exact_max_clique(vertices: Sequence, adjacent: Callable) -> list:
@@ -110,19 +135,15 @@ def exact_max_independent_set(t: PrimeTriple) -> list[tuple[int, int, int]]:
 def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
     """E_k = {d : the closed-form distance of difference d is k}, as n-bit ints.
 
-    The cost of d in each component depends only on d modulo that prime
-    square, so E_k is the OR of A_x & B_y & C_z over x + y + z = k, where A_x
-    is the set of d with cost x modulo a² (B, C likewise).  Per prime p, cost
-    0 is d ≡ 0 mod p², cost 1 is d ≢ 0 mod p, and cost 2 is the rest of
-    d ≡ 0 mod p.
+    Per prime p, `closed_form_distance` reads of d only whether p² or p
+    divides it, which d shares with gcd(d, n); so E_k is the union of the
+    gcd classes whose divisor lies at distance k.
     """
-    per_prime = []
-    for p, m in zip(t.primes, t.moduli):
-        zero = g.periodic(m, [0])
-        per_prime.append(enumerate((zero, g.periodic(p, range(1, p)), g.periodic(p, [0]) & ~zero)))
     classes: dict[int, int] = {}
-    for (x, a_x), (y, b_y), (z, c_z) in product(*per_prime):
-        classes[x + y + z] = classes.get(x + y + z, 0) | (a_x & b_y & c_z)
+    for d, cls in gcd_classes(g):
+        k = closed_form_distance(d % t.n, 0, t)
+        classes[k] = classes.get(k, 0) | cls
+        del cls  # not held while the next class is built
     return classes
 
 

@@ -2,10 +2,10 @@
 report and the full verification run.
 
 `certify` builds every in-schema certificate and verdict exactly once, on one
-graph: connectivity, the proper coloring, the independence certificate and
-its internal-edge scan, the index-graph bounds, the diameter, the walk
-certificate and its check, and the fiber and block checks, decided by
-translation on one representative.
+graph: regularity and connectivity, the proper coloring, the independence
+certificate and its internal-edge scan, the index-graph bounds, the
+diameter, the walk certificate and its check, and the fiber and block
+checks, decided by translation on one representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order classes, the triangle scan, the clique cover
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from itertools import chain, pairwise
 from typing import NamedTuple
 
 from . import oracles, parameters, structure
@@ -40,6 +41,7 @@ class Certificates(NamedTuple):
     """
 
     graph: CayleyGraph
+    eulerian: bool
     connectivity: ConnectivityResult
     coloring: parameters.ColoringResult
     independence: parameters.IndependenceCertificate
@@ -67,7 +69,17 @@ def certify(t: PrimeTriple) -> Certificates:
     with timed("build"):
         g = CayleyGraph.from_triple(t)
     with timed("connectivity"):
+        # every vertex u has exactly |C| distinct neighbours u + c, and
+        # adjacency is symmetric, iff C repeats no member, misses 0 and holds
+        # n − c for each c (with |C| even, n/2 is then no member, as the
+        # independence scan needs).  One pass decides it with no lookup: the
+        # members ascend strictly inside (0, n), as membership by bisection
+        # needs too, and c ↦ n − c reverses them; the pass copies no member
+        n, members = t.n, g.members
+        ascending = all(x < y for x, y in pairwise(chain((0,), members, (n,))))
+        regular = ascending and all(x + y == n for x, y in zip(members, reversed(members)))
         conn = g.is_connected()
+        eulerian = regular and g.degree % 2 == 0 and conn.connected
     with timed("coloring"):
         coloring = parameters.verify_coloring(t, g)
     with timed("independence"):
@@ -86,7 +98,7 @@ def certify(t: PrimeTriple) -> Certificates:
         block_adj = structure.verify_block_adjacency(g)
 
     return Certificates(
-        g, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
+        g, eulerian, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
         fiber, partition, block_adj, timings,
     )
 
@@ -111,7 +123,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "bezout": list(c.connectivity.bezout),
             "bfsReached": c.connectivity.bfs_reached,
         },
-        "eulerian": g.degree % 2 == 0 and c.connectivity.connected,
+        "eulerian": c.eulerian,
         "girth": {"value": 3, "triangle": list(clique[:3])},
         "nonplanar": {"k5": list(clique[:5])},
         "clique": {"value": t.gamma, "certificate": list(clique)},
@@ -170,39 +182,18 @@ def run_verification(
         ok = ok and passed
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
-    # the order classes must partition [0, n); of the classes only the
-    # squared-prime ones' union is kept, the order scan
-    n, members = t.n, g.members
-    union = size = order_scan = 0
-    for o, cls in oracles.order_classes(g):
-        union |= cls
-        size += cls.bit_count()
-        if o in t.moduli:
-            order_scan |= cls
-    partition = size == n and union == (1 << n) - 1
-    in_range = all(0 <= m < n for m in members)
+    scan_ok, scan_size = oracles.order_scan(g)
     check(
         "connecting-set",
-        partition
-        and in_range
-        and g.bitset(members) == order_scan
-        and g.degree == connector_count_formula(t),
-        f"|C|={g.degree}, formula={connector_count_formula(t)}, order-scan={order_scan.bit_count()}",
+        scan_ok and g.degree == connector_count_formula(t),
+        f"|C|={g.degree}, formula={connector_count_formula(t)}, order-scan={scan_size}",
     )
 
-    # every vertex u has exactly |C| distinct neighbours u + c, and adjacency
-    # is symmetric, iff C repeats no member, misses 0 and holds n − c for
-    # each c (with |C| even, n/2 is then no member, as the independence scan
-    # needs).  One pass decides it with no lookup: the members ascend
-    # strictly inside (0, n), as membership by bisection needs too, and
-    # c ↦ n − c reverses them
-    ascending = all(x < y for x, y in zip((0, *members), (*members, n)))
-    regular = ascending and members == tuple(n - m for m in reversed(members))
     conn = c.connectivity
     check(
         "regular-eulerian-connected",
-        regular and g.degree % 2 == 0 and conn.connected,
-        f"degree={g.degree}, bezout={conn.bezout}, reached={conn.bfs_reached}/{n}",
+        c.eulerian,
+        f"degree={g.degree}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
     )
 
     clique = parameters.clique_certificate(t)

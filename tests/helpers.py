@@ -10,6 +10,11 @@ vertex at a time what the library builds as whole vertex sets, and
 the product lemma's levels, and `is_cycle` replays a vertex sequence edge by
 edge where the library decides a cycle by its step.
 
+`periodic` builds the n-bit set of residues mod a period, for the
+references; the package builds no residue set as n bits, only the sets of
+multiples behind the gcd classes (`CayleyGraph.multiples`).  `divisors` lists
+the divisors of n, which the fault tables walk.
+
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
 n bits, with one rotation per connector or one neighbourhood, what the
@@ -33,7 +38,7 @@ from psqcayley import (
     is_prime,
     make_prime_triple,
 )
-from psqcayley.group import crt_basis
+from psqcayley.group import crt_basis, prime_factors
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
 
@@ -63,9 +68,40 @@ def block_of(v: int, t: PrimeTriple) -> tuple[int, int, int]:
     return (v % t.alpha, v % t.beta, v % t.gamma)
 
 
+def divisors(m: int) -> tuple[int, ...]:
+    """Every positive divisor of m > 0, ascending."""
+    divs = [1]
+    for p in prime_factors(m):
+        power, more = p, []
+        while m % power == 0:
+            more.extend(d * power for d in divs)
+            power *= p
+        divs.extend(more)
+    return tuple(sorted(divs))
+
+
+def periodic(g: CayleyGraph, period: int, residues) -> int:
+    """{v : v mod period in residues} as an n-bit int.
+
+    The period must divide n and every residue lie in [0, period).  One
+    period is packed and then doubled by shifts up to n bits.
+    """
+    n = g.triple.n
+    if period <= 0 or n % period:
+        raise ValueError(f"period {period} does not divide {n}")
+    residues = list(residues)
+    if not all(0 <= r < period for r in residues):
+        raise ValueError(f"a residue of {residues} is out of range [0, {period})")
+    s, width = g.bitset(residues), period
+    while width < n:
+        s |= s << width
+        width *= 2
+    return s & ((1 << n) - 1)
+
+
 def block_set(g: CayleyGraph, residues) -> int:
     """{v : v mod abc in residues} as an n-bit int."""
-    return g.periodic(g.triple.alpha * g.triple.beta * g.triple.gamma, residues)
+    return periodic(g, g.triple.alpha * g.triple.beta * g.triple.gamma, residues)
 
 
 def residues_of(t: PrimeTriple, ids) -> list[int]:

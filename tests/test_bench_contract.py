@@ -1,8 +1,11 @@
 """The benchmark's tracer drives the CLI through wrappers bound to the
 package's function names and argument names.  A renamed function or argument
 would otherwise surface only in the benchmark's own self-test; here it fails
-the suite."""
+the suite.  So does an output that the benchmark's own checks would reject:
+each workload's commands run once and go through `bench/run.py`'s
+`check_output`.  The tests read `bench/` and never write to it."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -14,7 +17,8 @@ import pytest
 import psqcayley
 
 _SRC = Path(psqcayley.__file__).resolve().parents[1]
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 CHILD_ENV = {
     **os.environ,
     "PYTHONPATH": os.pathsep.join(filter(None, (str(_SRC), os.environ.get("PYTHONPATH")))),
@@ -76,3 +80,35 @@ def test_tracer_writes_what_the_cli_writes(args, tmp_path):
         assert runs["traced"] == runs["plain"], primes
         assert runs["plain"][0] == 0, primes
         assert (runs["plain"][2] is None) == ("--out" not in args)
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """bench/run.py as a module, imported with bench/ on the path (it imports
+    `expect`) and without writing bytecode there."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # its dataclasses look their module up
+        spec.loader.exec_module(module)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        sys.modules.pop("bench_run", None)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["params-ladder", "verify-sweep", "export-large"])
+def test_every_workload_command_passes_the_benchmark_check(workload, bench_run, tmp_path):
+    cmds = bench_run.WORKLOADS[workload](7, tmp_path)
+    assert cmds
+    for cmd in cmds:
+        proc = subprocess.run(
+            [sys.executable, "-m", "psqcayley", *cmd.argv],
+            capture_output=True, env=CHILD_ENV, cwd=tmp_path, timeout=120,
+        )
+        data = cmd.out.read_bytes() if cmd.out is not None and cmd.out.exists() else b""
+        problems = bench_run.check_output(cmd, proc.returncode, proc.stdout, data)
+        assert not problems, (cmd.argv, problems, proc.stderr[-300:])

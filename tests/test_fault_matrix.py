@@ -15,7 +15,8 @@ from math import gcd
 import pytest
 
 from psqcayley import graph, make_prime_triple, report, run_verification
-from psqcayley.group import divisors
+
+from helpers import divisors
 
 LINES = {
     "C": "connecting-set",

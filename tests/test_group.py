@@ -11,12 +11,13 @@ from psqcayley import (
     element_order,
     make_prime_triple,
 )
-from psqcayley.group import divisors, prime_factors
+from psqcayley.group import prime_factors
 
 from helpers import (
     BIG_PRIME,
     brute_order,
     crt_components,
+    divisors,
     record_primality_tests,
     triples_with_group_order_at_most,
 )

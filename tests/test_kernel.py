@@ -29,16 +29,17 @@ from psqcayley import (
 )
 from psqcayley import oracles, parameters, structure
 from psqcayley.graph import set_bits
-from psqcayley.group import divisors
 
 from helpers import (
     adjacency_by_neighbourhood,
     block_of,
     block_set,
     coloring_by_neighbourhood,
+    divisors,
     internal_edges,
     is_partition,
     neighbors,
+    periodic,
     residue_sum_color,
     residues_of,
     tiles,
@@ -189,18 +190,29 @@ def test_periodic_matches_set_reference(t):
         for residues in ([], [0], [period - 1], rng.sample(range(period), period // 3), range(period)):
             chosen = set(residues)
             expected = g.bitset(v for v in range(t.n) if v % period in chosen)
-            assert g.periodic(period, residues) == expected
-            assert g.periodic(period, iter(residues)) == expected
+            assert periodic(g, period, residues) == expected
+            assert periodic(g, period, iter(residues)) == expected
 
 
 def test_periodic_rejects_bad_period_and_residue():
     g = CayleyGraph.from_triple(TRIPLES[0])  # n = 900
     for period in (7, 899, 1800, 0, -4):
         with pytest.raises(ValueError):
-            g.periodic(period, [0])
+            periodic(g, period, [0])
     for residue in (-1, 30):
         with pytest.raises(ValueError):
-            g.periodic(30, [0, residue])
+            periodic(g, 30, [0, residue])
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_multiples_match_set_reference(t):
+    g = CayleyGraph.from_triple(t)
+    a, b, c = t.primes
+    for d in (1, a, a * a, b, c * c, a * b * c, t.n // 2 + 1, t.n - 1, t.n, 2 * t.n):
+        assert g.multiples(d) == g.bitset(range(0, t.n, d)), d
+    for d in (0, -4):
+        with pytest.raises(ValueError):
+            g.multiples(d)
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -468,7 +480,7 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     g = CayleyGraph.from_triple(t)
     assert t.n == 1_004_004 and g.degree == 27_730
     calls = Counter()
-    for name in ("neighborhood", "periodic", "bitset", "rotate"):
+    for name in ("neighborhood", "multiples", "bitset", "rotate"):
         fn = getattr(CayleyGraph, name)
         monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
     assert verify_coloring(t, g).proper
@@ -481,7 +493,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
     # at (2,3,167), n = 1,004,004: every neighbourhood certify takes is a BFS
     # level's, and no certificate check builds or rotates an n-bit set
     callers = Counter()
-    for name in ("neighborhood", "periodic", "bitset", "rotate"):
+    for name in ("neighborhood", "multiples", "bitset", "rotate"):
         fn = getattr(CayleyGraph, name)
 
         def recorded(*args, _fn=fn, _name=name):

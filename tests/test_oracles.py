@@ -18,11 +18,10 @@ from psqcayley import (
 )
 from psqcayley import graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.group import divisors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import index_adjacent, index_ids
 
-from helpers import block_of, is_partition, neighbors, triples_with_group_order_at_most
+from helpers import block_of, is_partition, neighbors, periodic, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -40,15 +39,18 @@ def test_order_classes_equal_per_element_orders(primes):
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
 def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
-    # one periodic set of the multiples of n/o per divisor o: 27 for the 27
-    # divisors of n, not one more per prime dividing o
+    # the 27 classes are products of the three splits per prime by
+    # min(v_p(x), 2): six sets of multiples, of each p and each p², and no
+    # other n-bit set is built from scratch
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
     built = []
-    periodic = CayleyGraph.periodic
-    monkeypatch.setattr(CayleyGraph, "periodic", lambda g, period, residues: built.append(period) or periodic(g, period, residues))
-    dict(order_classes(g))
-    assert sorted(built) == list(divisors(t.n)) and len(built) == 27
+    multiples = CayleyGraph.multiples
+    monkeypatch.setattr(CayleyGraph, "multiples", lambda g, d: built.append(d) or multiples(g, d))
+    for name in ("bitset", "rotate", "neighborhood"):
+        monkeypatch.setattr(CayleyGraph, name, None)
+    assert len(dict(order_classes(g))) == 27
+    assert sorted(built) == sorted(p**e for p in t.primes for e in (1, 2))
 
 
 @pytest.mark.parametrize("fault", [None, "vertex-in-two-classes", "vertex-in-no-class", "moved-vertex"])
@@ -199,7 +201,7 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
     g = CayleyGraph.from_triple(t)
     m_ab, c = t.m_alpha * t.m_beta, t.gamma
     k = clique_certificate(t)
-    s0 = g.periodic(c * m_ab, range(m_ab))
+    s0 = periodic(g, c * m_ab, range(m_ab))
     cases = {  # name: (K, (the rule's verdict, the reference's))
         "certificate": (k, (True, True)),
         "by-a-unit": (tuple(2 * x % t.n for x in k), (True, True)),

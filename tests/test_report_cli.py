@@ -122,6 +122,32 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
 
 
+@pytest.mark.parametrize("extra", [(1, 2), (36, 864)], ids=["one-way", "repeated"])
+def test_params_eulerian_is_the_regularity_verdict_of_verify(extra, monkeypatch):
+    # certify decides regularity once: the report's `eulerian` and verify's
+    # regular-eulerian-connected line read the same verdict, so a connected
+    # graph of even degree that is not regular is no Eulerian report
+    monkeypatch.setattr(graph, "enumerate_connectors", lambda t: tuple(sorted(enumerate_connectors(t) + extra)))
+    assert build_report(T235)["eulerian"] is False
+    status = {line.split(":")[0] for line in run_verification(T235, 0).lines}
+    assert "FAIL regular-eulerian-connected" in status
+
+
+@pytest.mark.parametrize("planted", ["n", "-1"])
+def test_an_out_of_range_member_fails_the_connecting_set_line(planted, monkeypatch, capsys):
+    # a member outside [0, n) fails the order scan before any n-bit set of
+    # the members is built, and verify still prints every line
+    def members(t):
+        return tuple(sorted(enumerate_connectors(t) + ({"n": t.n, "-1": -1}[planted],)))
+
+    monkeypatch.setattr(graph, "enumerate_connectors", members)
+    assert cli.main(["verify", "--primes", "2,3,5", "--budget-sources", "0"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == "" and len(lines) == 10 and lines[-1] == "verification FAILED"
+    assert lines[0] == "FAIL connecting-set: |C|=29, formula=28, order-scan=28"
+
+
 def test_regularity_fails_distinct_members_out_of_order(monkeypatch):
     # the first two members swapped: the set is still C, so the
     # connecting-set line passes, but membership bisects the members and the

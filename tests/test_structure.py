@@ -18,7 +18,6 @@ from psqcayley import (
     verify_fiber_structure,
 )
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.group import divisors
 
 from helpers import (
     UNVALIDATED,
@@ -26,6 +25,7 @@ from helpers import (
     block_of,
     block_set,
     cell_rule_by_difference,
+    divisors,
     is_cycle,
     is_partition,
     triples_with_group_order_at_most,
@@ -219,7 +219,7 @@ def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch
     # (vii) and (viii), whatever the triple; fiber (i) reads the connectors
     # and block adjacency their residues mod abc, with no neighbourhood
     calls = {"neighborhood": 0, "bitset": 0, "is_step_cycle": 0}
-    periods = []
+    built = []
     inside = [False]
 
     def counted(owner, name):
@@ -243,26 +243,26 @@ def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch
 
         monkeypatch.setattr(structure, name, wrapper)
 
-    periodic = graph.CayleyGraph.periodic
+    multiples = graph.CayleyGraph.multiples
 
-    def recorded(g, period, residues):
+    def recorded(g, d):
         if inside[0]:
-            periods.append(period)
-        return periodic(g, period, residues)
+            built.append(d)
+        return multiples(g, d)
 
     counted(graph.CayleyGraph, "neighborhood")
     counted(graph.CayleyGraph, "is_step_cycle")
     counted(graph.CayleyGraph, "bitset")
-    monkeypatch.setattr(graph.CayleyGraph, "periodic", recorded)
+    monkeypatch.setattr(graph.CayleyGraph, "multiples", recorded)
     for name in ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
         stage(name)
     for t in (T235, T357):
         calls.update(neighborhood=0, bitset=0, is_step_cycle=0)
-        periods.clear()
+        built.clear()
         c = certify(t)
         assert c.fiber.all_pass and c.block_partition and c.block_adjacency
         assert calls == {"neighborhood": 0, "bitset": 0, "is_step_cycle": 3}
-        assert periods == []
+        assert built == []
 
 
 def test_index_graph_rule():
