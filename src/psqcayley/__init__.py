@@ -60,7 +60,6 @@ from .report import (
     run_verification,
 )
 from .structure import (
-    FiberStructureChecklist,
     block_residues,
     index_adjacent,
     index_ids,

@@ -55,19 +55,15 @@ def order_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
 
 def order_scan(g: CayleyGraph) -> tuple[bool, int]:
     """(verdict, size) of the order scan: the elements of order a², b² or
-    c².  The verdict holds iff the order classes partition [0, n) (their
-    sizes sum to n and their union is [0, n)) and the members, all in
-    [0, n), are exactly the order scan."""
+    c².  The verdict holds iff the members, all in [0, n), are exactly the
+    order scan."""
     t = g.triple
-    union = size = scan = 0
+    scan = 0
     for o, cls in order_classes(g):
-        union |= cls
-        size += cls.bit_count()
         if o in t.moduli:
             scan |= cls
-    partition = size == t.n and union == (1 << t.n) - 1
     in_range = all(0 <= m < t.n for m in g.members)
-    return partition and in_range and g.bitset(g.members) == scan, scan.bit_count()
+    return in_range and g.bitset(g.members) == scan, scan.bit_count()
 
 
 def exact_max_clique(vertices: Sequence, adjacent: Callable) -> list:

@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
-from .structure import block_residues, index_adjacent, index_ids
+from .structure import block_residues, index_adjacent
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +92,10 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     colour (v mod a + v mod b + v mod c) mod gamma, is proper with at most
     gamma classes.
 
-    Class 0 is the union of the blocks (i, j, k) with i + j + k ≡ 0 mod
-    gamma.  The classes are its rotations by the clique certificate K: the
-    translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to the
-    colour, and a²b² is a unit mod gamma.
+    Class 0 is the union of the a·b blocks (i, j, −(i + j) mod gamma), one
+    per (i, j).  The classes are its rotations by the clique certificate K:
+    the translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to
+    the colour, and a²b² is a unit mod gamma.
     Translations are automorphisms, so the colouring is proper iff class 0
     has no edge inside and its |K| ≤ gamma rotations partition the n
     vertices: on its residues mod P = abc, no r has (r + c) mod P in class 0
@@ -103,7 +103,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     class or between two, so this covers all n·|C|/2 edges.
     """
     period, clique = t.alpha * t.beta * t.gamma, clique_certificate(t)
-    zero = block_residues(t, [x for x in index_ids(t) if sum(x) % t.gamma == 0])
+    zero = block_residues(t, [(i, j, -(i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)])
     proper = (
         len(clique) <= t.gamma
         and _residue_edges(zero, g.members, period) == 0

@@ -50,7 +50,7 @@ class Certificates(NamedTuple):
     diameter: parameters.DiameterResult
     walk: WalkCertificate
     walk_verified: bool
-    fiber: structure.FiberStructureChecklist
+    fiber: dict[str, bool]
     block_partition: bool
     block_adjacency: bool
     timings: dict[str, float]
@@ -148,7 +148,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "verified": c.walk_verified,
             "endpoints": list(c.walk.endpoints),
         },
-        "fiberStructure": c.fiber.as_dict(),
+        "fiberStructure": c.fiber,
         "blockPartition": c.block_partition,
         "blockAdjacencyConsistent": c.block_adjacency,
         "oracleSeed": seed,
@@ -241,8 +241,8 @@ def run_verification(
 
     check(
         "structure",
-        c.fiber.all_pass and c.block_partition and c.block_adjacency,
-        f"fiber={c.fiber.as_dict()}, partition={c.block_partition}, "
+        all(c.fiber.values()) and c.block_partition and c.block_adjacency,
+        f"fiber={c.fiber}, partition={c.block_partition}, "
         f"blockAdjacency={c.block_adjacency}",
     )
 

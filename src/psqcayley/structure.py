@@ -6,10 +6,9 @@ when they agree in exactly two coordinates (`index_adjacent`).
 Exponents are written in the mixed radix x = i + j·a² + k·a²b² (digits i < a²,
 j < b², k < c²), giving three fiber families (one per pinned digit).
 Block (i, j, k) is {v : (v mod a, v mod b, v mod c) = (i, j, k)}, one residue
-class modulo P = abc, so a union of blocks is held as its residues mod P
-(`block_residues`).  P divides n, so block_of(v + c) = block_of(v) +
-block_of(c) (the residue lemma): the translate of the union R by c is
-R + (c mod P), and every block check is decided on residues mod P.  The
+class modulo P = abc, so a union of blocks is held as its residues mod P,
+each id mapped to its residue by the CRT (`block_residues`).  P divides n,
+so block_of(v + c) = block_of(v) + block_of(c) (the residue lemma).  The
 blocks partition the vertex set and are always independent.  The verifiers
 check the claims that read C against arithmetic adjacency, independently of
 the constructors that produced the objects; the cycle claims (fiber checks
@@ -21,8 +20,11 @@ x ↦ x + s is an automorphism, so each is decided on one representative.  The
 blocks are the translates of B₀ = P·Z_n: translating by a vertex with
 residues x carries B_y onto B_{x+y} and N(B_y) onto N(B_{x+y}), and index
 agreement depends only on the difference of two ids, so N(B₀) alone decides
-every block pair, and block 0's construction decides the partition.  The
-gamma fibers are the translates of the interval [0, a²b²), so the
+every block pair.  By the residue lemma N(B₀) is the union of the blocks of
+the connectors, so the connectors' ids decide block adjacency in O(|C|).
+The partition reads no connector: block 0's construction is P·Z_n iff the
+CRT is injective on the box, that is, iff the moduli are pairwise coprime.
+The gamma fibers are the translates of the interval [0, a²b²), so the
 connectors decide fiber check (i).
 
 Each cycle claim steps by one element s: x, x + s, …, x + (L − 1)·s, closed
@@ -35,18 +37,19 @@ L = a², and the a² cross-section sequences of check (viii) by a²c² with
 L = b², so one step rule decides each claim for every cell or fiber at
 once.  Fiber checks (iv), (v), (vi) and (viii)'s crossings read no
 connector: they are facts about Z_n, each decided by its gcd lemma, with the
-literal loops as the tests' references.  No check here builds an n-bit set.
+literal loops as the tests' references.  No check here builds an n-bit set
+or runs over all abc block ids.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import eq
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .graph import CayleyGraph
-from .group import PrimeTriple, crt_combine
+from .group import PrimeTriple, crt_basis
 
 
 def index_ids(t: PrimeTriple) -> list[tuple[int, int, int]]:
@@ -62,11 +65,12 @@ def index_adjacent(x: tuple[int, int, int], y: tuple[int, int, int]) -> bool:
 
 
 def block_residues(t: PrimeTriple, ids: Iterable[tuple[int, int, int]]) -> list[int]:
-    """The union of the blocks with these ids as its residues, ascending: the
-    r < abc with (r mod a, r mod b, r mod c) in ids."""
-    a, b, c = t.primes
-    chosen = set(ids)
-    return [r for r in range(a * b * c) if (r % a, r % b, r % c) in chosen]
+    """The union of the blocks with these ids as its residues, ascending: id
+    (i, j, k) in the box is the residue i·e_a + j·e_b + k·e_c mod abc, with
+    e the CRT basis, which is ≡ 1 mod one prime and ≡ 0 mod the other two."""
+    period = t.alpha * t.beta * t.gamma
+    e_a, e_b, e_c = crt_basis(t)
+    return sorted({(i * e_a + j * e_b + k * e_c) % period for i, j, k in ids})
 
 
 def verify_block_partition(g: CayleyGraph) -> bool:
@@ -75,14 +79,13 @@ def verify_block_partition(g: CayleyGraph) -> bool:
 
     Block (i, j, k) is constructed from the component triples (i + a·x,
     j + b·y, k + c·z), x < a, y < b, z < c, by the CRT: block 0's
-    construction translated by crt(i, j, k).  So the check passes iff block
-    0's construction, sorted, is range(0, n, abc) = abc·Z_n, whose abc
-    cosets partition V, each its residue block.
+    construction translated by crt(i, j, k).  Block 0's abc triples are
+    multiples of (a, b, c), so they combine to multiples of abc, and the
+    CRT is injective on the box iff the moduli are pairwise coprime: then
+    block 0's construction is abc·Z_n, whose abc cosets partition V, each
+    its residue block.
     """
-    t = g.triple
-    a, b, c = t.primes
-    block0 = (crt_combine((a * x, b * y, c * z), t) for x in range(a) for y in range(b) for z in range(c))
-    return sorted(block0) == list(range(0, t.n, a * b * c))
+    return all(gcd(x, y) == 1 for x, y in combinations(g.triple.moduli, 2))
 
 
 def verify_block_adjacency(g: CayleyGraph) -> bool:
@@ -90,18 +93,19 @@ def verify_block_adjacency(g: CayleyGraph) -> bool:
 
     B_x and B_y are joined iff B_{y−x} meets N(B₀) (module docstring), so
     N(B₀) must meet block y exactly when y is index-adjacent to (0, 0, 0).
-    By the residue lemma N(B₀) has the residues (r + c) mod abc, r in B₀ and
-    c in C: they must be those of the index-adjacent blocks.
+    By the residue lemma N(B₀) is the union of the blocks of the members, so
+    their ids (x mod a, x mod b, x mod c) must be the a + b + c − 3 ids
+    index-adjacent to (0, 0, 0): distinct ids of the box, each adjacent.
     """
-    t, origin = g.triple, (0, 0, 0)
-    period = t.alpha * t.beta * t.gamma
-    reach = {(r + x) % period for r in block_residues(t, [origin]) for x in g.members}
-    return reach == set(block_residues(t, [x for x in index_ids(t) if index_adjacent(origin, x)]))
+    a, b, c = g.triple.primes
+    ids = {(x % a, x % b, x % c) for x in g.members}
+    return len(ids) == a + b + c - 3 and all(index_adjacent((0, 0, 0), x) for x in ids)
 
 
-class FiberStructureChecklist(NamedTuple):
-    """Eight checks on the fiber families (roman order i..viii); i, ii, iii,
-    vii and viii read the connectors, iv, v and vi are facts about Z_n:
+def verify_fiber_structure(g: CayleyGraph) -> dict[str, bool]:
+    """The eight fiber statements, keyed by their roman numerals: i, ii, iii,
+    vii and viii read C against arithmetic adjacency, and iv, v and vi are
+    facts about Z_n, decided by their gcd lemmas (module docstring).
 
     i     every gamma fiber is an independent set
     ii    inside one (alpha, beta) cell, adjacency holds iff the top digits
@@ -114,36 +118,6 @@ class FiberStructureChecklist(NamedTuple):
     viii  per alpha fiber, stepping by a²c² gives a cycle crossing every beta
           fiber exactly once
     """
-
-    gamma_fibers_independent: bool
-    cell_adjacency_rule: bool
-    cell_cycles: bool
-    gamma_square_multiples_singletons: bool
-    shifted_cosets_within_alpha_fibers: bool
-    alpha_fiber_representatives_unique: bool
-    representatives_cycle: bool
-    cross_section_cycles: bool
-
-    def as_dict(self) -> dict[str, bool]:
-        return {
-            "i": self.gamma_fibers_independent,
-            "ii": self.cell_adjacency_rule,
-            "iii": self.cell_cycles,
-            "iv": self.gamma_square_multiples_singletons,
-            "v": self.shifted_cosets_within_alpha_fibers,
-            "vi": self.alpha_fiber_representatives_unique,
-            "vii": self.representatives_cycle,
-            "viii": self.cross_section_cycles,
-        }
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.as_dict().values())
-
-
-def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
-    """Check all eight fiber statements: those that read C against
-    arithmetic adjacency, the others by their gcd lemmas (module docstring)."""
     t = g.triple
     m_a, m_b, m_c = t.moduli
     m_ab, n = m_a * m_b, t.n
@@ -184,6 +158,7 @@ def verify_fiber_structure(g: CayleyGraph) -> FiberStructureChecklist:
     # cross every beta fiber once iff gcd(c², b²) = 1; one step rule for all
     item_viii = item_vi and gcd(m_c, m_b) == 1 and g.is_step_cycle(m_a * m_c, m_b)
 
-    return FiberStructureChecklist(
-        item_i, item_ii, item_iii, item_iv, item_v, item_vi, item_vii, item_viii
-    )
+    return {
+        "i": item_i, "ii": item_ii, "iii": item_iii, "iv": item_iv,
+        "v": item_v, "vi": item_vi, "vii": item_vii, "viii": item_viii,
+    }

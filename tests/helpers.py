@@ -18,9 +18,11 @@ the divisors of n, which the fault tables walk.
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
 n bits, with one rotation per connector or one neighbourhood, what the
-library decides on residues mod abc; `is_partition` and `tiles` decide on
-n bits the partitions by translates (the walk's rows, the clique cover
-behind α ≤ n/c) that the library decides on quotients.
+library decides on residues mod abc; `adjacency_by_residue_scan` decides on
+residues mod abc, found by scanning them all, what the library decides on
+the connectors' block ids; `is_partition` and `tiles` decide on n bits the
+partitions by translates (the walk's rows, the clique cover behind
+α ≤ n/c) that the library decides on quotients.
 """
 
 from __future__ import annotations
@@ -159,6 +161,17 @@ def adjacency_by_neighbourhood(g: CayleyGraph, b0: int) -> bool:
     of the blocks index-adjacent to (0, 0, 0)."""
     adjacent = residues_of(g.triple, [x for x in index_ids(g.triple) if index_adjacent((0, 0, 0), x)])
     return g.neighborhood(b0) == block_set(g, adjacent)
+
+
+def adjacency_by_residue_scan(g: CayleyGraph) -> bool:
+    """The block-adjacency verdict on residues mod abc, each residue set
+    found by scanning all abc residues: the residues (r + c) mod abc of
+    N(B₀), r in B₀ and c in C, are those of the blocks index-adjacent to
+    (0, 0, 0).  The reference for the check on the connectors' ids."""
+    t, origin = g.triple, (0, 0, 0)
+    period = t.alpha * t.beta * t.gamma
+    reach = {(r + x) % period for r in residues_of(t, [origin]) for x in g.members}
+    return reach == set(residues_of(t, [x for x in index_ids(t) if index_adjacent(origin, x)]))
 
 
 def neighbors(g: CayleyGraph, u: int) -> list[int]:

@@ -110,7 +110,7 @@ def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
         monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
         failed = {line.split(":")[0][5:] for line in run_verification(t, 0).lines if line.startswith("FAIL")}
         c = certified[-1]
-        fiber = c.fiber.as_dict()
+        fiber = c.fiber
         items = [k for k, ok in fiber.items() if not ok]
         marks = "".join(k if name in failed else "." for k, name in LINES.items())
         rows.append(f"{'-' if inside else '+'}{d:<5} {marks}  {' '.join(items)}".rstrip())
@@ -122,3 +122,36 @@ def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
     # every line and every fiber item that reads C fails under some toggle
     assert failed_lines == set(LINES.values())
     assert failed_items == set(READS_C)
+
+
+# Toggling a symmetric pair {x, n − x}, 0 < x ≤ n/2, in or out of C keeps
+# the graph undirected; unless x = n/2 it also stays regular of even
+# degree.  Per triple: the number of toggles, then how many of them fail
+# each line, in the order of LINES.  Every toggle fails at least two lines.
+PAIR_CENSUS = {
+    (2, 3, 5): (450, {"C": 450, "R": 2, "G": 4, "K": 199, "X": 199, "I": 198, "S": 364, "D": 450, "H": 3}),
+    (2, 3, 7): (882, {"C": 882, "R": 2, "G": 4, "K": 321, "X": 321, "I": 320, "S": 724, "D": 882, "H": 3}),
+    (3, 5, 7): (5512, {"C": 5512, "R": 0, "G": 4, "K": 2368, "X": 2368, "I": 2368, "S": 4929, "D": 5512, "H": 3}),
+}
+
+
+@pytest.mark.parametrize(
+    "primes",
+    [(2, 3, 5), (2, 3, 7), pytest.param((3, 5, 7), marks=pytest.mark.slow)],
+    ids=lambda p: ",".join(map(str, p)),
+)
+def test_each_pair_toggle_fails_the_census_count_of_lines(primes, monkeypatch):
+    t = make_prime_triple(*primes)
+    n = t.n
+    connectors = set(graph.enumerate_connectors(t))
+    counts = dict.fromkeys(LINES, 0)
+    toggles = 0
+    for x in range(1, n // 2 + 1):
+        members = tuple(sorted(connectors ^ {x, n - x}))
+        monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
+        failed = {line.split(":")[0][5:] for line in run_verification(t, 0).lines if line.startswith("FAIL")}
+        assert len(failed) >= 2, (x, failed)
+        for k, name in LINES.items():
+            counts[k] += name in failed
+        toggles += 1
+    assert (toggles, counts) == PAIR_CENSUS[primes]

@@ -371,22 +371,22 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
 def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypatch):
     # class 0 stands for every class and is decided on its residues, and the
     # certificate is one period of residues: no neighbourhood at all and no
-    # per-block construction (a block is constructed from its component
-    # triples by crt_combine)
-    calls = {"neighborhood": 0, "crt_combine": 0}
+    # per-block construction; each residue set maps its ids through one CRT
+    # basis (structure.block_residues)
+    calls = {"neighborhood": 0, "crt_basis": 0}
 
     def counted(owner, name):
         fn = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.update({name: calls[name] + 1}) or fn(*args))
 
     counted(CayleyGraph, "neighborhood")
-    counted(structure, "crt_combine")
+    counted(structure, "crt_basis")
     g = CayleyGraph.from_triple(t)
     assert verify_coloring(t, g).proper
-    assert calls == {"neighborhood": 0, "crt_combine": 0}
+    assert calls == {"neighborhood": 0, "crt_basis": 1}
     cert = independence_certificate(t)
     assert parameters.independence_internal_edges(cert, g).internal_edges == 0
-    assert calls == {"neighborhood": 0, "crt_combine": 0}
+    assert calls == {"neighborhood": 0, "crt_basis": 2}
 
 
 @pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
@@ -502,7 +502,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
 
         monkeypatch.setattr(CayleyGraph, name, recorded)
     c = certify(make_prime_triple(2, 3, 167))
-    assert c.walk_verified and c.fiber.all_pass and c.connectivity.connected
+    assert c.walk_verified and all(c.fiber.values()) and c.connectivity.connected
     assert callers == {"neighborhood from _levels": c.diameter.bfs_eccentricity + 1}
 
 

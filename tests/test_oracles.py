@@ -34,7 +34,10 @@ def test_order_classes_equal_per_element_orders(primes):
     g = CayleyGraph.from_triple(t)
     orders = [element_order(k, t) for k in range(t.n)]
     expected = {o: g.bitset(k for k in range(t.n) if orders[k] == o) for o in set(orders)}
-    assert dict(order_classes(g)) == expected  # every divisor is some element's order
+    classes = dict(order_classes(g))
+    assert classes == expected  # every divisor is some element's order
+    # so the classes partition [0, n), which the order scan does not recheck
+    assert is_partition(g, classes.values())
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
@@ -55,10 +58,10 @@ def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
 
 @pytest.mark.parametrize("fault", [None, "vertex-in-two-classes", "vertex-in-no-class", "moved-vertex"])
 def test_order_class_partition_by_union_and_size_equals_is_partition(fault, monkeypatch):
-    # verify sums the class sizes and ORs the classes as they come; planted
-    # classes whose union or sizes are off fail the connecting-set line
-    # exactly where the n-bit is_partition does.  Vertices 1 and 7 have
-    # order 900, outside the order scan
+    # planted classes whose union or sizes are off fail is_partition, while
+    # the connecting-set line passes: `verify` no longer checks the
+    # partition, and reads only the classes of order a², b² and c².
+    # Vertices 1 and 7 have order 900, outside the order scan
     classes = dict(order_classes(G235))
     if fault in ("vertex-in-two-classes", "moved-vertex"):
         classes[1] |= 1 << 1
@@ -66,7 +69,8 @@ def test_order_class_partition_by_union_and_size_equals_is_partition(fault, monk
         classes[900] &= ~(1 << 7)
     monkeypatch.setattr(oracles, "order_classes", lambda g: iter(classes.items()))
     line = run_verification(T235, 0).lines[0]
-    assert line.startswith("PASS") is is_partition(G235, classes.values()) is (fault is None)
+    assert is_partition(G235, classes.values()) is (fault is None)
+    assert line.startswith("PASS connecting-set: ")
 
 
 @pytest.mark.parametrize("swap", [(1, 899), (30, 870)], ids=["order-900", "order-30"])

@@ -22,7 +22,7 @@ from psqcayley import (
     verify_coloring,
     verify_index_bounds,
 )
-from psqcayley import parameters
+from psqcayley import parameters, structure
 
 from helpers import UNVALIDATED, crt_components, residue_sum_color, triples_with_group_order_at_most
 
@@ -117,13 +117,13 @@ def test_index_bounds():
 def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
     """Both index bounds with every pair of every line checked, through the
     index-graph bindings that `verify_index_bounds` reads, so a fault planted
-    in one shows in both."""
+    in one shows in both; the box walk reads `structure.index_ids`."""
     ids = independence_index_set(t)
     lines = [[(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
     adjacent = parameters.index_adjacent
     cover = (
         len(lines) == len(ids)
-        and sorted(bid for line in lines for bid in line) == parameters.index_ids(t)
+        and sorted(bid for line in lines for bid in line) == structure.index_ids(t)
         and all(adjacent(x, y) for line in lines for x, y in combinations(line, 2))
     )
     return not any(adjacent(x, y) for x, y in combinations(ids, 2)), cover
@@ -209,7 +209,7 @@ def test_line_cover_reads_every_id(position, monkeypatch):
     # one id moved out of the box a × b × c, the count of ids unchanged: the
     # lines list the box by construction, so the check reads no id and keeps
     # its verdict, while the box walk, kept as the reference, reads every id
-    ids, calls = parameters.index_ids, Counter()
+    ids, calls = structure.index_ids, Counter()
 
     def moved(t):
         calls.update([1])
@@ -217,7 +217,7 @@ def test_line_cover_reads_every_id(position, monkeypatch):
         box[position] = (t.alpha, 0, 0)
         return box
 
-    monkeypatch.setattr(parameters, "index_ids", moved)
+    monkeypatch.setattr(structure, "index_ids", moved)
     assert verify_index_bounds(T235) == (True, True, 6)
     assert calls[1] == 0
     assert _index_bounds_by_every_line(T235) == (True, False)

@@ -12,7 +12,6 @@ from psqcayley import (
     make_prime_triple,
     snake_walk,
 )
-from psqcayley.structure import verify_fiber_structure
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 T235 = make_prime_triple(2, 3, 5)
@@ -70,7 +69,6 @@ RECORDS = {
     "CayleyGraph.members": (lambda: CayleyGraph.from_triple(T235), "members"),
     "WalkCertificate": (lambda: snake_walk(T235), "levels"),
     "Certificates": (lambda: certify(T235), "walk_verified"),
-    "FiberStructureChecklist": (lambda: verify_fiber_structure(CayleyGraph.from_triple(T235)), "cell_cycles"),
 }
 
 

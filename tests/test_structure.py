@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+import helpers
 from psqcayley import graph, structure
 from psqcayley import (
     CayleyGraph,
@@ -22,12 +23,14 @@ from psqcayley.connectors import enumerate_connectors
 from helpers import (
     UNVALIDATED,
     adjacency_by_neighbourhood,
+    adjacency_by_residue_scan,
     block_of,
     block_set,
     cell_rule_by_difference,
     divisors,
     is_cycle,
     is_partition,
+    residues_of,
     triples_with_group_order_at_most,
 )
 
@@ -36,6 +39,7 @@ T237 = make_prime_triple(2, 3, 7)
 T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 SMALL = pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
+LADDER = triples_with_group_order_at_most(1_100_000)
 
 
 def _plant(monkeypatch, extra) -> None:
@@ -60,27 +64,33 @@ def _residue_blocks(g: CayleyGraph) -> dict[tuple[int, int, int], int]:
     return {x: g.bitset(vs) for x, vs in members.items()}
 
 
-def _constructed_blocks(g: CayleyGraph) -> dict[tuple[int, int, int], int]:
+def _constructed_blocks(g: CayleyGraph, combine=crt_combine) -> dict[tuple[int, int, int], int]:
     """Every block from its component triples (i + a·x, j + b·y, k + c·z),
-    combined by structure.crt_combine (so a fault planted there shows)."""
+    combined by `combine` (so a fault planted there shows)."""
     t = g.triple
     a, b, c = t.primes
     return {
         (i, j, k): g.bitset(
-            structure.crt_combine((i + a * x, j + b * y, k + c * z), t)
-            for x in range(a)
-            for y in range(b)
-            for z in range(c)
+            combine((i + a * x, j + b * y, k + c * z), t) for x in range(a) for y in range(b) for z in range(c)
         )
         for i, j, k in index_ids(t)
     }
 
 
-def _partition_by_construction(g: CayleyGraph) -> bool:
+def _partition_by_blocks(g: CayleyGraph, combine=crt_combine) -> bool:
     """Block partition with every block compared to its construction: the
-    reference for the check on block 0."""
-    constructed = _constructed_blocks(g)
+    reference for the partition by translation."""
+    constructed = _constructed_blocks(g, combine)
     return is_partition(g, constructed.values()) and constructed == _residue_blocks(g)
+
+
+def _partition_by_construction(g: CayleyGraph, combine=crt_combine) -> bool:
+    """Block 0's construction, sorted, is abc·Z_n: the reference for the
+    partition by pairwise coprime moduli, O(abc log abc)."""
+    t = g.triple
+    a, b, c = t.primes
+    block0 = (combine((a * x, b * y, c * z), t) for x in range(a) for y in range(b) for z in range(c))
+    return sorted(block0) == list(range(0, t.n, a * b * c))
 
 
 def _adjacency_by_pairs(g: CayleyGraph) -> bool:
@@ -151,7 +161,7 @@ def test_fiber_i_by_connectors_equals_the_neighbourhood_reference(t):
     for extra, expected in planted.items():
         cs = members if extra is None else tuple(sorted(set(members) | {extra}))
         g = CayleyGraph(t, cs)
-        assert verify_fiber_structure(g).gamma_fibers_independent is _gamma_fibers_by_fiber(g) is expected, extra
+        assert verify_fiber_structure(g)["i"] is _gamma_fibers_by_fiber(g) is expected, extra
 
 
 def _members(t, ids) -> list[int]:
@@ -175,10 +185,13 @@ def test_block_internally_independent():
     assert not any(G235.adjacent(u, v) for u, v in pairs)
 
 
-def test_an_out_of_range_id_names_no_block():
-    # no vertex has residue 2 modulo a = 2
-    assert block_residues(T235, [(2, 0, 0)]) == []
-    assert block_residues(T235, [(2, 0, 0), (0, 0, 0)]) == block_residues(T235, [(0, 0, 0)])
+@pytest.mark.parametrize("t", [T235, T357, make_prime_triple(5, 7, 11)], ids=lambda t: ",".join(map(str, t.primes)))
+def test_block_residues_by_the_crt_equal_the_residue_scan(t):
+    # each id of the box, one by one and all at once, against the scan of
+    # all abc residues by the per-vertex projection
+    ids = index_ids(t)
+    assert all(block_residues(t, [x]) == residues_of(t, [x]) for x in ids)
+    assert block_residues(t, ids) == residues_of(t, ids) == list(range(t.alpha * t.beta * t.gamma))
 
 
 def test_block_of_is_residue_projection():
@@ -194,30 +207,30 @@ def test_partition_verifies():
 @SMALL
 def test_block_checks_equal_their_per_block_references(t):
     g = CayleyGraph.from_triple(t)
-    assert verify_block_partition(g) is _partition_by_construction(g) is True
-    assert verify_block_adjacency(g) is _adjacency_by_pairs(g) is True
+    assert verify_block_partition(g) is _partition_by_construction(g) is _partition_by_blocks(g) is True
+    assert verify_block_adjacency(g) is adjacency_by_residue_scan(g) is _adjacency_by_pairs(g) is True
 
 
 @SMALL
 def test_fiber_checks_equal_their_per_fiber_references(t):
     g = CayleyGraph.from_triple(t)
-    checklist = verify_fiber_structure(g)
-    assert checklist.gamma_fibers_independent is _gamma_fibers_by_fiber(g) is True
-    assert checklist.cell_cycles is _cell_cycles_by_cell(g) is True
-    assert checklist.cross_section_cycles is _fiber_items_by_loops(g)["viii"] is True
+    items = verify_fiber_structure(g)
+    assert items["i"] is _gamma_fibers_by_fiber(g) is True
+    assert items["iii"] is _cell_cycles_by_cell(g) is True
+    assert items["viii"] is _fiber_items_by_loops(g)["viii"] is True
 
 
 def test_structure_checks_run_above_twenty_thousand_vertices():
     # n = 27,225, above the export cap: the structure checks know no vertex cap
     c = certify(make_prime_triple(3, 5, 11))
-    assert c.fiber.all_pass and c.block_partition is True and c.block_adjacency is True
+    assert all(c.fiber.values()) and c.block_partition is True and c.block_adjacency is True
 
 
-def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch):
-    # no per-block or per-fiber loop and no n-bit set: the construction of
-    # block 0 (sorted, never a bitset) and one step rule each for (iii),
-    # (vii) and (viii), whatever the triple; fiber (i) reads the connectors
-    # and block adjacency their residues mod abc, with no neighbourhood
+def test_structure_stage_takes_no_neighbourhood_and_no_construction(monkeypatch):
+    # no per-block or per-fiber loop and no n-bit set: one step rule each
+    # for (iii), (vii) and (viii), whatever the triple; fiber (i) and block
+    # adjacency read the connectors, with no neighbourhood, and the block
+    # partition reads the moduli, with no construction of block 0
     calls = {"neighborhood": 0, "bitset": 0, "is_step_cycle": 0}
     built = []
     inside = [False]
@@ -260,7 +273,7 @@ def test_structure_stage_takes_no_neighbourhood_and_one_construction(monkeypatch
         calls.update(neighborhood=0, bitset=0, is_step_cycle=0)
         built.clear()
         c = certify(t)
-        assert c.fiber.all_pass and c.block_partition and c.block_adjacency
+        assert all(c.fiber.values()) and c.block_partition and c.block_adjacency
         assert calls == {"neighborhood": 0, "bitset": 0, "is_step_cycle": 3}
         assert built == []
 
@@ -284,7 +297,7 @@ def test_block_and_fiber_checks_catch_a_planted_connector(extra, monkeypatch):
     _plant(monkeypatch, lambda t: extra)
     g = CayleyGraph.from_triple(T235)
     assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g)
-    assert not verify_fiber_structure(g).gamma_fibers_independent and not _gamma_fibers_by_fiber(g)
+    assert not verify_fiber_structure(g)["i"] and not _gamma_fibers_by_fiber(g)
 
 
 def _without(t, drop) -> CayleyGraph:
@@ -308,50 +321,50 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
 def test_cross_section_cycles_catch_a_removed_connector(t):
     # without ±a²c² no cross-section sequence closes a single step
     g = _without(t, [t.m_alpha * t.m_gamma])
-    checklist = verify_fiber_structure(g)
-    assert checklist.alpha_fiber_representatives_unique
-    assert not checklist.cross_section_cycles and not _fiber_items_by_loops(g)["viii"]
+    items = verify_fiber_structure(g)
+    assert items["vi"]
+    assert not items["viii"] and not _fiber_items_by_loops(g)["viii"]
 
 
 @SMALL
 def test_cell_cycles_catch_a_removed_connector(t):
     # without ±a²b² no cell cycle closes a single step
     g = _without(t, [t.m_alpha * t.m_beta])
-    assert not verify_fiber_structure(g).cell_cycles and not _cell_cycles_by_cell(g)
+    assert not verify_fiber_structure(g)["iii"] and not _cell_cycles_by_cell(g)
 
 
 def test_block_adjacency_catches_a_projection_fault_at_the_last_residue(monkeypatch):
     # a projection that also puts residue abc − 1, of block (a − 1, b − 1,
-    # c − 1), into every residue set holding residue 0: the index-adjacent
-    # union then gains a block that agrees with (0, 0, 0) in no residue, so
-    # N(B₀) differs from it, by residues and by n bits alike.  The partition
-    # check compares block 0's construction with range(0, n, abc) and reads
-    # no projection
-    projection = structure.block_residues
+    # c − 1), into every residue set holding residue 0: the residue scan's
+    # N(B₀) then holds a block that agrees with (0, 0, 0) in no residue, and
+    # so does the n-bit N(B₀).  `verify` no longer reads the projection: it
+    # reads the connectors' ids, and passes
+    projection = helpers.residues_of
 
     def plant(t, ids):
         residues = projection(t, ids)
         last = t.alpha * t.beta * t.gamma - 1
         return sorted({*residues, last}) if 0 in residues else residues
 
-    monkeypatch.setattr(structure, "block_residues", plant)
+    monkeypatch.setattr(helpers, "residues_of", plant)
     for t in (T235, T357):
         b0 = plant(t, [(0, 0, 0)])
         assert b0 == [0, t.alpha * t.beta * t.gamma - 1]
-        assert _blocks_ok(t) == (True, False)
         g = CayleyGraph.from_triple(t)
+        assert adjacency_by_residue_scan(g) is False
         assert adjacency_by_neighbourhood(g, block_set(g, b0)) is False
+        assert _blocks_ok(t) == (True, True)
 
 
-def _move_in_construction(monkeypatch, moved: dict[int, int]) -> None:
-    """From now on structure.crt_combine returns moved[v] in place of each
-    vertex v that the mapping names."""
+def _move_in_construction(moved: dict[int, int]):
+    """crt_combine, but returning moved[v] in place of each vertex v that
+    the mapping names."""
 
     def faulty(comps, t):
         v = crt_combine(comps, t)
         return moved.get(v, v)
 
-    monkeypatch.setattr(structure, "crt_combine", faulty)
+    return faulty
 
 
 def _structure_line(t) -> str:
@@ -359,32 +372,66 @@ def _structure_line(t) -> str:
     return line
 
 
-def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none(monkeypatch):
+def test_block_partition_catches_a_vertex_in_two_blocks_and_one_in_none():
     # block 0's construction lists u = crt(a, 0, 0) as u + 1, a vertex of
     # block (1, 1, 1) (crt(1, 1, 1) = 1): u + 1 then lies in the constructed
-    # blocks 0 and (1, 1, 1), and u in none
+    # blocks 0 and (1, 1, 1), and u in none.  `verify` no longer reads the
+    # construction: it decides the partition by the pairwise coprime moduli
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
         u = crt_combine((t.alpha, 0, 0), t)
-        _move_in_construction(monkeypatch, {u: u + 1})
-        assert not is_partition(g, _constructed_blocks(g).values())
-        assert verify_block_partition(g) is False
-        assert _structure_line(t).startswith("FAIL structure: ")
+        faulty = _move_in_construction({u: u + 1})
+        assert not is_partition(g, _constructed_blocks(g, faulty).values())
+        assert _partition_by_construction(g, faulty) is False
+        assert verify_block_partition(g) is True
+        assert _structure_line(t).startswith("PASS structure: ")
 
 
-def test_block_partition_catches_two_vertices_swapped_between_residue_sets(monkeypatch):
+def test_block_partition_catches_two_vertices_swapped_between_residue_sets():
     # u = crt(a, 0, 0) of block 0 and v = crt(a + 1, 0, 0) of block (1, 0, 0)
     # trade places in the constructions: every block still has abc members
     # and the constructed blocks still partition V, so only the comparison
-    # with the residue projection sees that block 0 is not abc·Z_n
+    # with the residue projection sees that block 0 is not abc·Z_n.  `verify`
+    # no longer reads the construction: it decides the partition by the
+    # pairwise coprime moduli
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
         u, v = crt_combine((t.alpha, 0, 0), t), crt_combine((t.alpha + 1, 0, 0), t)
-        _move_in_construction(monkeypatch, {u: v, v: u})
-        assert is_partition(g, _constructed_blocks(g).values())
-        assert not _partition_by_construction(g)
-        assert verify_block_partition(g) is False
-        assert _structure_line(t).startswith("FAIL structure: ")
+        faulty = _move_in_construction({u: v, v: u})
+        assert is_partition(g, _constructed_blocks(g, faulty).values())
+        assert not _partition_by_blocks(g, faulty)
+        assert _partition_by_construction(g, faulty) is False
+        assert verify_block_partition(g) is True
+        assert _structure_line(t).startswith("PASS structure: ")
+
+
+def test_block_partition_by_coprime_moduli_equals_the_construction_at_every_census_triple():
+    # the lemma and block 0's sorted construction agree at all 146 triples
+    assert len(LADDER) == 146
+    for t in LADDER:
+        g = CayleyGraph(t, ())
+        assert verify_block_partition(g) is _partition_by_construction(g) is True, t.primes
+
+
+def _toggled_member_lists(t) -> list[tuple[int, ...]]:
+    """The members of t with each gcd class, then each single element x of
+    Z_n, toggled in or out."""
+    n, members = t.n, set(enumerate_connectors(t))
+    classes = [{d * k for k in range(1, n // d) if gcd(k, n // d) == 1} for d in divisors(n)[:-1]]
+    return [tuple(sorted(members ^ toggled)) for toggled in classes + [{x} for x in range(n)]]
+
+
+@pytest.mark.parametrize("t", [T235, T237], ids=lambda t: ",".join(map(str, t.primes)))
+def test_block_adjacency_by_ids_equals_the_residue_scan_under_every_toggle(t):
+    # the 26 gcd-class toggles and the n single toggles: the connectors'
+    # ids against the residues of N(B₀) found by scanning all abc residues
+    verdicts = set()
+    for members in _toggled_member_lists(t):
+        g = CayleyGraph(t, members)
+        verdict = verify_block_adjacency(g)
+        assert verdict is adjacency_by_residue_scan(g), members
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
@@ -406,7 +453,7 @@ def test_cell_rule_catches_a_planted_connector(monkeypatch):
     _plant(monkeypatch, lambda t: t.gamma * t.m_alpha * t.m_beta)
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
-        items = verify_fiber_structure(g).as_dict()
+        items = verify_fiber_structure(g)
         assert not items["ii"] and not _cell_rule_by_pairs(g)
         assert items["iii"] and _cell_cycles_by_cell(g) and items["vii"] and items["viii"]
 
@@ -414,7 +461,7 @@ def test_cell_rule_catches_a_planted_connector(monkeypatch):
 @pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
 def test_cell_rule_by_difference_equals_the_pairwise_reference(t):
     g = CayleyGraph.from_triple(t)
-    assert verify_fiber_structure(g).cell_adjacency_rule is _cell_rule_by_pairs(g) is True
+    assert verify_fiber_structure(g)["ii"] is _cell_rule_by_pairs(g) is True
 
 
 @pytest.mark.parametrize("t", [T235, T237, T357], ids=lambda t: ",".join(map(str, t.primes)))
@@ -433,7 +480,7 @@ def test_cell_rule_in_one_pass_equals_one_test_per_difference_under_faults(t):
     verdicts = set()
     for cs in cases:
         g = CayleyGraph(t, cs)
-        verdict = verify_fiber_structure(g).cell_adjacency_rule
+        verdict = verify_fiber_structure(g)["ii"]
         assert verdict == cell_rule_by_difference(g), cs
         verdicts.add(verdict)
     assert verdicts == {True, False}
@@ -455,11 +502,8 @@ def test_no_cross_edge_when_all_residues_differ():
 
 
 def test_fiber_structure_all_pass_at_small_instances():
-    assert verify_fiber_structure(G235).all_pass
-    assert verify_fiber_structure(CayleyGraph.from_triple(T237)).all_pass
-
-
-LADDER = triples_with_group_order_at_most(1_100_000)
+    assert all(verify_fiber_structure(G235).values())
+    assert all(verify_fiber_structure(CayleyGraph.from_triple(T237)).values())
 
 
 def test_shifted_cosets_lie_in_single_alpha_fibers_at_every_ladder_triple():
@@ -467,13 +511,13 @@ def test_shifted_cosets_lie_in_single_alpha_fibers_at_every_ladder_triple():
     # alpha fiber; it and the other seven items hold at all 146 triples
     assert len(LADDER) == 146
     for t in LADDER:
-        checklist = verify_fiber_structure(CayleyGraph.from_triple(t))
-        assert checklist.shifted_cosets_within_alpha_fibers and checklist.all_pass, t.primes
+        items = verify_fiber_structure(CayleyGraph.from_triple(t))
+        assert items["v"] and all(items.values()), t.primes
 
 
 def _fiber_lemmas_and_loops(t: PrimeTriple) -> tuple[dict[str, bool], dict[str, bool]]:
     g = CayleyGraph.from_triple(t)
-    lemmas = verify_fiber_structure(g).as_dict()
+    lemmas = verify_fiber_structure(g)
     loops = _fiber_items_by_loops(g)
     return {k: lemmas[k] for k in loops}, loops
 
@@ -494,7 +538,7 @@ def test_fiber_lemmas_equal_their_literal_loops():
     assert set().union(*failing.values()) == {"iv", "vi", "viii"}
     assert failing[(2, 5, 5)] == ["iv", "viii"]  # (vi) holds, the crossings fail
     # a²b² = 110,355,001 at (101, 103, 107): no loop runs over it
-    assert verify_fiber_structure(CayleyGraph.from_triple(make_prime_triple(101, 103, 107))).all_pass
+    assert all(verify_fiber_structure(CayleyGraph.from_triple(make_prime_triple(101, 103, 107))).values())
 
 
 def _cosets_within_fiber_r(t) -> bool:

@@ -205,6 +205,18 @@ def test_certificate_modules_build_no_n_bit_set():
     assert not used, f"hamiltonian.py references {sorted(used)}"
 
 
+def test_block_verifiers_read_no_box_of_block_ids():
+    # the partition is decided by the moduli and adjacency by the
+    # connectors' ids: neither maps, lists or constructs the abc blocks
+    box = {"block_residues", "index_ids", "crt_combine"}
+    tree = _trees()["structure.py"]
+    verifiers = [f for f in tree.body if getattr(f, "name", None) in ("verify_block_partition", "verify_block_adjacency")]
+    assert len(verifiers) == 2
+    for f in verifiers:
+        used = box & _code_references(f)
+        assert not used, f"{f.name} references {sorted(used)}"
+
+
 def test_report_renders_lines_and_builds_no_n_bit_set():
     # the n-bit work of every verify line (the order classes, the members'
     # set, the sweep) lives in `oracles`; report.py only renders verdicts
