@@ -10,12 +10,13 @@ An option is given as `--opt value` or `--opt=value`, and the last of a
 repeated one wins; -h or --help prints this text.  Exit codes: 0 success, 1
 verification mismatch, 2 usage or validation error, including a negative
 --budget-sources, a --config file that cannot be read, an --out file that
-cannot be written, and a group too large for the memory limit (checked from
-n before anything is allocated, for every subcommand but `build` and plain
-`hamiltonian`, which hold no per-vertex data: they print |C| and the degree
-from the closed form, or the walk from the moduli).  `verify` sweeps
-distances from vertex 0 plus --budget-sources extras sampled with --seed,
-which `params` echoes.  `export` reads `materialize-cap` from a
+cannot be written, and a group too large for the memory limit (checked
+before anything is allocated: from n for `params`, `verify` and `export`;
+from |C| for `hamiltonian --check`, which holds the connecting set and no
+per-vertex data; not at all for `build` and plain `hamiltonian`, which print
+|C| and the degree from the closed form, or the walk from the moduli).
+`verify` sweeps distances from vertex 0 plus --budget-sources extras sampled
+with --seed, which `params` echoes.  `export` reads `materialize-cap` from a
 `key = value` config file (--config).  Each subcommand accepts only the
 options it reads.
 """
@@ -55,10 +56,14 @@ OPTIONS = {
 # period of the set at nothing measurable at (11,13,17).  The edges and dot
 # exports hold every vertex's name and a chunk of rows |C| wide: with
 # materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.6 at (5,7,11)
-# and 177.5 at (2,3,47), where |C|/n is near its largest, 1/36.  Each
+# and 177.5 at (2,3,47), where |C|/n is near its largest, 1/36.
+# `hamiltonian --check` holds the connecting set and nothing per vertex:
+# above its own 14.2 MiB at (2,3,5), it peaks at 47.4 bytes per connector at
+# (2,3,1009), 66.8 at (701,709,719) and 66.9 at (1009,1013,1049).  Each
 # constant leaves at least 2.8 times headroom over its largest peak.
 BYTES_PER_VERTEX = 24
 EXPORT_BYTES_PER_VERTEX = 512  # the edges and dot exports
+BYTES_PER_CONNECTOR = 192  # `hamiltonian --check`
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
@@ -66,13 +71,14 @@ class UsageError(Exception):
     pass
 
 
-def _check_memory(n: int, bytes_per_vertex: int = BYTES_PER_VERTEX) -> None:
-    """Fail fast, before any allocation, when n vertices of bytes_per_vertex
-    bytes each would need more than MEMORY_LIMIT_BYTES."""
-    predicted = bytes_per_vertex * n
+def _check_memory(count: int, bytes_each: int = BYTES_PER_VERTEX, what: str = "n") -> None:
+    """Fail fast, before any allocation, when count vertices (or, with what
+    "|C|", connectors) of bytes_each bytes each would need more than
+    MEMORY_LIMIT_BYTES."""
+    predicted = bytes_each * count
     if predicted > MEMORY_LIMIT_BYTES:
         raise TooLargeError(
-            f"n = {n} needs about {predicted >> 20} MiB, above the limit of "
+            f"{what} = {count} needs about {predicted >> 20} MiB, above the limit of "
             f"{MEMORY_LIMIT_BYTES >> 20} MiB"
         )
 
@@ -166,8 +172,10 @@ def main(argv: list[str]) -> int:
             return 0
 
         edges_or_dot = args.get("--format") in ("edges", "dot")
-        if command != "hamiltonian" or "--check" in args:
+        if command != "hamiltonian":
             _check_memory(triple.n, EXPORT_BYTES_PER_VERTEX if edges_or_dot else BYTES_PER_VERTEX)
+        elif "--check" in args:
+            _check_memory(connector_count_formula(triple), BYTES_PER_CONNECTOR, "|C|")
 
         if command == "params":
             payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))

@@ -34,6 +34,7 @@ members of any set in ascending order.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from functools import cached_property
 from math import gcd
 from os import PathLike
@@ -185,28 +186,21 @@ class CayleyGraph(_GraphFields):
         order 1 (h = n) each coset is the single connector r.
 
         Built from the member list and the primes dividing n alone.  For each
-        prime o | n, largest first, with h = n/o, a member x becomes a
-        representative when every x + j·h (j < o) is a member not yet
-        covered; the check runs member by member and stops at the first miss.
-        The members left over form the family of order 1.  So the families
-        cover exactly the members, for any member list; a coset of composite
-        order is a union of cosets of prime order, so no other order is tried.
+        prime o | n, largest first, with h = n/o, the uncovered members mod n
+        are counted per coset r + ⟨h⟩ (r < h) by x mod h; a coset of o is
+        full, and its least element r is its representative.  The members
+        left over form the family of order 1.  So the families cover exactly
+        the members mod n, for any member list; a coset of composite order is
+        a union of cosets of prime order, so no other order is tried.
         """
         n = self.triple.n
-        pool = set(self.members)
+        pool = {x % n for x in self.members}
         families = []
         for o in reversed(self.triple.primes):
-            if o > len(pool):
-                continue  # a coset of order o has o members
             h = n // o
-            reps = []
-            # x + h first, for all members at once; x itself may have been
-            # covered by an earlier representative of the same coset
-            for x in [x for x in sorted(pool) if (x + h) % n in pool]:
-                if x in pool and all((x + j * h) % n in pool for j in range(2, o)):
-                    reps.append(x)
-                    pool.difference_update((x + j * h) % n for j in range(o))
+            reps = sorted(r for r, k in Counter(x % h for x in pool).items() if k == o)
             if reps:
+                pool.difference_update(r + j * h for r in reps for j in range(o))
                 families.append((h, o, tuple(reps)))
         if pool:
             families.insert(0, (n, 1, tuple(sorted(pool))))

@@ -6,14 +6,16 @@ independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
 
 Colour class 0 and the independence certificate are unions of residue
-blocks, held and checked as their residues mod abc (`structure`).
+blocks, held as their residues mod abc (`structure`).  One count gives the
+edges inside either (`_residue_edges`), and one tiling by the clique K
+(`clique_tiles`) partitions V for both the colouring and α ≤ n/c.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
@@ -72,13 +74,23 @@ def clique_certificate(t: PrimeTriple) -> tuple[int, ...]:
     return tuple(k * m_ab % t.n for k in range(t.gamma))
 
 
-def _residue_edges(residues: Sequence[int], connectors: Iterable[int], period: int) -> int:
-    """The pairs (v, v + c), c over the connectors with repeats, inside
-    {v : v mod period in R} per period: Σ_c |{r in R : (r + c) mod period in
-    R}|, with the connectors grouped by residue first."""
-    inside = set(residues)
-    steps = Counter(c % period for c in connectors)
-    return sum(k * sum((r + d) % period in inside for r in residues) for d, k in steps.items())
+def clique_tiles(t: PrimeTriple, clique: Sequence[int]) -> bool:
+    """The translates x + K, x in S₀ = {v : v mod c·a²b² < a²b²}, partition V
+    if K is c multiples of a²b² distinct mod c·a²b²: mod c·a²b², S₀ is the
+    interval [0, a²b²) and K steps it once round."""
+    m_ab = t.m_alpha * t.m_beta
+    return len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
+
+
+def _residue_edges(g: CayleyGraph, residues: Sequence[int], period: int) -> int:
+    """The edges of g inside {v : v mod period in R}: each edge {v, v + d}, d
+    over the distinct nonzero ±c (c in C), is counted at both ends and the
+    total halved, so C need not be symmetric or free of n/2.  Per period, the
+    d grouped by residue, the ends are Σ_d |{r in R : (r + d) mod period in R}|."""
+    n, inside = g.triple.n, set(residues)
+    steps = Counter(d % period for d in {x % n for c in g.members for x in (c, -c)} - {0})
+    ends = sum(k * sum((r + d) % period in inside for r in inside) for d, k in steps.items())
+    return n // period * ends // 2
 
 
 class ColoringResult(NamedTuple):
@@ -97,17 +109,17 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     the translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to
     the colour, and a²b² is a unit mod gamma.
     Translations are automorphisms, so the colouring is proper iff class 0
-    has no edge inside and its |K| ≤ gamma rotations partition the n
-    vertices: on its residues mod P = abc, no r has (r + c) mod P in class 0
-    and the r + κ mod P (κ in K) list Z_P once.  Every edge lies inside a
-    class or between two, so this covers all n·|C|/2 edges.
+    has no edge inside and its rotations by K partition V.  A tiling K
+    (`clique_tiles`) is the order-c subgroup ab·Z_P mod P = abc, so they do
+    iff class 0's residues are a·b distinct mod ab.  Every edge lies inside
+    a class or between two, so this covers all n·|C|/2 edges.
     """
-    period, clique = t.alpha * t.beta * t.gamma, clique_certificate(t)
+    ab, clique = t.alpha * t.beta, clique_certificate(t)
     zero = block_residues(t, [(i, j, -(i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)])
     proper = (
-        len(clique) <= t.gamma
-        and _residue_edges(zero, g.members, period) == 0
-        and sorted((r + k) % period for k in clique for r in zero) == list(range(period))
+        clique_tiles(t, clique)
+        and len(zero) == len({r % ab for r in zero}) == ab
+        and _residue_edges(g, zero, ab * t.gamma) == 0
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
@@ -150,12 +162,10 @@ class IndependenceScan(NamedTuple):
 
 
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
-    """Count edges inside the certificate set (must be zero), over all
-    m(m−1)/2 vertex pairs: no connector equals n/2 (its order would be 2), so
-    every edge is one pair (v, v + c) with c < n/2, counted per period."""
-    n, m = g.triple.n, cert.size
-    per_period = _residue_edges(cert.residues, (c for c in g.members if 2 * c < n), cert.period)
-    return IndependenceScan(n // cert.period * per_period, m * (m - 1) // 2)
+    """Count the edges inside the certificate set (must be zero), over all
+    m(m−1)/2 vertex pairs (`_residue_edges`)."""
+    m = cert.size
+    return IndependenceScan(_residue_edges(g, cert.residues, cert.period), m * (m - 1) // 2)
 
 
 class IndexBoundsReport(NamedTuple):

@@ -71,8 +71,7 @@ def certify(t: PrimeTriple) -> Certificates:
     with timed("connectivity"):
         # every vertex u has exactly |C| distinct neighbours u + c, and
         # adjacency is symmetric, iff C repeats no member, misses 0 and holds
-        # n − c for each c (with |C| even, n/2 is then no member, as the
-        # independence scan needs).  One pass decides it with no lookup: the
+        # n − c for each c.  One pass decides it with no lookup: the
         # members ascend strictly inside (0, n), as membership by bisection
         # needs too, and c ↦ n − c reverses them; the pass copies no member
         n, members = t.n, g.members
@@ -222,13 +221,9 @@ def run_verification(
         f"value={coloring.chromatic}",
     )
 
-    # α ≤ n/c: the rotations S₀ + κ of S₀ = {v : v mod c·a²b² < a²b²}, n/c
-    # vertices, by the clique K partition V iff the translates x + K (x in S₀)
-    # do, and an independent set meets each at most once.  Mod c·a²b², S₀ is
-    # an interval of a²b², so they do if |K| = c and the κ are multiples of
-    # a²b² distinct mod c·a²b²
-    m_ab, upper = t.m_alpha * t.m_beta, t.n // t.gamma
-    cover = len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
+    # α ≤ n/c: when the translates x + K of the clique, x in S₀ (n/c
+    # vertices), partition V, an independent set meets each at most once
+    upper, cover = t.n // t.gamma, parameters.clique_tiles(t, clique)
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(

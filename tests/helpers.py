@@ -23,10 +23,19 @@ residues mod abc, found by scanning them all, what the library decides on
 the connectors' block ids; `is_partition` and `tiles` decide on n bits the
 partitions by translates (the walk's rows, the clique cover behind
 α ≤ n/c) that the library decides on quotients.
+
+`edges_by_pairs` counts the edges among a vertex set pair by pair, the
+reference for the library's one count per residue set;
+`rotations_by_sort` lists the rotations of colour class 0 by the clique
+mod abc, the reference for the colouring's tiling lemma; and
+`coset_plan_by_scan` finds the coset families member by member, the
+reference for `CayleyGraph.coset_plan`'s count per coset.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import chain, islice
 
 from psqcayley import (
@@ -143,6 +152,53 @@ def internal_edges(g: CayleyGraph, s: int) -> int:
     doubled = s | (s << n)
     # (doubled >> (n - c)) & S == rot(S, c) & S
     return sum(((doubled >> (n - c)) & s).bit_count() for c in g.members if 2 * c < n)
+
+
+def edges_by_pairs(g: CayleyGraph, vertices) -> int:
+    """The edges among the vertices, each unordered pair {u, v} checked
+    once: an edge iff u − v or v − u is a connector, so a member without
+    its negative, or n/2, joins its pairs once each."""
+    n = g.triple.n
+    gaps = _pair_gaps(tuple(sorted(set(vertices))))
+    return sum(k for d, k in gaps.items() if g.is_connector(d) or g.is_connector(n - d))
+
+
+@lru_cache(maxsize=4)
+def _pair_gaps(vs: tuple[int, ...]) -> Counter:
+    """How many pairs u < v of the ascending vertices differ by each v − u."""
+    return Counter(v - u for i, u in enumerate(vs) for v in vs[i + 1 :])
+
+
+def rotations_by_sort(t: PrimeTriple, zero, clique) -> bool:
+    """True iff the rotations r + κ mod abc of class 0's residues r by the
+    clique's κ list every residue mod abc once: the sorted list is range(abc)."""
+    period = t.alpha * t.beta * t.gamma
+    return sorted((r + k) % period for k in clique for r in zero) == list(range(period))
+
+
+def coset_plan_by_scan(g: CayleyGraph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """The coset families of `CayleyGraph.coset_plan`, found member by member:
+    for each prime o | n, largest first, with h = n/o, a member x becomes a
+    representative when every x + j·h (j < o) is a member not yet covered."""
+    n = g.triple.n
+    pool = set(g.members)
+    families = []
+    for o in reversed(g.triple.primes):
+        if o > len(pool):
+            continue
+        h = n // o
+        reps = []
+        # x + h first, for all members at once; x itself may have been
+        # covered by an earlier representative of the same coset
+        for x in [x for x in sorted(pool) if (x + h) % n in pool]:
+            if x in pool and all((x + j * h) % n in pool for j in range(2, o)):
+                reps.append(x)
+                pool.difference_update((x + j * h) % n for j in range(o))
+        if reps:
+            families.append((h, o, tuple(reps)))
+    if pool:
+        families.insert(0, (n, 1, tuple(sorted(pool))))
+    return tuple(families)
 
 
 def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool:

@@ -35,13 +35,16 @@ from helpers import (
     block_of,
     block_set,
     coloring_by_neighbourhood,
+    coset_plan_by_scan,
     divisors,
+    edges_by_pairs,
     internal_edges,
     is_partition,
     neighbors,
     periodic,
     residue_sum_color,
     residues_of,
+    rotations_by_sort,
     tiles,
     triples_with_group_order_at_most,
 )
@@ -113,6 +116,7 @@ def test_neighborhood_equals_per_connector_reference(case, data):
     g = CayleyGraph(t, members)
     vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
     assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, members, vertices))
+    assert g.coset_plan == coset_plan_by_scan(g)
     inside = set(members)
     assert [g.is_connector(x) for x in range(t.n)] == [x in inside for x in range(t.n)]
 
@@ -136,6 +140,7 @@ def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
                 families[order] = len(reps)
         assert sorted(covered) == list(g.members)
         assert families == {p: p - 1 for p in t.primes}
+        assert g.coset_plan == coset_plan_by_scan(g)
         assert all(order > 1 for _, order, _ in g.coset_plan)
         assert "_full" not in vars(g)
 
@@ -145,6 +150,17 @@ def test_coset_plan_is_built_on_first_use_only():
     assert "coset_plan" not in vars(g)
     g.neighborhood(1)
     assert "coset_plan" in vars(g)
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_coset_plan_takes_members_mod_n(t):
+    # a member outside [0, n) counts as its residue mod n: n + a²b² repeats
+    # a²b² and 2n − 1 plants n − 1, and the neighbourhood follows suit
+    members = CayleyGraph.from_triple(t).members
+    vertices = [0, 1, t.n // 3]
+    for extra in (t.n + t.m_alpha * t.m_beta, 2 * t.n - 1):
+        g = CayleyGraph(t, (*members, extra))
+        assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, g.members, vertices))
 
 
 def test_internal_edges_matches_pair_count():
@@ -455,6 +471,81 @@ def test_coloring_equals_its_n_bit_reference_with_a_residue_moved_into_class_zer
         monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids: moved)
         assert verify_coloring(t, g).proper is False
         assert coloring_by_neighbourhood(t, g, block_set(g, moved)) is False
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_independence_scan_counts_the_edges_pair_by_pair_under_every_plant(t):
+    # the certificate's edges pair by pair, at the true C, with each gcd class
+    # toggled, with n/2 planted and with one-way 1 or n − 1: each edge is
+    # counted once, from either end, whichever way C holds it
+    n = t.n
+    cert = independence_certificate(t)
+    vertices = [base + r for base in range(0, n, cert.period) for r in cert.residues]
+    connectors = set(CayleyGraph.from_triple(t).members)
+    cases = {"true": connectors}
+    for d in divisors(n)[:-1]:
+        cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+        cases[f"toggle {d}"] = connectors ^ cls
+    if n % 2 == 0:
+        cases["n/2"] = connectors | {n // 2}
+    cases["one-way 1"], cases["one-way n-1"] = connectors | {1}, connectors | {n - 1}
+    counts = {}
+    for name, members in cases.items():
+        g = CayleyGraph(t, tuple(sorted(members)))
+        counts[name] = independence_internal_edges(cert, g).internal_edges
+        assert counts[name] == edges_by_pairs(g, vertices), name
+    assert len(cases) == 29 + (n % 2 == 0) and counts["true"] == 0
+    assert counts.get("n/2") == {900: 90, 1764: 126}.get(n)
+    assert n != 11025 or counts["one-way 1"] == counts["one-way n-1"] == 105
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations(t, monkeypatch):
+    # class 0 a transversal mod ab and K tiling (`clique_tiles`) against the
+    # sorted rotations, with class 0 and K planted: the lemma reads K only
+    # through its residues mod c·a²b², so every planted K is on the multiples
+    # of a²b², where the sort and the tiling agree
+    g = CayleyGraph.from_triple(t)
+    ab, m_ab, c = t.alpha * t.beta, t.m_alpha * t.m_beta, t.gamma
+    zero, k = _class_zero(t), clique_certificate(t)
+    outside = next(r for r in range(_period(t)) if r not in zero)
+    zeros = {
+        "class 0": zero,
+        "one short": zero[1:],
+        "one extra": sorted({*zero, outside}),
+        "repeated": zero[1:] + zero[:1] * 2,
+        "same coset": [(zero[0] + ab) % _period(t), *zero[1:]],
+        "next coset": [(zero[0] + 1) % _period(t), *zero[1:]],
+    }
+    cliques = {
+        "K": k,
+        "by-a-unit": tuple(2 * x % t.n for x in k),
+        "equal-mod-c": k[:-1] + (c * m_ab,),
+        "one-short": k[:-1],
+        "one-extra": k + (c * m_ab,),
+    }
+    verdicts = set()
+    for z in zeros.values():
+        monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids, _z=z: _z)
+        zero_set = block_set(g, z)
+        for planted in cliques.values():
+            monkeypatch.setattr(parameters, "clique_certificate", lambda _t, _k=planted: _k)
+            tiling = rotations_by_sort(t, z, planted)
+            assert verify_coloring(t, g).proper == (tiling and not g.neighborhood(zero_set) & zero_set)
+            verdicts.add(tiling)
+    assert verdicts == {True, False}
+
+
+def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations_on_the_ladder(monkeypatch):
+    # at all 146 triples with n ≤ 1.1·10⁶: class 0, and class 0 with its
+    # first residue moved to the next coset mod ab
+    for t in LADDER:
+        g = CayleyGraph.from_triple(t)
+        zero = _class_zero(t)
+        moved = [(zero[0] + 1) % _period(t), *zero[1:]]
+        for z, expected in ((zero, True), (moved, False)):
+            monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids, _z=z: _z)
+            assert verify_coloring(t, g).proper == rotations_by_sort(t, z, clique_certificate(t)) == expected
 
 
 @pytest.mark.parametrize(

@@ -57,7 +57,7 @@ def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", [None, "vertex-in-two-classes", "vertex-in-no-class", "moved-vertex"])
-def test_order_class_partition_by_union_and_size_equals_is_partition(fault, monkeypatch):
+def test_connecting_set_line_reads_no_partition_of_the_order_classes(fault, monkeypatch):
     # planted classes whose union or sizes are off fail is_partition, while
     # the connecting-set line passes: `verify` no longer checks the
     # partition, and reads only the classes of order a², b² and c².

@@ -15,6 +15,7 @@ from psqcayley import (
     certify,
     distance_sweep,
     independence_certificate,
+    is_prime,
     make_prime_triple,
     report_bytes,
     run_verification,
@@ -517,20 +518,25 @@ def test_cli_params_and_verify_each_certify_once(command, capsys, monkeypatch):
     ids=lambda argv: "-".join(a for a in argv[:3] if not a.startswith("{")),
 )
 def test_cli_fails_fast_above_the_memory_limit(argv, tmp_path, capsys, monkeypatch):
-    # 900 vertices predicted one byte over the limit; nothing per-vertex is built
+    # 900 vertices, or for `hamiltonian --check` the 28 connectors, predicted
+    # one byte over the limit; no connector is enumerated
     out = tmp_path / "out.txt"
     argv = [a.format(out=out) for a in argv] + ["--primes", "2,3,5"]
-    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900 - 1)
+    hamiltonian = argv[0] == "hamiltonian"
+    count, each, what = (28, cli.BYTES_PER_CONNECTOR, "|C|") if hamiltonian else (900, cli.BYTES_PER_VERTEX, "n")
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", each * count - 1)
     monkeypatch.setattr(CayleyGraph, "from_triple", None)
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count("\n") == 1 and captured.err.startswith("error: n = 900 needs about")
+    assert captured.err.count("\n") == 1 and captured.err.startswith(f"error: {what} = {count} needs about")
     assert not out.exists()
 
 
 def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_VERTEX * 900)
+    assert cli.main(["verify", "--primes", "2,3,5", "--budget-sources", "0"]) == 0
+    monkeypatch.setattr(cli, "MEMORY_LIMIT_BYTES", cli.BYTES_PER_CONNECTOR * 28)
     assert cli.main(["hamiltonian", "--primes", "2,3,5", "--check"]) == 0
     # build allocates nothing per vertex or per connector, and plain
     # hamiltonian reads only the moduli; --check enumerates C, so it is gated
@@ -541,17 +547,19 @@ def test_cli_runs_at_the_memory_limit_and_build_ignores_it(capsys, monkeypatch):
     capsys.readouterr()
     assert cli.main(["hamiltonian", "--primes", "2,3,5", "--check"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith("error: n = 900 needs about")
+    assert captured.out == "" and captured.err.startswith("error: |C| = 28 needs about")
 
 
 def test_cli_hamiltonian_runs_beyond_the_memory_limit(capsys):
     # n = 1,239,038,360,641 is far above the limit, and the walk's three
     # levels are all that the command builds; the walk ends at e_a, the
-    # multiple of b²c² that is 1 mod a²
+    # multiple of b²c² that is 1 mod a².  --check holds C too, 31,948 members
     assert 668164887941 % (103 * 107) ** 2 == 0 and 668164887941 % 101**2 == 1
+    walk = "kind: cycle\nlength: 1239038360641\nendpoints: 0 668164887941\n"
     assert cli.main(["hamiltonian", "--primes", "101,103,107"]) == 0
-    assert capsys.readouterr().out == "kind: cycle\nlength: 1239038360641\nendpoints: 0 668164887941\n"
-    assert cli.main(["hamiltonian", "--primes", "101,103,107", "--check"]) == 2
+    assert capsys.readouterr().out == walk
+    assert cli.main(["hamiltonian", "--primes", "101,103,107", "--check"]) == 0
+    assert capsys.readouterr().out == walk + "verified: True\n"
 
 
 def test_cli_edges_and_dot_exports_predict_their_own_memory(tmp_path, capsys, monkeypatch):
@@ -611,19 +619,27 @@ def _three_distinct_primes(abc: int) -> bool:
 )
 def test_cli_the_smallest_triple_over_the_memory_limit_exits_2_at_once(argv, tmp_path, capsys, monkeypatch):
     # n = (abc)², so the smallest n predicted over the limit comes from the
-    # first product abc of three distinct primes above √(limit / bytes)
-    abc = math.isqrt(cli.MEMORY_LIMIT_BYTES // cli.BYTES_PER_VERTEX)
-    while not (_three_distinct_primes(abc) and cli.BYTES_PER_VERTEX * abc**2 > cli.MEMORY_LIMIT_BYTES):
-        abc += 1
-    cli._check_memory(max(p for p in range(abc) if _three_distinct_primes(p)) ** 2)
-    triple, n = prime_factors(abc), abc**2
+    # first product abc of three distinct primes above √(limit / bytes);
+    # `hamiltonian --check` predicts from |C|, which is c² − c + 8 at (2, 3, c),
+    # so there the first prime c above √(limit / bytes) gives the smallest c
+    if argv[0] == "hamiltonian":
+        each, what, valid = cli.BYTES_PER_CONNECTOR, "|C|", is_prime
+        size, primes = lambda c: c * c - c + 8, lambda c: (2, 3, c)
+    else:
+        each, what, valid = cli.BYTES_PER_VERTEX, "n", _three_distinct_primes
+        size, primes = lambda abc: abc**2, prime_factors
+    x = math.isqrt(cli.MEMORY_LIMIT_BYTES // each)
+    while not (valid(x) and each * size(x) > cli.MEMORY_LIMIT_BYTES):
+        x += 1
+    cli._check_memory(size(max(p for p in range(4, x) if valid(p))), each)
+    count = size(x)
     out = tmp_path / "out.txt"
     monkeypatch.setattr(CayleyGraph, "from_triple", None)
-    argv = [a.format(out=out) for a in argv] + ["--primes", ",".join(map(str, triple))]
+    argv = [a.format(out=out) for a in argv] + ["--primes", ",".join(map(str, primes(x)))]
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: n = {n} needs about {cli.BYTES_PER_VERTEX * n >> 20} MiB, above the limit of 2048 MiB\n"
+    assert captured.err == f"error: {what} = {count} needs about {each * count >> 20} MiB, above the limit of 2048 MiB\n"
     assert not out.exists()
 
 
