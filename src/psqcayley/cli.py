@@ -23,6 +23,7 @@ options it reads.
 
 from __future__ import annotations
 
+import gc
 import sys
 from pathlib import Path
 
@@ -223,4 +224,10 @@ def main(argv: list[str]) -> int:
 
 
 def console_main() -> None:
+    """The entry point of `python -m psqcayley` and the `psqcayley` script.
+    The import-time heap lives until exit, so it is frozen first: no later
+    collection walks it again, the full ones at interpreter shutdown
+    included.  `main` freezes nothing, so an in-process caller keeps its
+    own heap collectable."""
+    gc.freeze()
     sys.exit(main(sys.argv[1:]))

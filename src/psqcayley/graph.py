@@ -206,6 +206,17 @@ class CayleyGraph(_GraphFields):
             families.insert(0, (n, 1, tuple(sorted(pool))))
         return tuple(families)
 
+    @cached_property
+    def step_residues(self) -> tuple[tuple[int, int], ...]:
+        """The distinct nonzero steps d = ±c mod n (c a member), grouped by
+        d mod abc as pairs (residue, how many d), built once per graph on
+        first use.  The steps are symmetric and hold n/2 once even when the
+        member list is not symmetric; the residue-set edge count of
+        `parameters` reads them."""
+        n, (a, b, c) = self.triple.n, self.triple.primes
+        steps = {x % n for m in self.members for x in (m, -m)} - {0}
+        return tuple(Counter(d % (a * b * c) for d in steps).items())
+
     def bfs_levels(self, source: int) -> tuple[int, ...]:
         """The BFS levels from source: levels[k] is the set at distance k.
 

@@ -13,7 +13,6 @@ edges inside either (`_residue_edges`), and one tiling by the clique K
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -82,15 +81,17 @@ def clique_tiles(t: PrimeTriple, clique: Sequence[int]) -> bool:
     return len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
 
 
-def _residue_edges(g: CayleyGraph, residues: Sequence[int], period: int) -> int:
-    """The edges of g inside {v : v mod period in R}: each edge {v, v + d}, d
+def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> int:
+    """The edges of g inside {v : v mod abc in R}: each edge {v, v + d}, d
     over the distinct nonzero ±c (c in C), is counted at both ends and the
-    total halved, so C need not be symmetric or free of n/2.  Per period, the
-    d grouped by residue, the ends are Σ_d |{r in R : (r + d) mod period in R}|."""
-    n, inside = g.triple.n, set(residues)
-    steps = Counter(d % period for d in {x % n for c in g.members for x in (c, -c)} - {0})
-    ends = sum(k * sum((r + d) % period in inside for r in inside) for d, k in steps.items())
-    return n // period * ends // 2
+    total halved, so C need not be symmetric or free of n/2.  Per period
+    abc, with the d grouped by residue once per graph
+    (`CayleyGraph.step_residues`), the ends are
+    Σ_d |{r in R : (r + d) mod abc in R}|."""
+    a, b, c = g.triple.primes
+    period, inside = a * b * c, set(residues)
+    ends = sum(k * sum((r + d) % period in inside for r in inside) for d, k in g.step_residues)
+    return g.triple.n // period * ends // 2
 
 
 class ColoringResult(NamedTuple):
@@ -119,7 +120,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     proper = (
         clique_tiles(t, clique)
         and len(zero) == len({r % ab for r in zero}) == ab
-        and _residue_edges(g, zero, ab * t.gamma) == 0
+        and _residue_edges(g, zero) == 0
     )
     return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
 
@@ -165,7 +166,7 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
     """Count the edges inside the certificate set (must be zero), over all
     m(m−1)/2 vertex pairs (`_residue_edges`)."""
     m = cert.size
-    return IndependenceScan(_residue_edges(g, cert.residues, cert.period), m * (m - 1) // 2)
+    return IndependenceScan(_residue_edges(g, cert.residues), m * (m - 1) // 2)
 
 
 class IndexBoundsReport(NamedTuple):

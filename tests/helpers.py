@@ -147,11 +147,13 @@ def tiles(g: CayleyGraph, s: int, step: int, count: int) -> bool:
 
 def internal_edges(g: CayleyGraph, s: int) -> int:
     """Edges with both endpoints in the n-bit set s, each counted once: one
-    n-bit AND per connector c < n/2, each edge {u, u + c} counted at u."""
+    n-bit AND per distinct nonzero step d = ±c mod n, so each edge {u, u + d}
+    is counted at both ends, n/2 included, and the total is halved."""
     n = g.triple.n
     doubled = s | (s << n)
-    # (doubled >> (n - c)) & S == rot(S, c) & S
-    return sum(((doubled >> (n - c)) & s).bit_count() for c in g.members if 2 * c < n)
+    steps = {x % n for c in g.members for x in (c, -c)} - {0}
+    # (doubled >> (n - d)) & S == rot(S, d) & S
+    return sum(((doubled >> (n - d)) & s).bit_count() for d in steps) // 2
 
 
 def edges_by_pairs(g: CayleyGraph, vertices) -> int:

@@ -435,6 +435,14 @@ def _symmetric_edits(t) -> list[tuple[int, ...]]:
     return cases
 
 
+def _one_sided_plants(t) -> list[tuple[int, ...]]:
+    """The connectors of t with n/2 planted (when n is even), and with 1 or
+    n − 1 planted one way, without its negative."""
+    members = CayleyGraph.from_triple(t).members
+    planted = ([t.n // 2] if t.n % 2 == 0 else []) + [1, t.n - 1]
+    return [tuple(sorted({*members, d})) for d in planted]
+
+
 def _class_zero(t) -> list[int]:
     return residues_of(t, [x for x in structure.index_ids(t) if sum(x) % t.gamma == 0])
 
@@ -442,12 +450,12 @@ def _class_zero(t) -> list[int]:
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
     # the colouring on N(class 0), the internal edges by one n-bit AND per
-    # connector and block adjacency on N(B₀), at the real connectors and
-    # with symmetric pairs planted or removed
+    # step ±c and block adjacency on N(B₀), at the real connectors, with
+    # symmetric pairs planted or removed, and with n/2 or a one-way step planted
     zero = _class_zero(t)
     cert = independence_certificate(t)
     seen = set()
-    for members in _symmetric_edits(t):
+    for members in _symmetric_edits(t) + _one_sided_plants(t):
         g = CayleyGraph(t, members)
         proper = verify_coloring(t, g).proper
         assert proper == coloring_by_neighbourhood(t, g, block_set(g, zero))
@@ -554,14 +562,19 @@ def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations_on_the_ladder(mo
     ids=lambda x: ",".join(map(str, x)) if isinstance(x, tuple) else str(x),
 )
 def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes, count):
-    # block (0, 0, 1) agrees with the certificate's (0, 0, 0) in two residues
+    # block (0, 0, 1) agrees with the certificate's (0, 0, 0) in two residues;
+    # the count matches its reference also with n/2 or a one-way step planted
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
     ids = independence_certificate(t).index_set + ((0, 0, 1),)
     cert = IndependenceCertificate(ids, tuple(structure.block_residues(t, ids)), _period(t))
     got = independence_internal_edges(cert, g).internal_edges
-    assert got == internal_edges(g, block_set(g, residues_of(t, ids))) > 0
+    s = block_set(g, residues_of(t, ids))
+    assert got == internal_edges(g, s) > 0
     assert count is None or got == count
+    for members in _one_sided_plants(t):
+        planted = CayleyGraph(t, members)
+        assert independence_internal_edges(cert, planted).internal_edges == internal_edges(planted, s) > got
 
 
 def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypatch):

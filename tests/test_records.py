@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -12,16 +13,31 @@ from psqcayley import (
     make_prime_triple,
     snake_walk,
 )
+from psqcayley import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 T235 = make_prime_triple(2, 3, 5)
 
 
+COMMANDS = [
+    ["build", "--primes", "2,3,5"],
+    ["verify", "--primes", "2,3,5"],
+    ["export", "--primes", "2,3,5", "--format", "walk", "--out", "walk.txt"],
+    ["hamiltonian", "--primes", "2,3,5"],
+    ["params", "--primes", "2,3,5"],
+]
+
+
+def _child_env() -> dict[str, str]:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
 def test_cli_import_loads_every_module_without_dataclasses_or_inspect():
     # a fresh interpreter, as the console script starts it: what the CLI
     # imports is paid by every command
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
+    env = _child_env()
     code = "import json, sys; import psqcayley.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     loaded = set(json.loads(proc.stdout))
@@ -31,22 +47,11 @@ def test_cli_import_loads_every_module_without_dataclasses_or_inspect():
         assert "psqcayley." + name in loaded
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["build", "--primes", "2,3,5"],
-        ["verify", "--primes", "2,3,5"],
-        ["export", "--primes", "2,3,5", "--format", "walk", "--out", "walk.txt"],
-        ["hamiltonian", "--primes", "2,3,5"],
-        ["params", "--primes", "2,3,5"],
-    ],
-    ids=lambda argv: argv[0],
-)
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
 def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
     # the modules are listed before the child's own `import json`; only
     # `params`, which renders JSON, may load it
-    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    env["PYTHONPATH"] = str(SRC)
+    env = _child_env()
     code = (
         "import sys\nfrom psqcayley import cli\ncode = cli.main(sys.argv[1:])\nloaded = sorted(sys.modules)\n"
         "import json\nsys.stderr.write(json.dumps([code, loaded]))"
@@ -60,6 +65,43 @@ def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
     assert ("json" in loaded) == (argv[0] == "params")
     for name in ("connectors", "parameters", "structure", "hamiltonian", "oracles", "report"):
         assert "psqcayley." + name in loaded
+
+
+@pytest.mark.parametrize("argv", COMMANDS + [["hamiltonian", "--primes", "2,3,5", "--check"]], ids=" ".join)
+def test_cli_main_freezes_nothing(argv, tmp_path, monkeypatch, capsys):
+    # only the console entry point freezes the heap: an in-process caller of
+    # `main` keeps its own objects collectable
+    monkeypatch.chdir(tmp_path)
+    before = gc.get_freeze_count()
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv", [COMMANDS[0], COMMANDS[-1]], ids=lambda argv: argv[0])
+def test_console_main_freezes_the_heap_and_still_runs_atexit_hooks(argv, capsys):
+    # the hook runs at shutdown, after the freeze, and the command's stdout
+    # and exit code are those of `main` in process
+    code = (
+        "import atexit, gc, sys\nfrom psqcayley import cli\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen {gc.get_freeze_count()}'))\ncli.console_main()"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == cli.main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out
+    label, count = proc.stderr.split(" ")
+    assert label == "frozen" and int(count) > 0
+
+
+def test_python_m_psqcayley_reports_a_composite_prime_in_one_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "psqcayley", "build", "--primes", "2,3,4"],
+        env=_child_env(),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: 4 is not prime\n"
 
 
 # record -> (a builder, one of its fields)
