@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import report as report_mod
 from .connectors import connector_count_formula
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError
+from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, write_chunks
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .oracles import DEFAULT_SEED
@@ -50,11 +50,11 @@ OPTIONS = {
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
 # Linux, bytecode precompiled).  `verify --budget-sources 0` peaks at 6.1
 # bytes at (2,3,167), 5.6 at (2,3,401), 3.4 at (11,13,17) and 3.4 at
-# (13,17,19); `params` at 6.0 at (2,3,167), 5.6 at (2,3,401) and 2.9 at
+# (13,17,19); `params` at 6.0 at (2,3,167), 5.6 at (2,3,401) and 2.8 at
 # (13,17,19).  The walk and independent-set exports hold nothing n-sized, so
-# the gate bounds only their output: the walk's pieces of under c² entries
-# peak at 4.2 at (2,3,167) and 4.0 at (2,3,401), where c² = n/36, and one abc
-# period of the set at nothing measurable at (11,13,17).  The edges and dot
+# the gate bounds only their output: the walk's pieces of at most 4,096
+# entries and one abc period of the set peak within 0.1 MiB of the floor at
+# (2,3,167), (2,3,401) and (11,13,17).  The edges and dot
 # exports hold every vertex's name and a chunk of rows |C| wide: with
 # materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.6 at (5,7,11)
 # and 177.5 at (2,3,47), where |C|/n is near its largest, 1/36.
@@ -181,7 +181,7 @@ def main(argv: list[str]) -> int:
         if command == "params":
             payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))
             if out:
-                Path(out).write_bytes(payload)
+                write_chunks(out, (payload,))
             else:
                 sys.stdout.write(payload.decode("ascii"))
             return 0
@@ -203,8 +203,7 @@ def main(argv: list[str]) -> int:
                 cert = independence_certificate(triple)
                 line = b"%d\n" * len(cert.residues)
                 chunks = (line % tuple(v + r for r in cert.residues) for v in range(0, triple.n, cert.period))
-            with open(out, "wb") as f:
-                f.writelines(chunks)
+            write_chunks(out, chunks)
             return 0
 
         # hamiltonian, the last subcommand in OPTIONS

@@ -39,7 +39,9 @@ its step alone.
 
 That is O(1) work per level, and nothing n-sized is built.  `pieces`
 streams the walk for the export: the head, then translates of the innermost
-level's tail between the outer levels' climbs, none of c² or more entries.
+level's tail between the outer levels' climbs.  Each climb column is a
+range, listed in slices of at most WALK_CHUNK entries, so no piece holds
+more than that however large c² is.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
+
+WALK_CHUNK = 4096  # walk entries per piece at most
 
 
 class WalkCertificate(NamedTuple):
@@ -72,25 +76,32 @@ class WalkCertificate(NamedTuple):
 
     def pieces(self) -> Iterator[list[int]]:
         """The walk in order, piece by piece: the head, then each climb
-        column of each level's tail, translated into place."""
-        n = self.n
+        column of each level's tail, translated into place, in slices of at
+        most WALK_CHUNK entries."""
         yield [0]
-        yield from _tail([(step, rows, [r * step % n for r in range(rows - 1, 0, -1)])
-                          for step, rows in self.levels], 0, False, n)
+        yield from _tail(self.levels, 0, False, self.n)
 
 
-def _tail(lifts: list[tuple[int, int, list[int]]], shift: int, backwards: bool, n: int) -> Iterator[list[int]]:
-    """shift + the tail of the walk lifted through lifts (the walk without
-    its head 0), reversed when backwards, one climb column per piece; each
-    lift is a level (step, rows) and its climb column r·step, r = rows−1 … 1."""
-    *inner, (step, rows, climb) = lifts
+def _tail(levels: tuple[tuple[int, int], ...], shift: int, backwards: bool, n: int) -> Iterator[list[int]]:
+    """shift + the tail of the walk lifted through levels (the walk without
+    its head 0), reversed when backwards: the climb column of the last level
+    (step, rows) between the lower levels' tails."""
+    *inner, (step, rows) = levels
+    step = step % n or n  # the same step mod n, and nonzero, so a range can take it
+    climb = range(shift + (rows - 1) * step, shift, -step)  # shift + r·step, r = rows−1 … 1
     if backwards:
-        yield [(shift + x) % n for x in reversed(climb)]
+        yield from _slices(climb[::-1], n)
     if inner:
         for r in reversed(range(rows)) if backwards else range(rows):
             yield from _tail(inner, shift + r * step, backwards != (r % 2 == 1), n)
     if not backwards:
-        yield [(shift + x) % n for x in climb]
+        yield from _slices(climb, n)
+
+
+def _slices(column: range, n: int) -> Iterator[list[int]]:
+    """The column's entries mod n, in slices of at most WALK_CHUNK."""
+    for i in range(0, len(column), WALK_CHUNK):
+        yield [v % n for v in column[i : i + WALK_CHUNK]]
 
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
@@ -115,7 +126,7 @@ def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
 def walk_lines(w: WalkCertificate) -> Iterator[bytes]:
     """Export format as bytes: b"cycle\n", then one chunk per piece of the
     walk with one newline-ended exponent per line, in traversal order, so
-    no chunk holds c² or more lines."""
+    no chunk holds more than WALK_CHUNK lines."""
     yield b"cycle\n"
     for piece in w.pieces():
         yield b"%d\n" * len(piece) % tuple(piece)

@@ -112,3 +112,31 @@ def test_every_workload_command_passes_the_benchmark_check(workload, bench_run, 
         data = cmd.out.read_bytes() if cmd.out is not None and cmd.out.exists() else b""
         problems = bench_run.check_output(cmd, proc.returncode, proc.stdout, data)
         assert not problems, (cmd.argv, problems, proc.stderr[-300:])
+
+
+def test_export_large_rewrites_its_outputs_as_fresh_writes(bench_run, tmp_path):
+    # the harness writes the (2,3,5) warm-up outputs to the workload's paths,
+    # then reruns the workload into the same files pass after pass: each
+    # rewrite over a longer or shorter file must equal a write with no file
+    work, fresh = tmp_path / "work", tmp_path / "fresh"
+    work.mkdir()
+    fresh.mkdir()
+
+    def run(cmd, cwd):
+        proc = subprocess.run(
+            [sys.executable, "-m", "psqcayley", *cmd.argv],
+            capture_output=True, env=CHILD_ENV, cwd=cwd, timeout=120,
+        )
+        data = cmd.out.read_bytes() if cmd.out is not None and cmd.out.exists() else b""
+        problems = bench_run.check_output(cmd, proc.returncode, proc.stdout, data)
+        assert not problems, (cmd.argv, problems, proc.stderr[-300:])
+        return data
+
+    expected = [run(cmd, fresh) for cmd in bench_run.WORKLOADS["export-large"](7, fresh)]
+    cmds = bench_run.WORKLOADS["export-large"](7, work)
+    warmup = bench_run.warmup_commands(cmds)
+    assert {cmd.out for cmd in warmup} == {cmd.out for cmd in cmds}
+    for cmd in warmup:
+        run(cmd, work)
+    for _ in range(2):
+        assert [run(cmd, work) for cmd in cmds] == expected

@@ -11,7 +11,7 @@ from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 from psqcayley.group import crt_basis
 
-from helpers import is_cycle, neighbors, snake_sequence
+from helpers import divisors, is_cycle, neighbors, snake_sequence
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -144,6 +144,57 @@ def test_connected_both_methods():
     assert u * T235.m_beta * T235.m_gamma + v * T235.m_alpha * T235.m_gamma + w * T235.m_alpha * T235.m_beta == 1
     assert res.bfs_reached == 900
     assert CayleyGraph.from_triple(T357).is_connected().connected
+
+
+def _rotated(s: int, k: int, n: int) -> int:
+    """{(v + k) mod n : v in s}, rotated here rather than by the kernel."""
+    return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
+
+
+@pytest.mark.parametrize(
+    "t", [T235, pytest.param(T357, marks=pytest.mark.slow)], ids=lambda t: ",".join(map(str, t.primes))
+)
+def test_bfs_levels_from_every_source_are_the_levels_from_0_translated(t):
+    # every translation x ↦ x + s is an automorphism, so the levels from s
+    # are those from 0 shifted by s: one BFS decides every pair
+    g, n = CayleyGraph.from_triple(t), t.n
+    zero = g.bfs_levels(0)
+    assert sum(level.bit_count() for level in zero) == n
+    for s in range(n):
+        assert g.bfs_levels(s) == tuple(_rotated(level, s, n) for level in zero), s
+
+
+def _levels_by_vertex(g: CayleyGraph, source: int) -> tuple[int, ...]:
+    """BFS over the vertices, u to u + c for each connector c, until a level
+    comes out empty: no stop at full reach and no neighbourhood kernel."""
+    n = g.triple.n
+    frontier, seen, levels = [source], {source}, []
+    while frontier:
+        levels.append(sum(1 << v for v in frontier))
+        frontier = sorted({(u + c) % n for u in frontier for c in g.members} - seen)
+        seen.update(frontier)
+    return tuple(levels)
+
+
+def test_bfs_stopped_at_full_reach_equals_a_bfs_without_the_stop_under_class_toggles():
+    # the 26 gcd-class toggles of the fault matrix at (2,3,5): removing the
+    # classes of −36, −100 or −225 disconnects the graph, so the BFS runs
+    # until a level is empty; elsewhere it stops when all n are reached
+    n, members = T235.n, set(G235.members)
+    reaches = []
+    for d in divisors(n)[:-1]:
+        cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+        toggled = CayleyGraph(T235, tuple(sorted(members ^ cls)))
+        for source in (0, 1, 450):
+            levels = toggled.bfs_levels(source)
+            assert levels == _levels_by_vertex(toggled, source), (d, source)
+        reaches.append(sum(level.bit_count() for level in levels))
+    assert len(reaches) == 26
+    assert 0 < sum(r < n for r in reaches) < 26
+    # the n-cycle's last level is the one vertex n/2: the stop keeps it
+    ring = CayleyGraph(T235, (1, n - 1))
+    assert ring.bfs_levels(0) == _levels_by_vertex(ring, 0)
+    assert ring.bfs_levels(0)[-1] == 1 << (n // 2)
 
 
 def test_girth_certificate():

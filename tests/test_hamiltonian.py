@@ -6,6 +6,7 @@ import pytest
 from psqcayley import (
     CayleyGraph,
     WalkCertificate,
+    hamiltonian,
     make_prime_triple,
     snake_walk,
     verify_walk,
@@ -366,4 +367,24 @@ def test_walk_pieces_hold_fewer_than_c_squared_entries(t):
     # the innermost level's tail, c² − 1 entries, is the largest piece
     pieces = list(snake_walk(t).pieces())
     assert max(map(len, pieces)) == t.m_gamma - 1
+    assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+@pytest.mark.parametrize("t", [T235, T357], ids=_ids)
+def test_walk_climb_columns_are_sliced_at_the_chunk(t, chunk, monkeypatch):
+    # with the chunk below c² − 1 every long climb column, forwards and in
+    # the odd rows backwards, splits into slices with a last partial one
+    monkeypatch.setattr(hamiltonian, "WALK_CHUNK", chunk)
+    pieces = list(snake_walk(t).pieces())
+    assert max(map(len, pieces)) == min(chunk, t.m_gamma - 1)
+    assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)
+    assert b"".join(walk_lines(snake_walk(t))) == b"cycle\n" + b"".join(b"%d\n" % v for v in snake_sequence(t))
+
+
+def test_walk_pieces_stay_within_the_chunk_where_c_squared_exceeds_it():
+    # at (2,3,67) the c level's climb column has c² − 1 = 4488 entries
+    t = make_prime_triple(2, 3, 67)
+    pieces = list(snake_walk(t).pieces())
+    assert t.m_gamma - 1 > hamiltonian.WALK_CHUNK == max(map(len, pieces))
     assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)

@@ -595,7 +595,8 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
 
 def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
     # at (2,3,167), n = 1,004,004: every neighbourhood certify takes is a BFS
-    # level's, and no certificate check builds or rotates an n-bit set
+    # level's, and no certificate check builds or rotates an n-bit set; the
+    # BFS stops at full reach, so it takes none after the last level
     callers = Counter()
     for name in ("neighborhood", "multiples", "bitset", "rotate"):
         fn = getattr(CayleyGraph, name)
@@ -607,7 +608,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
         monkeypatch.setattr(CayleyGraph, name, recorded)
     c = certify(make_prime_triple(2, 3, 167))
     assert c.walk_verified and all(c.fiber.values()) and c.connectivity.connected
-    assert callers == {"neighborhood from _levels": c.diameter.bfs_eccentricity + 1}
+    assert callers == {"neighborhood from _levels": c.diameter.bfs_eccentricity}
 
 
 def test_is_partition():
