@@ -27,7 +27,6 @@ from .group import (
 )
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
-    DEFAULT_SEED,
     SweepReport,
     closed_form_distance_classes,
     distance_sweep,
@@ -51,6 +50,7 @@ from .parameters import (
     verify_index_bounds,
 )
 from .report import (
+    DEFAULT_SEED,
     SCHEMA_VERSION,
     Certificates,
     VerificationOutcome,

@@ -15,10 +15,12 @@ before anything is allocated: from n for `params`, `verify` and `export`;
 from |C| for `hamiltonian --check`, which holds the connecting set and no
 per-vertex data; not at all for `build` and plain `hamiltonian`, which print
 |C| and the degree from the closed form, or the walk from the moduli).
-`verify` sweeps distances from vertex 0 plus --budget-sources extras sampled
-with --seed, which `params` echoes.  `export` reads `materialize-cap` from a
-`key = value` config file (--config).  Each subcommand accepts only the
-options it reads.
+`verify` decides every distance by the one BFS from vertex 0 (every
+translation is an automorphism); --budget-sources sets only the source and
+pair counts that its diameter line reports.  `verify` still accepts --seed,
+only because the benchmark passes it, and no output depends on it; `params`
+echoes it.  `export` reads `materialize-cap` from a `key = value` config file
+(--config).  Each subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, write_chunks
 from .group import TripleValidationError, make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
-from .oracles import DEFAULT_SEED
 from .parameters import independence_certificate
 
 _CONFIG_KEYS = {"materialize-cap"}
@@ -48,10 +49,11 @@ OPTIONS = {
 
 # Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
 # launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux, bytecode precompiled).  `verify --budget-sources 0` peaks at 6.1
-# bytes at (2,3,167), 5.6 at (2,3,401), 3.4 at (11,13,17) and 3.4 at
-# (13,17,19); `params` at 6.0 at (2,3,167), 5.6 at (2,3,401) and 2.8 at
-# (13,17,19).  The walk and independent-set exports hold nothing n-sized, so
+# Linux, bytecode precompiled).  `verify` builds one BFS per graph at every
+# --budget-sources, so one figure covers them all: at the default budget it
+# peaks at 7.1 bytes at (2,3,167), 7.1 at (2,3,401), 3.3 at (11,13,17) and
+# 3.3 at (13,17,19); `params` at 7.1 at (2,3,167), 7.1 at (2,3,401) and 2.8
+# at (13,17,19).  The walk and independent-set exports hold nothing n-sized, so
 # the gate bounds only their output: the walk's pieces of at most 4,096
 # entries and one abc period of the set peak within 0.1 MiB of the floor at
 # (2,3,167), (2,3,401) and (11,13,17).  The edges and dot
@@ -158,7 +160,7 @@ def main(argv: list[str]) -> int:
     try:
         command, args = _parse_args(argv)
         triple = make_prime_triple(*_parse_primes(args["--primes"]))
-        sources, seed, out = args.get("--budget-sources"), args.get("--seed", DEFAULT_SEED), args.get("--out")
+        sources, out = args.get("--budget-sources"), args.get("--out")
         if sources is not None and sources < 0:
             raise UsageError("--budget-sources must be nonnegative")
         config = _load_config(args["--config"]) if args.get("--config") else {}
@@ -179,6 +181,7 @@ def main(argv: list[str]) -> int:
             _check_memory(connector_count_formula(triple), BYTES_PER_CONNECTOR, "|C|")
 
         if command == "params":
+            seed = args.get("--seed", report_mod.DEFAULT_SEED)
             payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))
             if out:
                 write_chunks(out, (payload,))
@@ -187,7 +190,7 @@ def main(argv: list[str]) -> int:
             return 0
 
         if command == "verify":
-            outcome = report_mod.run_verification(triple, sources, seed)
+            outcome = report_mod.run_verification(triple, sources)
             for line in outcome.lines:
                 print(line)
             print("verification OK" if outcome.ok else "verification FAILED")

@@ -26,9 +26,10 @@ closed under a subgroup of order o with about log₂ o doubling shifts and the
 closure rotated by each coset representative, so BFS advances a whole
 frontier with a few shifts per coset family rather than one rotation per
 connector.  BFS stops once its levels hold all n vertices, so a connected
-graph's BFS takes one neighbourhood per level but the last.  Sweeps from
-distinct sources share no mutable state and may run concurrently.  The
-levels from vertex 0 are built once per graph and shared as a tuple.
+graph's BFS takes one neighbourhood per level but the last.  There is one
+BFS per graph, from vertex 0, built once and shared as a tuple: every
+translation x ↦ x + s is an automorphism, so the levels from s are those
+from 0 rotated by s.
 
 `multiples(d)` builds the multiples of d, the one kind of periodic set the
 oracles build, by doubling one bit out to n bits, and `set_bits` lists the
@@ -138,12 +139,6 @@ class CayleyGraph(_GraphFields):
             width *= 2
         return s & ((1 << n) - 1)
 
-    def rotate(self, s: int, k: int) -> int:
-        """rot(S, k) = {(v + k) mod n : v in S}."""
-        n = self.triple.n
-        k %= n
-        return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
-
     def neighborhood(self, s: int) -> int:
         """Every vertex adjacent to some vertex of S: the OR of rot(S, c) over
         the connectors c, taken coset family by coset family (`coset_plan`).
@@ -222,23 +217,15 @@ class CayleyGraph(_GraphFields):
         steps = {x % n for m in self.members for x in (m, -m)} - {0}
         return tuple(Counter(d % (a * b * c) for d in steps).items())
 
-    def bfs_levels(self, source: int) -> tuple[int, ...]:
-        """The BFS levels from source: levels[k] is the set at distance k.
-
-        The levels from vertex 0 are built once per graph and shared.
-        """
-        _check_exponent(source, self.triple)
-        return self._levels_from_zero if source == 0 else self._levels(source)
-
     @cached_property
-    def _levels_from_zero(self) -> tuple[int, ...]:
-        return self._levels(0)
-
-    def _levels(self, source: int) -> tuple[int, ...]:
-        """Stops once the levels hold all n vertices: the next frontier would
+    def levels_from_zero(self) -> tuple[int, ...]:
+        """The BFS levels from vertex 0, built once per graph on first use:
+        levels_from_zero[k] is the set at distance k.  No BFS runs from any
+        other source; by translation, its levels are these rotated by it.
+        Stops once the levels hold all n vertices: the next frontier would
         be empty, so a connected graph's BFS skips that last neighbourhood."""
         n = self.triple.n
-        frontier = seen = 1 << source
+        frontier = seen = 1
         levels, reached = [], 0
         while frontier:
             levels.append(frontier)
@@ -250,11 +237,15 @@ class CayleyGraph(_GraphFields):
         return tuple(levels)
 
     def bfs(self, source: int) -> list[int]:
-        """Exact hop distances from source to every vertex (-1 = unreachable)."""
-        dist = [-1] * self.triple.n
-        for k, level in enumerate(self.bfs_levels(source)):
+        """Exact hop distances from source to every vertex (-1 = unreachable):
+        the distances from vertex 0 rotated by source, since d(source, v) =
+        d(0, v − source)."""
+        _check_exponent(source, self.triple)
+        n = self.triple.n
+        dist = [-1] * n
+        for k, level in enumerate(self.levels_from_zero):
             for v in set_bits(level):
-                dist[v] = k
+                dist[(v + source) % n] = k
         return dist
 
     def is_connected(self) -> ConnectivityResult:
@@ -262,7 +253,7 @@ class CayleyGraph(_GraphFields):
         t = self.triple
         u, v, w = bezout_witness(t)
         holds = u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
-        reached = sum(level.bit_count() for level in self.bfs_levels(0))
+        reached = sum(level.bit_count() for level in self.levels_from_zero)
         return ConnectivityResult(holds and reached == t.n, (u, v, w), reached)
 
     def _bands(self) -> Iterator[tuple[int, int, tuple[int, ...]]]:

@@ -3,24 +3,21 @@
 The 27 gcd classes {x : gcd(x, n) = d} of Z_n as n-bit sets, which `verify`
 reads two ways: keyed by order n/d, for the connecting set's order scan, and
 keyed by the closed-form distance of d (`parameters.closed_form_distance`),
-for the multi-source BFS distance sweep; a deterministic triangle scan; and,
-as test references for the bounds `verify` decides by certificate, exact
-maximum-clique search (bitset branch and bound with a greedy coloring bound)
-and exact maximum independent set on the index graph (clique search on the
-complement).
+for the distance sweep, which reads the one BFS per graph, from vertex 0; a
+deterministic triangle scan; and, as test references for the bounds `verify`
+decides by certificate, exact maximum-clique search (bitset branch and bound
+with a greedy coloring bound) and exact maximum independent set on the index
+graph (clique search on the complement).
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple
 from .parameters import closed_form_distance
 from .structure import index_adjacent, index_ids
-
-DEFAULT_SEED = 12345
 
 
 def gcd_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
@@ -150,35 +147,27 @@ class SweepReport(NamedTuple):
     mismatches: int
 
 
-def distance_sweep(g: CayleyGraph, sources: int | None = None, seed: int = DEFAULT_SEED) -> SweepReport:
-    """BFS from vertex 0 plus `sources` extra sources sampled with `seed`;
-    every computed distance is compared against the closed form.  With
-    sources None the extras are every other vertex when n <= 2000 and 50
-    above; a negative count is refused by the sample, before any BFS.
+def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
+    """The BFS levels from vertex 0 against the closed-form distance classes
+    E_k, reported for vertex 0 plus `sources` extra sources: every other
+    vertex when sources is None and n <= 2000, 50 above; a negative count
+    raises ValueError before any BFS.
 
-    From source s the closed form puts vertex v at the distance of the
-    difference v − s, so level k is expected to be rot(E_k, s), where E_k
-    holds the differences at closed-form distance k.  A vertex matches when it
-    lies in its BFS level and its expected one, so the mismatches are n minus
-    the matches (unreached vertices never match)."""
+    Every translation x ↦ x + s is an automorphism, and the closed form puts
+    v at the distance of v − s from s, so each source matches exactly the
+    vertices that vertex 0 matches: those in both their level k and E_k (an
+    unreached vertex never matches)."""
     t = g.triple
     n = t.n
     if sources is None:
         sources = n - 1 if n <= 2000 else 50
-    starts = [0] + sorted(random.Random(seed).sample(range(1, n), min(sources, n - 1)))
+    if sources < 0:
+        raise ValueError(f"negative source count {sources}")
+    count = 1 + min(sources, n - 1)
     expected = closed_form_distance_classes(t, g)
-    max_distance = 0
-    mismatches = 0
-    for s in starts:
-        levels = g.bfs_levels(s)
-        max_distance = max(max_distance, len(levels) - 1)
-        matched = sum(
-            (level & g.rotate(expected[k], s)).bit_count()
-            for k, level in enumerate(levels)
-            if k in expected
-        )
-        mismatches += n - matched
-    return SweepReport(len(starts), len(starts) * n, max_distance, mismatches)
+    levels = g.levels_from_zero
+    matched = sum((level & expected[k]).bit_count() for k, level in enumerate(levels) if k in expected)
+    return SweepReport(count, count * n, len(levels) - 1, (n - matched) * count)
 
 
 def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:

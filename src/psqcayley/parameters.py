@@ -59,7 +59,7 @@ def diameter(t: PrimeTriple, g: CayleyGraph) -> DiameterResult:
     unequal, and cross-checked by BFS eccentricity from vertex 0 of g, the
     graph of t (which equals the diameter by vertex transitivity)."""
     witness = crt_combine((t.alpha, t.beta, t.gamma), t)
-    ecc = len(g.bfs_levels(0)) - 1
+    ecc = len(g.levels_from_zero) - 1
     return DiameterResult(closed_form_distance(0, witness, t), (0, witness), ecc)
 
 

@@ -10,6 +10,14 @@ vertex at a time what the library builds as whole vertex sets, and
 the product lemma's levels, and `is_cycle` replays a vertex sequence edge by
 edge where the library decides a cycle by its step.
 
+`rotate` translates an n-bit set, and `levels_from` runs the n-bit BFS
+from any source with the `neighborhood` kernel: the library keeps only the
+levels from vertex 0, since every translation is an automorphism.
+`reference_sweep` is the distance sweep as it was before that lemma: one
+such BFS from each source of a seeded sample, each distance compared with
+`closed_form_distance`; `reference_bfs` is a list BFS over the vertices.
+`count_level_builds` counts the builds of the levels from vertex 0.
+
 `periodic` builds the n-bit set of residues mod a period, for the
 references; the package builds no residue set as n bits, only the sets of
 multiples behind the gcd classes (`CayleyGraph.multiples`).  `divisors` lists
@@ -34,21 +42,25 @@ reference for `CayleyGraph.coset_plan`'s count per coset.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 
 from psqcayley import (
     CayleyGraph,
     PrimeTriple,
+    SweepReport,
     WalkCertificate,
     clique_certificate,
+    closed_form_distance,
     group,
     index_adjacent,
     index_ids,
     is_prime,
     make_prime_triple,
 )
+from psqcayley.graph import set_bits
 from psqcayley.group import crt_basis, prime_factors
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
@@ -77,6 +89,73 @@ def residue_sum_color(v: int, t: PrimeTriple) -> int:
 def block_of(v: int, t: PrimeTriple) -> tuple[int, int, int]:
     """Residue projection assigning every vertex to its block id (i, j, k)."""
     return (v % t.alpha, v % t.beta, v % t.gamma)
+
+
+def rotate(g: CayleyGraph, s: int, k: int) -> int:
+    """rot(S, k) = {(v + k) mod n : v in S}."""
+    n = g.triple.n
+    k %= n
+    return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
+
+
+def levels_from(g: CayleyGraph, source: int) -> tuple[int, ...]:
+    """The BFS levels from source by the `neighborhood` kernel, until a
+    level comes out empty: levels[k] is the n-bit set at distance k."""
+    frontier = seen = 1 << source
+    levels = []
+    while frontier:
+        levels.append(frontier)
+        frontier = g.neighborhood(frontier) & ~seen
+        seen |= frontier
+    return tuple(levels)
+
+
+def reference_sweep(g: CayleyGraph, sources: int | None, seed: int) -> SweepReport:
+    """The distance sweep by one n-bit BFS from vertex 0 and from each of
+    `sources` others sampled with seed (every other vertex when sources is
+    None and n <= 2000, 50 above): a vertex v mismatches source s when its
+    BFS distance, -1 if unreached, is not the closed-form distance of v − s."""
+    n = g.triple.n
+    if sources is None:
+        sources = n - 1 if n <= 2000 else 50
+    table = [closed_form_distance(d, 0, g.triple) for d in range(n)]
+    starts = [0] + random.Random(seed).sample(range(1, n), min(sources, n - 1))
+    max_distance = mismatches = 0
+    for s in starts:
+        levels = levels_from(g, s)
+        dist = [-1] * n
+        for k, level in enumerate(levels):
+            for v in set_bits(level):
+                dist[v] = k
+        max_distance = max(max_distance, len(levels) - 1)
+        mismatches += sum(dist[v] != table[(v - s) % n] for v in range(n))
+    return SweepReport(len(starts), len(starts) * n, max_distance, mismatches)
+
+
+def reference_bfs(n: int, members, source: int) -> list[int]:
+    """Hop distances from source by a list BFS over the vertices, u to
+    u + c for each member c (-1 = unreachable)."""
+    dist = [-1] * n
+    dist[source] = 0
+    queue = [source]
+    for u in queue:
+        for c in members:
+            v = (u + c) % n
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+def count_level_builds(monkeypatch) -> list[CayleyGraph]:
+    """From now on each build of a graph's levels from vertex 0 appends the
+    graph to the returned list."""
+    built: list[CayleyGraph] = []
+    build = CayleyGraph.levels_from_zero.func
+    counted = cached_property(lambda g: built.append(g) or build(g))
+    counted.__set_name__(CayleyGraph, "levels_from_zero")
+    monkeypatch.setattr(CayleyGraph, "levels_from_zero", counted)
+    return built
 
 
 def divisors(m: int) -> tuple[int, ...]:
@@ -140,7 +219,7 @@ def tiles(g: CayleyGraph, s: int, step: int, count: int) -> bool:
     union, cover = s, 1
     while cover < count:
         k = min(cover, count - cover)
-        union |= g.rotate(union, k * step)
+        union |= rotate(g, union, k * step)
         cover += k
     return union == (1 << g.triple.n) - 1
 
@@ -210,7 +289,7 @@ def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool
     return (
         len(clique) <= t.gamma
         and not g.neighborhood(zero) & zero
-        and is_partition(g, (g.rotate(zero, k) for k in clique))
+        and is_partition(g, (rotate(g, zero, k) for k in clique))
     )
 
 

@@ -11,7 +11,7 @@ from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 from psqcayley.group import crt_basis
 
-from helpers import divisors, is_cycle, neighbors, snake_sequence
+from helpers import divisors, is_cycle, levels_from, neighbors, reference_bfs, rotate, snake_sequence
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -146,22 +146,19 @@ def test_connected_both_methods():
     assert CayleyGraph.from_triple(T357).is_connected().connected
 
 
-def _rotated(s: int, k: int, n: int) -> int:
-    """{(v + k) mod n : v in s}, rotated here rather than by the kernel."""
-    return ((s << k) | (s >> (n - k))) & ((1 << n) - 1)
-
-
 @pytest.mark.parametrize(
     "t", [T235, pytest.param(T357, marks=pytest.mark.slow)], ids=lambda t: ",".join(map(str, t.primes))
 )
 def test_bfs_levels_from_every_source_are_the_levels_from_0_translated(t):
     # every translation x ↦ x + s is an automorphism, so the levels from s
-    # are those from 0 shifted by s: one BFS decides every pair
+    # are those from 0 shifted by s: one BFS decides every pair.  The BFS
+    # from each s here is the tests' own, so the lemma the sweep rests on
+    # is checked, not assumed
     g, n = CayleyGraph.from_triple(t), t.n
-    zero = g.bfs_levels(0)
+    zero = g.levels_from_zero
     assert sum(level.bit_count() for level in zero) == n
     for s in range(n):
-        assert g.bfs_levels(s) == tuple(_rotated(level, s, n) for level in zero), s
+        assert levels_from(g, s) == tuple(rotate(g, level, s) for level in zero), s
 
 
 def _levels_by_vertex(g: CayleyGraph, source: int) -> tuple[int, ...]:
@@ -179,22 +176,35 @@ def _levels_by_vertex(g: CayleyGraph, source: int) -> tuple[int, ...]:
 def test_bfs_stopped_at_full_reach_equals_a_bfs_without_the_stop_under_class_toggles():
     # the 26 gcd-class toggles of the fault matrix at (2,3,5): removing the
     # classes of −36, −100 or −225 disconnects the graph, so the BFS runs
-    # until a level is empty; elsewhere it stops when all n are reached
+    # until a level is empty; elsewhere it stops when all n are reached.
+    # The levels from any other source are the translates of those from 0,
+    # and `bfs(s)` reads them so
     n, members = T235.n, set(G235.members)
     reaches = []
     for d in divisors(n)[:-1]:
         cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
         toggled = CayleyGraph(T235, tuple(sorted(members ^ cls)))
-        for source in (0, 1, 450):
-            levels = toggled.bfs_levels(source)
-            assert levels == _levels_by_vertex(toggled, source), (d, source)
-        reaches.append(sum(level.bit_count() for level in levels))
+        zero = toggled.levels_from_zero
+        assert zero == _levels_by_vertex(toggled, 0), d
+        for source in (1, 450):
+            levels = _levels_by_vertex(toggled, source)
+            assert levels_from(toggled, source) == levels == tuple(rotate(toggled, z, source) for z in zero), (d, source)
+        for source in (0, 1, 450, n - 1):
+            assert toggled.bfs(source) == reference_bfs(n, toggled.members, source), (d, source)
+        reaches.append(sum(level.bit_count() for level in zero))
     assert len(reaches) == 26
     assert 0 < sum(r < n for r in reaches) < 26
     # the n-cycle's last level is the one vertex n/2: the stop keeps it
     ring = CayleyGraph(T235, (1, n - 1))
-    assert ring.bfs_levels(0) == _levels_by_vertex(ring, 0)
-    assert ring.bfs_levels(0)[-1] == 1 << (n // 2)
+    assert ring.levels_from_zero == _levels_by_vertex(ring, 0)
+    assert ring.levels_from_zero[-1] == 1 << (n // 2)
+
+
+def test_bfs_range_check():
+    with pytest.raises(ValueError):
+        G235.bfs(900)
+    with pytest.raises(ValueError):
+        G235.bfs(-1)
 
 
 def test_girth_certificate():

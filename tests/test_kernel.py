@@ -36,14 +36,17 @@ from helpers import (
     block_set,
     coloring_by_neighbourhood,
     coset_plan_by_scan,
+    count_level_builds,
     divisors,
     edges_by_pairs,
     internal_edges,
     is_partition,
     neighbors,
     periodic,
+    reference_bfs,
     residue_sum_color,
     residues_of,
+    rotate,
     rotations_by_sort,
     tiles,
     triples_with_group_order_at_most,
@@ -53,29 +56,16 @@ TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
 
 
-def reference_bfs(n: int, members, source: int) -> list[int]:
-    dist = [-1] * n
-    dist[source] = 0
-    queue = [source]
-    for u in queue:
-        for c in members:
-            v = (u + c) % n
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_bfs_levels_match_reference_bfs(t):
     g = CayleyGraph.from_triple(t)
+    dist = reference_bfs(t.n, g.members, 0)
+    levels = g.levels_from_zero
+    assert len(levels) == max(dist) + 1
+    for k, level in enumerate(levels):
+        assert level == g.bitset(v for v in range(t.n) if dist[v] == k)
     for source in (0, 1, t.n // 3, t.n - 1):
-        dist = reference_bfs(t.n, g.members, source)
-        levels = g.bfs_levels(source)
-        assert len(levels) == max(dist) + 1
-        for k, level in enumerate(levels):
-            assert level == g.bitset(v for v in range(t.n) if dist[v] == k)
-        assert g.bfs(source) == dist
+        assert g.bfs(source) == reference_bfs(t.n, g.members, source)
 
 
 def test_rotate_and_neighborhood_match_set_arithmetic():
@@ -85,7 +75,7 @@ def test_rotate_and_neighborhood_match_set_arithmetic():
     for _ in range(20):
         s = set(rng.sample(range(n), rng.randrange(1, 60)))
         k = rng.randrange(-n, 2 * n)
-        assert g.rotate(g.bitset(s), k) == g.bitset((v + k) % n for v in s)
+        assert rotate(g, g.bitset(s), k) == g.bitset((v + k) % n for v in s)
         reach = {w for v in s for w in neighbors(g, v)}
         assert g.neighborhood(g.bitset(s)) == g.bitset(reach)
 
@@ -241,21 +231,20 @@ def test_distance_classes_match_table(t):
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_levels_from_vertex_zero_are_built_once(t, monkeypatch):
-    built = []
-    levels = CayleyGraph._levels
-    monkeypatch.setattr(CayleyGraph, "_levels", lambda g, s: built.append(s) or levels(g, s))
+    built = count_level_builds(monkeypatch)
     g = CayleyGraph.from_triple(t)
-    first = g.bfs_levels(0)
-    assert isinstance(first, tuple) and g.bfs_levels(0) is first
+    first = g.levels_from_zero
+    assert isinstance(first, tuple) and g.levels_from_zero is first
     assert g.is_connected().connected and parameters.diameter(t, g).bfs_eccentricity == 6
-    oracles.distance_sweep(g, 1, seed=3)
-    assert built.count(0) == 1
+    oracles.distance_sweep(g, 1)
+    g.bfs(1)
+    assert built == [g]
     built.clear()
     build_report(t)
-    assert built.count(0) == 1
+    assert len(built) == 1
     built.clear()
-    run_verification(t, 1, seed=3)
-    assert built.count(0) == 1
+    run_verification(t, 1)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -268,7 +257,7 @@ def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift, monkeypat
     classes[k] ^= bit
     classes[k + shift] = classes.get(k + shift, 0) | bit
     monkeypatch.setattr(oracles, "closed_form_distance_classes", lambda _t, _g: classes)
-    report = distance_sweep(g, 4, seed=1)
+    report = distance_sweep(g, 4)
     assert report.sources == 5
     assert report.mismatches == 5
     assert report.max_distance == 6
@@ -281,9 +270,9 @@ def test_sweep_counts_unreached_vertices():
     gamma_class = tuple(c for c in CayleyGraph.from_triple(t).members if c % m_ab == 0)
     g = CayleyGraph(t, gamma_class)
     table = closed_form_distance_table(t)
-    report = distance_sweep(g, 3, seed=2)
+    report = distance_sweep(g, 3)
     expected = 0
-    for s in [0] + sorted(random.Random(2).sample(range(1, t.n), 3)):
+    for s in (0, 1, 450, t.n - 1):  # any four sources: each has the same count
         dist = reference_bfs(t.n, gamma_class, s)
         expected += sum(dist[v] != table[(v - s) % t.n] for v in range(t.n))
     assert report.mismatches == expected > t.n
@@ -355,7 +344,7 @@ def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
     _edit_class_zero(monkeypatch, lambda zero: built.append(zero) or zero)
     assert verify_coloring(t, g).proper
     [zero] = built
-    rotations = {residue_sum_color(k, t): g.rotate(block_set(g, zero), k) for k in clique_certificate(t)}
+    rotations = {residue_sum_color(k, t): rotate(g, block_set(g, zero), k) for k in clique_certificate(t)}
     assert rotations == {colour: g.bitset(vs) for colour, vs in colours.items()}
 
 
@@ -584,7 +573,7 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     g = CayleyGraph.from_triple(t)
     assert t.n == 1_004_004 and g.degree == 27_730
     calls = Counter()
-    for name in ("neighborhood", "multiples", "bitset", "rotate"):
+    for name in ("neighborhood", "multiples", "bitset"):
         fn = getattr(CayleyGraph, name)
         monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
     assert verify_coloring(t, g).proper
@@ -598,7 +587,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
     # level's, and no certificate check builds or rotates an n-bit set; the
     # BFS stops at full reach, so it takes none after the last level
     callers = Counter()
-    for name in ("neighborhood", "multiples", "bitset", "rotate"):
+    for name in ("neighborhood", "multiples", "bitset"):
         fn = getattr(CayleyGraph, name)
 
         def recorded(*args, _fn=fn, _name=name):
@@ -608,7 +597,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
         monkeypatch.setattr(CayleyGraph, name, recorded)
     c = certify(make_prime_triple(2, 3, 167))
     assert c.walk_verified and all(c.fiber.values()) and c.connectivity.connected
-    assert callers == {"neighborhood from _levels": c.diameter.bfs_eccentricity}
+    assert callers == {"neighborhood from levels_from_zero": c.diameter.bfs_eccentricity}
 
 
 def test_is_partition():
@@ -627,7 +616,7 @@ def test_tiles_is_the_partition_of_the_rotations(t):
     n = t.n
 
     def reference(s, step, count):
-        return is_partition(g, (g.rotate(s, r * step) for r in range(count)))
+        return is_partition(g, (rotate(g, s, r * step) for r in range(count)))
 
     cases = []
     for d in divisors(n):

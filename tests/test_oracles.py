@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import networkx as nx
 import pytest
@@ -16,12 +17,22 @@ from psqcayley import (
     make_prime_triple,
     run_verification,
 )
-from psqcayley import graph, oracles, parameters
+from psqcayley import cli, graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
 from psqcayley.oracles import order_classes
 from psqcayley.structure import index_adjacent, index_ids
 
-from helpers import block_of, is_partition, neighbors, periodic, triples_with_group_order_at_most
+from helpers import (
+    block_of,
+    count_level_builds,
+    divisors,
+    is_partition,
+    neighbors,
+    periodic,
+    reference_sweep,
+    rotate,
+    triples_with_group_order_at_most,
+)
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -50,7 +61,7 @@ def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
     built = []
     multiples = CayleyGraph.multiples
     monkeypatch.setattr(CayleyGraph, "multiples", lambda g, d: built.append(d) or multiples(g, d))
-    for name in ("bitset", "rotate", "neighborhood"):
+    for name in ("bitset", "neighborhood"):
         monkeypatch.setattr(CayleyGraph, name, None)
     assert len(dict(order_classes(g))) == 27
     assert sorted(built) == sorted(p**e for p in t.primes for e in (1, 2))
@@ -219,7 +230,7 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
         monkeypatch.setattr(parameters, "clique_certificate", lambda t, _k=planted: _k)
         line = run_verification(t, 0).lines[5]
         cover = line.split("(cover by translates of K: ")[1].startswith("True")
-        assert (cover, is_partition(g, (g.rotate(s0, x) for x in planted))) == expected, name
+        assert (cover, is_partition(g, (rotate(g, s0, x) for x in planted))) == expected, name
 
 
 def test_index_mis_against_reference_library():
@@ -234,59 +245,71 @@ def test_index_mis_against_reference_library():
     assert len(exact_max_independent_set(T235)) == reference == 6
 
 
+def _sweep_cases() -> dict[str, tuple[int, ...]]:
+    """Connecting sets at (2,3,5) whose sweeps differ: each of the 26
+    gcd-class toggles, a stride of the ±x pair plants, the n-cycle and a
+    repeated member."""
+    n, members = T235.n, set(G235.members)
+    cases = {}
+    for d in divisors(n)[:-1]:
+        cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+        cases[f"toggle {d}"] = tuple(sorted(members ^ cls))
+    for x in range(1, n // 2 + 1, 7):
+        cases[f"pair {x}"] = tuple(sorted(members ^ {x, n - x}))
+    cases["n-cycle"] = (1, n - 1)
+    cases["repeated"] = tuple(sorted(G235.members + (G235.members[3],)))
+    return cases
+
+
+def test_distance_sweep_equals_a_bfs_from_each_sampled_source():
+    # one BFS from vertex 0 gives the report of a BFS from every sampled
+    # source, whatever the connecting set and whichever sources are drawn
+    cases = _sweep_cases()
+    assert len(cases) == 26 + 65 + 2
+    faulty = 0
+    for name, members in cases.items():
+        g = CayleyGraph(T235, members)
+        for sources, seed in ((0, DEFAULT_SEED), (5, DEFAULT_SEED), (5, 7), (3, 1)):
+            assert distance_sweep(g, sources) == reference_sweep(g, sources, seed), (name, sources, seed)
+        faulty += distance_sweep(g, 0).mismatches > 0
+    assert faulty == len(cases) - 1  # the repeated member changes no distance
+    assert distance_sweep(G235) == reference_sweep(G235, None, DEFAULT_SEED) == (900, 810000, 6, 0)
+
+
 def test_distance_sweep_sampled_sources():
-    report = distance_sweep(CayleyGraph.from_triple(T357), 10, seed=5)
+    g = CayleyGraph.from_triple(T357)
+    report = distance_sweep(g, 10)
+    assert report == reference_sweep(g, 10, 5)
     assert report.sources == 11
     assert report.pairs_checked == 11 * 11025
     assert report.max_distance == 6
     assert report.mismatches == 0
 
 
-@pytest.fixture
-def swept(monkeypatch):
-    """The sources of every BFS level query from now on, in call order."""
-    sources = []
-    levels = CayleyGraph.bfs_levels
-    monkeypatch.setattr(CayleyGraph, "bfs_levels", lambda g, s: sources.append(s) or levels(g, s))
-    return sources
-
-
-def test_default_sweep_takes_every_vertex_up_to_2000_and_51_sources_above(swept):
-    report = distance_sweep(G235)
-    assert report.sources == 900 and swept == list(range(900))
-    assert report.mismatches == 0 and report.max_distance == 6
-    g = CayleyGraph.from_triple(T357)
-    for seed in (DEFAULT_SEED, 7):
-        swept.clear()
-        report = distance_sweep(g) if seed == DEFAULT_SEED else distance_sweep(g, seed=seed)
-        default = swept.copy()
-        swept.clear()
-        distance_sweep(g, 50, seed)
-        assert report.sources == 51 and default == swept
-        assert default[0] == 0 and default == sorted(set(default))
-
-
-def test_run_verification_sweeps_the_default_51_sources(monkeypatch):
-    # every BFS run (the levels from 0 are built once and cached); a sweep
-    # from every vertex, 11,025 runs at (3,5,7), stops at the 53rd
-    runs = []
-    levels = CayleyGraph._levels
-
-    def counted(g, s):
-        runs.append(s)
-        if len(runs) > 52:
-            raise AssertionError("more than 52 BFS runs")
-        return levels(g, s)
-
-    monkeypatch.setattr(CayleyGraph, "_levels", counted)
-    outcome = run_verification(T357)
-    assert outcome.ok and len(runs) == 51
-    assert outcome.lines[7].endswith("over 562275 pairs from 51 sources")
-
-
 def test_distance_sweep_deterministic():
-    g = CayleyGraph.from_triple(T235)
-    assert distance_sweep(g, 8, 42) == distance_sweep(g, 8, 42)
+    # no sample is drawn: the report is the one a BFS from any sample gives
+    g = CayleyGraph(T235, (1, T235.n - 1))
+    assert distance_sweep(g, 8) == distance_sweep(g, 8) == reference_sweep(g, 8, 42) == reference_sweep(g, 8, 43)
+
+
+def test_default_sweep_takes_every_vertex_up_to_2000_and_51_sources_above():
+    assert distance_sweep(G235) == distance_sweep(G235, 899) == (900, 810000, 6, 0)
+    g = CayleyGraph.from_triple(T357)
+    assert distance_sweep(g) == distance_sweep(g, 50) == (51, 51 * 11025, 6, 0)
+    assert distance_sweep(g, 10**6) == (11025, 11025**2, 6, 0)
+
+
+def test_run_verification_and_cli_verify_build_the_levels_once(monkeypatch, capsys):
+    # one BFS per graph at every budget: the default 51 sources at (3,5,7)
+    # and an explicit 25 both read the levels from vertex 0 alone
+    built = count_level_builds(monkeypatch)
+    outcome = run_verification(T357)
+    assert outcome.ok and len(built) == 1
+    assert outcome.lines[7].endswith("over 562275 pairs from 51 sources")
+    built.clear()
+    assert cli.main(["verify", "--primes", "3,5,7", "--budget-sources", "25"]) == 0
+    assert len(built) == 1
+    assert "mismatches=0 over 286650 pairs from 26 sources\n" in capsys.readouterr().out
 
 
 def test_distance_histogram_covers_graph():
@@ -302,10 +325,11 @@ def test_find_triangle():
     assert all(G235.adjacent(u, v) for i, u in enumerate(tri) for v in tri[i + 1 :])
 
 
-def test_budget_validation(swept):
-    # a negative count is refused by the sample, before any BFS runs
-    assert distance_sweep(G235, sources=0).sources == 1 and swept == [0]
-    swept.clear()
+def test_budget_validation(monkeypatch):
+    # a negative count is refused before any BFS runs
+    built = count_level_builds(monkeypatch)
+    g = CayleyGraph.from_triple(T235)
     with pytest.raises(ValueError):
-        distance_sweep(G235, sources=-1)
-    assert swept == []
+        distance_sweep(g, sources=-1)
+    assert built == []
+    assert distance_sweep(g, sources=0) == (1, 900, 6, 0) and built == [g]

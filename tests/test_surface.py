@@ -2,10 +2,12 @@
 function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
-module reads the environment, and every file is written as bytes.  The
-checks read the sources with `ast`."""
+module reads the environment, every file is written as bytes, and no module
+imports `random` or defines a `rotate`.  The checks read the sources with
+`ast`."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -231,3 +233,20 @@ def test_no_module_replays_a_cycle_sequence():
     for path in sorted(PACKAGE.glob("*.py")):
         found = set(re.findall(r"\b(?:is_cycle|_joints)\b", path.read_text()))
         assert not found, f"{path.name} references {sorted(found)}"
+
+
+def test_the_engine_samples_nothing_and_rotates_no_set():
+    # one BFS from vertex 0 decides every distance by translation: no module
+    # draws a sample or rotates an n-bit set, and no sweep takes a seed
+    for name, tree in _trees().items():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "random" not in imported, f"{name} imports random"
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert "rotate" not in defined, f"{name} defines rotate"
+    for fn in (psqcayley.distance_sweep, psqcayley.run_verification):
+        assert "seed" not in inspect.signature(fn).parameters, fn.__name__
