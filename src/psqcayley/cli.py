@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import gc
 import sys
-from pathlib import Path
 
 from . import report as report_mod
 from .connectors import connector_count_formula
@@ -47,23 +46,9 @@ OPTIONS = {
 }
 
 
-# Peak memory per vertex: the child's ru_maxrss from a small posix_spawn
-# launcher, above the 13.5 MiB of `import psqcayley.cli` (CPython 3.11, x86-64
-# Linux, bytecode precompiled).  `verify` builds one BFS per graph at every
-# --budget-sources, so one figure covers them all: at the default budget it
-# peaks at 7.1 bytes at (2,3,167), 7.1 at (2,3,401), 3.3 at (11,13,17) and
-# 3.3 at (13,17,19); `params` at 7.1 at (2,3,167), 7.1 at (2,3,401) and 2.8
-# at (13,17,19).  The walk and independent-set exports hold nothing n-sized, so
-# the gate bounds only their output: the walk's pieces of at most 4,096
-# entries and one abc period of the set peak within 0.1 MiB of the floor at
-# (2,3,167), (2,3,401) and (11,13,17).  The edges and dot
-# exports hold every vertex's name and a chunk of rows |C| wide: with
-# materialize-cap raised, dot peaks at 69.1 at (7,11,13), 97.6 at (5,7,11)
-# and 177.5 at (2,3,47), where |C|/n is near its largest, 1/36.
-# `hamiltonian --check` holds the connecting set and nothing per vertex:
-# above its own 14.2 MiB at (2,3,5), it peaks at 47.4 bytes per connector at
-# (2,3,1009), 66.8 at (701,709,719) and 66.9 at (1009,1013,1049).  Each
-# constant leaves at least 2.8 times headroom over its largest peak.
+# Peak bytes per vertex (per connector for `hamiltonian --check`) above the
+# import's floor, with at least 2.8 times headroom over the largest measured
+# peak of each command (the measurements are in CHANGES.md).
 BYTES_PER_VERTEX = 24
 EXPORT_BYTES_PER_VERTEX = 512  # the edges and dot exports
 BYTES_PER_CONNECTOR = 192  # `hamiltonian --check`
@@ -101,7 +86,9 @@ def _load_config(path: str) -> dict[str, int]:
     """The values in the config file at path, each key one that `export`
     reads, given once."""
     values: dict[str, int] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    with open(path) as f:
+        text = f.read()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

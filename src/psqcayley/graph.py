@@ -39,12 +39,12 @@ members of any set in ascending order.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd
 from os import PathLike, stat
 from stat import S_ISREG
-from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .connectors import enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness
@@ -57,20 +57,11 @@ class TooLargeError(ValueError):
     """The graph exceeds the materialization cap for an explicit operation."""
 
 
-class ConnectivityResult(NamedTuple):
-    """Both connectivity verdicts: the generator witness and a full BFS."""
-
-    connected: bool
-    bezout: tuple[int, int, int]
-    bfs_reached: int
+# both connectivity verdicts: the generator witness and a full BFS
+ConnectivityResult = namedtuple("ConnectivityResult", "connected bezout bfs_reached")
 
 
-class _GraphFields(NamedTuple):
-    triple: PrimeTriple
-    members: tuple[int, ...]
-
-
-class CayleyGraph(_GraphFields):
+class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
     """The graph of a triple and its connecting set, both read-only fields.
 
     `members` must be ascending: membership bisects it, and the bands, the
@@ -328,11 +319,10 @@ def write_chunks(out: str | PathLike, chunks: Iterable[bytes]) -> None:
     the written length, so it keeps its inode, as under truncation.  Opening
     it "wb" would truncate it first, and on ext4 that truncation frees the
     old blocks, or (default auto_da_alloc) writes back data not yet on disk,
-    inside the open: rewriting the 31.8 MB dot file at (3,5,11) took 27 ms
-    that way if the old file was on disk and 17 ms if it was not, against
-    9 ms overwritten in place; a new path took 13 ms with either opener
-    (ext4, 2 vCPU).  A missing file, one that is not regular (a device such as
-    /dev/null, a pipe) and one that cannot be read are opened "wb".
+    inside the open, which made rewriting the 31.8 MB dot file at (3,5,11)
+    two to three times slower.  A missing file, one that is not regular (a
+    device such as /dev/null, a pipe) and one that cannot be read are opened
+    "wb".
 
     The cut runs in a finally, so a chunk that raises leaves exactly the
     chunks before it.  A process killed part-way (SIGKILL, power loss) is

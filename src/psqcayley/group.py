@@ -9,8 +9,8 @@ pure integer arithmetic; all functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple
 
 INT64_MAX = 2**63 - 1
 
@@ -36,19 +36,13 @@ def is_prime(m: int) -> bool:
     return m >= 2 and prime_factors(m) == (m,)
 
 
-class PrimeTriple(NamedTuple):
+class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma n m_alpha m_beta m_gamma")):
     """Validated primes alpha < beta < gamma with derived moduli and group order.
 
     Build via :func:`make_prime_triple`; constructing directly skips validation.
     """
 
-    alpha: int
-    beta: int
-    gamma: int
-    n: int
-    m_alpha: int
-    m_beta: int
-    m_gamma: int
+    __slots__ = ()
 
     @property
     def primes(self) -> tuple[int, int, int]:

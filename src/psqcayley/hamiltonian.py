@@ -46,8 +46,9 @@ more than that however large c² is.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from math import gcd, prod
-from typing import Iterator, NamedTuple
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis
@@ -55,15 +56,14 @@ from .group import PrimeTriple, crt_basis
 WALK_CHUNK = 4096  # walk entries per piece at most
 
 
-class WalkCertificate(NamedTuple):
+class WalkCertificate(namedtuple("WalkCertificate", "levels n")):
     """The spanning cycle of the product lemma lifted from the walk [0]
     through each level (step, rows) in turn: the head 0, then rows
     r·step + tail(W) for r < rows, even rows forwards and odd rows
     backwards, then the climb column r·step for r = rows−1 … 1, all
     modulo n, where W is the walk lifted through the levels below."""
 
-    levels: tuple[tuple[int, int], ...]
-    n: int
+    __slots__ = ()
 
     @property
     def length(self) -> int:

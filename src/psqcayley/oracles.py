@@ -12,7 +12,8 @@ graph (clique search on the complement).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterator, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple
@@ -140,11 +141,7 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
     return classes
 
 
-class SweepReport(NamedTuple):
-    sources: int
-    pairs_checked: int
-    max_distance: int
-    mismatches: int
+SweepReport = namedtuple("SweepReport", "sources pairs_checked max_distance mismatches")
 
 
 def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:

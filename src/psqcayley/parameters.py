@@ -13,8 +13,9 @@ edges inside either (`_residue_edges`), and one tiling by the clique K
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from itertools import combinations
-from typing import NamedTuple, Sequence
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, _check_exponent, crt_combine
@@ -48,10 +49,7 @@ def closed_form_distance_table(t: PrimeTriple) -> list[int]:
     return [closed_form_distance(d, 0, t) for d in range(t.n)]
 
 
-class DiameterResult(NamedTuple):
-    value: int
-    witness_pair: tuple[int, int]
-    bfs_eccentricity: int
+DiameterResult = namedtuple("DiameterResult", "value witness_pair bfs_eccentricity")
 
 
 def diameter(t: PrimeTriple, g: CayleyGraph) -> DiameterResult:
@@ -94,10 +92,7 @@ def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> int:
     return g.triple.n // period * ends // 2
 
 
-class ColoringResult(NamedTuple):
-    proper: bool
-    chromatic: int
-    edges_checked: int
+ColoringResult = namedtuple("ColoringResult", "proper chromatic edges_checked")
 
 
 def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
@@ -135,13 +130,11 @@ def independence_index_set(t: PrimeTriple) -> tuple[tuple[int, int, int], ...]:
     return tuple((i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta))
 
 
-class IndependenceCertificate(NamedTuple):
+class IndependenceCertificate(namedtuple("IndependenceCertificate", "index_set residues period")):
     """An independent set of a²b²c vertices: the union of the blocks indexed
     by `index_set`, {v : v mod period in residues}, with period = abc = n/abc."""
 
-    index_set: tuple[tuple[int, int, int], ...]
-    residues: tuple[int, ...]
-    period: int
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -157,9 +150,7 @@ def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
     return cert
 
 
-class IndependenceScan(NamedTuple):
-    internal_edges: int
-    pairs_checked: int
+IndependenceScan = namedtuple("IndependenceScan", "internal_edges pairs_checked")
 
 
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
@@ -169,22 +160,17 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
     return IndependenceScan(_residue_edges(g, cert.residues), m * (m - 1) // 2)
 
 
-class IndexBoundsReport(NamedTuple):
-    """Index-level evidence that the index graph's maximum independent set
-    has exactly mis_size = a·b ids, one certificate per bound:
-
-    - the certificate's index set never agrees in exactly two coordinates,
-      so it is independent (MIS ≥ a·b): its three two-coordinate
-      projections are injective, so any two ids agree in one at most;
-    - the a·b lines {(i, j, k) : k < c}, i < a and j < b, which list the
-      box a × b × c of ids one after another, are index-graph cliques, and
-      an independent set meets each line at most once (MIS ≤ a·b); the
-      bound meets the index set when it has as many ids as there are lines.
-    """
-
-    index_set_two_agreement_free: bool
-    lines_cover_ids: bool
-    mis_size: int
+# Index-level evidence that the index graph's maximum independent set has
+# exactly mis_size = a·b ids, one certificate per bound:
+#
+# - the certificate's index set never agrees in exactly two coordinates, so
+#   it is independent (MIS ≥ a·b): its three two-coordinate projections are
+#   injective, so any two ids agree in one at most;
+# - the a·b lines {(i, j, k) : k < c}, i < a and j < b, which list the box
+#   a × b × c of ids one after another, are index-graph cliques, and an
+#   independent set meets each line at most once (MIS ≤ a·b); the bound
+#   meets the index set when it has as many ids as there are lines.
+IndexBoundsReport = namedtuple("IndexBoundsReport", "index_set_two_agreement_free lines_cover_ids mis_size")
 
 
 def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:

@@ -13,6 +13,8 @@ that bounds α as the coloring bounds ω, and the distance sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,
 trailing newline -- byte identical across runs with equal primes and seed.
+The module writes it itself (`report_bytes`), byte for byte as `json.dumps`
+would with those settings, so no command imports `json`.
 Wall-clock timings are non-reproducible, so they serialize as null unless
 explicitly requested.
 """
@@ -20,40 +22,28 @@ explicitly requested.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from itertools import chain, pairwise
-from typing import NamedTuple
+from math import isfinite
 
 from . import oracles, parameters, structure
 from .connectors import connector_count_formula
-from .graph import CayleyGraph, ConnectivityResult
+from .graph import CayleyGraph
 from .group import PrimeTriple
-from .hamiltonian import WalkCertificate, snake_walk, verify_walk
+from .hamiltonian import snake_walk, verify_walk
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 12345  # only echoed, as the report's `oracleSeed`
 
 
-class Certificates(NamedTuple):
-    """Every in-schema certificate and verdict for one triple, on one graph.
-
-    Every field is always set; timings holds the seconds of each stage.
-    """
-
-    graph: CayleyGraph
-    eulerian: bool
-    connectivity: ConnectivityResult
-    coloring: parameters.ColoringResult
-    independence: parameters.IndependenceCertificate
-    independence_scan: parameters.IndependenceScan
-    index_bounds: parameters.IndexBoundsReport
-    diameter: parameters.DiameterResult
-    walk: WalkCertificate
-    walk_verified: bool
-    fiber: dict[str, bool]
-    block_partition: bool
-    block_adjacency: bool
-    timings: dict[str, float]
+# Every in-schema certificate and verdict for one triple, on one graph.
+# Every field is always set; timings holds the seconds of each stage.
+Certificates = namedtuple(
+    "Certificates",
+    "graph eulerian connectivity coloring independence independence_scan index_bounds diameter "
+    "walk walk_verified fiber block_partition block_adjacency timings",
+)
 
 
 def certify(t: PrimeTriple) -> Certificates:
@@ -156,13 +146,37 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
 
 
 def report_bytes(report: dict) -> bytes:
-    import json  # here, not at module level: only `params` renders JSON
-    return (json.dumps(report, indent=2, ensure_ascii=True) + "\n").encode("ascii")
+    """The report as canonical JSON: the bytes of json.dumps(report,
+    indent=2, ensure_ascii=True) plus a newline."""
+    return (_json(report, "\n") + "\n").encode("ascii")
 
 
-class VerificationOutcome(NamedTuple):
-    ok: bool
-    lines: tuple[str, ...]
+def _json(value: object, indent: str) -> str:
+    """value as JSON, with indent, a newline and spaces, before its closing
+    bracket and two more spaces before each of its items.  A string that
+    would need escaping, a non-finite float, a key that is not a string and
+    any other type raise ValueError: no report holds one."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int) or isinstance(value, float) and isfinite(value):
+        return repr(value)
+    if isinstance(value, str):
+        if not (value.isascii() and value.isprintable()) or '"' in value or "\\" in value:
+            raise ValueError(f"{value!r} would need escaping in JSON")
+        return f'"{value}"'
+    inner = indent + "  "
+    if isinstance(value, dict) and all(isinstance(k, str) for k in value):
+        items, brackets = [f"{_json(k, inner)}: {_json(v, inner)}" for k, v in value.items()], "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in value], "[]"
+    else:
+        raise ValueError(f"{value!r} has no canonical JSON form")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
+VerificationOutcome = namedtuple("VerificationOutcome", "ok lines")
 
 
 def run_verification(t: PrimeTriple, sources: int | None = None) -> VerificationOutcome:

@@ -43,10 +43,10 @@ or runs over all abc block ids.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations, product
 from math import gcd
 from operator import eq
-from typing import Iterable
 
 from .graph import CayleyGraph
 from .group import PrimeTriple, crt_basis

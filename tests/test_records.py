@@ -9,11 +9,22 @@ import pytest
 
 from psqcayley import (
     CayleyGraph,
+    Certificates,
+    ColoringResult,
+    ConnectivityResult,
+    DiameterResult,
+    IndependenceCertificate,
+    IndexBoundsReport,
+    PrimeTriple,
+    SweepReport,
+    VerificationOutcome,
+    WalkCertificate,
     certify,
     make_prime_triple,
     snake_walk,
 )
 from psqcayley import cli
+from psqcayley.parameters import IndependenceScan
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 T235 = make_prime_triple(2, 3, 5)
@@ -49,8 +60,8 @@ def test_cli_import_loads_every_module_without_dataclasses_or_inspect():
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
 def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
-    # the modules are listed before the child's own `import json`; only
-    # `params`, which renders JSON, may load it
+    # the modules are listed before the child's own `import json`; `params`
+    # writes its JSON itself, so no command loads `json`
     env = _child_env()
     code = (
         "import sys\nfrom psqcayley import cli\ncode = cli.main(sys.argv[1:])\nloaded = sorted(sys.modules)\n"
@@ -61,10 +72,26 @@ def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
     )
     code, loaded = json.loads(proc.stderr)
     assert code == 0
-    assert not {"argparse", "gettext", "locale"} & set(loaded)
-    assert ("json" in loaded) == (argv[0] == "params")
+    assert not {"argparse", "gettext", "locale", "json"} & set(loaded)
     for name in ("connectors", "parameters", "structure", "hamiltonian", "oracles", "report"):
         assert "psqcayley." + name in loaded
+
+
+@pytest.mark.parametrize("argv", [[]] + COMMANDS, ids=lambda argv: argv[0] if argv else "import")
+def test_site_free_import_and_commands_load_no_typing_pathlib_or_json(argv, tmp_path):
+    # without `site`, the interpreter itself loads none of these, so any
+    # that the child lists was loaded by psqcayley; the child lists its
+    # modules without importing anything more
+    code = "import sys\nfrom psqcayley import cli\n"
+    if argv:
+        code += "assert cli.main(sys.argv[1:]) == 0\n"
+    code += "sys.stderr.write(' '.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], env=_child_env(), cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    loaded = set(proc.stderr.split())
+    assert "psqcayley.report" in loaded
+    assert not {"typing", "pathlib", "json"} & loaded
 
 
 @pytest.mark.parametrize("argv", COMMANDS + [["hamiltonian", "--primes", "2,3,5", "--check"]], ids=" ".join)
@@ -122,3 +149,42 @@ def test_public_records_are_immutable(name):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+# every record type, with its fields in order
+RECORD_FIELDS = {
+    PrimeTriple: ("alpha", "beta", "gamma", "n", "m_alpha", "m_beta", "m_gamma"),
+    ConnectivityResult: ("connected", "bezout", "bfs_reached"),
+    CayleyGraph: ("triple", "members"),
+    WalkCertificate: ("levels", "n"),
+    SweepReport: ("sources", "pairs_checked", "max_distance", "mismatches"),
+    DiameterResult: ("value", "witness_pair", "bfs_eccentricity"),
+    ColoringResult: ("proper", "chromatic", "edges_checked"),
+    IndependenceCertificate: ("index_set", "residues", "period"),
+    IndependenceScan: ("internal_edges", "pairs_checked"),
+    IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids", "mis_size"),
+    Certificates: (
+        "graph", "eulerian", "connectivity", "coloring", "independence", "independence_scan", "index_bounds",
+        "diameter", "walk", "walk_verified", "fiber", "block_partition", "block_adjacency", "timings",
+    ),
+    VerificationOutcome: ("ok", "lines"),
+}
+
+
+@pytest.mark.parametrize("record", RECORD_FIELDS, ids=lambda record: record.__name__)
+def test_every_record_is_a_named_tuple_of_its_fields(record):
+    # field order, repr, tuple equality, unpacking, `_replace` and
+    # immutability; only CayleyGraph has an instance __dict__, for its
+    # cached kernels
+    fields = RECORD_FIELDS[record]
+    values = tuple(range(len(fields)))
+    r = record(*values)
+    assert record._fields == fields
+    assert repr(r) == f"{record.__name__}({', '.join(f'{f}={v}' for f, v in zip(fields, values))})"
+    assert r == values and tuple(r) == values and hash(r) == hash(values)
+    replaced = r._replace(**{fields[-1]: "x"})
+    assert type(replaced) is record and replaced == values[:-1] + ("x",)
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(r, field, None)
+    assert hasattr(r, "__dict__") == (record is CayleyGraph)

@@ -2,9 +2,9 @@
 function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
-module reads the environment, every file is written as bytes, and no module
-imports `random` or defines a `rotate`.  The checks read the sources with
-`ast`."""
+module reads the environment, every file is written as bytes, no module
+imports `random`, `typing`, `pathlib` or `json`, and none defines a
+`rotate`.  The checks read the sources with `ast`."""
 
 import ast
 import inspect
@@ -109,19 +109,37 @@ def test_every_module_constant_is_read_in_the_package():
     assert not defined - read, f"defined but never read: {sorted(defined - read)}"
 
 
+def _namedtuple_fields(name: str, node: ast.expr) -> tuple[str, ...] | None:
+    """The fields of a `namedtuple(name, "field ...")` call, or None when
+    node is not one; the call must give the record its own name, which its
+    repr shows."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "namedtuple"):
+        return None
+    typename, names = (arg.value for arg in node.args)
+    assert typename == name, f"record {name} is named {typename!r}"
+    return tuple(names.replace(",", " ").split())
+
+
 def _records_and_reads() -> tuple[dict[str, tuple[str, ...]], set[str], set[tuple]]:
-    """Each NamedTuple's fields, the attribute names read, and the name
-    tuples that some assignment or loop unpacks into."""
+    """Each record's fields, the attribute names read, and the name tuples
+    that some assignment or loop unpacks into.  A record is a class whose
+    base is a `namedtuple(...)` call, or a name assigned one."""
     fields, read, unpacked = {}, set(), set()
     for tree in _trees().values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and any(getattr(b, "id", None) == "NamedTuple" for b in node.bases):
-                fields[node.name] = tuple(f.target.id for f in node.body if isinstance(f, ast.AnnAssign))
+            if isinstance(node, ast.ClassDef):
+                for base in node.bases:
+                    if (f := _namedtuple_fields(node.name, base)) is not None:
+                        fields[node.name] = f
+            elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                name = node.targets[0].id
+                if (f := _namedtuple_fields(name, node.value)) is not None:
+                    fields[name] = f
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
             elif isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
                 unpacked.add(tuple(getattr(e, "id", None) for e in node.elts))
-    assert fields, "no NamedTuple found"
+    assert len(fields) == 12, f"not the 12 records: {sorted(fields)}"
     return fields, read, unpacked
 
 
@@ -235,17 +253,32 @@ def test_no_module_replays_a_cycle_sequence():
         assert not found, f"{path.name} references {sorted(found)}"
 
 
+def _imported(tree: ast.Module) -> set[str]:
+    """The top-level packages that the module imports, anywhere in it."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module.split(".")[0])
+    return imported
+
+
+def test_no_module_imports_typing_pathlib_or_json():
+    # every launch pays for what the package imports: records are
+    # `collections.namedtuple`s, annotation names come from
+    # `collections.abc`, files are opened with `open`, and the report's JSON
+    # is written by `report` itself
+    for name, tree in _trees().items():
+        used = {"typing", "pathlib", "json"} & _imported(tree)
+        assert not used, f"{name} imports {sorted(used)}"
+
+
 def test_the_engine_samples_nothing_and_rotates_no_set():
     # one BFS from vertex 0 decides every distance by translation: no module
     # draws a sample or rotates an n-bit set, and no sweep takes a seed
     for name, tree in _trees().items():
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                imported.add(node.module.split(".")[0])
-        assert "random" not in imported, f"{name} imports random"
+        assert "random" not in _imported(tree), f"{name} imports random"
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert "rotate" not in defined, f"{name} defines rotate"
     for fn in (psqcayley.distance_sweep, psqcayley.run_verification):
