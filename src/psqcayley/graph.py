@@ -9,8 +9,9 @@ another way.  Vertex u's upward edges go to u + c for the connectors
 c < n − u, a row that changes only where u reaches n − c; so [0, n) splits
 into |C| + 1 bands with one row each, the last one empty.  `edges()` and the
 capped edge-list and DOT exports read the bands.  The exports write a band in
-chunks of rows: a chunk's neighbour names are |C| column slices of the vertex
-names, zipped into rows.  `write_chunks` is the one writer of every output
+chunks of rows: each vertex's line separator joins its neighbour names, taken
+from |C| column slices of the vertex names, and each chunk is one join of the
+separators and their joins.  `write_chunks` is the one writer of every output
 file, these exports, the walk, the independent set and the report alike: it
 overwrites an existing regular file in place and cuts it to the written
 length, rather than truncating it on open.
@@ -277,9 +278,12 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
 
         In a chunk [a, b) of a band, the neighbours u + c of its vertices are
         the column slices names[a + c : b + c], one per connector c of the
-        row; zipping the columns gives each vertex its neighbour names in
-        ascending order, and the chunk is written with one write; the last
-        band's empty row zips to no lines.
+        row; zipping the columns gives each vertex u its neighbour names in
+        ascending order.  u's separator s_u = end + pre + name(u) + mid ends
+        the line before and opens u's next line, so the chunk is one join of
+        s_u, s_u.join(u's neighbour names) over its vertices u, written with
+        one write.  The file's first separator drops its end, one end closes
+        the last line, and the last band's empty row writes no line.
 
         Raises TooLargeError above cap and ValueError for an unknown format;
         on either, out is never opened, so no file is created or truncated.
@@ -294,19 +298,26 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         else:
             raise ValueError(f"unknown export format {fmt!r}")
         names = [b"%d" % v for v in range(n)]
+        lead = end + pre
 
         def chunks() -> Iterator[bytes]:
             yield header
+            wrote = False
             for lo, hi, row in self._bands():
+                if not row:
+                    continue
                 for a in range(lo, hi, EXPORT_CHUNK_ROWS):
                     b = min(a + EXPORT_CHUNK_ROWS, hi)
-                    heads = [pre + name + mid for name in names[a:b]]
+                    seps = [lead + name + mid for name in names[a:b]]
                     columns = [names[a + c : b + c] for c in row]
-                    lines = [
-                        head + (end + head).join(nbrs) + end for head, nbrs in zip(heads, zip(*columns))
-                    ]
-                    yield b"".join(lines)
-            yield footer
+                    parts = [b""] * (2 * len(seps))
+                    parts[::2] = seps
+                    parts[1::2] = map(bytes.join, seps, zip(*columns))
+                    if not wrote:
+                        parts[0] = parts[0][len(end) :]
+                        wrote = True
+                    yield b"".join(parts)
+            yield end + footer if wrote else footer
 
         write_chunks(out, chunks())
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from contextlib import contextmanager
 from itertools import chain, pairwise
 from math import isfinite
 
@@ -49,42 +48,43 @@ Certificates = namedtuple(
 def certify(t: PrimeTriple) -> Certificates:
     """Build every certificate and verdict once, each stage timed."""
     timings: dict[str, float] = {}
+    mark = time.perf_counter()
 
-    @contextmanager
-    def timed(stage: str):
-        start = time.perf_counter()
-        yield
-        timings[stage] = time.perf_counter() - start
+    def lap(stage: str) -> None:
+        # the seconds since the last mark are the stage's time
+        nonlocal mark
+        now = time.perf_counter()
+        timings[stage], mark = now - mark, now
 
-    with timed("build"):
-        g = CayleyGraph.from_triple(t)
-    with timed("connectivity"):
-        # every vertex u has exactly |C| distinct neighbours u + c, and
-        # adjacency is symmetric, iff C repeats no member, misses 0 and holds
-        # n − c for each c.  One pass decides it with no lookup: the
-        # members ascend strictly inside (0, n), as membership by bisection
-        # needs too, and c ↦ n − c reverses them; the pass copies no member
-        n, members = t.n, g.members
-        ascending = all(x < y for x, y in pairwise(chain((0,), members, (n,))))
-        regular = ascending and all(x + y == n for x, y in zip(members, reversed(members)))
-        conn = g.is_connected()
-        eulerian = regular and g.degree % 2 == 0 and conn.connected
-    with timed("coloring"):
-        coloring = parameters.verify_coloring(t, g)
-    with timed("independence"):
-        independence = parameters.independence_certificate(t)
-        scan = parameters.independence_internal_edges(independence, g)
-    with timed("indexBounds"):
-        index_bounds = parameters.verify_index_bounds(t)
-    with timed("diameter"):
-        diam = parameters.diameter(t, g)
-    with timed("hamiltonian"):
-        walk = snake_walk(t)
-        walk_ok = verify_walk(walk, g)
-    with timed("structure"):
-        fiber = structure.verify_fiber_structure(g)
-        partition = structure.verify_block_partition(g)
-        block_adj = structure.verify_block_adjacency(g)
+    g = CayleyGraph.from_triple(t)
+    lap("build")
+    # every vertex u has exactly |C| distinct neighbours u + c, and
+    # adjacency is symmetric, iff C repeats no member, misses 0 and holds
+    # n − c for each c.  One pass decides it with no lookup: the
+    # members ascend strictly inside (0, n), as membership by bisection
+    # needs too, and c ↦ n − c reverses them; the pass copies no member
+    n, members = t.n, g.members
+    ascending = all(x < y for x, y in pairwise(chain((0,), members, (n,))))
+    regular = ascending and all(x + y == n for x, y in zip(members, reversed(members)))
+    conn = g.is_connected()
+    eulerian = regular and g.degree % 2 == 0 and conn.connected
+    lap("connectivity")
+    coloring = parameters.verify_coloring(t, g)
+    lap("coloring")
+    independence = parameters.independence_certificate(t)
+    scan = parameters.independence_internal_edges(independence, g)
+    lap("independence")
+    index_bounds = parameters.verify_index_bounds(t)
+    lap("indexBounds")
+    diam = parameters.diameter(t, g)
+    lap("diameter")
+    walk = snake_walk(t)
+    walk_ok = verify_walk(walk, g)
+    lap("hamiltonian")
+    fiber = structure.verify_fiber_structure(g)
+    partition = structure.verify_block_partition(g)
+    block_adj = structure.verify_block_adjacency(g)
+    lap("structure")
 
     return Certificates(
         g, eulerian, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,

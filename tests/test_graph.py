@@ -248,7 +248,8 @@ def test_export_dot_round_trip(tmp_path):
 
 
 def _reference_export(g: CayleyGraph, fmt: str) -> bytes:
-    """The export built from the neighbour lists, one f-string per edge."""
+    """The export built from the neighbour lists, one f-string per edge;
+    with no edges, the edge list is empty."""
     lines = [
         f"{u} {v}" if fmt == "edges" else f"  {u} -- {v};"
         for u in range(g.triple.n)
@@ -257,7 +258,7 @@ def _reference_export(g: CayleyGraph, fmt: str) -> bytes:
     ]
     if fmt == "dot":
         lines = ["graph cayley {", *lines, "}"]
-    return ("\n".join(lines) + "\n").encode("ascii")
+    return "".join(f"{line}\n" for line in lines).encode("ascii")
 
 
 @pytest.mark.parametrize("fmt", ["edges", "dot"])
@@ -296,14 +297,29 @@ def test_export_with_a_planted_connector_equals_reference(tmp_path, monkeypatch,
         assert out.read_bytes() == _reference_export(g, fmt)
 
 
-@pytest.mark.parametrize("chunk", [7, 100])
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+@pytest.mark.parametrize("members", [(), (450,), (1,)], ids=["empty", "half", "one-way"])
+def test_export_of_a_planted_connecting_set_equals_reference(tmp_path, fmt, members):
+    # no edges: the header and footer alone, with no stray line end; n/2 at
+    # (2,3,5): one edge per vertex below n/2; 1 without n − 1: a path
+    g = CayleyGraph(T235, members)
+    out = tmp_path / f"{fmt}.txt"
+    g.export(fmt, out)
+    assert out.read_bytes() == _reference_export(g, fmt)
+    if not members:
+        assert out.read_bytes() == {"edges": b"", "dot": b"graph cayley {\n}\n"}[fmt]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
 def test_export_splits_long_bands_into_chunks(tmp_path, monkeypatch, chunk):
     # no band at (3,5,7) reaches the default chunk (the longest has 414 rows),
-    # so shrink the chunk until bands split with a last partial chunk
+    # so shrink the chunk until bands split, with a last partial chunk but
+    # for one row per chunk, where every chunk opens with the separator that
+    # ends the line before it
     g = CayleyGraph.from_triple(T357)
     lengths = [hi - lo for lo, hi, row in g._bands() if row]
     assert max(lengths) < EXPORT_CHUNK_ROWS
-    assert any(length > chunk and length % chunk for length in lengths)
+    assert any(length > chunk and (length % chunk or chunk == 1) for length in lengths)
     monkeypatch.setattr(graph, "EXPORT_CHUNK_ROWS", chunk)
     for fmt in ("edges", "dot"):
         out = tmp_path / f"{fmt}.txt"

@@ -91,7 +91,7 @@ def test_site_free_import_and_commands_load_no_typing_pathlib_or_json(argv, tmp_
     )
     loaded = set(proc.stderr.split())
     assert "psqcayley.report" in loaded
-    assert not {"typing", "pathlib", "json"} & loaded
+    assert not {"typing", "pathlib", "json", "contextlib"} & loaded
 
 
 @pytest.mark.parametrize("argv", COMMANDS + [["hamiltonian", "--primes", "2,3,5", "--check"]], ids=" ".join)
