@@ -17,9 +17,8 @@ overwrites an existing regular file in place and cuts it to the written
 length, rather than truncating it on open.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
-oracle layer: the levels, the gcd classes that the distance and order classes
-are folded from, and the connecting set's order scan.  Certificate claims are
-decided on quotients.  In a circulant
+oracle layer: the levels and the gcd classes that the distance classes are
+folded from.  Certificate claims are decided on quotients.  In a circulant
 graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
 rot(S, c) over the connectors c.  The connectors are taken coset by coset
 (`coset_plan`, found from the member list and the primes dividing n): S is
@@ -104,20 +103,7 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         ends = (step % n, -step % n)
         return length >= 3 and n // gcd(step, n) == length and all(map(self.is_connector, ends))
 
-    # -- bitset kernel ------------------------------------------------------
-
-    def bitset(self, vertices: Iterable[int]) -> int:
-        """The vertex set as an n-bit int; a vertex outside [0, n) raises
-        ValueError."""
-        n = self.triple.n
-        vertices = list(vertices)  # a generator is read once, for both the check and the bits
-        if vertices and not (0 <= min(vertices) and max(vertices) < n):
-            bad = next(v for v in vertices if not 0 <= v < n)
-            raise ValueError(f"{bad} out of range [0, {n})")
-        buf = bytearray((n + 7) // 8)
-        for v in vertices:
-            buf[v >> 3] |= 1 << (v & 7)
-        return int.from_bytes(buf, "little")
+    # -- n-bit set kernel ---------------------------------------------------
 
     def multiples(self, d: int) -> int:
         """The multiples of d > 0 in [0, n) as an n-bit int: bit 0 doubled

@@ -1,11 +1,11 @@
 """Independent brute-force ground truth.
 
-The 27 gcd classes {x : gcd(x, n) = d} of Z_n as n-bit sets, which `verify`
-reads two ways: keyed by order n/d, for the connecting set's order scan, and
-keyed by the closed-form distance of d (`parameters.closed_form_distance`),
-for the distance sweep, which reads the one BFS per graph, from vertex 0; a
+The connecting set's order scan, from the subgroups of order a², b² and c²;
+the 27 gcd classes {x : gcd(x, n) = d} of Z_n as n-bit sets, keyed by the
+closed-form distance of d (`parameters.closed_form_distance`), for the
+distance sweep, which reads the one BFS per graph, from vertex 0; a
 deterministic triangle scan; and, as test references for the bounds `verify`
-decides by certificate, exact maximum-clique search (bitset branch and bound
+decides by certificate, exact maximum-clique search (bitmask branch and bound
 with a greedy coloring bound) and exact maximum independent set on the index
 graph (clique search on the complement).
 """
@@ -13,7 +13,8 @@ graph (clique search on the complement).
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
+from math import gcd
 
 from .graph import CayleyGraph
 from .group import PrimeTriple
@@ -21,47 +22,20 @@ from .parameters import closed_form_distance
 from .structure import index_adjacent, index_ids
 
 
-def gcd_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
-    """(d, {x : gcd(x, n) = d} as an n-bit int) for the 27 divisors d of n.
-
-    Per prime p, [0, n) splits by min(v_p(x), 2) into the multiples of p
-    but not of p², the non-multiples of p and the multiples of p²: six sets
-    of multiples in all.  Each class is one product of the three splits.
-    The splits of a are dropped one by one as their nine classes are
-    yielded, p² first and p last: the order that gave
-    `closed_form_distance_classes` its lowest tracemalloc peak.
-    """
-    full = (1 << g.triple.n) - 1
-
-    def split(p: int) -> list[tuple[int, int]]:
-        of_p, of_square = g.multiples(p), g.multiples(p * p)
-        return [(p, of_p ^ of_square), (1, of_p ^ full), (p * p, of_square)]
-
-    by_a, by_b, by_c = map(split, g.triple.primes)
-    while by_a:
-        da, sa = by_a.pop()
-        for db, sb in by_b:
-            for dc, sc in by_c:
-                yield da * db * dc, sa & sb & sc
-
-
-def order_classes(g: CayleyGraph) -> Iterator[tuple[int, int]]:
-    """(o, the elements of order exactly o as an n-bit int) for each divisor
-    o of n: the order of x is n/gcd(x, n)."""
-    return ((g.triple.n // d, cls) for d, cls in gcd_classes(g))
-
-
 def order_scan(g: CayleyGraph) -> tuple[bool, int]:
-    """(verdict, size) of the order scan: the elements of order a², b² or
-    c².  The verdict holds iff the members, all in [0, n), are exactly the
-    order scan."""
-    t = g.triple
-    scan = 0
-    for o, cls in order_classes(g):
-        if o in t.moduli:
-            scan |= cls
-    in_range = all(0 <= m < t.n for m in g.members)
-    return in_range and g.bitset(g.members) == scan, scan.bit_count()
+    """(verdict, size) of the order scan, the elements of order a², b² or
+    c²: the verdict holds iff the sorted members are exactly the scan.
+
+    By Lagrange an element of order m = p² lies in the one subgroup of
+    order m, the multiples of h = n/m, and has gcd(x, n) = h, since its
+    order is n/gcd(x, n).  So the scan reads a² + b² + c² elements and
+    builds no n-bit set."""
+    n = g.triple.n
+    scan = []
+    for m in g.triple.moduli:
+        h = n // m
+        scan.extend(x for x in range(h, n, h) if gcd(x, n) == h)
+    return sorted(scan) == sorted(g.members), len(scan)
 
 
 def exact_max_clique(vertices: Sequence, adjacent: Callable) -> list:
@@ -131,13 +105,28 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
 
     Per prime p, `closed_form_distance` reads of d only whether p² or p
     divides it, which d shares with gcd(d, n); so E_k is the union of the
-    gcd classes whose divisor lies at distance k.
+    gcd classes {x : gcd(x, n) = d} whose divisor lies at distance k.  Per
+    prime p, [0, n) splits by min(v_p(x), 2) into the multiples of p but
+    not of p², the non-multiples of p and the multiples of p²: six sets of
+    multiples in all, and each of the 27 classes is one product of the
+    three splits.  The splits of a are dropped one by one as their nine
+    classes are folded, p² first and p last: the order that gave the
+    lowest tracemalloc peak.
     """
+    full = (1 << t.n) - 1
+
+    def split(p: int) -> list[tuple[int, int]]:
+        of_p, of_square = g.multiples(p), g.multiples(p * p)
+        return [(p, of_p ^ of_square), (1, of_p ^ full), (p * p, of_square)]
+
+    by_a, by_b, by_c = map(split, t.primes)
     classes: dict[int, int] = {}
-    for d, cls in gcd_classes(g):
-        k = closed_form_distance(d % t.n, 0, t)
-        classes[k] = classes.get(k, 0) | cls
-        del cls  # not held while the next class is built
+    while by_a:
+        da, sa = by_a.pop()
+        for db, sb in by_b:
+            for dc, sc in by_c:
+                k = closed_form_distance(da * db * dc % t.n, 0, t)
+                classes[k] = classes.get(k, 0) | sa & sb & sc
     return classes
 
 

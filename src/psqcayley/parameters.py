@@ -108,7 +108,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
     has no edge inside and its rotations by K partition V.  A tiling K
     (`clique_tiles`) is the order-c subgroup ab·Z_P mod P = abc, so they do
     iff class 0's residues are a·b distinct mod ab.  Every edge lies inside
-    a class or between two, so this covers all n·|C|/2 edges.
+    a class or between two, so this covers all n·|S|/2 edges, S = ±C ∖ {0}.
     """
     ab, clique = t.alpha * t.beta, clique_certificate(t)
     zero = block_residues(t, [(i, j, -(i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)])
@@ -117,7 +117,7 @@ def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
         and len(zero) == len({r % ab for r in zero}) == ab
         and _residue_edges(g, zero) == 0
     )
-    return ColoringResult(proper, t.gamma, t.n * g.degree // 2)
+    return ColoringResult(proper, t.gamma, t.n * sum(k for _, k in g.step_residues) // 2)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ diameter, the walk certificate and its check, and the fiber and block
 checks, decided by translation on one representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
-connecting set against the order classes, the triangle scan, the clique cover
+connecting set against the order scan, the triangle scan, the clique cover
 that bounds α as the coloring bounds ω, and the distance sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,

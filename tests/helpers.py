@@ -18,10 +18,11 @@ such BFS from each source of a seeded sample, each distance compared with
 `closed_form_distance`; `reference_bfs` is a list BFS over the vertices.
 `count_level_builds` counts the builds of the levels from vertex 0.
 
-`periodic` builds the n-bit set of residues mod a period, for the
-references; the package builds no residue set as n bits, only the sets of
-multiples behind the gcd classes (`CayleyGraph.multiples`).  `divisors` lists
-the divisors of n, which the fault tables walk.
+`bitset` builds the n-bit set of a list of vertices and `periodic` that of
+the residues mod a period, for the references; the package builds neither
+as n bits, only the sets of multiples behind the gcd classes
+(`CayleyGraph.multiples`).  `divisors` lists the divisors of n, which the
+fault tables walk.
 
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
@@ -170,6 +171,18 @@ def divisors(m: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
+def bitset(g: CayleyGraph, vertices) -> int:
+    """The vertex set as an n-bit int (bit v set iff v is in the set), the
+    tests' reference builder; a vertex outside [0, n) raises ValueError."""
+    n = g.triple.n
+    buf = bytearray((n + 7) // 8)
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"{v} out of range [0, {n})")
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
 def periodic(g: CayleyGraph, period: int, residues) -> int:
     """{v : v mod period in residues} as an n-bit int.
 
@@ -182,7 +195,7 @@ def periodic(g: CayleyGraph, period: int, residues) -> int:
     residues = list(residues)
     if not all(0 <= r < period for r in residues):
         raise ValueError(f"a residue of {residues} is out of range [0, {period})")
-    s, width = g.bitset(residues), period
+    s, width = bitset(g, residues), period
     while width < n:
         s |= s << width
         width *= 2

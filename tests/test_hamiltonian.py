@@ -16,6 +16,7 @@ from psqcayley import (
 from psqcayley.group import crt_basis
 
 from helpers import (
+    bitset,
     crt_components,
     is_cycle,
     order_scan_connectors,
@@ -271,7 +272,7 @@ def test_step_off_the_a_axis_fails_at_the_joints():
     walk = snake_walk(T235)
     e_a, e_b, _ = crt_basis(T235)
     skewed = _with_level(walk, 2, (e_a + e_b) % T235.n, 4)
-    inner = G235.bitset(walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
+    inner = bitset(G235, walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
     assert tiles(G235, inner, (e_a + e_b) % T235.n, 4)
     assert not verify_walk(skewed, G235)
     assert _oracle_problems(walk_sequence(skewed), T235) == [

@@ -32,6 +32,7 @@ from psqcayley.graph import set_bits
 
 from helpers import (
     adjacency_by_neighbourhood,
+    bitset,
     block_of,
     block_set,
     coloring_by_neighbourhood,
@@ -63,7 +64,7 @@ def test_bfs_levels_match_reference_bfs(t):
     levels = g.levels_from_zero
     assert len(levels) == max(dist) + 1
     for k, level in enumerate(levels):
-        assert level == g.bitset(v for v in range(t.n) if dist[v] == k)
+        assert level == bitset(g, (v for v in range(t.n) if dist[v] == k))
     for source in (0, 1, t.n // 3, t.n - 1):
         assert g.bfs(source) == reference_bfs(t.n, g.members, source)
 
@@ -75,9 +76,9 @@ def test_rotate_and_neighborhood_match_set_arithmetic():
     for _ in range(20):
         s = set(rng.sample(range(n), rng.randrange(1, 60)))
         k = rng.randrange(-n, 2 * n)
-        assert rotate(g, g.bitset(s), k) == g.bitset((v + k) % n for v in s)
+        assert rotate(g, bitset(g, s), k) == bitset(g, ((v + k) % n for v in s))
         reach = {w for v in s for w in neighbors(g, v)}
-        assert g.neighborhood(g.bitset(s)) == g.bitset(reach)
+        assert g.neighborhood(bitset(g, s)) == bitset(g, reach)
 
 
 def reference_neighborhood(n: int, members, vertices) -> set[int]:
@@ -105,7 +106,7 @@ def test_neighborhood_equals_per_connector_reference(case, data):
     t, members = case
     g = CayleyGraph(t, members)
     vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
-    assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, members, vertices))
+    assert g.neighborhood(bitset(g, vertices)) == bitset(g, reference_neighborhood(t.n, members, vertices))
     assert g.coset_plan == coset_plan_by_scan(g)
     inside = set(members)
     assert [g.is_connector(x) for x in range(t.n)] == [x in inside for x in range(t.n)]
@@ -150,7 +151,7 @@ def test_coset_plan_takes_members_mod_n(t):
     vertices = [0, 1, t.n // 3]
     for extra in (t.n + t.m_alpha * t.m_beta, 2 * t.n - 1):
         g = CayleyGraph(t, (*members, extra))
-        assert g.neighborhood(g.bitset(vertices)) == g.bitset(reference_neighborhood(t.n, g.members, vertices))
+        assert g.neighborhood(bitset(g, vertices)) == bitset(g, reference_neighborhood(t.n, g.members, vertices))
 
 
 def test_internal_edges_matches_pair_count():
@@ -159,7 +160,7 @@ def test_internal_edges_matches_pair_count():
     for _ in range(20):
         s = sorted(rng.sample(range(g.triple.n), rng.randrange(2, 80)))
         pairs = sum(g.adjacent(u, v) for i, u in enumerate(s) for v in s[i + 1 :])
-        assert internal_edges(g, g.bitset(s)) == pairs
+        assert internal_edges(g, bitset(g, s)) == pairs
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -167,24 +168,13 @@ def test_planted_edge_counts_once(t):
     g = CayleyGraph.from_triple(t)
     members = g.members
     cert = list(set_bits(block_set(g, independence_certificate(t).residues)))
-    assert internal_edges(g, g.bitset(cert)) == 0
+    assert internal_edges(g, bitset(g, cert)) == 0
     u = cert[len(cert) // 2]
     for c in (members[0], members[-1]):  # one connector below n/2, one above
         v = (u + c) % t.n
         blocked = set(neighbors(g, v))
         planted = [w for w in cert if w not in blocked] + [u, v]
-        assert internal_edges(g, g.bitset(planted)) == 1
-
-
-def test_bitset_rejects_out_of_range_vertices():
-    g = CayleyGraph.from_triple(TRIPLES[0])
-    for bad in (-1, 900):
-        with pytest.raises(ValueError):
-            g.bitset([0, bad])
-        with pytest.raises(ValueError):
-            g.bitset(v for v in (0, bad))
-    assert g.bitset(v for v in (3, 0, 3)) == 0b1001
-    assert g.bitset([]) == 0
+        assert internal_edges(g, bitset(g, planted)) == 1
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -195,7 +185,7 @@ def test_periodic_matches_set_reference(t):
     for period in (a * a, b * b, c * c, a * b * c, a * b * c * c, t.n):
         for residues in ([], [0], [period - 1], rng.sample(range(period), period // 3), range(period)):
             chosen = set(residues)
-            expected = g.bitset(v for v in range(t.n) if v % period in chosen)
+            expected = bitset(g, (v for v in range(t.n) if v % period in chosen))
             assert periodic(g, period, residues) == expected
             assert periodic(g, period, iter(residues)) == expected
 
@@ -215,7 +205,7 @@ def test_multiples_match_set_reference(t):
     g = CayleyGraph.from_triple(t)
     a, b, c = t.primes
     for d in (1, a, a * a, b, c * c, a * b * c, t.n // 2 + 1, t.n - 1, t.n, 2 * t.n):
-        assert g.multiples(d) == g.bitset(range(0, t.n, d)), d
+        assert g.multiples(d) == bitset(g, range(0, t.n, d)), d
     for d in (0, -4):
         with pytest.raises(ValueError):
             g.multiples(d)
@@ -225,7 +215,7 @@ def test_multiples_match_set_reference(t):
 def test_distance_classes_match_table(t):
     g = CayleyGraph.from_triple(t)
     table = closed_form_distance_table(t)
-    expected = {k: g.bitset(d for d in range(t.n) if table[d] == k) for k in set(table)}
+    expected = {k: bitset(g, (d for d in range(t.n) if table[d] == k)) for k in set(table)}
     assert closed_form_distance_classes(t, g) == expected
 
 
@@ -345,7 +335,7 @@ def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
     assert verify_coloring(t, g).proper
     [zero] = built
     rotations = {residue_sum_color(k, t): rotate(g, block_set(g, zero), k) for k in clique_certificate(t)}
-    assert rotations == {colour: g.bitset(vs) for colour, vs in colours.items()}
+    assert rotations == {colour: bitset(g, vs) for colour, vs in colours.items()}
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -359,7 +349,7 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
         members.setdefault(block_of(v, t), []).append(v)
 
     def union(ids):
-        return g.bitset(v for x in ids for v in members[x])
+        return bitset(g, (v for x in ids for v in members[x]))
 
     assert len(members) == _period(t)
     assert all(block_set(g, structure.block_residues(t, [x])) == union([x]) for x in members)
@@ -368,7 +358,7 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
     assert listed == list(set_bits(union(cert.index_set)))
     assert cert.size == len(listed) and cert.period == _period(t)
     zero = [x for x in members if sum(x) % t.gamma == 0]
-    colour_zero = g.bitset(v for v in range(t.n) if residue_sum_color(v, t) == 0)
+    colour_zero = bitset(g, (v for v in range(t.n) if residue_sum_color(v, t) == 0))
     assert block_set(g, structure.block_residues(t, zero)) == union(zero) == colour_zero
 
 
@@ -573,7 +563,7 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     g = CayleyGraph.from_triple(t)
     assert t.n == 1_004_004 and g.degree == 27_730
     calls = Counter()
-    for name in ("neighborhood", "multiples", "bitset"):
+    for name in ("neighborhood", "multiples"):
         fn = getattr(CayleyGraph, name)
         monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
     assert verify_coloring(t, g).proper
@@ -587,7 +577,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
     # level's, and no certificate check builds or rotates an n-bit set; the
     # BFS stops at full reach, so it takes none after the last level
     callers = Counter()
-    for name in ("neighborhood", "multiples", "bitset"):
+    for name in ("neighborhood", "multiples"):
         fn = getattr(CayleyGraph, name)
 
         def recorded(*args, _fn=fn, _name=name):
@@ -621,7 +611,7 @@ def test_tiles_is_the_partition_of_the_rotations(t):
     cases = []
     for d in divisors(n):
         count = n // d  # 3, 5, 15, 45, ... are no powers of two
-        interval = g.bitset(range(d))
+        interval = bitset(g, range(d))
         unit = next(u for u in range(2, n) if gcd(u, count) == 1)
         cases += [
             (interval, d, count, True),
@@ -638,7 +628,7 @@ def test_tiles_is_the_partition_of_the_rotations(t):
     rng = random.Random(3)
     for _ in range(200):
         count = rng.choice(divisors(n))
-        s = g.bitset(rng.sample(range(n), n // count))
+        s = bitset(g, rng.sample(range(n), n // count))
         cases.append((s, rng.randrange(n), count, None))
     for s, step, count, expected in cases:
         assert tiles(g, s, step, count) == reference(s, step, count), (s.bit_count(), step, count)

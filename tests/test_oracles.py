@@ -10,7 +10,6 @@ from psqcayley import (
     build_report,
     clique_certificate,
     distance_sweep,
-    element_order,
     exact_max_clique,
     exact_max_independent_set,
     find_triangle,
@@ -19,7 +18,7 @@ from psqcayley import (
 )
 from psqcayley import cli, graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.oracles import order_classes
+from psqcayley.oracles import closed_form_distance_classes
 from psqcayley.structure import index_adjacent, index_ids
 
 from helpers import (
@@ -28,6 +27,7 @@ from helpers import (
     divisors,
     is_partition,
     neighbors,
+    order_scan_connectors,
     periodic,
     reference_sweep,
     rotate,
@@ -39,49 +39,43 @@ T357 = make_prime_triple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 
 
-@pytest.mark.parametrize("primes", [(2, 3, 5), (2, 3, 7), (3, 5, 7)])
-def test_order_classes_equal_per_element_orders(primes):
-    t = make_prime_triple(*primes)
-    g = CayleyGraph.from_triple(t)
-    orders = [element_order(k, t) for k in range(t.n)]
-    expected = {o: g.bitset(k for k in range(t.n) if orders[k] == o) for o in set(orders)}
-    classes = dict(order_classes(g))
-    assert classes == expected  # every divisor is some element's order
-    # so the classes partition [0, n), which the order scan does not recheck
-    assert is_partition(g, classes.values())
-
-
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
 def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
-    # the 27 classes are products of the three splits per prime by
-    # min(v_p(x), 2): six sets of multiples, of each p and each p², and no
-    # other n-bit set is built from scratch
+    # the distance classes are folded from the 27 gcd classes, the products
+    # of the three splits per prime by min(v_p(x), 2): six sets of multiples,
+    # of each p and each p², and no other n-bit set is built from scratch
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
     built = []
     multiples = CayleyGraph.multiples
     monkeypatch.setattr(CayleyGraph, "multiples", lambda g, d: built.append(d) or multiples(g, d))
-    for name in ("bitset", "neighborhood"):
-        monkeypatch.setattr(CayleyGraph, name, None)
-    assert len(dict(order_classes(g))) == 27
+    monkeypatch.setattr(CayleyGraph, "neighborhood", None)
+    assert is_partition(g, closed_form_distance_classes(t, g).values())
     assert sorted(built) == sorted(p**e for p in t.primes for e in (1, 2))
 
 
-@pytest.mark.parametrize("fault", [None, "vertex-in-two-classes", "vertex-in-no-class", "moved-vertex"])
-def test_connecting_set_line_reads_no_partition_of_the_order_classes(fault, monkeypatch):
-    # planted classes whose union or sizes are off fail is_partition, while
-    # the connecting-set line passes: `verify` no longer checks the
-    # partition, and reads only the classes of order a², b² and c².
-    # Vertices 1 and 7 have order 900, outside the order scan
-    classes = dict(order_classes(G235))
-    if fault in ("vertex-in-two-classes", "moved-vertex"):
-        classes[1] |= 1 << 1
-    if fault in ("vertex-in-no-class", "moved-vertex"):
-        classes[900] &= ~(1 << 7)
-    monkeypatch.setattr(oracles, "order_classes", lambda g: iter(classes.items()))
-    line = run_verification(T235, 0).lines[0]
-    assert is_partition(G235, classes.values()) is (fault is None)
-    assert line.startswith("PASS connecting-set: ")
+def test_order_scan_builds_no_n_bit_set(monkeypatch):
+    # the scan reads the a² + b² + c² elements of the three subgroups of
+    # order p²: at (19,23,29), n = 160,604,929, past the CLI's memory gate,
+    # no n-bit set is built and no BFS runs
+    def refused(*args):
+        raise AssertionError("n-bit set built")
+
+    for name in ("multiples", "neighborhood"):
+        monkeypatch.setattr(CayleyGraph, name, refused)
+    monkeypatch.setattr(CayleyGraph, "levels_from_zero", property(refused))
+    t = make_prime_triple(19, 23, 29)
+    assert oracles.order_scan(CayleyGraph.from_triple(t)) == (True, 19 * 18 + 23 * 22 + 29 * 28)
+
+
+def test_order_scan_equals_the_brute_force_order_scan():
+    # the elements of each subgroup of order p² whose gcd with n is n/p²
+    # are exactly those of brute-force order p², at every n ≤ 11,025
+    for t in triples_with_group_order_at_most(11_025):
+        g = CayleyGraph.from_triple(t)
+        expected = order_scan_connectors(t)
+        assert sorted(g.members) == sorted(expected)
+        assert oracles.order_scan(g) == (True, len(expected))
 
 
 @pytest.mark.parametrize("swap", [(1, 899), (30, 870)], ids=["order-900", "order-30"])
@@ -93,6 +87,9 @@ def test_a_swapped_connector_pair_fails_the_order_classes(swap, monkeypatch):
         return tuple(sorted(members))
 
     monkeypatch.setattr(graph, "enumerate_connectors", planted)
+    g = CayleyGraph.from_triple(T235)
+    assert set(g.members) != order_scan_connectors(T235)
+    assert oracles.order_scan(g) == (False, 28)
     lines = run_verification(T235, 0).lines
     status = {line.split(":")[0] for line in lines}
     assert "FAIL connecting-set" in status

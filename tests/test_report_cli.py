@@ -134,10 +134,26 @@ def test_params_eulerian_is_the_regularity_verdict_of_verify(extra, monkeypatch)
     assert "FAIL regular-eulerian-connected" in status
 
 
+@pytest.mark.parametrize(
+    "extra, edges",
+    [((), 12600), ((1, 2), 14400), ((36, 864), 12600), ((450,), 13050)],
+    ids=["true", "one-way", "repeated", "n/2"],
+)
+def test_edges_checked_is_the_edge_count_of_the_graph(extra, edges, monkeypatch):
+    # a one-way member adds n edges, a repeated one none and n/2 adds n/2:
+    # the count is n·|S|/2 over the distinct nonzero steps S = ±C, not n·|C|/2
+    monkeypatch.setattr(graph, "enumerate_connectors", lambda t: tuple(sorted(enumerate_connectors(t) + extra)))
+    n, members = T235.n, CayleyGraph.from_triple(T235).members
+    assert len({frozenset((v, (v + c) % n)) for v in range(n) for c in members}) == edges
+    assert build_report(T235)["chromatic"]["edgesChecked"] == edges
+    [line] = [line for line in run_verification(T235, 0).lines if line.split(":")[0].endswith(" chromatic")]
+    assert f" over {edges} edges (exhaustive)," in line
+
+
 @pytest.mark.parametrize("planted", ["n", "-1"])
 def test_an_out_of_range_member_fails_the_connecting_set_line(planted, monkeypatch, capsys):
-    # a member outside [0, n) fails the order scan before any n-bit set of
-    # the members is built, and verify still prints every line
+    # a member outside [0, n) fails the order scan, whose elements all lie
+    # in [0, n), and verify still prints every line
     def members(t):
         return tuple(sorted(enumerate_connectors(t) + ({"n": t.n, "-1": -1}[planted],)))
 

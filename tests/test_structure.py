@@ -24,6 +24,7 @@ from helpers import (
     UNVALIDATED,
     adjacency_by_neighbourhood,
     adjacency_by_residue_scan,
+    bitset,
     block_of,
     block_set,
     cell_rule_by_difference,
@@ -61,7 +62,7 @@ def _residue_blocks(g: CayleyGraph) -> dict[tuple[int, int, int], int]:
     members: dict[tuple[int, int, int], list[int]] = {}
     for v in range(g.triple.n):
         members.setdefault(block_of(v, g.triple), []).append(v)
-    return {x: g.bitset(vs) for x, vs in members.items()}
+    return {x: bitset(g, vs) for x, vs in members.items()}
 
 
 def _constructed_blocks(g: CayleyGraph, combine=crt_combine) -> dict[tuple[int, int, int], int]:
@@ -70,8 +71,8 @@ def _constructed_blocks(g: CayleyGraph, combine=crt_combine) -> dict[tuple[int, 
     t = g.triple
     a, b, c = t.primes
     return {
-        (i, j, k): g.bitset(
-            combine((i + a * x, j + b * y, k + c * z), t) for x in range(a) for y in range(b) for z in range(c)
+        (i, j, k): bitset(
+            g, (combine((i + a * x, j + b * y, k + c * z), t) for x in range(a) for y in range(b) for z in range(c))
         )
         for i, j, k in index_ids(t)
     }
@@ -231,7 +232,7 @@ def test_structure_stage_takes_no_neighbourhood_and_no_construction(monkeypatch)
     # for (iii), (vii) and (viii), whatever the triple; fiber (i) and block
     # adjacency read the connectors, with no neighbourhood, and the block
     # partition reads the moduli, with no construction of block 0
-    calls = {"neighborhood": 0, "bitset": 0, "is_step_cycle": 0}
+    calls = {"neighborhood": 0, "is_step_cycle": 0}
     built = []
     inside = [False]
 
@@ -265,16 +266,15 @@ def test_structure_stage_takes_no_neighbourhood_and_no_construction(monkeypatch)
 
     counted(graph.CayleyGraph, "neighborhood")
     counted(graph.CayleyGraph, "is_step_cycle")
-    counted(graph.CayleyGraph, "bitset")
     monkeypatch.setattr(graph.CayleyGraph, "multiples", recorded)
     for name in ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"):
         stage(name)
     for t in (T235, T357):
-        calls.update(neighborhood=0, bitset=0, is_step_cycle=0)
+        calls.update(neighborhood=0, is_step_cycle=0)
         built.clear()
         c = certify(t)
         assert all(c.fiber.values()) and c.block_partition and c.block_adjacency
-        assert calls == {"neighborhood": 0, "bitset": 0, "is_step_cycle": 3}
+        assert calls == {"neighborhood": 0, "is_step_cycle": 3}
         assert built == []
 
 

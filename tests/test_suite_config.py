@@ -1,0 +1,35 @@
+"""The suite's own pytest settings: every warning is an error, yet a failing
+hypothesis test is one failure and the run goes on past it."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
+PROBE = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_hypothesis_test_is_one_failure_and_the_run_goes_on(tmp_path):
+    # on a failure the hypothesis plugin imports libcst, which reads the
+    # deprecated mypy_extensions.TypedDict; with every warning an error and
+    # no exception for that one, the run ended there in an INTERNALERROR
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "--rootdir", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, *argv, "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr

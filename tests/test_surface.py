@@ -214,7 +214,7 @@ def test_certificate_modules_build_no_n_bit_set():
     # n-bit sets belong to the BFS oracle layer; the fiber, block, walk,
     # colouring, independence and index claims are decided on quotients and
     # connector differences, and `certify` builds none between its stages
-    kernel = {"neighborhood", "rotate", "multiples", "bitset"}
+    kernel = {"neighborhood", "rotate", "multiples"}
     [certify] = [f for f in _trees()["report.py"].body if getattr(f, "name", None) == "certify"]
     bodies = {name: _trees()[name] for name in ("structure.py", "hamiltonian.py", "parameters.py")}
     for name, tree in {**bodies, "report.certify": certify}.items():
@@ -238,9 +238,9 @@ def test_block_verifiers_read_no_box_of_block_ids():
 
 
 def test_report_renders_lines_and_builds_no_n_bit_set():
-    # the n-bit work of every verify line (the order classes, the members'
-    # set, the sweep) lives in `oracles`; report.py only renders verdicts
-    kernel = {"order_classes", "bitset", "multiples", "rotate", "neighborhood", "bit_count"}
+    # the work of every verify line (the order scan, the sweep's n-bit
+    # sets) lives in `oracles`; report.py only renders verdicts
+    kernel = {"multiples", "rotate", "neighborhood", "bit_count", "gcd"}
     used = kernel & _code_references(_trees()["report.py"])
     assert not used, f"report.py references {sorted(used)}"
 
