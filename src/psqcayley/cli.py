@@ -84,7 +84,7 @@ def _parse_primes(text: str) -> tuple[int, int, int]:
 
 def _load_config(path: str) -> dict[str, int]:
     """The values in the config file at path, each key one that `export`
-    reads, given once."""
+    reads, given once as a positive integer."""
     values: dict[str, int] = {}
     with open(path) as f:
         text = f.read()
@@ -104,6 +104,8 @@ def _load_config(path: str) -> dict[str, int]:
             values[key] = int(value.strip())
         except ValueError:
             raise UsageError(f"{path}:{lineno}: value for {key!r} must be an integer") from None
+        if values[key] < 1:
+            raise UsageError(f"{path}:{lineno}: value for {key!r} must be positive")
     return values
 
 

@@ -22,18 +22,18 @@ folded from.  Certificate claims are decided on quotients.  In a circulant
 graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
 rot(S, c) over the connectors c.  The connectors are taken coset by coset
 (`coset_plan`, found from the member list and the primes dividing n): S is
-closed under a subgroup of order o with about log₂ o doubling shifts and the
-closure rotated by each coset representative, so BFS advances a whole
-frontier with a few shifts per coset family rather than one rotation per
-connector.  BFS stops once its levels hold all n vertices, so a connected
-graph's BFS takes one neighbourhood per level but the last.  There is one
-BFS per graph, from vertex 0, built once and shared as a tuple: every
-translation x ↦ x + s is an automorphism, so the levels from s are those
-from 0 rotated by s.
+closed under the subgroup ⟨h⟩ of order o, as S + {j·h : j < o} by about
+log₂ o doubling shifts (`_closure`), and the closure rotated by each coset
+representative, so BFS advances a whole frontier with a few shifts per coset
+family rather than one rotation per connector.  BFS stops once its levels
+hold all n vertices, so a connected graph's BFS takes one neighbourhood per
+level but the last.  There is one BFS per graph, from vertex 0, built once
+and shared as a tuple: every translation x ↦ x + s is an automorphism, so
+the levels from s are those from 0 rotated by s.
 
 `multiples(d)` builds the multiples of d, the one kind of periodic set the
-oracles build, by doubling one bit out to n bits, and `set_bits` lists the
-members of any set in ascending order.
+oracles build, by the same closure: {0} under ⌈n/d⌉ steps of d.  `set_bits`
+lists the members of any set in ascending order.
 """
 
 from __future__ import annotations
@@ -106,55 +106,33 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
     # -- n-bit set kernel ---------------------------------------------------
 
     def multiples(self, d: int) -> int:
-        """The multiples of d > 0 in [0, n) as an n-bit int: bit 0 doubled
-        by shifts of d, 2d, 4d, ... up to n bits."""
+        """The multiples of d > 0 in [0, n) as an n-bit int: {0} closed under
+        ⌈n/d⌉ steps of d (`_closure`)."""
         n = self.triple.n
         if d <= 0:
             raise ValueError(f"multiples of {d}")
-        s, width = 1, d
-        while width < n:
-            s |= s << width
-            width *= 2
-        return s & ((1 << n) - 1)
+        return _closure(1, d, -(-n // d))
 
     def neighborhood(self, s: int) -> int:
         """Every vertex adjacent to some vertex of S: the OR of rot(S, c) over
         the connectors c, taken coset family by coset family (`coset_plan`).
 
-        For a family (h, o, reps), U = ⋃_{j<o} S << j·h is built by about
-        log₂ o doubling shifts and folded once into T = S + ⟨h⟩; T is then
-        rotated by each representative.  The family of order 1 rotates S
-        itself by each of its connectors.
+        For a family (h, o, reps), U = S + {j·h : j < o} (`_closure`) is
+        folded once into T = S + ⟨h⟩; T is then rotated by each
+        representative.  For the family of order 1, U and T are S itself,
+        rotated by each of its connectors.
         """
         n = self.triple.n
         full = (1 << n) - 1
         acc = 0
-        for steps, shifts in self._family_shifts:
-            u = s
-            if steps:
-                for k in steps:
-                    u |= u << k
-                u = (u & full) | (u >> n)  # u stays below 2n bits, so one fold wraps it
-            doubled = u | (u << n)  # bits [n − r, 2n − r) hold rot(u, r)
-            for shift in shifts:
-                acc |= doubled >> shift
-        return acc & full
-
-    @cached_property
-    def _family_shifts(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-        """Per coset family, the doubling shifts that build U (covering j·h for
-        j < 1, 2, 4, ... up to o) and the shifts n − r that rotate by each
-        representative r."""
-        n = self.triple.n
-        plan = []
         for h, order, reps in self.coset_plan:
-            steps, cover = [], 1
-            while cover < order:
-                step = min(cover, order - cover)
-                steps.append(step * h)
-                cover += step
-            plan.append((tuple(steps), tuple(n - r for r in reps)))
-        return tuple(plan)
+            u = _closure(s, h, order)
+            u = (u & full) | (u >> n)  # u stays below 2n bits, so one fold wraps it
+            u |= u << n  # bits [n − r, 2n − r) hold rot(T, r)
+            for r in reps:
+                acc |= u >> (n - r)
+            del u  # so no 2n-bit int outlives its family into the next closure
+        return acc & full
 
     @cached_property
     def coset_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
@@ -337,6 +315,18 @@ def write_chunks(out: str | PathLike, chunks: Iterable[bytes]) -> None:
         finally:
             if overwrite:
                 f.truncate()
+
+
+def _closure(s: int, h: int, count: int) -> int:
+    """S + {j·h : j < count} as an unreduced int, the bits of S shifted by
+    each j·h and ORed: about log₂ count doubling shifts, each adding as many
+    new j as fit below count, so no shift overshoots and nothing is masked."""
+    cover = 1
+    while cover < count:
+        step = min(cover, count - cover)
+        s |= s << step * h
+        cover += step
+    return s
 
 
 def set_bits(s: int) -> Iterator[int]:

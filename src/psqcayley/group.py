@@ -32,8 +32,8 @@ class NotAscendingError(TripleValidationError):
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic trial division (`prime_factors`); inputs stay desk-scale."""
-    return m >= 2 and prime_factors(m) == (m,)
+    """Deterministic trial division up to √m; inputs stay desk-scale."""
+    return m >= 2 and all(m % p for p in range(2, math.isqrt(m) + 1))
 
 
 class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma n m_alpha m_beta m_gamma")):
@@ -72,21 +72,6 @@ def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
     if not (a < b < c):
         raise NotAscendingError(f"primes must be ascending, got ({a}, {b}, {c})")
     return PrimeTriple(a, b, c, n, a * a, b * b, c * c)
-
-
-def prime_factors(m: int) -> tuple[int, ...]:
-    """The distinct primes dividing m > 0, ascending, by trial division."""
-    primes = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return tuple(primes)
 
 
 def _check_exponent(k: int, t: PrimeTriple) -> None:

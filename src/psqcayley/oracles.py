@@ -113,11 +113,11 @@ def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, in
     classes are folded, p² first and p last: the order that gave the
     lowest tracemalloc peak.
     """
-    full = (1 << t.n) - 1
 
     def split(p: int) -> list[tuple[int, int]]:
         of_p, of_square = g.multiples(p), g.multiples(p * p)
-        return [(p, of_p ^ of_square), (1, of_p ^ full), (p * p, of_square)]
+        # the mask of [0, n) is built per split, so none is alive while the classes fold
+        return [(p, of_p ^ of_square), (1, of_p ^ (1 << t.n) - 1), (p * p, of_square)]
 
     by_a, by_b, by_c = map(split, t.primes)
     classes: dict[int, int] = {}

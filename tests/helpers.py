@@ -22,7 +22,8 @@ such BFS from each source of a seeded sample, each distance compared with
 the residues mod a period, for the references; the package builds neither
 as n bits, only the sets of multiples behind the gcd classes
 (`CayleyGraph.multiples`).  `divisors` lists the divisors of n, which the
-fault tables walk.
+fault tables walk, from `prime_factors`, the factorisation that the
+package's `is_prime` is checked against.
 
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
@@ -62,7 +63,7 @@ from psqcayley import (
     make_prime_triple,
 )
 from psqcayley.graph import set_bits
-from psqcayley.group import crt_basis, prime_factors
+from psqcayley.group import crt_basis
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
 
@@ -157,6 +158,21 @@ def count_level_builds(monkeypatch) -> list[CayleyGraph]:
     counted.__set_name__(CayleyGraph, "levels_from_zero")
     monkeypatch.setattr(CayleyGraph, "levels_from_zero", counted)
     return built
+
+
+def prime_factors(m: int) -> tuple[int, ...]:
+    """The distinct primes dividing m > 0, ascending, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return tuple(primes)
 
 
 def divisors(m: int) -> tuple[int, ...]:

@@ -9,15 +9,16 @@ from psqcayley import (
     bezout_witness,
     crt_combine,
     element_order,
+    is_prime,
     make_prime_triple,
 )
-from psqcayley.group import prime_factors
 
 from helpers import (
     BIG_PRIME,
     brute_order,
     crt_components,
     divisors,
+    prime_factors,
     record_primality_tests,
     triples_with_group_order_at_most,
 )
@@ -148,6 +149,15 @@ def test_divisors_and_prime_factors_match_trial_division():
     for m in list(range(1, 400)) + [t.n for t in SMALL_TRIPLES[:5]]:
         assert divisors(m) == tuple(d for d in range(1, m + 1) if m % d == 0)
         assert prime_factors(m) == tuple(p for p in divisors(m) if len(divisors(p)) == 2)
+
+
+def test_is_prime_matches_the_factorisation():
+    # trial division up to √m answers what the factorisation does, up to
+    # 10,000 and at 499,999,993, near the largest c that a (2,3,c) triple
+    # admits (n < 2⁶³ needs c ≤ 506,166,749)
+    for m in [*range(10_000), 499_999_993]:
+        assert is_prime(m) == (prime_factors(m) == (m,)), m
+    assert is_prime(499_999_993)
 
 
 def test_bezout_canonical_value():

@@ -28,7 +28,7 @@ from psqcayley import (
     verify_coloring,
 )
 from psqcayley import oracles, parameters, structure
-from psqcayley.graph import set_bits
+from psqcayley.graph import _closure, set_bits
 
 from helpers import (
     adjacency_by_neighbourhood,
@@ -209,6 +209,29 @@ def test_multiples_match_set_reference(t):
     for d in (0, -4):
         with pytest.raises(ValueError):
             g.multiples(d)
+
+
+@pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
+def test_closure_equals_the_or_of_its_shifts(t):
+    # S + {j·h : j < count} unreduced, for step 1 and each family's h, at
+    # every count up to 33: the doubling never overshoots count
+    g = CayleyGraph.from_triple(t)
+    rng = random.Random(t.n)
+    sets = [1, bitset(g, [0, 1, 5, t.n - 1]), bitset(g, rng.sample(range(t.n), 40))]
+    for h in {1, *(h for h, _, _ in g.coset_plan)}:
+        for count in range(1, 34):
+            for s in sets:
+                expected = 0
+                for j in range(count):
+                    expected |= s << j * h
+                assert _closure(s, h, count) == expected, (h, count)
+
+
+def test_multiples_match_set_reference_for_every_step():
+    g = CayleyGraph.from_triple(TRIPLES[0])
+    n = TRIPLES[0].n
+    for d in range(1, n + 2):
+        assert g.multiples(d) == bitset(g, range(0, n, d)), d
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)

@@ -40,7 +40,7 @@ G235 = CayleyGraph.from_triple(T235)
 
 
 @pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7)], ids=["2,3,5", "3,5,7"])
-def test_order_classes_build_each_set_of_multiples_once(primes, monkeypatch):
+def test_distance_classes_build_each_set_of_multiples_once(primes, monkeypatch):
     # the distance classes are folded from the 27 gcd classes, the products
     # of the three splits per prime by min(v_p(x), 2): six sets of multiples,
     # of each p and each p², and no other n-bit set is built from scratch

@@ -24,9 +24,8 @@ from psqcayley import cli, graph
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.group import prime_factors
 
-from helpers import BIG_PRIME, count_level_builds, record_primality_tests
+from helpers import BIG_PRIME, count_level_builds, prime_factors, record_primality_tests
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -381,8 +380,10 @@ def test_cli_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch):
         ("materialize-cap = 1e4", "value for 'materialize-cap' must be an integer"),
         ("materialize-cap =", "value for 'materialize-cap' must be an integer"),
         ("materialize-cap 30000", "expected 'key = value'"),
+        ("materialize-cap = 0", "value for 'materialize-cap' must be positive"),
+        ("materialize-cap = -5", "value for 'materialize-cap' must be positive"),
     ],
-    ids=["word", "float", "empty", "no-equals"],
+    ids=["word", "float", "empty", "no-equals", "zero", "negative"],
 )
 def test_cli_config_rejects_a_malformed_line(line, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
