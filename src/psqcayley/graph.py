@@ -13,8 +13,9 @@ chunks of rows: each vertex's line separator joins its neighbour names, taken
 from |C| column slices of the vertex names, and each chunk is one join of the
 separators and their joins.  `write_chunks` is the one writer of every output
 file, these exports, the walk, the independent set and the report alike: it
-overwrites an existing regular file in place and cuts it to the written
-length, rather than truncating it on open.
+opens the file once with os.open and no O_TRUNC, overwrites it in place, and
+cuts it to the written length only when the descriptor's fstat says it is a
+regular file.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
 oracle layer: the levels and the gcd classes that the distance classes are
@@ -38,12 +39,12 @@ lists the members of any set in ascending order.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from math import gcd
-from os import PathLike, stat
 from stat import S_ISREG
 
 from .connectors import enumerate_connectors
@@ -235,7 +236,7 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
                 for c in row:
                     yield (u, u + c)
 
-    def export(self, fmt: str, out: str | PathLike, cap: int = DEFAULT_MATERIALIZE_CAP) -> None:
+    def export(self, fmt: str, out: str | os.PathLike, cap: int = DEFAULT_MATERIALIZE_CAP) -> None:
         """Write the graph to the file out as an 'edges' list ("u v" lines) or
         a 'dot' document, band by band in chunks of at most EXPORT_CHUNK_ROWS
         vertex rows.
@@ -286,34 +287,31 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         write_chunks(out, chunks())
 
 
-def write_chunks(out: str | PathLike, chunks: Iterable[bytes]) -> None:
+def write_chunks(out: str | os.PathLike, chunks: Iterable[bytes]) -> None:
     """Write the chunks, in order, to the file out: the one writer of every
     output file.
 
-    An existing regular file is overwritten in place ("r+b") and then cut to
-    the written length, so it keeps its inode, as under truncation.  Opening
-    it "wb" would truncate it first, and on ext4 that truncation frees the
-    old blocks, or (default auto_da_alloc) writes back data not yet on disk,
-    inside the open, which made rewriting the 31.8 MB dot file at (3,5,11)
-    two to three times slower.  A missing file, one that is not regular (a
-    device such as /dev/null, a pipe) and one that cannot be read are opened
-    "wb".
+    out is opened once, with os.open(O_WRONLY | O_CREAT) and no O_TRUNC, so
+    an existing file is overwritten in place; when fstat on that descriptor
+    says the file is regular, it is then cut to the written length, so it
+    keeps its inode, as under truncation.  Truncating on open would, on ext4,
+    free the old blocks, or (default auto_da_alloc) write back data not yet
+    on disk, inside the open, which made rewriting the 31.8 MB dot file at
+    (3,5,11) two to three times slower.  A device such as /dev/null or a
+    pipe is written without a cut.
 
     The cut runs in a finally, so a chunk that raises leaves exactly the
     chunks before it.  A process killed part-way (SIGKILL, power loss) is
     worse off than under truncation, which left a short file: it leaves the
     new prefix followed by the old file's tail, which may end well formed.
     """
-    try:
-        f = open(out, "r+b") if S_ISREG(stat(out).st_mode) else None
-    except OSError:  # a missing file, or one that cannot be read
-        f = None
-    overwrite = f is not None
-    with f or open(out, "wb") as f:
+    # O_BINARY, where it exists, keeps a C runtime from translating the bytes
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(out, flags, 0o666), "wb") as f:
         try:
             f.writelines(chunks)
         finally:
-            if overwrite:
+            if S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
 
 

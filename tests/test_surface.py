@@ -2,9 +2,10 @@
 function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
-module reads the environment, every file is written as bytes, no module
-imports `random`, `typing`, `pathlib` or `json`, and none defines a
-`rotate`.  The checks read the sources with `ast`."""
+module reads the environment, every file is written as bytes and opened for
+writing only by `graph.write_chunks`, no module imports `random`, `typing`,
+`pathlib` or `json`, and none defines a `rotate`.  The checks read the
+sources with `ast`."""
 
 import ast
 import inspect
@@ -171,8 +172,16 @@ def test_no_module_reads_the_environment():
         assert not used, f"{name} references {sorted(used)}"
 
 
+def _is_os_open(call: ast.Call) -> bool:
+    func = call.func
+    return isinstance(func, ast.Attribute) and func.attr == "open" and getattr(func.value, "id", None) == "os"
+
+
 def _open_mode(call: ast.Call) -> ast.expr | None:
-    """The mode of open(file, mode) or path.open(mode), or None when absent."""
+    """The mode of open(file, mode) or path.open(mode), or None when absent.
+    os.open(path, flags) takes flags, and has no text mode."""
+    if _is_os_open(call):
+        return None
     position = 1 if isinstance(call.func, ast.Name) else 0
     modes = [k.value for k in call.keywords if k.arg == "mode"] + call.args[position : position + 1]
     return modes[0] if modes else None
@@ -194,6 +203,43 @@ def test_no_module_writes_a_file_in_text_mode():
                 if not isinstance(text, str) or ("b" not in text and set(text) & set("wax+")):
                     problems.append(f"{name}:{node.lineno}: open mode {ast.unparse(mode)}")
     assert not problems, f"text-mode writes: {problems}"
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    """os.open, or an open whose mode may write: one holding w, a, x or +,
+    or one that is not a constant string."""
+    called = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if called != "open":
+        return False
+    if _is_os_open(call):
+        return True
+    mode = _open_mode(call)
+    if mode is None:
+        return False
+    text = mode.value if isinstance(mode, ast.Constant) else None
+    return not isinstance(text, str) or bool(set(text) & set("wax+"))
+
+
+def _writers(tree: ast.Module, name: str) -> set[str]:
+    """module:function for each call that opens a file for writing, named by
+    its innermost enclosing function (module:<module> at top level)."""
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = f"{name}:{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and _opens_for_writing(child):
+                found.add(where)
+            visit(child, inner)
+
+    visit(tree, f"{name}:<module>")
+    return found
+
+
+def test_write_chunks_is_the_one_function_that_opens_a_file_for_writing():
+    # every output leaves through graph.write_chunks; no second write path
+    writers = set().union(*(_writers(tree, name) for name, tree in _trees().items()))
+    assert writers == {"graph.py:write_chunks"}
 
 
 def test_every_cli_option_is_read():

@@ -1,9 +1,11 @@
-"""Every output file goes through `graph.write_chunks`: an existing regular
-file is overwritten in place and cut to the written length, anything else is
-opened "wb".  Whatever was on disk before, the file ends up holding exactly
-the fresh bytes, and a refusal leaves it as it was."""
+"""Every output file goes through `graph.write_chunks`: the target is opened
+once, with os.open and no O_TRUNC, and overwritten in place; a regular file
+is then cut to the written length, while a device or a pipe is written
+without a cut.  Whatever was on disk before, the file ends up holding
+exactly the fresh bytes, and a refusal leaves it as it was."""
 
 import os
+import threading
 
 import pytest
 
@@ -51,7 +53,7 @@ def test_an_overwritten_file_keeps_its_inode(output, tmp_path):
 @pytest.mark.skipif(not os.access(os.devnull, os.W_OK), reason="no writable null device")
 @pytest.mark.parametrize("output", OUTPUTS)
 def test_out_to_the_null_device_exits_0(output, capsys):
-    # not a regular file: opened "wb", and never cut to length
+    # not a regular file: written without a cut
     assert cli.main([*OUTPUTS[output], "--out", os.devnull]) == 0
     assert capsys.readouterr() == ("", "")
 
@@ -92,20 +94,81 @@ def test_a_chunk_that_raises_leaves_exactly_the_written_prefix(old, tmp_path):
     assert out.read_bytes() == b"".join(chunks)
 
 
-def test_a_file_that_cannot_be_read_is_opened_for_writing_only(tmp_path, monkeypatch):
-    # "r+b" needs read access; without it the writer opens "wb", truncating
-    opened = []
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_each_target_is_opened_once_without_truncation(output, tmp_path, monkeypatch):
+    # one os.open per target, never O_TRUNC; the built-in open only wraps its descriptor
+    opened, wrapped = [], []
+    os_open = os.open
 
-    def write_only(file, mode="r", *args, **kwargs):
-        opened.append(mode)
-        if "+" in mode:
-            raise PermissionError(13, "Permission denied", str(file))
-        return open(file, mode, *args, **kwargs)
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return os_open(path, flags, *args, **kwargs)
 
-    monkeypatch.setattr(graph, "open", write_only, raising=False)
-    out = tmp_path / "out"
-    out.write_bytes(b"w" * 1000)
-    write_chunks(out, [b"new\n"])
-    assert out.read_bytes() == b"new\n"
-    assert opened == ["r+b", "wb"]
+    def spy_open(file, *args, **kwargs):
+        wrapped.append(file)
+        return open(file, *args, **kwargs)
 
+    argv = OUTPUTS[output]
+    fresh = _write(argv, tmp_path / "fresh")
+    longer = tmp_path / "longer"
+    longer.write_bytes(b"x" * (2 * len(fresh) + 7))
+    longer.chmod(0o200)  # write-only: overwritten in place all the same
+    targets = [tmp_path / "missing", longer]
+    if os.access(os.devnull, os.W_OK):
+        targets.append(os.devnull)
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(graph, "open", spy_open, raising=False)
+    for target in targets:
+        opened.clear()
+        wrapped.clear()
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        assert [path for path, _ in opened] == [str(target)], target
+        flags = opened[0][1]
+        assert flags & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT, target
+        assert not flags & os.O_TRUNC, target
+        assert all(isinstance(f, int) for f in wrapped), target
+        if target != os.devnull:
+            target.chmod(0o600)
+            assert target.read_bytes() == fresh, target
+
+
+def _drain(fifo, received):
+    with open(fifo, "rb") as f:
+        received.append(f.read())
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("output", ["walk", "params"])
+def test_a_named_pipe_receives_exactly_the_fresh_bytes(output, tmp_path):
+    # a pipe is not regular: written without a cut, and read to its end
+    argv = OUTPUTS[output]
+    fresh = _write(argv, tmp_path / "fresh")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=_drain, args=(fifo, received), daemon=True)
+    reader.start()
+    try:
+        assert cli.main([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=30)
+    finally:
+        if reader.is_alive():  # the writer never opened the pipe: release the reader
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+    assert received == [fresh]
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_a_directory_as_out_exits_2_and_is_left_as_it_was(output, tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    (target / "inside").write_bytes(b"kept\n")
+    before = os.stat(target)
+    assert cli.main([*OUTPUTS[output], "--out", str(target)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: "), err
+    assert sorted(p.name for p in target.iterdir()) == ["inside"]
+    assert (target / "inside").read_bytes() == b"kept\n"
+    after = os.stat(target)
+    assert (after.st_ino, after.st_mode, after.st_mtime_ns) == (before.st_ino, before.st_mode, before.st_mtime_ns)
