@@ -28,7 +28,6 @@ from .group import (
 from .hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 from .oracles import (
     SweepReport,
-    closed_form_distance_classes,
     distance_sweep,
     exact_max_clique,
     exact_max_independent_set,

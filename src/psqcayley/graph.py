@@ -18,12 +18,13 @@ cuts it to the written length only when the descriptor's fstat says it is a
 regular file.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
-oracle layer: the levels and the gcd classes that the distance classes are
-folded from.  Certificate claims are decided on quotients.  In a circulant
-graph the neighbourhood of a set S is N(S) = ⋃_{c∈C} (S + c), the OR of
-rot(S, c) over the connectors c.  The connectors are taken coset by coset
-(`coset_plan`, found from the member list and the primes dividing n): S is
-closed under the subgroup ⟨h⟩ of order o, as S + {j·h : j < o} by about
+oracle layer: the levels, and the sets of multiples that the distance sweep
+folds its distance classes from, one class at a time.  Certificate claims
+are decided on quotients.  In a circulant graph the neighbourhood of a set
+S is N(S) = ⋃_{c∈C} (S + c), the OR of rot(S, c) over the connectors c.
+The connectors are taken coset by coset (`coset_plan`, found from the
+member list and the primes dividing n): S is closed under the subgroup ⟨h⟩
+of order o, as S + {j·h : j < o} by about
 log₂ o doubling shifts (`_closure`), and the closure rotated by each coset
 representative, so BFS advances a whole frontier with a few shifts per coset
 family rather than one rotation per connector.  BFS stops once its levels
@@ -32,9 +33,9 @@ level but the last.  There is one BFS per graph, from vertex 0, built once
 and shared as a tuple: every translation x ↦ x + s is an automorphism, so
 the levels from s are those from 0 rotated by s.
 
-`multiples(d)` builds the multiples of d, the one kind of periodic set the
-oracles build, by the same closure: {0} under ⌈n/d⌉ steps of d.  `set_bits`
-lists the members of any set in ascending order.
+`multiples(d)` builds the multiples of d, the one kind of periodic set that
+`oracles.distance_sweep` builds, by the same closure: {0} under ⌈n/d⌉
+steps of d.  `set_bits` lists the members of any set in ascending order.
 """
 
 from __future__ import annotations

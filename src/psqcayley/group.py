@@ -1,9 +1,10 @@
 """Exact arithmetic for the cyclic group of order a²b²c² (distinct primes a<b<c).
 
-Covers triple validation, element orders, the three-way residue splitting of
-an exponent (and its inverse), and a canonical Bezout witness certifying that
-the three products of squared primes generate the whole group.  Everything is
-pure integer arithmetic; all functions are pure and safe to call concurrently.
+Covers triple validation, element orders, the CRT basis and the combination
+of three residues mod (a², b², c²) into one exponent, and a canonical Bezout
+witness certifying that the three products of squared primes generate the
+whole group.  Everything is pure integer arithmetic; all functions are pure
+and safe to call concurrently.
 """
 
 from __future__ import annotations

@@ -1,19 +1,21 @@
 """Independent brute-force ground truth.
 
 The connecting set's order scan, from the subgroups of order a², b² and c²;
-the 27 gcd classes {x : gcd(x, n) = d} of Z_n as n-bit sets, keyed by the
-closed-form distance of d (`parameters.closed_form_distance`), for the
-distance sweep, which reads the one BFS per graph, from vertex 0; a
-deterministic triangle scan; and, as test references for the bounds `verify`
-decides by certificate, exact maximum-clique search (bitmask branch and bound
-with a greedy coloring bound) and exact maximum independent set on the index
-graph (clique search on the complement).
+the distance sweep, which reads the one BFS per graph, from vertex 0, and
+counts each level against its closed-form distance class, built from the
+27 gcd classes {x : gcd(x, n) = d} of Z_n grouped by the closed-form
+distance of d (`parameters.closed_form_distance`) and dropped once counted;
+a deterministic triangle scan; and, as test references for the bounds
+`verify` decides by certificate, exact maximum-clique search (bitmask branch
+and bound with a greedy coloring bound) and exact maximum independent set on
+the index graph (clique search on the complement).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Callable, Sequence
+from itertools import product
 from math import gcd
 
 from .graph import CayleyGraph
@@ -100,36 +102,6 @@ def exact_max_independent_set(t: PrimeTriple) -> list[tuple[int, int, int]]:
     return exact_max_clique(index_ids(t), lambda x, y: not index_adjacent(x, y))
 
 
-def closed_form_distance_classes(t: PrimeTriple, g: CayleyGraph) -> dict[int, int]:
-    """E_k = {d : the closed-form distance of difference d is k}, as n-bit ints.
-
-    Per prime p, `closed_form_distance` reads of d only whether p² or p
-    divides it, which d shares with gcd(d, n); so E_k is the union of the
-    gcd classes {x : gcd(x, n) = d} whose divisor lies at distance k.  Per
-    prime p, [0, n) splits by min(v_p(x), 2) into the multiples of p but
-    not of p², the non-multiples of p and the multiples of p²: six sets of
-    multiples in all, and each of the 27 classes is one product of the
-    three splits.  The splits of a are dropped one by one as their nine
-    classes are folded, p² first and p last: the order that gave the
-    lowest tracemalloc peak.
-    """
-
-    def split(p: int) -> list[tuple[int, int]]:
-        of_p, of_square = g.multiples(p), g.multiples(p * p)
-        # the mask of [0, n) is built per split, so none is alive while the classes fold
-        return [(p, of_p ^ of_square), (1, of_p ^ (1 << t.n) - 1), (p * p, of_square)]
-
-    by_a, by_b, by_c = map(split, t.primes)
-    classes: dict[int, int] = {}
-    while by_a:
-        da, sa = by_a.pop()
-        for db, sb in by_b:
-            for dc, sc in by_c:
-                k = closed_form_distance(da * db * dc % t.n, 0, t)
-                classes[k] = classes.get(k, 0) | sa & sb & sc
-    return classes
-
-
 SweepReport = namedtuple("SweepReport", "sources pairs_checked max_distance mismatches")
 
 
@@ -142,7 +114,15 @@ def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
     Every translation x ↦ x + s is an automorphism, and the closed form puts
     v at the distance of v − s from s, so each source matches exactly the
     vertices that vertex 0 matches: those in both their level k and E_k (an
-    unreached vertex never matches)."""
+    unreached vertex never matches, nor does a level that no class reaches).
+
+    Per prime p, `closed_form_distance` reads of x only whether p² or p
+    divides it, which x shares with gcd(x, n); so E_k is the union of the
+    gcd classes {x : gcd(x, n) = d} whose divisor lies at distance k.  Per
+    prime p, the multiples of p and of p² split [0, n) by min(v_p(x), 2),
+    and each of the 27 gcd classes is one product of the three splits.  The
+    products are grouped by distance; each E_k is ORed from its products,
+    counted against level k and dropped before the next one is built."""
     t = g.triple
     n = t.n
     if sources is None:
@@ -150,9 +130,22 @@ def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
     if sources < 0:
         raise ValueError(f"negative source count {sources}")
     count = 1 + min(sources, n - 1)
-    expected = closed_form_distance_classes(t, g)
+
+    def split(p: int) -> list[tuple[int, int]]:
+        of_p, of_square = g.multiples(p), g.multiples(p * p)
+        # the mask of [0, n) is built per split, so none outlives it
+        return [(p, of_p ^ of_square), (1, of_p ^ (1 << n) - 1), (p * p, of_square)]
+
+    by_distance: dict[int, list[tuple[int, int, int]]] = {}
+    for (da, sa), (db, sb), (dc, sc) in product(*map(split, t.primes)):
+        by_distance.setdefault(closed_form_distance(da * db * dc % n, 0, t), []).append((sa, sb, sc))
     levels = g.levels_from_zero
-    matched = sum((level & expected[k]).bit_count() for k, level in enumerate(levels) if k in expected)
+    matched = 0
+    for k, level in enumerate(levels):
+        expected = 0
+        for sa, sb, sc in by_distance.get(k, ()):
+            expected |= sa & sb & sc
+        matched += (level & expected).bit_count()
     return SweepReport(count, count * n, len(levels) - 1, (n - matched) * count)
 
 

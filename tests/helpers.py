@@ -16,14 +16,16 @@ levels from vertex 0, since every translation is an automorphism.
 `reference_sweep` is the distance sweep as it was before that lemma: one
 such BFS from each source of a seeded sample, each distance compared with
 `closed_form_distance`; `reference_bfs` is a list BFS over the vertices.
-`count_level_builds` counts the builds of the levels from vertex 0.
+`count_level_builds` counts the builds of the levels from vertex 0, and
+`plant_table_levels` plants the closed-form distance classes as those
+levels, so the sweep reads them without a BFS.
 
 `bitset` builds the n-bit set of a list of vertices and `periodic` that of
 the residues mod a period, for the references; the package builds neither
-as n bits, only the sets of multiples behind the gcd classes
-(`CayleyGraph.multiples`).  `divisors` lists the divisors of n, which the
-fault tables walk, from `prime_factors`, the factorisation that the
-package's `is_prime` is checked against.
+as n bits, only the sets of multiples that the distance sweep folds its
+classes from (`CayleyGraph.multiples`).  `divisors` lists the divisors of
+n, which the fault tables walk, from `prime_factors`, the factorisation
+that the package's `is_prime` is checked against.
 
 The n-bit references (`block_set`, `internal_edges`,
 `coloring_by_neighbourhood`, `adjacency_by_neighbourhood`) decide on sets of
@@ -56,6 +58,7 @@ from psqcayley import (
     WalkCertificate,
     clique_certificate,
     closed_form_distance,
+    closed_form_distance_table,
     group,
     index_adjacent,
     index_ids,
@@ -158,6 +161,16 @@ def count_level_builds(monkeypatch) -> list[CayleyGraph]:
     counted.__set_name__(CayleyGraph, "levels_from_zero")
     monkeypatch.setattr(CayleyGraph, "levels_from_zero", counted)
     return built
+
+
+def plant_table_levels(g: CayleyGraph, shift: int = 0) -> tuple[int, ...]:
+    """Plant as g's levels from vertex 0, so that no BFS runs, the classes
+    of `closed_form_distance_table`, class k at level k + shift and the
+    levels below shift empty; returns the planted levels."""
+    table = closed_form_distance_table(g.triple)
+    classes = [bitset(g, (d for d in range(g.triple.n) if table[d] == k)) for k in range(max(table) + 1)]
+    levels = g.__dict__["levels_from_zero"] = (0,) * shift + tuple(classes)
+    return levels
 
 
 def prime_factors(m: int) -> tuple[int, ...]:

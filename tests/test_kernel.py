@@ -16,7 +16,6 @@ from psqcayley import (
     build_report,
     certify,
     clique_certificate,
-    closed_form_distance_classes,
     closed_form_distance_table,
     distance_sweep,
     independence_certificate,
@@ -44,6 +43,7 @@ from helpers import (
     is_partition,
     neighbors,
     periodic,
+    plant_table_levels,
     reference_bfs,
     residue_sum_color,
     residues_of,
@@ -236,10 +236,16 @@ def test_multiples_match_set_reference_for_every_step():
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_distance_classes_match_table(t):
+    # levels planted as the table's classes match every vertex; relabelled
+    # k → k + s they match none, for every shift s = 1…6: so E_k is exactly
+    # the table's class k for every k
     g = CayleyGraph.from_triple(t)
-    table = closed_form_distance_table(t)
-    expected = {k: bitset(g, (d for d in range(t.n) if table[d] == k)) for k in set(table)}
-    assert closed_form_distance_classes(t, g) == expected
+    plant_table_levels(g)
+    assert distance_sweep(g, 2) == (3, 3 * t.n, 6, 0)
+    for shift in range(1, 7):
+        g = CayleyGraph.from_triple(t)
+        plant_table_levels(g, shift)
+        assert distance_sweep(g, 2) == (3, 3 * t.n, 6 + shift, 3 * t.n), shift
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -262,18 +268,22 @@ def test_levels_from_vertex_zero_are_built_once(t, monkeypatch):
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 @pytest.mark.parametrize("shift", [1, 99])
-def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift, monkeypatch):
+def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift):
+    # the table's classes planted as levels with one entry wrong, one vertex
+    # moved from level k to level k + shift: one mismatch per source, also
+    # when no class reaches the new level
     g = CayleyGraph.from_triple(t)
-    classes = closed_form_distance_classes(t, g)
+    levels = list(plant_table_levels(g))
     bit = 1 << (t.n // 2 + 1)
-    k = next(k for k, e in classes.items() if e & bit)
-    classes[k] ^= bit
-    classes[k + shift] = classes.get(k + shift, 0) | bit
-    monkeypatch.setattr(oracles, "closed_form_distance_classes", lambda _t, _g: classes)
+    k = next(k for k, level in enumerate(levels) if level & bit)
+    levels += [0] * max(0, k + shift + 1 - len(levels))
+    levels[k] ^= bit
+    levels[k + shift] |= bit
+    g.__dict__["levels_from_zero"] = tuple(levels)
     report = distance_sweep(g, 4)
     assert report.sources == 5
     assert report.mismatches == 5
-    assert report.max_distance == 6
+    assert report.max_distance == max(6, k + shift)
 
 
 def test_sweep_counts_unreached_vertices():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from math import gcd
 
 import networkx as nx
@@ -18,7 +19,6 @@ from psqcayley import (
 )
 from psqcayley import cli, graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.oracles import closed_form_distance_classes
 from psqcayley.structure import index_adjacent, index_ids
 
 from helpers import (
@@ -29,6 +29,7 @@ from helpers import (
     neighbors,
     order_scan_connectors,
     periodic,
+    plant_table_levels,
     reference_sweep,
     rotate,
     triples_with_group_order_at_most,
@@ -43,15 +44,33 @@ G235 = CayleyGraph.from_triple(T235)
 def test_distance_classes_build_each_set_of_multiples_once(primes, monkeypatch):
     # the distance classes are folded from the 27 gcd classes, the products
     # of the three splits per prime by min(v_p(x), 2): six sets of multiples,
-    # of each p and each p², and no other n-bit set is built from scratch
+    # of each p and each p², and no other n-bit set is built from scratch;
+    # with the levels planted, the sweep takes no neighbourhood
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
+    plant_table_levels(g)
     built = []
     multiples = CayleyGraph.multiples
     monkeypatch.setattr(CayleyGraph, "multiples", lambda g, d: built.append(d) or multiples(g, d))
     monkeypatch.setattr(CayleyGraph, "neighborhood", None)
-    assert is_partition(g, closed_form_distance_classes(t, g).values())
+    assert distance_sweep(g, 0).mismatches == 0
     assert sorted(built) == sorted(p**e for p in t.primes for e in (1, 2))
+
+
+def test_sweep_peaks_below_fourteen_n_bit_sets():
+    # with the levels cached, the sweep holds the nine splits and builds one
+    # class at a time: at (7,11,13), n = 1,002,001, its traced peak stays
+    # at or below 14 sets of n bits
+    g = CayleyGraph.from_triple(make_prime_triple(7, 11, 13))
+    g.levels_from_zero
+    tracemalloc.start()
+    try:
+        report = distance_sweep(g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mismatches == 0
+    assert peak <= 14 * g.triple.n / 8, peak / (g.triple.n / 8)
 
 
 def test_order_scan_builds_no_n_bit_set(monkeypatch):

@@ -4,10 +4,14 @@ does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
 module reads the environment, every file is written as bytes and opened for
 writing only by `graph.write_chunks`, no module imports `random`, `typing`,
-`pathlib` or `json`, and none defines a `rotate`.  The checks read the
-sources with `ast`."""
+`pathlib` or `json`, none defines a `rotate`, only `graph` and
+`oracles.distance_sweep` build sets of multiples, and every backticked
+`module.name` or `Class.name` in README.md and the package's docstrings
+names an attribute of that module or class.  The checks read the sources
+with `ast`."""
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -330,3 +334,46 @@ def test_the_engine_samples_nothing_and_rotates_no_set():
         assert "rotate" not in defined, f"{name} defines rotate"
     for fn in (psqcayley.distance_sweep, psqcayley.run_verification):
         assert "seed" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_only_the_distance_sweep_builds_sets_of_multiples():
+    # outside the kernel that defines it, `multiples` has one caller: the
+    # sweep folds its distance classes from the six sets of multiples
+    users = []
+    for name, tree in _trees().items():
+        for node in tree.body:
+            where = f"{name}:{getattr(node, 'name', node.lineno)}"
+            if name != "graph.py" and where != "oracles.py:distance_sweep" and "multiples" in _code_references(node):
+                users.append(where)
+    assert not users, f"sets of multiples built in {users}"
+    [sweep] = [f for f in _trees()["oracles.py"].body if getattr(f, "name", None) == "distance_sweep"]
+    assert "multiples" in _code_references(sweep)
+
+
+# `owner.name` in backticks; a file name such as `cli.py` is not a reference
+DOTTED = re.compile(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)")
+
+
+def test_every_dotted_reference_in_the_docs_resolves():
+    # a renamed or deleted module attribute or method cannot stay named in
+    # README.md or a docstring; names of other packages (`os.open`) are skipped
+    texts = {"README.md": (PACKAGE.parents[1] / "README.md").read_text()}
+    for name, tree in _trees().items():
+        nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+        texts[name] = "\n".join(ast.get_docstring(n, clean=False) or "" for n in nodes)
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    classes = {name for name in dir(psqcayley) if isinstance(getattr(psqcayley, name), type)}
+    checked, broken = 0, []
+    for where, text in texts.items():
+        for owner, attr in DOTTED.findall(text):
+            if owner in modules and attr != "py":
+                target = importlib.import_module(f"psqcayley.{owner}")
+            elif owner in classes:
+                target = getattr(psqcayley, owner)
+            else:
+                continue
+            checked += 1
+            if not hasattr(target, attr):
+                broken.append(f"{where}: {owner}.{attr}")
+    assert checked > 20
+    assert not broken, f"dotted references that name nothing: {broken}"
