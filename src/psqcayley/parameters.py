@@ -5,9 +5,9 @@ Each parameter comes as an explicit certificate (a clique, a coloring, an
 independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
 
-Colour class 0 and the independence certificate are unions of residue
-blocks, held as their residues mod abc (`structure`).  One count gives the
-edges inside either (`_residue_edges`), and one tiling by the clique K
+Colour class 0 is the independence certificate, a union of residue blocks
+held as its residues mod abc (`structure`).  One count gives the edges
+inside it (`_residue_edges`), and one tiling by the clique K
 (`clique_tiles`) partitions V for both the colouring and α ≤ n/c.
 """
 
@@ -95,28 +95,26 @@ def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> int:
 ColoringResult = namedtuple("ColoringResult", "proper chromatic edges_checked")
 
 
-def verify_coloring(t: PrimeTriple, g: CayleyGraph) -> ColoringResult:
-    """The residue-sum colouring of g, the graph of t, which gives v the
-    colour (v mod a + v mod b + v mod c) mod gamma, is proper with at most
-    gamma classes.
+def verify_coloring(
+    t: PrimeTriple, g: CayleyGraph, cert: IndependenceCertificate, scan: IndependenceScan
+) -> ColoringResult:
+    """The colouring v ↦ (v mod c − v mod a − v mod b) mod c of g, the graph
+    of t (c = gamma), is proper with at most c classes.
 
-    Class 0 is the union of the a·b blocks (i, j, −(i + j) mod gamma), one
-    per (i, j).  The classes are its rotations by the clique certificate K:
-    the translation by k·a²b² fixes v mod a and v mod b and adds k·a²b² to
-    the colour, and a²b² is a unit mod gamma.
-    Translations are automorphisms, so the colouring is proper iff class 0
-    has no edge inside and its rotations by K partition V.  A tiling K
-    (`clique_tiles`) is the order-c subgroup ab·Z_P mod P = abc, so they do
-    iff class 0's residues are a·b distinct mod ab.  Every edge lies inside
-    a class or between two, so this covers all n·|S|/2 edges, S = ±C ∖ {0}.
+    Class 0, {v : v mod c ≡ v mod a + v mod b}, is the independence
+    certificate `cert`, and `scan` counts its internal edges on g.  The
+    classes are its rotations by the clique certificate K: the translation
+    by k·a²b² fixes v mod a and v mod b and adds k·a²b² to the colour, and
+    a²b² is a unit mod c.  Translations are automorphisms, so the colouring
+    is proper iff class 0 has no edge inside and its rotations by K
+    partition V.  A tiling K (`clique_tiles`) is the order-c subgroup
+    ab·Z_P mod P = abc, so they do iff class 0's residues are a·b distinct
+    mod ab.  Every edge lies inside a class or between two, so this covers
+    all n·|S|/2 edges, S = ±C ∖ {0}.
     """
-    ab, clique = t.alpha * t.beta, clique_certificate(t)
-    zero = block_residues(t, [(i, j, -(i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)])
-    proper = (
-        clique_tiles(t, clique)
-        and len(zero) == len({r % ab for r in zero}) == ab
-        and _residue_edges(g, zero) == 0
-    )
+    ab, zero = t.alpha * t.beta, cert.residues
+    transversal = len(zero) == len({r % ab for r in zero}) == ab
+    proper = clique_tiles(t, clique_certificate(t)) and transversal and scan.internal_edges == 0
     return ColoringResult(proper, t.gamma, t.n * sum(k for _, k in g.step_residues) // 2)
 
 

@@ -2,10 +2,10 @@
 report and the full verification run.
 
 `certify` builds every in-schema certificate and verdict exactly once, on one
-graph: regularity and connectivity, the proper coloring, the independence
-certificate and its internal-edge scan, the index-graph bounds, the
-diameter, the walk certificate and its check, and the fiber and block
-checks, decided by translation on one representative.
+graph: regularity and connectivity, the independence certificate and its
+internal-edge scan, the proper coloring whose class 0 it is, the index-graph
+bounds, the diameter, the walk certificate and its check, and the fiber and
+block checks, decided by translation on one representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order scan, the triangle scan, the clique cover
@@ -69,11 +69,12 @@ def certify(t: PrimeTriple) -> Certificates:
     conn = g.is_connected()
     eulerian = regular and g.degree % 2 == 0 and conn.connected
     lap("connectivity")
-    coloring = parameters.verify_coloring(t, g)
-    lap("coloring")
     independence = parameters.independence_certificate(t)
     scan = parameters.independence_internal_edges(independence, g)
     lap("independence")
+    # colour class 0 is the certificate: its scan decides the colouring too
+    coloring = parameters.verify_coloring(t, g, independence, scan)
+    lap("coloring")
     index_bounds = parameters.verify_index_bounds(t)
     lap("indexBounds")
     diam = parameters.diameter(t, g)

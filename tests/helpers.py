@@ -4,7 +4,7 @@ the test suite.
 Everything here is deliberately independent of the library's closed-form
 constructors: orders by repeated addition, connector sets by order scan,
 triple enumeration by direct search.  The per-vertex references
-(`crt_components`, `residue_sum_color`, `block_of`, `neighbors`) state one
+(`crt_components`, `certificate_color`, `block_of`, `neighbors`) state one
 vertex at a time what the library builds as whole vertex sets, and
 `snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
 the product lemma's levels, and `is_cycle` replays a vertex sequence edge by
@@ -42,6 +42,10 @@ reference for the library's one count per residue set;
 mod abc, the reference for the colouring's tiling lemma; and
 `coset_plan_by_scan` finds the coset families member by member, the
 reference for `CayleyGraph.coset_plan`'s count per coset.
+
+`certified_coloring` runs `verify_coloring` on colour class 0, the
+independence certificate, and its scan, as `certify` does, so a residue set
+planted in `parameters.block_residues` reaches the colouring verdict.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ from itertools import chain, islice
 
 from psqcayley import (
     CayleyGraph,
+    IndependenceCertificate,
     PrimeTriple,
     SweepReport,
     WalkCertificate,
@@ -64,6 +69,7 @@ from psqcayley import (
     index_ids,
     is_prime,
     make_prime_triple,
+    parameters,
 )
 from psqcayley.graph import set_bits
 from psqcayley.group import crt_basis
@@ -84,11 +90,23 @@ def crt_components(k: int, t: PrimeTriple) -> tuple[int, int, int]:
     return (k % t.m_alpha, k % t.m_beta, k % t.m_gamma)
 
 
-def residue_sum_color(v: int, t: PrimeTriple) -> int:
-    """The proper gamma-colouring that `verify_coloring` checks: the residues
-    mod a, b and c, included into Z_gamma by the identity, summed modulo
-    gamma.  It reads v only modulo abc."""
-    return (v % t.alpha + v % t.beta + v % t.gamma) % t.gamma
+def certificate_color(v: int, t: PrimeTriple) -> int:
+    """The proper gamma-colouring that `verify_coloring` checks: the residue
+    mod c minus those mod a and b, included into Z_gamma by the identity,
+    modulo gamma.  Class 0 is the independence certificate, the blocks
+    (i, j, (i + j) mod c).  It reads v only modulo abc."""
+    return (v % t.gamma - v % t.alpha - v % t.beta) % t.gamma
+
+
+def certified_coloring(t: PrimeTriple, g: CayleyGraph):
+    """`verify_coloring` on g with colour class 0 and its internal-edge scan,
+    as `certify` passes them: the independence certificate, its residues
+    read through `parameters.block_residues` at call time, so a planted
+    residue set is class 0.  The certificate is built here, not by
+    `independence_certificate`, whose size assertion a planted set may fail."""
+    ids = parameters.independence_index_set(t)
+    cert = IndependenceCertificate(ids, tuple(parameters.block_residues(t, ids)), t.alpha * t.beta * t.gamma)
+    return parameters.verify_coloring(t, g, cert, parameters.independence_internal_edges(cert, g))
 
 
 def block_of(v: int, t: PrimeTriple) -> tuple[int, int, int]:

@@ -31,12 +31,11 @@ from psqcayley import (
     snake_walk,
     verify_block_adjacency,
     verify_block_partition,
-    verify_coloring,
     verify_fiber_structure,
     verify_walk,
 )
 
-from helpers import crt_components, neighbors, residue_sum_color
+from helpers import certificate_color, certified_coloring, crt_components, neighbors
 
 T235 = make_prime_triple(2, 3, 5)
 T237 = make_prime_triple(2, 3, 7)
@@ -113,7 +112,7 @@ def test_criterion_04_exact_clique_on_closed_neighborhood():
 
 def test_criterion_05_chromatic():
     start = time.perf_counter()
-    result = verify_coloring(T235, G235)
+    result = certified_coloring(T235, G235)
     ok = result.proper and result.edges_checked == 12600 and result.chromatic == 5
     elapsed = time.perf_counter() - start
     _report(5, ok, 1.0, elapsed, f"coloring proper over all {result.edges_checked} edges; chi=5 with criterion 4")
@@ -226,7 +225,7 @@ def test_criterion_10_byte_identical_reports(tmp_path):
 
 
 def test_color_class_balance_supports_criterion_05():
-    counts = Counter(residue_sum_color(v, T235) for v in range(900))
+    counts = Counter(certificate_color(v, T235) for v in range(900))
     assert counts == {c: 180 for c in range(5)}
 
 

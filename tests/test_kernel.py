@@ -34,6 +34,8 @@ from helpers import (
     bitset,
     block_of,
     block_set,
+    certificate_color,
+    certified_coloring,
     coloring_by_neighbourhood,
     coset_plan_by_scan,
     count_level_builds,
@@ -45,7 +47,6 @@ from helpers import (
     periodic,
     plant_table_levels,
     reference_bfs,
-    residue_sum_color,
     residues_of,
     rotate,
     rotations_by_sort,
@@ -304,7 +305,8 @@ def test_sweep_counts_unreached_vertices():
 
 def _edit_class_zero(monkeypatch, edit) -> None:
     """From now on the residue sets that `parameters` builds pass through
-    edit(residues); in verify_coloring that set is colour class 0."""
+    edit(residues); that set is the independence certificate, which is
+    colour class 0 of `verify_coloring`."""
     residues = parameters.block_residues
     monkeypatch.setattr(parameters, "block_residues", lambda t, ids: edit(residues(t, ids)))
 
@@ -318,9 +320,9 @@ def test_bad_coloring_is_improper(t, monkeypatch):
     # the residue of a connector, adjacent to vertex 0, recoloured like it
     g = CayleyGraph.from_triple(t)
     clash = g.members[0] % _period(t)
-    assert residue_sum_color(0, t) == 0 != residue_sum_color(clash, t)
+    assert certificate_color(0, t) == 0 != certificate_color(clash, t)
     _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, clash}))
-    result = verify_coloring(t, g)
+    result = certified_coloring(t, g)
     assert result.proper is False
     assert result.edges_checked == t.n * g.degree // 2
 
@@ -328,14 +330,15 @@ def test_bad_coloring_is_improper(t, monkeypatch):
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_colour_clash_in_last_period_is_improper(t, monkeypatch):
     # the colouring repeats with period abc, and the check reads one period
-    # of residues, in which the last vertex n − 1 is the last residue abc − 1;
-    # it has a neighbour in class 0, so recolouring it like class 0 clashes
-    v = t.n - 1
+    # of residues, to its end: the last vertex outside class 0 is n − 1, the
+    # last residue abc − 1, or at (3,5,7), where n − 1 lies in class 0,
+    # n − 2; it has a neighbour in class 0, so recolouring it like class 0 clashes
+    v = next(v for v in range(t.n - 1, 0, -1) if certificate_color(v, t) != 0)
     g = CayleyGraph.from_triple(t)
-    assert v % _period(t) == _period(t) - 1 and residue_sum_color(v, t) != 0
-    assert any(residue_sum_color(w, t) == 0 for w in neighbors(g, v))
+    assert v == t.n - (2 if t.primes == (3, 5, 7) else 1)
+    assert any(certificate_color(w, t) == 0 for w in neighbors(g, v))
     _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, v % _period(t)}))
-    assert verify_coloring(t, g).proper is False
+    assert certified_coloring(t, g).proper is False
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -345,8 +348,8 @@ def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, 
     # partition test catches it; a residue in class 0 and its own, or one
     # rotation of class 0 more than the c of the clique certificate, break
     # the partition as well
-    in_zero = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) == 0) % _period(t)
-    outside = next(v for v in range(t.n // 2, t.n) if residue_sum_color(v, t) != 0) % _period(t)
+    in_zero = next(v for v in range(t.n // 2, t.n) if certificate_color(v, t) == 0) % _period(t)
+    outside = next(v for v in range(t.n // 2, t.n) if certificate_color(v, t) != 0) % _period(t)
     m_ab = t.m_alpha * t.m_beta
     if fault == "no class":
         _edit_class_zero(monkeypatch, lambda zero: [r for r in zero if r != in_zero])
@@ -354,28 +357,29 @@ def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, 
         _edit_class_zero(monkeypatch, lambda zero: sorted({*zero, outside}))
     else:
         monkeypatch.setattr(parameters, "clique_certificate", lambda t: clique_certificate(t) + (t.gamma * m_ab,))
-    assert verify_coloring(t, CayleyGraph.from_triple(t)).proper is False
+    assert certified_coloring(t, CayleyGraph.from_triple(t)).proper is False
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
-def test_class_zero_rotations_are_the_residue_sum_classes(t, monkeypatch):
+def test_class_zero_rotations_are_the_certificate_classes(t, monkeypatch):
     g = CayleyGraph.from_triple(t)
     colours = {}
     for v in range(t.n):
-        colours.setdefault(residue_sum_color(v, t), []).append(v)
+        colours.setdefault(certificate_color(v, t), []).append(v)
     built = []
     _edit_class_zero(monkeypatch, lambda zero: built.append(zero) or zero)
-    assert verify_coloring(t, g).proper
+    assert certified_coloring(t, g).proper
     [zero] = built
-    rotations = {residue_sum_color(k, t): rotate(g, block_set(g, zero), k) for k in clique_certificate(t)}
+    rotations = {certificate_color(k, t): rotate(g, block_set(g, zero), k) for k in clique_certificate(t)}
     assert rotations == {colour: bitset(g, vs) for colour, vs in colours.items()}
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_residue_blocks_and_independence_members_match_block_of(t):
-    # every single block, the independence index set and colour class 0,
-    # each against the union of its blocks by the per-vertex projection; the
-    # certificate's members are listed as the independent-set export lists them
+    # every single block and the independence index set, which is colour
+    # class 0, each against the union of its blocks by the per-vertex
+    # projection; the certificate's members are listed as the independent-set
+    # export lists them
     g = CayleyGraph.from_triple(t)
     members = {}
     for v in range(t.n):
@@ -390,17 +394,15 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
     listed = [base + r for base in range(0, t.n, cert.period) for r in cert.residues]
     assert listed == list(set_bits(union(cert.index_set)))
     assert cert.size == len(listed) and cert.period == _period(t)
-    zero = [x for x in members if sum(x) % t.gamma == 0]
-    colour_zero = bitset(g, (v for v in range(t.n) if residue_sum_color(v, t) == 0))
-    assert block_set(g, structure.block_residues(t, zero)) == union(zero) == colour_zero
+    assert union(cert.index_set) == bitset(g, (v for v in range(t.n) if certificate_color(v, t) == 0))
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypatch):
-    # class 0 stands for every class and is decided on its residues, and the
-    # certificate is one period of residues: no neighbourhood at all and no
-    # per-block construction; each residue set maps its ids through one CRT
-    # basis (structure.block_residues)
+    # class 0 stands for every class and is the certificate, one period of
+    # residues: no neighbourhood at all and no per-block construction; its
+    # ids map through one CRT basis (structure.block_residues), and the
+    # colouring reads the certificate and its scan without building another
     calls = {"neighborhood": 0, "crt_basis": 0}
 
     def counted(owner, name):
@@ -410,11 +412,10 @@ def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypat
     counted(CayleyGraph, "neighborhood")
     counted(structure, "crt_basis")
     g = CayleyGraph.from_triple(t)
-    assert verify_coloring(t, g).proper
-    assert calls == {"neighborhood": 0, "crt_basis": 1}
     cert = independence_certificate(t)
-    assert parameters.independence_internal_edges(cert, g).internal_edges == 0
-    assert calls == {"neighborhood": 0, "crt_basis": 2}
+    scan = independence_internal_edges(cert, g)
+    assert scan.internal_edges == 0 and verify_coloring(t, g, cert, scan).proper
+    assert calls == {"neighborhood": 0, "crt_basis": 1}
 
 
 @pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
@@ -456,7 +457,9 @@ def _one_sided_plants(t) -> list[tuple[int, ...]]:
 
 
 def _class_zero(t) -> list[int]:
-    return residues_of(t, [x for x in structure.index_ids(t) if sum(x) % t.gamma == 0])
+    """Colour class 0, the independence certificate's ids, as residues found
+    by scanning all abc of them."""
+    return residues_of(t, parameters.independence_index_set(t))
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -469,7 +472,7 @@ def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
     seen = set()
     for members in _symmetric_edits(t) + _one_sided_plants(t):
         g = CayleyGraph(t, members)
-        proper = verify_coloring(t, g).proper
+        proper = certified_coloring(t, g).proper
         assert proper == coloring_by_neighbourhood(t, g, block_set(g, zero))
         count = independence_internal_edges(cert, g).internal_edges
         assert count == internal_edges(g, block_set(g, residues_of(t, cert.index_set)))
@@ -484,12 +487,15 @@ def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
 def test_coloring_equals_its_n_bit_reference_with_a_residue_moved_into_class_zero(t, monkeypatch):
     g = CayleyGraph.from_triple(t)
     zero = _class_zero(t)
-    outside = [r for r in (1, _period(t) - 1, g.members[0] % _period(t)) if r not in zero]
-    assert len(outside) == 3
+    # the first and last residues outside class 0 (abc − 1 lies in it at
+    # (3,5,7)) and a connector's
+    last = max(r for r in range(_period(t)) if r not in zero)
+    outside = [r for r in (1, last, g.members[0] % _period(t)) if r not in zero]
+    assert len(set(outside)) == 3
     for r in outside:
         moved = sorted({*zero, r})
         monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids: moved)
-        assert verify_coloring(t, g).proper is False
+        assert certified_coloring(t, g).proper is False
         assert coloring_by_neighbourhood(t, g, block_set(g, moved)) is False
 
 
@@ -551,7 +557,7 @@ def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations(t, monkeypatch):
         for planted in cliques.values():
             monkeypatch.setattr(parameters, "clique_certificate", lambda _t, _k=planted: _k)
             tiling = rotations_by_sort(t, z, planted)
-            assert verify_coloring(t, g).proper == (tiling and not g.neighborhood(zero_set) & zero_set)
+            assert certified_coloring(t, g).proper == (tiling and not g.neighborhood(zero_set) & zero_set)
             verdicts.add(tiling)
     assert verdicts == {True, False}
 
@@ -565,7 +571,7 @@ def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations_on_the_ladder(mo
         moved = [(zero[0] + 1) % _period(t), *zero[1:]]
         for z, expected in ((zero, True), (moved, False)):
             monkeypatch.setattr(parameters, "block_residues", lambda _t, _ids, _z=z: _z)
-            assert verify_coloring(t, g).proper == rotations_by_sort(t, z, clique_certificate(t)) == expected
+            assert certified_coloring(t, g).proper == rotations_by_sort(t, z, clique_certificate(t)) == expected
 
 
 @pytest.mark.parametrize(
@@ -599,7 +605,7 @@ def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypa
     for name in ("neighborhood", "multiples"):
         fn = getattr(CayleyGraph, name)
         monkeypatch.setattr(CayleyGraph, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
-    assert verify_coloring(t, g).proper
+    assert certified_coloring(t, g).proper
     assert independence_internal_edges(independence_certificate(t), g).internal_edges == 0
     assert verify_block_partition(g) and verify_block_adjacency(g)
     assert not calls
@@ -621,6 +627,20 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
     c = certify(make_prime_triple(2, 3, 167))
     assert c.walk_verified and all(c.fiber.values()) and c.connectivity.connected
     assert callers == {"neighborhood from levels_from_zero": c.diameter.bfs_eccentricity}
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_certify_builds_one_residue_set_and_counts_its_edges_once(t, monkeypatch):
+    # colour class 0 is the independence certificate: certify maps block ids
+    # to residues once and counts the edges inside them once, for both the
+    # colouring and the independence verdicts
+    calls = Counter()
+    for owner, name in ((structure, "block_residues"), (parameters, "block_residues"), (parameters, "_residue_edges")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _fn=fn, _name=name: calls.update([_name]) or _fn(*args))
+    c = certify(t)
+    assert c.coloring.proper and c.independence_scan.internal_edges == 0
+    assert calls == {"block_residues": 1, "_residue_edges": 1}
 
 
 def test_is_partition():

@@ -19,12 +19,11 @@ from psqcayley import (
     independence_index_set,
     independence_internal_edges,
     make_prime_triple,
-    verify_coloring,
     verify_index_bounds,
 )
 from psqcayley import parameters, structure
 
-from helpers import UNVALIDATED, crt_components, residue_sum_color, triples_with_group_order_at_most
+from helpers import UNVALIDATED, certificate_color, certified_coloring, crt_components, triples_with_group_order_at_most
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -52,30 +51,30 @@ def test_clique_certificate_next_instance():
 
 
 def test_color_examples():
-    assert residue_sum_color(0, T235) == 0
-    assert residue_sum_color(36, T235) == 1
+    assert certificate_color(0, T235) == 0
+    assert certificate_color(36, T235) == 1
 
 
 def test_adjacent_pair_gets_distinct_colors():
-    assert residue_sum_color(0, T235) != residue_sum_color(36, T235)
+    assert certificate_color(0, T235) != certificate_color(36, T235)
 
 
 def test_coloring_proper_exhaustive():
-    result = verify_coloring(T235, G235)
+    result = certified_coloring(T235, G235)
     assert result.proper
     assert result.edges_checked == 12600
     assert result.chromatic == 5
 
 
 def test_color_classes_balanced():
-    counts = Counter(residue_sum_color(v, T235) for v in range(900))
+    counts = Counter(certificate_color(v, T235) for v in range(900))
     assert counts == {c: 180 for c in range(5)}
 
 
 def test_coloring_exhaustive_above_materialize_cap():
     t = make_prime_triple(3, 5, 11)
     assert t.n > DEFAULT_MATERIALIZE_CAP
-    result = verify_coloring(t, CayleyGraph.from_triple(t))
+    result = certified_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper
     assert result.edges_checked == t.n * 136 // 2
     assert result.chromatic == 11

@@ -13,6 +13,7 @@ from psqcayley import (
     WalkCertificate,
     build_report,
     certify,
+    clique_certificate,
     distance_sweep,
     independence_certificate,
     is_prime,
@@ -25,7 +26,7 @@ from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
 
-from helpers import BIG_PRIME, count_level_builds, prime_factors, record_primality_tests
+from helpers import BIG_PRIME, certificate_color, count_level_builds, prime_factors, record_primality_tests
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -180,7 +181,7 @@ def test_regularity_fails_distinct_members_out_of_order(monkeypatch):
 
 def _count_builds(monkeypatch) -> dict[str, int]:
     """Count the calls of CayleyGraph.from_triple from now on.  The per-vertex
-    labels (block_of, residue_sum_color) live only in tests/helpers.py, so the
+    labels (block_of, certificate_color) live only in tests/helpers.py, so the
     package cannot evaluate them; building one graph is what is left to count."""
     calls = {"from_triple": 0}
     build = CayleyGraph.from_triple.__func__
@@ -787,6 +788,19 @@ def test_cli_export_independent_set_lists_the_certificate_members(primes, tmp_pa
     argv = ["export", "--primes", ",".join(map(str, primes)), "--format", "independent-set", "--out", str(out)]
     assert cli.main(argv) == 0
     assert out.read_bytes() == ("\n".join(map(str, members)) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize("primes", ["2,3,5", "2,3,7"])
+def test_cli_export_independent_set_is_colour_class_zero(primes, tmp_path):
+    # the exported set, read back: its c translates by the clique
+    # certificate partition [0, n), and it holds every vertex of colour 0
+    # under the per-vertex colouring and no other
+    t = make_prime_triple(*map(int, primes.split(",")))
+    out = tmp_path / "indep.txt"
+    assert cli.main(["export", "--primes", primes, "--format", "independent-set", "--out", str(out)]) == 0
+    members = [int(x) for x in out.read_text().split()]
+    assert sorted((v + k) % t.n for k in clique_certificate(t) for v in members) == list(range(t.n))
+    assert members == [v for v in range(t.n) if certificate_color(v, t) == 0]
 
 
 def test_cli_export_independent_set_streams(tmp_path):

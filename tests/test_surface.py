@@ -3,7 +3,9 @@ function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
 module reads the environment, every file is written as bytes and opened for
-writing only by `graph.write_chunks`, no module imports `random`, `typing`,
+writing only by `graph.write_chunks`, `block_residues` and
+`_residue_edges` have one caller each (colour class 0 is the independence
+certificate), no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
 `oracles.distance_sweep` build sets of multiples, and every backticked
 `module.name` or `Class.name` in README.md and the package's docstrings
@@ -224,26 +226,40 @@ def _opens_for_writing(call: ast.Call) -> bool:
     return not isinstance(text, str) or bool(set(text) & set("wax+"))
 
 
-def _writers(tree: ast.Module, name: str) -> set[str]:
-    """module:function for each call that opens a file for writing, named by
-    its innermost enclosing function (module:<module> at top level)."""
+def _call_sites(matches) -> set[str]:
+    """module:function for each call in the package for which matches(call)
+    holds, named by its innermost enclosing function (module:<module> at
+    top level)."""
     found = set()
 
-    def visit(node: ast.AST, where: str) -> None:
+    def visit(node: ast.AST, where: str, name: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = f"{name}:{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            if isinstance(child, ast.Call) and _opens_for_writing(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.add(where)
-            visit(child, inner)
+            visit(child, inner, name)
 
-    visit(tree, f"{name}:<module>")
+    for name, tree in _trees().items():
+        visit(tree, f"{name}:<module>", name)
     return found
 
 
 def test_write_chunks_is_the_one_function_that_opens_a_file_for_writing():
     # every output leaves through graph.write_chunks; no second write path
-    writers = set().union(*(_writers(tree, name) for name, tree in _trees().items()))
-    assert writers == {"graph.py:write_chunks"}
+    assert _call_sites(_opens_for_writing) == {"graph.py:write_chunks"}
+
+
+def test_the_certificate_is_the_one_residue_set_and_its_count_the_one_edge_count():
+    # colour class 0 is the independence certificate, so one function maps
+    # block ids to residues and one counts the edges inside them; a second
+    # residue set or a second count would be a second caller
+    callers = {
+        "block_residues": {"parameters.py:independence_certificate"},
+        "_residue_edges": {"parameters.py:independence_internal_edges"},
+    }
+    for called, expected in callers.items():
+        sites = _call_sites(lambda call: (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == called)
+        assert sites == expected, f"{called} is called from {sorted(sites)}"
 
 
 def test_every_cli_option_is_read():
