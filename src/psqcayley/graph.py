@@ -22,12 +22,13 @@ oracle layer: the levels, and the sets of multiples that the distance sweep
 folds its distance classes from, one class at a time.  Certificate claims
 are decided on quotients.  In a circulant graph the neighbourhood of a set
 S is N(S) = ⋃_{c∈C} (S + c), the OR of rot(S, c) over the connectors c.
-The connectors are taken coset by coset (`coset_plan`, found from the
-member list and the primes dividing n): S is closed under the subgroup ⟨h⟩
-of order o, as S + {j·h : j < o} by about
-log₂ o doubling shifts (`_closure`), and the closure rotated by each coset
-representative, so BFS advances a whole frontier with a few shifts per coset
-family rather than one rotation per connector.  BFS stops once its levels
+C is the elements of order a², b² or c², and each order-p² class is the
+generators {k·g : p ∤ k < p²} of the subgroup of order p², g = n/p², the
+sumset g·{1, …, p − 1} + p·g·{0, …, p − 1}.  So S plus a whole class is two
+doubling closures (`_closure`) of about log₂ p shifts each, and BFS advances
+a whole frontier with a few shifts per axis rather than one rotation per
+connector.  `axis_plan` finds the classes that lie whole among the members
+mod n; any other member is shifted in alone.  BFS stops once its levels
 hold all n vertices, so a connected graph's BFS takes one neighbourhood per
 level but the last.  There is one BFS per graph, from vertex 0, built once
 and shared as a tuple: every translation x ↦ x + s is an automorphism, so
@@ -117,52 +118,41 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
 
     def neighborhood(self, s: int) -> int:
         """Every vertex adjacent to some vertex of S: the OR of rot(S, c) over
-        the connectors c, taken coset family by coset family (`coset_plan`).
+        the connectors c, taken axis by axis (`axis_plan`).
 
-        For a family (h, o, reps), U = S + {j·h : j < o} (`_closure`) is
-        folded once into T = S + ⟨h⟩; T is then rotated by each
-        representative.  For the family of order 1, U and T are S itself,
-        rotated by each of its connectors.
+        With g = n/p², the order-p² class is {(i + j·p)·g : 0 < i < p, j < p},
+        so S plus the class is two closures (`_closure`): S + {i·g : 0 < i < p},
+        then that + {j·p·g : j < p}.  Each single r adds S shifted by r.
+        Every shift is below n, so the OR stays below 2n bits and one fold
+        reduces it mod n.
         """
         n = self.triple.n
-        full = (1 << n) - 1
+        axes, singles = self.axis_plan
         acc = 0
-        for h, order, reps in self.coset_plan:
-            u = _closure(s, h, order)
-            u = (u & full) | (u >> n)  # u stays below 2n bits, so one fold wraps it
-            u |= u << n  # bits [n − r, 2n − r) hold rot(T, r)
-            for r in reps:
-                acc |= u >> (n - r)
-            del u  # so no 2n-bit int outlives its family into the next closure
-        return acc & full
+        for p in axes:
+            g = n // (p * p)
+            acc |= _closure(_closure(s << g, g, p - 1), p * g, p)
+        for r in singles:
+            acc |= s << r
+        return (acc & ((1 << n) - 1)) | (acc >> n)
 
     @cached_property
-    def coset_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """The connectors as coset families (h, order, reps), built once per
-        graph on first use.  A family is the cosets r + ⟨h⟩, r in reps, of
-        the subgroup of order `order`: the multiples of h = n/order.  With
-        order 1 (h = n) each coset is the single connector r.
-
-        Built from the member list and the primes dividing n alone.  For each
-        prime o | n, largest first, with h = n/o, the uncovered members mod n
-        are counted per coset r + ⟨h⟩ (r < h) by x mod h; a coset of o is
-        full, and its least element r is its representative.  The members
-        left over form the family of order 1.  So the families cover exactly
-        the members mod n, for any member list; a coset of composite order is
-        a union of cosets of prime order, so no other order is tried.
+    def axis_plan(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(axes, singles), built once per graph on first use.  The axes are
+        the primes p, ascending, whose whole order-p² class, the p² − p
+        generators k·n/p² (p ∤ k < p²) of the subgroup of order p², lies among
+        the members mod n; the singles are the other members mod n, ascending.
+        So the plan covers exactly the members mod n, for any member list.
         """
         n = self.triple.n
         pool = {x % n for x in self.members}
-        families = []
-        for o in reversed(self.triple.primes):
-            h = n // o
-            reps = sorted(r for r, k in Counter(x % h for x in pool).items() if k == o)
-            if reps:
-                pool.difference_update(r + j * h for r in reps for j in range(o))
-                families.append((h, o, tuple(reps)))
-        if pool:
-            families.insert(0, (n, 1, tuple(sorted(pool))))
-        return tuple(families)
+        axes = []
+        for p in self.triple.primes:
+            g = n // (p * p)
+            if all(k * g in pool for k in range(1, p * p) if k % p):
+                pool.difference_update(k * g for k in range(1, p * p) if k % p)
+                axes.append(p)
+        return tuple(axes), tuple(sorted(pool))
 
     @cached_property
     def step_residues(self) -> tuple[tuple[int, int], ...]:

@@ -40,8 +40,8 @@ partitions by translates (the walk's rows, the clique cover behind
 reference for the library's one count per residue set;
 `rotations_by_sort` lists the rotations of colour class 0 by the clique
 mod abc, the reference for the colouring's tiling lemma; and
-`coset_plan_by_scan` finds the coset families member by member, the
-reference for `CayleyGraph.coset_plan`'s count per coset.
+`axis_plan_by_scan` finds the axes by each member's order, the reference
+for `CayleyGraph.axis_plan`'s test of each order-p² class.
 
 `certified_coloring` runs `verify_coloring` on colour class 0, the
 independence certificate, and its scan, as `certify` does, so a residue set
@@ -54,6 +54,7 @@ import random
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import chain, islice
+from math import gcd
 
 from psqcayley import (
     CayleyGraph,
@@ -317,29 +318,17 @@ def rotations_by_sort(t: PrimeTriple, zero, clique) -> bool:
     return sorted((r + k) % period for k in clique for r in zero) == list(range(period))
 
 
-def coset_plan_by_scan(g: CayleyGraph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """The coset families of `CayleyGraph.coset_plan`, found member by member:
-    for each prime o | n, largest first, with h = n/o, a member x becomes a
-    representative when every x + j·h (j < o) is a member not yet covered."""
+def axis_plan_by_scan(g: CayleyGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (axes, singles) of `CayleyGraph.axis_plan`, found by order: over
+    the members mod n, without repeats, p is an axis when exactly p² − p of
+    them have order n/gcd(x, n) = p², and the singles are the members whose
+    order is no axis's square, ascending."""
     n = g.triple.n
-    pool = set(g.members)
-    families = []
-    for o in reversed(g.triple.primes):
-        if o > len(pool):
-            continue
-        h = n // o
-        reps = []
-        # x + h first, for all members at once; x itself may have been
-        # covered by an earlier representative of the same coset
-        for x in [x for x in sorted(pool) if (x + h) % n in pool]:
-            if x in pool and all((x + j * h) % n in pool for j in range(2, o)):
-                reps.append(x)
-                pool.difference_update((x + j * h) % n for j in range(o))
-        if reps:
-            families.append((h, o, tuple(reps)))
-    if pool:
-        families.insert(0, (n, 1, tuple(sorted(pool))))
-    return tuple(families)
+    pool = {x % n for x in g.members}
+    orders = Counter(n // gcd(x, n) for x in pool)
+    axes = tuple(p for p in g.triple.primes if orders[p * p] == p * p - p)
+    squares = {p * p for p in axes}
+    return axes, tuple(sorted(x for x in pool if n // gcd(x, n) not in squares))
 
 
 def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool:

@@ -3,6 +3,7 @@ the residue-block checks against their n-bit references."""
 
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -26,18 +27,18 @@ from psqcayley import (
     verify_block_partition,
     verify_coloring,
 )
-from psqcayley import oracles, parameters, structure
+from psqcayley import graph, oracles, parameters, structure
 from psqcayley.graph import _closure, set_bits
 
 from helpers import (
     adjacency_by_neighbourhood,
+    axis_plan_by_scan,
     bitset,
     block_of,
     block_set,
     certificate_color,
     certified_coloring,
     coloring_by_neighbourhood,
-    coset_plan_by_scan,
     count_level_builds,
     divisors,
     edges_by_pairs,
@@ -90,7 +91,7 @@ def reference_neighborhood(n: int, members, vertices) -> set[int]:
 @st.composite
 def connector_lists(draw):
     """The real connectors of a small triple, with random members dropped
-    (which leaves partial cosets and one-way connectors), 1 or n − 1
+    (which leaves partial order classes and one-way connectors), 1 or n − 1
     planted and some members repeated, ascending."""
     t = draw(st.sampled_from(TRIPLES))
     members = set(CayleyGraph.from_triple(t).members)
@@ -108,7 +109,7 @@ def test_neighborhood_equals_per_connector_reference(case, data):
     g = CayleyGraph(t, members)
     vertices = data.draw(st.lists(st.integers(0, t.n - 1), max_size=40))
     assert g.neighborhood(bitset(g, vertices)) == bitset(g, reference_neighborhood(t.n, members, vertices))
-    assert g.coset_plan == coset_plan_by_scan(g)
+    assert g.axis_plan == axis_plan_by_scan(g)
     inside = set(members)
     assert [g.is_connector(x) for x in range(t.n)] == [x in inside for x in range(t.n)]
 
@@ -116,36 +117,51 @@ def test_neighborhood_equals_per_connector_reference(case, data):
 LADDER = triples_with_group_order_at_most(1_100_000)
 
 
-def test_coset_plan_covers_exactly_the_connectors_on_the_ladder():
-    # the order-p² class is the p − 1 cosets r + ⟨n/p⟩ of the order-p
-    # subgroup, one family per prime, 2 and 3 included, and no connector is
-    # left over for the family of order 1; the plan allocates no n-bit int
+def test_axis_plan_covers_exactly_the_connectors_on_the_ladder():
+    # the order-p² class is the p² − p generators of the subgroup of order
+    # p², one axis per prime, 2 and 3 included, and no connector is left over
+    # as a single; the plan allocates no n-bit int: building it peaks below
+    # n/8 bytes under tracemalloc
     assert len(LADDER) == 146
     for t in LADDER:
         g = CayleyGraph.from_triple(t)
-        covered = []
-        families = {}
-        for h, order, reps in g.coset_plan:
-            assert h * order == t.n
-            covered.extend((r + j * h) % t.n for r in reps for j in range(order))
-            if order > 1:
-                families[order] = len(reps)
+        n = t.n
+        covered = [k * (n // p**2) for p in t.primes for k in range(1, p * p) if k % p]
+        assert g.axis_plan == (t.primes, ())
         assert sorted(covered) == list(g.members)
-        assert families == {p: p - 1 for p in t.primes}
-        assert g.coset_plan == coset_plan_by_scan(g)
-        assert all(order > 1 for _, order, _ in g.coset_plan)
-        assert "_full" not in vars(g)
+        assert g.axis_plan == axis_plan_by_scan(g)
+    for primes in ((7, 11, 13), (11, 13, 17)):
+        g = CayleyGraph.from_triple(make_prime_triple(*primes))
+        tracemalloc.start()
+        try:
+            g.axis_plan
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.triple.n / 8, (primes, peak)
 
 
-def test_coset_plan_is_built_on_first_use_only():
+@pytest.mark.parametrize("primes", [(2, 3, 167), (2, 3, 401)], ids=["2,3,167", "2,3,401"])
+def test_large_c_neighbourhood_takes_two_closures_per_axis(primes, monkeypatch):
+    # the c-axis holds c² − c connectors, yet one neighbourhood is six
+    # closures, two per axis, and no n-bit operation per connector
+    g = CayleyGraph.from_triple(make_prime_triple(*primes))
+    assert g.axis_plan == (primes, ())
+    calls = []
+    monkeypatch.setattr(graph, "_closure", lambda *args: calls.append(args[1:]) or _closure(*args))
+    assert g.neighborhood(1) == bitset(g, g.members)
+    assert len(calls) == 6, calls
+
+
+def test_axis_plan_is_built_on_first_use_only():
     g = CayleyGraph.from_triple(TRIPLES[2])
-    assert "coset_plan" not in vars(g)
+    assert "axis_plan" not in vars(g)
     g.neighborhood(1)
-    assert "coset_plan" in vars(g)
+    assert "axis_plan" in vars(g)
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
-def test_coset_plan_takes_members_mod_n(t):
+def test_neighborhood_takes_members_mod_n(t):
     # a member outside [0, n) counts as its residue mod n: n + a²b² repeats
     # a²b² and 2n − 1 plants n − 1, and the neighbourhood follows suit
     members = CayleyGraph.from_triple(t).members
@@ -214,12 +230,12 @@ def test_multiples_match_set_reference(t):
 
 @pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
 def test_closure_equals_the_or_of_its_shifts(t):
-    # S + {j·h : j < count} unreduced, for step 1 and each family's h, at
-    # every count up to 33: the doubling never overshoots count
+    # S + {j·h : j < count} unreduced, for step 1 and the kernel's steps n/p²
+    # and n/p, at every count up to 33: the doubling never overshoots count
     g = CayleyGraph.from_triple(t)
     rng = random.Random(t.n)
     sets = [1, bitset(g, [0, 1, 5, t.n - 1]), bitset(g, rng.sample(range(t.n), 40))]
-    for h in {1, *(h for h, _, _ in g.coset_plan)}:
+    for h in {1, *(t.n // p**e for p in t.primes for e in (1, 2))}:
         for count in range(1, 34):
             for s in sets:
                 expected = 0
