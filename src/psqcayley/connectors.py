@@ -1,25 +1,28 @@
 """The connecting set: all group elements whose order is a squared prime.
 
-Elements of order a² are the multiples k·b²c² with a ∤ k (and analogously for
-b², c²), so the set is enumerated in closed form, with no order computed.
-It is held as one ascending tuple, `CayleyGraph.members`, and membership is
-one bisection in it (`CayleyGraph.is_connector`).
+Those of order p² are the multiples of n/p² that n/p does not divide, one
+class per prime, written once (`connector_classes`): the set is enumerated
+in closed form, with no order computed.  It is held as one ascending tuple,
+`CayleyGraph.members`; membership is one bisection in it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import chain
+
 from .group import PrimeTriple
 
 
+def connector_classes(t: PrimeTriple) -> Iterator[Iterator[int]]:
+    """One ascending iterator per prime p, a, b, c in turn: the order-p²
+    class, the multiples x of n/p² in (0, n) with x % (n/p) nonzero."""
+    return (filter((t.n // p).__rmod__, range(t.n // p**2, t.n, t.n // p**2)) for p in t.primes)
+
+
 def enumerate_connectors(t: PrimeTriple) -> tuple[int, ...]:
-    """All exponents of order a², b², or c², ascending."""
-    m_a, m_b, m_c = t.moduli
-    members = sorted(
-        [k * m_b * m_c for k in range(1, m_a) if k % t.alpha]
-        + [k * m_a * m_c for k in range(1, m_b) if k % t.beta]
-        + [k * m_a * m_b for k in range(1, m_c) if k % t.gamma]
-    )
-    return tuple(members)
+    """All exponents of order a², b², or c², ascending: the classes' sorted union."""
+    return tuple(sorted(chain.from_iterable(connector_classes(t))))
 
 
 def connector_count_formula(t: PrimeTriple) -> int:

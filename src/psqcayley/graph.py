@@ -27,12 +27,13 @@ generators {k·g : p ∤ k < p²} of the subgroup of order p², g = n/p², the
 sumset g·{1, …, p − 1} + p·g·{0, …, p − 1}.  So S plus a whole class is two
 doubling closures (`_closure`) of about log₂ p shifts each, and BFS advances
 a whole frontier with a few shifts per axis rather than one rotation per
-connector.  `axis_plan` finds the classes that lie whole among the members
-mod n; any other member is shifted in alone.  BFS stops once its levels
-hold all n vertices, so a connected graph's BFS takes one neighbourhood per
-level but the last.  There is one BFS per graph, from vertex 0, built once
-and shared as a tuple: every translation x ↦ x + s is an automorphism, so
-the levels from s are those from 0 rotated by s.
+connector.  `axis_plan` takes all three axes exactly when the members are
+C, by one merge against the closed-form classes, and otherwise shifts each
+member in alone.  BFS stops once its levels hold all n vertices, so a
+connected graph's BFS takes one neighbourhood per level but the last.  There
+is one BFS per graph, from vertex 0, built once and shared as a tuple: every
+translation x ↦ x + s is an automorphism, so the levels from s are those
+from 0 rotated by s.
 
 `multiples(d)` builds the multiples of d, the one kind of periodic set that
 `oracles.distance_sweep` builds, by the same closure: {0} under ⌈n/d⌉
@@ -46,10 +47,11 @@ from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
+from heapq import merge
 from math import gcd
 from stat import S_ISREG
 
-from .connectors import enumerate_connectors
+from .connectors import connector_classes, connector_count_formula, enumerate_connectors
 from .group import PrimeTriple, _check_exponent, bezout_witness
 
 DEFAULT_MATERIALIZE_CAP = 20_000
@@ -118,7 +120,7 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
 
     def neighborhood(self, s: int) -> int:
         """Every vertex adjacent to some vertex of S: the OR of rot(S, c) over
-        the connectors c, taken axis by axis (`axis_plan`).
+        the connectors c, by axis on C and one member at a time off it (`axis_plan`).
 
         With g = n/p², the order-p² class is {(i + j·p)·g : 0 < i < p, j < p},
         so S plus the class is two closures (`_closure`): S + {i·g : 0 < i < p},
@@ -138,21 +140,15 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
 
     @cached_property
     def axis_plan(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(axes, singles), built once per graph on first use.  The axes are
-        the primes p, ascending, whose whole order-p² class, the p² − p
-        generators k·n/p² (p ∤ k < p²) of the subgroup of order p², lies among
-        the members mod n; the singles are the other members mod n, ascending.
-        So the plan covers exactly the members mod n, for any member list.
-        """
-        n = self.triple.n
-        pool = {x % n for x in self.members}
-        axes = []
-        for p in self.triple.primes:
-            g = n // (p * p)
-            if all(k * g in pool for k in range(1, p * p) if k % p):
-                pool.difference_update(k * g for k in range(1, p * p) if k % p)
-                axes.append(p)
-        return tuple(axes), tuple(sorted(pool))
+        """(axes, singles), built once per graph on first use: all primes and
+        no single when the members are exactly C, |C| of them equal one by one
+        to the ascending merge of C's classes (`connector_classes`), which builds
+        no set or list; otherwise no axis, and the distinct members mod n, ascending."""
+        t, members = self.triple, self.members
+        classes = merge(*connector_classes(t))
+        if len(members) == connector_count_formula(t) and all(x == y for x, y in zip(members, classes)):
+            return t.primes, ()
+        return (), tuple(sorted({x % t.n for x in members}))
 
     @cached_property
     def step_residues(self) -> tuple[tuple[int, int], ...]:
@@ -162,7 +158,8 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         member list is not symmetric; the residue-set edge count of
         `parameters` reads them."""
         n, (a, b, c) = self.triple.n, self.triple.primes
-        steps = {x % n for m in self.members for x in (m, -m)} - {0}
+        steps = {x % n for m in self.members for x in (m, -m)}
+        steps.discard(0)
         return tuple(Counter(d % (a * b * c) for d in steps).items())
 
     @cached_property

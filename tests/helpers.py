@@ -40,8 +40,9 @@ partitions by translates (the walk's rows, the clique cover behind
 reference for the library's one count per residue set;
 `rotations_by_sort` lists the rotations of colour class 0 by the clique
 mod abc, the reference for the colouring's tiling lemma; and
-`axis_plan_by_scan` finds the axes by each member's order, the reference
-for `CayleyGraph.axis_plan`'s test of each order-p² class.
+`axis_plan_by_scan` decides by each member's order n/gcd(x, n) whether the
+members are exactly C, the reference for `CayleyGraph.axis_plan`'s merge
+against the closed-form classes.
 
 `certified_coloring` runs `verify_coloring` on colour class 0, the
 independence certificate, and its scan, as `certify` does, so a residue set
@@ -319,16 +320,21 @@ def rotations_by_sort(t: PrimeTriple, zero, clique) -> bool:
 
 
 def axis_plan_by_scan(g: CayleyGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (axes, singles) of `CayleyGraph.axis_plan`, found by order: over
-    the members mod n, without repeats, p is an axis when exactly p² − p of
-    them have order n/gcd(x, n) = p², and the singles are the members whose
-    order is no axis's square, ascending."""
-    n = g.triple.n
-    pool = {x % n for x in g.members}
-    orders = Counter(n // gcd(x, n) for x in pool)
-    axes = tuple(p for p in g.triple.primes if orders[p * p] == p * p - p)
-    squares = {p * p for p in axes}
-    return axes, tuple(sorted(x for x in pool if n // gcd(x, n) not in squares))
+    """The (axes, singles) of `CayleyGraph.axis_plan`, decided by order: all
+    three primes and no single when the members ascend strictly inside
+    (0, n), each has order n/gcd(x, n) in {a², b², c²}, and there are
+    Σ(p² − p) of them, so they are every element of those orders;
+    otherwise no axis, and the singles are the distinct members mod n,
+    ascending."""
+    t, members = g.triple, g.members
+    n, squares = t.n, {p * p for p in t.primes}
+    if (
+        all(u < v for u, v in zip(members, members[1:]))
+        and all(0 < x < n and n // gcd(x, n) in squares for x in members)
+        and len(members) == sum(p * p - p for p in t.primes)
+    ):
+        return t.primes, ()
+    return (), tuple(sorted({x % n for x in members}))
 
 
 def coloring_by_neighbourhood(t: PrimeTriple, g: CayleyGraph, zero: int) -> bool:

@@ -160,6 +160,59 @@ def test_axis_plan_is_built_on_first_use_only():
     assert "axis_plan" in vars(g)
 
 
+def _toggles(t):
+    """C, then C with each gcd class {x : gcd(x, n) = d}, 0 < d < n, toggled
+    in or out, then C with each symmetric pair {x, n − x}, 0 < x ≤ n/2,
+    toggled, each ascending."""
+    n, members = t.n, set(CayleyGraph.from_triple(t).members)
+    yield tuple(sorted(members))
+    for d in divisors(n)[:-1]:
+        yield tuple(sorted(members ^ {x for x in range(d, n, d) if gcd(x, n) == d}))
+    for x in range(1, n // 2 + 1):
+        yield tuple(sorted(members ^ {x, n - x}))
+
+
+@pytest.mark.parametrize("t", TRIPLES[:2], ids=IDS[:2])
+def test_the_axis_premise_is_the_order_scan_verdict_under_every_toggle(t):
+    # every prime is an axis exactly when `verify`'s connecting-set oracle
+    # passes, and under no gcd-class or pair toggle does either hold
+    verdicts = []
+    for members in _toggles(t):
+        g = CayleyGraph(t, members)
+        premise = g.axis_plan[0] == t.primes
+        assert premise == oracles.order_scan(g)[0], members
+        verdicts.append(premise)
+    assert verdicts[0] and not any(verdicts[1:])
+    assert len(verdicts) == 1 + 26 + t.n // 2
+
+
+@pytest.mark.parametrize("t", TRIPLES, ids=IDS)
+def test_a_planted_member_list_takes_no_axis(t, monkeypatch):
+    # with one member of a class gone, the other two classes still lie whole
+    # among the members, yet the plan takes no axis: it never builds a
+    # partial plan, and its premise reads the closed-form classes, not the
+    # member list that the plants go through
+    members = CayleyGraph.from_triple(t).members
+    for gone in (members[0], members[len(members) // 2], members[-1]):
+        monkeypatch.setattr(graph, "enumerate_connectors", lambda t: tuple(m for m in members if m != gone))
+        g = CayleyGraph.from_triple(t)
+        assert g.axis_plan == ((), g.members), gone
+
+
+def test_axis_plan_on_the_premise_peaks_below_one_mib():
+    # the merge against the closed-form classes builds no set and no list:
+    # at (2,3,401), |C| = 160,408, the plan peaks below 1 MiB
+    g = CayleyGraph.from_triple(make_prime_triple(2, 3, 401))
+    tracemalloc.start()
+    try:
+        plan = g.axis_plan
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan == ((2, 3, 401), ())
+    assert peak < 2**20, peak
+
+
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_neighborhood_takes_members_mod_n(t):
     # a member outside [0, n) counts as its residue mod n: n + a²b² repeats

@@ -5,7 +5,8 @@ record has a field read by name, every CLI option is read by `cli.main`, no
 module reads the environment, every file is written as bytes and opened for
 writing only by `graph.write_chunks`, `block_residues` and
 `_residue_edges` have one caller each (colour class 0 is the independence
-certificate), no module imports `random`, `typing`,
+certificate), `CayleyGraph.axis_plan` reads neither
+`enumerate_connectors` nor `order_scan`, no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
 `oracles.distance_sweep` build sets of multiples, and every backticked
 `module.name` or `Class.name` in README.md and the package's docstrings
@@ -301,6 +302,17 @@ def test_block_verifiers_read_no_box_of_block_ids():
     for f in verifiers:
         used = box & _code_references(f)
         assert not used, f"{f.name} references {sorted(used)}"
+
+
+def test_the_axis_premise_reads_neither_the_plant_point_nor_the_order_scan():
+    # `axis_plan` decides that the members are C from the closed-form classes
+    # alone: `enumerate_connectors` is where the tests plant member lists,
+    # and the order scan is `verify`'s second derivation of C
+    [graph_class] = [c for c in _trees()["graph.py"].body if getattr(c, "name", None) == "CayleyGraph"]
+    [plan] = [f for f in graph_class.body if getattr(f, "name", None) == "axis_plan"]
+    used = {"enumerate_connectors", "order_scan"} & _code_references(plan)
+    assert not used, f"CayleyGraph.axis_plan references {sorted(used)}"
+    assert "connector_classes" in _code_references(plan)
 
 
 def test_report_renders_lines_and_builds_no_n_bit_set():
