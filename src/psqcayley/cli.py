@@ -31,7 +31,7 @@ import sys
 from . import report as report_mod
 from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, write_chunks
-from .group import TripleValidationError, make_prime_triple
+from .group import make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .parameters import independence_certificate
 
@@ -152,7 +152,7 @@ def main(argv: list[str]) -> int:
         sources, out = args.get("--budget-sources"), args.get("--out")
         if sources is not None and sources < 0:
             raise UsageError("--budget-sources must be nonnegative")
-        config = _load_config(args["--config"]) if args.get("--config") else {}
+        config = _load_config(args["--config"]) if "--config" in args else {}
         cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
 
         if command == "build":
@@ -172,7 +172,7 @@ def main(argv: list[str]) -> int:
         if command == "params":
             seed = args.get("--seed", report_mod.DEFAULT_SEED)
             payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))
-            if out:
+            if out is not None:
                 write_chunks(out, (payload,))
             else:
                 sys.stdout.write(payload.decode("ascii"))
@@ -209,7 +209,7 @@ def main(argv: list[str]) -> int:
             return 0 if ok else 1
         return 0
     # OSError: a --config file that cannot be read or an --out file that cannot be written
-    except (UsageError, TripleValidationError, OverflowError, TooLargeError, ValueError, OSError) as exc:
+    except (UsageError, OverflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

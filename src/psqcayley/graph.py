@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property
 from heapq import merge
@@ -149,18 +149,6 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         if len(members) == connector_count_formula(t) and all(x == y for x, y in zip(members, classes)):
             return t.primes, ()
         return (), tuple(sorted({x % t.n for x in members}))
-
-    @cached_property
-    def step_residues(self) -> tuple[tuple[int, int], ...]:
-        """The distinct nonzero steps d = ±c mod n (c a member), grouped by
-        d mod abc as pairs (residue, how many d), built once per graph on
-        first use.  The steps are symmetric and hold n/2 once even when the
-        member list is not symmetric; the residue-set edge count of
-        `parameters` reads them."""
-        n, (a, b, c) = self.triple.n, self.triple.primes
-        steps = {x % n for m in self.members for x in (m, -m)}
-        steps.discard(0)
-        return tuple(Counter(d % (a * b * c) for d in steps).items())
 
     @cached_property
     def levels_from_zero(self) -> tuple[int, ...]:

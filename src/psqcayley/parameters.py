@@ -7,13 +7,14 @@ arithmetic adjacency; brute-force counterparts live in `oracles`.
 
 Colour class 0 is the independence certificate, a union of residue blocks
 held as its residues mod abc (`structure`).  One count gives the edges
-inside it (`_residue_edges`), and one tiling by the clique K
-(`clique_tiles`) partitions V for both the colouring and α ≤ n/c.
+inside it and in the graph (`_residue_edges`), and one tiling by the clique
+K (`clique_tiles`) partitions V for both the colouring and α ≤ n/c; the
+verdicts build none of their inputs, which `report.certify` passes in.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from itertools import combinations
 
@@ -79,43 +80,44 @@ def clique_tiles(t: PrimeTriple, clique: Sequence[int]) -> bool:
     return len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
 
 
-def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> int:
-    """The edges of g inside {v : v mod abc in R}: each edge {v, v + d}, d
-    over the distinct nonzero ±c (c in C), is counted at both ends and the
-    total halved, so C need not be symmetric or free of n/2.  Per period
-    abc, with the d grouped by residue once per graph
-    (`CayleyGraph.step_residues`), the ends are
-    Σ_d |{r in R : (r + d) mod abc in R}|."""
-    a, b, c = g.triple.primes
+def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> tuple[int, int]:
+    """The edges of g inside {v : v mod abc in R}, and all n·|S|/2 edges of
+    g, S the distinct nonzero steps ±c (c in C): each edge {v, v + d}, d in
+    S, is counted at both ends and the total halved, so C need not be
+    symmetric or free of n/2.  Per period abc, with S grouped by d mod abc
+    in one census, the ends are Σ_d |{r in R : (r + d) mod abc in R}|."""
+    n, (a, b, c) = g.triple.n, g.triple.primes
     period, inside = a * b * c, set(residues)
-    ends = sum(k * sum((r + d) % period in inside for r in inside) for d, k in g.step_residues)
-    return g.triple.n // period * ends // 2
+    steps = {x % n for m in g.members if m % n for x in (m, -m)}
+    census = Counter(d % period for d in steps)
+    ends = sum(k * sum((r + d) % period in inside for r in inside) for d, k in census.items())
+    return n // period * ends // 2, n * len(steps) // 2
 
 
 ColoringResult = namedtuple("ColoringResult", "proper chromatic edges_checked")
 
 
 def verify_coloring(
-    t: PrimeTriple, g: CayleyGraph, cert: IndependenceCertificate, scan: IndependenceScan
+    t: PrimeTriple, cert: IndependenceCertificate, scan: IndependenceScan, clique: Sequence[int]
 ) -> ColoringResult:
-    """The colouring v ↦ (v mod c − v mod a − v mod b) mod c of g, the graph
-    of t (c = gamma), is proper with at most c classes.
+    """The colouring v ↦ (v mod c − v mod a − v mod b) mod c of the graph of
+    t (c = gamma) is proper with at most c classes.
 
     Class 0, {v : v mod c ≡ v mod a + v mod b}, is the independence
-    certificate `cert`, and `scan` counts its internal edges on g.  The
-    classes are its rotations by the clique certificate K: the translation
-    by k·a²b² fixes v mod a and v mod b and adds k·a²b² to the colour, and
-    a²b² is a unit mod c.  Translations are automorphisms, so the colouring
-    is proper iff class 0 has no edge inside and its rotations by K
-    partition V.  A tiling K (`clique_tiles`) is the order-c subgroup
-    ab·Z_P mod P = abc, so they do iff class 0's residues are a·b distinct
-    mod ab.  Every edge lies inside a class or between two, so this covers
-    all n·|S|/2 edges, S = ±C ∖ {0}.
+    certificate `cert`, and `scan` counts its internal edges and the edges
+    of the graph.  The classes are its rotations by the clique certificate
+    K, `clique`: the translation by k·a²b² fixes v mod a and v mod b and
+    adds k·a²b² to the colour, and a²b² is a unit mod c.  Translations are
+    automorphisms, so the colouring is proper iff class 0 has no edge inside
+    and its rotations by K partition V.  A tiling K (`clique_tiles`) is the
+    order-c subgroup ab·Z_P mod P = abc, so they do iff class 0's residues
+    are a·b distinct mod ab.  Every edge lies inside a class or between two,
+    so this covers all n·|S|/2 edges, S = ±C ∖ {0}.
     """
     ab, zero = t.alpha * t.beta, cert.residues
     transversal = len(zero) == len({r % ab for r in zero}) == ab
-    proper = clique_tiles(t, clique_certificate(t)) and transversal and scan.internal_edges == 0
-    return ColoringResult(proper, t.gamma, t.n * sum(k for _, k in g.step_residues) // 2)
+    proper = clique_tiles(t, clique) and transversal and scan.internal_edges == 0
+    return ColoringResult(proper, t.gamma, scan.graph_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +150,14 @@ def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
     return cert
 
 
-IndependenceScan = namedtuple("IndependenceScan", "internal_edges pairs_checked")
+IndependenceScan = namedtuple("IndependenceScan", "internal_edges graph_edges pairs_checked")
 
 
 def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -> IndependenceScan:
     """Count the edges inside the certificate set (must be zero), over all
-    m(m−1)/2 vertex pairs (`_residue_edges`)."""
+    m(m−1)/2 vertex pairs, and the edges of g (`_residue_edges`)."""
     m = cert.size
-    return IndependenceScan(_residue_edges(g, cert.residues), m * (m - 1) // 2)
+    return IndependenceScan(*_residue_edges(g, cert.residues), m * (m - 1) // 2)
 
 
 # Index-level evidence that the index graph's maximum independent set has
@@ -171,14 +173,13 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
 IndexBoundsReport = namedtuple("IndexBoundsReport", "index_set_two_agreement_free lines_cover_ids mis_size")
 
 
-def verify_index_bounds(t: PrimeTriple) -> IndexBoundsReport:
-    """Both index-level bounds, at every triple, in O(ab + c²) steps.  The
-    lines list the box by construction, so the cover reads no id.  Line
-    (i, j) is line (0, 0) translated by (i, j, 0), and translations preserve
-    agreeing in exactly two coordinates, so line (0, 0)'s pairs decide that
-    every line is a clique."""
+def verify_index_bounds(t: PrimeTriple, ids: Sequence[tuple[int, int, int]]) -> IndexBoundsReport:
+    """Both index-level bounds on the certificate's index set `ids`, at every
+    triple, in O(ab + c²) steps.  The lines list the box by construction, so
+    the cover reads no id.  Line (i, j) is line (0, 0) translated by
+    (i, j, 0), and translations preserve agreeing in exactly two
+    coordinates, so line (0, 0)'s pairs decide that every line is a clique."""
     a, b, c = t.primes
-    ids = independence_index_set(t)
     two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
     line = [(0, 0, k) for k in range(c)]
     cover = a * b == len(ids) and all(index_adjacent(x, y) for x, y in combinations(line, 2))

@@ -3,9 +3,10 @@ report and the full verification run.
 
 `certify` builds every in-schema certificate and verdict exactly once, on one
 graph: regularity and connectivity, the independence certificate and its
-internal-edge scan, the proper coloring whose class 0 it is, the index-graph
-bounds, the diameter, the walk certificate and its check, and the fiber and
-block checks, decided by translation on one representative.
+internal-edge scan, the clique K, the proper coloring whose class 0 is the
+certificate, the index-graph bounds on its index set, the diameter, the walk
+certificate and its check, and the fiber and block checks, decided by
+translation on one representative.
 `build_report` renders the result as the JSON report; `run_verification`
 renders it as one line per check and adds the oracle-only checks (the
 connecting set against the order scan, the triangle scan, the clique cover
@@ -40,7 +41,7 @@ DEFAULT_SEED = 12345  # only echoed, as the report's `oracleSeed`
 # Every field is always set; timings holds the seconds of each stage.
 Certificates = namedtuple(
     "Certificates",
-    "graph eulerian connectivity coloring independence independence_scan index_bounds diameter "
+    "graph eulerian connectivity clique coloring independence independence_scan index_bounds diameter "
     "walk walk_verified fiber block_partition block_adjacency timings",
 )
 
@@ -73,9 +74,10 @@ def certify(t: PrimeTriple) -> Certificates:
     scan = parameters.independence_internal_edges(independence, g)
     lap("independence")
     # colour class 0 is the certificate: its scan decides the colouring too
-    coloring = parameters.verify_coloring(t, g, independence, scan)
+    clique = parameters.clique_certificate(t)
+    coloring = parameters.verify_coloring(t, independence, scan, clique)
     lap("coloring")
-    index_bounds = parameters.verify_index_bounds(t)
+    index_bounds = parameters.verify_index_bounds(t, independence.index_set)
     lap("indexBounds")
     diam = parameters.diameter(t, g)
     lap("diameter")
@@ -88,7 +90,7 @@ def certify(t: PrimeTriple) -> Certificates:
     lap("structure")
 
     return Certificates(
-        g, eulerian, conn, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
+        g, eulerian, conn, clique, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
         fiber, partition, block_adj, timings,
     )
 
@@ -101,8 +103,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
     `oracleSeed`: no verdict or count depends on it.
     """
     c = certify(t)
-    g = c.graph
-    clique = parameters.clique_certificate(t)
+    g, clique = c.graph, c.clique
     return {
         "schemaVersion": SCHEMA_VERSION,
         "primes": {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
@@ -186,7 +187,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
     sources (`oracles.distance_sweep`), which sets only the reported source
     and pair counts."""
     c = certify(t)
-    g = c.graph
+    g, clique = c.graph, c.clique
     lines: list[str] = []
     ok = True
 
@@ -209,7 +210,6 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
         f"degree={g.degree}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
     )
 
-    clique = parameters.clique_certificate(t)
     tri, k5 = clique[:3], clique[:5]  # c ≥ 5 at every triple; tri lies in K₅
     found = oracles.find_triangle(g)
     check(

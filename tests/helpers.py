@@ -45,8 +45,9 @@ members are exactly C, the reference for `CayleyGraph.axis_plan`'s merge
 against the closed-form classes.
 
 `certified_coloring` runs `verify_coloring` on colour class 0, the
-independence certificate, and its scan, as `certify` does, so a residue set
-planted in `parameters.block_residues` reaches the colouring verdict.
+independence certificate, its scan and the clique K, as `certify` does, so a
+residue set planted in `parameters.block_residues` or a K planted in
+`parameters.clique_certificate` reaches the colouring verdict.
 """
 
 from __future__ import annotations
@@ -101,14 +102,17 @@ def certificate_color(v: int, t: PrimeTriple) -> int:
 
 
 def certified_coloring(t: PrimeTriple, g: CayleyGraph):
-    """`verify_coloring` on g with colour class 0 and its internal-edge scan,
-    as `certify` passes them: the independence certificate, its residues
-    read through `parameters.block_residues` at call time, so a planted
-    residue set is class 0.  The certificate is built here, not by
-    `independence_certificate`, whose size assertion a planted set may fail."""
+    """`verify_coloring` on g with colour class 0, its internal-edge scan and
+    the clique K, as `certify` passes them: the independence certificate,
+    its residues read through `parameters.block_residues` at call time, so
+    a planted residue set is class 0, and K read through
+    `parameters.clique_certificate`, so a planted K is the one that tiles.
+    The certificate is built here, not by `independence_certificate`, whose
+    size assertion a planted set may fail."""
     ids = parameters.independence_index_set(t)
     cert = IndependenceCertificate(ids, tuple(parameters.block_residues(t, ids)), t.alpha * t.beta * t.gamma)
-    return parameters.verify_coloring(t, g, cert, parameters.independence_internal_edges(cert, g))
+    scan = parameters.independence_internal_edges(cert, g)
+    return parameters.verify_coloring(t, cert, scan, parameters.clique_certificate(t))
 
 
 def block_of(v: int, t: PrimeTriple) -> tuple[int, int, int]:

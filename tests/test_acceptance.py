@@ -12,6 +12,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import psqcayley
 from psqcayley import (
     CayleyGraph,
@@ -222,6 +224,20 @@ def test_criterion_10_byte_identical_reports(tmp_path):
     _report(10, ok, 60.0, elapsed, "two seeded runs produced byte-identical JSON reports")
     assert ok
     assert elapsed < 60.0
+
+
+@pytest.mark.parametrize(
+    "argv", [["params", "--primes", "2,3,5", "--seed", "7"], ["verify", "--primes", "2,3,5"]], ids=["params", "verify"]
+)
+def test_optimized_runs_are_byte_identical_supports_criterion_10(argv):
+    # `python -O` strips every assert: no verdict, count or exit code may rest on one
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, "-m", "psqcayley", *argv], capture_output=True, env=CHILD_ENV)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == optimized.returncode == 0, plain.stderr
+    assert plain.stdout == optimized.stdout and len(plain.stdout) > 0
+    assert plain.stderr == optimized.stderr == b""
 
 
 def test_color_class_balance_supports_criterion_05():

@@ -213,6 +213,19 @@ def test_axis_plan_on_the_premise_peaks_below_one_mib():
     assert peak < 2**20, peak
 
 
+@pytest.mark.parametrize("primes", [(2, 3, 5), (3, 5, 7), (2, 3, 167)], ids=["2,3,5", "3,5,7", "2,3,167"])
+@pytest.mark.parametrize("run", [certify, run_verification], ids=["certify", "run_verification"])
+def test_one_run_makes_one_premise_pass(primes, run, monkeypatch):
+    # the members are C is decided once per run, on the one graph, and every
+    # stage that reads the premise reads that verdict: the merge against the
+    # closed-form classes runs once, whatever the stages and the oracles ask
+    calls = Counter()
+    classes = graph.connector_classes
+    monkeypatch.setattr(graph, "connector_classes", lambda t: calls.update([t.primes]) or classes(t))
+    run(make_prime_triple(*primes))
+    assert calls == {primes: 1}
+
+
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
 def test_neighborhood_takes_members_mod_n(t):
     # a member outside [0, n) counts as its residue mod n: n + a²b² repeats
@@ -483,7 +496,7 @@ def test_coloring_takes_one_neighbourhood_and_independence_no_block(t, monkeypat
     g = CayleyGraph.from_triple(t)
     cert = independence_certificate(t)
     scan = independence_internal_edges(cert, g)
-    assert scan.internal_edges == 0 and verify_coloring(t, g, cert, scan).proper
+    assert scan.internal_edges == 0 and verify_coloring(t, cert, scan, clique_certificate(t)).proper
     assert calls == {"neighborhood": 0, "crt_basis": 1}
 
 

@@ -103,12 +103,19 @@ def test_independence_certificate_next_instance():
     assert scan.internal_edges == 0
 
 
+def _index_bounds(t):
+    """`verify_index_bounds` on the index set read through
+    `parameters.independence_index_set` at call time, as `certify` passes
+    the certificate's, so a planted index set reaches the verdict."""
+    return verify_index_bounds(t, parameters.independence_index_set(t))
+
+
 def test_index_bounds():
-    rep = verify_index_bounds(T235)
+    rep = _index_bounds(T235)
     assert rep.index_set_two_agreement_free
     assert rep.lines_cover_ids
     assert rep.mis_size == 6
-    rep7 = verify_index_bounds(T357)
+    rep7 = _index_bounds(T357)
     assert rep7.mis_size == 15
     assert rep7.index_set_two_agreement_free and rep7.lines_cover_ids
 
@@ -133,13 +140,13 @@ def test_index_bounds_check_one_line_of_pairs(monkeypatch):
     # the clique bound, and the index set's projections take no adjacency
     # call: 13,861 calls at (2,3,167), where every line's pairs would be 83,166
     for t in LADDER:
-        rep = verify_index_bounds(t)
+        rep = _index_bounds(t)
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
     t = make_prime_triple(2, 3, 167)
     calls = Counter()
     adjacent = parameters.index_adjacent
     monkeypatch.setattr(parameters, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
-    assert verify_index_bounds(t) == (True, True, 6)
+    assert _index_bounds(t) == (True, True, 6)
     assert calls[1] == comb(167, 2)
 
 
@@ -150,10 +157,10 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
     # triples, where the index set (i, j, i + j mod 3) is not free: at
     # (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
     for t in triples_with_group_order_at_most(1_100_000) + UNVALIDATED:
-        rep = verify_index_bounds(t)
+        rep = _index_bounds(t)
         expected = (t.primes not in ((2, 5, 3), (5, 2, 3)), True)
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == expected
-    assert verify_index_bounds(make_prime_triple(101, 103, 107)) == (True, True, 101 * 103)
+    assert _index_bounds(make_prime_triple(101, 103, 107)) == (True, True, 101 * 103)
 
 
 @pytest.mark.parametrize(
@@ -188,7 +195,7 @@ def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkey
             "index_adjacent",
             lambda x, y: calls.update([1]) or (adjacent(x, y) and {x, y} != {origin, next_k}),
         )
-    rep = verify_index_bounds(T235)
+    rep = _index_bounds(T235)
     assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
     assert calls[1] > 0
 
@@ -200,7 +207,7 @@ def test_index_set_freedom_reads_each_projection(other, monkeypatch):
     pair = ((0, 0, 0), other)
     monkeypatch.setattr(parameters, "independence_index_set", lambda t: pair)
     assert parameters.index_adjacent(*pair)
-    assert verify_index_bounds(T235).index_set_two_agreement_free is False
+    assert _index_bounds(T235).index_set_two_agreement_free is False
 
 
 @pytest.mark.parametrize("position", [0, 17, -1])
@@ -217,7 +224,7 @@ def test_line_cover_reads_every_id(position, monkeypatch):
         return box
 
     monkeypatch.setattr(structure, "index_ids", moved)
-    assert verify_index_bounds(T235) == (True, True, 6)
+    assert _index_bounds(T235) == (True, True, 6)
     assert calls[1] == 0
     assert _index_bounds_by_every_line(T235) == (True, False)
     assert calls[1] == 1

@@ -161,11 +161,11 @@ RECORD_FIELDS = {
     DiameterResult: ("value", "witness_pair", "bfs_eccentricity"),
     ColoringResult: ("proper", "chromatic", "edges_checked"),
     IndependenceCertificate: ("index_set", "residues", "period"),
-    IndependenceScan: ("internal_edges", "pairs_checked"),
+    IndependenceScan: ("internal_edges", "graph_edges", "pairs_checked"),
     IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids", "mis_size"),
     Certificates: (
-        "graph", "eulerian", "connectivity", "coloring", "independence", "independence_scan", "index_bounds",
-        "diameter", "walk", "walk_verified", "fiber", "block_partition", "block_adjacency", "timings",
+        "graph", "eulerian", "connectivity", "clique", "coloring", "independence", "independence_scan",
+        "index_bounds", "diameter", "walk", "walk_verified", "fiber", "block_partition", "block_adjacency", "timings",
     ),
     VerificationOutcome: ("ok", "lines"),
 }

@@ -3,6 +3,7 @@ import json
 import math
 import traceback
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,7 @@ from psqcayley import (
     report_bytes,
     run_verification,
 )
-from psqcayley import cli, graph
+from psqcayley import cli, graph, parameters
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
@@ -319,6 +320,28 @@ def test_cli_out_in_missing_directory_is_a_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["params", "--primes", "2,3,5", "--out", ""],
+        ["params", "--primes", "2,3,5", "--out="],
+        ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config", ""],
+        ["export", "--primes", "2,3,5", "--format", "edges", "--out", "edges.txt", "--config="],
+    ],
+    ids=["out-empty", "out-equals", "config-empty", "config-equals"],
+)
+def test_cli_an_option_given_an_empty_value_counts_as_given(argv, tmp_path, capsys, monkeypatch):
+    # an empty --out names no file to write, not stdout, and an empty
+    # --config no file to read, not the defaults: each is a usage error
+    # before any output, so nothing reaches stdout or the working directory
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_params_stdout(capsys):
     code = cli.main(["params", "--primes", "2,3,5", "--seed", "7"])
     out = capsys.readouterr().out
@@ -516,6 +539,20 @@ def test_cli_params_and_verify_each_certify_once(command, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == expected
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", ["params", "verify"])
+@pytest.mark.parametrize("primes", ["2,3,5", "3,5,7"])
+def test_cli_params_and_verify_build_the_clique_and_the_index_set_once(command, primes, capsys, monkeypatch):
+    # certify builds K and the a·b index set once each; the colouring, the
+    # index bounds and both renderings read those, and build neither again
+    calls = Counter()
+    for name in ("clique_certificate", "independence_index_set"):
+        fn = getattr(parameters, name)
+        monkeypatch.setattr(parameters, name, lambda t, _fn=fn, _name=name: calls.update([_name]) or _fn(t))
+    assert cli.main([command, "--primes", primes]) == 0
+    assert calls == {"clique_certificate": 1, "independence_index_set": 1}
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,9 @@ record has a field read by name, every CLI option is read by `cli.main`, no
 module reads the environment, every file is written as bytes and opened for
 writing only by `graph.write_chunks`, `block_residues` and
 `_residue_edges` have one caller each (colour class 0 is the independence
-certificate), `CayleyGraph.axis_plan` reads neither
+certificate), the graph keeps no step census, the χ and α verdicts build
+none of their inputs and the renderers read the clique that `certify` built,
+`CayleyGraph.axis_plan` reads neither
 `enumerate_connectors` nor `order_scan`, no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
 `oracles.distance_sweep` build sets of multiples, and every backticked
@@ -313,6 +315,40 @@ def test_the_axis_premise_reads_neither_the_plant_point_nor_the_order_scan():
     used = {"enumerate_connectors", "order_scan"} & _code_references(plan)
     assert not used, f"CayleyGraph.axis_plan references {sorted(used)}"
     assert "connector_classes" in _code_references(plan)
+
+
+def _function(module: str, name: str) -> ast.FunctionDef:
+    [f] = [f for f in _trees()[module].body if getattr(f, "name", None) == name]
+    return f
+
+
+def test_the_graph_keeps_no_step_census():
+    # the census of steps by residue mod abc belongs to the one residue-set
+    # count in `parameters`, which builds it for its one call per certify
+    [graph_class] = [c for c in _trees()["graph.py"].body if getattr(c, "name", None) == "CayleyGraph"]
+    assert "step_residues" not in {getattr(f, "name", None) for f in graph_class.body}
+    assert not hasattr(psqcayley.CayleyGraph, "step_residues")
+    imported = {a.name for node in ast.walk(_trees()["graph.py"]) if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert "Counter" not in imported
+
+
+def test_the_chi_and_alpha_verdicts_build_none_of_their_inputs():
+    # `certify` builds the clique, the index set and the scan once each and
+    # passes them in; a verdict that built one again would be a second copy,
+    # and one that read the members would be a second count of the graph
+    built = {"clique_certificate", "independence_index_set"}
+    for name in ("verify_coloring", "verify_index_bounds"):
+        used = built & _code_references(_function("parameters.py", name))
+        assert not used, f"{name} references {sorted(used)}"
+    assert "members" not in _code_references(_function("parameters.py", "verify_coloring"))
+
+
+def test_the_renderers_read_the_clique_that_certify_built():
+    # K is built once per run, in `certify`, and both renderings read it there
+    for name in ("build_report", "run_verification"):
+        used = {"clique_certificate"} & _code_references(_function("report.py", name))
+        assert not used, f"report.{name} references {sorted(used)}"
+    assert "clique_certificate" in _code_references(_function("report.py", "certify"))
 
 
 def test_report_renders_lines_and_builds_no_n_bit_set():
