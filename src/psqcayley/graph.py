@@ -8,14 +8,13 @@ bisection in it (`is_connector`), and nothing outside this module decides it
 another way.  Vertex u's upward edges go to u + c for the connectors
 c < n − u, a row that changes only where u reaches n − c; so [0, n) splits
 into |C| + 1 bands with one row each, the last one empty.  `edges()` and the
-capped edge-list and DOT exports read the bands.  The exports write a band in
-chunks of rows: each vertex's line separator joins its neighbour names, taken
-from |C| column slices of the vertex names, and each chunk is one join of the
-separators and their joins.  `write_chunks` is the one writer of every output
-file, these exports, the walk, the independent set and the report alike: it
-opens the file once with os.open and no O_TRUNC, overwrites it in place, and
-cuts it to the written length only when the descriptor's fstat says it is a
-regular file.
+capped edge-list and DOT exports read the bands.  The exports build one list
+of the n line tails and write a band in chunks of whole lines: each vertex's
+line head joins its neighbours' tails, |C| column slices of that list.
+`write_chunks` is the one writer of every output file, these exports, the
+walk, the independent set and the report alike: it opens the file once with
+os.open and no O_TRUNC, overwrites it in place, and cuts it to the written
+length only when the descriptor's fstat says it is a regular file.
 
 Vertex sets are n-bit ints (bit v set iff v is in the set), kept to the BFS
 oracle layer: the levels, and the sets of multiples that the distance sweep
@@ -217,14 +216,13 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         a 'dot' document, band by band in chunks of at most EXPORT_CHUNK_ROWS
         vertex rows.
 
-        In a chunk [a, b) of a band, the neighbours u + c of its vertices are
-        the column slices names[a + c : b + c], one per connector c of the
-        row; zipping the columns gives each vertex u its neighbour names in
-        ascending order.  u's separator s_u = end + pre + name(u) + mid ends
-        the line before and opens u's next line, so the chunk is one join of
-        s_u, s_u.join(u's neighbour names) over its vertices u, written with
-        one write.  The file's first separator drops its end, one end closes
-        the last line, and the last band's empty row writes no line.
+        Edge (u, v) is the line head % u + tail % v, and the n line tails are
+        built once.  In a chunk [a, b) of a band, the column slices
+        tails[a + c : b + c], one per connector c of the row, zip to each
+        vertex u's neighbour tails in ascending order, and u's lines are
+        head_u + head_u.join(those tails).  So the chunk is one join of the
+        heads of [a, b) and their joins, written with one write, and holds
+        whole lines; the last band's empty row writes none.
 
         Raises TooLargeError above cap and ValueError for an unknown format;
         on either, out is never opened, so no file is created or truncated.
@@ -233,32 +231,27 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         if n > cap:
             raise TooLargeError(f"{n} vertices exceed cap {cap}")
         if fmt == "edges":
-            header, pre, mid, end, footer = b"", b"", b" ", b"\n", b""
+            header, head, tail, footer = b"", b"%d ", b"%d\n", b""
         elif fmt == "dot":
-            header, pre, mid, end, footer = b"graph cayley {\n", b"  ", b" -- ", b";\n", b"}\n"
+            header, head, tail, footer = b"graph cayley {\n", b"  %d -- ", b"%d;\n", b"}\n"
         else:
             raise ValueError(f"unknown export format {fmt!r}")
-        names = [b"%d" % v for v in range(n)]
-        lead = end + pre
+        tails = [tail % v for v in range(n)]
 
         def chunks() -> Iterator[bytes]:
             yield header
-            wrote = False
             for lo, hi, row in self._bands():
                 if not row:
                     continue
                 for a in range(lo, hi, EXPORT_CHUNK_ROWS):
                     b = min(a + EXPORT_CHUNK_ROWS, hi)
-                    seps = [lead + name + mid for name in names[a:b]]
-                    columns = [names[a + c : b + c] for c in row]
-                    parts = [b""] * (2 * len(seps))
-                    parts[::2] = seps
-                    parts[1::2] = map(bytes.join, seps, zip(*columns))
-                    if not wrote:
-                        parts[0] = parts[0][len(end) :]
-                        wrote = True
+                    heads = [head % u for u in range(a, b)]
+                    columns = [tails[a + c : b + c] for c in row]
+                    parts = [b""] * (2 * len(heads))
+                    parts[::2] = heads
+                    parts[1::2] = map(bytes.join, heads, zip(*columns))
                     yield b"".join(parts)
-            yield end + footer if wrote else footer
+            yield footer
 
         write_chunks(out, chunks())
 

@@ -1,4 +1,6 @@
+import os
 import re
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, certify, clique_certificate, graph, make_prime_triple
+from psqcayley import CayleyGraph, TooLargeError, certify, clique_certificate, cli, graph, make_prime_triple
 from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS
 from psqcayley.group import crt_basis
@@ -314,8 +316,7 @@ def test_export_of_a_planted_connecting_set_equals_reference(tmp_path, fmt, memb
 def test_export_splits_long_bands_into_chunks(tmp_path, monkeypatch, chunk):
     # no band at (3,5,7) reaches the default chunk (the longest has 414 rows),
     # so shrink the chunk until bands split, with a last partial chunk but
-    # for one row per chunk, where every chunk opens with the separator that
-    # ends the line before it
+    # for one row per chunk, where every chunk holds one vertex's lines
     g = CayleyGraph.from_triple(T357)
     lengths = [hi - lo for lo, hi, row in g._bands() if row]
     assert max(lengths) < EXPORT_CHUNK_ROWS
@@ -325,6 +326,60 @@ def test_export_splits_long_bands_into_chunks(tmp_path, monkeypatch, chunk):
         out = tmp_path / f"{fmt}.txt"
         g.export(fmt, out)
         assert out.read_bytes() == _reference_export(g, fmt)
+
+
+LINE_END = {"edges": b"\n", "dot": b";\n"}
+
+
+def _assert_whole_lines(chunks: list[bytes], end: bytes) -> None:
+    for chunk in chunks:
+        assert chunk and chunk.endswith(end) and not chunk.startswith(end), chunk[:40]
+
+
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+@pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
+def test_every_export_chunk_holds_whole_lines(monkeypatch, t, fmt):
+    g = CayleyGraph.from_triple(t)
+    reference = _reference_export(g, fmt)
+    written: list[bytes] = []
+    monkeypatch.setattr(graph, "write_chunks", lambda out, chunks: written.extend(chunks))
+    for chunk in (1, 7, EXPORT_CHUNK_ROWS):
+        monkeypatch.setattr(graph, "EXPORT_CHUNK_ROWS", chunk)
+        written.clear()
+        g.export(fmt, os.devnull)
+        header, *body, footer = written
+        assert (header, footer) == {"edges": (b"", b""), "dot": (b"graph cayley {\n", b"}\n")}[fmt]
+        _assert_whole_lines(body, LINE_END[fmt])
+        assert b"".join(written) == reference
+
+
+@pytest.mark.parametrize("fmt", ["walk", "independent-set"])
+@pytest.mark.parametrize("primes", ["2,3,5", "3,5,7"])
+def test_every_walk_and_independent_set_chunk_holds_whole_lines(tmp_path, monkeypatch, primes, fmt):
+    out = tmp_path / f"{fmt}.txt"
+    argv = ["export", "--primes", primes, "--format", fmt, "--out", str(out)]
+    assert cli.main(argv) == 0
+    written: list[bytes] = []
+    monkeypatch.setattr(cli, "write_chunks", lambda out, chunks: written.extend(chunks))
+    assert cli.main(argv) == 0
+    _assert_whole_lines(written, b"\n")
+    assert b"".join(written) == out.read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [EXPORT_CHUNK_ROWS, 7])
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+def test_export_peaks_at_most_192_bytes_per_vertex(monkeypatch, fmt, chunk):
+    # one n-sized list of line tails and one chunk of rows: about 118 bytes
+    # per vertex for edges and 146 for dot at (3,5,7)
+    g = CayleyGraph.from_triple(T357)
+    monkeypatch.setattr(graph, "EXPORT_CHUNK_ROWS", chunk)
+    tracemalloc.start()
+    try:
+        g.export(fmt, os.devnull, cap=T357.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192 * T357.n, peak / T357.n
 
 
 def test_export_cap(tmp_path):
