@@ -20,7 +20,8 @@ translation is an automorphism); --budget-sources sets only the source and
 pair counts that its diameter line reports.  `verify` still accepts --seed,
 only because the benchmark passes it, and no output depends on it; `params`
 echoes it.  `export` reads `materialize-cap` from a `key = value` config file
-(--config).  Each subcommand accepts only the options it reads.
+(--config) of at most 65,536 characters.  Each subcommand accepts only the
+options it reads.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .parameters import independence_certificate
 
 _CONFIG_KEYS = {"materialize-cap"}
+CONFIG_MAX_CHARS = 65_536  # a longer --config file is refused, read one character past this
 # each subcommand's options: an int or str option takes a value, a bool one is a flag
 OPTIONS = {
     "build": {"--primes": str},
@@ -87,7 +89,9 @@ def _load_config(path: str) -> dict[str, int]:
     reads, given once as a positive integer."""
     values: dict[str, int] = {}
     with open(path) as f:
-        text = f.read()
+        text = f.read(CONFIG_MAX_CHARS + 1)
+    if len(text) > CONFIG_MAX_CHARS:
+        raise UsageError(f"{path}: longer than {CONFIG_MAX_CHARS} characters")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

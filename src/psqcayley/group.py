@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 
 INT64_MAX = 2**63 - 1
 
@@ -86,7 +85,6 @@ def element_order(k: int, t: PrimeTriple) -> int:
     return t.n // math.gcd(t.n, k)
 
 
-@lru_cache(maxsize=None)
 def crt_basis(t: PrimeTriple) -> tuple[int, int, int]:
     """Exponents e with e ≡ 1 modulo one modulus and ≡ 0 modulo the other two."""
     basis = []
@@ -120,13 +118,8 @@ def bezout_witness(t: PrimeTriple) -> tuple[int, int, int]:
     """
     m_a, m_b, m_c = t.moduli
     bc = m_b * m_c
-    ac = m_a * m_c
     # u·b²c² ≡ 1 (mod a²) forces u mod a²; shifting u is absorbed by (v, w).
     u = _abs_min_residue(pow(bc, -1, m_a), m_a)
-    rest = 1 - u * bc
-    assert rest % m_a == 0
-    rest //= m_a  # now v·c² + w·b² = rest
+    rest = (1 - u * bc) // m_a  # exact by the choice of u; now v·c² + w·b² = rest
     v = _abs_min_residue(rest * pow(m_c, -1, m_b), m_b)
-    w, leftover = divmod(rest - v * m_c, m_b)
-    assert leftover == 0 and abs(w) < m_c
-    return (u, v, w)
+    return (u, v, (rest - v * m_c) // m_b)  # exact by the choice of v

@@ -109,7 +109,7 @@ def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
     """The BFS levels from vertex 0 against the closed-form distance classes
     E_k, reported for vertex 0 plus `sources` extra sources: every other
     vertex when sources is None and n <= 2000, 50 above; a negative count
-    raises ValueError before any BFS.
+    raises ValueError before it reads the levels.
 
     Every translation x ↦ x + s is an automorphism, and the closed form puts
     v at the distance of v − s from s, so each source matches exactly the

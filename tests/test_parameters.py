@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from psqcayley import (
     DEFAULT_MATERIALIZE_CAP,
     CayleyGraph,
+    build_report,
     clique_certificate,
     closed_form_distance,
     closed_form_distance_table,
@@ -63,7 +64,8 @@ def test_coloring_proper_exhaustive():
     result = certified_coloring(T235, G235)
     assert result.proper
     assert result.edges_checked == 12600
-    assert result.chromatic == 5
+    assert result.tiles is True
+    assert build_report(T235)["chromatic"]["value"] == 5
 
 
 def test_color_classes_balanced():
@@ -77,7 +79,8 @@ def test_coloring_exhaustive_above_materialize_cap():
     result = certified_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper
     assert result.edges_checked == t.n * 136 // 2
-    assert result.chromatic == 11
+    assert result.tiles is True
+    assert build_report(t)["chromatic"]["value"] == 11
 
 
 def test_independence_index_set():
@@ -114,9 +117,9 @@ def test_index_bounds():
     rep = _index_bounds(T235)
     assert rep.index_set_two_agreement_free
     assert rep.lines_cover_ids
-    assert rep.mis_size == 6
+    assert len(independence_index_set(T235)) == 6
     rep7 = _index_bounds(T357)
-    assert rep7.mis_size == 15
+    assert len(independence_index_set(T357)) == 15
     assert rep7.index_set_two_agreement_free and rep7.lines_cover_ids
 
 
@@ -146,7 +149,8 @@ def test_index_bounds_check_one_line_of_pairs(monkeypatch):
     calls = Counter()
     adjacent = parameters.index_adjacent
     monkeypatch.setattr(parameters, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
-    assert _index_bounds(t) == (True, True, 6)
+    assert _index_bounds(t) == (True, True)
+    assert len(independence_index_set(t)) == 6
     assert calls[1] == comb(167, 2)
 
 
@@ -160,7 +164,9 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
         rep = _index_bounds(t)
         expected = (t.primes not in ((2, 5, 3), (5, 2, 3)), True)
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == expected
-    assert _index_bounds(make_prime_triple(101, 103, 107)) == (True, True, 101 * 103)
+    t = make_prime_triple(101, 103, 107)
+    assert _index_bounds(t) == (True, True)
+    assert len(independence_index_set(t)) == 101 * 103
 
 
 @pytest.mark.parametrize(
@@ -224,7 +230,8 @@ def test_line_cover_reads_every_id(position, monkeypatch):
         return box
 
     monkeypatch.setattr(structure, "index_ids", moved)
-    assert _index_bounds(T235) == (True, True, 6)
+    assert _index_bounds(T235) == (True, True)
+    assert len(independence_index_set(T235)) == 6
     assert calls[1] == 0
     assert _index_bounds_by_every_line(T235) == (True, False)
     assert calls[1] == 1

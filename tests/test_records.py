@@ -159,10 +159,10 @@ RECORD_FIELDS = {
     WalkCertificate: ("levels", "n"),
     SweepReport: ("sources", "pairs_checked", "max_distance", "mismatches"),
     DiameterResult: ("value", "witness_pair", "bfs_eccentricity"),
-    ColoringResult: ("proper", "chromatic", "edges_checked"),
+    ColoringResult: ("proper", "tiles", "edges_checked"),
     IndependenceCertificate: ("index_set", "residues", "period"),
     IndependenceScan: ("internal_edges", "graph_edges", "pairs_checked"),
-    IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids", "mis_size"),
+    IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids"),
     Certificates: (
         "graph", "eulerian", "connectivity", "clique", "coloring", "independence", "independence_scan",
         "index_bounds", "diameter", "walk", "walk_verified", "fiber", "block_partition", "block_adjacency", "timings",

@@ -312,6 +312,24 @@ def test_cli_missing_config_file_is_a_usage_error(tmp_path, capsys):
     assert str(missing) in err
 
 
+def test_cli_config_longer_than_its_limit_is_a_usage_error(tmp_path, capsys):
+    # 1,024 comment lines of 64 characters fill the limit exactly and are
+    # read; one more character is refused before --out is opened, so an
+    # endless file is read no further than the limit either
+    cfg, out = tmp_path / "export.cfg", tmp_path / "walk.txt"
+    argv = ["export", "--primes", "2,3,5", "--format", "walk", "--out", str(out), "--config", str(cfg)]
+    cfg.write_text(("#" * 63 + "\n") * 1024)
+    assert len(cfg.read_text()) == cli.CONFIG_MAX_CHARS == 65_536
+    assert cli.main(argv) == 0 and out.exists()
+    out.unlink()
+    cfg.write_text(("#" * 63 + "\n") * 1024 + "#")
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: longer than 65536 characters\n"
+    assert not out.exists()
+
+
 def test_cli_out_in_missing_directory_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "absent" / "x"
     assert cli.main(["export", "--primes", "2,3,5", "--format", "edges", "--out", str(out)]) == 2
@@ -544,14 +562,17 @@ def test_cli_params_and_verify_each_certify_once(command, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["params", "verify"])
 @pytest.mark.parametrize("primes", ["2,3,5", "3,5,7"])
 def test_cli_params_and_verify_build_the_clique_and_the_index_set_once(command, primes, capsys, monkeypatch):
-    # certify builds K and the a·b index set once each; the colouring, the
-    # index bounds and both renderings read those, and build neither again
+    # certify builds K and the a·b index set once each, and the colouring
+    # decides once that K tiles V; the index bounds, α ≤ n/c and both
+    # renderings read those, and build or decide none of them again
     calls = Counter()
     for name in ("clique_certificate", "independence_index_set"):
         fn = getattr(parameters, name)
         monkeypatch.setattr(parameters, name, lambda t, _fn=fn, _name=name: calls.update([_name]) or _fn(t))
+    tiles = parameters.clique_tiles
+    monkeypatch.setattr(parameters, "clique_tiles", lambda t, k: calls.update(["clique_tiles"]) or tiles(t, k))
     assert cli.main([command, "--primes", primes]) == 0
-    assert calls == {"clique_certificate": 1, "independence_index_set": 1}
+    assert calls == {"clique_certificate": 1, "independence_index_set": 1, "clique_tiles": 1}
     assert capsys.readouterr().err == ""
 
 

@@ -2,8 +2,8 @@
 function and method has a caller in the package, no module imports what it
 does not use, every module-level constant and record field is read, every
 record has a field read by name, every CLI option is read by `cli.main`, no
-module reads the environment, every file is written as bytes and opened for
-writing only by `graph.write_chunks`, `block_residues` and
+module reads the environment or asserts, every file is written as bytes and
+opened for writing only by `graph.write_chunks`, `block_residues` and
 `_residue_edges` have one caller each (colour class 0 is the independence
 certificate), the graph keeps no step census, the χ and α verdicts build
 none of their inputs and the renderers read the clique that `certify` built,
@@ -172,6 +172,15 @@ def test_every_record_has_a_field_read_as_an_attribute():
     fields, read, _ = _records_and_reads()
     nameless = [record for record, names in fields.items() if not read & set(names)]
     assert not nameless, f"records whose fields are never read by name: {nameless}"
+
+
+def test_no_module_asserts():
+    # `python -O` strips an assert, so a claim that one decides would pass
+    # unchecked there; every claim is a verdict or a raised error instead
+    asserts = [
+        f"{name}:{node.lineno}" for name, tree in _trees().items() for node in ast.walk(tree) if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, f"assert statements: {asserts}"
 
 
 def test_no_module_reads_the_environment():
