@@ -58,23 +58,13 @@ from functools import cached_property, lru_cache
 from itertools import chain, islice
 from math import gcd
 
-from psqcayley import (
-    CayleyGraph,
-    PrimeTriple,
-    SweepReport,
-    WalkCertificate,
-    clique_certificate,
-    closed_form_distance,
-    closed_form_distance_table,
-    group,
-    index_adjacent,
-    index_ids,
-    is_prime,
-    make_prime_triple,
-    parameters,
-)
-from psqcayley.graph import set_bits
-from psqcayley.group import crt_basis
+from psqcayley import group, parameters
+from psqcayley.graph import CayleyGraph, set_bits
+from psqcayley.group import PrimeTriple, crt_basis, is_prime, make_prime_triple
+from psqcayley.hamiltonian import WalkCertificate
+from psqcayley.oracles import SweepReport
+from psqcayley.parameters import clique_certificate, closed_form_distance, closed_form_distance_table
+from psqcayley.structure import index_adjacent, index_ids
 
 BIG_PRIME = 10**18 + 3  # prime, and (2·3·BIG_PRIME)² overflows 64 bits
 

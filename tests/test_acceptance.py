@@ -15,27 +15,19 @@ from pathlib import Path
 import pytest
 
 import psqcayley
-from psqcayley import (
-    CayleyGraph,
-    bezout_witness,
-    build_report,
+from psqcayley.connectors import connector_count_formula, enumerate_connectors
+from psqcayley.graph import CayleyGraph
+from psqcayley.group import bezout_witness, element_order, make_prime_triple
+from psqcayley.hamiltonian import snake_walk, verify_walk
+from psqcayley.oracles import distance_sweep, exact_max_clique, exact_max_independent_set
+from psqcayley.parameters import (
     clique_certificate,
     closed_form_distance_table,
-    connector_count_formula,
-    distance_sweep,
-    element_order,
-    enumerate_connectors,
-    exact_max_clique,
-    exact_max_independent_set,
     independence_certificate,
     independence_internal_edges,
-    make_prime_triple,
-    snake_walk,
-    verify_block_adjacency,
-    verify_block_partition,
-    verify_fiber_structure,
-    verify_walk,
 )
+from psqcayley.report import build_report
+from psqcayley.structure import verify_block_adjacency, verify_block_partition, verify_fiber_structure
 
 from helpers import certificate_color, certified_coloring, crt_components, neighbors
 

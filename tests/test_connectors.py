@@ -1,11 +1,7 @@
 import math
 
-from psqcayley import (
-    connector_count_formula,
-    element_order,
-    enumerate_connectors,
-    make_prime_triple,
-)
+from psqcayley.connectors import connector_count_formula, enumerate_connectors
+from psqcayley.group import element_order, make_prime_triple
 
 from helpers import order_scan_connectors, triples_with_group_order_at_most
 

@@ -14,7 +14,9 @@ from math import gcd
 
 import pytest
 
-from psqcayley import graph, make_prime_triple, report, run_verification
+from psqcayley import graph, report
+from psqcayley.group import make_prime_triple
+from psqcayley.report import run_verification
 
 from helpers import divisors
 

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import CayleyGraph, TooLargeError, certify, clique_certificate, cli, graph, make_prime_triple
+from psqcayley import cli, graph
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.graph import EXPORT_CHUNK_ROWS
-from psqcayley.group import crt_basis
+from psqcayley.graph import EXPORT_CHUNK_ROWS, CayleyGraph, TooLargeError
+from psqcayley.group import crt_basis, make_prime_triple
+from psqcayley.parameters import clique_certificate
+from psqcayley.report import certify
 
 from helpers import divisors, is_cycle, levels_from, neighbors, reference_bfs, rotate, snake_sequence
 

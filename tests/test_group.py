@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import (
+from psqcayley.group import (
     NonPrimeError,
     NotAscendingError,
     NotDistinctError,

@@ -3,17 +3,10 @@ from collections import Counter
 
 import pytest
 
-from psqcayley import (
-    CayleyGraph,
-    WalkCertificate,
-    hamiltonian,
-    make_prime_triple,
-    snake_walk,
-    verify_walk,
-    walk_lines,
-)
-
-from psqcayley.group import crt_basis
+from psqcayley import hamiltonian
+from psqcayley.graph import CayleyGraph
+from psqcayley.group import crt_basis, make_prime_triple
+from psqcayley.hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 
 from helpers import (
     bitset,

@@ -11,24 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import (
-    CayleyGraph,
+from psqcayley import graph, oracles, parameters, structure
+from psqcayley.graph import CayleyGraph, _closure, set_bits
+from psqcayley.group import make_prime_triple
+from psqcayley.oracles import distance_sweep
+from psqcayley.parameters import (
     IndependenceCertificate,
-    build_report,
-    certify,
     clique_certificate,
     closed_form_distance_table,
-    distance_sweep,
     independence_certificate,
     independence_internal_edges,
-    make_prime_triple,
-    run_verification,
-    verify_block_adjacency,
-    verify_block_partition,
     verify_coloring,
 )
-from psqcayley import graph, oracles, parameters, structure
-from psqcayley.graph import _closure, set_bits
+from psqcayley.report import build_report, certify, run_verification
+from psqcayley.structure import verify_block_adjacency, verify_block_partition
 
 from helpers import (
     adjacency_by_neighbourhood,

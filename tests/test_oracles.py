@@ -5,20 +5,13 @@ from math import gcd
 import networkx as nx
 import pytest
 
-from psqcayley import (
-    DEFAULT_SEED,
-    CayleyGraph,
-    build_report,
-    clique_certificate,
-    distance_sweep,
-    exact_max_clique,
-    exact_max_independent_set,
-    find_triangle,
-    make_prime_triple,
-    run_verification,
-)
 from psqcayley import cli, graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
+from psqcayley.graph import CayleyGraph
+from psqcayley.group import make_prime_triple
+from psqcayley.oracles import distance_sweep, exact_max_clique, exact_max_independent_set, find_triangle
+from psqcayley.parameters import clique_certificate
+from psqcayley.report import DEFAULT_SEED, build_report, run_verification
 from psqcayley.structure import index_adjacent, index_ids
 
 from helpers import (

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psqcayley import (
-    DEFAULT_MATERIALIZE_CAP,
-    CayleyGraph,
-    build_report,
+from psqcayley import parameters, structure
+from psqcayley.graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph
+from psqcayley.group import crt_combine, element_order, make_prime_triple
+from psqcayley.parameters import (
     clique_certificate,
     closed_form_distance,
     closed_form_distance_table,
-    crt_combine,
     diameter,
-    element_order,
     independence_certificate,
     independence_index_set,
     independence_internal_edges,
-    make_prime_triple,
     verify_index_bounds,
 )
-from psqcayley import parameters, structure
+from psqcayley.report import build_report
 
 from helpers import UNVALIDATED, certificate_color, certified_coloring, crt_components, triples_with_group_order_at_most
 

@@ -7,24 +7,19 @@ from pathlib import Path
 
 import pytest
 
-from psqcayley import (
-    CayleyGraph,
-    Certificates,
+from psqcayley import cli
+from psqcayley.graph import CayleyGraph, ConnectivityResult
+from psqcayley.group import PrimeTriple, make_prime_triple
+from psqcayley.hamiltonian import WalkCertificate, snake_walk
+from psqcayley.oracles import SweepReport
+from psqcayley.parameters import (
     ColoringResult,
-    ConnectivityResult,
     DiameterResult,
     IndependenceCertificate,
+    IndependenceScan,
     IndexBoundsReport,
-    PrimeTriple,
-    SweepReport,
-    VerificationOutcome,
-    WalkCertificate,
-    certify,
-    make_prime_triple,
-    snake_walk,
 )
-from psqcayley import cli
-from psqcayley.parameters import IndependenceScan
+from psqcayley.report import Certificates, VerificationOutcome, certify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 T235 = make_prime_triple(2, 3, 5)
@@ -37,6 +32,11 @@ COMMANDS = [
     ["hamiltonian", "--primes", "2,3,5"],
     ["params", "--primes", "2,3,5"],
 ]
+
+ENGINE = {
+    "psqcayley." + name
+    for name in ("cli", "connectors", "graph", "group", "hamiltonian", "oracles", "parameters", "report", "structure")
+}
 
 
 def _child_env() -> dict[str, str]:
@@ -77,20 +77,29 @@ def test_cli_commands_load_no_argparse_gettext_locale_or_json(argv, tmp_path):
         assert "psqcayley." + name in loaded
 
 
-@pytest.mark.parametrize("argv", [[]] + COMMANDS, ids=lambda argv: argv[0] if argv else "import")
+@pytest.mark.parametrize(
+    "argv", [None, []] + COMMANDS, ids=lambda argv: "package" if argv is None else argv[0] if argv else "import"
+)
 def test_site_free_import_and_commands_load_no_typing_pathlib_or_json(argv, tmp_path):
     # without `site`, the interpreter itself loads none of these, so any
     # that the child lists was loaded by psqcayley; the child lists its
-    # modules without importing anything more
-    code = "import sys\nfrom psqcayley import cli\n"
+    # modules without importing anything more.  `import psqcayley` alone
+    # loads none of the package's modules, and `cli` loads all nine
+    code = "import sys\n" + ("import psqcayley\n" if argv is None else "from psqcayley import cli\n")
     if argv:
         code += "assert cli.main(sys.argv[1:]) == 0\n"
     code += "sys.stderr.write(' '.join(sorted(sys.modules)))"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code, *argv], env=_child_env(), cwd=tmp_path, capture_output=True, text=True, check=True
+        [sys.executable, "-S", "-c", code, *(argv or [])],
+        env=_child_env(),
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        check=True,
     )
     loaded = set(proc.stderr.split())
-    assert "psqcayley.report" in loaded
+    assert "psqcayley" in loaded
+    assert {name for name in loaded if name.startswith("psqcayley.")} == (set() if argv is None else ENGINE)
     assert not {"typing", "pathlib", "json", "contextlib"} & loaded
 
 

@@ -7,25 +7,16 @@ from collections import Counter
 
 import pytest
 
-from psqcayley import (
-    CayleyGraph,
-    SweepReport,
-    TooLargeError,
-    WalkCertificate,
-    build_report,
-    certify,
-    clique_certificate,
-    distance_sweep,
-    independence_certificate,
-    is_prime,
-    make_prime_triple,
-    report_bytes,
-    run_verification,
-)
 from psqcayley import cli, graph, parameters
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
+from psqcayley.graph import CayleyGraph, TooLargeError
+from psqcayley.group import is_prime, make_prime_triple
+from psqcayley.hamiltonian import WalkCertificate
+from psqcayley.oracles import SweepReport, distance_sweep
+from psqcayley.parameters import clique_certificate, independence_certificate
+from psqcayley.report import build_report, certify, report_bytes, run_verification
 
 from helpers import BIG_PRIME, certificate_color, count_level_builds, prime_factors, record_primality_tests
 

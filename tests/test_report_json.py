@@ -7,7 +7,9 @@ import json
 
 import pytest
 
-from psqcayley import build_report, graph, make_prime_triple, report_bytes
+from psqcayley import graph
+from psqcayley.group import make_prime_triple
+from psqcayley.report import build_report, report_bytes
 
 LADDER = [(2, 3, 5), (2, 3, 7), (3, 5, 7), (3, 5, 11), (5, 7, 11), (7, 11, 13)]
 

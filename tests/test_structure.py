@@ -4,21 +4,18 @@ import pytest
 
 import helpers
 from psqcayley import graph, structure
-from psqcayley import (
-    CayleyGraph,
-    PrimeTriple,
+from psqcayley.connectors import enumerate_connectors
+from psqcayley.graph import CayleyGraph
+from psqcayley.group import PrimeTriple, crt_combine, make_prime_triple
+from psqcayley.report import certify, run_verification
+from psqcayley.structure import (
     block_residues,
-    certify,
-    crt_combine,
     index_adjacent,
     index_ids,
-    make_prime_triple,
-    run_verification,
     verify_block_adjacency,
     verify_block_partition,
     verify_fiber_structure,
 )
-from psqcayley.connectors import enumerate_connectors
 
 from helpers import (
     UNVALIDATED,

@@ -1,12 +1,12 @@
-"""The package exports only what the package itself uses, every public
-function and method has a caller in the package, no module imports what it
-does not use, every module-level constant and record field is read, every
-record has a field read by name, every CLI option is read by `cli.main`, no
-module reads the environment or asserts, every file is written as bytes and
-opened for writing only by `graph.write_chunks`, `block_residues` and
-`_residue_edges` have one caller each (colour class 0 is the independence
-certificate), the graph keeps no step census, the χ and α verdicts build
-none of their inputs and the renderers read the clique that `certify` built,
+"""The package's `__init__.py` imports nothing, every public function and
+method has a caller in the package, no module imports what it does not use,
+every module-level constant and record field is read, every record has a
+field read by name, every CLI option is read by `cli.main`, no module reads
+the environment or asserts, every file is written as bytes and opened for
+writing only by `graph.write_chunks`, `block_residues` and `_residue_edges`
+have one caller each (colour class 0 is the independence certificate), the
+graph keeps no step census, the χ and α verdicts build none of their inputs
+and the renderers read the clique that `certify` built,
 `CayleyGraph.axis_plan` reads neither
 `enumerate_connectors` nor `order_scan`, no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
@@ -22,6 +22,9 @@ import re
 from pathlib import Path
 
 import psqcayley
+from psqcayley.graph import CayleyGraph
+from psqcayley.oracles import distance_sweep
+from psqcayley.report import run_verification
 
 PACKAGE = Path(psqcayley.__file__).resolve().parent
 # bound by bench/tracer.py, with no caller in the package; drop with ROADMAP item 1
@@ -43,23 +46,15 @@ def _code_references(tree: ast.Module) -> set[str]:
     return refs
 
 
-def _exports() -> set[str]:
-    tree = _trees()["__init__.py"]
-    return {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-
-
 def _package_references() -> set[str]:
-    return set().union(*(_code_references(t) for name, t in _trees().items() if name != "__init__.py"))
+    return set().union(*map(_code_references, _trees().values()))
 
 
-def test_every_export_has_a_caller_in_the_package():
-    unused = _exports() - _package_references() - TRACER_ONLY
-    assert not unused, f"exported but never referenced outside __init__: {sorted(unused)}"
+def test_the_package_init_imports_nothing():
+    # each name has one public path, the module that defines it, and
+    # `import psqcayley` alone loads none of the modules
+    imports = [n.lineno for n in ast.walk(_trees()["__init__.py"]) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"__init__.py imports at lines {imports}"
 
 
 def _public_functions() -> set[str]:
@@ -81,15 +76,13 @@ def test_every_public_function_and_method_has_a_caller_in_the_package():
 
 
 def test_the_tracer_allowlist_holds_only_names_without_a_caller():
-    assert TRACER_ONLY <= _exports() | _public_functions()
+    assert TRACER_ONLY <= _public_functions()
     assert not TRACER_ONLY & _package_references()
 
 
 def test_no_module_has_an_unused_import():
     problems = []
     for name, tree in _trees().items():
-        if name == "__init__.py":
-            continue  # its imports are the exports
         refs = _code_references(tree)
         for node in tree.body:
             if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
@@ -336,7 +329,7 @@ def test_the_graph_keeps_no_step_census():
     # count in `parameters`, which builds it for its one call per certify
     [graph_class] = [c for c in _trees()["graph.py"].body if getattr(c, "name", None) == "CayleyGraph"]
     assert "step_residues" not in {getattr(f, "name", None) for f in graph_class.body}
-    assert not hasattr(psqcayley.CayleyGraph, "step_residues")
+    assert not hasattr(CayleyGraph, "step_residues")
     imported = {a.name for node in ast.walk(_trees()["graph.py"]) if isinstance(node, ast.ImportFrom) for a in node.names}
     assert "Counter" not in imported
 
@@ -405,7 +398,7 @@ def test_the_engine_samples_nothing_and_rotates_no_set():
         assert "random" not in _imported(tree), f"{name} imports random"
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert "rotate" not in defined, f"{name} defines rotate"
-    for fn in (psqcayley.distance_sweep, psqcayley.run_verification):
+    for fn in (distance_sweep, run_verification):
         assert "seed" not in inspect.signature(fn).parameters, fn.__name__
 
 
@@ -435,14 +428,20 @@ def test_every_dotted_reference_in_the_docs_resolves():
         nodes = [n for n in ast.walk(tree) if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))]
         texts[name] = "\n".join(ast.get_docstring(n, clean=False) or "" for n in nodes)
     modules = {p.stem for p in PACKAGE.glob("*.py")}
-    classes = {name for name in dir(psqcayley) if isinstance(getattr(psqcayley, name), type)}
+    # each class is looked up in the module that defines it
+    classes = {
+        name: value
+        for module in sorted(modules - {"__init__", "__main__"})
+        for name, value in vars(importlib.import_module(f"psqcayley.{module}")).items()
+        if isinstance(value, type) and value.__module__ == f"psqcayley.{module}"
+    }
     checked, broken = 0, []
     for where, text in texts.items():
         for owner, attr in DOTTED.findall(text):
             if owner in modules and attr != "py":
                 target = importlib.import_module(f"psqcayley.{owner}")
             elif owner in classes:
-                target = getattr(psqcayley, owner)
+                target = classes[owner]
             else:
                 continue
             checked += 1
