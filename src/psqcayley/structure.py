@@ -35,10 +35,11 @@ has order exactly L and ±s ∈ C.  The (alpha, beta) cells of check (iii)
 step by a²b² with L = c², the representatives of check (vii) by b²c² with
 L = a², and the a² cross-section sequences of check (viii) by a²c² with
 L = b², so one step rule decides each claim for every cell or fiber at
-once.  Fiber checks (iv), (v), (vi) and (viii)'s crossings read no
-connector: they are facts about Z_n, each decided by its gcd lemma, with the
-literal loops as the tests' references.  No check here builds an n-bit set
-or runs over all abc block ids.
+once.  Fiber checks (iv), (vi) and (viii)'s crossings read no connector:
+they are facts about Z_n, each decided by its gcd lemma, with the literal
+loops as the tests' references.  Fiber check (v) is the lemma a² | a²c²,
+true at every triple, so it is stated, not computed.  No check here builds
+an n-bit set or runs over all abc block ids.
 """
 
 from __future__ import annotations
@@ -104,15 +105,16 @@ def verify_block_adjacency(g: CayleyGraph) -> bool:
 
 def verify_fiber_structure(g: CayleyGraph) -> dict[str, bool]:
     """The eight fiber statements, keyed by their roman numerals: i, ii, iii,
-    vii and viii read C against arithmetic adjacency, and iv, v and vi are
-    facts about Z_n, decided by their gcd lemmas (module docstring).
+    vii and viii read C against arithmetic adjacency, iv and vi are facts
+    about Z_n, decided by their gcd lemmas, and v is a lemma that holds at
+    every triple, stated and not computed (module docstring).
 
     i     every gamma fiber is an independent set
     ii    inside one (alpha, beta) cell, adjacency holds iff the top digits
           fall in different residue classes modulo gamma
     iii   every (alpha, beta) cell carries a spanning cycle stepping by a²b²
     iv    the nonzero multiples of c² meet every nonidentity cell exactly once
-    v     each shifted b²-order coset lies inside a single alpha fiber
+    v     each shifted b²-order coset lies inside a single alpha fiber (lemma)
     vi    the multiples of b²c² meet every alpha fiber exactly once
     vii   those a² representatives form a cycle
     viii  per alpha fiber, stepping by a²c² gives a cycle crossing every beta
@@ -145,8 +147,7 @@ def verify_fiber_structure(g: CayleyGraph) -> dict[str, bool]:
     item_iv = gcd(m_c, m_ab) == 1
 
     # (v) the coset {k·a²c² + r·c² : k < b²} steps by a²c², a multiple of a²,
-    # so its members share the residue r·c² modulo a²: one alpha fiber
-    item_v = m_a * m_c % m_a == 0
+    # so it lies in one alpha fiber: the lemma a² | a²c², stated as True
 
     # (vi) k·b²c² (k < a²) lies in alpha fiber k·b²c² mod a², so each fiber
     # holds one iff k ↦ k·b²c² permutes Z_{a²}; (vii) they step by b²c²
@@ -160,5 +161,5 @@ def verify_fiber_structure(g: CayleyGraph) -> dict[str, bool]:
 
     return {
         "i": item_i, "ii": item_ii, "iii": item_iii, "iv": item_iv,
-        "v": item_v, "vi": item_vi, "vii": item_vii, "viii": item_viii,
+        "v": True, "vi": item_vi, "vii": item_vii, "viii": item_viii,
     }

@@ -45,7 +45,9 @@ def test_tracer_runs_the_cli_unchanged(command, tmp_path):
 
 
 def test_tracer_runs_the_structure_checks_where_the_verdict_moved(tmp_path):
-    # (3,5,7) is the workload triple whose fiber check (v) now passes
+    # bench/run.py documents (3,5,7) as failing structure, from when check (v)
+    # read "inside fiber r", which fails there (49 ≢ 1 mod 9); bench/expect.py
+    # requires PASS structure only when a = 2, so this test requires it here
     args = ["verify", "--primes", "3,5,7", "--budget-sources", "0"]
     plain = _run("-m", "psqcayley", *args)
     trace_path = tmp_path / "trace.json"

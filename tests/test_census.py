@@ -1,0 +1,482 @@
+"""A conjunct census over every verdict: the first plant that makes each
+conjunct fail, or "none".
+
+A checker that cannot reject certifies nothing.  So every conjunct that
+feeds a verdict of `report.certify` or `report.run_verification` must fail
+under some plant that the suite already has, or stand in LEMMA_CANDIDATES
+with the reason it stays in the package.
+
+`instrumented()` parses the modules that define the verifiers with `ast`.
+In each function of TARGETS it wraps in a probe every operand of each
+`and`, each `all(...)` and each comparison; an `or` that decides a
+`return False` is the negation of an `and`, and its operands are probed
+too.  The probes call one `Recorder`, and the modules run as private
+copies, wired to one another, so no file of the package is touched.  A
+probe evaluates every operand, so short-circuiting hides none, yet it
+returns what the original expression returns.  Filters of comprehensions
+select data and decide nothing, so they are not probed, nor are the
+functions nested in a target (the stage timer and the line printer).
+
+`plants()` are the suite's own faults, in this order: the gcd-class toggles of
+FAULT_MATRIX, the symmetric pair toggles of PAIR_CENSUS, the class-0
+residue plant of `tests/test_acceptance.py`, the index-set and index-graph
+plants of `tests/test_parameters.py`, and the UNVALIDATED triples, built
+past `make_prime_triple`.  Under each, the instrumented `verify` lines must
+equal the real ones.
+"""
+
+import ast
+import importlib
+import inspect
+import operator
+import types
+from math import gcd
+
+from psqcayley.group import make_prime_triple
+
+from helpers import UNVALIDATED, divisors
+from test_fault_matrix import FAULT_MATRIX
+
+# the functions whose conjuncts are probed, by module, each module after
+# those it imports
+TARGETS = {
+    "graph": ("CayleyGraph.is_step_cycle", "CayleyGraph.is_connected"),
+    "structure": ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"),
+    "parameters": ("verify_coloring", "clique_tiles", "verify_index_bounds"),
+    "hamiltonian": ("verify_walk",),
+    "report": ("certify", "run_verification"),
+}
+REAL = {name: importlib.import_module(f"psqcayley.{name}") for name in TARGETS}
+
+COMPARISONS = {
+    "Eq": operator.eq,
+    "NotEq": operator.ne,
+    "Lt": operator.lt,
+    "LtE": operator.le,
+    "Gt": operator.gt,
+    "GtE": operator.ge,
+    "Is": operator.is_,
+    "IsNot": operator.is_not,
+}
+
+
+class Recorder:
+    """The probes: each takes all its operands already evaluated, notes
+    every row whose value fails its verdict, and returns the original
+    expression's value.  An operand that raises where the original would
+    have skipped it fails the census loudly."""
+
+    def __init__(self) -> None:
+        self.rows: dict[tuple[str, str], bool] = {}  # (function, conjunct) -> the value that fails it
+        self.seen: set[tuple[str, str]] = set()
+        self.failed: set[tuple[str, str]] = set()
+
+    def note(self, row: tuple[str, str] | None, value: object) -> None:
+        if row is not None:
+            self.seen.add(row)
+            if bool(value) == self.rows[row]:
+                self.failed.add(row)
+
+    def boolean(self, is_and: bool, rows: tuple, *values):
+        """`and` (or `or`): the first falsy (truthy) operand, else the last."""
+        for row, value in zip(rows, values):
+            self.note(row, value)
+        return next((v for v in values if bool(v) != is_and), values[-1])
+
+    def compare(self, rows: tuple, ops: tuple, *operands):
+        """A comparison chain, one row per link: the first false link, else
+        the last."""
+        links = [COMPARISONS[op](x, y) for op, x, y in zip(ops, operands, operands[1:])]
+        for row, link in zip(rows, links):
+            self.note(row, link)
+        return next((link for link in links if not link), links[-1])
+
+    def every(self, row: tuple[str, str], iterable):
+        """`all(...)` with every item drawn, not only those up to the first
+        falsy one."""
+        result = all(list(iterable))
+        self.note(row, result)
+        return result
+
+
+def _probe(method: str, *args: ast.expr) -> ast.Call:
+    return ast.Call(ast.Attribute(ast.Name("_census", ast.Load()), method, ast.Load()), list(args), [])
+
+
+def _is_all(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and ast.unparse(node.func) == "all" and len(node.args) == 1
+
+
+def _returns_false(body: list[ast.stmt]) -> bool:
+    return len(body) == 1 and isinstance(body[0], ast.Return) and ast.unparse(body[0]) == "return False"
+
+
+class _Instrument(ast.NodeTransformer):
+    """Probe the conjuncts of one function, each a row named by the function
+    and the conjunct's source, and the value that fails it: False, or True
+    under a `not` or in the test of an `if` that returns False."""
+
+    def __init__(self, where: str, recorder: Recorder) -> None:
+        self.where, self.recorder, self.fails_on = where, recorder, False
+
+    def row(self, node: ast.expr) -> tuple[str, str]:
+        text = ast.unparse(node)
+        key, repeat = (self.where, text), 1
+        while key in self.recorder.rows:
+            repeat += 1
+            key = (self.where, f"{text} [{repeat}]")
+        self.recorder.rows[key] = self.fails_on
+        return key
+
+    def polar(self, node: ast.AST, fails_on: bool) -> ast.AST:
+        saved, self.fails_on = self.fails_on, fails_on
+        node = self.visit(node)
+        self.fails_on = saved
+        return node
+
+    def visit_FunctionDef(self, node):
+        return node
+
+    def visit_comprehension(self, node):
+        return node
+
+    def visit_If(self, node):
+        if not _returns_false(node.body):
+            return self.generic_visit(node)
+        node.test = self.polar(node.test, True)
+        return node
+
+    def visit_UnaryOp(self, node):
+        if isinstance(node.op, ast.Not):
+            node.operand = self.polar(node.operand, not self.fails_on)
+            return node
+        return self.generic_visit(node)
+
+    def visit_BoolOp(self, node):
+        is_and = isinstance(node.op, ast.And)
+        if is_and == self.fails_on:  # a disjunction of passes decides no conjunct
+            return self.generic_visit(node)
+        rows = tuple(None if isinstance(v, ast.Compare) or _is_all(v) else self.row(v) for v in node.values)
+        return _probe("boolean", ast.Constant(is_and), ast.Constant(rows), *map(self.visit, node.values))
+
+    def visit_Compare(self, node):
+        operands = [node.left, *node.comparators]
+        rows = tuple(self.row(ast.Compare(x, [op], [y])) for x, op, y in zip(operands, node.ops, operands[1:]))
+        ops = tuple(type(op).__name__ for op in node.ops)
+        return _probe("compare", ast.Constant(rows), ast.Constant(ops), *map(self.visit, operands))
+
+    def visit_Call(self, node):
+        if not _is_all(node):
+            return self.generic_visit(node)
+        row = self.row(node)
+        return _probe("every", ast.Constant(row), self.visit(node.args[0]))
+
+
+def _function(tree: ast.Module, qualname: str) -> ast.FunctionDef:
+    scope = tree.body
+    for part in qualname.split("."):
+        node = next(n for n in scope if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+        scope = node.body
+    return node
+
+
+def instrumented() -> tuple[dict[str, types.ModuleType], Recorder]:
+    """Private copies of the modules of TARGETS, with every target's
+    conjuncts probed, each reading the others' copies; and their recorder."""
+    recorder = Recorder()
+    copies = {}
+    for name, targets in TARGETS.items():
+        real = REAL[name]
+        tree = ast.parse(inspect.getsource(real))
+        for qualname in targets:
+            function = _function(tree, qualname)
+            visitor = _Instrument(f"{name}.{qualname}", recorder)
+            function.body = [visitor.visit(statement) for statement in function.body]
+        module = types.ModuleType(real.__name__)
+        module.__package__, module._census = "psqcayley", recorder
+        exec(compile(ast.fix_missing_locations(tree), real.__file__, "exec"), vars(module))
+        copies[name] = module
+    # a name imported from a real module is rebound to the copy's
+    by_real = {id(module): copies[name] for name, module in REAL.items()}
+    for module in copies.values():
+        for key, value in list(vars(module).items()):
+            if id(value) in by_real:
+                setattr(module, key, by_real[id(value)])
+                continue
+            home = getattr(value, "__module__", "").removeprefix("psqcayley.")
+            if home in REAL and getattr(REAL[home], getattr(value, "__name__", ""), None) is value:
+                setattr(module, key, getattr(copies[home], value.__name__))
+    return copies, recorder
+
+
+def _outcome(mods: dict[str, types.ModuleType], t, direct: bool):
+    """`verify`'s lines for t, or the error it raises; and, with direct, the
+    verifiers that take t and its graph alone (UNVALIDATED triples mostly
+    fail before `certify` reaches them)."""
+    try:
+        lines = mods["report"].run_verification(t, 0).lines
+    except ValueError as error:
+        lines = repr(error)
+    if not direct:
+        return lines
+    g = mods["graph"].CayleyGraph.from_triple(t)
+    bounds = mods["parameters"].verify_index_bounds(t, mods["parameters"].independence_index_set(t))
+    st = mods["structure"]
+    return lines, st.verify_fiber_structure(g), st.verify_block_partition(g), st.verify_block_adjacency(g), bounds
+
+
+def _connector_toggles():
+    """(label, triple, members) for FAULT_MATRIX's gcd-class toggles, then
+    the pair toggles at PAIR_CENSUS's tier-1 triples."""
+    for primes in FAULT_MATRIX:
+        t = make_prime_triple(*primes)
+        n, connectors = t.n, set(REAL["graph"].enumerate_connectors(t))
+        for d in divisors(n)[:-1]:
+            cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+            inside = cls <= connectors
+            members = connectors - cls if inside else connectors | cls
+            yield f"gcd class {'-' if inside else '+'}{d} at {primes}", t, members
+    for primes in ((2, 3, 5), (2, 3, 7)):
+        t = make_prime_triple(*primes)
+        n, connectors = t.n, set(REAL["graph"].enumerate_connectors(t))
+        for x in range(1, n // 2 + 1):
+            yield f"pair {x} at {primes}", t, connectors ^ {x, n - x}
+
+
+def _wrap(mp, module, name, edit):
+    original = getattr(module, name)
+    mp.setattr(module, name, lambda *args: edit(original(*args), *args))
+
+
+def plants():
+    """(label, triple, plant(mp, mods), direct) for every plant, in census
+    order; plant sets the fault in the modules mods."""
+    for label, t, members in _connector_toggles():
+        members = tuple(sorted(members))
+        plant = lambda mp, mods, m=members: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m)
+        yield label, t, plant, False
+    origin, next_k = (0, 0, 0), (0, 0, 1)
+    edits = [
+        ("class-0 residue 1", "parameters", "block_residues", lambda zero, t, ids: sorted({*zero, 1})),
+        ("adjacent-index-ids", "parameters", "independence_index_set", lambda ids, t: (origin, next_k) + ids[2:]),
+        ("id-outside-the-lines", "parameters", "independence_index_set", lambda ids, t: ids + (t.primes,)),
+        *(
+            (f"index set {{{origin}, {o}}}", "parameters", "independence_index_set", lambda ids, t, o=o: (origin, o))
+            for o in ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        ),
+        ("line-missing-an-edge", "structure", "index_adjacent", lambda adj, x, y: adj and {x, y} != {origin, next_k}),
+    ]
+    t235 = make_prime_triple(2, 3, 5)
+    for label, module, name, edit in edits:
+        yield label, t235, lambda mp, mods, m=module, f=name, e=edit: _wrap(mp, mods[m], f, e), False
+    for t in UNVALIDATED:
+        yield f"unvalidated {t.primes}", t, lambda mp, mods: None, True
+
+
+def run_census(context) -> dict[str, dict[str, str]]:
+    """{function: {conjunct: the label of the first plant that fails it, or
+    "none"}}, after checking that no conjunct fails, and every one is
+    evaluated, on the true graphs, and that the copies give the real
+    outcome under every plant.  context() opens a monkeypatch scope."""
+    copies, recorder = instrumented()
+    for primes in ((2, 3, 5), (2, 3, 7), (3, 5, 7)):
+        t = make_prime_triple(*primes)
+        assert _outcome(copies, t, True) == _outcome(REAL, t, True)
+    assert recorder.failed == set()
+    assert recorder.seen == set(recorder.rows)
+    first = dict.fromkeys(recorder.rows, "none")
+    for label, t, plant, direct in plants():
+        with context() as mp:
+            plant(mp, REAL)
+            real = _outcome(REAL, t, direct)
+        with context() as mp:
+            plant(mp, copies)
+            assert _outcome(copies, t, direct) == real, label
+        for row in recorder.failed:
+            if first[row] == "none":
+                first[row] = label
+        recorder.failed.clear()
+    census: dict[str, dict[str, str]] = {}
+    for (where, text), label in first.items():
+        census.setdefault(where, {})[text] = label
+    return census
+
+
+# The first plant that fails each conjunct, in the order of `plants()`.
+CENSUS = {
+    "graph.CayleyGraph.is_step_cycle": {
+        "length >= 3": "none",
+        "n // gcd(step, n) == length": "none",
+        "all(map(self.is_connector, ends))": "gcd class -36 at (2, 3, 5)",
+    },
+    "graph.CayleyGraph.is_connected": {
+        "u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1": "none",
+        "holds": "none",
+        "reached == t.n": "gcd class -36 at (2, 3, 5)",
+    },
+    "structure.verify_fiber_structure": {
+        "all((m_ab <= x <= n - m_ab for x in g.members))": "gcd class +1 at (2, 3, 5)",
+        "m_ab <= x": "gcd class +1 at (2, 3, 5)",
+        "x <= n - m_ab": "gcd class +1 at (2, 3, 5)",
+        "len(tops) == m_c - t.gamma": "gcd class -36 at (2, 3, 5)",
+        "all((k % t.gamma for k in tops))": "gcd class +180 at (2, 3, 5)",
+        "gcd(m_c, m_ab) == 1": "unvalidated (2, 3, 4)",
+        "gcd(m_b * m_c, m_a) == 1": "unvalidated (2, 3, 4)",
+        "item_vi": "unvalidated (2, 3, 4)",
+        "g.is_step_cycle(m_a * m_c, m_b)": "gcd class -100 at (2, 3, 5)",
+        "gcd(m_c, m_b) == 1": "unvalidated (2, 5, 5)",
+    },
+    "structure.verify_block_partition": {
+        "all((gcd(x, y) == 1 for x, y in combinations(g.triple.moduli, 2)))": "unvalidated (2, 3, 4)",
+        "gcd(x, y) == 1": "unvalidated (2, 3, 4)",
+    },
+    "structure.verify_block_adjacency": {
+        "len(ids) == a + b + c - 3": "gcd class +1 at (2, 3, 5)",
+        "all((index_adjacent((0, 0, 0), x) for x in ids))": "gcd class +1 at (2, 3, 5)",
+    },
+    "parameters.verify_coloring": {
+        "len(zero) == len({r % ab for r in zero})": "class-0 residue 1",
+        "len({r % ab for r in zero}) == ab": "adjacent-index-ids",
+        "tiles": "none",
+        "transversal": "class-0 residue 1",
+        "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
+    },
+    "parameters.clique_tiles": {
+        "len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0})": "none",
+        "len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma": "none",
+    },
+    "parameters.verify_index_bounds": {
+        "all((len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2))))": "adjacent-index-ids",
+        "len({(x[u], x[v]) for x in ids}) == len(ids)": "adjacent-index-ids",
+        "a * b == len(ids)": "id-outside-the-lines",
+    },
+    "hamiltonian.verify_walk": {
+        "w.n != g.triple.n": "none",
+        "not g.is_step_cycle(step, rows)": "gcd class -36 at (2, 3, 5)",
+        "gcd(rows, size) != 1": "none",
+        "size == w.n": "none",
+    },
+    "report.certify": {
+        "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": "unvalidated (2, 5, 5)",
+        "x < y": "unvalidated (2, 5, 5)",
+        "ascending": "unvalidated (2, 5, 5)",
+        "all((x + y == n for x, y in zip(members, reversed(members))))": "none",
+        "x + y == n": "none",
+        "regular": "none",
+        "conn.connected": "gcd class -36 at (2, 3, 5)",
+        "g.degree % 2 == 0": "gcd class +450 at (2, 3, 5)",
+    },
+    "report.run_verification": {
+        "scan_ok": "gcd class +1 at (2, 3, 5)",
+        "g.degree == connector_count_formula(t)": "gcd class +1 at (2, 3, 5)",
+        "g.is_clique(k5)": "gcd class -36 at (2, 3, 5)",
+        "found is not None": "none",
+        "g.is_clique(clique)": "gcd class -36 at (2, 3, 5)",
+        "len(clique) == t.gamma": "none",
+        "clique_ok": "gcd class -36 at (2, 3, 5)",
+        "coloring.proper": "gcd class +1 at (2, 3, 5)",
+        "clique_ok [2]": "gcd class -36 at (2, 3, 5)",
+        "coloring.proper [2]": "gcd class +1 at (2, 3, 5)",
+        "bounds.index_set_two_agreement_free": "adjacent-index-ids",
+        "bounds.lines_cover_ids": "id-outside-the-lines",
+        "clique_ok [3]": "gcd class -36 at (2, 3, 5)",
+        "cover": "none",
+        "index_ok": "adjacent-index-ids",
+        "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
+        "cert.size == upper": "class-0 residue 1",
+        "c.block_partition": "none",
+        "c.block_adjacency": "gcd class +1 at (2, 3, 5)",
+        "all(c.fiber.values())": "gcd class +1 at (2, 3, 5)",
+        "sweep.mismatches == 0": "gcd class +1 at (2, 3, 5)",
+        "diam.value == diam.bfs_eccentricity": "gcd class +1 at (2, 3, 5)",
+        "diam.bfs_eccentricity == 6": "gcd class +1 at (2, 3, 5)",
+    },
+}
+
+# The conjuncts that no plant fails, or only an UNVALIDATED triple, and why
+# each stays in the package: the lemma candidates of schema v2.  A conjunct
+# whose value is the same for every argument leaves the package instead, its
+# proof kept in a docstring and a test.  This list only shrinks.
+FROM_T = "built by certify from t alone, which no plant here edits"
+LEMMA_CANDIDATES = {
+    "graph.CayleyGraph.is_step_cycle": {
+        "length >= 3": f"every length is a modulus p² ≥ 4 of t, {FROM_T}; "
+        "the identity levels of tests/test_hamiltonian.py fail it",
+        "n // gcd(step, n) == length": f"steps and lengths are t's CRT basis and moduli, {FROM_T}; "
+        "the level faults of tests/test_hamiltonian.py fail it",
+    },
+    "graph.CayleyGraph.is_connected": {
+        "u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1": (
+            f"the Bezout witness is {FROM_T}"
+        ),
+        "holds": "the Bezout identity above",
+    },
+    "structure.verify_fiber_structure": {
+        "gcd(m_c, m_ab) == 1": "item (iv), a fact about Z_n: fails only where two moduli share a prime",
+        "gcd(m_b * m_c, m_a) == 1": "item (vi), a fact about Z_n: fails only where two moduli share a prime",
+        "item_vi": "item (vi), read again by item (viii)",
+        "gcd(m_c, m_b) == 1": "item (viii)'s crossings, a fact about Z_n: fails only where b = c",
+    },
+    "structure.verify_block_partition": {
+        "all((gcd(x, y) == 1 for x, y in combinations(g.triple.moduli, 2)))": (
+            "the CRT is injective on the box: fails only where two moduli share a prime"
+        ),
+        "gcd(x, y) == 1": "the same, pair by pair",
+    },
+    "parameters.verify_coloring": {
+        "tiles": f"the tiling by K, {FROM_T}; the planted K of tests/test_kernel.py fails it",
+    },
+    "parameters.clique_tiles": {
+        "len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0})": (
+            f"K is {FROM_T}; the planted K of tests/test_kernel.py fails it"
+        ),
+        "len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma": (
+            f"K is {FROM_T}; the planted K of tests/test_kernel.py fails it"
+        ),
+    },
+    "hamiltonian.verify_walk": {
+        "w.n != g.triple.n": f"the walk is {FROM_T}; tests/test_hamiltonian.py's walk for another n fails it",
+        "gcd(rows, size) != 1": f"the walk is {FROM_T}; the level faults of tests/test_hamiltonian.py fail it",
+        "size == w.n": f"the walk is {FROM_T}; the level faults of tests/test_hamiltonian.py fail it",
+    },
+    "report.certify": {
+        "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": (
+            "a repeated prime repeats a member; tests/test_report_cli.py's swapped members fail it"
+        ),
+        "x < y": "the same, member by member",
+        "ascending": "the same, read again by regularity",
+        "all((x + y == n for x, y in zip(members, reversed(members))))": (
+            "gcd classes and ±x pairs keep C closed under negation; "
+            "tests/test_report_cli.py's one-way members fail it"
+        ),
+        "x + y == n": "the same, member by member",
+        "regular": "the same, read again by the Eulerian verdict",
+    },
+    "report.run_verification": {
+        "found is not None": "the triangle oracle: every planted C keeps a triangle",
+        "len(clique) == t.gamma": f"K is {FROM_T}",
+        "cover": "the tiling by K of verify_coloring, read again by the independence line",
+        "c.block_partition": (
+            "verify_block_partition's verdict; the UNVALIDATED triples that fail it raise in certify before it"
+        ),
+    },
+}
+
+
+def test_every_conjunct_fails_under_some_plant_or_is_a_lemma_candidate(monkeypatch):
+    census = run_census(monkeypatch.context)
+    assert not any(hasattr(module, "_census") for module in REAL.values())
+    unreached = [(where, text) for where, rows in census.items() for text, label in rows.items() if label == "none"]
+    assert [row for row in unreached if row not in _rows(LEMMA_CANDIDATES)] == []
+    candidates = [
+        (where, text)
+        for where, rows in census.items()
+        for text, label in rows.items()
+        if label == "none" or label.startswith("unvalidated")
+    ]
+    assert candidates == _rows(LEMMA_CANDIDATES)
+    assert census == CENSUS
+
+
+def _rows(table: dict[str, dict[str, str]]) -> list[tuple[str, str]]:
+    return [(where, text) for where, rows in table.items() for text in rows]

@@ -1,6 +1,5 @@
 from collections import Counter
 from itertools import combinations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +18,7 @@ from psqcayley.parameters import (
     independence_internal_edges,
     verify_index_bounds,
 )
-from psqcayley.report import build_report
+from psqcayley.report import build_report, run_verification
 
 from helpers import UNVALIDATED, certificate_color, certified_coloring, crt_components, triples_with_group_order_at_most
 
@@ -121,12 +120,12 @@ def test_index_bounds():
 
 
 def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
-    """Both index bounds with every pair of every line checked, through the
-    index-graph bindings that `verify_index_bounds` reads, so a fault planted
-    in one shows in both; the box walk reads `structure.index_ids`."""
+    """Both index bounds with every pair of every line checked by
+    `structure.index_adjacent`, the reference for the line lemma that
+    `verify_index_bounds` states; the box walk reads `structure.index_ids`."""
     ids = independence_index_set(t)
     lines = [[(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
-    adjacent = parameters.index_adjacent
+    adjacent = structure.index_adjacent
     cover = (
         len(lines) == len(ids)
         and sorted(bid for line in lines for bid in line) == structure.index_ids(t)
@@ -135,28 +134,41 @@ def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
     return not any(adjacent(x, y) for x, y in combinations(ids, 2)), cover
 
 
-def test_index_bounds_check_one_line_of_pairs(monkeypatch):
-    # the lines are translates of line (0, 0), so its C(c, 2) pairs decide
-    # the clique bound, and the index set's projections take no adjacency
-    # call: 13,861 calls at (2,3,167), where every line's pairs would be 83,166
+def test_index_bounds_make_no_adjacency_call(monkeypatch):
+    # two ids on one line agree in exactly (i, j), so every line is a clique
+    # for every c (the line lemma), and the index set's projections take no
+    # adjacency call: none at (2,3,167), where every line's pairs would be
+    # 83,166; the literal loop stays the reference
     for t in LADDER:
         rep = _index_bounds(t)
         assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
     t = make_prime_triple(2, 3, 167)
     calls = Counter()
-    adjacent = parameters.index_adjacent
-    monkeypatch.setattr(parameters, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
+    adjacent = structure.index_adjacent
+    monkeypatch.setattr(structure, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
     assert _index_bounds(t) == (True, True)
     assert len(independence_index_set(t)) == 6
-    assert calls[1] == comb(167, 2)
+    assert calls[1] == 0
+
+
+def test_a_line_missing_an_edge_still_fails_the_structure_line(monkeypatch):
+    # the index bounds no longer read the index graph, but block adjacency
+    # does: the connector ids of (2,3,5) include (0, 0, 1), so dropping the
+    # edge (0, 0, 0) - (0, 0, 1) from the index graph fails `verify`'s
+    # structure line, and no other
+    adjacent = structure.index_adjacent
+    monkeypatch.setattr(structure, "index_adjacent", lambda x, y: adjacent(x, y) and {x, y} != {(0, 0, 0), (0, 0, 1)})
+    assert _index_bounds(T235) == (True, True)
+    failed = [line.split(":")[0] for line in run_verification(T235, 0).lines if line.startswith("FAIL")]
+    assert failed == ["FAIL structure"]
 
 
 def test_index_bounds_by_projection_equal_every_line_of_pairs():
     # part 1 is three injective projections of the a·b ids, O(ab), and part 2
-    # the line count and line (0, 0)'s pairs: no C(ab, 2) pair loop and no
-    # box walk, equal to the pair loops at every ladder triple and on unvalidated
-    # triples, where the index set (i, j, i + j mod 3) is not free: at
-    # (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
+    # the line count, by the line lemma: no C(ab, 2) pair loop, no C(c, 2)
+    # line loop and no box walk, equal to the pair loops at every ladder
+    # triple and on unvalidated triples, where the index set (i, j, i + j
+    # mod 3) is not free: at (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
     for t in triples_with_group_order_at_most(1_100_000) + UNVALIDATED:
         rep = _index_bounds(t)
         expected = (t.primes not in ((2, 5, 3), (5, 2, 3)), True)
@@ -171,7 +183,6 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
     [
         ("adjacent-index-ids", (False, True)),
         ("id-outside-the-lines", (True, False)),
-        ("line-missing-an-edge", (True, False)),
     ],
 )
 def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkeypatch):
@@ -184,19 +195,12 @@ def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkey
         monkeypatch.setattr(
             parameters, "independence_index_set", lambda t: calls.update([1]) or (origin, next_k) + index_set(t)[2:]
         )
-    elif plant == "id-outside-the-lines":
+    else:
         # (a, b, c) lies on no line and shares no projection with another id,
         # so the set stays free but outnumbers the a·b lines
         index_set = parameters.independence_index_set
         monkeypatch.setattr(
             parameters, "independence_index_set", lambda t: calls.update([1]) or index_set(t) + (t.primes,)
-        )
-    else:
-        adjacent = parameters.index_adjacent
-        monkeypatch.setattr(
-            parameters,
-            "index_adjacent",
-            lambda x, y: calls.update([1]) or (adjacent(x, y) and {x, y} != {origin, next_k}),
         )
     rep = _index_bounds(T235)
     assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
@@ -209,7 +213,7 @@ def test_index_set_freedom_reads_each_projection(other, monkeypatch):
     # two-coordinate projection maps them to one pair
     pair = ((0, 0, 0), other)
     monkeypatch.setattr(parameters, "independence_index_set", lambda t: pair)
-    assert parameters.index_adjacent(*pair)
+    assert structure.index_adjacent(*pair)
     assert _index_bounds(T235).index_set_two_agreement_free is False
 
 

@@ -18,7 +18,14 @@ from psqcayley.oracles import SweepReport, distance_sweep
 from psqcayley.parameters import clique_certificate, independence_certificate
 from psqcayley.report import build_report, certify, report_bytes, run_verification
 
-from helpers import BIG_PRIME, certificate_color, count_level_builds, prime_factors, record_primality_tests
+from helpers import (
+    BIG_PRIME,
+    certificate_color,
+    count_level_builds,
+    prime_factors,
+    record_primality_tests,
+    triples_with_group_order_at_most,
+)
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -714,6 +721,15 @@ def test_cli_verify_passes_structure_above_a_two(primes, capsys):
     assert "\nPASS structure: " in out and "skip" not in out.lower()
     assert all(line.startswith("PASS ") for line in out.splitlines()[:-1])
     assert out.endswith("verification OK\n")
+
+
+@pytest.mark.slow
+def test_verify_passes_at_every_triple_up_to_ten_million():
+    # the paper's theorems on every triple with n ≤ 10⁷, not on a ladder: a
+    # failure names its triple, and no triple leaves the census so that it passes
+    triples = triples_with_group_order_at_most(10**7)
+    assert len(triples) == 509
+    assert [t.primes for t in triples if not run_verification(t).ok] == []
 
 
 def test_cli_verify_passes(capsys):

@@ -1,5 +1,6 @@
 """The suite's own pytest settings: every warning is an error, yet a failing
-hypothesis test is one failure and the run goes on past it."""
+hypothesis test is one failure and the run goes on past it; and every test
+module is collected."""
 
 import subprocess
 import sys
@@ -33,3 +34,18 @@ def test_a_failing_hypothesis_test_is_one_failure_and_the_run_goes_on(tmp_path):
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed, 1 passed" in proc.stdout
     assert "INTERNALERROR" not in proc.stdout + proc.stderr
+
+
+def test_every_test_module_is_collected():
+    # the suite runs with --continue-on-collection-errors, so a test module
+    # that failed to import would drop out of the count without a failure
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"],
+        cwd=PYPROJECT.parent,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "error" not in proc.stdout.splitlines()[-1]
+    assert "tests/test_census.py::" in proc.stdout
