@@ -8,20 +8,21 @@
 
 An option is given as `--opt value` or `--opt=value`, and the last of a
 repeated one wins; -h or --help prints this text.  Exit codes: 0 success, 1
-verification mismatch, 2 usage or validation error, including a negative
---budget-sources, a --config file that cannot be read, an --out file that
-cannot be written, and a group too large for the memory limit (checked
-before anything is allocated: from n for `params`, `verify` and `export`;
-from |C| for `hamiltonian --check`, which holds the connecting set and no
-per-vertex data; not at all for `build` and plain `hamiltonian`, which print
-|C| and the degree from the closed form, or the walk from the moduli).
-`verify` decides every distance by the one BFS from vertex 0 (every
-translation is an automorphism); --budget-sources sets only the source and
-pair counts that its diameter line reports.  `verify` still accepts --seed,
-only because the benchmark passes it, and no output depends on it; `params`
-echoes it.  `export` reads `materialize-cap` from a `key = value` config file
-(--config) of at most 65,536 characters.  Each subcommand accepts only the
-options it reads.
+a false verdict (a FAIL line of `verify`, or a false entry of the `verdicts`
+that `params` writes, after its whole report), 2 usage or validation error,
+including a negative --budget-sources, a --config file that cannot be read,
+an --out file that cannot be written, and a group too large for the memory
+limit (checked before anything is allocated: from n for `params`, `verify`
+and `export`; from |C| for `hamiltonian --check`, which holds the connecting
+set and no per-vertex data; not at all for `build` and plain `hamiltonian`,
+which print |C| and the degree from the closed form, or the walk from the
+moduli).  `verify` decides every distance by the one BFS from vertex 0
+(every translation is an automorphism); --budget-sources sets only the
+source and pair counts that its diameter line reports.  `verify` still
+accepts --seed, only because the benchmark passes it, and no output depends
+on it; `params` echoes it.  `export` reads `materialize-cap` from a
+`key = value` config file (--config) of at most 65,536 characters.  Each
+subcommand accepts only the options it reads.
 """
 
 from __future__ import annotations
@@ -175,12 +176,13 @@ def main(argv: list[str]) -> int:
 
         if command == "params":
             seed = args.get("--seed", report_mod.DEFAULT_SEED)
-            payload = report_mod.report_bytes(report_mod.build_report(triple, seed, "--timings" in args))
+            report = report_mod.build_report(triple, seed, "--timings" in args)
+            payload = report_mod.report_bytes(report)
             if out is not None:
                 write_chunks(out, (payload,))
             else:
                 sys.stdout.write(payload.decode("ascii"))
-            return 0
+            return 0 if all(report["verdicts"].values()) else 1
 
         if command == "verify":
             outcome = report_mod.run_verification(triple, sources)

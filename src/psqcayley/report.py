@@ -1,16 +1,17 @@
 """The certificate pipeline, and its two renderings: the machine-readable
 report and the full verification run.
 
-`certify` builds every in-schema certificate and verdict exactly once, on one
-graph: regularity and connectivity, the independence certificate and its
+`certify` builds every in-schema certificate exactly once, on one graph:
+regularity and connectivity, the independence certificate and its
 internal-edge scan, the clique K, the proper coloring whose class 0 is the
-certificate, the index-graph bounds on its index set, the diameter, the walk
-certificate and its check, and the fiber and block checks, decided by
-translation on one representative.
-`build_report` renders the result as the JSON report; `run_verification`
-renders it as one line per check and adds the oracle-only checks (the
-connecting set against the order scan, the triangle scan, the clique cover
-that bounds α as the coloring bounds ω, and the distance sweep).
+certificate, the index-graph bounds, the diameter, the walk and its check,
+and the fiber and block checks, decided by translation on one
+representative.  From them it decides one verdict per paper claim, keyed by
+its `verify` line; the clique cover behind α ≤ n/c is the independence
+verdict's tiling by K.  `build_report` renders certificates and verdicts as
+the JSON report; `run_verification` renders each verdict as one line, ANDed
+with the line's oracle where it has one (the order scan, the triangle scan,
+the distance sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,
 trailing newline -- byte identical across runs with equal primes and seed.
@@ -33,21 +34,22 @@ from .graph import CayleyGraph
 from .group import PrimeTriple
 from .hamiltonian import snake_walk, verify_walk
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 12345  # only echoed, as the report's `oracleSeed`
 
 
-# Every in-schema certificate and verdict for one triple, on one graph.
-# Every field is always set; timings holds the seconds of each stage.
+# Every in-schema certificate for one triple, on one graph, each claim's
+# verdict keyed by its `verify` line, in line order, and each stage's seconds.
 Certificates = namedtuple(
     "Certificates",
-    "graph eulerian connectivity clique coloring independence independence_scan index_bounds diameter "
-    "walk walk_verified fiber block_partition block_adjacency timings",
+    "graph connectivity clique coloring independence independence_scan index_bounds diameter "
+    "walk fiber block_partition block_adjacency verdicts timings",
 )
 
 
 def certify(t: PrimeTriple) -> Certificates:
-    """Build every certificate and verdict once, each stage timed."""
+    """Build every certificate once, each stage timed, and decide each
+    paper claim's verdict from them."""
     timings: dict[str, float] = {}
     mark = time.perf_counter()
 
@@ -68,7 +70,6 @@ def certify(t: PrimeTriple) -> Certificates:
     ascending = all(x < y for x, y in pairwise(chain((0,), members, (n,))))
     regular = ascending and all(x + y == n for x, y in zip(members, reversed(members)))
     conn = g.is_connected()
-    eulerian = regular and g.degree % 2 == 0 and conn.connected
     lap("connectivity")
     independence = parameters.independence_certificate(t)
     scan = parameters.independence_internal_edges(independence, g)
@@ -76,8 +77,10 @@ def certify(t: PrimeTriple) -> Certificates:
     # colour class 0 is the certificate: its scan decides the colouring too
     clique = parameters.clique_certificate(t)
     coloring = parameters.verify_coloring(t, independence, scan, clique)
+    clique_ok = len(clique) == t.gamma and g.is_clique(clique)
     lap("coloring")
-    index_bounds = parameters.verify_index_bounds(t, independence.index_set)
+    bounds = parameters.verify_index_bounds(t, independence.index_set)
+    index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     lap("indexBounds")
     diam = parameters.diameter(t, g)
     lap("diameter")
@@ -88,15 +91,30 @@ def certify(t: PrimeTriple) -> Certificates:
     partition = structure.verify_block_partition(g)
     block_adj = structure.verify_block_adjacency(g)
     lap("structure")
-
+    # the c-clique K gives ω ≥ c, and the proper colouring into at most c
+    # classes ω ≤ χ ≤ c: the same two certificates decide χ = c.  α ≤ n/c:
+    # when the translates x + K, x in S₀ (n/c vertices), partition V, an
+    # independent set meets each at most once.  c ≥ 5, so K holds a K₅
+    verdicts = {
+        "connecting-set": g.degree == connector_count_formula(t),
+        "regular-eulerian-connected": regular and g.degree % 2 == 0 and conn.connected,
+        "girth-nonplanarity": g.is_clique(clique[:5]),
+        "clique": clique_ok and coloring.proper,
+        "chromatic": clique_ok and coloring.proper,
+        "independence": clique_ok and coloring.tiles and scan.internal_edges == 0
+        and independence.size == n // t.gamma and index_ok,
+        "structure": all(fiber.values()) and partition and block_adj,
+        "diameter": diam.value == diam.bfs_eccentricity == 6,
+        "hamiltonian": walk_ok,
+    }
     return Certificates(
-        g, eulerian, conn, clique, coloring, independence, scan, index_bounds, diam, walk, walk_ok,
-        fiber, partition, block_adj, timings,
+        g, conn, clique, coloring, independence, scan, bounds, diam, walk, fiber, partition, block_adj,
+        verdicts, timings,
     )
 
 
 def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool = False) -> dict:
-    """Render the certificates of one triple as the report.
+    """Render the certificates and verdicts of one triple as the report.
 
     The coloring and independence scans, the index-graph bounds and the
     block and fiber checks are always exhaustive.  `seed` is only echoed as
@@ -109,12 +127,10 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
         "primes": {"alpha": t.alpha, "beta": t.beta, "gamma": t.gamma},
         "n": t.n,
         "cSize": g.degree,
-        "degree": g.degree,
         "connected": {
             "bezout": list(c.connectivity.bezout),
             "bfsReached": c.connectivity.bfs_reached,
         },
-        "eulerian": c.eulerian,
         "girth": {"value": 3, "triangle": list(clique[:3])},
         "nonplanar": {"k5": list(clique[:5])},
         "clique": {"value": t.gamma, "certificate": list(clique)},
@@ -136,12 +152,13 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
         },
         "hamiltonian": {
             "kind": "cycle",
-            "verified": c.walk_verified,
+            "verified": c.verdicts["hamiltonian"],
             "endpoints": list(c.walk.endpoints),
         },
         "fiberStructure": c.fiber,
         "blockPartition": c.block_partition,
         "blockAdjacencyConsistent": c.block_adjacency,
+        "verdicts": c.verdicts,
         "oracleSeed": seed,
         "timings": {k: round(v, 6) for k, v in c.timings.items()} if include_timings else None,
     }
@@ -182,12 +199,15 @@ VerificationOutcome = namedtuple("VerificationOutcome", "ok lines")
 
 
 def run_verification(t: PrimeTriple, sources: int | None = None) -> VerificationOutcome:
-    """Render the certificates as one line per check, with the oracle suite
-    run against each.  `sources` is the distance sweep's count of extra
-    sources (`oracles.distance_sweep`), which sets only the reported source
-    and pair counts."""
+    """Render each verdict of `certify` as one line, ANDed at the call
+    site with the line's oracle where it has one: the order scan for the
+    connecting set, the triangle scan for the girth, and the distance sweep
+    for the diameter.  It decides nothing else.  `sources` is the distance
+    sweep's count of extra sources (`oracles.distance_sweep`), which sets
+    only the reported source and pair counts."""
     c = certify(t)
-    g, clique = c.graph, c.clique
+    g, clique, coloring, conn = c.graph, c.clique, c.coloring, c.connectivity
+    cert, scan, walk = c.independence, c.independence_scan, c.walk
     lines: list[str] = []
     ok = True
 
@@ -199,76 +219,53 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
     scan_ok, scan_size = oracles.order_scan(g)
     check(
         "connecting-set",
-        scan_ok and g.degree == connector_count_formula(t),
+        c.verdicts["connecting-set"] and scan_ok,
         f"|C|={g.degree}, formula={connector_count_formula(t)}, order-scan={scan_size}",
     )
-
-    conn = c.connectivity
     check(
         "regular-eulerian-connected",
-        c.eulerian,
+        c.verdicts["regular-eulerian-connected"],
         f"degree={g.degree}, bezout={conn.bezout}, reached={conn.bfs_reached}/{t.n}",
     )
-
-    tri, k5 = clique[:3], clique[:5]  # c ≥ 5 at every triple; tri lies in K₅
     found = oracles.find_triangle(g)
     check(
         "girth-nonplanarity",
-        g.is_clique(k5) and found is not None,
-        f"triangle={tri}, k5={k5}, scan={found}",
+        c.verdicts["girth-nonplanarity"] and found is not None,
+        f"triangle={clique[:3]}, k5={clique[:5]}, scan={found}",
     )
-
-    # the c-clique gives ω ≥ c, and the proper colouring into at most c
-    # classes ω ≤ χ ≤ c; the same two certificates decide χ = c
-    coloring = c.coloring
-    clique_ok = len(clique) == t.gamma and g.is_clique(clique)
     check(
         "clique",
-        clique_ok and coloring.proper,
+        c.verdicts["clique"],
         f"certificate={len(clique)} <= omega <= chi <= {t.gamma} "
         f"(coloring proper={coloring.proper}), gamma={t.gamma}",
     )
     check(
         "chromatic",
-        clique_ok and coloring.proper,
-        f"proper={coloring.proper} over {coloring.edges_checked} edges (exhaustive), "
-        f"value={t.gamma}",
+        c.verdicts["chromatic"],
+        f"proper={coloring.proper} over {coloring.edges_checked} edges (exhaustive), value={t.gamma}",
     )
-
-    # α ≤ n/c: when the translates x + K of the clique, x in S₀ (n/c
-    # vertices), partition V, an independent set meets each at most once
-    upper, cover = t.n // t.gamma, coloring.tiles
-    cert, scan, bounds = c.independence, c.independence_scan, c.index_bounds
-    index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
     check(
         "independence",
-        clique_ok and cover and scan.internal_edges == 0 and cert.size == upper and index_ok,
-        f"size={cert.size} <= alpha <= {upper} (cover by translates of K: {cover}), "
+        c.verdicts["independence"],
+        f"size={cert.size} <= alpha <= {t.n // t.gamma} (cover by translates of K: {coloring.tiles}), "
         f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
-        f"index-MIS={len(cert.index_set)} (index bounds: {index_ok})",
+        f"index-MIS={len(cert.index_set)} (index bounds: {all(c.index_bounds)})",
     )
-
     check(
         "structure",
-        all(c.fiber.values()) and c.block_partition and c.block_adjacency,
-        f"fiber={c.fiber}, partition={c.block_partition}, "
-        f"blockAdjacency={c.block_adjacency}",
+        c.verdicts["structure"],
+        f"fiber={c.fiber}, partition={c.block_partition}, blockAdjacency={c.block_adjacency}",
     )
-
     sweep = oracles.distance_sweep(g, sources)
-    diam = c.diameter
     check(
         "diameter",
-        sweep.mismatches == 0 and diam.value == diam.bfs_eccentricity == 6,
+        c.verdicts["diameter"] and sweep.mismatches == 0,
         f"max={sweep.max_distance}, mismatches={sweep.mismatches} over "
         f"{sweep.pairs_checked} pairs from {sweep.sources} sources",
     )
-
-    walk = c.walk
     check(
         "hamiltonian",
-        c.walk_verified,
+        c.verdicts["hamiltonian"],
         f"kind=cycle, length={walk.length}, endpoints={walk.endpoints}",
     )
-
     return VerificationOutcome(ok, tuple(lines))

@@ -247,8 +247,8 @@ sys.exit(cli.main(sys.argv[1:]))
 @pytest.mark.parametrize("command", ["params", "verify"])
 def test_planted_class_zero_fails_through_its_verdicts_also_under_optimization(command):
     # the size of class 0 is the independence verdict's to decide: `verify`
-    # fails its lines, `params` reports the failed colouring, and neither
-    # rests on an assert, so `python -O` changes nothing
+    # fails its lines, `params` writes the same false verdicts and exits on
+    # them, and neither rests on an assert, so `python -O` changes nothing
     plain, optimized = (
         subprocess.run(
             [sys.executable, *flags, "-c", PLANTED_CLASS_ZERO, command, "--primes", "2,3,5"],
@@ -260,8 +260,9 @@ def test_planted_class_zero_fails_through_its_verdicts_also_under_optimization(c
     assert (plain.returncode, plain.stdout, plain.stderr) == (optimized.returncode, optimized.stdout, optimized.stderr)
     assert plain.stderr == b""
     if command == "params":
-        assert plain.returncode == 0
+        assert plain.returncode == 1
         assert b'"coloringProper": false' in plain.stdout
+        assert b'"independence": false' in plain.stdout
     else:
         assert plain.returncode == 1
         failed = {line.split(":")[0] for line in plain.stdout.decode().splitlines() if line.startswith("FAIL ")}

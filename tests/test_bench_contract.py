@@ -3,7 +3,8 @@ package's function names and argument names.  A renamed function or argument
 would otherwise surface only in the benchmark's own self-test; here it fails
 the suite.  So does an output that the benchmark's own checks would reject:
 each workload's commands run once and go through `bench/run.py`'s
-`check_output`.  The tests read `bench/` and never write to it."""
+`check_output`, and each must exit 0.  The tests read `bench/` and never
+write to it."""
 
 import importlib.util
 import json
@@ -114,6 +115,8 @@ def test_every_workload_command_passes_the_benchmark_check(workload, bench_run, 
         data = cmd.out.read_bytes() if cmd.out is not None and cmd.out.exists() else b""
         problems = bench_run.check_output(cmd, proc.returncode, proc.stdout, data)
         assert not problems, (cmd.argv, problems, proc.stderr[-300:])
+        # the exit code carries the verdicts, which `check_params` does not read
+        assert proc.returncode == 0, (cmd.argv, proc.stderr[-300:])
 
 
 def test_export_large_rewrites_its_outputs_as_fresh_writes(bench_run, tmp_path):

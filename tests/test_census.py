@@ -362,34 +362,39 @@ CENSUS = {
         "ascending": "unvalidated (2, 5, 5)",
         "all((x + y == n for x, y in zip(members, reversed(members))))": "none",
         "x + y == n": "none",
+        "g.is_clique(clique)": "gcd class -36 at (2, 3, 5)",
+        "len(clique) == t.gamma": "none",
+        "bounds.index_set_two_agreement_free": "adjacent-index-ids",
+        "bounds.lines_cover_ids": "id-outside-the-lines",
+        "g.degree == connector_count_formula(t)": "gcd class +1 at (2, 3, 5)",
         "regular": "none",
         "conn.connected": "gcd class -36 at (2, 3, 5)",
         "g.degree % 2 == 0": "gcd class +450 at (2, 3, 5)",
-    },
-    "report.run_verification": {
-        "scan_ok": "gcd class +1 at (2, 3, 5)",
-        "g.degree == connector_count_formula(t)": "gcd class +1 at (2, 3, 5)",
-        "g.is_clique(k5)": "gcd class -36 at (2, 3, 5)",
-        "found is not None": "none",
-        "g.is_clique(clique)": "gcd class -36 at (2, 3, 5)",
-        "len(clique) == t.gamma": "none",
         "clique_ok": "gcd class -36 at (2, 3, 5)",
         "coloring.proper": "gcd class +1 at (2, 3, 5)",
         "clique_ok [2]": "gcd class -36 at (2, 3, 5)",
         "coloring.proper [2]": "gcd class +1 at (2, 3, 5)",
-        "bounds.index_set_two_agreement_free": "adjacent-index-ids",
-        "bounds.lines_cover_ids": "id-outside-the-lines",
         "clique_ok [3]": "gcd class -36 at (2, 3, 5)",
-        "cover": "none",
+        "coloring.tiles": "none",
         "index_ok": "adjacent-index-ids",
         "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
-        "cert.size == upper": "class-0 residue 1",
-        "c.block_partition": "none",
-        "c.block_adjacency": "gcd class +1 at (2, 3, 5)",
-        "all(c.fiber.values())": "gcd class +1 at (2, 3, 5)",
-        "sweep.mismatches == 0": "gcd class +1 at (2, 3, 5)",
+        "independence.size == n // t.gamma": "class-0 residue 1",
+        "partition": "none",
+        "block_adj": "gcd class +1 at (2, 3, 5)",
+        "all(fiber.values())": "gcd class +1 at (2, 3, 5)",
         "diam.value == diam.bfs_eccentricity": "gcd class +1 at (2, 3, 5)",
         "diam.bfs_eccentricity == 6": "gcd class +1 at (2, 3, 5)",
+    },
+    # each line ANDs its verdict with its oracle; the index-bounds detail
+    # renders the two bounds that the independence verdict reads
+    "report.run_verification": {
+        "c.verdicts['connecting-set']": "gcd class +1 at (2, 3, 5)",
+        "scan_ok": "gcd class +1 at (2, 3, 5)",
+        "c.verdicts['girth-nonplanarity']": "gcd class -36 at (2, 3, 5)",
+        "found is not None": "none",
+        "all(c.index_bounds)": "adjacent-index-ids",
+        "c.verdicts['diameter']": "gcd class +1 at (2, 3, 5)",
+        "sweep.mismatches == 0": "gcd class +1 at (2, 3, 5)",
     },
 }
 
@@ -450,15 +455,15 @@ LEMMA_CANDIDATES = {
             "tests/test_report_cli.py's one-way members fail it"
         ),
         "x + y == n": "the same, member by member",
+        "len(clique) == t.gamma": f"K is {FROM_T}",
         "regular": "the same, read again by the Eulerian verdict",
+        "coloring.tiles": "the tiling by K of verify_coloring, read again by the independence verdict",
+        "partition": (
+            "verify_block_partition's verdict; the UNVALIDATED triples that fail it raise in certify before it"
+        ),
     },
     "report.run_verification": {
         "found is not None": "the triangle oracle: every planted C keeps a triangle",
-        "len(clique) == t.gamma": f"K is {FROM_T}",
-        "cover": "the tiling by K of verify_coloring, read again by the independence line",
-        "c.block_partition": (
-            "verify_block_partition's verdict; the UNVALIDATED triples that fail it raise in certify before it"
-        ),
     },
 }
 

@@ -1,4 +1,5 @@
-"""Which `verify` line and which fiber item catch which gcd-class fault.
+"""Which `verify` line and which fiber item catch which gcd-class fault,
+and which `params` verdict.
 
 C is the union of the gcd classes {x : gcd(x, n) = n/p²}, p in (a, b, c):
 the elements of order p².  Toggling one whole class {x : gcd(x, n) = d},
@@ -7,14 +8,17 @@ has 26 such faults.  The table below is what `run_verification(t, 0)` says
 under each: a row names the toggled class (+d added to C, -d removed from
 it), then marks each failing line by its letter and lists the failing fiber
 items.  A later change that makes a check vacuous changes its column and
-fails the test.
+fails the test.  Beside both tables, `params` runs under the same toggles:
+its false verdicts and `verify`'s FAIL lines must agree.
 """
 
+import json
 from math import gcd
 
 import pytest
 
-from psqcayley import graph, report
+from psqcayley import cli, graph, oracles, report
+from psqcayley.graph import CayleyGraph
 from psqcayley.group import make_prime_triple
 from psqcayley.report import run_verification
 
@@ -157,3 +161,65 @@ def test_each_pair_toggle_fails_the_census_count_of_lines(primes, monkeypatch):
             counts[k] += name in failed
         toggles += 1
     assert (toggles, counts) == PAIR_CENSUS[primes]
+
+
+# The params column: under each table's toggles at each triple, how many
+# make `params` exit 1, and how many fail each verdict, in the order of
+# LINES.  Only the connecting-set, girth and diameter lines have an oracle
+# besides their verdict, so each other count equals its line's count in
+# the table; here every toggle fails some verdict.
+PARAMS_COLUMN = {
+    ("classes", (2, 3, 5)): (26, {"C": 26, "R": 4, "G": 1, "K": 15, "X": 15, "I": 15, "S": 23, "D": 26, "H": 3}),
+    ("classes", (3, 5, 7)): (26, {"C": 26, "R": 3, "G": 1, "K": 15, "X": 15, "I": 15, "S": 25, "D": 26, "H": 3}),
+    ("pairs", (2, 3, 5)): (450, {"C": 450, "R": 2, "G": 4, "K": 199, "X": 199, "I": 199, "S": 364, "D": 435, "H": 3}),
+    ("pairs", (2, 3, 7)): (882, {"C": 882, "R": 2, "G": 4, "K": 321, "X": 321, "I": 321, "S": 724, "D": 831, "H": 3}),
+    ("pairs", (3, 5, 7)): (
+        5512,
+        {"C": 5512, "R": 0, "G": 4, "K": 2368, "X": 2368, "I": 2368, "S": 4929, "D": 5383, "H": 3},
+    ),
+}
+
+
+def _toggled_members(table, t):
+    """The member lists of FAULT_MATRIX's gcd-class toggles ("classes") or
+    of PAIR_CENSUS's pair toggles ("pairs") at t."""
+    n, connectors = t.n, set(graph.enumerate_connectors(t))
+    if table == "classes":
+        for d in divisors(n)[:-1]:
+            cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
+            yield tuple(sorted(connectors - cls if cls <= connectors else connectors | cls))
+    else:
+        for x in range(1, n // 2 + 1):
+            yield tuple(sorted(connectors ^ {x, n - x}))
+
+
+@pytest.mark.parametrize(
+    "table, primes",
+    [key if key != ("pairs", (3, 5, 7)) else pytest.param(*key, marks=pytest.mark.slow) for key in PARAMS_COLUMN],
+    ids=lambda v: v if isinstance(v, str) else ",".join(map(str, v)),
+)
+def test_params_fails_the_verdicts_of_the_lines_that_verify_fails(table, primes, monkeypatch, capsys):
+    # verify ANDs each verdict with its line's oracle, so its FAIL lines are
+    # the false verdicts and the lines whose oracle failed; params writes
+    # the same verdicts and exits 1 iff one is false
+    t = make_prime_triple(*primes)
+    exits, counts = 0, dict.fromkeys(LINES, 0)
+    for members in _toggled_members(table, t):
+        monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
+        code = cli.main(["params", "--primes", ",".join(map(str, primes))])
+        verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+        assert list(verdicts) == list(LINES.values())
+        false = {name for name, ok in verdicts.items() if not ok}
+        assert code == (1 if false else 0)
+        g = CayleyGraph.from_triple(t)
+        oracles_held = {
+            "connecting-set": oracles.order_scan(g)[0],
+            "girth-nonplanarity": oracles.find_triangle(g) is not None,
+            "diameter": oracles.distance_sweep(g, 0).mismatches == 0,
+        }
+        failed = {line.split(":")[0][5:] for line in run_verification(t, 0).lines if line.startswith("FAIL")}
+        assert failed == false | {name for name, held in oracles_held.items() if not held}, members
+        exits += code
+        for k, name in LINES.items():
+            counts[k] += name in false
+    assert (exits, counts) == PARAMS_COLUMN[table, primes]

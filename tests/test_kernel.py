@@ -703,7 +703,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
 
         monkeypatch.setattr(CayleyGraph, name, recorded)
     c = certify(make_prime_triple(2, 3, 167))
-    assert c.walk_verified and all(c.fiber.values()) and c.connectivity.connected
+    assert c.verdicts["hamiltonian"] and all(c.fiber.values()) and c.connectivity.connected
     assert callers == {"neighborhood from levels_from_zero": c.diameter.bfs_eccentricity}
 
 

@@ -146,7 +146,7 @@ RECORDS = {
     "CayleyGraph.triple": (lambda: CayleyGraph.from_triple(T235), "triple"),
     "CayleyGraph.members": (lambda: CayleyGraph.from_triple(T235), "members"),
     "WalkCertificate": (lambda: snake_walk(T235), "levels"),
-    "Certificates": (lambda: certify(T235), "walk_verified"),
+    "Certificates": (lambda: certify(T235), "verdicts"),
 }
 
 
@@ -173,8 +173,8 @@ RECORD_FIELDS = {
     IndependenceScan: ("internal_edges", "graph_edges", "pairs_checked"),
     IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids"),
     Certificates: (
-        "graph", "eulerian", "connectivity", "clique", "coloring", "independence", "independence_scan",
-        "index_bounds", "diameter", "walk", "walk_verified", "fiber", "block_partition", "block_adjacency", "timings",
+        "graph", "connectivity", "clique", "coloring", "independence", "independence_scan", "index_bounds",
+        "diameter", "walk", "fiber", "block_partition", "block_adjacency", "verdicts", "timings",
     ),
     VerificationOutcome: ("ok", "lines"),
 }

@@ -26,6 +26,7 @@ from helpers import (
     record_primality_tests,
     triples_with_group_order_at_most,
 )
+from test_fault_matrix import LINES
 
 T235 = make_prime_triple(2, 3, 5)
 T357 = make_prime_triple(3, 5, 7)
@@ -35,9 +36,7 @@ EXPECTED_KEYS = [
     "primes",
     "n",
     "cSize",
-    "degree",
     "connected",
-    "eulerian",
     "girth",
     "nonplanar",
     "clique",
@@ -49,6 +48,7 @@ EXPECTED_KEYS = [
     "fiberStructure",
     "blockPartition",
     "blockAdjacencyConsistent",
+    "verdicts",
     "oracleSeed",
     "timings",
 ]
@@ -63,9 +63,7 @@ def test_report_values_small_instance():
     rep = build_report(T235)
     assert rep["n"] == 900
     assert rep["cSize"] == 28
-    assert rep["degree"] == rep["cSize"]
     assert rep["connected"] == {"bezout": [1, 1, -9], "bfsReached": 900}
-    assert rep["eulerian"] is True
     assert rep["girth"] == {"value": 3, "triangle": [0, 36, 72]}
     assert rep["nonplanar"]["k5"] == [0, 36, 72, 108, 144]
     assert rep["clique"]["value"] == 5
@@ -78,13 +76,14 @@ def test_report_values_small_instance():
     assert rep["fiberStructure"] == {k: True for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")}
     assert rep["blockPartition"] is True
     assert rep["blockAdjacencyConsistent"] is True
+    assert rep["verdicts"] == dict.fromkeys(LINES.values(), True)
     assert rep["timings"] is None
 
 
 def test_report_eulerian_with_even_degree():
     rep = build_report(T357)
-    assert rep["degree"] == 68
-    assert rep["eulerian"] is True
+    assert rep["cSize"] == 68
+    assert rep["verdicts"]["regular-eulerian-connected"] is True
 
 
 def test_report_round_trip_and_determinism():
@@ -124,11 +123,11 @@ def test_regularity_catches_a_connector_set_that_is_not_symmetric(extra, monkeyp
 
 @pytest.mark.parametrize("extra", [(1, 2), (36, 864)], ids=["one-way", "repeated"])
 def test_params_eulerian_is_the_regularity_verdict_of_verify(extra, monkeypatch):
-    # certify decides regularity once: the report's `eulerian` and verify's
-    # regular-eulerian-connected line read the same verdict, so a connected
+    # certify decides regularity once: the report's verdict and verify's
+    # regular-eulerian-connected line are the same entry, so a connected
     # graph of even degree that is not regular is no Eulerian report
     monkeypatch.setattr(graph, "enumerate_connectors", lambda t: tuple(sorted(enumerate_connectors(t) + extra)))
-    assert build_report(T235)["eulerian"] is False
+    assert build_report(T235)["verdicts"]["regular-eulerian-connected"] is False
     status = {line.split(":")[0] for line in run_verification(T235, 0).lines}
     assert "FAIL regular-eulerian-connected" in status
 
@@ -227,9 +226,9 @@ def test_cli_verify_stdout_is_pinned(capsys):
 def test_cli_params_bytes_are_pinned(capsys):
     # (3,5,11) lies above the export cap
     pinned = {
-        "2,3,5": "4ffb2bc5fed5044cb0097f4411807b9184da147b7a636863451814ded58ee590",
-        "3,5,11": "b36d89375d61366cda8d8c4ffb3e1962596c1350fb2cb289c36aaa5b90b5583f",
-        "5,7,11": "5de9bb38d806ec0650a46cbdc11ad9192bf7e775cb53a96d8ed14e51ea5cdb85",
+        "2,3,5": "d9774da00d8ed9fb6be11e048d8fccdd5a34bfff9bf64e937d3eb1fef991f0bc",
+        "3,5,11": "d1b48b20b8b4601bf9017cdd268c5ce232dcaa52e0bf428a2a00d85f4db7d2dc",
+        "5,7,11": "49eadf48789e40f4097cc8bc5ad0643494a99f7ce86da6a6f0c203ceddad47be",
     }
     for primes, expected in pinned.items():
         assert cli.main(["params", "--primes", primes, "--seed", "7"]) == 0

@@ -28,12 +28,12 @@ def test_report_bytes_equal_json_dumps(primes, timings):
 
 def test_report_bytes_equal_json_dumps_on_false_verdicts(monkeypatch):
     # the plant n/2 at (2,3,5), row +450 of the fault matrix: the degree
-    # turns odd, so the eulerian verdict and the certificates' checks fail
+    # turns odd, so the regularity verdict and the certificates' checks fail
     t = make_prime_triple(2, 3, 5)
     members = tuple(sorted(graph.enumerate_connectors(t) + (t.n // 2,)))
     monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
     rep = build_report(t, 7, True)
-    assert rep["eulerian"] is False and rep["chromatic"]["coloringProper"] is False
+    assert rep["verdicts"]["regular-eulerian-connected"] is False and rep["chromatic"]["coloringProper"] is False
     assert report_bytes(rep) == _dumps(rep)
 
 

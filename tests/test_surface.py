@@ -6,7 +6,8 @@ the environment or asserts, every file is written as bytes and opened for
 writing only by `graph.write_chunks`, `block_residues` and `_residue_edges`
 have one caller each (colour class 0 is the independence certificate), the
 graph keeps no step census, the χ and α verdicts build none of their inputs
-and the renderers read the clique that `certify` built,
+and the renderers read the clique that `certify` built, `run_verification`
+calls no verifier and prints each verdict from `certify`'s `verdicts`,
 `CayleyGraph.axis_plan` reads neither
 `enumerate_connectors` nor `order_scan`, no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
@@ -24,7 +25,8 @@ from pathlib import Path
 import psqcayley
 from psqcayley.graph import CayleyGraph
 from psqcayley.oracles import distance_sweep
-from psqcayley.report import run_verification
+from psqcayley.group import make_prime_triple
+from psqcayley.report import certify, run_verification
 
 PACKAGE = Path(psqcayley.__file__).resolve().parent
 # bound by bench/tracer.py, with no caller in the package; drop with ROADMAP item 1
@@ -351,6 +353,38 @@ def test_the_renderers_read_the_clique_that_certify_built():
         used = {"clique_certificate"} & _code_references(_function("report.py", name))
         assert not used, f"report.{name} references {sorted(used)}"
     assert "clique_certificate" in _code_references(_function("report.py", "certify"))
+
+
+def test_verify_decides_no_verdict_and_ands_each_with_its_oracle():
+    # every verdict is decided once, in `certify`: `run_verification` calls
+    # no `parameters`, `structure` or `hamiltonian` function, and each line
+    # it prints, in the order of `certify`'s verdicts, passes
+    # `c.verdicts[name]` alone or ANDed with what an `oracles` call returned
+    run = _function("report.py", "run_verification")
+    verifiers = {
+        f.name for m in ("parameters.py", "structure.py", "hamiltonian.py") for f in _trees()[m].body
+        if isinstance(f, ast.FunctionDef)
+    }
+    calls = [node for node in ast.walk(run) if isinstance(node, ast.Call)]
+    called = {getattr(call.func, "id", None) or getattr(call.func, "attr", None) for call in calls}
+    assert not called & verifiers, sorted(called & verifiers)
+    assert not {"parameters", "structure", "hamiltonian"} & _code_references(run)
+    checks = [call for call in calls if getattr(call.func, "id", None) == "check"]
+    assert [ast.literal_eval(call.args[0]) for call in checks] == list(certify(make_prime_triple(2, 3, 5)).verdicts)
+    from_oracles = {
+        name.id
+        for node in ast.walk(run)
+        if isinstance(node, ast.Assign) and "oracles" in _code_references(node.value)
+        for name in ast.walk(node.targets[0])
+        if isinstance(name, ast.Name)
+    }
+    for call in checks:
+        passed = call.args[1]
+        first, *rest = passed.values if isinstance(passed, ast.BoolOp) and isinstance(passed.op, ast.And) else [passed]
+        assert ast.unparse(first) == f"c.verdicts[{call.args[0].value!r}]", ast.unparse(passed)
+        for operand in rest:
+            names = {node.id for node in ast.walk(operand) if isinstance(node, ast.Name)}
+            assert names and names <= from_oracles, ast.unparse(passed)
 
 
 def test_report_renders_lines_and_builds_no_n_bit_set():
