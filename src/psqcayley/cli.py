@@ -9,9 +9,11 @@
 An option is given as `--opt value` or `--opt=value`, and the last of a
 repeated one wins; -h or --help prints this text.  Exit codes: 0 success, 1
 a false verdict (a FAIL line of `verify`, or a false entry of the `verdicts`
-that `params` writes, after its whole report), 2 usage or validation error,
-including a negative --budget-sources, a --config file that cannot be read,
-an --out file that cannot be written, and a group too large for the memory
+that `params` writes, after its whole report), 2 a refused input, one
+`error:` line per ValueError or OSError: bad usage, primes that are not
+distinct ascending primes with (abc)² in 64 bits, a negative
+--budget-sources, a bad or unreadable --config file, an edges or dot export
+over its cap, an unwritable --out file, and a group too large for the memory
 limit (checked before anything is allocated: from n for `params`, `verify`
 and `export`; from |C| for `hamiltonian --check`, which holds the connecting
 set and no per-vertex data; not at all for `build` and plain `hamiltonian`,
@@ -32,7 +34,7 @@ import sys
 
 from . import report as report_mod
 from .connectors import connector_count_formula
-from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, TooLargeError, write_chunks
+from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, write_chunks
 from .group import make_prime_triple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .parameters import independence_certificate
@@ -58,17 +60,13 @@ BYTES_PER_CONNECTOR = 192  # `hamiltonian --check`
 MEMORY_LIMIT_BYTES = 2 << 30
 
 
-class UsageError(Exception):
-    pass
-
-
 def _check_memory(count: int, bytes_each: int = BYTES_PER_VERTEX, what: str = "n") -> None:
     """Fail fast, before any allocation, when count vertices (or, with what
     "|C|", connectors) of bytes_each bytes each would need more than
     MEMORY_LIMIT_BYTES."""
     predicted = bytes_each * count
     if predicted > MEMORY_LIMIT_BYTES:
-        raise TooLargeError(
+        raise ValueError(
             f"{what} = {count} needs about {predicted >> 20} MiB, above the limit of "
             f"{MEMORY_LIMIT_BYTES >> 20} MiB"
         )
@@ -77,11 +75,11 @@ def _check_memory(count: int, bytes_each: int = BYTES_PER_VERTEX, what: str = "n
 def _parse_primes(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
-        raise UsageError(f"--primes expects three comma-separated integers, got {text!r}")
+        raise ValueError(f"--primes expects three comma-separated integers, got {text!r}")
     try:
         a, b, c = (int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"--primes expects integers, got {text!r}") from None
+        raise ValueError(f"--primes expects integers, got {text!r}") from None
     return a, b, c
 
 
@@ -92,58 +90,58 @@ def _load_config(path: str) -> dict[str, int]:
     with open(path) as f:
         text = f.read(CONFIG_MAX_CHARS + 1)
     if len(text) > CONFIG_MAX_CHARS:
-        raise UsageError(f"{path}: longer than {CONFIG_MAX_CHARS} characters")
+        raise ValueError(f"{path}: longer than {CONFIG_MAX_CHARS} characters")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         if key not in _CONFIG_KEYS:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
-            raise UsageError(f"{path}:{lineno}: duplicate key {key!r}")
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = int(value.strip())
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: value for {key!r} must be an integer") from None
+            raise ValueError(f"{path}:{lineno}: value for {key!r} must be an integer") from None
         if values[key] < 1:
-            raise UsageError(f"{path}:{lineno}: value for {key!r} must be positive")
+            raise ValueError(f"{path}:{lineno}: value for {key!r} must be positive")
     return values
 
 
 def _parse_args(argv: list[str]) -> tuple[str, dict[str, object]]:
     """The subcommand and its options by OPTIONS; a repeated option keeps its last value."""
     if not argv or argv[0] not in OPTIONS:
-        raise UsageError(f"expected a subcommand, one of {', '.join(OPTIONS)}")
+        raise ValueError(f"expected a subcommand, one of {', '.join(OPTIONS)}")
     command, kinds, args = argv[0], OPTIONS[argv[0]], {}
     words = iter(argv[1:])
     for word in words:
         name, eq, value = word.partition("=")
         kind = kinds.get(name)
         if kind is None:
-            raise UsageError(f"unrecognized arguments: {word}")
+            raise ValueError(f"unrecognized arguments: {word}")
         if kind is bool:
             if eq:
-                raise UsageError(f"{name} takes no value")
+                raise ValueError(f"{name} takes no value")
             value = True
         elif not eq:
             value = next(words, "--")
             if value.startswith("--"):
-                raise UsageError(f"{name} expects a value")
+                raise ValueError(f"{name} expects a value")
         if kind is int:
             try:
                 value = int(value)
             except ValueError:
-                raise UsageError(f"{name} expects an integer, got {value!r}") from None
+                raise ValueError(f"{name} expects an integer, got {value!r}") from None
         args[name] = value
     for name in ("--primes", "--format", "--out") if command == "export" else ("--primes",):
         if name not in args:
-            raise UsageError(f"{command} requires {name}")
+            raise ValueError(f"{command} requires {name}")
     if args.get("--format", "edges") not in ("edges", "dot", "walk", "independent-set"):
-        raise UsageError(f"--format must be edges, dot, walk or independent-set, got {args['--format']!r}")
+        raise ValueError(f"--format must be edges, dot, walk or independent-set, got {args['--format']!r}")
     return command, args
 
 
@@ -156,7 +154,7 @@ def main(argv: list[str]) -> int:
         triple = make_prime_triple(*_parse_primes(args["--primes"]))
         sources, out = args.get("--budget-sources"), args.get("--out")
         if sources is not None and sources < 0:
-            raise UsageError("--budget-sources must be nonnegative")
+            raise ValueError("--budget-sources must be nonnegative")
         config = _load_config(args["--config"]) if "--config" in args else {}
         cap = config.get("materialize-cap", DEFAULT_MATERIALIZE_CAP)
 
@@ -215,7 +213,7 @@ def main(argv: list[str]) -> int:
             return 0 if ok else 1
         return 0
     # OSError: a --config file that cannot be read or an --out file that cannot be written
-    except (UsageError, OverflowError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,10 +57,6 @@ DEFAULT_MATERIALIZE_CAP = 20_000
 EXPORT_CHUNK_ROWS = 512  # vertex rows per write of the edges/dot export
 
 
-class TooLargeError(ValueError):
-    """The graph exceeds the materialization cap for an explicit operation."""
-
-
 # both connectivity verdicts: the generator witness and a full BFS
 ConnectivityResult = namedtuple("ConnectivityResult", "connected bezout bfs_reached")
 
@@ -95,8 +91,13 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         return self.is_connector((u - v) % self.triple.n)
 
     def is_clique(self, vertices: Sequence[int]) -> bool:
-        """True iff the vertices are pairwise adjacent."""
-        return all(self.adjacent(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+        """True iff the vertices, each range checked once, are pairwise
+        adjacent: each distinct (u − v) mod n, u listed before v, is bisected once."""
+        n = self.triple.n
+        for v in vertices:
+            _check_exponent(v, self.triple)
+        steps = {(u - v) % n for i, u in enumerate(vertices) for v in vertices[i + 1 :]}
+        return all(map(self.is_connector, steps))
 
     def is_step_cycle(self, step: int, length: int) -> bool:
         """True iff x, x + step, …, x + (length − 1)·step, closed by step back
@@ -224,12 +225,12 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         heads of [a, b) and their joins, written with one write, and holds
         whole lines; the last band's empty row writes none.
 
-        Raises TooLargeError above cap and ValueError for an unknown format;
-        on either, out is never opened, so no file is created or truncated.
+        Raises ValueError above cap or for an unknown format; on either, out
+        is never opened, so no file is created or truncated.
         """
         n = self.triple.n
         if n > cap:
-            raise TooLargeError(f"{n} vertices exceed cap {cap}")
+            raise ValueError(f"{n} vertices exceed cap {cap}")
         if fmt == "edges":
             header, head, tail, footer = b"", b"%d ", b"%d\n", b""
         elif fmt == "dot":

@@ -15,22 +15,6 @@ from collections import namedtuple
 INT64_MAX = 2**63 - 1
 
 
-class TripleValidationError(ValueError):
-    """A prime triple failed validation."""
-
-
-class NonPrimeError(TripleValidationError):
-    pass
-
-
-class NotDistinctError(TripleValidationError):
-    pass
-
-
-class NotAscendingError(TripleValidationError):
-    pass
-
-
 def is_prime(m: int) -> bool:
     """Deterministic trial division up to √m; inputs stay desk-scale."""
     return m >= 2 and all(m % p for p in range(2, math.isqrt(m) + 1))
@@ -56,21 +40,21 @@ class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma n m_alpha m_beta m
 def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
     """Validate (a, b, c) and derive the group order n = a²b²c².
 
-    Raises NonPrimeError / NotDistinctError / NotAscendingError on bad input
-    and OverflowError when n would exceed a 64-bit signed integer.  The
-    overflow is checked first, so trial division never runs on a prime too
-    large for any valid triple.
+    Any other input is not an instance of the paper, and raises ValueError:
+    a member that is not prime, a repeated prime, primes out of order, or n
+    above a 64-bit signed integer.  The overflow is checked first, so trial
+    division never runs on a prime too large for any valid triple.
     """
     n = (a * b * c) ** 2
     if n > INT64_MAX:
-        raise OverflowError(f"group order {n} exceeds 64-bit range")
+        raise ValueError(f"group order {n} exceeds 64-bit range")
     for p in (a, b, c):
         if not is_prime(p):
-            raise NonPrimeError(f"{p} is not prime")
+            raise ValueError(f"{p} is not prime")
     if len({a, b, c}) != 3:
-        raise NotDistinctError(f"primes must be distinct, got ({a}, {b}, {c})")
+        raise ValueError(f"primes must be distinct, got ({a}, {b}, {c})")
     if not (a < b < c):
-        raise NotAscendingError(f"primes must be ascending, got ({a}, {b}, {c})")
+        raise ValueError(f"primes must be ascending, got ({a}, {b}, {c})")
     return PrimeTriple(a, b, c, n, a * a, b * b, c * c)
 
 

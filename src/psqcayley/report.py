@@ -34,12 +34,13 @@ from .graph import CayleyGraph
 from .group import PrimeTriple
 from .hamiltonian import snake_walk, verify_walk
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 DEFAULT_SEED = 12345  # only echoed, as the report's `oracleSeed`
 
 
 # Every in-schema certificate for one triple, on one graph, each claim's
-# verdict keyed by its `verify` line, in line order, and each stage's seconds.
+# verdict keyed by its `verify` line, in line order, and each stage's seconds;
+# `index_bounds` is the verdict that both index-graph bounds hold.
 Certificates = namedtuple(
     "Certificates",
     "graph connectivity clique coloring independence independence_scan index_bounds diameter "
@@ -77,7 +78,8 @@ def certify(t: PrimeTriple) -> Certificates:
     # colour class 0 is the certificate: its scan decides the colouring too
     clique = parameters.clique_certificate(t)
     coloring = parameters.verify_coloring(t, independence, scan, clique)
-    clique_ok = len(clique) == t.gamma and g.is_clique(clique)
+    # |K| = c is read by every verdict that reads clique_ok, in coloring.tiles
+    clique_ok = g.is_clique(clique)
     lap("coloring")
     bounds = parameters.verify_index_bounds(t, independence.index_set)
     index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
@@ -108,7 +110,7 @@ def certify(t: PrimeTriple) -> Certificates:
         "hamiltonian": walk_ok,
     }
     return Certificates(
-        g, conn, clique, coloring, independence, scan, bounds, diam, walk, fiber, partition, block_adj,
+        g, conn, clique, coloring, independence, scan, index_ok, diam, walk, fiber, partition, block_adj,
         verdicts, timings,
     )
 
@@ -141,7 +143,6 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
         },
         "independence": {
             "value": c.independence.size,
-            "indexSetSize": len(c.independence.index_set),
             "internalEdges": c.independence_scan.internal_edges,
         },
         "indexGraphMIS": len(c.independence.index_set),
@@ -151,7 +152,6 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "bfsEccentricity": c.diameter.bfs_eccentricity,
         },
         "hamiltonian": {
-            "kind": "cycle",
             "verified": c.verdicts["hamiltonian"],
             "endpoints": list(c.walk.endpoints),
         },
@@ -249,7 +249,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
         c.verdicts["independence"],
         f"size={cert.size} <= alpha <= {t.n // t.gamma} (cover by translates of K: {coloring.tiles}), "
         f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
-        f"index-MIS={len(cert.index_set)} (index bounds: {all(c.index_bounds)})",
+        f"index-MIS={len(cert.index_set)} (index bounds: {c.index_bounds})",
     )
     check(
         "structure",

@@ -362,8 +362,6 @@ CENSUS = {
         "ascending": "unvalidated (2, 5, 5)",
         "all((x + y == n for x, y in zip(members, reversed(members))))": "none",
         "x + y == n": "none",
-        "g.is_clique(clique)": "gcd class -36 at (2, 3, 5)",
-        "len(clique) == t.gamma": "none",
         "bounds.index_set_two_agreement_free": "adjacent-index-ids",
         "bounds.lines_cover_ids": "id-outside-the-lines",
         "g.degree == connector_count_formula(t)": "gcd class +1 at (2, 3, 5)",
@@ -385,21 +383,19 @@ CENSUS = {
         "diam.value == diam.bfs_eccentricity": "gcd class +1 at (2, 3, 5)",
         "diam.bfs_eccentricity == 6": "gcd class +1 at (2, 3, 5)",
     },
-    # each line ANDs its verdict with its oracle; the index-bounds detail
-    # renders the two bounds that the independence verdict reads
+    # each line ANDs its verdict with its oracle
     "report.run_verification": {
         "c.verdicts['connecting-set']": "gcd class +1 at (2, 3, 5)",
         "scan_ok": "gcd class +1 at (2, 3, 5)",
         "c.verdicts['girth-nonplanarity']": "gcd class -36 at (2, 3, 5)",
         "found is not None": "none",
-        "all(c.index_bounds)": "adjacent-index-ids",
         "c.verdicts['diameter']": "gcd class +1 at (2, 3, 5)",
         "sweep.mismatches == 0": "gcd class +1 at (2, 3, 5)",
     },
 }
 
 # The conjuncts that no plant fails, or only an UNVALIDATED triple, and why
-# each stays in the package: the lemma candidates of schema v2.  A conjunct
+# each stays in the package: the lemma candidates of schema v3.  A conjunct
 # whose value is the same for every argument leaves the package instead, its
 # proof kept in a docstring and a test.  This list only shrinks.
 FROM_T = "built by certify from t alone, which no plant here edits"
@@ -455,7 +451,6 @@ LEMMA_CANDIDATES = {
             "tests/test_report_cli.py's one-way members fail it"
         ),
         "x + y == n": "the same, member by member",
-        "len(clique) == t.gamma": f"K is {FROM_T}",
         "regular": "the same, read again by the Eulerian verdict",
         "coloring.tiles": "the tiling by K of verify_coloring, read again by the independence verdict",
         "partition": (

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from psqcayley import cli, graph
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.graph import EXPORT_CHUNK_ROWS, CayleyGraph, TooLargeError
+from psqcayley.graph import EXPORT_CHUNK_ROWS, CayleyGraph
 from psqcayley.group import crt_basis, make_prime_triple
 from psqcayley.parameters import clique_certificate
 from psqcayley.report import certify
@@ -229,6 +229,35 @@ def test_nonplanarity_certificate():
         assert all(g.adjacent(u, v) for u, v in edges)
 
 
+K235 = clique_certificate(T235)
+# C, C with 0 (so u − u is a connector), and one symmetric pair
+CLIQUE_GRAPHS = [G235, CayleyGraph(T235, (0, *G235.members)), CayleyGraph(T235, (36, 864))]
+
+
+def _pairwise_adjacent(g, vertices):
+    return all(g.adjacent(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+
+
+@pytest.mark.parametrize("g", CLIQUE_GRAPHS, ids=["C", "with-0", "one-pair"])
+def test_is_clique_equals_one_adjacency_call_per_pair(g):
+    # K, planted Ks, repeated vertices, and lists out of order
+    lists = [K235, K235[:3], K235[::-1], (), (7,), (0, 0), (0, 36, 0), (*K235[:4], 1), (0, 450), (0, 36, 864)]
+    for vertices in lists:
+        assert g.is_clique(vertices) == _pairwise_adjacent(g, vertices), vertices
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CLIQUE_GRAPHS), st.lists(st.integers(0, 899), max_size=7))
+def test_is_clique_equals_one_adjacency_call_per_pair_on_any_list(g, vertices):
+    assert g.is_clique(vertices) == _pairwise_adjacent(g, vertices)
+
+
+def test_is_clique_range_checks_every_vertex():
+    for vertices in ((900,), (0, -1), (0, 450, 900)):
+        with pytest.raises(ValueError, match="out of range"):
+            G235.is_clique(vertices)
+
+
 def test_export_edges(tmp_path):
     out = tmp_path / "edges.txt"
     G235.export("edges", out)
@@ -386,11 +415,11 @@ def test_export_peaks_at_most_192_bytes_per_vertex(monkeypatch, fmt, chunk):
 
 def test_export_cap(tmp_path):
     out = tmp_path / "edges.txt"
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="^900 vertices exceed cap 100$"):
         G235.export("edges", out, cap=100)
     assert not out.exists()
     out.write_bytes(b"keep\n")
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="^900 vertices exceed cap 100$"):
         G235.export("edges", out, cap=100)
     assert out.read_bytes() == b"keep\n"
 

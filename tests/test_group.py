@@ -3,9 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqcayley.group import (
-    NonPrimeError,
-    NotAscendingError,
-    NotDistinctError,
     bezout_witness,
     crt_combine,
     element_order,
@@ -37,19 +34,19 @@ def test_group_order_and_moduli():
 
 
 def test_validation_errors():
-    with pytest.raises(NonPrimeError):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
         make_prime_triple(2, 3, 4)
-    with pytest.raises(NotDistinctError):
+    with pytest.raises(ValueError, match=r"^primes must be distinct, got \(2, 2, 5\)$"):
         make_prime_triple(2, 2, 5)
-    with pytest.raises(NotAscendingError):
+    with pytest.raises(ValueError, match=r"^primes must be ascending, got \(3, 2, 5\)$"):
         make_prime_triple(3, 2, 5)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="^group order 166020696508767141924 exceeds 64-bit range$"):
         make_prime_triple(2, 3, 2147483647)  # (abc)² overflows 64 bits
 
 
 def test_oversized_prime_overflows_before_trial_division(monkeypatch):
     seen = record_primality_tests(monkeypatch)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ValueError, match="exceeds 64-bit range$"):
         make_prime_triple(2, 3, BIG_PRIME)
     assert BIG_PRIME not in seen
 

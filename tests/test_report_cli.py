@@ -11,7 +11,7 @@ from psqcayley import cli, graph, parameters
 from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
-from psqcayley.graph import CayleyGraph, TooLargeError
+from psqcayley.graph import CayleyGraph
 from psqcayley.group import is_prime, make_prime_triple
 from psqcayley.hamiltonian import WalkCertificate
 from psqcayley.oracles import SweepReport, distance_sweep
@@ -54,9 +54,25 @@ EXPECTED_KEYS = [
 ]
 
 
+# schema v3: each section states each value once
+EXPECTED_SECTION_KEYS = {
+    "primes": ["alpha", "beta", "gamma"],
+    "connected": ["bezout", "bfsReached"],
+    "girth": ["value", "triangle"],
+    "nonplanar": ["k5"],
+    "clique": ["value", "certificate"],
+    "chromatic": ["value", "coloringProper", "edgesChecked"],
+    "independence": ["value", "internalEdges"],
+    "diameter": ["value", "witnessPair", "bfsEccentricity"],
+    "hamiltonian": ["verified", "endpoints"],
+}
+
+
 def test_report_key_order_is_stable():
     rep = build_report(T235)
+    assert rep["schemaVersion"] == 3
     assert list(rep.keys()) == EXPECTED_KEYS
+    assert {k: list(rep[k]) for k in EXPECTED_SECTION_KEYS} == EXPECTED_SECTION_KEYS
 
 
 def test_report_values_small_instance():
@@ -68,11 +84,10 @@ def test_report_values_small_instance():
     assert rep["nonplanar"]["k5"] == [0, 36, 72, 108, 144]
     assert rep["clique"]["value"] == 5
     assert rep["chromatic"] == {"value": 5, "coloringProper": True, "edgesChecked": 12600}
-    assert rep["independence"] == {"value": 180, "indexSetSize": 6, "internalEdges": 0}
+    assert rep["independence"] == {"value": 180, "internalEdges": 0}
     assert rep["indexGraphMIS"] == 6
     assert rep["diameter"] == {"value": 6, "witnessPair": [0, 30], "bfsEccentricity": 6}
-    assert rep["hamiltonian"]["kind"] == "cycle"
-    assert rep["hamiltonian"]["verified"] is True
+    assert rep["hamiltonian"] == {"verified": True, "endpoints": [0, 225]}
     assert rep["fiberStructure"] == {k: True for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")}
     assert rep["blockPartition"] is True
     assert rep["blockAdjacencyConsistent"] is True
@@ -226,9 +241,9 @@ def test_cli_verify_stdout_is_pinned(capsys):
 def test_cli_params_bytes_are_pinned(capsys):
     # (3,5,11) lies above the export cap
     pinned = {
-        "2,3,5": "d9774da00d8ed9fb6be11e048d8fccdd5a34bfff9bf64e937d3eb1fef991f0bc",
-        "3,5,11": "d1b48b20b8b4601bf9017cdd268c5ce232dcaa52e0bf428a2a00d85f4db7d2dc",
-        "5,7,11": "49eadf48789e40f4097cc8bc5ad0643494a99f7ce86da6a6f0c203ceddad47be",
+        "2,3,5": "aee76ab525b4f6682e3ae075b92b8d0a81ca6d588622ed1dc85c06c0c76b2210",
+        "3,5,11": "bdc30573b5c0c0707476e29d1d4e744759a2dc82de48941d6c227f6ab27225b8",
+        "5,7,11": "1f8182508e74460df70385b47103d91ea5c9817cf90cf15d0001c019a1cea04f",
     }
     for primes, expected in pinned.items():
         assert cli.main(["params", "--primes", primes, "--seed", "7"]) == 0
@@ -260,12 +275,16 @@ def test_cli_build_with_an_oversized_prime_exits_2_at_once(capsys, monkeypatch):
 
 
 def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
-    # each usage error is one `error:` line on stderr, exit 2, and no output
-    monkeypatch.chdir(tmp_path)
+    # every refusal, a ValueError wherever it is raised, is exactly one
+    # `error:` line on stderr, exit 2, no output and no file
+    work, cfg = tmp_path / "work", tmp_path / "bad.cfg"
+    work.mkdir()
+    cfg.write_text("materialize-cap = 5\nbogus = 3\n")
+    monkeypatch.chdir(work)
     for argv, message in [
         ([], "expected a subcommand, one of build, params, verify, export, hamiltonian"),
-        (["nonsense", "--primes", "2,3,5"], "expected a subcommand, one of"),
-        (["build", "--primes", "2,3"], "--primes expects three comma-separated integers"),
+        (["nonsense", "--primes", "2,3,5"], "expected a subcommand, one of build, params, verify, export, hamiltonian"),
+        (["build", "--primes", "2,3"], "--primes expects three comma-separated integers, got '2,3'"),
         (["verify", "--seed", "7"], "verify requires --primes"),
         (["export", "--primes", "2,3,5", "--format", "gml", "--out", "x"], "--format must be edges, dot, walk or independent-set, got 'gml'"),
         (["export", "--primes", "2,3,5", "--format", "walk"], "export requires --out"),
@@ -274,12 +293,25 @@ def test_cli_usage_errors(tmp_path, capsys, monkeypatch):
         (["params", "--primes", "2,3,5", "--out"], "--out expects a value"),
         (["params", "--primes", "2,3,5", "--out", "--timings"], "--out expects a value"),
         (["params", "--primes", "2,3,5", "--timings=1"], "--timings takes no value"),
+        # the triple is not an instance
+        (["build", "--primes", "4,3,5"], "4 is not prime"),
+        (["build", "--primes", "2,2,5"], "primes must be distinct, got (2, 2, 5)"),
+        (["build", "--primes", "3,2,5"], "primes must be ascending, got (3, 2, 5)"),
+        (["build", "--primes", "2,3,2147483647"], "group order 166020696508767141924 exceeds 64-bit range"),
+        # the graph is too large for the export's cap or the memory limit
+        (["export", "--primes", "3,5,11", "--format", "edges", "--out", "x"], "27225 vertices exceed cap 20000"),
+        (["params", "--primes", "19,23,29", "--out", "x"], "n = 160604929 needs about 3675 MiB, above the limit of 2048 MiB"),
+        # an option value or a config key that no command accepts
+        (["verify", "--primes", "2,3,5", "--budget-sources", "-1"], "--budget-sources must be nonnegative"),
+        (
+            ["export", "--primes", "2,3,5", "--format", "walk", "--out", "x", "--config", str(cfg)],
+            f"{cfg}:2: unknown key 'bogus'",
+        ),
     ]:
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: " + message) and captured.err.count("\n") == 1, argv
-    assert list(tmp_path.iterdir()) == []
+        assert (captured.out, captured.err) == ("", f"error: {message}\n"), argv
+    assert list(work.iterdir()) == []
 
     def run(argv):
         code = cli.main(argv)
@@ -671,7 +703,7 @@ def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
     cli._check_memory(make_prime_triple(13, 17, 19).n)
     cli._check_memory(make_prime_triple(17, 19, 23).n)
     for primes in ((19, 23, 29), (101, 103, 107)):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ValueError, match="above the limit of 2048 MiB$"):
             cli._check_memory(make_prime_triple(*primes).n)
 
 
@@ -813,7 +845,7 @@ def test_cli_checks_the_walk_without_building_it(argv, capsys, monkeypatch):
     verified = {
         "verify": "PASS hamiltonian: kind=cycle, length=11025, endpoints=(0, 1225)\n",
         "hamiltonian": "length: 11025\nendpoints: 0 1225\nverified: True\n",
-        "params": '"kind": "cycle",\n    "verified": true,',
+        "params": '"hamiltonian": {\n    "verified": true,',
     }
     assert verified[argv[0]] in capsys.readouterr().out
     # three levels, and three fiber checks wherever the structure stage runs

@@ -11,12 +11,15 @@ calls no verifier and prints each verdict from `certify`'s `verdicts`,
 `CayleyGraph.axis_plan` reads neither
 `enumerate_connectors` nor `order_scan`, no module imports `random`, `typing`,
 `pathlib` or `json`, none defines a `rotate`, only `graph` and
-`oracles.distance_sweep` build sets of multiples, and every backticked
+`oracles.distance_sweep` build sets of multiples, no module defines an
+exception class and `cli.main` catches only ValueError and OSError, and
+every backticked
 `module.name` or `Class.name` in README.md and the package's docstrings
 names an attribute of that module or class.  The checks read the sources
 with `ast`."""
 
 import ast
+import builtins
 import importlib
 import inspect
 import re
@@ -176,6 +179,28 @@ def test_no_module_asserts():
         f"{name}:{node.lineno}" for name, tree in _trees().items() for node in ast.walk(tree) if isinstance(node, ast.Assert)
     ]
     assert not asserts, f"assert statements: {asserts}"
+
+
+def test_every_refusal_is_a_value_error_or_an_os_error():
+    # input outside the paper's instances is refused one way: no module
+    # defines an exception class, and `cli.main` has one handler, for
+    # exactly ValueError and OSError, that prints the `error:` line
+    classes = [node for tree in _trees().values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    exceptions = set()
+    while True:  # the classes whose bases include a builtin exception or one of these
+        found = {
+            c.name
+            for c in classes
+            for base in map(ast.unparse, c.bases)
+            if base in exceptions or isinstance(getattr(builtins, base, None), type)
+            and issubclass(getattr(builtins, base), BaseException)
+        }
+        if found <= exceptions:
+            break
+        exceptions |= found
+    assert not exceptions, f"exception classes: {sorted(exceptions)}"
+    handlers = [node for node in ast.walk(_function("cli.py", "main")) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == ["(ValueError, OSError)"]
 
 
 def test_no_module_reads_the_environment():
