@@ -185,7 +185,7 @@ class CayleyGraph(namedtuple("CayleyGraph", "triple members")):
         """Connectivity verified two ways: Bezout witness and full BFS reach."""
         t = self.triple
         u, v, w = bezout_witness(t)
-        holds = u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
+        holds = sum(x * (t.n // m) for x, m in zip((u, v, w), t.moduli)) == 1
         reached = sum(level.bit_count() for level in self.levels_from_zero)
         return ConnectivityResult(holds and reached == t.n, (u, v, w), reached)
 

@@ -20,8 +20,9 @@ def is_prime(m: int) -> bool:
     return m >= 2 and all(m % p for p in range(2, math.isqrt(m) + 1))
 
 
-class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma n m_alpha m_beta m_gamma")):
-    """Validated primes alpha < beta < gamma with derived moduli and group order.
+class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma")):
+    """Validated primes alpha < beta < gamma; the moduli and the group order
+    are read from them.
 
     Build via :func:`make_prime_triple`; constructing directly skips validation.
     """
@@ -33,8 +34,12 @@ class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma n m_alpha m_beta m
         return (self.alpha, self.beta, self.gamma)
 
     @property
+    def n(self) -> int:
+        return (self.alpha * self.beta * self.gamma) ** 2
+
+    @property
     def moduli(self) -> tuple[int, int, int]:
-        return (self.m_alpha, self.m_beta, self.m_gamma)
+        return (self.alpha**2, self.beta**2, self.gamma**2)
 
 
 def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
@@ -55,7 +60,7 @@ def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
         raise ValueError(f"primes must be distinct, got ({a}, {b}, {c})")
     if not (a < b < c):
         raise ValueError(f"primes must be ascending, got ({a}, {b}, {c})")
-    return PrimeTriple(a, b, c, n, a * a, b * b, c * c)
+    return PrimeTriple(a, b, c)
 
 
 def _check_exponent(k: int, t: PrimeTriple) -> None:

@@ -102,7 +102,7 @@ def exact_max_independent_set(t: PrimeTriple) -> list[tuple[int, int, int]]:
     return exact_max_clique(index_ids(t), lambda x, y: not index_adjacent(x, y))
 
 
-SweepReport = namedtuple("SweepReport", "sources pairs_checked max_distance mismatches")
+SweepReport = namedtuple("SweepReport", "sources max_distance mismatches")
 
 
 def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
@@ -146,7 +146,7 @@ def distance_sweep(g: CayleyGraph, sources: int | None = None) -> SweepReport:
         for sa, sb, sc in by_distance.get(k, ()):
             expected |= sa & sb & sc
         matched += (level & expected).bit_count()
-    return SweepReport(count, count * n, len(levels) - 1, (n - matched) * count)
+    return SweepReport(count, len(levels) - 1, (n - matched) * count)
 
 
 def find_triangle(g: CayleyGraph) -> tuple[int, int, int] | None:

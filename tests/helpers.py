@@ -79,7 +79,7 @@ def record_primality_tests(monkeypatch) -> list[int]:
 
 def crt_components(k: int, t: PrimeTriple) -> tuple[int, int, int]:
     """Reduce an exponent modulo (a², b², c²)."""
-    return (k % t.m_alpha, k % t.m_beta, k % t.m_gamma)
+    return tuple(k % m for m in t.moduli)
 
 
 def certificate_color(v: int, t: PrimeTriple) -> int:
@@ -145,7 +145,7 @@ def reference_sweep(g: CayleyGraph, sources: int | None, seed: int) -> SweepRepo
                 dist[v] = k
         max_distance = max(max_distance, len(levels) - 1)
         mismatches += sum(dist[v] != table[(v - s) % n] for v in range(n))
-    return SweepReport(len(starts), len(starts) * n, max_distance, mismatches)
+    return SweepReport(len(starts), max_distance, mismatches)
 
 
 def reference_bfs(n: int, members, source: int) -> list[int]:
@@ -384,8 +384,8 @@ def cell_rule_by_difference(g: CayleyGraph) -> bool:
     dk·a²b², 0 < dk < c²: a connector iff gamma does not divide dk.  The
     reference for the check's one pass over the members."""
     t = g.triple
-    m_ab, connectors = t.m_alpha * t.m_beta, set(g.members)
-    return all((dk * m_ab in connectors) == (dk % t.gamma != 0) for dk in range(1, t.m_gamma))
+    (m_a, m_b, m_c), connectors = t.moduli, set(g.members)
+    return all((dk * m_a * m_b in connectors) == (dk % t.gamma != 0) for dk in range(1, m_c))
 
 
 def snake_sequence(t: PrimeTriple) -> tuple[int, ...]:
@@ -437,7 +437,7 @@ def order_scan_connectors(t: PrimeTriple) -> set[int]:
 # repeated or unordered entries: the fiber and index lemmas must fail exactly
 # where their literal loops do
 UNVALIDATED = [
-    PrimeTriple(a, b, c, (a * b * c) ** 2, a * a, b * b, c * c)
+    PrimeTriple(a, b, c)
     for a, b, c in ((2, 3, 4), (2, 4, 5), (2, 5, 5), (2, 3, 9), (3, 3, 5), (2, 3, 6), (3, 5, 9), (2, 5, 3), (5, 2, 3))
 ]
 

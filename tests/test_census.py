@@ -19,10 +19,13 @@ functions nested in a target (the stage timer and the line printer).
 
 `plants()` are the suite's own faults, in this order: the gcd-class toggles of
 FAULT_MATRIX, the symmetric pair toggles of PAIR_CENSUS, the class-0
-residue plant of `tests/test_acceptance.py`, the index-set and index-graph
-plants of `tests/test_parameters.py`, and the UNVALIDATED triples, built
-past `make_prime_triple`.  Under each, the instrumented `verify` lines must
-equal the real ones.
+residue plant of `tests/test_acceptance.py`, the plants on the ids that
+`block_residues` receives and on the index graph of
+`tests/test_parameters.py`, the swapped and one-way member lists of
+`tests/test_report_cli.py`, the planted K of `tests/test_kernel.py`, the
+walk-level faults of `tests/test_hamiltonian.py`, and the UNVALIDATED
+triples, built past `make_prime_triple`.  Under each, the instrumented
+`verify` lines must equal the real ones.
 """
 
 import ast
@@ -33,9 +36,11 @@ import types
 from math import gcd
 
 from psqcayley.group import make_prime_triple
+from psqcayley.hamiltonian import snake_walk
 
 from helpers import UNVALIDATED, divisors
 from test_fault_matrix import FAULT_MATRIX
+from test_hamiltonian import _level_faults, _with_identity
 
 # the functions whose conjuncts are probed, by module, each module after
 # those it imports
@@ -220,9 +225,8 @@ def _outcome(mods: dict[str, types.ModuleType], t, direct: bool):
     if not direct:
         return lines
     g = mods["graph"].CayleyGraph.from_triple(t)
-    bounds = mods["parameters"].verify_index_bounds(t, mods["parameters"].independence_index_set(t))
     st = mods["structure"]
-    return lines, st.verify_fiber_structure(g), st.verify_block_partition(g), st.verify_block_adjacency(g), bounds
+    return lines, st.verify_fiber_structure(g), st.verify_block_partition(g), st.verify_block_adjacency(g)
 
 
 def _connector_toggles():
@@ -248,6 +252,12 @@ def _wrap(mp, module, name, edit):
     mp.setattr(module, name, lambda *args: edit(original(*args), *args))
 
 
+def _wrap_ids(mp, module, edit):
+    # the certificate's ids, edited before `block_residues` maps them
+    original = module.block_residues
+    mp.setattr(module, "block_residues", lambda t, ids: original(t, edit(ids, t)))
+
+
 def plants():
     """(label, triple, plant(mp, mods), direct) for every plant, in census
     order; plant sets the fault in the modules mods."""
@@ -256,19 +266,36 @@ def plants():
         plant = lambda mp, mods, m=members: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m)
         yield label, t, plant, False
     origin, next_k = (0, 0, 0), (0, 0, 1)
-    edits = [
-        ("class-0 residue 1", "parameters", "block_residues", lambda zero, t, ids: sorted({*zero, 1})),
-        ("adjacent-index-ids", "parameters", "independence_index_set", lambda ids, t: (origin, next_k) + ids[2:]),
-        ("id-outside-the-lines", "parameters", "independence_index_set", lambda ids, t: ids + (t.primes,)),
-        *(
-            (f"index set {{{origin}, {o}}}", "parameters", "independence_index_set", lambda ids, t, o=o: (origin, o))
-            for o in ((0, 0, 1), (0, 1, 0), (1, 0, 0))
-        ),
-        ("line-missing-an-edge", "structure", "index_adjacent", lambda adj, x, y: adj and {x, y} != {origin, next_k}),
-    ]
     t235 = make_prime_triple(2, 3, 5)
-    for label, module, name, edit in edits:
-        yield label, t235, lambda mp, mods, m=module, f=name, e=edit: _wrap(mp, mods[m], f, e), False
+    yield "class-0 residue 1", t235, lambda mp, mods: _wrap(
+        mp, mods["parameters"], "block_residues", lambda zero, t, ids: sorted({*zero, 1})
+    ), False
+    ids_edits = [
+        ("adjacent-index-ids", lambda ids, t: [origin, next_k] + ids[2:]),
+        ("id-outside-the-lines", lambda ids, t: ids[:-1] + [t.primes]),
+        *((f"index set {{{origin}, {o}}}", lambda ids, t, o=o: [origin, o] + ids[2:]) for o in ((0, 1, 0), (1, 0, 0))),
+    ]
+    for label, edit in ids_edits:
+        yield label, t235, lambda mp, mods, e=edit: _wrap_ids(mp, mods["parameters"], e), False
+    yield "line-missing-an-edge", t235, lambda mp, mods: _wrap(
+        mp, mods["structure"], "index_adjacent", lambda adj, x, y: adj and {x, y} != {origin, next_k}
+    ), False
+    members = tuple(REAL["graph"].enumerate_connectors(t235))
+    member_lists = {
+        "one-way members (1, 2)": tuple(sorted(members + (1, 2))),
+        "swapped members": (members[1], members[0]) + members[2:],
+    }
+    for label, m in member_lists.items():
+        yield label, t235, lambda mp, mods, m=m: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m), False
+    k, (m_a, m_b, _) = REAL["parameters"].clique_certificate(t235), t235.moduli
+    for label, planted in (("K one short", k[:-1]), ("K one extra", k + (t235.gamma * m_a * m_b,))):
+        plant = lambda mp, mods, p=planted: mp.setattr(mods["parameters"], "clique_certificate", lambda t: p)
+        yield label, t235, plant, False
+    walk, n = snake_walk(t235), t235.n
+    faults = {name: w for name, w in _level_faults(walk, t235).items() if name != "certificate"}
+    faults.update((f"identity level {step}@{i}", _with_identity(walk, i, step)) for i in range(4) for step in (0, n))
+    for label, w in faults.items():
+        yield f"walk {label}", t235, lambda mp, mods, w=w: mp.setattr(mods["report"], "snake_walk", lambda t: w), False
     for t in UNVALIDATED:
         yield f"unvalidated {t.primes}", t, lambda mp, mods: None, True
 
@@ -305,12 +332,12 @@ def run_census(context) -> dict[str, dict[str, str]]:
 # The first plant that fails each conjunct, in the order of `plants()`.
 CENSUS = {
     "graph.CayleyGraph.is_step_cycle": {
-        "length >= 3": "none",
-        "n // gcd(step, n) == length": "none",
+        "length >= 3": "walk identity level 0@0",
+        "n // gcd(step, n) == length": "walk rows-1@0",
         "all(map(self.is_connector, ends))": "gcd class -36 at (2, 3, 5)",
     },
     "graph.CayleyGraph.is_connected": {
-        "u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1": "none",
+        "sum((x * (t.n // m) for x, m in zip((u, v, w), t.moduli))) == 1": "none",
         "holds": "none",
         "reached == t.n": "gcd class -36 at (2, 3, 5)",
     },
@@ -337,35 +364,33 @@ CENSUS = {
     "parameters.verify_coloring": {
         "len(zero) == len({r % ab for r in zero})": "class-0 residue 1",
         "len({r % ab for r in zero}) == ab": "adjacent-index-ids",
-        "tiles": "none",
+        "tiles": "K one short",
         "transversal": "class-0 residue 1",
         "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
     },
     "parameters.clique_tiles": {
-        "len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0})": "none",
-        "len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma": "none",
+        "len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0})": "K one extra",
+        "len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma": "K one short",
     },
     "parameters.verify_index_bounds": {
-        "all((len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2))))": "adjacent-index-ids",
-        "len({(x[u], x[v]) for x in ids}) == len(ids)": "adjacent-index-ids",
-        "a * b == len(ids)": "id-outside-the-lines",
+        "all((len({(x[u], x[v]) for x in ids}) == len(ids) for u, v in ((0, 1), (0, 2), (1, 2))))": "class-0 residue 1",
+        "len({(x[u], x[v]) for x in ids}) == len(ids)": "class-0 residue 1",
+        "a * b == len(ids)": "class-0 residue 1",
     },
     "hamiltonian.verify_walk": {
-        "w.n != g.triple.n": "none",
+        "w.n != g.triple.n": "walk n-doubled",
         "not g.is_step_cycle(step, rows)": "gcd class -36 at (2, 3, 5)",
-        "gcd(rows, size) != 1": "none",
-        "size == w.n": "none",
+        "gcd(rows, size) != 1": "walk rows+1@1",
+        "size == w.n": "walk two-levels-without-0",
     },
     "report.certify": {
-        "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": "unvalidated (2, 5, 5)",
-        "x < y": "unvalidated (2, 5, 5)",
-        "ascending": "unvalidated (2, 5, 5)",
-        "all((x + y == n for x, y in zip(members, reversed(members))))": "none",
-        "x + y == n": "none",
-        "bounds.index_set_two_agreement_free": "adjacent-index-ids",
-        "bounds.lines_cover_ids": "id-outside-the-lines",
-        "g.degree == connector_count_formula(t)": "gcd class +1 at (2, 3, 5)",
-        "regular": "none",
+        "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": "swapped members",
+        "x < y": "swapped members",
+        "ascending": "swapped members",
+        "all((x + y == n for x, y in zip(members, reversed(members))))": "one-way members (1, 2)",
+        "x + y == n": "one-way members (1, 2)",
+        "g.axis_plan[0] == t.primes": "gcd class +1 at (2, 3, 5)",
+        "regular": "one-way members (1, 2)",
         "conn.connected": "gcd class -36 at (2, 3, 5)",
         "g.degree % 2 == 0": "gcd class +450 at (2, 3, 5)",
         "clique_ok": "gcd class -36 at (2, 3, 5)",
@@ -373,10 +398,9 @@ CENSUS = {
         "clique_ok [2]": "gcd class -36 at (2, 3, 5)",
         "coloring.proper [2]": "gcd class +1 at (2, 3, 5)",
         "clique_ok [3]": "gcd class -36 at (2, 3, 5)",
-        "coloring.tiles": "none",
-        "index_ok": "adjacent-index-ids",
+        "coloring.tiles": "K one short",
+        "index_ok": "class-0 residue 1",
         "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
-        "independence.size == n // t.gamma": "class-0 residue 1",
         "partition": "none",
         "block_adj": "gcd class +1 at (2, 3, 5)",
         "all(fiber.values())": "gcd class +1 at (2, 3, 5)",
@@ -400,16 +424,8 @@ CENSUS = {
 # proof kept in a docstring and a test.  This list only shrinks.
 FROM_T = "built by certify from t alone, which no plant here edits"
 LEMMA_CANDIDATES = {
-    "graph.CayleyGraph.is_step_cycle": {
-        "length >= 3": f"every length is a modulus p² ≥ 4 of t, {FROM_T}; "
-        "the identity levels of tests/test_hamiltonian.py fail it",
-        "n // gcd(step, n) == length": f"steps and lengths are t's CRT basis and moduli, {FROM_T}; "
-        "the level faults of tests/test_hamiltonian.py fail it",
-    },
     "graph.CayleyGraph.is_connected": {
-        "u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1": (
-            f"the Bezout witness is {FROM_T}"
-        ),
+        "sum((x * (t.n // m) for x, m in zip((u, v, w), t.moduli))) == 1": f"the Bezout witness is {FROM_T}",
         "holds": "the Bezout identity above",
     },
     "structure.verify_fiber_structure": {
@@ -424,35 +440,7 @@ LEMMA_CANDIDATES = {
         ),
         "gcd(x, y) == 1": "the same, pair by pair",
     },
-    "parameters.verify_coloring": {
-        "tiles": f"the tiling by K, {FROM_T}; the planted K of tests/test_kernel.py fails it",
-    },
-    "parameters.clique_tiles": {
-        "len(clique) == len({k // m_ab % t.gamma for k in clique if k % m_ab == 0})": (
-            f"K is {FROM_T}; the planted K of tests/test_kernel.py fails it"
-        ),
-        "len({k // m_ab % t.gamma for k in clique if k % m_ab == 0}) == t.gamma": (
-            f"K is {FROM_T}; the planted K of tests/test_kernel.py fails it"
-        ),
-    },
-    "hamiltonian.verify_walk": {
-        "w.n != g.triple.n": f"the walk is {FROM_T}; tests/test_hamiltonian.py's walk for another n fails it",
-        "gcd(rows, size) != 1": f"the walk is {FROM_T}; the level faults of tests/test_hamiltonian.py fail it",
-        "size == w.n": f"the walk is {FROM_T}; the level faults of tests/test_hamiltonian.py fail it",
-    },
     "report.certify": {
-        "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": (
-            "a repeated prime repeats a member; tests/test_report_cli.py's swapped members fail it"
-        ),
-        "x < y": "the same, member by member",
-        "ascending": "the same, read again by regularity",
-        "all((x + y == n for x, y in zip(members, reversed(members))))": (
-            "gcd classes and ±x pairs keep C closed under negation; "
-            "tests/test_report_cli.py's one-way members fail it"
-        ),
-        "x + y == n": "the same, member by member",
-        "regular": "the same, read again by the Eulerian verdict",
-        "coloring.tiles": "the tiling by K of verify_coloring, read again by the independence verdict",
         "partition": (
             "verify_block_partition's verdict; the UNVALIDATED triples that fail it raise in certify before it"
         ),

@@ -60,8 +60,8 @@ def test_certified_graph_holds_no_set():
 
 def _cell_zero_cycle(t) -> list[int]:
     # cell 0 of fiber check (iii): the multiples of a²b², stepping by a²b²
-    m_ab = t.m_alpha * t.m_beta
-    return [k * m_ab for k in range(t.m_gamma)]
+    m_ab = t.moduli[0] * t.moduli[1]
+    return [k * m_ab for k in range(t.moduli[2])]
 
 
 @pytest.mark.parametrize("t", [T235, T357], ids=lambda t: ",".join(map(str, t.primes)))
@@ -145,7 +145,8 @@ def test_connected_both_methods():
     res = G235.is_connected()
     assert res.connected
     u, v, w = res.bezout
-    assert u * T235.m_beta * T235.m_gamma + v * T235.m_alpha * T235.m_gamma + w * T235.m_alpha * T235.m_beta == 1
+    m_a, m_b, m_c = T235.moduli
+    assert u * m_b * m_c + v * m_a * m_c + w * m_a * m_b == 1
     assert res.bfs_reached == 900
     assert CayleyGraph.from_triple(T357).is_connected().connected
 

@@ -123,23 +123,25 @@ def test_squared_order_component_characterization():
 def test_bezout_identity_exact():
     for t in SMALL_TRIPLES:
         u, v, w = bezout_witness(t)
-        assert u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
+        m_a, m_b, m_c = t.moduli
+        assert u * m_b * m_c + v * m_a * m_c + w * m_a * m_b == 1
 
 
 def test_bezout_canonical_bounds():
     for t in SMALL_TRIPLES:
         u, v, w = bezout_witness(t)
-        assert abs(u) < t.m_alpha
-        assert abs(v) < t.m_beta
-        assert abs(w) < t.m_gamma
+        assert abs(u) < t.moduli[0]
+        assert abs(v) < t.moduli[1]
+        assert abs(w) < t.moduli[2]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(LADDER))
 def test_bezout_identity_and_bounds_property(t):
     u, v, w = bezout_witness(t)
-    assert u * t.m_beta * t.m_gamma + v * t.m_alpha * t.m_gamma + w * t.m_alpha * t.m_beta == 1
-    assert abs(u) < t.m_alpha and abs(v) < t.m_beta and abs(w) < t.m_gamma
+    m_a, m_b, m_c = t.moduli
+    assert u * m_b * m_c + v * m_a * m_c + w * m_a * m_b == 1
+    assert abs(u) < m_a and abs(v) < m_b and abs(w) < m_c
 
 
 def test_divisors_and_prime_factors_match_trial_division():
@@ -171,7 +173,8 @@ def test_bezout_word_replay():
     # walking |u|+|v|+|w| generator steps lands on exponent 1
     for t in (T235, T357):
         u, v, w = bezout_witness(t)
-        gens = (t.m_beta * t.m_gamma, t.m_alpha * t.m_gamma, t.m_alpha * t.m_beta)
+        m_a, m_b, m_c = t.moduli
+        gens = (m_b * m_c, m_a * m_c, m_a * m_b)
         position = 0
         steps = 0
         for count, gen in zip((u, v, w), gens):

@@ -352,7 +352,7 @@ def test_walk_export_lines():
         walk = snake_walk(t)
         lines = list(walk_lines(walk))
         assert lines[0] == b"cycle\n"
-        assert len(lines) == 1 + 1 + t.m_alpha * (t.m_beta + 1) + 1
+        assert len(lines) == 1 + 1 + t.moduli[0] * (t.moduli[1] + 1) + 1
         assert b"".join(lines[1:]) == b"".join(b"%d\n" % v for v in snake_sequence(t))
 
 
@@ -360,7 +360,7 @@ def test_walk_export_lines():
 def test_walk_pieces_hold_fewer_than_c_squared_entries(t):
     # the innermost level's tail, c² − 1 entries, is the largest piece
     pieces = list(snake_walk(t).pieces())
-    assert max(map(len, pieces)) == t.m_gamma - 1
+    assert max(map(len, pieces)) == t.moduli[2] - 1
     assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)
 
 
@@ -371,7 +371,7 @@ def test_walk_climb_columns_are_sliced_at_the_chunk(t, chunk, monkeypatch):
     # the odd rows backwards, splits into slices with a last partial one
     monkeypatch.setattr(hamiltonian, "WALK_CHUNK", chunk)
     pieces = list(snake_walk(t).pieces())
-    assert max(map(len, pieces)) == min(chunk, t.m_gamma - 1)
+    assert max(map(len, pieces)) == min(chunk, t.moduli[2] - 1)
     assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)
     assert b"".join(walk_lines(snake_walk(t))) == b"cycle\n" + b"".join(b"%d\n" % v for v in snake_sequence(t))
 
@@ -380,5 +380,5 @@ def test_walk_pieces_stay_within_the_chunk_where_c_squared_exceeds_it():
     # at (2,3,67) the c level's climb column has c² − 1 = 4488 entries
     t = make_prime_triple(2, 3, 67)
     pieces = list(snake_walk(t).pieces())
-    assert t.m_gamma - 1 > hamiltonian.WALK_CHUNK == max(map(len, pieces))
+    assert t.moduli[2] - 1 > hamiltonian.WALK_CHUNK == max(map(len, pieces))
     assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)

@@ -228,7 +228,7 @@ def test_neighborhood_takes_members_mod_n(t):
     # a²b² and 2n − 1 plants n − 1, and the neighbourhood follows suit
     members = CayleyGraph.from_triple(t).members
     vertices = [0, 1, t.n // 3]
-    for extra in (t.n + t.m_alpha * t.m_beta, 2 * t.n - 1):
+    for extra in (t.n + t.moduli[0] * t.moduli[1], 2 * t.n - 1):
         g = CayleyGraph(t, (*members, extra))
         assert g.neighborhood(bitset(g, vertices)) == bitset(g, reference_neighborhood(t.n, g.members, vertices))
 
@@ -320,11 +320,11 @@ def test_distance_classes_match_table(t):
     # the table's class k for every k
     g = CayleyGraph.from_triple(t)
     plant_table_levels(g)
-    assert distance_sweep(g, 2) == (3, 3 * t.n, 6, 0)
+    assert distance_sweep(g, 2) == (3, 6, 0)
     for shift in range(1, 7):
         g = CayleyGraph.from_triple(t)
         plant_table_levels(g, shift)
-        assert distance_sweep(g, 2) == (3, 3 * t.n, 6 + shift, 3 * t.n), shift
+        assert distance_sweep(g, 2) == (3, 6 + shift, 3 * t.n), shift
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -368,7 +368,7 @@ def test_one_wrong_table_entry_gives_one_mismatch_per_source(t, shift):
 def test_sweep_counts_unreached_vertices():
     # only the c²-order connectors: the graph splits into a²b² components
     t = TRIPLES[0]
-    m_ab = t.m_alpha * t.m_beta
+    m_ab = t.moduli[0] * t.moduli[1]
     gamma_class = tuple(c for c in CayleyGraph.from_triple(t).members if c % m_ab == 0)
     g = CayleyGraph(t, gamma_class)
     table = closed_form_distance_table(t)
@@ -391,6 +391,11 @@ def _edit_class_zero(monkeypatch, edit) -> None:
 
 def _period(t) -> int:
     return t.alpha * t.beta * t.gamma
+
+
+def _class_zero_ids(t) -> list[tuple[int, int, int]]:
+    """The a·b block ids (i, j, i + j mod c), i < a, j < b, of colour class 0."""
+    return [(i, j, (i + j) % t.gamma) for i in range(t.alpha) for j in range(t.beta)]
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -428,7 +433,7 @@ def test_coloring_that_is_no_partition_into_gamma_classes_is_improper(t, fault, 
     # the partition as well
     in_zero = next(v for v in range(t.n // 2, t.n) if certificate_color(v, t) == 0) % _period(t)
     outside = next(v for v in range(t.n // 2, t.n) if certificate_color(v, t) != 0) % _period(t)
-    m_ab = t.m_alpha * t.m_beta
+    m_ab = t.moduli[0] * t.moduli[1]
     if fault == "no class":
         _edit_class_zero(monkeypatch, lambda zero: [r for r in zero if r != in_zero])
     elif fault == "two classes":
@@ -470,9 +475,9 @@ def test_residue_blocks_and_independence_members_match_block_of(t):
     assert all(block_set(g, structure.block_residues(t, [x])) == union([x]) for x in members)
     cert = independence_certificate(t)
     listed = [base + r for base in range(0, t.n, cert.period) for r in cert.residues]
-    assert listed == list(set_bits(union(cert.index_set)))
+    assert listed == list(set_bits(union(_class_zero_ids(t))))
     assert cert.size == len(listed) and cert.period == _period(t)
-    assert union(cert.index_set) == bitset(g, (v for v in range(t.n) if certificate_color(v, t) == 0))
+    assert union(_class_zero_ids(t)) == bitset(g, (v for v in range(t.n) if certificate_color(v, t) == 0))
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -512,7 +517,7 @@ def _symmetric_edits(t) -> list[tuple[int, ...]]:
     non-member) or removed, and with every pair outside the c²-order class
     removed."""
     members = CayleyGraph.from_triple(t).members
-    m_ab = t.m_alpha * t.m_beta
+    m_ab = t.moduli[0] * t.moduli[1]
 
     def edit(add=(), drop=()):
         extra = {x % t.n for d in add for x in (d, -d)}
@@ -520,8 +525,8 @@ def _symmetric_edits(t) -> list[tuple[int, ...]]:
         return tuple(sorted(set(members) - gone | extra))
 
     cases = [members]
-    cases += [edit(add=[d]) for d in (1, t.alpha, _period(t), t.m_alpha, t.gamma * m_ab)]
-    cases += [edit(drop=[d]) for d in (members[0], m_ab, t.m_alpha * t.m_gamma)]
+    cases += [edit(add=[d]) for d in (1, t.alpha, _period(t), t.moduli[0], t.gamma * m_ab)]
+    cases += [edit(drop=[d]) for d in (members[0], m_ab, t.moduli[0] * t.moduli[2])]
     cases.append(edit(drop=[c for c in members if c % m_ab]))
     return cases
 
@@ -537,7 +542,7 @@ def _one_sided_plants(t) -> list[tuple[int, ...]]:
 def _class_zero(t) -> list[int]:
     """Colour class 0, the independence certificate's ids, as residues found
     by scanning all abc of them."""
-    return residues_of(t, parameters.independence_index_set(t))
+    return residues_of(t, _class_zero_ids(t))
 
 
 @pytest.mark.parametrize("t", TRIPLES, ids=IDS)
@@ -553,7 +558,7 @@ def test_residue_checks_equal_their_n_bit_references_under_connector_faults(t):
         proper = certified_coloring(t, g).proper
         assert proper == coloring_by_neighbourhood(t, g, block_set(g, zero))
         count = independence_internal_edges(cert, g).internal_edges
-        assert count == internal_edges(g, block_set(g, residues_of(t, cert.index_set)))
+        assert count == internal_edges(g, block_set(g, zero))
         adjacency = verify_block_adjacency(g)
         assert adjacency == adjacency_by_neighbourhood(g, block_set(g, [0]))
         seen.update([("proper", proper), ("independent", count == 0), ("adjacency", adjacency)])
@@ -610,7 +615,7 @@ def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations(t, monkeypatch):
     # through its residues mod c·a²b², so every planted K is on the multiples
     # of a²b², where the sort and the tiling agree
     g = CayleyGraph.from_triple(t)
-    ab, m_ab, c = t.alpha * t.beta, t.m_alpha * t.m_beta, t.gamma
+    ab, m_ab, c = t.alpha * t.beta, t.moduli[0] * t.moduli[1], t.gamma
     zero, k = _class_zero(t), clique_certificate(t)
     outside = next(r for r in range(_period(t)) if r not in zero)
     zeros = {
@@ -662,8 +667,8 @@ def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes,
     # the count matches its reference also with n/2 or a one-way step planted
     t = make_prime_triple(*primes)
     g = CayleyGraph.from_triple(t)
-    ids = independence_certificate(t).index_set + ((0, 0, 1),)
-    cert = IndependenceCertificate(ids, tuple(structure.block_residues(t, ids)), _period(t))
+    ids = _class_zero_ids(t) + [(0, 0, 1)]
+    cert = IndependenceCertificate(tuple(structure.block_residues(t, ids)), _period(t))
     got = independence_internal_edges(cert, g).internal_edges
     s = block_set(g, residues_of(t, ids))
     assert got == internal_edges(g, s) > 0

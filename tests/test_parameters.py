@@ -14,7 +14,6 @@ from psqcayley.parameters import (
     closed_form_distance_table,
     diameter,
     independence_certificate,
-    independence_index_set,
     independence_internal_edges,
     verify_index_bounds,
 )
@@ -38,7 +37,7 @@ def test_clique_certificate_differences_have_top_square_order():
     cert = clique_certificate(T235)
     for i, u in enumerate(cert):
         for v in cert[i + 1 :]:
-            assert element_order((v - u) % T235.n, T235) == T235.m_gamma
+            assert element_order((v - u) % T235.n, T235) == T235.moduli[2]
 
 
 def test_clique_certificate_next_instance():
@@ -79,8 +78,23 @@ def test_coloring_exhaustive_above_materialize_cap():
     assert build_report(t)["chromatic"]["value"] == 11
 
 
+def _certificate_ids(t):
+    """The block ids (r mod a, r mod b, r mod c) of the certificate's
+    residues r, read through `parameters.block_residues` at call time, as
+    `certify` builds the certificate, so a planted id reaches them."""
+    a, b, c = t.primes
+    return [(r % a, r % b, r % c) for r in independence_certificate(t).residues]
+
+
+def _plant_ids(monkeypatch, edit):
+    """From now on `block_residues` receives edit(ids, t) in place of the
+    certificate's ids."""
+    residues = parameters.block_residues
+    monkeypatch.setattr(parameters, "block_residues", lambda t, ids: residues(t, edit(ids, t)))
+
+
 def test_independence_index_set():
-    ids = independence_index_set(T235)
+    ids = _certificate_ids(T235)
     assert len(ids) == 6
     assert (1, 2, 3) in ids
     assert all((i + j) % 5 == k for i, j, k in ids)
@@ -103,27 +117,24 @@ def test_independence_certificate_next_instance():
 
 
 def _index_bounds(t):
-    """`verify_index_bounds` on the index set read through
-    `parameters.independence_index_set` at call time, as `certify` passes
-    the certificate's, so a planted index set reaches the verdict."""
-    return verify_index_bounds(t, parameters.independence_index_set(t))
+    """`verify_index_bounds` on the certificate's residues, as `certify`
+    passes them, built through `parameters.block_residues` at call time, so
+    a planted id reaches the verdict."""
+    return verify_index_bounds(t, independence_certificate(t).residues)
 
 
 def test_index_bounds():
-    rep = _index_bounds(T235)
-    assert rep.index_set_two_agreement_free
-    assert rep.lines_cover_ids
-    assert len(independence_index_set(T235)) == 6
-    rep7 = _index_bounds(T357)
-    assert len(independence_index_set(T357)) == 15
-    assert rep7.index_set_two_agreement_free and rep7.lines_cover_ids
+    assert _index_bounds(T235) is True
+    assert len(independence_certificate(T235).residues) == 6
+    assert _index_bounds(T357) is True
+    assert len(independence_certificate(T357).residues) == 15
 
 
 def _index_bounds_by_every_line(t) -> tuple[bool, bool]:
     """Both index bounds with every pair of every line checked by
     `structure.index_adjacent`, the reference for the line lemma that
     `verify_index_bounds` states; the box walk reads `structure.index_ids`."""
-    ids = independence_index_set(t)
+    ids = _certificate_ids(t)
     lines = [[(i, j, k) for k in range(t.gamma)] for i in range(t.alpha) for j in range(t.beta)]
     adjacent = structure.index_adjacent
     cover = (
@@ -140,14 +151,14 @@ def test_index_bounds_make_no_adjacency_call(monkeypatch):
     # adjacency call: none at (2,3,167), where every line's pairs would be
     # 83,166; the literal loop stays the reference
     for t in LADDER:
-        rep = _index_bounds(t)
-        assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == (True, True)
+        assert _index_bounds(t) is True
+        assert _index_bounds_by_every_line(t) == (True, True)
     t = make_prime_triple(2, 3, 167)
     calls = Counter()
     adjacent = structure.index_adjacent
     monkeypatch.setattr(structure, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
-    assert _index_bounds(t) == (True, True)
-    assert len(independence_index_set(t)) == 6
+    assert _index_bounds(t) is True
+    assert len(independence_certificate(t).residues) == 6
     assert calls[1] == 0
 
 
@@ -158,7 +169,7 @@ def test_a_line_missing_an_edge_still_fails_the_structure_line(monkeypatch):
     # structure line, and no other
     adjacent = structure.index_adjacent
     monkeypatch.setattr(structure, "index_adjacent", lambda x, y: adjacent(x, y) and {x, y} != {(0, 0, 0), (0, 0, 1)})
-    assert _index_bounds(T235) == (True, True)
+    assert _index_bounds(T235) is True
     failed = [line.split(":")[0] for line in run_verification(T235, 0).lines if line.startswith("FAIL")]
     assert failed == ["FAIL structure"]
 
@@ -167,15 +178,18 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
     # part 1 is three injective projections of the a·b ids, O(ab), and part 2
     # the line count, by the line lemma: no C(ab, 2) pair loop, no C(c, 2)
     # line loop and no box walk, equal to the pair loops at every ladder
-    # triple and on unvalidated triples, where the index set (i, j, i + j
-    # mod 3) is not free: at (2, 5, 3) ids agree in (i, k), at (5, 2, 3) in (j, k)
-    for t in triples_with_group_order_at_most(1_100_000) + UNVALIDATED:
-        rep = _index_bounds(t)
-        expected = (t.primes not in ((2, 5, 3), (5, 2, 3)), True)
-        assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == _index_bounds_by_every_line(t) == expected
+    # triple and on the unvalidated triples of distinct primes, where the
+    # index set (i, j, i + j mod 3) is not free: at (2, 5, 3) ids agree in
+    # (i, k), at (5, 2, 3) in (j, k).  The other unvalidated triples share a
+    # prime, so no CRT maps their ids to residues
+    unordered = [t for t in UNVALIDATED if t.primes in ((2, 5, 3), (5, 2, 3))]
+    for t in triples_with_group_order_at_most(1_100_000) + unordered:
+        expected = (t not in unordered, True)
+        assert _index_bounds_by_every_line(t) == expected
+        assert _index_bounds(t) is all(expected)
     t = make_prime_triple(101, 103, 107)
-    assert _index_bounds(t) == (True, True)
-    assert len(independence_index_set(t)) == 101 * 103
+    assert _index_bounds(t) is True
+    assert len(independence_certificate(t).residues) == 101 * 103
 
 
 @pytest.mark.parametrize(
@@ -186,35 +200,39 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
     ],
 )
 def test_each_index_bound_fails_on_its_own_planted_fault(plant, expected, monkeypatch):
-    # the index set bounds the MIS from below, the line cover from above; a
-    # fault in one leaves the other standing
+    # the ids bound the MIS from below, the line cover from above; a fault in
+    # one leaves the other standing, and either fails the verdict
     origin, next_k = (0, 0, 0), (0, 0, 1)
     calls = Counter()
     if plant == "adjacent-index-ids":
-        index_set = parameters.independence_index_set
-        monkeypatch.setattr(
-            parameters, "independence_index_set", lambda t: calls.update([1]) or (origin, next_k) + index_set(t)[2:]
-        )
+        _plant_ids(monkeypatch, lambda ids, t: calls.update([1]) or [origin, next_k] + ids[2:])
     else:
-        # (a, b, c) lies on no line and shares no projection with another id,
-        # so the set stays free but outnumbers the a·b lines
-        index_set = parameters.independence_index_set
-        monkeypatch.setattr(
-            parameters, "independence_index_set", lambda t: calls.update([1]) or index_set(t) + (t.primes,)
-        )
-    rep = _index_bounds(T235)
-    assert (rep.index_set_two_agreement_free, rep.lines_cover_ids) == expected
+        # (a, b, c) lies on no line: its residue is the origin's, so the
+        # certificate keeps a·b − 1 residues, free but short of the lines
+        _plant_ids(monkeypatch, lambda ids, t: calls.update([1]) or ids[:-1] + [t.primes])
+    assert _index_bounds_by_every_line(T235) == expected
+    assert _index_bounds(T235) is False
     assert calls[1] > 0
 
 
-@pytest.mark.parametrize("other", [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+# a planted id at (2, 3, 5) → (the certificate id it replaces, the one
+# two-coordinate projection in which it meets another id, the origin)
+PROJECTION_PLANTS = {(0, 0, 4): (1, (0, 1)), (0, 1, 0): (1, (0, 2)), (1, 0, 0): (3, (1, 2))}
+
+
+@pytest.mark.parametrize("other", list(PROJECTION_PLANTS))
 def test_index_set_freedom_reads_each_projection(other, monkeypatch):
-    # (0, 0, 0) and other agree in exactly two coordinates, so exactly one
-    # two-coordinate projection maps them to one pair
-    pair = ((0, 0, 0), other)
-    monkeypatch.setattr(parameters, "independence_index_set", lambda t: pair)
-    assert structure.index_adjacent(*pair)
-    assert _index_bounds(T235).index_set_two_agreement_free is False
+    # (0, 0, 0) and other agree in exactly two coordinates, so one
+    # projection maps them to one pair and the other two stay injective: in
+    # place of one certificate id, a·b ids intact, it fails the verdict
+    position, projection = PROJECTION_PLANTS[other]
+    _plant_ids(monkeypatch, lambda ids, t: ids[:position] + [other] + ids[position + 1 :])
+    ids = _certificate_ids(T235)
+    assert structure.index_adjacent((0, 0, 0), other) and len(ids) == 6
+    collided = [(u, v) for u, v in combinations(range(3), 2) if len({(x[u], x[v]) for x in ids}) < len(ids)]
+    assert collided == [projection]
+    assert _index_bounds_by_every_line(T235) == (False, True)
+    assert _index_bounds(T235) is False
 
 
 @pytest.mark.parametrize("position", [0, 17, -1])
@@ -231,8 +249,8 @@ def test_line_cover_reads_every_id(position, monkeypatch):
         return box
 
     monkeypatch.setattr(structure, "index_ids", moved)
-    assert _index_bounds(T235) == (True, True)
-    assert len(independence_index_set(T235)) == 6
+    assert _index_bounds(T235) is True
+    assert len(independence_certificate(T235).residues) == 6
     assert calls[1] == 0
     assert _index_bounds_by_every_line(T235) == (True, False)
     assert calls[1] == 1
@@ -279,6 +297,19 @@ def test_diameter_small():
     assert res.value == 6
     assert res.witness_pair == (0, 30)
     assert res.bfs_eccentricity == 6
+
+
+def test_diameter_value_is_the_level_that_holds_the_witness():
+    # toggling the pair ±180 at (2,3,5) keeps the BFS eccentricity 6, but
+    # the witness (0, 30), at closed-form distance 6, is at BFS distance 5:
+    # the value is its level, so the diameter verdict fails
+    members = tuple(sorted(set(G235.members) ^ {180, T235.n - 180}))
+    g = CayleyGraph(T235, members)
+    assert closed_form_distance(0, 30, T235) == 6 and g.bfs(0)[30] == 5
+    assert diameter(T235, g) == (5, (0, 30), 6)
+    # the c-class alone reaches only the 25 multiples of 36, not the witness
+    c_class = tuple(x for x in G235.members if x % 36 == 0)
+    assert diameter(T235, CayleyGraph(T235, c_class)) == (-1, (0, 30), 2)
 
 
 def test_diameter_next_instance():

@@ -12,13 +12,7 @@ from psqcayley.graph import CayleyGraph, ConnectivityResult
 from psqcayley.group import PrimeTriple, make_prime_triple
 from psqcayley.hamiltonian import WalkCertificate, snake_walk
 from psqcayley.oracles import SweepReport
-from psqcayley.parameters import (
-    ColoringResult,
-    DiameterResult,
-    IndependenceCertificate,
-    IndependenceScan,
-    IndexBoundsReport,
-)
+from psqcayley.parameters import ColoringResult, DiameterResult, IndependenceCertificate, IndependenceScan
 from psqcayley.report import Certificates, VerificationOutcome, certify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -162,16 +156,15 @@ def test_public_records_are_immutable(name):
 
 # every record type, with its fields in order
 RECORD_FIELDS = {
-    PrimeTriple: ("alpha", "beta", "gamma", "n", "m_alpha", "m_beta", "m_gamma"),
+    PrimeTriple: ("alpha", "beta", "gamma"),
     ConnectivityResult: ("connected", "bezout", "bfs_reached"),
     CayleyGraph: ("triple", "members"),
     WalkCertificate: ("levels", "n"),
-    SweepReport: ("sources", "pairs_checked", "max_distance", "mismatches"),
+    SweepReport: ("sources", "max_distance", "mismatches"),
     DiameterResult: ("value", "witness_pair", "bfs_eccentricity"),
     ColoringResult: ("proper", "tiles", "edges_checked"),
-    IndependenceCertificate: ("index_set", "residues", "period"),
+    IndependenceCertificate: ("residues", "period"),
     IndependenceScan: ("internal_edges", "graph_edges", "pairs_checked"),
-    IndexBoundsReport: ("index_set_two_agreement_free", "lines_cover_ids"),
     Certificates: (
         "graph", "connectivity", "clique", "coloring", "independence", "independence_scan", "index_bounds",
         "diameter", "walk", "fiber", "block_partition", "block_adjacency", "verdicts", "timings",

@@ -179,17 +179,42 @@ def test_an_out_of_range_member_fails_the_connecting_set_line(planted, monkeypat
 
 
 def test_regularity_fails_distinct_members_out_of_order(monkeypatch):
-    # the first two members swapped: the set is still C, so the
-    # connecting-set line passes, but membership bisects the members and the
-    # bands read them in order, so the regularity line requires them ascending
+    # the first two members swapped: the set is still C, so the order scan
+    # matches, but membership bisects the members and the bands read them in
+    # order, so the regularity line requires them ascending, and the
+    # connecting-set verdict, the merge against the ascending classes, fails
     def swapped(t):
         members = enumerate_connectors(t)
         return (members[1], members[0]) + members[2:]
 
     monkeypatch.setattr(graph, "enumerate_connectors", swapped)
     status = {line.split(":")[0]: line for line in run_verification(T235, 0).lines}
-    assert "PASS connecting-set" in status
+    assert status["FAIL connecting-set"] == "FAIL connecting-set: |C|=28, formula=28, order-scan=28"
     assert status["FAIL regular-eulerian-connected"].endswith("reached=900/900")
+
+
+def test_connecting_set_verdict_is_the_merge_against_the_classes(monkeypatch, capsys):
+    # {36, 864} replaced by {37, 863} at (2,3,5): |C| still equals the
+    # formula, but the members are not the order-p² classes, so `params`
+    # writes the verdict false, as `verify`'s line, ANDed with the order
+    # scan, fails
+    members = tuple(sorted(set(enumerate_connectors(T235)) - {36, 864} | {37, 863}))
+    monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
+    assert cli.main(["params", "--primes", "2,3,5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["cSize"] == 28 and report["verdicts"]["connecting-set"] is False
+    assert run_verification(T235, 0).lines[0] == "FAIL connecting-set: |C|=28, formula=28, order-scan=28"
+
+
+def test_params_diameter_verdict_reads_the_witness_level(monkeypatch, capsys):
+    # under the pair toggle ±180 at (2,3,5) the BFS eccentricity stays 6,
+    # but the witness pair lies at distance 5, so the verdict is false
+    members = tuple(sorted(set(enumerate_connectors(T235)) ^ {180, T235.n - 180}))
+    monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
+    assert cli.main(["params", "--primes", "2,3,5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["diameter"] == {"value": 5, "witnessPair": [0, 30], "bfsEccentricity": 6}
+    assert report["verdicts"]["diameter"] is False
 
 
 def _count_builds(monkeypatch) -> dict[str, int]:
@@ -591,17 +616,18 @@ def test_cli_params_and_verify_each_certify_once(command, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["params", "verify"])
 @pytest.mark.parametrize("primes", ["2,3,5", "3,5,7"])
 def test_cli_params_and_verify_build_the_clique_and_the_index_set_once(command, primes, capsys, monkeypatch):
-    # certify builds K and the a·b index set once each, and the colouring
-    # decides once that K tiles V; the index bounds, α ≤ n/c and both
-    # renderings read those, and build or decide none of them again
+    # certify builds K and the certificate of the a·b index ids once each,
+    # and the colouring decides once that K tiles V; the index bounds,
+    # α ≤ n/c and both renderings read those, and build or decide none of
+    # them again
     calls = Counter()
-    for name in ("clique_certificate", "independence_index_set"):
+    for name in ("clique_certificate", "independence_certificate"):
         fn = getattr(parameters, name)
         monkeypatch.setattr(parameters, name, lambda t, _fn=fn, _name=name: calls.update([_name]) or _fn(t))
     tiles = parameters.clique_tiles
     monkeypatch.setattr(parameters, "clique_tiles", lambda t, k: calls.update(["clique_tiles"]) or tiles(t, k))
     assert cli.main([command, "--primes", primes]) == 0
-    assert calls == {"clique_certificate": 1, "independence_index_set": 1, "clique_tiles": 1}
+    assert calls == {"clique_certificate": 1, "independence_certificate": 1, "clique_tiles": 1}
     assert capsys.readouterr().err == ""
 
 
@@ -772,7 +798,7 @@ def test_cli_verify_passes(capsys):
 
 def test_cli_verify_fails_on_mismatch(capsys, monkeypatch):
     def fake_sweep(g, sources=None):
-        return SweepReport(sources=1, pairs_checked=900, max_distance=6, mismatches=3)
+        return SweepReport(sources=1, max_distance=6, mismatches=3)
 
     monkeypatch.setattr(oracles_mod, "distance_sweep", fake_sweep)
     code = cli.main(["verify", "--primes", "2,3,5", "--budget-sources", "5"])

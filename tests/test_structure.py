@@ -107,7 +107,7 @@ def _adjacency_by_pairs(g: CayleyGraph) -> bool:
 
 def _gamma_fibers_by_fiber(g: CayleyGraph) -> bool:
     """Fiber check (i) with one neighbourhood per gamma fiber."""
-    m_ab, m_c = g.triple.m_alpha * g.triple.m_beta, g.triple.m_gamma
+    m_ab, m_c = g.triple.moduli[0] * g.triple.moduli[1], g.triple.moduli[2]
     fibers = (((1 << m_ab) - 1) << (k * m_ab) for k in range(m_c))
     return not any(g.neighborhood(f) & f for f in fibers)
 
@@ -115,11 +115,12 @@ def _gamma_fibers_by_fiber(g: CayleyGraph) -> bool:
 def _cell_cycles_by_cell(g: CayleyGraph) -> bool:
     """Fiber check (iii) with one cycle check per (alpha, beta) cell."""
     t = g.triple
-    m_a, m_ab = t.m_alpha, t.m_alpha * t.m_beta
+    m_a, m_b, m_c = t.moduli
+    m_ab = m_a * m_b
     return all(
-        is_cycle(g, [r + s * m_a + k * m_ab for k in range(t.m_gamma)])
+        is_cycle(g, [r + s * m_a + k * m_ab for k in range(m_c)])
         for r in range(m_a)
-        for s in range(t.m_beta)
+        for s in range(m_b)
     )
 
 
@@ -153,7 +154,7 @@ def test_fiber_i_by_connectors_equals_the_neighbourhood_reference(t):
     # (n − a²b², n); each planted one-way connector is checked against the
     # n-bit neighbourhood of every gamma fiber.  a²b² and n − a²b² are
     # connectors already, the bounds of the rule
-    n, m_ab = t.n, t.m_alpha * t.m_beta
+    n, m_ab = t.n, t.moduli[0] * t.moduli[1]
     members = enumerate_connectors(t)
     planted = {None: True, 1: False, m_ab - 1: False, n - m_ab + 1: False, n - 1: False, m_ab: True, n - m_ab: True}
     for extra, expected in planted.items():
@@ -308,7 +309,7 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
     # without the a²- and b²-order connectors only blocks that differ in the
     # c-residue alone are joined, so (1, 0, 0) is index-adjacent to (0, 0, 0)
     # yet sees no edge from it
-    m_ab = t.m_alpha * t.m_beta
+    m_ab = t.moduli[0] * t.moduli[1]
     g = _without(t, [c for c in enumerate_connectors(t) if c % m_ab])
     assert verify_block_partition(g)
     assert not verify_block_adjacency(g) and not _adjacency_by_pairs(g)
@@ -317,7 +318,7 @@ def test_block_adjacency_catches_index_adjacent_blocks_without_an_edge(t):
 @SMALL
 def test_cross_section_cycles_catch_a_removed_connector(t):
     # without ±a²c² no cross-section sequence closes a single step
-    g = _without(t, [t.m_alpha * t.m_gamma])
+    g = _without(t, [t.moduli[0] * t.moduli[2]])
     items = verify_fiber_structure(g)
     assert items["vi"]
     assert not items["viii"] and not _fiber_items_by_loops(g)["viii"]
@@ -326,7 +327,7 @@ def test_cross_section_cycles_catch_a_removed_connector(t):
 @SMALL
 def test_cell_cycles_catch_a_removed_connector(t):
     # without ±a²b² no cell cycle closes a single step
-    g = _without(t, [t.m_alpha * t.m_beta])
+    g = _without(t, [t.moduli[0] * t.moduli[1]])
     assert not verify_fiber_structure(g)["iii"] and not _cell_cycles_by_cell(g)
 
 
@@ -435,7 +436,7 @@ def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
     """Fiber check (ii) over every pair of every cell: the reference for the
     check by difference."""
     t = g.triple
-    n, m_ab, m_c = t.n, t.m_alpha * t.m_beta, t.m_gamma
+    n, m_ab, m_c = t.n, t.moduli[0] * t.moduli[1], t.moduli[2]
     rule = [dk % t.gamma != 0 for dk in range(m_c)]  # rule[k2 − k1]
     for base in range(m_ab):
         cell = range(base, n, m_ab)
@@ -447,7 +448,7 @@ def _cell_rule_by_pairs(g: CayleyGraph) -> bool:
 
 def test_cell_rule_catches_a_planted_connector(monkeypatch):
     # γ·a²b² joins cell pairs whose top digits agree modulo gamma
-    _plant(monkeypatch, lambda t: t.gamma * t.m_alpha * t.m_beta)
+    _plant(monkeypatch, lambda t: t.gamma * t.moduli[0] * t.moduli[1])
     for t in (T235, T357):
         g = CayleyGraph.from_triple(t)
         items = verify_fiber_structure(g)
@@ -467,7 +468,7 @@ def test_cell_rule_in_one_pass_equals_one_test_per_difference_under_faults(t):
     # reference tests each difference dk·a²b² for membership; the faults
     # toggle every gcd class in or out of C and plant single members: 0,
     # n/2, n, n + a²b², a repeated a²b² and γ·a²b²
-    n, m_ab = t.n, t.m_alpha * t.m_beta
+    n, m_ab = t.n, t.moduli[0] * t.moduli[1]
     members = enumerate_connectors(t)
     cases = [members]
     for d in divisors(n)[:-1]:
@@ -549,7 +550,7 @@ def test_shifted_cosets_lie_in_fiber_r_exactly_when_c_squared_is_one_mod_a_squar
     # all r iff c² ≡ 1 (mod a²): so the fiber-r form fails at (3, 5, 7), where
     # 49 ≡ 4 (mod 9), and at 34 more of the 146 ladder triples
     failing = [t.primes for t in LADDER if not _cosets_within_fiber_r(t)]
-    assert failing == [t.primes for t in LADDER if t.m_gamma % t.m_alpha != 1]
+    assert failing == [t.primes for t in LADDER if t.moduli[2] % t.moduli[0] != 1]
     assert (3, 5, 7) in failing and len(failing) == 35
 
 
