@@ -35,7 +35,7 @@ import sys
 from . import report as report_mod
 from .connectors import connector_count_formula
 from .graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph, write_chunks
-from .group import make_prime_triple
+from .group import PrimeTriple
 from .hamiltonian import snake_walk, verify_walk, walk_lines
 from .parameters import independence_certificate
 
@@ -151,7 +151,7 @@ def main(argv: list[str]) -> int:
         return 0
     try:
         command, args = _parse_args(argv)
-        triple = make_prime_triple(*_parse_primes(args["--primes"]))
+        triple = PrimeTriple(*_parse_primes(args["--primes"]))
         sources, out = args.get("--budget-sources"), args.get("--out")
         if sources is not None and sources < 0:
             raise ValueError("--budget-sources must be nonnegative")

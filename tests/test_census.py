@@ -22,10 +22,11 @@ FAULT_MATRIX, the symmetric pair toggles of PAIR_CENSUS, the class-0
 residue plant of `tests/test_acceptance.py`, the plants on the ids that
 `block_residues` receives and on the index graph of
 `tests/test_parameters.py`, the swapped and one-way member lists of
-`tests/test_report_cli.py`, the planted K of `tests/test_kernel.py`, the
-walk-level faults of `tests/test_hamiltonian.py`, and the UNVALIDATED
-triples, built past `make_prime_triple`.  Under each, the instrumented
-`verify` lines must equal the real ones.
+`tests/test_report_cli.py`, the planted K of `tests/test_kernel.py`, and the
+walk-level faults of `tests/test_hamiltonian.py`.  Under each, the
+instrumented `verify` lines must equal the real ones.  No plant builds an
+invalid triple: `PrimeTriple` refuses one, so the facts about Z_n that every
+triple guarantees are stated in the package, not probed here.
 """
 
 import ast
@@ -35,10 +36,10 @@ import operator
 import types
 from math import gcd
 
-from psqcayley.group import make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.hamiltonian import snake_walk
 
-from helpers import UNVALIDATED, divisors
+from helpers import divisors
 from test_fault_matrix import FAULT_MATRIX
 from test_hamiltonian import _level_faults, _with_identity
 
@@ -46,7 +47,7 @@ from test_hamiltonian import _level_faults, _with_identity
 # those it imports
 TARGETS = {
     "graph": ("CayleyGraph.is_step_cycle", "CayleyGraph.is_connected"),
-    "structure": ("verify_fiber_structure", "verify_block_partition", "verify_block_adjacency"),
+    "structure": ("verify_fiber_structure", "verify_block_adjacency"),
     "parameters": ("verify_coloring", "clique_tiles", "verify_index_bounds"),
     "hamiltonian": ("verify_walk",),
     "report": ("certify", "run_verification"),
@@ -214,26 +215,16 @@ def instrumented() -> tuple[dict[str, types.ModuleType], Recorder]:
     return copies, recorder
 
 
-def _outcome(mods: dict[str, types.ModuleType], t, direct: bool):
-    """`verify`'s lines for t, or the error it raises; and, with direct, the
-    verifiers that take t and its graph alone (UNVALIDATED triples mostly
-    fail before `certify` reaches them)."""
-    try:
-        lines = mods["report"].run_verification(t, 0).lines
-    except ValueError as error:
-        lines = repr(error)
-    if not direct:
-        return lines
-    g = mods["graph"].CayleyGraph.from_triple(t)
-    st = mods["structure"]
-    return lines, st.verify_fiber_structure(g), st.verify_block_partition(g), st.verify_block_adjacency(g)
+def _outcome(mods: dict[str, types.ModuleType], t):
+    """`verify`'s lines for t."""
+    return mods["report"].run_verification(t, 0).lines
 
 
 def _connector_toggles():
     """(label, triple, members) for FAULT_MATRIX's gcd-class toggles, then
     the pair toggles at PAIR_CENSUS's tier-1 triples."""
     for primes in FAULT_MATRIX:
-        t = make_prime_triple(*primes)
+        t = PrimeTriple(*primes)
         n, connectors = t.n, set(REAL["graph"].enumerate_connectors(t))
         for d in divisors(n)[:-1]:
             cls = {d * k for k in range(1, n // d) if gcd(k, n // d) == 1}
@@ -241,7 +232,7 @@ def _connector_toggles():
             members = connectors - cls if inside else connectors | cls
             yield f"gcd class {'-' if inside else '+'}{d} at {primes}", t, members
     for primes in ((2, 3, 5), (2, 3, 7)):
-        t = make_prime_triple(*primes)
+        t = PrimeTriple(*primes)
         n, connectors = t.n, set(REAL["graph"].enumerate_connectors(t))
         for x in range(1, n // 2 + 1):
             yield f"pair {x} at {primes}", t, connectors ^ {x, n - x}
@@ -259,45 +250,43 @@ def _wrap_ids(mp, module, edit):
 
 
 def plants():
-    """(label, triple, plant(mp, mods), direct) for every plant, in census
-    order; plant sets the fault in the modules mods."""
+    """(label, triple, plant(mp, mods)) for every plant, in census order;
+    plant sets the fault in the modules mods."""
     for label, t, members in _connector_toggles():
         members = tuple(sorted(members))
         plant = lambda mp, mods, m=members: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m)
-        yield label, t, plant, False
+        yield label, t, plant
     origin, next_k = (0, 0, 0), (0, 0, 1)
-    t235 = make_prime_triple(2, 3, 5)
+    t235 = PrimeTriple(2, 3, 5)
     yield "class-0 residue 1", t235, lambda mp, mods: _wrap(
         mp, mods["parameters"], "block_residues", lambda zero, t, ids: sorted({*zero, 1})
-    ), False
+    )
     ids_edits = [
         ("adjacent-index-ids", lambda ids, t: [origin, next_k] + ids[2:]),
         ("id-outside-the-lines", lambda ids, t: ids[:-1] + [t.primes]),
         *((f"index set {{{origin}, {o}}}", lambda ids, t, o=o: [origin, o] + ids[2:]) for o in ((0, 1, 0), (1, 0, 0))),
     ]
     for label, edit in ids_edits:
-        yield label, t235, lambda mp, mods, e=edit: _wrap_ids(mp, mods["parameters"], e), False
+        yield label, t235, lambda mp, mods, e=edit: _wrap_ids(mp, mods["parameters"], e)
     yield "line-missing-an-edge", t235, lambda mp, mods: _wrap(
         mp, mods["structure"], "index_adjacent", lambda adj, x, y: adj and {x, y} != {origin, next_k}
-    ), False
+    )
     members = tuple(REAL["graph"].enumerate_connectors(t235))
     member_lists = {
         "one-way members (1, 2)": tuple(sorted(members + (1, 2))),
         "swapped members": (members[1], members[0]) + members[2:],
     }
     for label, m in member_lists.items():
-        yield label, t235, lambda mp, mods, m=m: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m), False
+        yield label, t235, lambda mp, mods, m=m: mp.setattr(mods["graph"], "enumerate_connectors", lambda t: m)
     k, (m_a, m_b, _) = REAL["parameters"].clique_certificate(t235), t235.moduli
     for label, planted in (("K one short", k[:-1]), ("K one extra", k + (t235.gamma * m_a * m_b,))):
         plant = lambda mp, mods, p=planted: mp.setattr(mods["parameters"], "clique_certificate", lambda t: p)
-        yield label, t235, plant, False
+        yield label, t235, plant
     walk, n = snake_walk(t235), t235.n
     faults = {name: w for name, w in _level_faults(walk, t235).items() if name != "certificate"}
     faults.update((f"identity level {step}@{i}", _with_identity(walk, i, step)) for i in range(4) for step in (0, n))
     for label, w in faults.items():
-        yield f"walk {label}", t235, lambda mp, mods, w=w: mp.setattr(mods["report"], "snake_walk", lambda t: w), False
-    for t in UNVALIDATED:
-        yield f"unvalidated {t.primes}", t, lambda mp, mods: None, True
+        yield f"walk {label}", t235, lambda mp, mods, w=w: mp.setattr(mods["report"], "snake_walk", lambda t: w)
 
 
 def run_census(context) -> dict[str, dict[str, str]]:
@@ -307,18 +296,18 @@ def run_census(context) -> dict[str, dict[str, str]]:
     outcome under every plant.  context() opens a monkeypatch scope."""
     copies, recorder = instrumented()
     for primes in ((2, 3, 5), (2, 3, 7), (3, 5, 7)):
-        t = make_prime_triple(*primes)
-        assert _outcome(copies, t, True) == _outcome(REAL, t, True)
+        t = PrimeTriple(*primes)
+        assert _outcome(copies, t) == _outcome(REAL, t)
     assert recorder.failed == set()
     assert recorder.seen == set(recorder.rows)
     first = dict.fromkeys(recorder.rows, "none")
-    for label, t, plant, direct in plants():
+    for label, t, plant in plants():
         with context() as mp:
             plant(mp, REAL)
-            real = _outcome(REAL, t, direct)
+            real = _outcome(REAL, t)
         with context() as mp:
             plant(mp, copies)
-            assert _outcome(copies, t, direct) == real, label
+            assert _outcome(copies, t) == real, label
         for row in recorder.failed:
             if first[row] == "none":
                 first[row] = label
@@ -347,15 +336,6 @@ CENSUS = {
         "x <= n - m_ab": "gcd class +1 at (2, 3, 5)",
         "len(tops) == m_c - t.gamma": "gcd class -36 at (2, 3, 5)",
         "all((k % t.gamma for k in tops))": "gcd class +180 at (2, 3, 5)",
-        "gcd(m_c, m_ab) == 1": "unvalidated (2, 3, 4)",
-        "gcd(m_b * m_c, m_a) == 1": "unvalidated (2, 3, 4)",
-        "item_vi": "unvalidated (2, 3, 4)",
-        "g.is_step_cycle(m_a * m_c, m_b)": "gcd class -100 at (2, 3, 5)",
-        "gcd(m_c, m_b) == 1": "unvalidated (2, 5, 5)",
-    },
-    "structure.verify_block_partition": {
-        "all((gcd(x, y) == 1 for x, y in combinations(g.triple.moduli, 2)))": "unvalidated (2, 3, 4)",
-        "gcd(x, y) == 1": "unvalidated (2, 3, 4)",
     },
     "structure.verify_block_adjacency": {
         "len(ids) == a + b + c - 3": "gcd class +1 at (2, 3, 5)",
@@ -401,7 +381,6 @@ CENSUS = {
         "coloring.tiles": "K one short",
         "index_ok": "class-0 residue 1",
         "scan.internal_edges == 0": "gcd class +1 at (2, 3, 5)",
-        "partition": "none",
         "block_adj": "gcd class +1 at (2, 3, 5)",
         "all(fiber.values())": "gcd class +1 at (2, 3, 5)",
         "diam.value == diam.bfs_eccentricity": "gcd class +1 at (2, 3, 5)",
@@ -418,32 +397,15 @@ CENSUS = {
     },
 }
 
-# The conjuncts that no plant fails, or only an UNVALIDATED triple, and why
-# each stays in the package: the lemma candidates of schema v3.  A conjunct
-# whose value is the same for every argument leaves the package instead, its
-# proof kept in a docstring and a test.  This list only shrinks.
+# The conjuncts that no plant fails, and why each stays in the package: the
+# lemma candidates of schema v3.  A conjunct whose value is the same for
+# every argument leaves the package instead, its proof kept in a docstring
+# and a test.  This list only shrinks.
 FROM_T = "built by certify from t alone, which no plant here edits"
 LEMMA_CANDIDATES = {
     "graph.CayleyGraph.is_connected": {
         "sum((x * (t.n // m) for x, m in zip((u, v, w), t.moduli))) == 1": f"the Bezout witness is {FROM_T}",
         "holds": "the Bezout identity above",
-    },
-    "structure.verify_fiber_structure": {
-        "gcd(m_c, m_ab) == 1": "item (iv), a fact about Z_n: fails only where two moduli share a prime",
-        "gcd(m_b * m_c, m_a) == 1": "item (vi), a fact about Z_n: fails only where two moduli share a prime",
-        "item_vi": "item (vi), read again by item (viii)",
-        "gcd(m_c, m_b) == 1": "item (viii)'s crossings, a fact about Z_n: fails only where b = c",
-    },
-    "structure.verify_block_partition": {
-        "all((gcd(x, y) == 1 for x, y in combinations(g.triple.moduli, 2)))": (
-            "the CRT is injective on the box: fails only where two moduli share a prime"
-        ),
-        "gcd(x, y) == 1": "the same, pair by pair",
-    },
-    "report.certify": {
-        "partition": (
-            "verify_block_partition's verdict; the UNVALIDATED triples that fail it raise in certify before it"
-        ),
     },
     "report.run_verification": {
         "found is not None": "the triangle oracle: every planted C keeps a triangle",
@@ -455,14 +417,7 @@ def test_every_conjunct_fails_under_some_plant_or_is_a_lemma_candidate(monkeypat
     census = run_census(monkeypatch.context)
     assert not any(hasattr(module, "_census") for module in REAL.values())
     unreached = [(where, text) for where, rows in census.items() for text, label in rows.items() if label == "none"]
-    assert [row for row in unreached if row not in _rows(LEMMA_CANDIDATES)] == []
-    candidates = [
-        (where, text)
-        for where, rows in census.items()
-        for text, label in rows.items()
-        if label == "none" or label.startswith("unvalidated")
-    ]
-    assert candidates == _rows(LEMMA_CANDIDATES)
+    assert unreached == _rows(LEMMA_CANDIDATES)
     assert census == CENSUS
 
 

@@ -1,12 +1,12 @@
 import math
 
 from psqcayley.connectors import connector_count_formula, enumerate_connectors
-from psqcayley.group import element_order, make_prime_triple
+from psqcayley.group import PrimeTriple, element_order
 
 from helpers import order_scan_connectors, triples_with_group_order_at_most
 
-T235 = make_prime_triple(2, 3, 5)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T357 = PrimeTriple(3, 5, 7)
 
 
 def test_count_at_small_instance():

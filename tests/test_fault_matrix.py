@@ -19,7 +19,7 @@ import pytest
 
 from psqcayley import cli, graph, oracles, report
 from psqcayley.graph import CayleyGraph
-from psqcayley.group import make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.report import run_verification
 
 from helpers import divisors
@@ -35,9 +35,9 @@ LINES = {
     "D": "diameter",
     "H": "hamiltonian",
 }
-# fiber items (iv), (v) and (vi), the index bounds and the block partition
-# read no connector: they are facts about Z_n, and no toggle of C fails them
-Z_N_FACTS = ("iv", "v", "vi", "index bounds", "block partition")
+# fiber items (iv), (v) and (vi) are lemmas of every triple, stated as true,
+# and the index bounds read no connector: no toggle of C fails them
+Z_N_FACTS = ("iv", "v", "vi", "index bounds")
 READS_C = ("i", "ii", "iii", "vii", "viii")
 
 FAULT_MATRIX = {
@@ -102,7 +102,7 @@ FAULT_MATRIX = {
 
 @pytest.mark.parametrize("primes", FAULT_MATRIX, ids=lambda p: ",".join(map(str, p)))
 def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     n = t.n
     connectors = set(graph.enumerate_connectors(t))
     certified = []
@@ -122,7 +122,7 @@ def test_each_gcd_class_toggle_fails_the_lines_of_its_row(primes, monkeypatch):
         rows.append(f"{'-' if inside else '+'}{d:<5} {marks}  {' '.join(items)}".rstrip())
         failed_lines |= failed
         failed_items |= set(items)
-        facts = {**fiber, "index bounds": c.index_bounds, "block partition": c.block_partition}
+        facts = {**fiber, "index bounds": c.index_bounds}
         assert all(facts[fact] for fact in Z_N_FACTS), (d, facts)
     assert rows == [row.strip() for row in FAULT_MATRIX[primes].strip().splitlines()]
     # every line and every fiber item that reads C fails under some toggle
@@ -147,7 +147,7 @@ PAIR_CENSUS = {
     ids=lambda p: ",".join(map(str, p)),
 )
 def test_each_pair_toggle_fails_the_census_count_of_lines(primes, monkeypatch):
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     n = t.n
     connectors = set(graph.enumerate_connectors(t))
     counts = dict.fromkeys(LINES, 0)
@@ -202,7 +202,7 @@ def test_params_fails_the_verdicts_of_the_lines_that_verify_fails(table, primes,
     # verify ANDs each verdict with its line's oracle, so its FAIL lines are
     # the false verdicts and the lines whose oracle failed; params writes
     # the same verdicts and exits 1 iff one is false
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     exits, counts = 0, dict.fromkeys(LINES, 0)
     for members in _toggled_members(table, t):
         monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)

@@ -11,15 +11,15 @@ from hypothesis import strategies as st
 from psqcayley import cli, graph
 from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import EXPORT_CHUNK_ROWS, CayleyGraph
-from psqcayley.group import crt_basis, make_prime_triple
+from psqcayley.group import PrimeTriple, crt_basis
 from psqcayley.parameters import clique_certificate
 from psqcayley.report import certify
 
 from helpers import divisors, is_cycle, levels_from, neighbors, reference_bfs, rotate, snake_sequence
 
-T235 = make_prime_triple(2, 3, 5)
-T237 = make_prime_triple(2, 3, 7)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T237 = PrimeTriple(2, 3, 7)
+T357 = PrimeTriple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 
 

@@ -1,13 +1,17 @@
+import copy
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psqcayley.group import (
+    PrimeTriple,
     bezout_witness,
     crt_combine,
     element_order,
     is_prime,
-    make_prime_triple,
 )
 
 from helpers import (
@@ -20,8 +24,8 @@ from helpers import (
     triples_with_group_order_at_most,
 )
 
-T235 = make_prime_triple(2, 3, 5)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T357 = PrimeTriple(3, 5, 7)
 SMALL_TRIPLES = triples_with_group_order_at_most(50_000)
 LADDER = triples_with_group_order_at_most(1_100_000)
 
@@ -35,20 +39,58 @@ def test_group_order_and_moduli():
 
 def test_validation_errors():
     with pytest.raises(ValueError, match="^4 is not prime$"):
-        make_prime_triple(2, 3, 4)
+        PrimeTriple(2, 3, 4)
     with pytest.raises(ValueError, match=r"^primes must be distinct, got \(2, 2, 5\)$"):
-        make_prime_triple(2, 2, 5)
+        PrimeTriple(2, 2, 5)
     with pytest.raises(ValueError, match=r"^primes must be ascending, got \(3, 2, 5\)$"):
-        make_prime_triple(3, 2, 5)
+        PrimeTriple(3, 2, 5)
     with pytest.raises(ValueError, match="^group order 166020696508767141924 exceeds 64-bit range$"):
-        make_prime_triple(2, 3, 2147483647)  # (abc)² overflows 64 bits
+        PrimeTriple(2, 3, 2147483647)  # (abc)² overflows 64 bits
 
 
 def test_oversized_prime_overflows_before_trial_division(monkeypatch):
     seen = record_primality_tests(monkeypatch)
     with pytest.raises(ValueError, match="exceeds 64-bit range$"):
-        make_prime_triple(2, 3, BIG_PRIME)
+        PrimeTriple(2, 3, BIG_PRIME)
     assert BIG_PRIME not in seen
+
+
+# inputs with non-prime, repeated or unordered entries, each with the
+# message of the ValueError that every way of building a triple raises
+UNVALIDATED = {
+    (2, 3, 4): "4 is not prime",
+    (2, 4, 5): "4 is not prime",
+    (2, 5, 5): "primes must be distinct, got (2, 5, 5)",
+    (2, 3, 9): "9 is not prime",
+    (3, 3, 5): "primes must be distinct, got (3, 3, 5)",
+    (2, 3, 6): "6 is not prime",
+    (3, 5, 9): "9 is not prime",
+    (2, 5, 3): "primes must be ascending, got (2, 5, 3)",
+    (5, 2, 3): "primes must be ascending, got (5, 2, 3)",
+}
+
+
+@pytest.mark.parametrize("primes", UNVALIDATED, ids=lambda p: ",".join(map(str, p)))
+def test_no_way_of_building_a_triple_skips_validation(primes):
+    # the constructor, `_make` and `_replace` (which calls `_make`) all
+    # validate, so every PrimeTriple is an instance of the paper
+    a, b, c = primes
+    builds = {
+        "constructor": lambda: PrimeTriple(a, b, c),
+        "keywords": lambda: PrimeTriple(alpha=a, beta=b, gamma=c),
+        "_make": lambda: PrimeTriple._make(primes),
+        "_replace": lambda: PrimeTriple(2, 3, 5)._replace(alpha=a, beta=b, gamma=c),
+    }
+    for name, build in builds.items():
+        with pytest.raises(ValueError, match=f"^{re.escape(UNVALIDATED[primes])}$"):
+            build()
+
+
+def test_a_valid_triple_survives_copy_pickle_and_replace():
+    for t in (T235, T357, PrimeTriple(101, 103, 107)):
+        for clone in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t)), PrimeTriple._make(t)):
+            assert type(clone) is PrimeTriple and clone == t and clone.n == t.n
+    assert T235._replace(gamma=7) == PrimeTriple(2, 3, 7)
 
 
 def test_element_order_examples():
@@ -187,4 +229,4 @@ def test_bezout_word_replay():
 
 
 def test_bezout_deterministic():
-    assert bezout_witness(T357) == bezout_witness(make_prime_triple(3, 5, 7))
+    assert bezout_witness(T357) == bezout_witness(PrimeTriple(3, 5, 7))

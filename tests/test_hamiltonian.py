@@ -5,7 +5,7 @@ import pytest
 
 from psqcayley import hamiltonian
 from psqcayley.graph import CayleyGraph
-from psqcayley.group import crt_basis, make_prime_triple
+from psqcayley.group import PrimeTriple, crt_basis
 from psqcayley.hamiltonian import WalkCertificate, snake_walk, verify_walk, walk_lines
 
 from helpers import (
@@ -19,12 +19,12 @@ from helpers import (
     walk_sequence,
 )
 
-T235 = make_prime_triple(2, 3, 5)
-T237 = make_prime_triple(2, 3, 7)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T237 = PrimeTriple(2, 3, 7)
+T357 = PrimeTriple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 G357 = CayleyGraph.from_triple(T357)
-LADDER = [T235, T237, T357, make_prime_triple(3, 5, 11), make_prime_triple(5, 7, 11)]
+LADDER = [T235, T237, T357, PrimeTriple(3, 5, 11), PrimeTriple(5, 7, 11)]
 
 
 def _ids(t) -> str:
@@ -301,7 +301,7 @@ def test_reversed_rows_are_replayed_as_walked():
 def test_every_desk_scale_triple_verifies():
     triples = triples_with_group_order_at_most(50_000)
     assert len(triples) == 20 and sum(t.alpha == 3 for t in triples) == 3
-    for t in triples + [make_prime_triple(5, 7, 11), make_prime_triple(7, 11, 13)]:
+    for t in triples + [PrimeTriple(5, 7, 11), PrimeTriple(7, 11, 13)]:
         walk = snake_walk(t)
         assert verify_walk(walk, CayleyGraph.from_triple(t)), t.primes
         assert walk.length == t.n, t.primes
@@ -314,7 +314,7 @@ def test_every_desk_scale_triple_verifies():
 def test_walk_verifies_far_beyond_the_memory_limit(monkeypatch):
     # n ≈ 1.24·10¹²: the check decides each level by its step, one
     # is_step_cycle call per level it reaches, and never builds the walk
-    t = make_prime_triple(101, 103, 107)
+    t = PrimeTriple(101, 103, 107)
     g = CayleyGraph.from_triple(t)
     walk = snake_walk(t)
     is_step_cycle, calls = CayleyGraph.is_step_cycle, []
@@ -378,7 +378,7 @@ def test_walk_climb_columns_are_sliced_at_the_chunk(t, chunk, monkeypatch):
 
 def test_walk_pieces_stay_within_the_chunk_where_c_squared_exceeds_it():
     # at (2,3,67) the c level's climb column has c² − 1 = 4488 entries
-    t = make_prime_triple(2, 3, 67)
+    t = PrimeTriple(2, 3, 67)
     pieces = list(snake_walk(t).pieces())
     assert t.moduli[2] - 1 > hamiltonian.WALK_CHUNK == max(map(len, pieces))
     assert tuple(v for piece in pieces for v in piece) == snake_sequence(t)

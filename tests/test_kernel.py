@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from psqcayley import graph, oracles, parameters, structure
 from psqcayley.graph import CayleyGraph, _closure, set_bits
-from psqcayley.group import make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.oracles import distance_sweep
 from psqcayley.parameters import (
     IndependenceCertificate,
@@ -51,7 +51,7 @@ from helpers import (
     triples_with_group_order_at_most,
 )
 
-TRIPLES = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
+TRIPLES = [PrimeTriple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7))]
 IDS = ["2,3,5", "2,3,7", "3,5,7"]
 
 
@@ -127,7 +127,7 @@ def test_axis_plan_covers_exactly_the_connectors_on_the_ladder():
         assert sorted(covered) == list(g.members)
         assert g.axis_plan == axis_plan_by_scan(g)
     for primes in ((7, 11, 13), (11, 13, 17)):
-        g = CayleyGraph.from_triple(make_prime_triple(*primes))
+        g = CayleyGraph.from_triple(PrimeTriple(*primes))
         tracemalloc.start()
         try:
             g.axis_plan
@@ -141,7 +141,7 @@ def test_axis_plan_covers_exactly_the_connectors_on_the_ladder():
 def test_large_c_neighbourhood_takes_two_closures_per_axis(primes, monkeypatch):
     # the c-axis holds c² − c connectors, yet one neighbourhood is six
     # closures, two per axis, and no n-bit operation per connector
-    g = CayleyGraph.from_triple(make_prime_triple(*primes))
+    g = CayleyGraph.from_triple(PrimeTriple(*primes))
     assert g.axis_plan == (primes, ())
     calls = []
     monkeypatch.setattr(graph, "_closure", lambda *args: calls.append(args[1:]) or _closure(*args))
@@ -198,7 +198,7 @@ def test_a_planted_member_list_takes_no_axis(t, monkeypatch):
 def test_axis_plan_on_the_premise_peaks_below_one_mib():
     # the merge against the closed-form classes builds no set and no list:
     # at (2,3,401), |C| = 160,408, the plan peaks below 1 MiB
-    g = CayleyGraph.from_triple(make_prime_triple(2, 3, 401))
+    g = CayleyGraph.from_triple(PrimeTriple(2, 3, 401))
     tracemalloc.start()
     try:
         plan = g.axis_plan
@@ -218,7 +218,7 @@ def test_one_run_makes_one_premise_pass(primes, run, monkeypatch):
     calls = Counter()
     classes = graph.connector_classes
     monkeypatch.setattr(graph, "connector_classes", lambda t: calls.update([t.primes]) or classes(t))
-    run(make_prime_triple(*primes))
+    run(PrimeTriple(*primes))
     assert calls == {primes: 1}
 
 
@@ -665,7 +665,7 @@ def test_coloring_tiling_lemma_agrees_with_the_sorted_rotations_on_the_ladder(mo
 def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes, count):
     # block (0, 0, 1) agrees with the certificate's (0, 0, 0) in two residues;
     # the count matches its reference also with n/2 or a one-way step planted
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     g = CayleyGraph.from_triple(t)
     ids = _class_zero_ids(t) + [(0, 0, 1)]
     cert = IndependenceCertificate(tuple(structure.block_residues(t, ids)), _period(t))
@@ -681,7 +681,7 @@ def test_an_extra_block_in_the_certificate_counts_as_its_n_bit_reference(primes,
 def test_the_four_residue_checks_build_no_n_bit_set_at_a_large_c_triple(monkeypatch):
     # at (2,3,167) one n-bit AND per connector is 27,730 operations on ints of
     # a million bits; the four checks must pass without building any n-bit set
-    t = make_prime_triple(2, 3, 167)
+    t = PrimeTriple(2, 3, 167)
     g = CayleyGraph.from_triple(t)
     assert t.n == 1_004_004 and g.degree == 27_730
     calls = Counter()
@@ -707,7 +707,7 @@ def test_certify_takes_neighbourhoods_only_for_bfs(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(CayleyGraph, name, recorded)
-    c = certify(make_prime_triple(2, 3, 167))
+    c = certify(PrimeTriple(2, 3, 167))
     assert c.verdicts["hamiltonian"] and all(c.fiber.values()) and c.connectivity.connected
     assert callers == {"neighborhood from levels_from_zero": c.diameter.bfs_eccentricity}
 

@@ -8,7 +8,7 @@ import pytest
 from psqcayley import cli, graph, oracles, parameters
 from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import CayleyGraph
-from psqcayley.group import make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.oracles import distance_sweep, exact_max_clique, exact_max_independent_set, find_triangle
 from psqcayley.parameters import clique_certificate
 from psqcayley.report import DEFAULT_SEED, build_report, run_verification
@@ -28,8 +28,8 @@ from helpers import (
     triples_with_group_order_at_most,
 )
 
-T235 = make_prime_triple(2, 3, 5)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T357 = PrimeTriple(3, 5, 7)
 G235 = CayleyGraph.from_triple(T235)
 
 
@@ -39,7 +39,7 @@ def test_distance_classes_build_each_set_of_multiples_once(primes, monkeypatch):
     # of the three splits per prime by min(v_p(x), 2): six sets of multiples,
     # of each p and each p², and no other n-bit set is built from scratch;
     # with the levels planted, the sweep takes no neighbourhood
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     g = CayleyGraph.from_triple(t)
     plant_table_levels(g)
     built = []
@@ -54,7 +54,7 @@ def test_sweep_peaks_below_fourteen_n_bit_sets():
     # with the levels cached, the sweep holds the nine splits and builds one
     # class at a time: at (7,11,13), n = 1,002,001, its traced peak stays
     # at or below 14 sets of n bits
-    g = CayleyGraph.from_triple(make_prime_triple(7, 11, 13))
+    g = CayleyGraph.from_triple(PrimeTriple(7, 11, 13))
     g.levels_from_zero
     tracemalloc.start()
     try:
@@ -76,7 +76,7 @@ def test_order_scan_builds_no_n_bit_set(monkeypatch):
     for name in ("multiples", "neighborhood"):
         monkeypatch.setattr(CayleyGraph, name, refused)
     monkeypatch.setattr(CayleyGraph, "levels_from_zero", property(refused))
-    t = make_prime_triple(19, 23, 29)
+    t = PrimeTriple(19, 23, 29)
     assert oracles.order_scan(CayleyGraph.from_triple(t)) == (True, 19 * 18 + 23 * 22 + 29 * 28)
 
 
@@ -164,7 +164,7 @@ def test_exact_searches_agree_with_the_certified_bounds(primes):
     # the uncapped searches reach every params-ladder triple: the closed
     # neighbourhood of 0 holds no clique above c, the index graph no
     # independent set above a·b, as the certificates behind verify say
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     g = CayleyGraph.from_triple(t)
     hood = [0] + neighbors(g, 0)
     clique = exact_max_clique(hood, g.adjacent)
@@ -221,7 +221,7 @@ def test_clique_cover_by_quotient_equals_its_n_bit_reference(primes, monkeypatch
     # c) against the rotations of the n-bit S₀ by K, on the certificate and
     # under planted K; the rule is complete for K on the multiples of a²b²,
     # and rejects K + 1, whose rotations tile too
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     g = CayleyGraph.from_triple(t)
     m_ab, c = t.moduli[0] * t.moduli[1], t.gamma
     k = clique_certificate(t)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from psqcayley import parameters, structure
 from psqcayley.graph import DEFAULT_MATERIALIZE_CAP, CayleyGraph
-from psqcayley.group import crt_combine, element_order, make_prime_triple
+from psqcayley.group import PrimeTriple, crt_combine, element_order
 from psqcayley.parameters import (
     clique_certificate,
     closed_form_distance,
@@ -19,11 +19,11 @@ from psqcayley.parameters import (
 )
 from psqcayley.report import build_report, run_verification
 
-from helpers import UNVALIDATED, certificate_color, certified_coloring, crt_components, triples_with_group_order_at_most
+from helpers import certificate_color, certified_coloring, crt_components, triples_with_group_order_at_most
 
-T235 = make_prime_triple(2, 3, 5)
-T357 = make_prime_triple(3, 5, 7)
-LADDER = [make_prime_triple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11), (7, 11, 13))]
+T235 = PrimeTriple(2, 3, 5)
+T357 = PrimeTriple(3, 5, 7)
+LADDER = [PrimeTriple(*p) for p in ((2, 3, 5), (2, 3, 7), (3, 5, 7), (5, 7, 11), (7, 11, 13))]
 G235 = CayleyGraph.from_triple(T235)
 
 
@@ -69,7 +69,7 @@ def test_color_classes_balanced():
 
 
 def test_coloring_exhaustive_above_materialize_cap():
-    t = make_prime_triple(3, 5, 11)
+    t = PrimeTriple(3, 5, 11)
     assert t.n > DEFAULT_MATERIALIZE_CAP
     result = certified_coloring(t, CayleyGraph.from_triple(t))
     assert result.proper
@@ -153,7 +153,7 @@ def test_index_bounds_make_no_adjacency_call(monkeypatch):
     for t in LADDER:
         assert _index_bounds(t) is True
         assert _index_bounds_by_every_line(t) == (True, True)
-    t = make_prime_triple(2, 3, 167)
+    t = PrimeTriple(2, 3, 167)
     calls = Counter()
     adjacent = structure.index_adjacent
     monkeypatch.setattr(structure, "index_adjacent", lambda x, y: calls.update([1]) or adjacent(x, y))
@@ -178,16 +178,11 @@ def test_index_bounds_by_projection_equal_every_line_of_pairs():
     # part 1 is three injective projections of the a·b ids, O(ab), and part 2
     # the line count, by the line lemma: no C(ab, 2) pair loop, no C(c, 2)
     # line loop and no box walk, equal to the pair loops at every ladder
-    # triple and on the unvalidated triples of distinct primes, where the
-    # index set (i, j, i + j mod 3) is not free: at (2, 5, 3) ids agree in
-    # (i, k), at (5, 2, 3) in (j, k).  The other unvalidated triples share a
-    # prime, so no CRT maps their ids to residues
-    unordered = [t for t in UNVALIDATED if t.primes in ((2, 5, 3), (5, 2, 3))]
-    for t in triples_with_group_order_at_most(1_100_000) + unordered:
-        expected = (t not in unordered, True)
-        assert _index_bounds_by_every_line(t) == expected
-        assert _index_bounds(t) is all(expected)
-    t = make_prime_triple(101, 103, 107)
+    # triple; the projection plants below fail each projection alone
+    for t in triples_with_group_order_at_most(1_100_000):
+        assert _index_bounds_by_every_line(t) == (True, True)
+        assert _index_bounds(t) is True
+    t = PrimeTriple(101, 103, 107)
     assert _index_bounds(t) is True
     assert len(independence_certificate(t).residues) == 101 * 103
 

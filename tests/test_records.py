@@ -9,14 +9,14 @@ import pytest
 
 from psqcayley import cli
 from psqcayley.graph import CayleyGraph, ConnectivityResult
-from psqcayley.group import PrimeTriple, make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.hamiltonian import WalkCertificate, snake_walk
 from psqcayley.oracles import SweepReport
 from psqcayley.parameters import ColoringResult, DiameterResult, IndependenceCertificate, IndependenceScan
 from psqcayley.report import Certificates, VerificationOutcome, certify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-T235 = make_prime_triple(2, 3, 5)
+T235 = PrimeTriple(2, 3, 5)
 
 
 COMMANDS = [
@@ -167,7 +167,7 @@ RECORD_FIELDS = {
     IndependenceScan: ("internal_edges", "graph_edges", "pairs_checked"),
     Certificates: (
         "graph", "connectivity", "clique", "coloring", "independence", "independence_scan", "index_bounds",
-        "diameter", "walk", "fiber", "block_partition", "block_adjacency", "verdicts", "timings",
+        "diameter", "walk", "fiber", "block_adjacency", "verdicts", "timings",
     ),
     VerificationOutcome: ("ok", "lines"),
 }
@@ -177,15 +177,15 @@ RECORD_FIELDS = {
 def test_every_record_is_a_named_tuple_of_its_fields(record):
     # field order, repr, tuple equality, unpacking, `_replace` and
     # immutability; only CayleyGraph has an instance __dict__, for its
-    # cached kernels
+    # cached kernels.  A PrimeTriple holds a valid triple only
     fields = RECORD_FIELDS[record]
-    values = tuple(range(len(fields)))
+    values, last = ((2, 3, 5), 7) if record is PrimeTriple else (tuple(range(len(fields))), "x")
     r = record(*values)
     assert record._fields == fields
     assert repr(r) == f"{record.__name__}({', '.join(f'{f}={v}' for f, v in zip(fields, values))})"
     assert r == values and tuple(r) == values and hash(r) == hash(values)
-    replaced = r._replace(**{fields[-1]: "x"})
-    assert type(replaced) is record and replaced == values[:-1] + ("x",)
+    replaced = r._replace(**{fields[-1]: last})
+    assert type(replaced) is record and replaced == values[:-1] + (last,)
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(r, field, None)

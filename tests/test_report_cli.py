@@ -12,7 +12,7 @@ from psqcayley import connectors as connectors_mod
 from psqcayley import oracles as oracles_mod
 from psqcayley.connectors import enumerate_connectors
 from psqcayley.graph import CayleyGraph
-from psqcayley.group import is_prime, make_prime_triple
+from psqcayley.group import PrimeTriple, is_prime
 from psqcayley.hamiltonian import WalkCertificate
 from psqcayley.oracles import SweepReport, distance_sweep
 from psqcayley.parameters import clique_certificate, independence_certificate
@@ -28,8 +28,8 @@ from helpers import (
 )
 from test_fault_matrix import LINES
 
-T235 = make_prime_triple(2, 3, 5)
-T357 = make_prime_triple(3, 5, 7)
+T235 = PrimeTriple(2, 3, 5)
+T357 = PrimeTriple(3, 5, 7)
 
 EXPECTED_KEYS = [
     "schemaVersion",
@@ -592,7 +592,7 @@ def test_cli_params_certifies_the_index_mis_above_every_former_cap(capsys):
 def test_report_above_the_export_cap_is_exhaustive():
     # n = 27,225 exceeds the default materialization cap, which bounds only
     # the export: every structure field is set and every scan exhaustive
-    rep = build_report(make_prime_triple(3, 5, 11))
+    rep = build_report(PrimeTriple(3, 5, 11))
     assert rep["fiberStructure"] == {k: True for k in ("i", "ii", "iii", "iv", "v", "vi", "vii", "viii")}
     assert rep["blockPartition"] is True
     assert rep["blockAdjacencyConsistent"] is True
@@ -725,12 +725,12 @@ def test_cli_build_does_no_graph_work(capsys, monkeypatch):
 
 def test_memory_limit_admits_the_ladder_and_rejects_huge_groups():
     # arithmetic only: the prediction for n, never an allocation
-    cli._check_memory(make_prime_triple(11, 13, 17).n)
-    cli._check_memory(make_prime_triple(13, 17, 19).n)
-    cli._check_memory(make_prime_triple(17, 19, 23).n)
+    cli._check_memory(PrimeTriple(11, 13, 17).n)
+    cli._check_memory(PrimeTriple(13, 17, 19).n)
+    cli._check_memory(PrimeTriple(17, 19, 23).n)
     for primes in ((19, 23, 29), (101, 103, 107)):
         with pytest.raises(ValueError, match="above the limit of 2048 MiB$"):
-            cli._check_memory(make_prime_triple(*primes).n)
+            cli._check_memory(PrimeTriple(*primes).n)
 
 
 def _three_distinct_primes(abc: int) -> bool:
@@ -902,7 +902,7 @@ def test_cli_export_independent_set(tmp_path):
 def test_cli_export_independent_set_lists_the_certificate_members(primes, tmp_path):
     # the certificate's set {v : v mod period in residues}, ascending, one
     # line each, written chunk by chunk
-    t = make_prime_triple(*primes)
+    t = PrimeTriple(*primes)
     cert = independence_certificate(t)
     residues = set(cert.residues)
     members = [v for v in range(t.n) if v % cert.period in residues]
@@ -917,7 +917,7 @@ def test_cli_export_independent_set_is_colour_class_zero(primes, tmp_path):
     # the exported set, read back: its c translates by the clique
     # certificate partition [0, n), and it holds every vertex of colour 0
     # under the per-vertex colouring and no other
-    t = make_prime_triple(*map(int, primes.split(",")))
+    t = PrimeTriple(*map(int, primes.split(",")))
     out = tmp_path / "indep.txt"
     assert cli.main(["export", "--primes", primes, "--format", "independent-set", "--out", str(out)]) == 0
     members = [int(x) for x in out.read_text().split()]

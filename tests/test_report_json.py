@@ -8,7 +8,7 @@ import json
 import pytest
 
 from psqcayley import graph
-from psqcayley.group import make_prime_triple
+from psqcayley.group import PrimeTriple
 from psqcayley.report import build_report, report_bytes
 
 LADDER = [(2, 3, 5), (2, 3, 7), (3, 5, 7), (3, 5, 11), (5, 7, 11), (7, 11, 13)]
@@ -21,7 +21,7 @@ def _dumps(value) -> bytes:
 @pytest.mark.parametrize("timings", [False, True], ids=["plain", "timings"])
 @pytest.mark.parametrize("primes", LADDER, ids=lambda p: ",".join(map(str, p)))
 def test_report_bytes_equal_json_dumps(primes, timings):
-    rep = build_report(make_prime_triple(*primes), 12345, timings)
+    rep = build_report(PrimeTriple(*primes), 12345, timings)
     assert (rep["timings"] is None) != timings
     assert report_bytes(rep) == _dumps(rep)
 
@@ -29,7 +29,7 @@ def test_report_bytes_equal_json_dumps(primes, timings):
 def test_report_bytes_equal_json_dumps_on_false_verdicts(monkeypatch):
     # the plant n/2 at (2,3,5), row +450 of the fault matrix: the degree
     # turns odd, so the regularity verdict and the certificates' checks fail
-    t = make_prime_triple(2, 3, 5)
+    t = PrimeTriple(2, 3, 5)
     members = tuple(sorted(graph.enumerate_connectors(t) + (t.n // 2,)))
     monkeypatch.setattr(graph, "enumerate_connectors", lambda t: members)
     rep = build_report(t, 7, True)

@@ -1,6 +1,6 @@
 """The suite's own pytest settings: every warning is an error, yet a failing
-hypothesis test is one failure and the run goes on past it; and every test
-module is collected."""
+hypothesis test is one failure and the run goes on past it; every test
+module is collected; and an unregistered mark is an error."""
 
 import subprocess
 import sys
@@ -49,3 +49,27 @@ def test_every_test_module_is_collected():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "error" not in proc.stdout.splitlines()[-1]
     assert "tests/test_census.py::" in proc.stdout
+
+
+MISSPELLED = """
+import pytest
+
+
+@pytest.mark.slwo
+def test_passes():
+    pass
+"""
+
+
+def test_a_misspelled_marker_fails_the_run(tmp_path):
+    # a misspelled `slow` would run a long case in every default run; with
+    # strict markers the typo is a collection error, also with the warnings
+    # plugin off, so it is not only the every-warning-is-an-error filter
+    (tmp_path / "test_probe.py").write_text(MISSPELLED)
+    argv = ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT), "--rootdir", str(tmp_path)]
+    for extra in ([], ["-p", "no:warnings"]):
+        proc = subprocess.run(
+            [sys.executable, *argv, *extra, "test_probe.py"], cwd=tmp_path, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "'slwo' not found in `markers` configuration option" in proc.stdout

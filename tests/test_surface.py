@@ -27,13 +27,16 @@ from pathlib import Path
 
 import psqcayley
 from psqcayley.graph import CayleyGraph
+from psqcayley.group import PrimeTriple
 from psqcayley.oracles import distance_sweep
-from psqcayley.group import make_prime_triple
 from psqcayley.report import certify, run_verification
 
 PACKAGE = Path(psqcayley.__file__).resolve().parent
 # bound by bench/tracer.py, with no caller in the package; drop with ROADMAP item 1
-TRACER_ONLY = {"element_order", "closed_form_distance_table", "bfs", "edges", "exact_max_independent_set", "adjacent"}
+TRACER_ONLY = {
+    "element_order", "closed_form_distance_table", "bfs", "edges", "exact_max_independent_set", "adjacent",
+    "verify_block_partition",
+}
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -404,7 +407,7 @@ def test_verify_decides_no_verdict_and_ands_each_with_its_oracle():
     assert not called & verifiers, sorted(called & verifiers)
     assert not {"parameters", "structure", "hamiltonian"} & _code_references(run)
     checks = [call for call in calls if getattr(call.func, "id", None) == "check"]
-    assert [ast.literal_eval(call.args[0]) for call in checks] == list(certify(make_prime_triple(2, 3, 5)).verdicts)
+    assert [ast.literal_eval(call.args[0]) for call in checks] == list(certify(PrimeTriple(2, 3, 5)).verdicts)
     from_oracles = {
         name.id
         for node in ast.walk(run)
