@@ -14,17 +14,18 @@ every step is an edge.  Applied from the one-vertex walk [0] along c, then b,
 then a, it gives a spanning cycle with endpoints (0, e_a) for every triple.
 
 The certificate is the lemma's own data: one level (step, rows) per
-application, ((e_c, c²), (e_b, b²), (e_a, a²)), and n.  No vertex sequence
-is stored.  `verify_walk` decides the n-vertex walk from the levels alone:
+application, ((e_c, c²), (e_b, b²), (e_a, a²)), and no vertex sequence; the
+walk's length, the modulus of its entries, is the product of the rows.
+`verify_walk` decides the n-vertex walk from the levels alone:
 
 - each level's step s has order exactly its rows, at least 3, and s and −s
   are both connectors (`CayleyGraph.is_step_cycle`); fewer than 3 rows
   would let the identity level (0, 1) lift a walk to itself;
-- each level's rows are coprime to the product of the rows below it, which
-  is n at the top.  The walk below level k covers the subgroup ⊕_{j<k}⟨s_j⟩
-  once, and that subgroup meets each coset of ⟨s_k⟩ once iff the orders are
-  coprime, so the rows of every level are disjoint translates and the walk
-  visits every vertex once.
+- each level's rows are coprime to the product of the rows below it, and
+  all the rows multiply to g's n.  The walk below level k covers the
+  subgroup ⊕_{j<k}⟨s_j⟩ once, and that subgroup meets each coset of ⟨s_k⟩
+  once iff the orders are coprime, so the rows of every level are disjoint
+  translates and the walk visits every vertex once.
 
 Level k lifts a walk W with head 0, second entry w₁ and last entry w_last,
 and each of its steps is one of four kinds: +s, from a row's end to the next
@@ -56,12 +57,12 @@ from .group import PrimeTriple, crt_basis
 WALK_CHUNK = 4096  # walk entries per piece at most
 
 
-class WalkCertificate(namedtuple("WalkCertificate", "levels n")):
+class WalkCertificate(namedtuple("WalkCertificate", "levels")):
     """The spanning cycle of the product lemma lifted from the walk [0]
     through each level (step, rows) in turn: the head 0, then rows
     r·step + tail(W) for r < rows, even rows forwards and odd rows
     backwards, then the climb column r·step for r = rows−1 … 1, all
-    modulo n, where W is the walk lifted through the levels below."""
+    modulo the length, where W is the walk lifted through the levels below."""
 
     __slots__ = ()
 
@@ -72,14 +73,14 @@ class WalkCertificate(namedtuple("WalkCertificate", "levels n")):
     @property
     def endpoints(self) -> tuple[int, int]:
         """The head, and the top of the outer climb column one step above it."""
-        return (0, self.levels[-1][0] % self.n)
+        return (0, self.levels[-1][0] % self.length)
 
     def pieces(self) -> Iterator[list[int]]:
         """The walk in order, piece by piece: the head, then each climb
         column of each level's tail, translated into place, in slices of at
         most WALK_CHUNK entries."""
         yield [0]
-        yield from _tail(self.levels, 0, False, self.n)
+        yield from _tail(self.levels, 0, False, self.length)
 
 
 def _tail(levels: tuple[tuple[int, int], ...], shift: int, backwards: bool, n: int) -> Iterator[list[int]]:
@@ -106,21 +107,19 @@ def _slices(column: range, n: int) -> Iterator[list[int]]:
 
 def snake_walk(t: PrimeTriple) -> WalkCertificate:
     """The product lemma's levels along c, then b, then a."""
-    return WalkCertificate(tuple(zip(reversed(crt_basis(t)), reversed(t.moduli))), t.n)
+    return WalkCertificate(tuple(zip(reversed(crt_basis(t)), reversed(t.moduli))))
 
 
 def verify_walk(w: WalkCertificate, g: CayleyGraph) -> bool:
     """Check the certificate against g level by level: the rows are pairwise
-    coprime with product n, and each level's step is the step of a cycle of
-    its rows in g, which decides every joint (module docstring)."""
-    if w.n != g.triple.n:
-        return False
+    coprime with product g's n, and each level's step is the step of a cycle
+    of its rows in g, which decides every joint (module docstring)."""
     size = 1
     for step, rows in w.levels:
         if gcd(rows, size) != 1 or not g.is_step_cycle(step, rows):
             return False
         size *= rows
-    return size == w.n
+    return size == g.triple.n
 
 
 def walk_lines(w: WalkCertificate) -> Iterator[bytes]:

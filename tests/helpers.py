@@ -7,8 +7,9 @@ triple enumeration by direct search.  The per-vertex references
 (`crt_components`, `certificate_color`, `block_of`, `neighbors`) state one
 vertex at a time what the library builds as whole vertex sets, and
 `snake_sequence` builds the n-entry Hamiltonian walk that the library keeps as
-the product lemma's levels, and `is_cycle` replays a vertex sequence edge by
-edge where the library decides a cycle by its step.
+the product lemma's levels (`lifted_sequence` lifts any levels in Z_n), and
+`is_cycle` replays a vertex sequence edge by edge where the library decides
+a cycle by its step.
 
 `rotate` translates an n-bit set, and `levels_from` runs the n-bit BFS
 from any source with the `neighborhood` kernel: the library keeps only the
@@ -389,12 +390,18 @@ def cell_rule_by_difference(g: CayleyGraph) -> bool:
 
 
 def snake_sequence(t: PrimeTriple) -> tuple[int, ...]:
-    """The product-lemma walk in full, one entry per vertex: from [0], along
-    c, then b, then a, snake rows over the tail alternating direction, then
-    climb the head's column back to row 1."""
-    n = t.n
+    """The product-lemma walk in full, one entry per vertex, along c, then b,
+    then a."""
+    return lifted_sequence(zip(reversed(crt_basis(t)), reversed(t.moduli)), t.n)
+
+
+def lifted_sequence(levels, n: int) -> tuple[int, ...]:
+    """The walk lifted from [0] through each level (step, rows) in turn,
+    entry by entry modulo n: snake the rows over the tail alternating
+    direction, then climb the head's column back to row 1.  A certificate
+    reads its walk modulo its own length; this reads any levels in Z_n."""
     cycle = [0]
-    for m, e in zip(reversed(t.moduli), reversed(crt_basis(t))):
+    for e, m in levels:
         head, tail = cycle[0], cycle[1:]
         rows = (tail, tail[::-1])
         cycle = [head]

@@ -22,11 +22,13 @@ FAULT_MATRIX, the symmetric pair toggles of PAIR_CENSUS, the class-0
 residue plant of `tests/test_acceptance.py`, the plants on the ids that
 `block_residues` receives and on the index graph of
 `tests/test_parameters.py`, the swapped and one-way member lists of
-`tests/test_report_cli.py`, the planted K of `tests/test_kernel.py`, and the
-walk-level faults of `tests/test_hamiltonian.py`.  Under each, the
-instrumented `verify` lines must equal the real ones.  No plant builds an
-invalid triple: `PrimeTriple` refuses one, so the facts about Z_n that every
-triple guarantees are stated in the package, not probed here.
+`tests/test_report_cli.py`, the planted K of `tests/test_kernel.py`, the
+walk-level faults of `tests/test_hamiltonian.py`, and last a triangle-free
+member list.  Under each, the instrumented `verify` lines must equal the
+real ones, and neither `certify` nor `run_verification` may raise.  No
+plant builds an invalid triple: `PrimeTriple` refuses one, so the facts
+about Z_n that every triple guarantees are stated in the package, not
+probed here.
 """
 
 import ast
@@ -287,6 +289,11 @@ def plants():
     faults.update((f"identity level {step}@{i}", _with_identity(walk, i, step)) for i in range(4) for step in (0, n))
     for label, w in faults.items():
         yield f"walk {label}", t235, lambda mp, mods, w=w: mp.setattr(mods["report"], "snake_walk", lambda t: w)
+    # the order-4 class alone: 225 + 225 = 450 is no member, so no triangle
+    triangle_free = (225, 675)
+    yield f"triangle-free members {triangle_free}", t235, lambda mp, mods: mp.setattr(
+        mods["graph"], "enumerate_connectors", lambda t: triangle_free
+    )
 
 
 def run_census(context) -> dict[str, dict[str, str]]:
@@ -326,8 +333,6 @@ CENSUS = {
         "all(map(self.is_connector, ends))": "gcd class -36 at (2, 3, 5)",
     },
     "graph.CayleyGraph.is_connected": {
-        "sum((x * (t.n // m) for x, m in zip((u, v, w), t.moduli))) == 1": "none",
-        "holds": "none",
         "reached == t.n": "gcd class -36 at (2, 3, 5)",
     },
     "structure.verify_fiber_structure": {
@@ -358,10 +363,9 @@ CENSUS = {
         "a * b == len(ids)": "class-0 residue 1",
     },
     "hamiltonian.verify_walk": {
-        "w.n != g.triple.n": "walk n-doubled",
         "not g.is_step_cycle(step, rows)": "gcd class -36 at (2, 3, 5)",
         "gcd(rows, size) != 1": "walk rows+1@1",
-        "size == w.n": "walk two-levels-without-0",
+        "size == g.triple.n": "walk two-levels-without-0",
     },
     "report.certify": {
         "all((x < y for x, y in pairwise(chain((0,), members, (n,)))))": "swapped members",
@@ -391,7 +395,7 @@ CENSUS = {
         "c.verdicts['connecting-set']": "gcd class +1 at (2, 3, 5)",
         "scan_ok": "gcd class +1 at (2, 3, 5)",
         "c.verdicts['girth-nonplanarity']": "gcd class -36 at (2, 3, 5)",
-        "found is not None": "none",
+        "found is not None": "triangle-free members (225, 675)",
         "c.verdicts['diameter']": "gcd class +1 at (2, 3, 5)",
         "sweep.mismatches == 0": "gcd class +1 at (2, 3, 5)",
     },
@@ -400,17 +404,8 @@ CENSUS = {
 # The conjuncts that no plant fails, and why each stays in the package: the
 # lemma candidates of schema v3.  A conjunct whose value is the same for
 # every argument leaves the package instead, its proof kept in a docstring
-# and a test.  This list only shrinks.
-FROM_T = "built by certify from t alone, which no plant here edits"
-LEMMA_CANDIDATES = {
-    "graph.CayleyGraph.is_connected": {
-        "sum((x * (t.n // m) for x, m in zip((u, v, w), t.moduli))) == 1": f"the Bezout witness is {FROM_T}",
-        "holds": "the Bezout identity above",
-    },
-    "report.run_verification": {
-        "found is not None": "the triangle oracle: every planted C keeps a triangle",
-    },
-}
+# and a test.  This list only shrinks, and it is empty.
+LEMMA_CANDIDATES: dict[str, dict[str, str]] = {}
 
 
 def test_every_conjunct_fails_under_some_plant_or_is_a_lemma_candidate(monkeypatch):

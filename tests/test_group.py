@@ -37,17 +37,6 @@ def test_group_order_and_moduli():
     assert T357.n == 11025
 
 
-def test_validation_errors():
-    with pytest.raises(ValueError, match="^4 is not prime$"):
-        PrimeTriple(2, 3, 4)
-    with pytest.raises(ValueError, match=r"^primes must be distinct, got \(2, 2, 5\)$"):
-        PrimeTriple(2, 2, 5)
-    with pytest.raises(ValueError, match=r"^primes must be ascending, got \(3, 2, 5\)$"):
-        PrimeTriple(3, 2, 5)
-    with pytest.raises(ValueError, match="^group order 166020696508767141924 exceeds 64-bit range$"):
-        PrimeTriple(2, 3, 2147483647)  # (abc)² overflows 64 bits
-
-
 def test_oversized_prime_overflows_before_trial_division(monkeypatch):
     seen = record_primality_tests(monkeypatch)
     with pytest.raises(ValueError, match="exceeds 64-bit range$"):
@@ -55,8 +44,9 @@ def test_oversized_prime_overflows_before_trial_division(monkeypatch):
     assert BIG_PRIME not in seen
 
 
-# inputs with non-prime, repeated or unordered entries, each with the
-# message of the ValueError that every way of building a triple raises
+# inputs with non-prime, repeated or unordered entries, or (abc)² past 64
+# bits, each with the message of the ValueError that every way of building a
+# triple raises
 UNVALIDATED = {
     (2, 3, 4): "4 is not prime",
     (2, 4, 5): "4 is not prime",
@@ -67,6 +57,9 @@ UNVALIDATED = {
     (3, 5, 9): "9 is not prime",
     (2, 5, 3): "primes must be ascending, got (2, 5, 3)",
     (5, 2, 3): "primes must be ascending, got (5, 2, 3)",
+    (2, 2, 5): "primes must be distinct, got (2, 2, 5)",
+    (3, 2, 5): "primes must be ascending, got (3, 2, 5)",
+    (2, 3, 2147483647): "group order 166020696508767141924 exceeds 64-bit range",
 }
 
 
@@ -177,13 +170,16 @@ def test_bezout_canonical_bounds():
         assert abs(w) < t.moduli[2]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(LADDER))
-def test_bezout_identity_and_bounds_property(t):
-    u, v, w = bezout_witness(t)
-    m_a, m_b, m_c = t.moduli
-    assert u * m_b * m_c + v * m_a * m_c + w * m_a * m_b == 1
-    assert abs(u) < m_a and abs(v) < m_b and abs(w) < m_c
+def test_bezout_identity_and_bounds_property():
+    # the reference for the identity that `CayleyGraph.is_connected` states:
+    # exact, with the canonical bounds, at all 509 triples with n <= 10⁷
+    triples = triples_with_group_order_at_most(10**7)
+    assert len(triples) == 509
+    for t in triples:
+        u, v, w = bezout_witness(t)
+        m_a, m_b, m_c = t.moduli
+        assert u * m_b * m_c + v * m_a * m_c + w * m_a * m_b == 1, t.primes
+        assert abs(u) < m_a and abs(v) < m_b and abs(w) < m_c, t.primes
 
 
 def test_divisors_and_prime_factors_match_trial_division():

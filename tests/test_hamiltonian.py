@@ -12,6 +12,7 @@ from helpers import (
     bitset,
     crt_components,
     is_cycle,
+    lifted_sequence,
     order_scan_connectors,
     snake_sequence,
     tiles,
@@ -71,7 +72,7 @@ def _open_path(cycle, g):
 def test_cycle_at_smallest_even_instance():
     walk = snake_walk(T235)
     e_a, e_b, e_c = crt_basis(T235)
-    assert walk == (((e_c, 25), (e_b, 9), (e_a, 4)), 900)
+    assert walk == (((e_c, 25), (e_b, 9), (e_a, 4)),)
     assert walk.length == 900
     assert verify_walk(walk, G235)
 
@@ -111,11 +112,12 @@ def test_open_spanning_path_fails_closure():
     assert not G357.adjacent(path[0], path[-1])
     assert _oracle_problems(path, T357) == ["the last vertex is not adjacent to the first"]
     # the levels have no open form: every level's walk closes from the top of
-    # its climb column, one step above the head, by the climb's own step
+    # its climb column, one step above the head, by the climb's own step,
+    # modulo the walk's length
     for k in range(3):
-        walk = WalkCertificate(snake_walk(T357).levels[: k + 1], T357.n)
-        seq = walk_sequence(walk)
-        assert (seq[-1] - seq[0]) % T357.n == (seq[-2] - seq[-1]) % T357.n == walk.levels[-1][0]
+        walk = WalkCertificate(snake_walk(T357).levels[: k + 1])
+        seq, size = walk_sequence(walk), walk.length
+        assert (seq[-1] - seq[0]) % size == (seq[-2] - seq[-1]) % size == walk.levels[-1][0] % size
 
 
 def test_tampered_walk_fails():
@@ -144,7 +146,8 @@ def test_duplicate_vertex_fails():
 
 def test_walk_of_wrong_length_fails():
     # one level's rows one short or one more: the product of the rows is not
-    # n.  At the top level every step is still an edge (row a² lands on row 0)
+    # n.  At the top level, lifted in Z_n, every step is still an edge (row a²
+    # lands on row 0)
     walk = snake_walk(T235)
     for k in range(3):
         step, rows = walk.levels[k]
@@ -154,7 +157,7 @@ def test_walk_of_wrong_length_fails():
             assert len(walk_sequence(short_or_long)) != T235.n, (k, wrong)
     step, rows = walk.levels[-1]
     for wrong in (rows - 1, rows + 1):
-        seq = walk_sequence(_with_level(walk, 2, step, wrong))
+        seq = lifted_sequence(_with_level(walk, 2, step, wrong).levels, T235.n)
         assert all(G235.adjacent(u, v) for u, v in zip(seq, seq[1:] + seq[:1]))
 
 
@@ -166,8 +169,8 @@ def test_inner_cycle_leaving_the_subgroup_fails():
     (e_c, m_c), (e_b, _), _ = walk.levels
     leaving = _with_level(walk, 0, e_c + e_b, m_c)
     assert not verify_walk(leaving, G235)
-    inner = walk_sequence(WalkCertificate(leaving.levels[:2], T235.n))
-    assert sorted(inner) == sorted(walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
+    inner = lifted_sequence(leaving.levels[:2], T235.n)
+    assert sorted(inner) == sorted(lifted_sequence(walk.levels[:2], T235.n))
     assert not is_cycle(G235, inner)
     assert _oracle_problems(walk_sequence(leaving), T235) == ["a step is no edge"]
 
@@ -175,7 +178,7 @@ def test_inner_cycle_leaving_the_subgroup_fails():
 def _level_faults(walk: WalkCertificate, t) -> dict[str, WalkCertificate]:
     """The certificate with one level fault planted, at each level in turn."""
     n, levels = t.n, walk.levels
-    faults = {"certificate": walk, "single-level": WalkCertificate(((1, n),), n), "n-doubled": walk._replace(n=2 * n)}
+    faults = {"certificate": walk, "single-level": WalkCertificate(((1, n),))}
     for k, p in enumerate(reversed(t.primes)):
         step, rows = levels[k]
         planted = {
@@ -265,7 +268,7 @@ def test_step_off_the_a_axis_fails_at_the_joints():
     walk = snake_walk(T235)
     e_a, e_b, _ = crt_basis(T235)
     skewed = _with_level(walk, 2, (e_a + e_b) % T235.n, 4)
-    inner = bitset(G235, walk_sequence(WalkCertificate(walk.levels[:2], T235.n)))
+    inner = bitset(G235, lifted_sequence(walk.levels[:2], T235.n))
     assert tiles(G235, inner, (e_a + e_b) % T235.n, 4)
     assert not verify_walk(skewed, G235)
     assert _oracle_problems(walk_sequence(skewed), T235) == [
@@ -275,10 +278,9 @@ def test_step_off_the_a_axis_fails_at_the_joints():
 
 
 def test_certificate_for_another_n_fails():
-    # the same levels taken modulo 2n: every check that reads g reduces
-    # modulo g's n, but the walk's entries are not g's vertices
-    walk = snake_walk(T235)
-    assert not verify_walk(walk._replace(n=2 * T235.n), G235)
+    # a certificate holds no n, and the levels of another triple fail g's
+    # step rule; two of the three levels fail the product of the rows
+    # (`_level_faults`' two-levels-without-k)
     assert not verify_walk(snake_walk(T357), G235)
 
 
@@ -291,7 +293,7 @@ def test_reversed_rows_are_replayed_as_walked():
     n = T357.n
     one_way = CayleyGraph(T357, tuple(c for c in G357.members if c != e_c))
     walk = snake_walk(T357)
-    c_walk = walk_sequence(WalkCertificate(walk.levels[:1], n))
+    c_walk = lifted_sequence(walk.levels[:1], n)
     assert all(one_way.is_connector((v - u) % n) for u, v in zip(c_walk, c_walk[1:] + c_walk[:1]))
     seq = walk_sequence(walk)
     assert any(not one_way.is_connector((v - u) % n) for u, v in zip(seq, seq[1:]))

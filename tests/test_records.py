@@ -159,7 +159,7 @@ RECORD_FIELDS = {
     PrimeTriple: ("alpha", "beta", "gamma"),
     ConnectivityResult: ("connected", "bezout", "bfs_reached"),
     CayleyGraph: ("triple", "members"),
-    WalkCertificate: ("levels", "n"),
+    WalkCertificate: ("levels",),
     SweepReport: ("sources", "max_distance", "mismatches"),
     DiameterResult: ("value", "witness_pair", "bfs_eccentricity"),
     ColoringResult: ("proper", "tiles", "edges_checked"),
